@@ -4,7 +4,7 @@
 //! The multi-query executor pays ingest — reorder buffer, routing,
 //! framing — once per event no matter how many queries consume it.
 //! This group measures the Q1-shaped grouped stream three ways: the
-//! primary query alone, four queries sharing one executor (primary +
+//! first query alone, four queries sharing one executor (one via `new`,
 //! three registered at runtime), and the same four queries as four
 //! standalone executors each fed the full stream (what fan-out costs
 //! without the shared plane). All four queries GROUP-BY the same key, so
@@ -21,7 +21,7 @@ use greta_types::{Event, EventBuilder, SchemaRegistry, Time};
 const EVENTS: usize = 2000;
 const SHARDS: usize = 4;
 
-/// Primary plus three runtime-registered queries, all over the same
+/// One constructor query plus three runtime-registered ones, all over the same
 /// GROUP-BY key so they share one route group.
 const QUERIES: [&str; 4] = [
     "RETURN grp, COUNT(*) PATTERN M S+ WHERE S.load < NEXT(S).load \
@@ -61,8 +61,8 @@ fn config() -> ExecutorConfig {
 
 /// One executor hosting the first `n` queries; returns each query's rows.
 fn drive_shared(reg: &SchemaRegistry, events: &[Event], n: usize) -> Vec<Vec<WindowResult<f64>>> {
-    let primary = CompiledQuery::parse(QUERIES[0], reg).expect("query compiles");
-    let mut exec = StreamExecutor::<f64>::new(primary, reg.clone(), config()).expect("executor");
+    let first = CompiledQuery::parse(QUERIES[0], reg).expect("query compiles");
+    let mut exec = StreamExecutor::<f64>::new(first, reg.clone(), config()).expect("executor");
     let mut ids = vec![QueryId::PRIMARY];
     for q in &QUERIES[1..n] {
         ids.push(

@@ -9,7 +9,10 @@
 //!   `MemoryFootprint` / `TwoStepRun::peak_bytes`).
 
 use greta_baselines::{CetEngine, FlinkEngine, SaseEngine, TwoStepRun};
-use greta_core::{EngineConfig, GretaEngine, MemoryFootprint};
+use greta_core::{
+    sort_canonical, EngineConfig, ExecutorConfig, GretaEngine, LatePolicy, MemoryFootprint,
+    StreamExecutor,
+};
 use greta_query::CompiledQuery;
 use greta_types::{Event, SchemaRegistry};
 use std::time::Instant;
@@ -86,8 +89,24 @@ pub fn run_greta_parallel(
     threads: usize,
 ) -> Metrics {
     let t0 = Instant::now();
-    let rows = greta_core::parallel::run_parallel::<f64>(query, registry, config, events, threads)
-        .expect("parallel run");
+    let mut exec = StreamExecutor::<f64>::new(
+        query.clone(),
+        registry.clone(),
+        ExecutorConfig {
+            shards: threads,
+            late_policy: LatePolicy::Error,
+            engine: config,
+            ..Default::default()
+        },
+    )
+    .expect("executor");
+    let mut rows = Vec::new();
+    for e in events {
+        exec.push(e.clone()).expect("in-order push");
+        rows.extend(exec.poll_results());
+    }
+    rows.extend(exec.finish().expect("finish"));
+    sort_canonical(&mut rows);
     let total = t0.elapsed().as_secs_f64() * 1e3;
     Metrics {
         engine: format!("GRETA-par{threads}"),

@@ -1,11 +1,10 @@
 //! Push-based, sharded, multi-query stream execution (paper §7 / §10.4
 //! turned into a long-lived serving layer).
 //!
-//! [`StreamExecutor`] unifies what used to be three disconnected entry
-//! points — batch [`GretaEngine::run`], fire-and-collect
-//! [`run_parallel`](crate::parallel::run_parallel), and the unwired
-//! [`ReorderBuffer`] — into one pipeline, and since the multi-query
-//! refactor one ingest plane serves N registered queries:
+//! [`StreamExecutor`] is the one pipeline behind every entry point — the
+//! batch [`GretaEngine::run`] is its inline single-shard case, and the
+//! [`ReorderBuffer`] is its ingest stage — and one ingest plane serves N
+//! hosted queries:
 //!
 //! ```text
 //!                 ┌────────────┐  per route group   ┌──────────────────┐
@@ -24,12 +23,13 @@
 //!   [`LatePolicy`] decides — drop (count), divert (keep for the caller),
 //!   or error. With durability on, each event is WAL-appended exactly once
 //!   no matter how many queries consume it.
-//! * **Multi-query fan-out**: besides the *primary* query passed to
-//!   [`new`](StreamExecutor::new), further queries join at runtime via
+//! * **Multi-query fan-out**: every hosted query is the same kind of
+//!   registry slot, keyed by a [`QueryId`] and carrying its own compiled
+//!   plan, [`EmissionMode`], result buffer, and (when ordered)
+//!   [`ResultMerge`]. [`new`](StreamExecutor::new) hosts the first one;
+//!   further queries join at runtime via
 //!   [`register_query`](StreamExecutor::register_query) and leave via
-//!   [`deregister_query`](StreamExecutor::deregister_query), each keyed by
-//!   a [`QueryId`] and carrying its own compiled plan, [`EmissionMode`],
-//!   result buffer, and (when ordered) [`ResultMerge`]. Queries whose
+//!   [`deregister_query`](StreamExecutor::deregister_query). Queries whose
 //!   `GROUP-BY` keys coincide ([`StreamRouting::routes_like`]) share one
 //!   *route group*: the event is classified, hashed, and framed once for
 //!   the whole set. Each shard worker hosts one [`GretaEngine`] per
@@ -69,10 +69,10 @@
 //!   and every `snapshot_every_windows` closed windows the executor
 //!   checkpoints — each shard serializes every engine it hosts
 //!   ([`GretaEngine::export_state`]), the ingest side serializes the
-//!   reorder buffer, counters, and the query registry, the blob goes to
-//!   the snapshot store, the manifest advances, and obsolete WAL segments
-//!   are deleted. [`StreamExecutor::recover`] restores the latest
-//!   checkpoint — all registered queries included, byte-identically — and
+//!   reorder buffer and counters, every hosted query adds one identical
+//!   section, the blob goes to the snapshot store, the manifest advances,
+//!   and obsolete WAL segments are deleted. [`StreamExecutor::recover`]
+//!   restores the latest checkpoint — every hosted query, byte-identically — and
 //!   replays the WAL tail: the recovered executor emits exactly the rows
 //!   an uninterrupted run would have emitted after that checkpoint (rows
 //!   already emitted for earlier windows are not repeated; rows emitted
@@ -80,10 +80,12 @@
 //!   deterministic, so an idempotent sink keyed on `(window, group)`
 //!   yields exactly-once output).
 //! * **Emission**: closed-window results flow through one bounded channel,
-//!   tagged by query; [`StreamExecutor::poll_results`] drains the primary
-//!   query, [`poll_results_of`](StreamExecutor::poll_results_of) any
-//!   registered one, [`StreamExecutor::finish`] flushes the pipeline and
-//!   joins the workers. With [`EmissionMode::WindowOrdered`], a per-query
+//!   tagged by query; [`poll_results_of`](StreamExecutor::poll_results_of)
+//!   drains any hosted query, [`StreamExecutor::drain`] flushes the
+//!   pipeline and joins the workers
+//!   ([`poll_results`](StreamExecutor::poll_results) and
+//!   [`finish`](StreamExecutor::finish) are the single-query shorthands
+//!   for [`QueryId::PRIMARY`]). With [`EmissionMode::WindowOrdered`], a per-query
 //!   cross-shard min-watermark merge ([`ResultMerge`]) makes that query's
 //!   polled stream window-monotone in canonical `(window, group)` order —
 //!   byte-identical to the sorted unordered output — and
@@ -101,12 +103,16 @@ use crate::window::WindowId;
 use crate::EngineError;
 use crate::MemoryFootprint;
 use crossbeam::channel::{self, Receiver, Sender, TryRecvError, TrySendError};
-use greta_durability::{DurabilityConfig, Manifest, SnapshotStore, TailPolicy, Wal};
+use greta_durability::{DurabilityConfig, Manifest, SnapshotStore, Wal};
 use greta_query::CompiledQuery;
-use greta_types::codec::{put_str, put_u32, put_u64, Reader};
+use greta_types::codec::{put_str, put_u32, Reader};
 use greta_types::{CodecError, Event, EventRef, GroupStats, SchemaRegistry, Time};
+use snapshot::QueryParts;
 use std::collections::{BTreeMap, HashMap};
 use std::thread::JoinHandle;
+
+mod recover;
+mod snapshot;
 
 /// What to do with an event that arrives later than the reorder slack
 /// allows.
@@ -155,9 +161,9 @@ pub enum EmissionMode {
 /// a greedy longest-processing-time reassignment of the observed groups
 /// and migrates state at a window-close barrier — results stay
 /// byte-identical to any static assignment. The detector watches the
-/// *primary* route group (the one the query passed to
-/// [`StreamExecutor::new`] routes through); registered queries that share
-/// it migrate with it, queries with their own key stay on the static hash.
+/// first route group (the one [`QueryId::PRIMARY`] routes through);
+/// queries that share it migrate with it, queries with their own key stay
+/// on the static hash.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebalanceConfig {
     /// Run the skew check every this many closed windows.
@@ -184,9 +190,9 @@ impl Default for RebalanceConfig {
 /// Tuning knobs for [`StreamExecutor`].
 #[derive(Debug, Clone)]
 pub struct ExecutorConfig {
-    /// Shard workers. Clamped to 1 when the *primary* query has no
-    /// `GROUP-BY` (nothing to partition by — the paper's scaling model).
-    /// Must be ≥ 1.
+    /// Shard workers. Clamped to 1 when the query passed to
+    /// [`new`](StreamExecutor::new) has no `GROUP-BY` (nothing to
+    /// partition by — the paper's scaling model). Must be ≥ 1.
     pub shards: usize,
     /// Reorder slack in ticks: events may arrive up to this much behind the
     /// maximum time stamp seen and still be processed in order.
@@ -211,8 +217,9 @@ pub struct ExecutorConfig {
     /// Dynamic shard rebalancing for skewed groups; `None` (the default)
     /// keeps the static hash assignment.
     pub rebalance: Option<RebalanceConfig>,
-    /// The *primary* query's result-stream ordering guarantee (default:
-    /// [`EmissionMode::Unordered`]); registered queries pick theirs at
+    /// Result-stream ordering guarantee of the query passed to
+    /// [`new`](StreamExecutor::new) (default: [`EmissionMode::Unordered`]);
+    /// registered queries pick theirs at
     /// [`register_query`](StreamExecutor::register_query) time.
     pub emission: EmissionMode,
     /// Maximum groups tracked in [`ExecutorStats::group_stats`] (top-K +
@@ -243,8 +250,7 @@ impl Default for ExecutorConfig {
 
 /// Identifier of one query hosted by a [`StreamExecutor`].
 ///
-/// The query passed to [`StreamExecutor::new`] (or recovered as such) is
-/// the *primary* query, always [`QueryId::PRIMARY`]; every
+/// [`StreamExecutor::new`] assigns [`QueryId::PRIMARY`]; every
 /// [`register_query`](StreamExecutor::register_query) call allocates the
 /// next id. Ids are never reused within one executor (or across its
 /// recoveries — the counter is checkpointed and WAL-replayed).
@@ -252,7 +258,7 @@ impl Default for ExecutorConfig {
 pub struct QueryId(pub u32);
 
 impl QueryId {
-    /// The query the executor was constructed with.
+    /// The id [`StreamExecutor::new`] assigns.
     pub const PRIMARY: QueryId = QueryId(0);
 }
 
@@ -265,7 +271,7 @@ impl std::fmt::Display for QueryId {
 /// Per-query counters inside [`ExecutorStats::queries`].
 #[derive(Debug, Clone, Default)]
 pub struct QueryStreamStats {
-    /// The query's id ([`QueryId::PRIMARY`] = the constructor query).
+    /// The query's id.
     pub id: QueryId,
     /// Rows produced for this query's caller so far (drained or waiting).
     pub rows: u64,
@@ -274,15 +280,27 @@ pub struct QueryStreamStats {
     pub pending_rows: usize,
     /// Ordered-merge released watermark: windows strictly below this id
     /// have been fully released in canonical order (0 under
-    /// [`EmissionMode::Unordered`]).
+    /// [`EmissionMode::Unordered`]). This is the progress signal a
+    /// downstream consumer — a cascaded executor DAG, a network
+    /// subscription — can rely on: everything below it is final.
     pub released_to: WindowId,
     /// Minimum cross-shard emission frontier — the window id every shard
     /// has passed (0 under [`EmissionMode::Unordered`]).
     pub min_frontier: WindowId,
-    /// Whether this query routes through the primary route group (same
-    /// `GROUP-BY` key plane — one classification and hash per event serves
-    /// both).
-    pub shares_primary_routing: bool,
+    /// Per-shard ordered-merge frontier lag: how many windows each
+    /// shard's emission frontier trails the *most advanced* shard's. A
+    /// persistently laggy entry is the shard holding the ordered stream
+    /// back (rows of windows between the frontiers are parked in the
+    /// merge). Empty under [`EmissionMode::Unordered`].
+    pub frontier_lag: Vec<u64>,
+    /// Rows parked in the ordered merge waiting for slow shards (bounded
+    /// by open windows × groups). 0 under [`EmissionMode::Unordered`].
+    pub buffered_rows: usize,
+    /// Index of the route group this query's events are framed for.
+    /// Queries with the same value share one `GROUP-BY` key plane — one
+    /// classification and hash per event serves them all; group 0 is the
+    /// one skew rebalancing migrates.
+    pub route_group: u32,
     /// False once the query has been deregistered (its drained rows may
     /// still be pollable).
     pub active: bool,
@@ -293,7 +311,7 @@ pub struct QueryStreamStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WindowLateCounts {
     /// The latest window that would have contained the late event
-    /// (`⌊t / slide⌋`, under the primary query's slide).
+    /// (`⌊t / slide⌋`, under [`QueryId::PRIMARY`]'s slide).
     pub window: WindowId,
     /// Events dropped under [`LatePolicy::Drop`].
     pub dropped: u64,
@@ -312,8 +330,8 @@ pub struct ExecutorStats {
     pub late_dropped: u64,
     /// Late events kept under [`LatePolicy::Divert`].
     pub late_diverted: u64,
-    /// Events delivered to every shard of the primary route group
-    /// (broadcast types).
+    /// Events delivered to every shard of route group 0 (broadcast
+    /// types).
     pub broadcasts: u64,
     /// Watermark messages broadcast to the shards.
     pub watermarks: u64,
@@ -350,8 +368,8 @@ pub struct ExecutorStats {
     /// (space-saving sketch: counts of tracked groups never under-estimate,
     /// light groups may be evicted on high-cardinality streams).
     pub group_stats: Vec<(PartitionKey, GroupStats)>,
-    /// Events delivered per shard by the primary route group (broadcasts
-    /// count once per shard): the load-balance picture. On a skewed stream
+    /// Events delivered per shard by route group 0 (broadcasts count
+    /// once per shard): the load-balance picture. On a skewed stream
     /// the pre-rebalance max of this vector is the parallel-throughput
     /// bottleneck; a successful migration flattens it.
     pub events_per_shard: Vec<u64>,
@@ -365,23 +383,6 @@ pub struct ExecutorStats {
     /// Rows waiting in the result channel when
     /// [`stats`](StreamExecutor::stats) was called.
     pub result_occupancy: usize,
-    /// The primary query's ordered-merge released watermark: windows
-    /// strictly below this id have been fully released to the caller in
-    /// canonical order. Only advances under
-    /// [`EmissionMode::WindowOrdered`] (0 otherwise). This is the progress
-    /// signal a downstream consumer — a cascaded executor DAG, a network
-    /// subscription — can rely on: everything below it is final.
-    pub merge_released_to: WindowId,
-    /// Per-shard ordered-merge frontier lag of the primary query: how many
-    /// windows each shard's emission frontier trails the *most advanced*
-    /// shard's. A persistently laggy entry is the shard holding the
-    /// ordered stream back (rows of windows between the frontiers are
-    /// parked in the merge). Empty under [`EmissionMode::Unordered`].
-    pub merge_frontier_lag: Vec<u64>,
-    /// Rows parked in the primary query's ordered merge waiting for slow
-    /// shards (bounded by open windows × groups). 0 under
-    /// [`EmissionMode::Unordered`].
-    pub merge_buffered_rows: usize,
     /// Aggregated per-shard engine counters, summed over every hosted
     /// query's engines (populated by `finish`).
     pub engine: EngineStats,
@@ -453,13 +454,13 @@ enum OutMsg<N: TrendNum> {
 struct WorkerReport {
     stats: EngineStats,
     peak_bytes: usize,
-    /// Live graph vertices per group of the *primary* query's engine
-    /// (skew reporting).
+    /// Live graph vertices per group of id 0's engine (skew reporting
+    /// covers the rebalanced route group).
     group_vertices: Vec<(PartitionKey, u64)>,
     /// Post-`finish` engine states per hosted query, exported when
     /// durability is on so the terminal checkpoint reflects a
     /// fully-closed stream.
-    final_states: Option<Vec<(u32, Vec<u8>)>>,
+    final_states: Option<QueryBlobs>,
 }
 
 /// Durability runtime: open WAL + snapshot store + checkpoint bookkeeping.
@@ -485,9 +486,9 @@ const WAL_DEREGISTER: u8 = 2;
 /// One hosted query: its plan, result shaping, and caller-facing buffers.
 struct QuerySlot<N: TrendNum> {
     id: u32,
-    /// Source text; `None` for the primary query (constructed from an
-    /// already-compiled plan). Registered queries always carry it — it is
-    /// what WAL replay and snapshots recompile from.
+    /// Source text; `None` for the query `new`/`recover` were handed as
+    /// an already-compiled plan. Registered queries always carry it — it
+    /// is what WAL replay and snapshots recompile from.
     text: Option<String>,
     /// Plan + schemas, kept to rebuild shard engines during barrier
     /// migrations and resharded recovery.
@@ -514,13 +515,36 @@ struct QuerySlot<N: TrendNum> {
     active: bool,
 }
 
+impl<N: TrendNum> QuerySlot<N> {
+    /// No engine of this query will emit again (deregistered, or every
+    /// worker terminated): release what the ordered merge still holds, or
+    /// put an unordered backlog into canonical order — either way
+    /// `pending` ends up sorted by `(window, group)`.
+    fn close_remainder(&mut self) {
+        match &mut self.merge {
+            Some(m) => {
+                let before = self.pending.len();
+                m.close(&mut self.pending);
+                self.rows += (self.pending.len() - before) as u64;
+                debug_assert!(
+                    self.pending
+                        .windows(2)
+                        .all(|w| w[0].order_key() <= w[1].order_key()),
+                    "ordered emission produced an out-of-order remainder"
+                );
+            }
+            None => sort_canonical(&mut self.pending),
+        }
+    }
+}
+
 /// One routed event plane: queries whose `GROUP-BY` keys coincide share a
 /// group, so classification, hashing, and framing are paid once for all of
 /// them.
 struct RouteGroup {
     routing: StreamRouting,
     /// Versioned group → shard overrides; empty = pure hash routing. Only
-    /// group 0 (the primary's) is ever rebalanced.
+    /// group 0 is ever rebalanced.
     table: RoutingTable,
     /// Per-shard event frames not yet sent.
     batch_bufs: Vec<Vec<EventRef>>,
@@ -529,13 +553,11 @@ struct RouteGroup {
     members: usize,
 }
 
-/// Per-query bring-up bundle handed to [`StreamExecutor::assemble`].
+/// What [`StreamExecutor::bring_up`] hands back: the registry slot (already
+/// joined to its route group) plus one engine per shard, ready to be hosted
+/// by the workers.
 struct SlotInit<N: TrendNum> {
-    id: u32,
-    text: Option<String>,
-    query: CompiledQuery,
-    emission: EmissionMode,
-    routing: StreamRouting,
+    slot: QuerySlot<N>,
     engines: Vec<GretaEngine<N>>,
 }
 
@@ -551,69 +573,26 @@ struct EngineSlot<N: TrendNum> {
     frontier: WindowId,
 }
 
-/// Everything [`StreamExecutor::recover`] restores from a snapshot blob
-/// for one registered (non-primary) query.
-struct ExtraParts<N: TrendNum> {
-    id: u32,
-    text: String,
-    emission: EmissionMode,
-    last_close_idx: Option<u64>,
-    rows: u64,
-    pending: Vec<WindowResult<N>>,
-    merge: Option<ResultMerge<N>>,
-    shard_states: Vec<Vec<u8>>,
-}
-
-/// Everything [`StreamExecutor::recover`] restores from a snapshot blob
-/// besides the per-shard engine states.
-struct SnapshotParts<N: TrendNum> {
-    stats: ExecutorStats,
-    max_occupancy: usize,
-    last_close_idx: Option<u64>,
-    late_windows: BTreeMap<WindowId, (u64, u64)>,
-    table: RoutingTable,
-    group_stats: GroupSketch,
-    recent_events: GroupSketch,
-    windows_since_rebalance: u64,
-    reorder: ReorderBuffer,
-    diverted: Vec<EventRef>,
-    pending: Vec<WindowResult<N>>,
-    merge: Option<ResultMerge<N>>,
-    shard_states: Vec<Vec<u8>>,
-    next_query_id: u32,
-    query_epoch: u64,
-    extras: Vec<ExtraParts<N>>,
-}
-
-/// Bumped to 5 with the multi-query registry: snapshots append the
-/// registered-query section (id, source text, emission mode, result
-/// buffers, per-shard engine blobs for every non-primary query) after a
-/// byte-identical v4 primary section, and WAL records carry a tag byte
-/// (event / register / deregister). Snapshots taken by older revisions
-/// are rejected instead of being silently misread; see `ARCHITECTURE.md`
-/// for the upgrade notes.
-const SNAPSHOT_VERSION: u8 = 5;
-
 /// The push-based, sharded, multi-query GRETA runtime. See the
 /// [module docs](self).
 ///
 /// Results are emitted per query as windows close. Rows drained by one
 /// [`poll_results`](Self::poll_results) /
 /// [`poll_results_of`](Self::poll_results_of) call arrive in per-shard
-/// order but may interleave across shards; [`finish`](Self::finish)
-/// returns the primary remainder sorted by `(window, group)`. Sorting the
+/// order but may interleave across shards; [`drain`](Self::drain) leaves
+/// every query's remainder sorted by `(window, group)`. Sorting the
 /// concatenation of all drains yields byte-identical output for any shard
 /// count — for every hosted query.
 pub struct StreamExecutor<N: TrendNum = f64> {
     shards: usize,
     registry: SchemaRegistry,
     engine_config: EngineConfig,
-    /// Hosted queries, ascending by id; index 0 is always the primary.
-    /// Deregistered queries stay (inactive) so their ids are never reused
-    /// and their drained rows stay pollable.
+    /// Hosted queries, ascending by id. Deregistered queries stay
+    /// (inactive) so their ids are never reused and their drained rows
+    /// stay pollable.
     queries: Vec<QuerySlot<N>>,
-    /// Routed event planes; index 0 is the primary's. Queries whose
-    /// routings coincide share an entry.
+    /// Routed event planes; queries whose routings coincide share an
+    /// entry. Index 0 (id 0's) is the one skew rebalancing migrates.
     groups: Vec<RouteGroup>,
     /// Next id [`register_query`](Self::register_query) hands out.
     next_query_id: u32,
@@ -644,18 +623,22 @@ pub struct StreamExecutor<N: TrendNum = f64> {
     /// Reused scratch for reorder-buffer releases (no per-event alloc).
     release_scratch: Vec<EventRef>,
     batch_size: usize,
-    /// Late drop/divert counts keyed by the event's latest window.
+    /// Late drop/divert counts keyed by the event's latest window
+    /// (`⌊t / late_slide⌋`).
     late_windows: BTreeMap<WindowId, (u64, u64)>,
+    /// Slide of id 0, the query whose window closes drive the cadences.
+    late_slide: u64,
     max_occupancy: usize,
     durability: Option<DurabilityState>,
     /// Windows closed since the last checkpoint (cadence counter, driven
-    /// by the primary query's window-close boundaries).
+    /// by id 0's window-close boundaries).
     windows_since_checkpoint: u64,
     /// A cadence checkpoint is owed; taken after the current routing pass
     /// so the snapshot cut never splits a reorder release batch.
     checkpoint_due: bool,
     finished: bool,
 }
+
 /// One decoded WAL record (tag-dispatched).
 enum TailRec {
     Event(EventRef),
@@ -732,7 +715,8 @@ fn decode_tail_record(payload: &[u8]) -> Result<TailRec, CodecError> {
 }
 
 impl<N: TrendNum> StreamExecutor<N> {
-    /// Spawn the shard workers for the primary `query` under `config`.
+    /// Spawn the shard workers and host `query` as [`QueryId::PRIMARY`]
+    /// under `config`.
     ///
     /// With [`ExecutorConfig::durability`] set, the directory must be
     /// fresh: reusing a directory that already holds a manifest or WAL
@@ -744,7 +728,7 @@ impl<N: TrendNum> StreamExecutor<N> {
         registry: SchemaRegistry,
         config: ExecutorConfig,
     ) -> Result<Self, EngineError> {
-        let (routing, shards) = Self::validated_routing(&query, &registry, &config)?;
+        let shards = Self::shard_count(&query, &config)?;
         let durability = match &config.durability {
             None => None,
             Some(dcfg) => {
@@ -773,388 +757,139 @@ impl<N: TrendNum> StreamExecutor<N> {
                 })
             }
         };
-        let engines = (0..shards)
-            .map(|_| GretaEngine::with_config(query.clone(), registry.clone(), config.engine))
-            .collect::<Result<Vec<_>, _>>()?;
-        let init = SlotInit {
-            id: 0,
-            text: None,
-            query,
-            emission: config.emission,
-            routing,
-            engines,
-        };
-        Self::assemble(registry, &config, vec![init], 1, 0, durability)
+        let mut groups = Vec::new();
+        let fresh = QueryParts::fresh(0, None, config.emission);
+        let init = Self::bring_up(&registry, config.engine, shards, &mut groups, query, fresh)?;
+        Self::assemble(registry, &config, shards, groups, vec![init], durability)
     }
 
-    /// Restore an executor from the durability directory in
-    /// `config.durability` and replay the WAL tail.
-    ///
-    /// `query` and `registry` must match the original run's primary query,
-    /// but `config.shards` may differ from the checkpoint's: the
-    /// snapshot's per-group engine state is then repartitioned onto the
-    /// new shard count under a fresh routing epoch, so a stream can be
-    /// recovered into a wider (or narrower) executor with byte-identical
-    /// results. Every query registered at the time of the checkpoint is
-    /// restored byte-identically from its recorded source text and engine
-    /// state, and register/deregister records in the WAL tail are
-    /// replayed in their original stream positions, so the recovered
-    /// registry matches the pre-crash one exactly. The recovered executor
-    /// continues the stream exactly where the WAL ends: rows for windows
-    /// that closed after the last checkpoint are (re-)emitted through
-    /// [`poll_results`](Self::poll_results)/[`finish`](Self::finish), rows
-    /// for earlier windows are not repeated. If the process crashed before
-    /// the first checkpoint, the whole WAL is replayed into fresh state. A
-    /// torn final WAL frame (crash mid-append) is repaired; checksum
-    /// corruption anywhere is a clean [`EngineError::Durability`].
-    pub fn recover(
-        query: CompiledQuery,
-        registry: SchemaRegistry,
-        config: ExecutorConfig,
-    ) -> Result<Self, EngineError> {
-        let dcfg = config.durability.clone().ok_or_else(|| {
-            EngineError::Config("recover requires ExecutorConfig::durability".into())
-        })?;
-        // Opening the WAL first repairs a torn tail before replay.
-        let wal = Wal::open(&dcfg.dir, dcfg.segment_bytes, dcfg.fsync)?;
-        let snapshots = SnapshotStore::open(&dcfg.dir)?;
-        let manifest = Manifest::load(&dcfg.dir)?;
-
-        let (mut exec, replay_from) = match manifest {
-            None => {
-                // Crash before the first checkpoint: fresh state, full replay.
-                let (routing, shards) = Self::validated_routing(&query, &registry, &config)?;
-                let engines = (0..shards)
-                    .map(|_| {
-                        GretaEngine::with_config(query.clone(), registry.clone(), config.engine)
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                let durability = Some(DurabilityState {
-                    config: dcfg.clone(),
-                    wal,
-                    snapshots,
-                    epoch: 0,
-                    record_buf: Vec::new(),
-                });
-                let init = SlotInit {
-                    id: 0,
-                    text: None,
-                    query,
-                    emission: config.emission,
-                    routing,
-                    engines,
-                };
-                (
-                    Self::assemble(registry, &config, vec![init], 1, 0, durability)?,
-                    0,
-                )
-            }
-            Some(m) => {
-                let (routing, expected) = Self::validated_routing(&query, &registry, &config)?;
-                let old_shards = m.shards as usize;
-                let blob = snapshots.read(m.epoch)?;
-                let mut parts: SnapshotParts<N> =
-                    Self::decode_snapshot(&blob, old_shards, &config)?;
-                let resharded = expected != old_shards;
-                if resharded {
-                    // Resharded recovery: the old epoch's pinned assignment
-                    // is meaningless for a different count, so routing
-                    // restarts from the pure hash under a fresh epoch.
-                    parts.table.reset_for_shards();
-                }
-                let primary_engines = if resharded {
-                    GretaEngine::<N>::repartition_states(
-                        &query,
-                        &registry,
-                        config.engine,
-                        &parts.shard_states,
-                        expected,
-                        |g| routing.shard_of_group_key(g, expected),
-                    )?
-                } else {
-                    parts
-                        .shard_states
-                        .iter()
-                        .map(|bytes| {
-                            GretaEngine::import_state(
-                                query.clone(),
-                                registry.clone(),
-                                config.engine,
-                                bytes,
-                            )
-                        })
-                        .collect::<Result<Vec<_>, _>>()?
-                };
-                let mut inits = vec![SlotInit {
-                    id: 0,
-                    text: None,
-                    query: query.clone(),
-                    emission: config.emission,
-                    routing,
-                    engines: primary_engines,
-                }];
-                // Registered queries: recompile from the recorded text and
-                // restore (or repartition) their per-shard engine states.
-                type Restore<N> = (
-                    u32,
-                    Option<u64>,
-                    u64,
-                    Vec<WindowResult<N>>,
-                    Option<ResultMerge<N>>,
-                );
-                let mut restores: Vec<Restore<N>> = Vec::new();
-                for ex in std::mem::take(&mut parts.extras) {
-                    let exq = CompiledQuery::parse(&ex.text, &registry).map_err(|e| {
-                        EngineError::Config(format!(
-                            "registered query {} failed to recompile: {e}",
-                            ex.id
-                        ))
-                    })?;
-                    let exr = StreamRouting::new(&exq, &registry);
-                    exr.validate(&exq, &registry)?;
-                    let engines = if resharded {
-                        let exr = &exr;
-                        GretaEngine::<N>::repartition_states(
-                            &exq,
-                            &registry,
-                            config.engine,
-                            &ex.shard_states,
-                            expected,
-                            |g| exr.shard_of_group_key(g, expected),
-                        )?
-                    } else {
-                        ex.shard_states
-                            .iter()
-                            .map(|bytes| {
-                                GretaEngine::import_state(
-                                    exq.clone(),
-                                    registry.clone(),
-                                    config.engine,
-                                    bytes,
-                                )
-                            })
-                            .collect::<Result<Vec<_>, _>>()?
-                    };
-                    restores.push((ex.id, ex.last_close_idx, ex.rows, ex.pending, ex.merge));
-                    inits.push(SlotInit {
-                        id: ex.id,
-                        text: Some(ex.text),
-                        query: exq,
-                        emission: ex.emission,
-                        routing: exr,
-                        engines,
-                    });
-                }
-                let durability = Some(DurabilityState {
-                    config: dcfg.clone(),
-                    wal,
-                    snapshots,
-                    epoch: m.epoch,
-                    record_buf: Vec::new(),
-                });
-                let mut exec = Self::assemble(
-                    registry,
-                    &config,
-                    inits,
-                    parts.next_query_id,
-                    parts.query_epoch,
-                    durability,
-                )?;
-                exec.stats = parts.stats;
-                if resharded {
-                    // The old per-shard attribution is meaningless for the
-                    // new count; restart the load picture.
-                    exec.stats.events_per_shard = vec![0; expected];
-                }
-                exec.max_occupancy = parts.max_occupancy;
-                exec.queries[0].last_close_idx = parts.last_close_idx;
-                exec.late_windows = parts.late_windows;
-                exec.groups[0].table = parts.table;
-                exec.group_stats = parts.group_stats;
-                exec.recent_events = parts.recent_events;
-                exec.windows_since_rebalance = parts.windows_since_rebalance;
-                exec.reorder = parts.reorder;
-                exec.diverted = parts.diverted;
-                exec.queries[0].pending = parts.pending;
-                if let Some(mut merge) = parts.merge {
-                    if resharded {
-                        // Fresh workers report their own frontiers; the
-                        // released watermark (and buffered rows) carry over
-                        // so the ordered stream resumes without repeats.
-                        merge.reset_for_shards(expected);
-                    }
-                    exec.queries[0].merge = Some(merge);
-                }
-                for (id, last_close_idx, rows, pending, merge) in restores {
-                    let slot = exec
-                        .queries
-                        .iter_mut()
-                        .find(|s| s.id == id)
-                        .expect("assembled registered slot");
-                    slot.last_close_idx = last_close_idx;
-                    slot.rows = rows;
-                    slot.pending = pending;
-                    if let Some(mut m) = merge {
-                        if resharded {
-                            m.reset_for_shards(expected);
-                        }
-                        slot.merge = Some(m);
-                    }
-                }
-                (exec, m.wal_index)
-            }
-        };
-
-        // Replay the WAL tail through the normal ingest path (without
-        // re-appending): events flow through reorder + routing, register /
-        // deregister records re-run their barriers at the original stream
-        // positions. A torn final frame was already repaired by open.
-        let mut tail: Vec<TailRec> = Vec::new();
-        let mut decode_err: Option<CodecError> = None;
-        Wal::replay(
-            &dcfg.dir,
-            replay_from,
-            TailPolicy::Tolerate,
-            |_, payload| {
-                if decode_err.is_some() {
-                    return;
-                }
-                match decode_tail_record(payload) {
-                    Ok(rec) => tail.push(rec),
-                    Err(e) => decode_err = Some(e),
-                }
-            },
-        )
-        .map_err(EngineError::from)?;
-        if let Some(e) = decode_err {
-            return Err(e.into());
-        }
-        for rec in tail {
-            match rec {
-                TailRec::Event(e) => {
-                    exec.stats.pushed += 1;
-                    match exec.ingest(e) {
-                        // Under LatePolicy::Error the original push() surfaced
-                        // the Late error to the caller *after* logging the
-                        // event, and the pipeline stayed usable — mirror that
-                        // here so one logged-then-rejected record cannot
-                        // poison recovery.
-                        Err(EngineError::Late { .. }) => {}
-                        other => other?,
-                    }
-                    if exec.rebalance_due {
-                        exec.run_rebalance_check()?;
-                    }
-                    if exec.checkpoint_due {
-                        exec.checkpoint()?;
-                    }
-                }
-                TailRec::Register { id, emission, text } => {
-                    let q = CompiledQuery::parse(&text, &exec.registry).map_err(|e| {
-                        EngineError::Config(format!(
-                            "registered query {id} failed to recompile: {e}"
-                        ))
-                    })?;
-                    exec.apply_register(id, text, emission, q)?;
-                }
-                TailRec::Deregister(id) => {
-                    // Rows the live run handed back at deregistration stay
-                    // in the inactive slot's pending buffer — like every
-                    // other post-checkpoint row, the caller re-reads them
-                    // via poll_results_of.
-                    exec.apply_deregister(id)?;
-                }
-            }
-        }
-        Ok(exec)
-    }
-
-    /// Routing construction + shard-count validation shared by `new` and
-    /// `recover` (the returned routing is handed on to [`assemble`]).
-    fn validated_routing(
-        query: &CompiledQuery,
-        registry: &SchemaRegistry,
-        config: &ExecutorConfig,
-    ) -> Result<(StreamRouting, usize), EngineError> {
+    /// Shard workers to run: `config.shards`, clamped to 1 when `query` —
+    /// id 0, which anchors the count for the executor's lifetime — has no
+    /// `GROUP-BY` to partition by.
+    fn shard_count(query: &CompiledQuery, config: &ExecutorConfig) -> Result<usize, EngineError> {
         if config.shards == 0 {
             return Err(EngineError::Config("shards must be ≥ 1".into()));
         }
-        let routing = StreamRouting::new(query, registry);
-        routing.validate(query, registry)?;
-        let shards = if query.group_by.is_empty() {
+        Ok(if query.group_by.is_empty() {
             1
         } else {
             config.shards
+        })
+    }
+
+    /// The one way a query comes to be hosted, whatever its id and
+    /// whichever of `new`, `recover`, or `register_query` asks: validate
+    /// `plan`'s routing, build one engine per shard — fresh when `parts`
+    /// carries no checkpointed state, imported when it was checkpointed at
+    /// this shard count, repartitioned onto `shards` otherwise — and join
+    /// the route group its routing coincides with (a new one if none
+    /// does). Joining is the last, infallible step, so a refused query
+    /// leaves `groups` untouched.
+    fn bring_up(
+        registry: &SchemaRegistry,
+        engine_config: EngineConfig,
+        shards: usize,
+        groups: &mut Vec<RouteGroup>,
+        plan: CompiledQuery,
+        parts: QueryParts<N>,
+    ) -> Result<SlotInit<N>, EngineError> {
+        let routing = StreamRouting::new(&plan, registry);
+        routing.validate(&plan, registry)?;
+        let saved = parts.shard_states;
+        let resharded = !saved.is_empty() && saved.len() != shards;
+        let engines = if saved.is_empty() {
+            (0..shards)
+                .map(|_| GretaEngine::with_config(plan.clone(), registry.clone(), engine_config))
+                .collect::<Result<Vec<_>, _>>()?
+        } else if resharded {
+            GretaEngine::<N>::repartition_states(
+                &plan,
+                registry,
+                engine_config,
+                &saved,
+                shards,
+                |g| routing.shard_of_group_key(g, shards),
+            )?
+        } else {
+            saved
+                .iter()
+                .map(|bytes| {
+                    GretaEngine::import_state(plan.clone(), registry.clone(), engine_config, bytes)
+                })
+                .collect::<Result<Vec<_>, _>>()?
         };
-        Ok((routing, shards))
+        let merge = (parts.emission == EmissionMode::WindowOrdered).then(|| match parts.merge {
+            Some(mut m) => {
+                if resharded {
+                    // Fresh workers report their own frontiers; the
+                    // released watermark (and buffered rows) carry over so
+                    // the ordered stream resumes without repeats.
+                    m.reset_for_shards(shards);
+                }
+                m
+            }
+            None => ResultMerge::new(shards),
+        });
+        let group = match groups.iter().position(|g| g.routing.routes_like(&routing)) {
+            Some(g) => {
+                groups[g].members += 1;
+                g
+            }
+            None => {
+                groups.push(RouteGroup {
+                    routing,
+                    table: RoutingTable::default(),
+                    batch_bufs: (0..shards).map(|_| Vec::new()).collect(),
+                    members: 1,
+                });
+                groups.len() - 1
+            }
+        };
+        Ok(SlotInit {
+            slot: QuerySlot {
+                id: parts.id,
+                text: parts.text,
+                emission: parts.emission,
+                group: group as u32,
+                pending: parts.pending,
+                merge,
+                last_close_idx: parts.last_close_idx,
+                window_within: plan.window.within,
+                window_slide: plan.window.slide,
+                rows: parts.rows,
+                active: true,
+                query: plan,
+            },
+            engines,
+        })
     }
 
     /// Wire channels and spawn one worker per shard, each hosting one
-    /// engine per query in `inits` (index 0 = the primary). Queries whose
-    /// routings coincide are folded into shared route groups.
+    /// engine per query in `hosted` (ascending by id, id 0 first).
     fn assemble(
         registry: SchemaRegistry,
         config: &ExecutorConfig,
-        inits: Vec<SlotInit<N>>,
-        next_query_id: u32,
-        query_epoch: u64,
+        shards: usize,
+        groups: Vec<RouteGroup>,
+        hosted: Vec<SlotInit<N>>,
         durability: Option<DurabilityState>,
     ) -> Result<Self, EngineError> {
-        let shards = inits[0].engines.len();
         let (results_tx, results_rx) = channel::bounded(config.result_capacity.max(1));
-        let mut groups: Vec<RouteGroup> = Vec::new();
-        let mut slots: Vec<QuerySlot<N>> = Vec::with_capacity(inits.len());
+        let mut slots: Vec<QuerySlot<N>> = Vec::with_capacity(hosted.len());
         let mut per_shard: Vec<Vec<EngineSlot<N>>> = (0..shards).map(|_| Vec::new()).collect();
-        for init in inits {
-            let SlotInit {
-                id,
-                text,
-                query,
-                emission,
-                routing,
-                engines,
-            } = init;
+        for SlotInit { slot, engines } in hosted {
             debug_assert_eq!(engines.len(), shards);
-            let g = match groups.iter().position(|g| g.routing.routes_like(&routing)) {
-                Some(g) => {
-                    groups[g].members += 1;
-                    g
-                }
-                None => {
-                    groups.push(RouteGroup {
-                        routing,
-                        table: RoutingTable::default(),
-                        batch_bufs: (0..shards).map(|_| Vec::new()).collect(),
-                        members: 1,
-                    });
-                    groups.len() - 1
-                }
-            };
-            let ordered = emission == EmissionMode::WindowOrdered;
             for (shard, engine) in engines.into_iter().enumerate() {
                 per_shard[shard].push(EngineSlot {
-                    query: id,
-                    group: g as u32,
-                    ordered,
+                    query: slot.id,
+                    group: slot.group,
+                    ordered: slot.merge.is_some(),
                     engine,
                     seq: 0,
                     frontier: 0,
                 });
             }
-            slots.push(QuerySlot {
-                id,
-                text,
-                emission,
-                group: g as u32,
-                pending: Vec::new(),
-                merge: ordered.then(|| ResultMerge::new(shards)),
-                last_close_idx: None,
-                window_within: query.window.within,
-                window_slide: query.window.slide,
-                rows: 0,
-                active: true,
-                query,
-            });
+            slots.push(slot);
         }
         let export_final = durability.is_some();
         let mut senders = Vec::with_capacity(shards);
@@ -1177,10 +912,11 @@ impl<N: TrendNum> StreamExecutor<N> {
             shards,
             registry,
             engine_config: config.engine,
+            next_query_id: slots.last().map_or(0, |s| s.id + 1),
+            query_epoch: 0,
+            late_slide: slots.first().map_or(1, |s| s.window_slide.max(1)),
             queries: slots,
             groups,
-            next_query_id,
-            query_epoch,
             rebalance: config.rebalance,
             group_stats: GroupSketch::new(config.group_stats_capacity),
             recent_events: GroupSketch::new(config.group_stats_capacity),
@@ -1221,14 +957,13 @@ impl<N: TrendNum> StreamExecutor<N> {
 
     /// Version of the query registry: bumped by every successful
     /// [`register_query`](Self::register_query) /
-    /// [`deregister_query`](Self::deregister_query) barrier (0 = only the
-    /// primary query has ever been hosted).
+    /// [`deregister_query`](Self::deregister_query) barrier (0 = nothing
+    /// has joined or left since [`new`](Self::new)).
     pub fn query_epoch(&self) -> u64 {
         self.query_epoch
     }
 
-    /// Ids of the currently active queries, ascending ([`QueryId::PRIMARY`]
-    /// first).
+    /// Ids of the currently active queries, ascending.
     pub fn query_ids(&self) -> Vec<QueryId> {
         self.queries
             .iter()
@@ -1237,9 +972,9 @@ impl<N: TrendNum> StreamExecutor<N> {
             .collect()
     }
 
-    /// Source text of a registered query (`None` for
-    /// [`QueryId::PRIMARY`], which was constructed from an
-    /// already-compiled plan, and for unknown ids).
+    /// Source text of a registered query (`None` for the query handed to
+    /// [`new`](Self::new) as an already-compiled plan, and for unknown
+    /// ids).
     pub fn query_text(&self, id: QueryId) -> Option<&str> {
         self.queries
             .iter()
@@ -1313,10 +1048,10 @@ impl<N: TrendNum> StreamExecutor<N> {
     ///         .build();
     ///     exec.push(e).unwrap();
     /// }
-    /// let primary_rows = exec.finish().unwrap();
-    /// let count_rows = exec.poll_results_of(id).unwrap();
-    /// assert!(!primary_rows.is_empty());
-    /// assert!(!count_rows.is_empty());
+    /// exec.drain().unwrap();
+    /// for q in [QueryId(0), id] {
+    ///     assert!(!exec.poll_results_of(q).unwrap().is_empty());
+    /// }
     /// ```
     pub fn register_query(
         &mut self,
@@ -1355,33 +1090,14 @@ impl<N: TrendNum> StreamExecutor<N> {
         emission: EmissionMode,
         query: CompiledQuery,
     ) -> Result<(), EngineError> {
-        let routing = StreamRouting::new(&query, &self.registry);
-        routing.validate(&query, &self.registry)?;
-        let group = match self
-            .groups
-            .iter()
-            .position(|g| g.routing.routes_like(&routing))
-        {
-            Some(g) => {
-                self.groups[g].members += 1;
-                g
-            }
-            None => {
-                self.groups.push(RouteGroup {
-                    routing,
-                    table: RoutingTable::default(),
-                    batch_bufs: (0..self.shards).map(|_| Vec::new()).collect(),
-                    members: 1,
-                });
-                self.groups.len() - 1
-            }
-        };
-        let ordered = emission == EmissionMode::WindowOrdered;
-        let engines = (0..self.shards)
-            .map(|_| {
-                GretaEngine::with_config(query.clone(), self.registry.clone(), self.engine_config)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let SlotInit { slot, engines } = Self::bring_up(
+            &self.registry,
+            self.engine_config,
+            self.shards,
+            &mut self.groups,
+            query,
+            QueryParts::fresh(id, Some(text), emission),
+        )?;
         // The registration cut: frames buffered before this point must
         // reach the old engines only, so flush them ahead of the AddQuery
         // barrier (FIFO channels then order everything after it behind
@@ -1393,8 +1109,8 @@ impl<N: TrendNum> StreamExecutor<N> {
                 i,
                 Msg::AddQuery {
                     query: id,
-                    group: group as u32,
-                    ordered,
+                    group: slot.group,
+                    ordered: slot.merge.is_some(),
                     engine: Box::new(engine),
                     ack: ack_tx.clone(),
                 },
@@ -1402,20 +1118,7 @@ impl<N: TrendNum> StreamExecutor<N> {
         }
         drop(ack_tx);
         self.await_acks(&ack_rx)?;
-        self.queries.push(QuerySlot {
-            id,
-            text: Some(text),
-            emission,
-            group: group as u32,
-            pending: Vec::new(),
-            merge: ordered.then(|| ResultMerge::new(self.shards)),
-            last_close_idx: None,
-            window_within: query.window.within,
-            window_slide: query.window.slide,
-            rows: 0,
-            active: true,
-            query,
-        });
+        self.queries.push(slot);
         self.next_query_id = self.next_query_id.max(id + 1);
         self.query_epoch += 1;
         Ok(())
@@ -1432,10 +1135,11 @@ impl<N: TrendNum> StreamExecutor<N> {
     /// order — together with everything previously drained via
     /// [`poll_results_of`](Self::poll_results_of) they are byte-identical
     /// to a standalone run of the query over the same events, ended at the
-    /// deregistration point. The primary query cannot be deregistered
-    /// (use [`finish`](Self::finish) to stop the stream). With durability
-    /// on, the removal is WAL-logged so [`recover`](Self::recover)
-    /// re-runs it at the same stream position.
+    /// deregistration point. [`QueryId::PRIMARY`] cannot be deregistered —
+    /// it anchors the shard count, the checkpoint/rebalance cadence, and
+    /// the rebalanced route group; [`drain`](Self::drain) stops the
+    /// stream. With durability on, the removal is WAL-logged so
+    /// [`recover`](Self::recover) re-runs it at the same stream position.
     ///
     /// ```
     /// use greta_core::{EmissionMode, ExecutorConfig, QueryId, StreamExecutor};
@@ -1477,29 +1181,31 @@ impl<N: TrendNum> StreamExecutor<N> {
                 "deregister_query after finish() on StreamExecutor".into(),
             ));
         }
-        if id == QueryId::PRIMARY {
-            return Err(EngineError::Config(
-                "the primary query cannot be deregistered; finish() the executor instead".into(),
-            ));
-        }
-        match self.slot(id.0) {
-            None => {
-                return Err(EngineError::Config(format!("unknown query {id}")));
-            }
-            Some(s) if !s.active => {
-                return Err(EngineError::Config(format!(
-                    "query {id} is already deregistered"
-                )));
-            }
-            Some(_) => {}
-        }
+        self.deregister_guard(id.0)?;
         if let Some(d) = &mut self.durability {
             encode_tail_record(&mut d.record_buf, TailRecRef::Deregister(id.0));
             d.wal.append(&d.record_buf).map_err(EngineError::from)?;
         }
         self.apply_deregister(id.0)?;
-        let slot = self.slot_mut(id.0).expect("slot checked above");
-        Ok(std::mem::take(&mut slot.pending))
+        self.poll_results_of(id)
+    }
+
+    /// Only an active query other than id 0 can leave: id 0 anchors the
+    /// shard count, the checkpoint/rebalance cadence, and the rebalanced
+    /// route group.
+    fn deregister_guard(&self, id: u32) -> Result<(), EngineError> {
+        if id == QueryId::PRIMARY.0 {
+            return Err(EngineError::Config(
+                "q0 cannot be deregistered; drain() the executor instead".into(),
+            ));
+        }
+        match self.slot(id) {
+            None => Err(EngineError::Config(format!("unknown query q{id}"))),
+            Some(s) if !s.active => Err(EngineError::Config(format!(
+                "query q{id} is already deregistered"
+            ))),
+            Some(_) => Ok(()),
+        }
     }
 
     /// Tear down a registered query (shared by `deregister_query` and WAL
@@ -1507,16 +1213,7 @@ impl<N: TrendNum> StreamExecutor<N> {
     /// `pending` — canonical order either way (the ordered merge releases
     /// canonically; unordered remainders are sorted here).
     fn apply_deregister(&mut self, id: u32) -> Result<(), EngineError> {
-        {
-            let Some(slot) = self.slot(id) else {
-                return Err(EngineError::Config(format!("unknown query q{id}")));
-            };
-            if !slot.active || id == 0 {
-                return Err(EngineError::Config(format!(
-                    "query q{id} cannot be deregistered"
-                )));
-            }
-        }
+        self.deregister_guard(id)?;
         // Flush so every event released before the cut reaches the
         // query's engines before they are finished.
         self.flush_all_batches()?;
@@ -1534,15 +1231,9 @@ impl<N: TrendNum> StreamExecutor<N> {
         self.await_acks(&ack_rx)?;
         // Every shard acked after emitting its final rows; pull them in.
         self.drain_ready();
-        let slot = self.slot_mut(id).expect("slot checked above");
+        let slot = self.slot_mut(id).expect("slot checked by the guard");
         slot.active = false;
-        if let Some(mut m) = slot.merge.take() {
-            let before = slot.pending.len();
-            m.close(&mut slot.pending);
-            slot.rows += (slot.pending.len() - before) as u64;
-        } else {
-            sort_canonical(&mut slot.pending);
-        }
+        slot.close_remainder();
         let group = slot.group as usize;
         self.groups[group].members -= 1;
         self.query_epoch += 1;
@@ -1618,8 +1309,7 @@ impl<N: TrendNum> StreamExecutor<N> {
             }
             Err(late) => {
                 self.release_scratch = released;
-                let slide = self.queries[0].window_slide.max(1);
-                let wid = late.time.ticks() / slide;
+                let wid = late.time.ticks() / self.late_slide;
                 let slot = self.late_windows.entry(wid).or_default();
                 match self.late_policy {
                     LatePolicy::Drop => {
@@ -1696,32 +1386,27 @@ impl<N: TrendNum> StreamExecutor<N> {
         any
     }
 
-    /// Drain every result row the *primary* query emitted so far, without
+    /// [`poll_results_of`](Self::poll_results_of)`(`[`QueryId::PRIMARY`]`)` —
+    /// the single-query shorthand.
+    pub fn poll_results(&mut self) -> Vec<WindowResult<N>> {
+        self.poll_results_of(QueryId::PRIMARY)
+            .expect("id 0 never leaves the registry")
+    }
+
+    /// Drain every result row query `id` emitted so far, without
     /// blocking. Windows are emitted as the watermark passes their end, so
     /// results stream while events are still being pushed. Under
     /// [`EmissionMode::WindowOrdered`] the drained rows are
     /// window-monotone in canonical `(window, group)` order, across calls:
-    /// concatenating every drain with the [`finish`](Self::finish)
+    /// concatenating every drain with the post-[`drain`](Self::drain)
     /// remainder reproduces the sorted unordered output byte for byte.
-    /// Registered queries are drained separately via
-    /// [`poll_results_of`](Self::poll_results_of).
-    pub fn poll_results(&mut self) -> Vec<WindowResult<N>> {
-        self.drain_ready();
-        std::mem::take(&mut self.queries[0].pending)
-    }
-
-    /// Drain every result row query `id` emitted so far, without blocking
-    /// ([`poll_results`](Self::poll_results) scoped to one query;
-    /// `poll_results_of(QueryId::PRIMARY)` is equivalent to it). Rows of a
-    /// deregistered query remain pollable here — including after
-    /// [`recover`](Self::recover) replayed the deregistration. Errors on
-    /// an id this executor never hosted.
+    /// Rows of a deregistered query remain pollable here — including
+    /// after [`recover`](Self::recover) replayed the deregistration.
+    /// Errors on an id this executor never hosted.
     pub fn poll_results_of(&mut self, id: QueryId) -> Result<Vec<WindowResult<N>>, EngineError> {
         self.drain_ready();
         let slot = self
-            .queries
-            .iter_mut()
-            .find(|s| s.id == id.0)
+            .slot_mut(id.0)
             .ok_or_else(|| EngineError::Config(format!("unknown query {id}")))?;
         Ok(std::mem::take(&mut slot.pending))
     }
@@ -1791,40 +1476,33 @@ impl<N: TrendNum> StreamExecutor<N> {
         }
     }
 
-    /// End of stream: flush the reorder buffer, close all remaining
-    /// windows of every hosted query, take a final checkpoint (durability
-    /// on), join the workers, and return the *primary* query's remaining
-    /// rows in canonical `(window, group)` order (registered queries'
-    /// remainders stay pollable via
-    /// [`poll_results_of`](Self::poll_results_of)). Also finalizes
-    /// [`stats`](Self::stats). Idempotent. Equivalent to
-    /// [`drain`](Self::drain) — this is the historical name.
+    /// [`drain`](Self::drain), then
+    /// [`poll_results_of`](Self::poll_results_of)`(`[`QueryId::PRIMARY`]`)` —
+    /// the single-query shorthand for ending a stream.
     pub fn finish(&mut self) -> Result<Vec<WindowResult<N>>, EngineError> {
-        self.drain()
+        self.drain()?;
+        self.poll_results_of(QueryId::PRIMARY)
     }
 
-    /// Graceful stop, the serving-layer entry point: stop accepting input,
-    /// flush the reorder buffer, close all remaining windows of every
-    /// hosted query (flushing each ordered merge), take a terminal
-    /// checkpoint (durability on), join the workers, and return the
-    /// primary query's remaining rows in canonical `(window, group)` order
-    /// — without consuming `self`, so a server can still read
-    /// [`stats`](Self::stats), [`take_diverted`](Self::take_diverted),
-    /// and every registered query's remainder
-    /// ([`poll_results_of`](Self::poll_results_of)) afterwards.
-    /// Idempotent; byte-identical to [`finish`](Self::finish).
+    /// End of stream: stop accepting input, flush the reorder buffer,
+    /// close all remaining windows of every hosted query (flushing each
+    /// ordered merge), take a terminal checkpoint (durability on), and
+    /// join the workers — without consuming `self`. Every query's
+    /// remaining rows are left in canonical `(window, group)` order for
+    /// [`poll_results_of`](Self::poll_results_of) (under
+    /// [`EmissionMode::WindowOrdered`] they come straight off the merge,
+    /// already ordered; an unordered backlog is sorted here), and
+    /// [`stats`](Self::stats) and [`take_diverted`](Self::take_diverted)
+    /// stay readable. Idempotent.
     ///
     /// With durability on, the terminal checkpoint is taken *after* every
-    /// window closed: [`recover`](Self::recover) from the same directory
-    /// resumes with the full history in its counters and nothing to
-    /// re-emit (regression-tested).
-    ///
-    /// Under [`EmissionMode::WindowOrdered`] the remainder comes straight
-    /// off the merge — already ordered, nothing to sort (the fast path);
-    /// under [`EmissionMode::Unordered`] the remainder is sorted here.
-    pub fn drain(&mut self) -> Result<Vec<WindowResult<N>>, EngineError> {
+    /// window closed and records every row as delivered — the remainders
+    /// are handed over by this call: [`recover`](Self::recover) from the
+    /// same directory resumes with the full history in its counters and
+    /// nothing to re-emit (regression-tested).
+    pub fn drain(&mut self) -> Result<(), EngineError> {
         if self.finished {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let mut tail = self.reorder.flush();
         let route_result = self
@@ -1837,21 +1515,14 @@ impl<N: TrendNum> StreamExecutor<N> {
             g.batch_bufs.clear();
         }
         // Drain concurrently with the workers' final flush: recv() ends
-        // when every worker has dropped its result sender.
+        // when every worker has dropped its result sender — no window of
+        // any query can receive further rows after that.
         while let Ok(msg) = self.results_rx.recv() {
             self.absorb(msg);
         }
         for slot in &mut self.queries {
-            if let Some(m) = &mut slot.merge {
-                // Every worker terminated: no window can receive further
-                // rows for any query.
-                let before = slot.pending.len();
-                m.close(&mut slot.pending);
-                slot.rows += (slot.pending.len() - before) as u64;
-            }
+            slot.close_remainder();
         }
-        let mut rows = std::mem::take(&mut self.queries[0].pending);
-        let primary_ordered = self.queries[0].merge.is_some();
         let mut first_err = route_result.err();
         let mut final_states: Vec<Option<QueryBlobs>> = Vec::with_capacity(self.workers.len());
         for w in self.workers.drain(..) {
@@ -1875,36 +1546,25 @@ impl<N: TrendNum> StreamExecutor<N> {
                 }
             }
         }
-        // Canonicalize registered queries' unordered remainders so
-        // post-finish poll_results_of (and the terminal snapshot) are
-        // deterministic.
-        for slot in self.queries.iter_mut().skip(1) {
-            if slot.merge.is_none() {
-                sort_canonical(&mut slot.pending);
-            }
-        }
         if first_err.is_none() && self.durability.is_some() {
             // Terminal checkpoint *after* the workers closed every window:
             // a graceful shutdown leaves a truncated log and a snapshot
-            // from which recovery resumes with nothing to re-emit.
-            let per_shard: Vec<Vec<(u32, Vec<u8>)>> = final_states.into_iter().flatten().collect();
+            // from which recovery resumes with nothing to re-emit, so the
+            // remainders stay out of it.
+            let per_shard: Vec<QueryBlobs> = final_states.into_iter().flatten().collect();
             if per_shard.len() == self.shards {
+                let remainders: Vec<_> = self
+                    .queries
+                    .iter_mut()
+                    .map(|slot| std::mem::take(&mut slot.pending))
+                    .collect();
                 first_err = self.persist_snapshot(&per_shard).err();
+                for (slot, rows) in self.queries.iter_mut().zip(remainders) {
+                    slot.pending = rows;
+                }
             }
         }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        if !primary_ordered {
-            sort_canonical(&mut rows);
-        } else {
-            debug_assert!(
-                rows.windows(2)
-                    .all(|w| w[0].order_key() <= w[1].order_key()),
-                "ordered emission produced an out-of-order finish remainder"
-            );
-        }
-        Ok(rows)
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Executor counters. Engine aggregates and peak memory are only
@@ -1928,32 +1588,23 @@ impl<N: TrendNum> StreamExecutor<N> {
         s.channel_occupancy = self.senders.iter().map(Sender::len).collect();
         s.max_channel_occupancy = self.max_occupancy;
         s.result_occupancy = self.results_rx.len();
-        if let Some(m) = &self.queries[0].merge {
-            s.merge_released_to = m.released_to();
-            let frontiers = m.frontiers();
-            let max = frontiers.iter().copied().max().unwrap_or(0);
-            s.merge_frontier_lag = frontiers.iter().map(|&f| max - f).collect();
-            s.merge_buffered_rows = m.buffered_rows();
-        }
         s.queries = self
             .queries
             .iter()
-            .map(|slot| QueryStreamStats {
-                id: QueryId(slot.id),
-                rows: slot.rows,
-                pending_rows: slot.pending.len(),
-                released_to: slot
-                    .merge
-                    .as_ref()
-                    .map(ResultMerge::released_to)
-                    .unwrap_or(0),
-                min_frontier: slot
-                    .merge
-                    .as_ref()
-                    .map(ResultMerge::min_frontier)
-                    .unwrap_or(0),
-                shares_primary_routing: slot.group == 0,
-                active: slot.active,
+            .map(|slot| {
+                let frontiers = slot.merge.as_ref().map_or(&[][..], ResultMerge::frontiers);
+                let max = frontiers.iter().copied().max().unwrap_or(0);
+                QueryStreamStats {
+                    id: QueryId(slot.id),
+                    rows: slot.rows,
+                    pending_rows: slot.pending.len(),
+                    released_to: slot.merge.as_ref().map_or(0, ResultMerge::released_to),
+                    min_frontier: slot.merge.as_ref().map_or(0, ResultMerge::min_frontier),
+                    frontier_lag: frontiers.iter().map(|&f| max - f).collect(),
+                    buffered_rows: slot.merge.as_ref().map_or(0, ResultMerge::buffered_rows),
+                    route_group: slot.group,
+                    active: slot.active,
+                }
             })
             .collect();
         s
@@ -2004,7 +1655,7 @@ impl<N: TrendNum> StreamExecutor<N> {
     }
 
     /// Shard owning the event's group in route group `g` under the current
-    /// routing epoch (`None` = broadcast). For the primary group with
+    /// routing epoch (`None` = broadcast). For group 0 with
     /// rebalancing on, also bumps the group's event counter — the skew
     /// detector's signal. Every path works off the event's routing hash:
     /// no group key is materialized per event (only once, when a group is
@@ -2085,15 +1736,13 @@ impl<N: TrendNum> StreamExecutor<N> {
     /// hosted query's window-close boundary since the last broadcast,
     /// flush every buffered frame (the watermark must not overtake its
     /// events) and broadcast the watermark — shards that received no
-    /// recent events still close their windows, for every query. The
-    /// *primary* query's closed windows drive the checkpoint and
-    /// rebalance cadences (single-query behaviour is unchanged byte for
-    /// byte).
+    /// recent events still close their windows, for every query. Id 0's
+    /// closed windows drive the checkpoint and rebalance cadences.
     // lint:hot-path
     fn note_watermark(&mut self, wm: Time) -> Result<(), EngineError> {
         let t = wm.ticks();
         let mut any_closed = false;
-        let mut primary_closed = 0u64;
+        let mut cadence_closed = 0u64;
         for slot in &mut self.queries {
             if !slot.active || t < slot.window_within {
                 continue;
@@ -2109,7 +1758,7 @@ impl<N: TrendNum> StreamExecutor<N> {
             slot.last_close_idx = Some(close_idx);
             any_closed = true;
             if slot.id == 0 {
-                primary_closed = closed;
+                cadence_closed = closed;
             }
         }
         if !any_closed {
@@ -2120,9 +1769,9 @@ impl<N: TrendNum> StreamExecutor<N> {
         for i in 0..self.senders.len() {
             self.send(i, Msg::Watermark(wm))?;
         }
-        if primary_closed > 0 {
+        if cadence_closed > 0 {
             if let Some(d) = &self.durability {
-                self.windows_since_checkpoint += primary_closed;
+                self.windows_since_checkpoint += cadence_closed;
                 if self.windows_since_checkpoint >= d.config.snapshot_every_windows.max(1) {
                     // Defer to the end of the current routing pass: a
                     // snapshot cut mid-release would lose the
@@ -2132,7 +1781,7 @@ impl<N: TrendNum> StreamExecutor<N> {
             }
             if let Some(r) = &self.rebalance {
                 if self.shards > 1 {
-                    self.windows_since_rebalance += primary_closed;
+                    self.windows_since_rebalance += cadence_closed;
                     if self.windows_since_rebalance >= r.check_every_windows.max(1) {
                         // Deferred like checkpoints: the migration barrier
                         // must not split a reorder release batch.
@@ -2227,8 +1876,7 @@ impl<N: TrendNum> StreamExecutor<N> {
             self.send(i, Msg::Snapshot(reply_tx.clone()))?;
         }
         drop(reply_tx);
-        let mut per_shard: Vec<Vec<(u32, Vec<u8>)>> =
-            (0..self.shards).map(|_| Vec::new()).collect();
+        let mut per_shard: Vec<QueryBlobs> = (0..self.shards).map(|_| Vec::new()).collect();
         let mut got = 0usize;
         while got < self.shards {
             match reply_rx.try_recv() {
@@ -2330,15 +1978,15 @@ impl<N: TrendNum> StreamExecutor<N> {
         self.migrate(overrides, moves)
     }
 
-    /// Barrier migration to a new group → shard assignment for the
-    /// primary route group:
+    /// Barrier migration to a new group → shard assignment for route
+    /// group 0:
     ///
     /// 1. flush buffered frames and barrier-snapshot every hosted engine
     ///    (drains all in-flight work — the stream is cut at a point where
     ///    no event is between the router and an engine);
     /// 2. install the new table under a bumped routing epoch;
-    /// 3. repartition the snapshots of every query routed through the
-    ///    primary group so each group's graphs, incremental aggregates,
+    /// 3. repartition the snapshots of every query routed through
+    ///    group 0 so each group's graphs, incremental aggregates,
     ///    and replay context follow it to its new owner (queries on their
     ///    own key plane keep their engines);
     /// 4. send each shard its rebuilt engines. Channels are FIFO and
@@ -2443,7 +2091,7 @@ impl<N: TrendNum> StreamExecutor<N> {
     /// and snapshots it made obsolete. The manifest records the WAL's
     /// next record index (events *and* registry records), so replay
     /// resumes exactly past the records the snapshot covers.
-    fn persist_snapshot(&mut self, per_shard: &[Vec<(u32, Vec<u8>)>]) -> Result<(), EngineError> {
+    fn persist_snapshot(&mut self, per_shard: &[QueryBlobs]) -> Result<(), EngineError> {
         let blob = self.encode_snapshot(per_shard);
         let d = self.durability.as_mut().expect("durability configured");
         // Order matters: WAL records covered by the manifest must be
@@ -2469,284 +2117,6 @@ impl<N: TrendNum> StreamExecutor<N> {
             .map_err(EngineError::from)?;
         self.stats.checkpoints += 1;
         Ok(())
-    }
-
-    /// Serialize the ingest-side state + every hosted query's shard blobs
-    /// into one snapshot: a v4-compatible primary section first, then the
-    /// registered-query registry.
-    fn encode_snapshot(&self, per_shard: &[Vec<(u32, Vec<u8>)>]) -> Vec<u8> {
-        use crate::state::{encode_events, encode_window_result, put_opt_u64};
-        let mut out = Vec::new();
-        out.push(SNAPSHOT_VERSION);
-        put_u32(&mut out, self.shards as u32);
-        // Result-shaping configuration the snapshot depends on: recovery
-        // with different values would silently diverge from the original
-        // run, so it is recorded and checked instead.
-        put_u64(&mut out, self.reorder.slack());
-        out.push(match self.late_policy {
-            LatePolicy::Drop => 0,
-            LatePolicy::Divert => 1,
-            LatePolicy::Error => 2,
-        });
-        out.push(encode_emission(self.queries[0].emission));
-        for v in [
-            self.stats.pushed,
-            self.stats.released,
-            self.stats.late_dropped,
-            self.stats.late_diverted,
-            self.stats.broadcasts,
-            self.stats.watermarks,
-            self.stats.frames,
-            self.stats.checkpoints,
-            self.stats.barrier_snapshots,
-            self.stats.fused_barriers,
-            self.stats.rebalances,
-            self.stats.groups_moved,
-            self.max_occupancy as u64,
-        ] {
-            put_u64(&mut out, v);
-        }
-        put_opt_u64(&mut out, self.queries[0].last_close_idx);
-        put_u32(&mut out, self.late_windows.len() as u32);
-        for (&wid, &(dropped, diverted)) in &self.late_windows {
-            put_u64(&mut out, wid);
-            put_u64(&mut out, dropped);
-            put_u64(&mut out, diverted);
-        }
-        self.groups[0].table.encode(&mut out);
-        self.group_stats.encode(&mut out);
-        put_u64(&mut out, self.windows_since_rebalance);
-        self.recent_events.encode(&mut out);
-        put_u32(&mut out, self.stats.events_per_shard.len() as u32);
-        for v in &self.stats.events_per_shard {
-            put_u64(&mut out, *v);
-        }
-        self.reorder.export_state(&mut out);
-        encode_events(self.diverted.iter(), &mut out);
-        put_u32(&mut out, self.queries[0].pending.len() as u32);
-        for row in &self.queries[0].pending {
-            encode_window_result(row, &mut out);
-        }
-        if let Some(m) = &self.queries[0].merge {
-            m.export_state(&mut out);
-        }
-        let empty: Vec<u8> = Vec::new();
-        put_u32(&mut out, per_shard.len() as u32);
-        for blobs in per_shard {
-            let blob = blobs
-                .iter()
-                .find(|(q, _)| *q == 0)
-                .map(|(_, b)| b)
-                .unwrap_or(&empty);
-            put_u32(&mut out, blob.len() as u32);
-            out.extend_from_slice(blob);
-        }
-        // ── Registry section (v5) ──────────────────────────────────────
-        put_u32(&mut out, self.next_query_id);
-        put_u64(&mut out, self.query_epoch);
-        let extras: Vec<&QuerySlot<N>> = self.queries.iter().skip(1).filter(|s| s.active).collect();
-        put_u32(&mut out, extras.len() as u32);
-        for slot in extras {
-            put_u32(&mut out, slot.id);
-            put_str(&mut out, slot.text.as_deref().unwrap_or(""));
-            out.push(encode_emission(slot.emission));
-            put_opt_u64(&mut out, slot.last_close_idx);
-            put_u64(&mut out, slot.rows);
-            put_u32(&mut out, slot.pending.len() as u32);
-            for row in &slot.pending {
-                encode_window_result(row, &mut out);
-            }
-            if let Some(m) = &slot.merge {
-                m.export_state(&mut out);
-            }
-            put_u32(&mut out, self.shards as u32);
-            for blobs in per_shard {
-                let blob = blobs
-                    .iter()
-                    .find(|(q, _)| *q == slot.id)
-                    .map(|(_, b)| b)
-                    .unwrap_or(&empty);
-                put_u32(&mut out, blob.len() as u32);
-                out.extend_from_slice(blob);
-            }
-        }
-        out
-    }
-
-    /// Inverse of [`encode_snapshot`](Self::encode_snapshot). Refuses a
-    /// `config` whose result-shaping knobs (slack, late policy, primary
-    /// emission mode) differ from the checkpointed run's — recovering
-    /// under different values would silently break the
-    /// byte-identical-replay guarantee.
-    fn decode_snapshot(
-        bytes: &[u8],
-        expect_shards: usize,
-        config: &ExecutorConfig,
-    ) -> Result<SnapshotParts<N>, EngineError> {
-        use crate::state::{decode_events, decode_window_result, get_opt_u64};
-        let r = &mut Reader::new(bytes);
-        let version = r.u8()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(CodecError(format!("unsupported snapshot version {version}")).into());
-        }
-        let shards = r.u32()? as usize;
-        if shards != expect_shards {
-            return Err(CodecError(format!(
-                "snapshot has {shards} shard state(s), manifest says {expect_shards}"
-            ))
-            .into());
-        }
-        let slack = r.u64()?;
-        if slack != config.slack {
-            return Err(EngineError::Config(format!(
-                "slack mismatch: checkpoint was taken with slack {slack}, \
-                 config asks for {}",
-                config.slack
-            )));
-        }
-        let late_policy = match r.u8()? {
-            0 => LatePolicy::Drop,
-            1 => LatePolicy::Divert,
-            2 => LatePolicy::Error,
-            t => return Err(CodecError(format!("bad LatePolicy tag {t}")).into()),
-        };
-        if late_policy != config.late_policy {
-            return Err(EngineError::Config(format!(
-                "late-policy mismatch: checkpoint was taken with {late_policy:?}, \
-                 config asks for {:?}",
-                config.late_policy
-            )));
-        }
-        let emission = decode_emission(r.u8()?)?;
-        if emission != config.emission {
-            return Err(EngineError::Config(format!(
-                "emission-mode mismatch: checkpoint was taken with {emission:?}, \
-                 config asks for {:?}",
-                config.emission
-            )));
-        }
-        let stats = ExecutorStats {
-            pushed: r.u64()?,
-            released: r.u64()?,
-            late_dropped: r.u64()?,
-            late_diverted: r.u64()?,
-            broadcasts: r.u64()?,
-            watermarks: r.u64()?,
-            frames: r.u64()?,
-            checkpoints: r.u64()?,
-            barrier_snapshots: r.u64()?,
-            fused_barriers: r.u64()?,
-            rebalances: r.u64()?,
-            groups_moved: r.u64()?,
-            ..Default::default()
-        };
-        let max_occupancy = r.u64()? as usize;
-        let last_close_idx = get_opt_u64(r)?;
-        let n_late = r.seq_len(24)?;
-        let mut late_windows = BTreeMap::new();
-        for _ in 0..n_late {
-            let wid = r.u64()?;
-            let dropped = r.u64()?;
-            let diverted = r.u64()?;
-            late_windows.insert(wid, (dropped, diverted));
-        }
-        let table = RoutingTable::decode(r, expect_shards)?;
-        let group_stats = GroupSketch::decode(config.group_stats_capacity, r)?;
-        let windows_since_rebalance = r.u64()?;
-        let recent_events = GroupSketch::decode(config.group_stats_capacity, r)?;
-        let n_shard_loads = r.seq_len(8)?;
-        let mut stats = stats;
-        stats.events_per_shard = Vec::with_capacity(n_shard_loads);
-        for _ in 0..n_shard_loads {
-            stats.events_per_shard.push(r.u64()?);
-        }
-        let reorder = ReorderBuffer::import_state(slack, r)?;
-        let diverted = decode_events(r)?;
-        let n_pending = r.seq_len(9)?;
-        let mut pending = Vec::with_capacity(n_pending);
-        for _ in 0..n_pending {
-            pending.push(decode_window_result(r)?);
-        }
-        let merge = match emission {
-            EmissionMode::Unordered => None,
-            EmissionMode::WindowOrdered => Some(ResultMerge::import_state(r)?),
-        };
-        let n_states = r.seq_len(4)?;
-        if n_states != shards {
-            return Err(CodecError(format!(
-                "snapshot header says {shards} shards but carries {n_states} state blobs"
-            ))
-            .into());
-        }
-        let mut shard_states = Vec::with_capacity(n_states);
-        for _ in 0..n_states {
-            shard_states.push(r.bytes()?.to_vec());
-        }
-        // ── Registry section (v5) ──────────────────────────────────────
-        let next_query_id = r.u32()?;
-        let query_epoch = r.u64()?;
-        let n_extra = r.seq_len(22)?;
-        let mut extras = Vec::with_capacity(n_extra);
-        for _ in 0..n_extra {
-            let id = r.u32()?;
-            let text = r.str()?.to_string();
-            let ex_emission = decode_emission(r.u8()?)?;
-            let ex_last_close_idx = get_opt_u64(r)?;
-            let rows = r.u64()?;
-            let n_pending = r.seq_len(9)?;
-            let mut ex_pending = Vec::with_capacity(n_pending);
-            for _ in 0..n_pending {
-                ex_pending.push(decode_window_result(r)?);
-            }
-            let ex_merge = match ex_emission {
-                EmissionMode::Unordered => None,
-                EmissionMode::WindowOrdered => Some(ResultMerge::import_state(r)?),
-            };
-            let n_ex_states = r.seq_len(4)?;
-            if n_ex_states != shards {
-                return Err(CodecError(format!(
-                    "registered query {id} carries {n_ex_states} state blobs, expected {shards}"
-                ))
-                .into());
-            }
-            let mut ex_states = Vec::with_capacity(n_ex_states);
-            for _ in 0..n_ex_states {
-                ex_states.push(r.bytes()?.to_vec());
-            }
-            extras.push(ExtraParts {
-                id,
-                text,
-                emission: ex_emission,
-                last_close_idx: ex_last_close_idx,
-                rows,
-                pending: ex_pending,
-                merge: ex_merge,
-                shard_states: ex_states,
-            });
-        }
-        if !r.is_empty() {
-            return Err(
-                CodecError(format!("{} trailing bytes after snapshot", r.remaining())).into(),
-            );
-        }
-        Ok(SnapshotParts {
-            stats,
-            max_occupancy,
-            last_close_idx,
-            late_windows,
-            table,
-            group_stats,
-            recent_events,
-            windows_since_rebalance,
-            reorder,
-            diverted,
-            pending,
-            merge,
-            shard_states,
-            next_query_id,
-            query_epoch,
-            extras,
-        })
     }
 
     /// Deliver `msg` to a shard without ever blocking this thread for good:
@@ -3041,6 +2411,7 @@ pub(crate) fn drive_batch<N: TrendNum>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use greta_durability::TailPolicy;
     use greta_types::EventBuilder;
     use std::path::PathBuf;
 

@@ -335,8 +335,8 @@ impl RoutingTable {
 }
 
 /// Unified routing view of a compiled query, shared by [`GretaEngine`]
-/// (partition creation/broadcast), [`run_parallel`] and the
-/// [`StreamExecutor`] so all layers classify events identically:
+/// (partition creation/broadcast) and the [`StreamExecutor`] so both
+/// layers classify events identically:
 ///
 /// * **root types** appear in the root (positive) graph and carry the full
 ///   partition key — each such event belongs to exactly one partition and,
@@ -346,7 +346,6 @@ impl RoutingTable {
 ///   be delivered to every matching partition, hence to every shard.
 ///
 /// [`GretaEngine`]: crate::GretaEngine
-/// [`run_parallel`]: crate::parallel::run_parallel
 /// [`StreamExecutor`]: crate::executor::StreamExecutor
 #[derive(Debug, Clone)]
 pub struct StreamRouting {

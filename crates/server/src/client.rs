@@ -67,8 +67,8 @@ impl Client {
         Ok(resp)
     }
 
-    /// Submit a query; returns the new session id (its primary query has
-    /// id `0`).
+    /// Submit a query; returns the new session id (the query gets id `0`
+    /// within it).
     pub fn submit(
         &mut self,
         query: &str,
@@ -201,7 +201,7 @@ impl Client {
     }
 
     /// Turn this connection into a result subscription on the session's
-    /// primary query. Rows stream in wire order (canonical
+    /// query `0`. Rows stream in wire order (canonical
     /// `(window, group)` order under the default `WindowOrdered`
     /// emission) until the session drains.
     pub fn subscribe(self, session: u64) -> Result<Subscription, ClientError> {
@@ -209,7 +209,7 @@ impl Client {
     }
 
     /// Turn this connection into a result subscription on one query of a
-    /// multi-query session (`0` = primary; registered queries use the id
+    /// multi-query session (`0` = the submitted one; registered queries use the id
     /// from [`register`](Self::register)). The stream ends when the
     /// query detaches or the session drains.
     pub fn subscribe_query(

@@ -8,7 +8,7 @@
 //! `{"register":{"session":N,"query":…,"emission":…}}` ·
 //! `{"attach":{"session":N}}` · `{"ingest":{"session":N,"events":[…]}}` ·
 //! `{"subscribe":{"session":N,"query":Q}}` (`query` optional, default
-//! the primary query 0) · `{"detach":{"session":N,"query":Q}}` ·
+//! query 0) · `{"detach":{"session":N,"query":Q}}` ·
 //! `{"drain":{"session":N}}` · `{"stats":{}}` · `{"shutdown":{}}` ·
 //! `{"ping":{}}`
 //!
@@ -189,7 +189,7 @@ fn session_of(body: &Json) -> Result<u64, String> {
         .ok_or_else(|| "request lacks a numeric `session`".to_string())
 }
 
-/// Optional `query` field, defaulting to the primary query 0.
+/// Optional `query` field, defaulting to query 0.
 fn query_of(body: &Json) -> Result<u32, String> {
     match body.get("query") {
         None => Ok(0),

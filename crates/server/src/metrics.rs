@@ -2,8 +2,8 @@
 //!
 //! Output follows the exposition format: one `# HELP` + `# TYPE` pair
 //! per metric name, then the series. Every [`ExecutorStats`] counter is
-//! exported; per-shard vectors become series with a `shard` label and
-//! every session series carries a `session` label.
+//! exported; per-query counters carry a `query` label, per-shard vectors
+//! a `shard` label, and every session series a `session` label.
 
 use greta_core::ExecutorStats;
 use std::fmt::Write as _;
@@ -64,7 +64,7 @@ pub(crate) struct SessionMetrics<'a> {
     pub drained: bool,
     /// Latest stats snapshot.
     pub stats: ExecutorStats,
-    /// Query texts by id (the primary plus every registered query),
+    /// Query texts by id (every query the session ever hosted),
     /// joined with [`ExecutorStats::queries`] for the per-query series.
     pub queries: &'a [(u32, String)],
 }
@@ -239,18 +239,6 @@ pub(crate) fn render(server: &ServerMetrics, sessions: &[SessionMetrics<'_>]) ->
             |s| s.max_channel_occupancy as f64,
         ),
         (
-            "greta_merge_released_watermark",
-            "gauge",
-            "Windows at or below this id have been released by the ordered merge.",
-            |s| s.merge_released_to as f64,
-        ),
-        (
-            "greta_merge_buffered_rows",
-            "gauge",
-            "Rows parked in the ordered merge awaiting slower shards.",
-            |s| s.merge_buffered_rows as f64,
-        ),
-        (
             "greta_peak_memory_bytes",
             "gauge",
             "Peak engine memory footprint.",
@@ -283,7 +271,7 @@ pub(crate) fn render(server: &ServerMetrics, sessions: &[SessionMetrics<'_>]) ->
     r.family(
         "greta_query_info",
         "gauge",
-        "Hosted query identity: text and routing sharing as labels, value 1.",
+        "Hosted query identity: text and route group as labels, value 1.",
     );
     for s in sessions {
         let id = s.id.to_string();
@@ -295,11 +283,7 @@ pub(crate) fn render(server: &ServerMetrics, sessions: &[SessionMetrics<'_>]) ->
                 .find(|(i, _)| *i == q.id.0)
                 .map(|(_, t)| t.as_str())
                 .unwrap_or("");
-            let shares = if q.shares_primary_routing {
-                "true"
-            } else {
-                "false"
-            };
+            let route_group = q.route_group.to_string();
             let active = if q.active { "true" } else { "false" };
             r.series(
                 "greta_query_info",
@@ -307,7 +291,7 @@ pub(crate) fn render(server: &ServerMetrics, sessions: &[SessionMetrics<'_>]) ->
                     ("session", &id),
                     ("query", &qid),
                     ("text", text),
-                    ("shares_primary_routing", shares),
+                    ("route_group", &route_group),
                     ("active", active),
                 ],
                 1.0,
@@ -340,6 +324,12 @@ pub(crate) fn render(server: &ServerMetrics, sessions: &[SessionMetrics<'_>]) ->
             "gauge",
             "Minimum cross-shard emission frontier: the window id every shard has passed.",
             |q| q.min_frontier as f64,
+        ),
+        (
+            "greta_query_buffered_rows",
+            "gauge",
+            "Rows parked in this query's ordered merge awaiting slower shards.",
+            |q| q.buffered_rows as f64,
         ),
         (
             "greta_query_active",
@@ -393,19 +383,22 @@ pub(crate) fn render(server: &ServerMetrics, sessions: &[SessionMetrics<'_>]) ->
         }
     }
     r.family(
-        "greta_merge_frontier_lag_windows",
+        "greta_query_frontier_lag_windows",
         "gauge",
-        "Windows each shard's merge frontier lags behind the most advanced shard.",
+        "Windows each shard's frontier in this query's ordered merge lags behind the most advanced shard.",
     );
     for s in sessions {
         let id = s.id.to_string();
-        for (shard, &lag) in s.stats.merge_frontier_lag.iter().enumerate() {
-            let shard = shard.to_string();
-            r.series(
-                "greta_merge_frontier_lag_windows",
-                &[("session", &id), ("shard", &shard)],
-                lag as f64,
-            );
+        for q in &s.stats.queries {
+            let qid = q.id.0.to_string();
+            for (shard, &lag) in q.frontier_lag.iter().enumerate() {
+                let shard = shard.to_string();
+                r.series(
+                    "greta_query_frontier_lag_windows",
+                    &[("session", &id), ("query", &qid), ("shard", &shard)],
+                    lag as f64,
+                );
+            }
         }
     }
 
@@ -439,7 +432,8 @@ mod tests {
                 greta_core::QueryStreamStats {
                     id: greta_core::QueryId(0),
                     rows: 7,
-                    shares_primary_routing: true,
+                    frontier_lag: vec![0, 4],
+                    buffered_rows: 2,
                     active: true,
                     ..Default::default()
                 },
@@ -447,13 +441,13 @@ mod tests {
                     id: greta_core::QueryId(1),
                     rows: 3,
                     pending_rows: 1,
+                    route_group: 1,
                     active: true,
                     ..Default::default()
                 },
             ],
             events_per_shard: vec![3, 2],
             channel_occupancy: vec![0, 1],
-            merge_frontier_lag: vec![0, 4],
             ..Default::default()
         };
         let queries = vec![
@@ -473,7 +467,9 @@ mod tests {
         assert!(text.contains("# TYPE greta_events_pushed_total counter"));
         assert!(text.contains("greta_events_pushed_total{session=\"1\"} 5"));
         assert!(text.contains("greta_shard_events_total{session=\"1\",shard=\"0\"} 3"));
-        assert!(text.contains("greta_merge_frontier_lag_windows{session=\"1\",shard=\"1\"} 4"));
+        assert!(text
+            .contains("greta_query_frontier_lag_windows{session=\"1\",query=\"0\",shard=\"1\"} 4"));
+        assert!(text.contains("greta_query_buffered_rows{session=\"1\",query=\"0\"} 2"));
         assert!(text.contains("greta_session_info{session=\"1\",query="));
         // Per-query families: one series per (session, query).
         assert!(text.contains("greta_query_epoch{session=\"1\"} 2"));
@@ -483,7 +479,7 @@ mod tests {
         assert!(text.contains(
             "greta_query_info{session=\"1\",query=\"1\",text=\"RETURN COUNT(*) PATTERN SEQ(B b)\""
         ));
-        assert!(text.contains("shares_primary_routing=\"true\""));
+        assert!(text.contains("route_group=\"1\""));
         // At least 12 distinct ExecutorStats-backed families.
         let families = text
             .lines()

@@ -184,7 +184,7 @@ pub enum Request {
     Subscribe {
         /// Target session.
         session: u64,
-        /// Target query within the session (`0` = the primary query).
+        /// Target query within the session (`0` = the submitted one).
         query: u32,
     },
     /// Deregister a query from a session mid-stream (barrier cut). The
@@ -192,8 +192,8 @@ pub enum Request {
     Detach {
         /// Target session.
         session: u64,
-        /// Query to deregister (the primary query `0` cannot detach —
-        /// drain the session instead).
+        /// Query to deregister (query `0` cannot detach — drain the
+        /// session instead).
         query: u32,
     },
     /// Gracefully drain one session: flush ordered output, take a
@@ -217,9 +217,8 @@ pub enum Response {
     SubmitOk {
         /// The session id to use in subsequent frames.
         session: u64,
-        /// The query id within the session: `0` for a new session's
-        /// primary query, the assigned id for a `Submit` with
-        /// `attach_to`.
+        /// The query id within the session: `0` for a new session, the
+        /// assigned id for a `Submit` with `attach_to`.
         query: u32,
     },
     /// Ingest acknowledgement.

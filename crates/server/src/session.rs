@@ -1,11 +1,11 @@
 //! One session = one shared ingest stream = one [`StreamExecutor`] owned
-//! by a dedicated thread, hosting the primary query plus any number of
-//! queries registered at runtime. Connections talk to it through a
+//! by a dedicated thread, hosting the submitted query (id 0) plus any
+//! number of queries registered at runtime. Connections talk to it through a
 //! bounded command channel; each query's subscribers get its result rows
 //! fanned out over bounded channels.
 //!
 //! Backpressure is layered: the command channel bounds in-flight ingest
-//! batches, the session stops polling `poll_results()` once its pending
+//! batches, the session stops polling `poll_results_of()` once a pending
 //! buffer hits the high-water mark (so the executor's result channel
 //! fills and `result_occupancy` rises), and every ingest ack carries a
 //! `busy` bit computed from those occupancies — the credit signal the
@@ -51,7 +51,7 @@ pub(crate) enum SessionCmd {
     /// Register a subscriber for one query's result rows. An unknown
     /// query id gets an immediate `End`.
     Subscribe {
-        /// Query within the session (`0` = primary).
+        /// Query within the session (`0` = the submitted one).
         query: u32,
         /// Row fan-out channel owned by the subscribing connection.
         tx: Sender<SubMsg>,
@@ -69,7 +69,7 @@ pub(crate) enum SessionCmd {
     /// Deregister a query (barrier cut); reply with its undelivered
     /// remainder after its subscribers received everything pending.
     Deregister {
-        /// Query to remove (`0` is refused — drain the session).
+        /// Query to remove (the executor refuses `0` — drain the session).
         query: u32,
         /// Reply channel (capacity 1).
         reply: Sender<Result<Vec<WindowResult<f64>>, String>>,
@@ -120,8 +120,8 @@ pub(crate) struct SessionHandle {
     /// Stats snapshot refreshed by the session thread after every command
     /// burst, so `/metrics` never blocks on a busy executor.
     pub(crate) last_stats: Arc<Mutex<ExecutorStats>>,
-    /// Query texts by id, ascending — the primary plus every query ever
-    /// registered (deregistered ones stay for metrics continuity;
+    /// Query texts by id, ascending — the submitted query plus every
+    /// query ever registered (deregistered ones stay for metrics continuity;
     /// `ExecutorStats::queries` marks them inactive).
     pub(crate) query_texts: Arc<Mutex<Vec<(u32, String)>>>,
     /// Set once the session has drained (terminal checkpoint taken).
@@ -223,7 +223,7 @@ struct Subscriber {
 /// One hosted query's result stream: its own pending backlog and its
 /// own subscribers, fed from `poll_results_of(query)`.
 struct QueryStream {
-    /// Query id within the session's executor (`0` = primary).
+    /// Query id within the session's executor.
     query: u32,
     subs: Vec<Subscriber>,
     /// Rows polled from the executor but not yet accepted by every
@@ -270,8 +270,8 @@ fn run_session(
     query_texts: Arc<Mutex<Vec<(u32, String)>>>,
     drained: Arc<AtomicBool>,
 ) {
-    // One stream per query the executor hosts at start — just the
-    // primary on a fresh session, more after a multi-query recovery.
+    // One stream per query the executor hosts at start — one on a fresh
+    // session, more after a multi-query recovery.
     let streams: Vec<QueryStream> = {
         let ids = exec.query_ids();
         if ids.is_empty() {
@@ -308,6 +308,8 @@ fn run_session(
                         // under LatePolicy::Error) already replied with an
                         // error and the session keeps serving.
                         s.broadcast_end();
+                        let why = "session stopped after a fatal ingest error";
+                        refuse_queued(&cmd_rx, why, Err(why.into()));
                         return;
                     }
                 }
@@ -356,7 +358,8 @@ fn run_session(
                     let res = s.drain();
                     s.publish_stats(&last_stats);
                     drained.store(true, Ordering::SeqCst);
-                    let _ = reply.send(res);
+                    let _ = reply.send(res.clone());
+                    refuse_queued(&cmd_rx, "session drained", res);
                     return;
                 }
                 Err(TryRecvError::Empty) => break,
@@ -373,6 +376,33 @@ fn run_session(
         }
         if !worked {
             std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+}
+
+/// The session loop is about to exit with commands possibly still queued
+/// behind the one that ended it: answer each instead of dropping it, so
+/// no connection thread waits on a reply that will never come — a queued
+/// `Subscribe` gets its end-of-stream, a concurrent `Drain` the outcome
+/// `drained` (drains are idempotent), everything else the error `why`.
+fn refuse_queued(cmd_rx: &Receiver<SessionCmd>, why: &str, drained: Result<(), String>) {
+    while let Ok(cmd) = cmd_rx.try_recv() {
+        match cmd {
+            SessionCmd::Subscribe { tx, .. } => {
+                let _ = tx.send(SubMsg::End);
+            }
+            SessionCmd::Ingest { reply, .. } => {
+                let _ = reply.send(Err(why.into()));
+            }
+            SessionCmd::Register { reply, .. } => {
+                let _ = reply.send(Err(why.into()));
+            }
+            SessionCmd::Deregister { reply, .. } => {
+                let _ = reply.send(Err(why.into()));
+            }
+            SessionCmd::Drain { reply } => {
+                let _ = reply.send(drained.clone());
+            }
         }
     }
 }
@@ -482,9 +512,6 @@ impl SessionLoop {
     /// subscribed. Streamed rows and returned rows are disjoint: their
     /// union is the query's exactly-once output.
     fn deregister(&mut self, query: u32) -> Result<Vec<WindowResult<f64>>, String> {
-        if query == 0 {
-            return Err("the primary query cannot detach; drain the session".into());
-        }
         let pos = self
             .streams
             .iter()
@@ -511,29 +538,18 @@ impl SessionLoop {
     /// the terminal checkpoint, deliver every remaining row, end all
     /// subscriptions.
     fn drain(&mut self) -> Result<(), String> {
-        match self.exec.drain() {
-            Ok(rows) => {
-                // drain() returns the primary remainder; registered
-                // queries' remainders stay pollable afterwards.
-                let mut primary_rows = Some(rows);
-                for st in &mut self.streams {
-                    if st.query == 0 {
-                        if let Some(rows) = primary_rows.take() {
-                            st.pending.extend(rows);
-                        }
-                    } else if let Ok(polled) = self.exec.poll_results_of(QueryId(st.query)) {
-                        st.pending.extend(polled);
-                    }
-                    flush_stream(st, true);
+        let res = self.exec.drain();
+        if res.is_ok() {
+            // Every query's remainder is pollable after the drain.
+            for st in &mut self.streams {
+                if let Ok(polled) = self.exec.poll_results_of(QueryId(st.query)) {
+                    st.pending.extend(polled);
                 }
-                self.broadcast_end();
-                Ok(())
-            }
-            Err(e) => {
-                self.broadcast_end();
-                Err(format!("drain failed: {e}"))
+                flush_stream(st, true);
             }
         }
+        self.broadcast_end();
+        res.map_err(|e| format!("drain failed: {e}"))
     }
 
     fn broadcast_end(&mut self) {

@@ -1,9 +1,9 @@
 //! Cascade: a two-stage executor DAG wired through `min_frontier`.
 //!
 //! Stage 1 is a multi-query executor: one shared ingest plane (reorder
-//! buffer paid once per event) hosting the primary query plus a second
+//! buffer paid once per event) hosting the trend-count query plus a second
 //! query registered at runtime. Stage 2 is a downstream executor that
-//! consumes the primary query's *finalized* windows as its own input
+//! consumes the trend-count query's *finalized* windows as its own input
 //! events — the cascaded-DAG pattern.
 //!
 //! The correctness hinge is [`min_frontier`]: under `WindowOrdered`
@@ -25,7 +25,7 @@ use greta::core::{
 use greta::query::CompiledQuery;
 use greta::types::{Event, EventBuilder, SchemaRegistry, Time};
 
-/// Stage 1, primary: per-group count of upward load trends.
+/// Stage 1, query 0: per-group count of upward load trends.
 const STAGE1: &str = "RETURN grp, COUNT(*) PATTERN M+ WHERE M.load < NEXT(M).load \
                       GROUP-BY grp WITHIN 60 SLIDE 30";
 /// Stage 1, registered at runtime on the same stream: total load volume

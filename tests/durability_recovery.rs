@@ -6,7 +6,7 @@
 use greta::core::{
     EngineError, ExecutorConfig, GretaEngine, PartitionKey, StreamExecutor, WindowResult,
 };
-use greta::durability::DurabilityConfig;
+use greta::durability::{DurabilityConfig, Manifest, SnapshotStore};
 use greta::query::CompiledQuery;
 use greta::types::{Event, SchemaRegistry};
 use greta::workloads::{ClusterConfig, ClusterGen, StockConfig, StockGen};
@@ -346,5 +346,35 @@ fn snapshot_corruption_is_a_clean_recovery_error() {
         .err()
         .expect("recover must fail on snapshot corruption");
     assert!(matches!(err, EngineError::Durability(_)), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn snapshot_of_an_older_format_version_is_refused_not_misread() {
+    // A checksum-valid blob whose executor-format version byte says 5
+    // (the layout before every query became the same section): recovery
+    // must name the version and stop, whatever the bytes behind it say.
+    let dir = tmpdir("old-version");
+    let (reg, q, events) = stock_q1(300);
+    {
+        let mut exec =
+            StreamExecutor::<u64>::new(q.clone(), reg.clone(), durable(&dir, 2, 2)).unwrap();
+        for e in &events[..200] {
+            exec.push(e.clone()).unwrap();
+        }
+        exec.checkpoint().unwrap();
+    }
+    let epoch = Manifest::load(&dir).unwrap().expect("manifest").epoch;
+    let store = SnapshotStore::open(&dir).unwrap();
+    let mut blob = store.read(epoch).unwrap();
+    blob[0] = 5;
+    store.write(epoch, &blob).unwrap();
+    let err = StreamExecutor::<u64>::recover(q, reg, durable(&dir, 2, 2))
+        .err()
+        .expect("recover must refuse a version-5 snapshot");
+    assert!(
+        err.to_string().contains("unsupported snapshot version 5"),
+        "{err}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,7 +4,7 @@
 //! policies, and watermark-driven window closing.
 
 use greta::core::{
-    EmissionMode, EngineError, ExecutorConfig, GretaEngine, LatePolicy, StreamExecutor,
+    EmissionMode, EngineError, ExecutorConfig, GretaEngine, LatePolicy, QueryId, StreamExecutor,
     WindowResult,
 };
 use greta::query::CompiledQuery;
@@ -355,32 +355,18 @@ fn watermarks_close_windows_on_quiet_shards() {
 }
 
 #[test]
-fn run_parallel_wrapper_still_matches_engine() {
-    // The legacy batch API is now a wrapper over the executor; make sure
-    // the compatibility contract holds on a paper query.
-    let (reg, q, events) = stock_setup(300);
-    let mut engine = GretaEngine::<f64>::new(q.clone(), reg.clone()).unwrap();
-    let expect = sorted(engine.run(&events).unwrap());
-    let rows = greta::core::parallel::run_parallel::<f64>(
-        &q,
-        &reg,
-        greta::core::EngineConfig::default(),
-        &events,
-        4,
-    )
-    .unwrap();
-    assert_eq!(rows, expect);
-}
-
-#[test]
-fn drain_is_byte_identical_to_finish() {
-    // `drain()` is the serving-layer graceful stop; `finish()` the
-    // historical end-of-stream call. Two executors over the same input
-    // must emit the same rows — the exact sequence under `WindowOrdered`
+fn drain_plus_poll_is_byte_identical_to_finish() {
+    // `drain()` ends the stream and leaves every query's remainder
+    // pollable; `finish()` is the single-query shorthand that also polls
+    // query 0. Two two-query executors over the same input must emit the
+    // same rows per query — the exact sequence under `WindowOrdered`
     // (delivery order is part of that contract), sorted-equal under
     // `Unordered` (cross-shard interleaving between polls is explicitly
-    // arbitrary) — and a second `drain()` must be an empty no-op.
+    // arbitrary) — and a second `drain()` must be a no-op.
     let (reg, q, events) = stock_setup(600);
+    const SECOND: &str = "RETURN sector, COUNT(*) PATTERN Stock S+ \
+                          WHERE [company, sector] AND S.price < NEXT(S).price \
+                          GROUP-BY sector WITHIN 200 SLIDE 100";
     for emission in [EmissionMode::Unordered, EmissionMode::WindowOrdered] {
         for shards in [1usize, 4] {
             let config = ExecutorConfig {
@@ -391,28 +377,41 @@ fn drain_is_byte_identical_to_finish() {
             let mut via_finish =
                 StreamExecutor::<f64>::new(q.clone(), reg.clone(), config.clone()).unwrap();
             let mut via_drain = StreamExecutor::<f64>::new(q.clone(), reg.clone(), config).unwrap();
-            let mut finish_rows = Vec::new();
-            let mut drain_rows = Vec::new();
+            let second = via_finish.register_query(SECOND, emission).unwrap();
+            assert_eq!(via_drain.register_query(SECOND, emission).unwrap(), second);
+            let ids = [QueryId::PRIMARY, second];
+            let mut finish_rows = [Vec::new(), Vec::new()];
+            let mut drain_rows = [Vec::new(), Vec::new()];
             for e in &events {
                 via_finish.push(e.clone()).unwrap();
                 via_drain.push(e.clone()).unwrap();
-                finish_rows.extend(via_finish.poll_results());
-                drain_rows.extend(via_drain.poll_results());
+                for (i, id) in ids.iter().enumerate() {
+                    finish_rows[i].extend(via_finish.poll_results_of(*id).unwrap());
+                    drain_rows[i].extend(via_drain.poll_results_of(*id).unwrap());
+                }
             }
-            finish_rows.extend(via_finish.finish().unwrap());
-            drain_rows.extend(via_drain.drain().unwrap());
-            assert!(!finish_rows.is_empty());
-            if emission == EmissionMode::Unordered && shards > 1 {
-                greta::core::sort_canonical(&mut finish_rows);
-                greta::core::sort_canonical(&mut drain_rows);
+            finish_rows[0].extend(via_finish.finish().unwrap());
+            finish_rows[1].extend(via_finish.poll_results_of(second).unwrap());
+            via_drain.drain().unwrap();
+            for (i, id) in ids.iter().enumerate() {
+                drain_rows[i].extend(via_drain.poll_results_of(*id).unwrap());
             }
-            assert_eq!(
-                drain_rows, finish_rows,
-                "emission={emission:?} shards={shards}"
-            );
+            for i in 0..2 {
+                assert!(!finish_rows[i].is_empty());
+                if emission == EmissionMode::Unordered && shards > 1 {
+                    greta::core::sort_canonical(&mut finish_rows[i]);
+                    greta::core::sort_canonical(&mut drain_rows[i]);
+                }
+                assert_eq!(
+                    drain_rows[i], finish_rows[i],
+                    "query {} emission={emission:?} shards={shards}",
+                    ids[i]
+                );
+            }
             // Idempotent, and the executor stays readable after the stop.
-            assert!(via_drain.drain().unwrap().is_empty());
-            assert!(via_drain.poll_results().is_empty());
+            via_drain.drain().unwrap();
+            assert!(via_drain.finish().unwrap().is_empty());
+            assert!(via_drain.poll_results_of(second).unwrap().is_empty());
             assert_eq!(via_drain.stats().pushed, events.len() as u64);
         }
     }

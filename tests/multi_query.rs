@@ -40,7 +40,7 @@ fn assert_canonical_order(rows: &[WindowResult<f64>], ctx: &str) {
     }
 }
 
-/// One `M` stream, three query shapes over it: the primary and QB share
+/// One `M` stream, three query shapes over it: QA and QB share
 /// the `grp` key plane (one routed frame feeds both); QC groups by `aux`,
 /// its own plane.
 const QA: &str = "RETURN grp, COUNT(*), SUM(S.load) PATTERN M S+ \
@@ -119,14 +119,22 @@ fn three_queries_share_one_stream_byte_identical() {
         // routed exactly once, whatever the query count.
         assert_eq!(stats.pushed, events.len() as u64);
         assert_eq!(stats.released, events.len() as u64);
-        let qb_stats = stats.queries.iter().find(|q| q.id == qb).unwrap();
-        let qc_stats = stats.queries.iter().find(|q| q.id == qc).unwrap();
-        assert!(
-            qb_stats.shares_primary_routing,
-            "QB groups by grp: must ride the primary's routed frames"
+        let route_group = |id| {
+            stats
+                .queries
+                .iter()
+                .find(|q| q.id == id)
+                .unwrap()
+                .route_group
+        };
+        assert_eq!(
+            route_group(qb),
+            route_group(QueryId::PRIMARY),
+            "QB groups by grp: must ride QA's routed frames"
         );
-        assert!(
-            !qc_stats.shares_primary_routing,
+        assert_ne!(
+            route_group(qc),
+            route_group(QueryId::PRIMARY),
             "QC groups by aux: must route on its own key plane"
         );
         // Byte-identity per query vs its standalone run.
@@ -220,7 +228,7 @@ fn register_and_deregister_mid_stream_under_rebalancing() {
         "register + deregister"
     );
     assert_eq!(sorted(rows_b), expect_b, "registered window of the stream");
-    assert_eq!(sorted(rows_a), expect_a, "primary must be undisturbed");
+    assert_eq!(sorted(rows_a), expect_a, "QA must be undisturbed");
 }
 
 #[test]
@@ -275,7 +283,7 @@ fn crash_recovery_restores_all_registered_queries() {
     rows_a.extend(exec.finish().unwrap());
     rows_b.extend(exec.poll_results_of(qb).unwrap());
     rows_c.extend(exec.poll_results_of(qc).unwrap());
-    assert_eq!(sorted(rows_a), expect_a, "primary across crash");
+    assert_eq!(sorted(rows_a), expect_a, "compiled-plan query across crash");
     assert_canonical_order(&rows_b, "ordered registered query across crash");
     assert_eq!(rows_b, expect_b, "ordered registered query across crash");
     assert_eq!(
@@ -284,6 +292,71 @@ fn crash_recovery_restores_all_registered_queries() {
         "unordered registered query across crash"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every hosted query's counters and buffers ride the checkpoint the same
+/// way: after checkpoint → more events → crash → recover, each query's
+/// `rows` counter, released watermark, and un-polled remainder equal an
+/// uninterrupted run's at the same stream position. (Before snapshot v6
+/// the query passed to `new` lost its `rows` counter across recovery.)
+#[test]
+fn recovery_restores_every_querys_counters_and_remainder() {
+    let reg = setup();
+    let events = events(&reg, 300);
+    let qa = CompiledQuery::parse(QA, &reg).unwrap();
+    let start = |dir: &PathBuf| {
+        let cfg = ExecutorConfig {
+            shards: 3,
+            emission: EmissionMode::WindowOrdered,
+            durability: Some(DurabilityConfig::new(dir)),
+            ..Default::default()
+        };
+        let mut exec = StreamExecutor::<f64>::new(qa.clone(), reg.clone(), cfg.clone()).unwrap();
+        exec.register_query(QB, EmissionMode::WindowOrdered)
+            .unwrap();
+        exec.register_query(QC, EmissionMode::Unordered).unwrap();
+        (exec, cfg)
+    };
+    // A checkpoint is a barrier: every row emitted before it has been
+    // absorbed, so counters and buffers read right after one are
+    // deterministic. Nothing is polled before the comparison.
+    let observe = |exec: &mut StreamExecutor<f64>| {
+        exec.checkpoint().unwrap();
+        let stats = exec.stats();
+        let ids = exec.query_ids();
+        assert_eq!(ids.len(), 3);
+        ids.into_iter()
+            .map(|id| {
+                let q = stats.queries.iter().find(|q| q.id == id).unwrap();
+                let remainder = sorted(exec.poll_results_of(id).unwrap());
+                assert_eq!(q.pending_rows, remainder.len());
+                (id, q.rows, q.released_to, remainder)
+            })
+            .collect::<Vec<_>>()
+    };
+
+    let dir_a = tmpdir("counters-uninterrupted");
+    let (mut uninterrupted, _) = start(&dir_a);
+    for e in &events {
+        uninterrupted.push(e.clone()).unwrap();
+    }
+    let expect = observe(&mut uninterrupted);
+    assert!(expect.iter().all(|(_, rows, _, _)| *rows > 0));
+
+    let dir_b = tmpdir("counters-crashed");
+    let (mut crashed, cfg) = start(&dir_b);
+    for e in &events[..220] {
+        crashed.push(e.clone()).unwrap();
+    }
+    crashed.checkpoint().unwrap();
+    for e in &events[220..] {
+        crashed.push(e.clone()).unwrap();
+    }
+    drop(crashed); // crash
+    let mut recovered = StreamExecutor::<f64>::recover(qa.clone(), reg.clone(), cfg).unwrap();
+    assert_eq!(observe(&mut recovered), expect);
+    let _ = std::fs::remove_dir_all(&dir_a);
+    let _ = std::fs::remove_dir_all(&dir_b);
 }
 
 #[test]
@@ -463,7 +536,7 @@ fn registration_guards_reject_bad_input() {
         .register_query("RETURN nonsense", EmissionMode::Unordered)
         .is_err());
     assert_eq!(exec.query_ids(), vec![QueryId::PRIMARY]);
-    // The primary cannot be deregistered; unknown ids are errors.
+    // Id 0 cannot be deregistered; unknown ids are errors.
     assert!(exec.deregister_query(QueryId::PRIMARY).is_err());
     assert!(exec.deregister_query(QueryId(99)).is_err());
     assert!(exec.poll_results_of(QueryId(99)).is_err());
@@ -476,4 +549,122 @@ fn registration_guards_reject_bad_input() {
     assert!(exec.deregister_query(qb).is_err());
     assert!(exec.poll_results_of(qb).unwrap().is_empty());
     exec.finish().unwrap();
+}
+
+mod props {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A Q1/Q2-shaped grouped Kleene query over `M`:
+    /// `(group by aux?, falling?, SUM?, windows per slide, slide)`.
+    type Shape = (bool, bool, bool, u8, u8);
+
+    fn query_text((by_aux, falling, sum, per_slide, slide): Shape) -> String {
+        let key = if by_aux { "aux" } else { "grp" };
+        let agg = if sum { "SUM(M.load)" } else { "COUNT(*)" };
+        let op = if falling { ">" } else { "<" };
+        let slide = slide as u64;
+        format!(
+            "RETURN {key}, {agg} PATTERN M+ WHERE M.load {op} NEXT(M).load \
+             GROUP-BY {key} WITHIN {} SLIDE {slide}",
+            slide * per_slide as u64
+        )
+    }
+
+    /// Host `first` via `new` and `second` via `register_query` (before the
+    /// first event), push `events` polling both after every push, and return
+    /// each query's full row sequence (polls + post-drain remainder). With
+    /// `cut`, checkpoint there, crash, and recover before going on.
+    fn run_pair(
+        reg: &SchemaRegistry,
+        [first, second]: [&str; 2],
+        emission: EmissionMode,
+        shards: usize,
+        events: &[Event],
+        cut: Option<usize>,
+    ) -> [Vec<WindowResult<f64>>; 2] {
+        let dir = tmpdir("slot-position");
+        let cfg = ExecutorConfig {
+            shards,
+            emission,
+            durability: cut.map(|_| DurabilityConfig::new(&dir)),
+            ..Default::default()
+        };
+        let plan = CompiledQuery::parse(first, reg).unwrap();
+        let mut exec = StreamExecutor::<f64>::new(plan.clone(), reg.clone(), cfg.clone()).unwrap();
+        let ids = [
+            QueryId::PRIMARY,
+            exec.register_query(second, emission).unwrap(),
+        ];
+        let mut rows = [Vec::new(), Vec::new()];
+        for (i, e) in events.iter().enumerate() {
+            if cut == Some(i) {
+                // Nothing is polled between the checkpoint and the crash,
+                // so recovery re-emits nothing already seen.
+                exec.checkpoint().unwrap();
+                drop(exec);
+                exec =
+                    StreamExecutor::<f64>::recover(plan.clone(), reg.clone(), cfg.clone()).unwrap();
+                assert_eq!(exec.query_ids(), ids);
+            }
+            exec.push(e.clone()).unwrap();
+            for (q, id) in ids.iter().enumerate() {
+                rows[q].extend(exec.poll_results_of(*id).unwrap());
+            }
+        }
+        exec.drain().unwrap();
+        for (q, id) in ids.iter().enumerate() {
+            rows[q].extend(exec.poll_results_of(*id).unwrap());
+            if emission == EmissionMode::Unordered {
+                // Cross-shard interleaving between polls is arbitrary.
+                sort_canonical(&mut rows[q]);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        rows
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+        /// No slot is special: which of two queries is handed to `new` and
+        /// which to `register_query` changes neither one's output — at any
+        /// shard count, under either emission mode, and across a
+        /// checkpoint/recover cut.
+        #[test]
+        fn output_is_independent_of_slot_position(
+            a in (any::<bool>(), any::<bool>(), any::<bool>(), 1u8..4, 8u8..40),
+            b in (any::<bool>(), any::<bool>(), any::<bool>(), 1u8..4, 8u8..40),
+            spec in proptest::collection::vec((0u8..=255, 0u8..=255), 60..160),
+            cut_pct in 10u8..90,
+        ) {
+            let reg = setup();
+            let events: Vec<Event> = spec.iter().enumerate().map(|(i, (key, load))| {
+                EventBuilder::new(&reg, "M")
+                    .unwrap()
+                    .at(Time(i as u64 + 1))
+                    .set("grp", (*key % 5) as i64).unwrap()
+                    .set("aux", (*key % 7) as i64).unwrap()
+                    .set("load", (*load % 16) as f64).unwrap()
+                    .build()
+            }).collect();
+            let (qa, qb) = (query_text(a), query_text(b));
+            let cut = events.len() * cut_pct as usize / 100;
+            for emission in [EmissionMode::Unordered, EmissionMode::WindowOrdered] {
+                for shards in [1usize, 2, 4] {
+                    for cut in [None, Some(cut)] {
+                        let [a_first, b_second] =
+                            run_pair(&reg, [&qa, &qb], emission, shards, &events, cut);
+                        let [b_first, a_second] =
+                            run_pair(&reg, [&qb, &qa], emission, shards, &events, cut);
+                        prop_assert_eq!(&a_first, &a_second,
+                            "{} {:?} shards={} cut={:?}", qa, emission, shards, cut);
+                        prop_assert_eq!(&b_first, &b_second,
+                            "{} {:?} shards={} cut={:?}", qb, emission, shards, cut);
+                        prop_assert_eq!(&a_first, &oracle(&qa, &reg, &events));
+                    }
+                }
+            }
+        }
+    }
 }

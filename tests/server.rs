@@ -438,8 +438,14 @@ fn metrics_endpoint_serves_prometheus_text() {
         "only {executor_families} executor stat families"
     );
     assert!(text.contains("greta_events_pushed_total{session=\"1\"} 5000"));
-    assert!(text.contains("greta_merge_released_watermark"));
-    assert!(text.contains("greta_merge_frontier_lag_windows"));
+    assert!(text.contains("greta_query_released_watermark{session=\"1\",query=\"0\"}"));
+    assert!(
+        text.contains("greta_query_frontier_lag_windows{session=\"1\",query=\"0\",shard=\"1\"}")
+    );
+    assert!(
+        !text.contains("greta_merge_"),
+        "per-session merge duplicates are gone"
+    );
 
     let mut http = TcpStream::connect(addr).unwrap();
     write!(http, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
@@ -731,19 +737,19 @@ fn registered_query_shares_the_session_stream_and_detaches_cleanly() {
         .register_query(dense, EmissionMode::WindowOrdered)
         .unwrap();
     let mut oracle_dense = Vec::new();
-    let mut oracle_primary = Vec::new();
+    let mut oracle_q0 = Vec::new();
     for (i, e) in events.iter().enumerate() {
         if i == half {
             oracle_dense.extend(oracle.deregister_query(oq).unwrap());
         }
         oracle.push(e.clone()).unwrap();
-        oracle_primary.extend(oracle.poll_results());
+        oracle_q0.extend(oracle.poll_results());
         if i < half {
             oracle_dense.extend(oracle.poll_results_of(oq).unwrap());
         }
     }
-    oracle_primary.extend(oracle.finish().unwrap());
-    assert!(!oracle_primary.is_empty());
+    oracle_q0.extend(oracle.finish().unwrap());
+    assert!(!oracle_q0.is_empty());
     assert!(!oracle_dense.is_empty());
 
     // The same sequence over the wire.
@@ -764,8 +770,8 @@ fn registered_query_shares_the_session_stream_and_detaches_cleanly() {
         .register(session, dense, EmissionMode::WindowOrdered)
         .unwrap();
     assert_eq!(dense_q, 1, "first registered query gets id 1");
-    let primary_sub = Client::connect(addr).unwrap().subscribe(session).unwrap();
-    let primary_t = std::thread::spawn(move || primary_sub.collect_rows().unwrap());
+    let q0_sub = Client::connect(addr).unwrap().subscribe(session).unwrap();
+    let q0_t = std::thread::spawn(move || q0_sub.collect_rows().unwrap());
     let dense_sub = Client::connect(addr)
         .unwrap()
         .subscribe_query(session, dense_q)
@@ -802,12 +808,12 @@ fn registered_query_shares_the_session_stream_and_detaches_cleanly() {
     );
 
     client.drain(session).unwrap();
-    let primary_rows = primary_t.join().unwrap();
+    let q0_rows = q0_t.join().unwrap();
 
     assert_eq!(
-        encode_rows(&primary_rows),
-        encode_rows(&oracle_primary),
-        "primary query must be unaffected by the registered query"
+        encode_rows(&q0_rows),
+        encode_rows(&oracle_q0),
+        "query 0 must be unaffected by the registered query"
     );
     assert_eq!(
         encode_rows(&dense_rows),
@@ -824,7 +830,7 @@ fn registered_query_shares_the_session_stream_and_detaches_cleanly() {
     server.shutdown().unwrap();
 }
 
-/// The JSON-line protocol speaks register/detach too, and the primary
+/// The JSON-line protocol speaks register/detach too, and query 0
 /// query 0 refuses to detach.
 #[test]
 fn jsonl_register_and_detach_roundtrip() {
@@ -866,16 +872,54 @@ fn jsonl_register_and_detach_roundtrip() {
         "detach reply lacks rows: {line}"
     );
 
-    // The primary query refuses to detach — drain the session instead.
+    // Query 0 refuses to detach — drain the session instead.
     writeln!(w, "{{\"detach\":{{\"session\":{session},\"query\":0}}}}").unwrap();
     line.clear();
     r.read_line(&mut line).unwrap();
     assert!(
-        line.contains("error") && line.contains("primary"),
+        line.contains("error") && line.contains("cannot be deregistered"),
         "detaching query 0 must fail: {line}"
     );
 
     client.drain(session).unwrap();
+    server.shutdown().unwrap();
+}
+
+/// A `Subscribe` that reaches the session's command queue behind a
+/// `Drain` must still be answered: the session used to exit with it
+/// queued, and the subscriber waited forever for an `End`.
+#[test]
+fn subscribe_queued_behind_drain_gets_end_of_stream() {
+    let (reg, events) = stock(30_000);
+    let server = GretaServer::bind("127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    let mut client = Client::connect(addr).unwrap();
+    // Wide windows mean many edges per event: the ingest is acknowledged
+    // once the events are queued, but the shard worker needs seconds to
+    // work them off — and the drain below waits for it on the session
+    // thread, which is when the subscription arrives. (The sleep only
+    // steers towards that interleaving; the assertion holds for all.)
+    let heavy = Q1.replace("WITHIN 500 SLIDE 250", "WITHIN 8000 SLIDE 4000");
+    let session = client
+        .submit(&heavy, &reg, SessionOptions::default())
+        .unwrap();
+    client.ingest(session, events).unwrap();
+    let drainer = std::thread::spawn(move || client.drain(session));
+    std::thread::sleep(Duration::from_millis(100));
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut sub = Client::connect(addr).unwrap().subscribe(session).unwrap();
+        let mut last = sub.next_rows();
+        while let Ok(Some(_)) = last {
+            last = sub.next_rows();
+        }
+        let _ = done_tx.send(last.map(|end| end.is_none()));
+    });
+    let ended = done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("subscription racing a drain never saw end-of-stream");
+    assert!(matches!(ended, Ok(true)), "{ended:?}");
+    drainer.join().unwrap().unwrap();
     server.shutdown().unwrap();
 }
 
