@@ -44,7 +44,7 @@ fn run<N: greta_core::TrendNum>(
 ) -> usize {
     let mut e = GretaEngine::<N>::with_config(query.clone(), reg.clone(), config).unwrap();
     for ev in events {
-        e.process(ev).unwrap();
+        e.process_ref(&ev.clone().into_ref()).unwrap();
     }
     e.finish().len()
 }

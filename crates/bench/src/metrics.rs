@@ -57,7 +57,7 @@ pub fn run_greta(
         GretaEngine::<f64>::with_config(query.clone(), registry.clone(), config).expect("engine");
     let t0 = Instant::now();
     for e in events {
-        engine.process(e).expect("in-order");
+        engine.process_ref(&e.clone().into_ref()).expect("in-order");
     }
     let mid = engine.poll_results();
     let t_flush = Instant::now();

@@ -167,13 +167,6 @@ impl<N: TrendNum> GretaEngine<N> {
         self.partitions.len()
     }
 
-    /// Process one event (must arrive in-order by time, §2). Compatibility
-    /// wrapper that clones the event into a shared [`EventRef`] once; the
-    /// zero-copy path is [`process_ref`](Self::process_ref).
-    pub fn process(&mut self, e: &Event) -> Result<(), EngineError> {
-        self.process_ref(&e.clone().into_ref())
-    }
-
     /// Process one shared event (must arrive in-order by time, §2). The
     /// event is *not* copied: graph vertices and the broadcast replay
     /// buffer hold clones of the `Arc` handle.
@@ -851,10 +844,11 @@ mod tests {
         let q = CompiledQuery::parse("RETURN COUNT(*) PATTERN A+ WITHIN 10 SLIDE 10", &r).unwrap();
         let mut eng = GretaEngine::<u64>::new(q, r.clone()).unwrap();
         for t in 0..10 {
-            eng.process(&ev(&r, "A", t, 0.0, 0)).unwrap();
+            eng.process_ref(&ev(&r, "A", t, 0.0, 0).into_ref()).unwrap();
         }
         assert!(eng.poll_results().is_empty()); // window not closed yet
-        eng.process(&ev(&r, "A", 25, 0.0, 0)).unwrap();
+        eng.process_ref(&ev(&r, "A", 25, 0.0, 0).into_ref())
+            .unwrap();
         let rows = eng.poll_results();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].values[0].to_f64(), 1023.0); // 2^10 - 1
@@ -870,8 +864,10 @@ mod tests {
         let r = reg_ab();
         let q = CompiledQuery::parse("RETURN COUNT(*) PATTERN A+ WITHIN 10 SLIDE 10", &r).unwrap();
         let mut eng = GretaEngine::<u64>::new(q, r.clone()).unwrap();
-        eng.process(&ev(&r, "A", 5, 0.0, 0)).unwrap();
-        let err = eng.process(&ev(&r, "A", 3, 0.0, 0)).unwrap_err();
+        eng.process_ref(&ev(&r, "A", 5, 0.0, 0).into_ref()).unwrap();
+        let err = eng
+            .process_ref(&ev(&r, "A", 3, 0.0, 0).into_ref())
+            .unwrap_err();
         assert!(matches!(err, EngineError::OutOfOrder { .. }));
     }
 
@@ -1046,7 +1042,7 @@ mod tests {
             let mut a = GretaEngine::<u64>::new(q.clone(), r.clone()).unwrap();
             let mut rows = Vec::new();
             for e in &events[..split] {
-                a.process(e).unwrap();
+                a.process_ref(&e.clone().into_ref()).unwrap();
                 rows.extend(a.poll_results());
             }
             let blob = a.export_state();
@@ -1058,7 +1054,7 @@ mod tests {
             )
             .unwrap();
             for e in &events[split..] {
-                b.process(e).unwrap();
+                b.process_ref(&e.clone().into_ref()).unwrap();
                 rows.extend(b.poll_results());
             }
             rows.extend(b.finish());
@@ -1101,7 +1097,9 @@ mod tests {
             .collect();
         for e in &events[..40] {
             // "E" lacks no attrs here (full key) — route by parity.
-            olds[(grp_of(e) % 2) as usize].process(e).unwrap();
+            olds[(grp_of(e) % 2) as usize]
+                .process_ref(&e.clone().into_ref())
+                .unwrap();
             for eng in olds.iter_mut() {
                 rows.extend(eng.poll_results());
             }
@@ -1120,7 +1118,9 @@ mod tests {
         )
         .unwrap();
         for e in &events[40..] {
-            news[(grp_of(e) % 3) as usize].process(e).unwrap();
+            news[(grp_of(e) % 3) as usize]
+                .process_ref(&e.clone().into_ref())
+                .unwrap();
             for eng in news.iter_mut() {
                 rows.extend(eng.poll_results());
             }

@@ -102,7 +102,8 @@ use crate::sketch::GroupSketch;
 use crate::window::WindowId;
 use crate::EngineError;
 use crate::MemoryFootprint;
-use crossbeam::channel::{self, Receiver, Sender, TryRecvError, TrySendError};
+use barrier::{worker_finish, worker_step, BarrierKind, Cut, EngineSlot, Msg, OutMsg, QueryBlobs};
+use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use greta_durability::{DurabilityConfig, Manifest, SnapshotStore, Wal};
 use greta_query::CompiledQuery;
 use greta_types::codec::{put_str, put_u32, Reader};
@@ -111,6 +112,7 @@ use snapshot::QueryParts;
 use std::collections::{BTreeMap, HashMap};
 use std::thread::JoinHandle;
 
+pub(crate) mod barrier;
 mod recover;
 mod snapshot;
 
@@ -390,67 +392,6 @@ pub struct ExecutorStats {
     pub peak_memory_bytes: usize,
 }
 
-/// One shard's serialized engine states: one `(query id, blob)` per
-/// hosted query, in registry order.
-type QueryBlobs = Vec<(u32, Vec<u8>)>;
-
-enum Msg<N: TrendNum> {
-    /// A batch of in-order shared events for one shard, tagged with the
-    /// route group it was framed for (broadcast frames carry `Arc` clones
-    /// of the same allocations). Only engines of queries in that group
-    /// process it.
-    Events { group: u32, frame: Vec<EventRef> },
-    /// Close every window ending at or before this time (all queries).
-    Watermark(Time),
-    /// Serialize every hosted engine's state and reply with
-    /// `(shard, [(query, blob)])`. Acts as a barrier: the states cover
-    /// exactly the messages queued before it.
-    Snapshot(Sender<(usize, QueryBlobs)>),
-    /// Replace one query's engine on this shard with a repartitioned one
-    /// (the commit step of a barrier migration). Channels are FIFO, so
-    /// every frame routed under the new table is processed by the new
-    /// engine.
-    Install {
-        query: u32,
-        engine: Box<GretaEngine<N>>,
-    },
-    /// Register-barrier commit: host one more query's engine on this
-    /// shard. FIFO channels guarantee the new engine sees exactly the
-    /// frames routed after the registration cut.
-    AddQuery {
-        query: u32,
-        group: u32,
-        ordered: bool,
-        engine: Box<GretaEngine<N>>,
-        ack: Sender<usize>,
-    },
-    /// Deregister-barrier commit: finish and drop one query's engine,
-    /// emitting its remaining rows (tagged) before acknowledging.
-    RemoveQuery { query: u32, ack: Sender<usize> },
-}
-
-/// What shard workers put on the result channel.
-enum OutMsg<N: TrendNum> {
-    /// One result row, stamped with the owning query, the emitting shard,
-    /// and that (query, shard)'s emission sequence number (strictly
-    /// increasing; the ordered merge's sanity check).
-    Row {
-        query: u32,
-        shard: u32,
-        seq: u64,
-        row: WindowResult<N>,
-    },
-    /// One (query, shard)'s emission frontier advanced: that engine will
-    /// never emit a row for a window below `next_window`. Sent after the
-    /// rows it covers (per-sender FIFO), so the merge never releases a
-    /// window ahead of its rows.
-    Frontier {
-        query: u32,
-        shard: u32,
-        next_window: WindowId,
-    },
-}
-
 struct WorkerReport {
     stats: EngineStats,
     peak_bytes: usize,
@@ -561,18 +502,6 @@ struct SlotInit<N: TrendNum> {
     engines: Vec<GretaEngine<N>>,
 }
 
-/// Worker-side pairing of one hosted query with its engine.
-struct EngineSlot<N: TrendNum> {
-    query: u32,
-    group: u32,
-    ordered: bool,
-    engine: GretaEngine<N>,
-    /// Per-(query, shard) emission counter (rows are stamped with it).
-    seq: u64,
-    /// Last emission frontier sent for this slot.
-    frontier: WindowId,
-}
-
 /// The push-based, sharded, multi-query GRETA runtime. See the
 /// [module docs](self).
 ///
@@ -615,8 +544,10 @@ pub struct StreamExecutor<N: TrendNum = f64> {
     rebalance_due: bool,
     reorder: ReorderBuffer,
     late_policy: LatePolicy,
-    senders: Vec<Sender<Msg<N>>>,
-    results_rx: Receiver<OutMsg<N>>,
+    senders: Vec<Sender<Msg<GretaEngine<N>>>>,
+    results_rx: Receiver<OutMsg<WindowResult<N>>>,
+    /// Ack ledger of the barrier in flight, if any (see [`cut`](Self::cut)).
+    cut: Cut,
     workers: Vec<JoinHandle<Result<WorkerReport, EngineError>>>,
     diverted: Vec<EventRef>,
     stats: ExecutorStats,
@@ -876,18 +807,17 @@ impl<N: TrendNum> StreamExecutor<N> {
     ) -> Result<Self, EngineError> {
         let (results_tx, results_rx) = channel::bounded(config.result_capacity.max(1));
         let mut slots: Vec<QuerySlot<N>> = Vec::with_capacity(hosted.len());
-        let mut per_shard: Vec<Vec<EngineSlot<N>>> = (0..shards).map(|_| Vec::new()).collect();
+        let mut per_shard: Vec<Vec<EngineSlot<GretaEngine<N>>>> =
+            (0..shards).map(|_| Vec::new()).collect();
         for SlotInit { slot, engines } in hosted {
             debug_assert_eq!(engines.len(), shards);
             for (shard, engine) in engines.into_iter().enumerate() {
-                per_shard[shard].push(EngineSlot {
-                    query: slot.id,
-                    group: slot.group,
-                    ordered: slot.merge.is_some(),
+                per_shard[shard].push(EngineSlot::new(
+                    slot.id,
+                    slot.group,
+                    slot.merge.is_some(),
                     engine,
-                    seq: 0,
-                    frontier: 0,
-                });
+                ));
             }
             slots.push(slot);
         }
@@ -895,7 +825,7 @@ impl<N: TrendNum> StreamExecutor<N> {
         let mut senders = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
         for (shard, engine_slots) in per_shard.into_iter().enumerate() {
-            let (tx, rx) = channel::bounded::<Msg<N>>(config.channel_capacity.max(1));
+            let (tx, rx) = channel::bounded(config.channel_capacity.max(1));
             senders.push(tx);
             let results_tx = results_tx.clone();
             workers.push(
@@ -926,6 +856,7 @@ impl<N: TrendNum> StreamExecutor<N> {
             late_policy: config.late_policy,
             senders,
             results_rx,
+            cut: Cut::new(shards),
             workers,
             diverted: Vec::new(),
             stats: ExecutorStats {
@@ -1098,26 +1029,14 @@ impl<N: TrendNum> StreamExecutor<N> {
             query,
             QueryParts::fresh(id, Some(text), emission),
         )?;
-        // The registration cut: frames buffered before this point must
-        // reach the old engines only, so flush them ahead of the AddQuery
-        // barrier (FIFO channels then order everything after it behind
-        // the new engine's install).
-        self.flush_all_batches()?;
-        let (ack_tx, ack_rx) = channel::bounded::<usize>(self.shards);
-        for (i, engine) in engines.into_iter().enumerate() {
-            self.send(
-                i,
-                Msg::AddQuery {
-                    query: id,
-                    group: slot.group,
-                    ordered: slot.merge.is_some(),
-                    engine: Box::new(engine),
-                    ack: ack_tx.clone(),
-                },
-            )?;
-        }
-        drop(ack_tx);
-        self.await_acks(&ack_rx)?;
+        let (group, ordered) = (slot.group, slot.merge.is_some());
+        let mut engines = engines.into_iter();
+        self.cut(|_| {
+            let engine = engines
+                .next()
+                .expect("bring_up builds one engine per shard");
+            BarrierKind::Add(Box::new(EngineSlot::new(id, group, ordered, engine)))
+        })?;
         self.queries.push(slot);
         self.next_query_id = self.next_query_id.max(id + 1);
         self.query_epoch += 1;
@@ -1214,48 +1133,13 @@ impl<N: TrendNum> StreamExecutor<N> {
     /// canonically; unordered remainders are sorted here).
     fn apply_deregister(&mut self, id: u32) -> Result<(), EngineError> {
         self.deregister_guard(id)?;
-        // Flush so every event released before the cut reaches the
-        // query's engines before they are finished.
-        self.flush_all_batches()?;
-        let (ack_tx, ack_rx) = channel::bounded::<usize>(self.shards);
-        for i in 0..self.senders.len() {
-            self.send(
-                i,
-                Msg::RemoveQuery {
-                    query: id,
-                    ack: ack_tx.clone(),
-                },
-            )?;
-        }
-        drop(ack_tx);
-        self.await_acks(&ack_rx)?;
-        // Every shard acked after emitting its final rows; pull them in.
-        self.drain_ready();
+        self.cut(|_| BarrierKind::Remove(id))?;
         let slot = self.slot_mut(id).expect("slot checked by the guard");
         slot.active = false;
         slot.close_remainder();
         let group = slot.group as usize;
         self.groups[group].members -= 1;
         self.query_epoch += 1;
-        Ok(())
-    }
-
-    /// Wait for one ack per shard, draining the result channel while
-    /// blocked (workers may be mid-emission; parking without draining
-    /// would deadlock the pipeline).
-    fn await_acks(&mut self, rx: &Receiver<usize>) -> Result<(), EngineError> {
-        let mut got = 0usize;
-        while got < self.shards {
-            match rx.try_recv() {
-                Ok(_) => got += 1,
-                Err(TryRecvError::Empty) => {
-                    if !self.drain_ready() {
-                        std::thread::yield_now();
-                    }
-                }
-                Err(TryRecvError::Disconnected) => return Err(self.reap_after_failure()),
-            }
-        }
         Ok(())
     }
 
@@ -1339,8 +1223,9 @@ impl<N: TrendNum> StreamExecutor<N> {
     /// (frontier stamps are dropped); under
     /// [`EmissionMode::WindowOrdered`] rows park in the query's merge and
     /// frontier advances release complete windows into its ready buffer in
-    /// canonical order.
-    fn absorb(&mut self, msg: OutMsg<N>) {
+    /// canonical order. A barrier ack goes to the [`Cut`] ledger, which
+    /// refuses one nobody is waiting for.
+    fn absorb(&mut self, msg: OutMsg<WindowResult<N>>) -> Result<(), EngineError> {
         match msg {
             OutMsg::Row {
                 query,
@@ -1349,7 +1234,7 @@ impl<N: TrendNum> StreamExecutor<N> {
                 row,
             } => {
                 let Some(slot) = self.queries.iter_mut().find(|s| s.id == query) else {
-                    return;
+                    return Ok(());
                 };
                 match &mut slot.merge {
                     None => {
@@ -1365,7 +1250,7 @@ impl<N: TrendNum> StreamExecutor<N> {
                 next_window,
             } => {
                 let Some(slot) = self.queries.iter_mut().find(|s| s.id == query) else {
-                    return;
+                    return Ok(());
                 };
                 if let Some(m) = &mut slot.merge {
                     let before = slot.pending.len();
@@ -1373,24 +1258,26 @@ impl<N: TrendNum> StreamExecutor<N> {
                     slot.rows += (slot.pending.len() - before) as u64;
                 }
             }
+            OutMsg::Ack { shard, blobs } => self.cut.ack(shard, blobs)?,
         }
+        Ok(())
     }
 
     /// Drain the result channel without blocking; true if anything came.
-    fn drain_ready(&mut self) -> bool {
+    fn drain_ready(&mut self) -> Result<bool, EngineError> {
         let mut any = false;
         while let Ok(msg) = self.results_rx.try_recv() {
-            self.absorb(msg);
+            self.absorb(msg)?;
             any = true;
         }
-        any
+        Ok(any)
     }
 
     /// [`poll_results_of`](Self::poll_results_of)`(`[`QueryId::PRIMARY`]`)` —
     /// the single-query shorthand.
     pub fn poll_results(&mut self) -> Vec<WindowResult<N>> {
         self.poll_results_of(QueryId::PRIMARY)
-            .expect("id 0 never leaves the registry")
+            .expect("id 0 never leaves the registry, and acks arrive only inside a cut")
     }
 
     /// Drain every result row query `id` emitted so far, without
@@ -1404,7 +1291,7 @@ impl<N: TrendNum> StreamExecutor<N> {
     /// after [`recover`](Self::recover) replayed the deregistration.
     /// Errors on an id this executor never hosted.
     pub fn poll_results_of(&mut self, id: QueryId) -> Result<Vec<WindowResult<N>>, EngineError> {
-        self.drain_ready();
+        self.drain_ready()?;
         let slot = self
             .slot_mut(id.0)
             .ok_or_else(|| EngineError::Config(format!("unknown query {id}")))?;
@@ -1517,13 +1404,13 @@ impl<N: TrendNum> StreamExecutor<N> {
         // Drain concurrently with the workers' final flush: recv() ends
         // when every worker has dropped its result sender — no window of
         // any query can receive further rows after that.
+        let mut first_err = route_result.err();
         while let Ok(msg) = self.results_rx.recv() {
-            self.absorb(msg);
+            first_err = first_err.or(self.absorb(msg).err());
         }
         for slot in &mut self.queries {
             slot.close_remainder();
         }
-        let mut first_err = route_result.err();
         let mut final_states: Vec<Option<QueryBlobs>> = Vec::with_capacity(self.workers.len());
         for w in self.workers.drain(..) {
             match w.join() {
@@ -1851,53 +1738,53 @@ impl<N: TrendNum> StreamExecutor<N> {
         }
         self.checkpoint_due = false;
         self.windows_since_checkpoint = 0;
-        self.flush_all_batches()?;
-        let per_shard = self.collect_shard_states()?;
+        let per_shard = self.export_cut()?;
         self.persist_snapshot(&per_shard)
     }
 
-    /// Barrier-snapshot every hosted engine: every message queued before
-    /// the Snapshot request is processed before the shard replies, so the
-    /// combined state is the exact cut at `stats.pushed` pushed events
-    /// (events still in the reorder buffer live on the ingest side). Each
-    /// shard replies with one `(query, blob)` per hosted query. Rows
-    /// emitted before the barrier are drained into the per-query buffers.
-    /// Callers must flush batched frames first.
+    /// The one barrier. Flush every route group's buffered frames, send
+    /// `kind_for(shard)` down every shard channel, absorb the result
+    /// channel until every shard has acked, and return the acks' blobs by
+    /// shard. Channels are FIFO, so a shard takes the barrier after exactly
+    /// the frames routed before this call, and its rows from those frames
+    /// are absorbed before its ack: on return the stream is cut at
+    /// `stats.pushed` — no event is between the router and an engine, no
+    /// row between an engine and its query's buffer (events still in the
+    /// reorder buffer live on the ingest side). Checkpoint, rebalance,
+    /// register and deregister differ only in the [`BarrierKind`].
     ///
-    /// The barrier/ack/row-drain protocol this implements (and the
-    /// invariants it must uphold: all shards cut at the same sequence,
-    /// no row crosses a barrier, snapshot accounting balances, remainders
-    /// are delivered exactly once) is exhaustively model-checked over all
-    /// interleavings in [`crate::protocol_model`].
-    fn collect_shard_states(&mut self) -> Result<Vec<QueryBlobs>, EngineError> {
-        self.stats.barrier_snapshots += 1;
-        let (reply_tx, reply_rx) = channel::bounded::<(usize, QueryBlobs)>(self.shards);
-        for i in 0..self.senders.len() {
-            self.send(i, Msg::Snapshot(reply_tx.clone()))?;
+    /// [`worker_step`] is the shard's side, and [`crate::protocol_model`]
+    /// drives that function and the [`Cut`] ledger through every
+    /// interleaving, checking that all shards cut at the same sequence, no
+    /// row crosses a barrier, and remainders are delivered exactly once.
+    fn cut(
+        &mut self,
+        mut kind_for: impl FnMut(usize) -> BarrierKind<GretaEngine<N>>,
+    ) -> Result<Vec<QueryBlobs>, EngineError> {
+        self.flush_all_batches()?;
+        self.cut.open();
+        for i in 0..self.shards {
+            self.send(i, Msg::Barrier { kind: kind_for(i) })?;
         }
-        drop(reply_tx);
-        let mut per_shard: Vec<QueryBlobs> = (0..self.shards).map(|_| Vec::new()).collect();
-        let mut got = 0usize;
-        while got < self.shards {
-            match reply_rx.try_recv() {
-                Ok((shard, blobs)) => {
-                    per_shard[shard] = blobs;
-                    got += 1;
+        while !self.cut.done() {
+            if !self.drain_ready()? {
+                // A worker that exits while its input is open has failed,
+                // and its ack will never come.
+                if self.workers.iter().any(JoinHandle::is_finished) {
+                    return Err(self.reap_after_failure());
                 }
-                Err(TryRecvError::Empty) => {
-                    // Workers may be blocked emitting rows; keep draining.
-                    if !self.drain_ready() {
-                        std::thread::yield_now();
-                    }
-                }
-                Err(TryRecvError::Disconnected) => return Err(self.reap_after_failure()),
+                std::thread::yield_now();
             }
         }
-        // Rows (and frontier stamps) emitted before the barrier are all in
-        // flight by now; pull them in so a snapshot carries the un-polled
-        // rows and each merge's frontier reflects the cut.
-        self.drain_ready();
-        Ok(per_shard)
+        Ok(self.cut.take())
+    }
+
+    /// [`cut`](Self::cut) with [`BarrierKind::Export`]: every hosted
+    /// engine's state at the cut, one `(query, blob)` per hosted query per
+    /// shard.
+    fn export_cut(&mut self) -> Result<Vec<QueryBlobs>, EngineError> {
+        self.stats.barrier_snapshots += 1;
+        self.cut(|_| BarrierKind::Export)
     }
 
     /// Run the skew detector and, on imbalance, migrate group state to a
@@ -1981,18 +1868,16 @@ impl<N: TrendNum> StreamExecutor<N> {
     /// Barrier migration to a new group → shard assignment for route
     /// group 0:
     ///
-    /// 1. flush buffered frames and barrier-snapshot every hosted engine
-    ///    (drains all in-flight work — the stream is cut at a point where
-    ///    no event is between the router and an engine);
+    /// 1. export every hosted engine's state at a [`cut`](Self::cut);
     /// 2. install the new table under a bumped routing epoch;
     /// 3. repartition the snapshots of every query routed through
     ///    group 0 so each group's graphs, incremental aggregates,
     ///    and replay context follow it to its new owner (queries on their
     ///    own key plane keep their engines);
-    /// 4. send each shard its rebuilt engines. Channels are FIFO and
-    ///    nothing is routed between the barrier and the install, so every
-    ///    frame routed under epoch `e+1` is processed by an epoch-`e+1`
-    ///    engine — results stay byte-identical to any static assignment.
+    /// 4. hand each shard its rebuilt engines at a second cut. Nothing is
+    ///    routed between the two, so every frame routed under epoch `e+1`
+    ///    is processed by an epoch-`e+1` engine — results stay
+    ///    byte-identical to any static assignment.
     ///
     /// When a cadence checkpoint is owed at the same window close, the two
     /// barriers are **fused**: the repartitioned engine states *are* the
@@ -2004,8 +1889,7 @@ impl<N: TrendNum> StreamExecutor<N> {
         overrides: HashMap<PartitionKey, u32>,
         moves: usize,
     ) -> Result<(), EngineError> {
-        self.flush_all_batches()?;
-        let per_shard = self.collect_shard_states()?;
+        let per_shard = self.export_cut()?;
         self.groups[0].table.install(overrides);
         let table = self.groups[0].table.clone();
         let shards = self.shards;
@@ -2033,6 +1917,8 @@ impl<N: TrendNum> StreamExecutor<N> {
                     })
                     .collect()
             });
+        let mut installs: Vec<Vec<(u32, GretaEngine<N>)>> =
+            (0..shards).map(|_| Vec::new()).collect();
         for (qid, query) in &members {
             let states: Vec<Vec<u8>> = per_shard
                 .iter()
@@ -2057,27 +1943,22 @@ impl<N: TrendNum> StreamExecutor<N> {
                         .unwrap_or_else(|| shard_of_hash(h, shards))
                 },
             )?;
-            if let Some(fs) = &mut fused_states {
-                for (i, engine) in engines.iter().enumerate() {
+            for (i, engine) in engines.into_iter().enumerate() {
+                if let Some(fs) = &mut fused_states {
                     fs[i].push((*qid, engine.export_state()));
                 }
-            }
-            for (i, engine) in engines.into_iter().enumerate() {
-                self.send(
-                    i,
-                    Msg::Install {
-                        query: *qid,
-                        engine: Box::new(engine),
-                    },
-                )?;
+                installs[i].push((*qid, engine));
             }
         }
+        self.cut(|i| BarrierKind::Install(std::mem::take(&mut installs[i])))?;
         self.stats.rebalances += 1;
         self.stats.groups_moved += moves as u64;
         if let Some(blobs) = fused_states {
-            // Persist only after every install is queued: a snapshot I/O
+            // Persist only after every install is acked: a snapshot I/O
             // failure then surfaces as a plain checkpoint error against a
-            // fully committed migration, never a half-installed table.
+            // fully committed migration, never a half-installed table. The
+            // blobs predate the installs' `close_overdue`, which is sound
+            // because at a cut it closes nothing (see `worker_step`).
             self.checkpoint_due = false;
             self.windows_since_checkpoint = 0;
             self.stats.fused_barriers += 1;
@@ -2124,14 +2005,14 @@ impl<N: TrendNum> StreamExecutor<N> {
     /// the per-query buffers (the pushing thread is the only result
     /// consumer, so parking in a blocking `send` while workers wait to
     /// emit rows would deadlock the pipeline).
-    fn send(&mut self, shard: usize, msg: Msg<N>) -> Result<(), EngineError> {
+    fn send(&mut self, shard: usize, msg: Msg<GretaEngine<N>>) -> Result<(), EngineError> {
         let mut msg = msg;
         loop {
             match self.senders[shard].try_send(msg) {
                 Ok(()) => return Ok(()),
                 Err(TrySendError::Full(back)) => {
                     msg = back;
-                    if !self.drain_ready() {
+                    if !self.drain_ready()? {
                         std::thread::yield_now();
                     }
                 }
@@ -2151,7 +2032,8 @@ impl<N: TrendNum> StreamExecutor<N> {
         let workers: Vec<_> = self.workers.drain(..).collect();
         for w in workers {
             while !w.is_finished() {
-                self.drain_ready();
+                // The worker's own error is the one to report.
+                let _ = self.drain_ready();
                 std::thread::yield_now();
             }
             match w.join() {
@@ -2192,205 +2074,49 @@ impl<N: TrendNum> Drop for StreamExecutor<N> {
     }
 }
 
-/// Emit one engine slot's ready rows (and, when ordered, its advanced
-/// emission frontier). Returns false if the executor hung up.
-fn flush_engine_slot<N: TrendNum>(
-    slot: &mut EngineSlot<N>,
-    shard: usize,
-    results_tx: &Sender<OutMsg<N>>,
-) -> bool {
-    for row in slot.engine.poll_results() {
-        slot.seq += 1;
-        if results_tx
-            .send(OutMsg::Row {
-                query: slot.query,
-                shard: shard as u32,
-                seq: slot.seq,
-                row,
-            })
-            .is_err()
-        {
-            return false;
-        }
-    }
-    if slot.ordered {
-        let next = slot.engine.emission_frontier();
-        if next > slot.frontier {
-            slot.frontier = next;
-            if results_tx
-                .send(OutMsg::Frontier {
-                    query: slot.query,
-                    shard: shard as u32,
-                    next_window: next,
-                })
-                .is_err()
-            {
-                return false;
-            }
-        }
-    }
-    true
-}
-
+/// One shard worker: [`worker_step`] per message until the input channel
+/// closes, then the end-of-stream finish and the report.
 fn worker_loop<N: TrendNum>(
-    mut slots: Vec<EngineSlot<N>>,
+    mut slots: Vec<EngineSlot<GretaEngine<N>>>,
     shard: usize,
-    rx: Receiver<Msg<N>>,
-    results_tx: Sender<OutMsg<N>>,
+    rx: Receiver<Msg<GretaEngine<N>>>,
+    results_tx: Sender<OutMsg<WindowResult<N>>>,
     export_final: bool,
 ) -> Result<WorkerReport, EngineError> {
-    let report = |slots: &[EngineSlot<N>]| {
-        let mut stats = EngineStats::default();
-        let mut peak_bytes = 0usize;
-        let mut group_vertices = Vec::new();
-        for s in slots {
-            let es = s.engine.stats();
-            stats.events += es.events;
-            stats.vertices += es.vertices;
-            stats.edges += es.edges;
-            stats.results += es.results;
-            peak_bytes += s.engine.peak_memory_bytes().max(s.engine.memory_bytes());
-            if s.query == 0 {
-                group_vertices = s.engine.group_vertices();
-            }
-        }
-        WorkerReport {
-            stats,
-            peak_bytes,
-            group_vertices,
-            final_states: None,
-        }
+    // The result channel closes only when the executor is dropped without
+    // drain(); nobody reads the error that then ends this worker.
+    let mut emit = |m| {
+        results_tx
+            .send(m)
+            .map_err(|_| EngineError::Worker("result channel closed".into()))
     };
     for msg in rx.iter() {
-        match msg {
-            Msg::Events { group, frame } => {
-                // Every query in the frame's route group processes the
-                // same shared events (Arc clones — no copies).
-                for s in slots.iter_mut().filter(|s| s.group == group) {
-                    for e in &frame {
-                        s.engine.process_ref(e)?;
-                    }
-                }
-            }
-            Msg::Watermark(t) => {
-                for s in slots.iter_mut() {
-                    s.engine.advance_watermark(t);
-                }
-            }
-            Msg::Snapshot(reply) => {
-                // Rows of previous messages were already flushed below, so
-                // the exported states and the emitted rows never overlap.
-                let blobs = slots
-                    .iter()
-                    .map(|s| (s.query, s.engine.export_state()))
-                    .collect();
-                let _ = reply.send((shard, blobs));
-                continue;
-            }
-            Msg::Install { query, engine } => {
-                // Barrier-migration commit: adopt the repartitioned engine.
-                // Its inherited watermark (the max across source engines)
-                // may already be past some windows' close times — close
-                // them now so their rows flow out with this drain instead
-                // of waiting for the next message.
-                if let Some(s) = slots.iter_mut().find(|s| s.query == query) {
-                    s.engine = *engine;
-                    s.engine.close_overdue();
-                }
-            }
-            Msg::AddQuery {
-                query,
-                group,
-                ordered,
-                engine,
-                ack,
-            } => {
-                // Register-barrier commit: FIFO channels guarantee this
-                // engine sees exactly the frames sent after the cut.
-                slots.push(EngineSlot {
-                    query,
-                    group,
-                    ordered,
-                    engine: *engine,
-                    seq: 0,
-                    frontier: 0,
-                });
-                let _ = ack.send(shard);
-                continue;
-            }
-            Msg::RemoveQuery { query, ack } => {
-                // Deregister-barrier commit: finish the engine (closing
-                // its open windows), emit the remainder tagged, then ack —
-                // the executor drains the rows before tearing the slot
-                // down, so nothing is lost.
-                if let Some(pos) = slots.iter().position(|s| s.query == query) {
-                    let mut s = slots.remove(pos);
-                    for row in s.engine.finish() {
-                        s.seq += 1;
-                        if results_tx
-                            .send(OutMsg::Row {
-                                query: s.query,
-                                shard: shard as u32,
-                                seq: s.seq,
-                                row,
-                            })
-                            .is_err()
-                        {
-                            return Ok(report(&slots));
-                        }
-                    }
-                    if s.ordered
-                        && results_tx
-                            .send(OutMsg::Frontier {
-                                query: s.query,
-                                shard: shard as u32,
-                                next_window: WindowId::MAX,
-                            })
-                            .is_err()
-                    {
-                        return Ok(report(&slots));
-                    }
-                }
-                let _ = ack.send(shard);
-                continue;
-            }
-        }
-        let all_sent = slots
-            .iter_mut()
-            .all(|slot| flush_engine_slot(slot, shard, &results_tx));
-        if !all_sent {
-            // Executor dropped without finish(): stop quietly.
-            return Ok(report(&slots));
-        }
+        worker_step(&mut slots, shard, msg, &mut emit)?;
     }
-    for slot in slots.iter_mut() {
-        for row in slot.engine.finish() {
-            slot.seq += 1;
-            if results_tx
-                .send(OutMsg::Row {
-                    query: slot.query,
-                    shard: shard as u32,
-                    seq: slot.seq,
-                    row,
-                })
-                .is_err()
-            {
-                break;
-            }
-        }
-    }
-    // No explicit final frontier: the executor treats this worker's
-    // channel disconnect as frontier = ∞.
-    let mut rep = report(&slots);
-    if export_final {
-        rep.final_states = Some(
+    worker_finish(&mut slots, shard, &mut emit)?;
+    let mut report = WorkerReport {
+        stats: EngineStats::default(),
+        peak_bytes: 0,
+        group_vertices: Vec::new(),
+        final_states: export_final.then(|| {
             slots
                 .iter()
                 .map(|s| (s.query, s.engine.export_state()))
-                .collect(),
-        );
+                .collect()
+        }),
+    };
+    for s in &slots {
+        let es = s.engine.stats();
+        report.stats.events += es.events;
+        report.stats.vertices += es.vertices;
+        report.stats.edges += es.edges;
+        report.stats.results += es.results;
+        report.peak_bytes += s.engine.peak_memory_bytes().max(s.engine.memory_bytes());
+        if s.query == 0 {
+            report.group_vertices = s.engine.group_vertices();
+        }
     }
-    Ok(rep)
+    Ok(report)
 }
 
 /// Inline batch driver: the single-shard, zero-thread execution path that
@@ -2402,7 +2128,7 @@ pub(crate) fn drive_batch<N: TrendNum>(
 ) -> Result<Vec<WindowResult<N>>, EngineError> {
     let mut out = Vec::new();
     for e in events {
-        engine.process(e)?;
+        engine.process_ref(&e.clone().into_ref())?;
         out.extend(engine.poll_results());
     }
     out.extend(engine.finish());

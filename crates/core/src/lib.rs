@@ -21,7 +21,8 @@
 //! let mut engine = GretaEngine::<f64>::new(q, reg).unwrap();
 //! for (ty, t) in [("A", 1), ("B", 2), ("A", 3), ("A", 4), ("B", 7)] {
 //!     let reg = engine.registry().clone();
-//!     engine.process(&EventBuilder::new(&reg, ty).unwrap().at(Time(t)).build()).unwrap();
+//!     let e = EventBuilder::new(&reg, ty).unwrap().at(Time(t)).build();
+//!     engine.process_ref(&e.into_ref()).unwrap();
 //! }
 //! let results = engine.finish();
 //! assert_eq!(results[0].values[0].to_f64(), 11.0); // Example 1: 11 trends
@@ -31,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod agg;
-pub mod compose;
 pub mod engine;
 pub mod error;
 pub mod executor;

@@ -1,42 +1,61 @@
-//! A checkable model of the executor's barrier cut protocol.
+//! An exhaustive checker for the executor's barrier protocol that runs the
+//! shipped code.
 //!
 //! [`crate::executor::StreamExecutor`] coordinates its shard workers
 //! over FIFO channels: events are routed as frames, and checkpoints,
 //! rebalances, and query registration changes travel **in-band** on the
-//! same channels. A barrier cut (`Msg::Snapshot` in the executor) is
-//! acked by every shard only after it has processed everything queued
-//! before the barrier, and the coordinator drains result rows while it
-//! waits (`collect_shard_states`) so the cut can never deadlock or tear.
+//! same channels as one barrier message. Every shard answers every barrier
+//! with one ack on the result channel, behind the rows it emitted before
+//! the barrier, and the coordinator absorbs that channel until all shards
+//! have acked.
 //!
-//! That protocol is easy to break in refactors and impossible to cover
-//! with example tests — which interleaving of shard progress and
-//! coordinator progress a real run takes is up to the OS scheduler.
-//! This module re-states the protocol as a small pure-state-machine
-//! model and **exhaustively explores every interleaving** with a
-//! deterministic scheduler (a loom-lite: depth-first replay over a
-//! choice stack, no threads involved). Four invariants are checked in
-//! every schedule:
+//! Which interleaving of shard progress and coordinator progress a real
+//! run takes is up to the OS scheduler, so example tests cannot cover the
+//! protocol. This module **explores every interleaving** with a
+//! deterministic scheduler (a loom-lite: depth-first replay over a choice
+//! stack, no threads involved). What runs under that scheduler is the
+//! executor's own code:
 //!
-//! 1. **All shards cut at the same sequence** — when a barrier
-//!    completes, the union of the shards' processed-event sets is
-//!    exactly the ingest prefix `1..=cut`, each event at exactly one
-//!    shard.
-//! 2. **No row crosses a barrier** — once a shard acked barrier `B`, a
-//!    pre-cut row from that shard can never appear on the results
-//!    channel again (it must have been carried inside the snapshot).
-//! 3. **Snapshot accounting** — `barrier_snapshots == checkpoints +
-//!    rebalances − fused_barriers`: adjacent cuts fuse into one
-//!    snapshot, and none goes missing.
-//! 4. **Exactly-once delivery** — every `(query, event)` result row is
+//! * a shard's step is `executor::barrier::worker_step` (and
+//!   `worker_finish` at end of stream), taking the executor's `Msg` and
+//!   emitting its `OutMsg`;
+//! * the coordinator's acks go through `executor::barrier::Cut`.
+//!
+//! What is model: the scheduler, the coordinator's [`Op`] script, the
+//! FIFO queues standing in for the channels (one per shard each way — a
+//! result channel shared by all shards promises order per sender only),
+//! a toy engine behind `ShardEngine`, and a delivery ledger. Three
+//! invariants are checked in every schedule:
+//!
+//! 1. **All shards cut at the same sequence** — when an export cut
+//!    completes, the shards' exported states together hold exactly the
+//!    events ingested since each query registered, each event at exactly
+//!    one shard.
+//! 2. **No row crosses a barrier** — when a shard's ack is absorbed, every
+//!    row its engines emitted before the barrier has been absorbed already
+//!    (it is in neither the exported state nor, otherwise, the
+//!    coordinator's buffers: a snapshot at that cut would lose it), and
+//!    after a shard acked a query's removal it delivers no row of it.
+//! 3. **Exactly-once delivery** — every expected `(query, row)` is
 //!    delivered exactly once across all paths: normal emission,
-//!    snapshot carriage, deregister remainders, and the final drain.
+//!    deregister remainders, and the end-of-stream finish.
 //!
-//! The checker also has a red path ([`Fault`]): injecting a shard that
-//! skips its cut, or acks a barrier early, must produce a
+//! (`barrier_snapshots == checkpoints + rebalances − fused_barriers` is a
+//! property of `ExecutorStats`, asserted on a real fused run by
+//! `tests/rebalance.rs`.)
+//!
+//! The checker also has a red path ([`Fault`]): a shard whose row slips
+//! out behind its ack, or whose barrier jumps its queue, must produce a
 //! [`Violation`] — a model checker that stops seeing broken protocols
 //! fails CI (see `tests/protocol_model.rs` and the `static-analysis`
 //! job).
 
+use crate::executor::barrier::{
+    worker_finish, worker_step, BarrierKind, Cut, EngineSlot, Msg, OutMsg, QueryBlobs, ShardEngine,
+};
+use crate::window::WindowId;
+use crate::EngineError;
+use greta_types::{Event, EventRef, Time, TypeId};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fmt;
@@ -46,16 +65,16 @@ use std::fmt;
 pub enum Op {
     /// Ingest the next event; it is routed to shard `seq % shards`.
     Ingest,
-    /// Cut a checkpoint barrier across every shard.
+    /// Cut an export barrier across every shard.
     Checkpoint,
-    /// Cut a rebalance barrier across every shard. Adjacent to a
-    /// [`Op::Checkpoint`] (either order) the two fuse into one snapshot.
+    /// Cut an export barrier, move every engine's state to another shard,
+    /// and cut an install barrier. Adjacent to an [`Op::Checkpoint`]
+    /// (either order) the two share one export cut.
     Rebalance,
-    /// Register query `id` on every shard (in-band, like the executor's
-    /// `Msg::AddQuery`).
+    /// Register query `id` on every shard (an add barrier).
     Register(u32),
-    /// Deregister query `id`; each shard must deliver its buffered
-    /// remainder rows for the query exactly once.
+    /// Deregister query `id` (a remove barrier); each shard must deliver
+    /// the query's remainder rows exactly once, ahead of its ack.
     Deregister(u32),
 }
 
@@ -66,15 +85,15 @@ pub enum Fault {
     /// Faithful protocol.
     #[default]
     None,
-    /// The shard acks barriers *without* cutting its pending rows into
-    /// the snapshot — the rows later leak onto the results channel past
-    /// the barrier (violates invariants 2 and 4).
-    SkipCut {
+    /// The shard's output is reordered so that a row it emitted before a
+    /// barrier reaches the result channel *behind* that barrier's ack
+    /// (violates invariant 2).
+    RowAfterAck {
         /// Index of the misbehaving shard.
         shard: usize,
     },
-    /// The shard acks a barrier ahead of events queued before it — its
-    /// snapshot misses part of the prefix (violates invariant 1).
+    /// The shard takes a barrier ahead of events queued before it — its
+    /// exported state misses part of the prefix (violates invariant 1).
     EarlyAck {
         /// Index of the misbehaving shard.
         shard: usize,
@@ -145,87 +164,112 @@ impl fmt::Display for Violation {
 
 impl std::error::Error for Violation {}
 
-/// Coordinator → shard messages (the executor's `Msg`, reduced to what
-/// the barrier protocol depends on).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Msg {
-    Events { seq: u64 },
-    Barrier { id: u32 },
-    AddQuery(u32),
-    RemoveQuery(u32),
-    Finish,
+/// The fake behind [`ShardEngine`]. Event `k` yields row `2k` at once (a
+/// window it closes) and row `2k + 1` when the engine sees its next event
+/// or is finished (a window it leaves open); the exported state is the
+/// events seen. Like the real engine it refuses an event that is not
+/// later than the last.
+#[derive(Default)]
+pub(crate) struct ToyEngine {
+    seen: Vec<u64>,
+    ready: Vec<u64>,
 }
 
-/// How a row reached the coordinator (all count as one delivery).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RowKind {
-    Normal,
-    Remainder,
-    Final,
+impl ToyEngine {
+    /// The events recorded in an exported state.
+    fn seen_in(blob: &[u8]) -> Vec<u64> {
+        blob.chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
+            .collect()
+    }
 }
 
-/// Shard → coordinator messages.
-#[derive(Debug, Clone)]
-enum Reply {
-    Row {
-        query: u32,
-        seq: u64,
-        kind: RowKind,
-    },
-    BarrierAck {
-        id: u32,
-        /// Every event seq this shard has processed so far.
-        processed: Vec<u64>,
-        /// Pending rows cut into the snapshot.
-        snapshot: Vec<(u32, u64)>,
-    },
-    FinishAck,
+impl ShardEngine for ToyEngine {
+    type Row = u64;
+    fn process_ref(&mut self, e: &EventRef) -> Result<(), EngineError> {
+        let got = e.time.ticks();
+        if let Some(&last) = self.seen.last() {
+            if got <= last {
+                return Err(EngineError::OutOfOrder {
+                    watermark: last,
+                    got,
+                });
+            }
+            self.ready.push(2 * last + 1);
+        }
+        self.ready.push(2 * got);
+        self.seen.push(got);
+        Ok(())
+    }
+    fn advance_watermark(&mut self, _: Time) {}
+    fn poll_results(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.ready)
+    }
+    fn finish(&mut self) -> Vec<u64> {
+        self.ready.extend(self.seen.last().map(|k| 2 * k + 1));
+        self.poll_results()
+    }
+    fn export_state(&self) -> Vec<u8> {
+        self.seen.iter().flat_map(|k| k.to_le_bytes()).collect()
+    }
+    fn emission_frontier(&self) -> WindowId {
+        0
+    }
+    fn close_overdue(&mut self) {}
+}
+
+/// The event with sequence number (and time stamp) `seq`.
+pub(crate) fn toy_event(seq: u64) -> EventRef {
+    Event {
+        time: Time(seq),
+        type_id: TypeId(0),
+        attrs: Box::new([]),
+    }
+    .into_ref()
 }
 
 /// One scheduler decision, kept compact so traces are cheap to record.
 #[derive(Debug, Clone, Copy)]
 enum Action {
     ShardProcess(usize),
-    ShardEmit(usize),
+    Absorb(usize),
     Advance,
 }
 
 impl Action {
     fn describe(self) -> String {
         match self {
-            Action::ShardProcess(s) => format!("shard {s}: process next message"),
-            Action::ShardEmit(s) => format!("shard {s}: emit oldest pending row"),
+            Action::ShardProcess(s) => format!("shard {s}: worker_step on its next message"),
+            Action::Absorb(s) => format!("coordinator: absorb the next message from shard {s}"),
             Action::Advance => "coordinator: advance script".to_string(),
         }
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct Shard {
-    queue: VecDeque<Msg>,
-    active: Vec<u32>,
-    /// Result rows produced but not yet emitted: `(query, seq)`.
-    pending: VecDeque<(u32, u64)>,
-    /// Every event seq processed so far (cumulative; barrier acks report it).
-    processed: Vec<u64>,
-    out: VecDeque<Reply>,
+    /// The shard's input channel.
+    queue: VecDeque<Msg<ToyEngine>>,
+    /// The worker's state, as `worker_step` keeps it.
+    slots: Vec<EngineSlot<ToyEngine>>,
+    /// This sender's messages on the result channel, not yet absorbed.
+    out: VecDeque<OutMsg<u64>>,
+    /// [`Fault::RowAfterAck`]: the row held back until the next ack.
+    late: Option<OutMsg<u64>>,
+    /// The end-of-stream finish has run.
+    finished: bool,
+    /// Queries whose removal this shard has acked.
+    gone: Vec<u32>,
 }
 
-#[derive(Debug)]
-struct BarrierWait {
-    id: u32,
-    cut: u64,
-    pending_acks: usize,
-    processed_union: Vec<u64>,
+/// What the cut in flight is for.
+enum Pending {
+    Export { rebalance: bool },
+    Remove(u32),
+    Other,
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    checkpoints: u64,
-    rebalances: u64,
-    fused_barriers: u64,
-    barrier_snapshots: u64,
-}
+type Broken = (&'static str, String);
 
 /// One execution of the model under a scheduler choice prefix.
 struct Run<'a> {
@@ -233,15 +277,13 @@ struct Run<'a> {
     shards: Vec<Shard>,
     script_pos: usize,
     seq: u64,
-    next_barrier_id: u32,
-    actives: Vec<u32>,
-    barrier: Option<BarrierWait>,
-    /// Per shard: the global cut seq of the last barrier it acked.
-    last_cut_acked: Vec<Option<u64>>,
-    counters: Counters,
-    finish_sent: bool,
-    finish_acks: usize,
-    /// Delivery ledger: `(query, seq)` → `(expected, deliveries)`.
+    /// Registered queries with the sequence number they registered at.
+    actives: Vec<(u32, u64)>,
+    cut: Cut,
+    pending: Pending,
+    /// The input channels are closed (script done).
+    closed: bool,
+    /// Delivery ledger: `(query, row)` → `(expected, deliveries)`.
     ledger: BTreeMap<(u32, u64), (bool, u32)>,
     trace: Vec<Action>,
     steps: usize,
@@ -252,7 +294,7 @@ struct Run<'a> {
 struct RunOutcome {
     decisions: Vec<(usize, usize)>,
     steps: usize,
-    violation: Option<(&'static str, String)>,
+    violation: Option<Broken>,
 }
 
 impl<'a> Run<'a> {
@@ -262,13 +304,10 @@ impl<'a> Run<'a> {
             shards: (0..cfg.shards).map(|_| Shard::default()).collect(),
             script_pos: 0,
             seq: 0,
-            next_barrier_id: 0,
             actives: Vec::new(),
-            barrier: None,
-            last_cut_acked: vec![None; cfg.shards],
-            counters: Counters::default(),
-            finish_sent: false,
-            finish_acks: 0,
+            cut: Cut::new(cfg.shards),
+            pending: Pending::Other,
+            closed: false,
             ledger: BTreeMap::new(),
             trace: Vec::new(),
             steps: 0,
@@ -279,304 +318,259 @@ impl<'a> Run<'a> {
     fn enabled(&self) -> Vec<Action> {
         let mut acts = Vec::new();
         for (s, shard) in self.shards.iter().enumerate() {
-            if !shard.queue.is_empty() {
+            if !shard.queue.is_empty() || (self.closed && !shard.finished) {
                 acts.push(Action::ShardProcess(s));
             }
         }
         for (s, shard) in self.shards.iter().enumerate() {
-            if !shard.pending.is_empty() {
-                acts.push(Action::ShardEmit(s));
+            if !shard.out.is_empty() {
+                acts.push(Action::Absorb(s));
             }
         }
-        if self.barrier.is_none() && (self.script_pos < self.cfg.script.len() || !self.finish_sent)
-        {
+        // Inside a cut the coordinator only absorbs.
+        if self.cut.done() && !self.closed {
             acts.push(Action::Advance);
         }
         acts
     }
 
-    fn broadcast(&mut self, m: Msg) {
-        for shard in &mut self.shards {
-            shard.queue.push_back(m);
+    /// The coordinator's side of a cut, minus the wait: open the ledger
+    /// and send the barrier down every shard channel.
+    fn start_cut(
+        &mut self,
+        pending: Pending,
+        mut kind_for: impl FnMut(usize) -> BarrierKind<ToyEngine>,
+    ) {
+        self.cut.open();
+        self.pending = pending;
+        for (s, shard) in self.shards.iter_mut().enumerate() {
+            shard.queue.push_back(Msg::Barrier { kind: kind_for(s) });
         }
     }
 
-    /// Coordinator: execute the next scripted op (or the final drain).
+    /// Coordinator: execute the next scripted op, or end the stream.
     fn advance(&mut self) {
-        if self.script_pos >= self.cfg.script.len() {
-            self.broadcast(Msg::Finish);
-            self.finish_sent = true;
+        let Some(&op) = self.cfg.script.get(self.script_pos) else {
+            self.closed = true;
             return;
-        }
-        match self.cfg.script[self.script_pos] {
+        };
+        self.script_pos += 1;
+        match op {
             Op::Ingest => {
                 self.seq += 1;
                 let seq = self.seq;
-                for &q in &self.actives {
-                    self.ledger.entry((q, seq)).or_insert((false, 0)).0 = true;
+                for &(q, _) in &self.actives {
+                    for row in [2 * seq, 2 * seq + 1] {
+                        self.ledger.entry((q, row)).or_insert((false, 0)).0 = true;
+                    }
                 }
                 let dest = (seq % self.cfg.shards as u64) as usize;
-                if let Some(shard) = self.shards.get_mut(dest) {
-                    shard.queue.push_back(Msg::Events { seq });
-                }
-                self.script_pos += 1;
+                self.shards[dest].queue.push_back(Msg::Events {
+                    group: 0,
+                    frame: vec![toy_event(seq)],
+                });
             }
             Op::Checkpoint | Op::Rebalance => {
-                // Gather the run of adjacent cut requests: they fuse into
-                // one barrier snapshot (the executor's fused_barriers).
-                let mut fused = 0u64;
-                while let Some(op) = self.cfg.script.get(self.script_pos) {
-                    match op {
-                        Op::Checkpoint => self.counters.checkpoints += 1,
-                        Op::Rebalance => self.counters.rebalances += 1,
-                        _ => break,
-                    }
-                    fused += 1;
+                // Adjacent cut requests share one export (the executor's
+                // fused barrier).
+                let mut rebalance = op == Op::Rebalance;
+                while let Some(next @ (Op::Checkpoint | Op::Rebalance)) =
+                    self.cfg.script.get(self.script_pos)
+                {
+                    rebalance |= *next == Op::Rebalance;
                     self.script_pos += 1;
                 }
-                self.counters.fused_barriers += fused - 1;
-                self.counters.barrier_snapshots += 1;
-                let id = self.next_barrier_id;
-                self.next_barrier_id += 1;
-                self.broadcast(Msg::Barrier { id });
-                self.barrier = Some(BarrierWait {
-                    id,
-                    cut: self.seq,
-                    pending_acks: self.cfg.shards,
-                    processed_union: Vec::new(),
-                });
+                self.start_cut(Pending::Export { rebalance }, |_| BarrierKind::Export);
             }
             Op::Register(q) => {
-                if !self.actives.contains(&q) {
-                    self.actives.push(q);
-                }
-                self.broadcast(Msg::AddQuery(q));
-                self.script_pos += 1;
+                self.actives.push((q, self.seq));
+                self.start_cut(Pending::Other, |_| {
+                    BarrierKind::Add(Box::new(EngineSlot::new(q, 0, false, ToyEngine::default())))
+                });
             }
             Op::Deregister(q) => {
-                self.actives.retain(|&a| a != q);
-                self.broadcast(Msg::RemoveQuery(q));
-                self.script_pos += 1;
+                self.actives.retain(|&(a, _)| a != q);
+                self.start_cut(Pending::Remove(q), |_| BarrierKind::Remove(q));
             }
         }
     }
 
-    /// Shard `s`: process one queued message. A faithful shard takes the
-    /// queue head (FIFO); an [`Fault::EarlyAck`] shard jumps a queued
-    /// barrier past the events in front of it.
-    fn shard_process(&mut self, s: usize) {
-        let early_ack = matches!(self.cfg.fault, Fault::EarlyAck { shard } if shard == s);
-        let skip_cut = matches!(self.cfg.fault, Fault::SkipCut { shard } if shard == s);
-        let Some(shard) = self.shards.get_mut(s) else {
-            return;
+    /// Shard `s`: one `worker_step` on a queued message, or the
+    /// end-of-stream finish once the queue is closed and empty. A faithful
+    /// shard takes the queue head (FIFO); a [`Fault::EarlyAck`] shard lets
+    /// a queued barrier jump the events in front of it.
+    fn shard_process(&mut self, s: usize) -> Result<(), Broken> {
+        let early_ack = self.cfg.fault == Fault::EarlyAck { shard: s };
+        let row_after_ack = self.cfg.fault == Fault::RowAfterAck { shard: s };
+        let Shard {
+            queue,
+            slots,
+            out,
+            late,
+            finished,
+            ..
+        } = &mut self.shards[s];
+        let jump = early_ack
+            .then(|| queue.iter().position(|m| matches!(m, Msg::Barrier { .. })))
+            .flatten();
+        let mut emit = |m: OutMsg<u64>| {
+            match m {
+                OutMsg::Row { .. } if row_after_ack && late.is_none() => *late = Some(m),
+                OutMsg::Ack { .. } => {
+                    out.push_back(m);
+                    out.extend(late.take());
+                }
+                m => out.push_back(m),
+            }
+            Ok(())
         };
-        let msg = if early_ack {
-            match shard
-                .queue
+        let stepped = match queue.remove(jump.unwrap_or(0)) {
+            Some(msg) => worker_step(slots, s, msg, &mut emit),
+            None => {
+                *finished = true;
+                worker_finish(slots, s, &mut emit)
+            }
+        };
+        stepped.map_err(|e| ("worker-failed", format!("shard {s}: {e}")))
+    }
+
+    /// Coordinator: absorb the next message shard `s` sent, checking
+    /// invariants as it arrives.
+    fn absorb(&mut self, s: usize) -> Result<(), Broken> {
+        match self.shards[s].out.pop_front() {
+            Some(OutMsg::Row { query, row, .. }) => {
+                if self.shards[s].gone.contains(&query) {
+                    return Err((
+                        "row-crosses-barrier",
+                        format!(
+                            "shard {s} delivered row (q{query}, r{row}) after acking q{query}'s \
+                             removal; the remainder was already closed"
+                        ),
+                    ));
+                }
+                self.record_delivery(query, row)
+            }
+            Some(OutMsg::Ack { shard, blobs }) => {
+                self.check_ack(shard, &blobs)?;
+                self.cut
+                    .ack(shard, blobs)
+                    .map_err(|e| ("barrier-protocol", e.to_string()))?;
+                if self.cut.done() {
+                    self.complete_cut()?;
+                }
+                Ok(())
+            }
+            Some(OutMsg::Frontier { .. }) | None => Ok(()),
+        }
+    }
+
+    /// Invariant 2, at the moment `shard`'s ack arrives.
+    fn check_ack(&mut self, shard: usize, blobs: &QueryBlobs) -> Result<(), Broken> {
+        if let Pending::Remove(q) = self.pending {
+            self.shards[shard].gone.push(q);
+        }
+        for (q, blob) in blobs {
+            let seen = ToyEngine::seen_in(blob);
+            // The exported state still owes the open row of its last
+            // event; every other row of its events has left the engine.
+            let emitted = seen
                 .iter()
-                .position(|m| matches!(m, Msg::Barrier { .. }))
-            {
-                Some(i) => shard.queue.remove(i),
-                None => shard.queue.pop_front(),
-            }
-        } else {
-            shard.queue.pop_front()
-        };
-        let Some(msg) = msg else { return };
-        match msg {
-            Msg::Events { seq } => {
-                shard.processed.push(seq);
-                for &q in &shard.active {
-                    shard.pending.push_back((q, seq));
-                }
-            }
-            Msg::Barrier { id } => {
-                let snapshot = if skip_cut {
-                    Vec::new()
-                } else {
-                    shard.pending.drain(..).collect()
-                };
-                shard.out.push_back(Reply::BarrierAck {
-                    id,
-                    processed: shard.processed.clone(),
-                    snapshot,
-                });
-            }
-            Msg::AddQuery(q) => {
-                if !shard.active.contains(&q) {
-                    shard.active.push(q);
-                }
-            }
-            Msg::RemoveQuery(q) => {
-                let mut kept = VecDeque::with_capacity(shard.pending.len());
-                for (query, seq) in shard.pending.drain(..) {
-                    if query == q {
-                        shard.out.push_back(Reply::Row {
-                            query,
-                            seq,
-                            kind: RowKind::Remainder,
-                        });
-                    } else {
-                        kept.push_back((query, seq));
-                    }
-                }
-                shard.pending = kept;
-                shard.active.retain(|&a| a != q);
-            }
-            Msg::Finish => {
-                for (query, seq) in shard.pending.drain(..) {
-                    shard.out.push_back(Reply::Row {
-                        query,
-                        seq,
-                        kind: RowKind::Final,
-                    });
-                }
-                shard.out.push_back(Reply::FinishAck);
-            }
-        }
-    }
-
-    /// Shard `s`: emit its oldest pending row (the normal results path).
-    fn shard_emit(&mut self, s: usize) {
-        if let Some(shard) = self.shards.get_mut(s) {
-            if let Some((query, seq)) = shard.pending.pop_front() {
-                shard.out.push_back(Reply::Row {
-                    query,
-                    seq,
-                    kind: RowKind::Normal,
-                });
-            }
-        }
-    }
-
-    /// Coordinator: drain every shard's output queue, checking invariants
-    /// as replies arrive. Deterministic (no scheduler choice): per-shard
-    /// FIFO order is what the invariants constrain, and that is fixed by
-    /// the shard's own actions.
-    fn drain_outputs(&mut self) -> Result<(), (&'static str, String)> {
-        for s in 0..self.shards.len() {
-            while let Some(reply) = self
-                .shards
-                .get_mut(s)
-                .and_then(|shard| shard.out.pop_front())
-            {
-                match reply {
-                    Reply::Row { query, seq, kind } => {
-                        // Any delivery path counts: after a shard acked a
-                        // barrier, the only legal carrier for a pre-cut
-                        // row was that barrier's snapshot.
-                        if let Some(cut) = self.last_cut_acked[s] {
-                            if seq <= cut {
-                                return Err((
-                                    "row-crosses-barrier",
-                                    format!(
-                                        "shard {s} emitted {kind:?} row (q{query}, e{seq}) \
-                                         after acking a barrier with cut {cut}; the row \
-                                         belonged in that snapshot"
-                                    ),
-                                ));
-                            }
-                        }
-                        self.record_delivery(query, seq)?;
-                    }
-                    Reply::BarrierAck {
-                        id,
-                        processed,
-                        snapshot,
-                    } => {
-                        let Some(wait) = self.barrier.as_mut() else {
-                            return Err((
-                                "barrier-protocol",
-                                format!("shard {s} acked barrier {id} with no barrier in flight"),
-                            ));
-                        };
-                        if wait.id != id {
-                            return Err((
-                                "barrier-protocol",
-                                format!("shard {s} acked barrier {id}, expected {}", wait.id),
-                            ));
-                        }
-                        wait.processed_union.extend(processed);
-                        wait.pending_acks -= 1;
-                        let cut = wait.cut;
-                        let complete = wait.pending_acks == 0;
-                        if complete {
-                            let mut union = std::mem::take(&mut wait.processed_union);
-                            union.sort_unstable();
-                            let expect: Vec<u64> = (1..=cut).collect();
-                            if union != expect {
-                                return Err((
-                                    "shards-cut-at-different-seqs",
-                                    format!(
-                                        "barrier {id} completed with processed union {union:?}, \
-                                         expected the full ingest prefix 1..={cut}"
-                                    ),
-                                ));
-                            }
-                            self.barrier = None;
-                        }
-                        self.last_cut_acked[s] = Some(cut);
-                        for (query, seq) in snapshot {
-                            self.record_delivery(query, seq)?;
-                        }
-                    }
-                    Reply::FinishAck => self.finish_acks += 1,
+                .flat_map(|k| [2 * k, 2 * k + 1])
+                .take((2 * seen.len()).saturating_sub(1));
+            for row in emitted {
+                if self.ledger.get(&(*q, row)).map_or(0, |e| e.1) == 0 {
+                    return Err((
+                        "row-crosses-barrier",
+                        format!(
+                            "shard {shard} acked while row (q{q}, r{row}), emitted before the \
+                             barrier, was still behind the ack; a snapshot at this cut loses it"
+                        ),
+                    ));
                 }
             }
         }
         Ok(())
     }
 
-    fn record_delivery(&mut self, query: u32, seq: u64) -> Result<(), (&'static str, String)> {
-        let entry = self.ledger.entry((query, seq)).or_insert((false, 0));
+    /// Every shard has acked: invariant 1 on an export, then the install
+    /// half of a rebalance.
+    fn complete_cut(&mut self) -> Result<(), Broken> {
+        let per_shard = self.cut.take();
+        let Pending::Export { rebalance } = std::mem::replace(&mut self.pending, Pending::Other)
+        else {
+            return Ok(());
+        };
+        for &(q, since) in &self.actives {
+            let mut union: Vec<u64> = per_shard
+                .iter()
+                .flatten()
+                .filter(|(id, _)| *id == q)
+                .flat_map(|(_, blob)| ToyEngine::seen_in(blob))
+                .collect();
+            union.sort_unstable();
+            if union != (since + 1..=self.seq).collect::<Vec<u64>>() {
+                return Err((
+                    "shards-cut-at-different-seqs",
+                    format!(
+                        "export cut completed with q{q}'s states holding events {union:?}, \
+                         expected exactly {}..={}",
+                        since + 1,
+                        self.seq
+                    ),
+                ));
+            }
+        }
+        if rebalance {
+            // Repartition: every state moves one shard down.
+            let shards = self.cfg.shards;
+            self.start_cut(Pending::Other, |s| {
+                let moved = per_shard[(s + 1) % shards].iter().map(|(q, blob)| {
+                    let seen = ToyEngine::seen_in(blob);
+                    (
+                        *q,
+                        ToyEngine {
+                            seen,
+                            ready: Vec::new(),
+                        },
+                    )
+                });
+                BarrierKind::Install(moved.collect())
+            });
+        }
+        Ok(())
+    }
+
+    fn record_delivery(&mut self, query: u32, row: u64) -> Result<(), Broken> {
+        let entry = self.ledger.entry((query, row)).or_insert((false, 0));
         entry.1 += 1;
         if !entry.0 {
             return Err((
                 "exactly-once-delivery",
-                format!("row (q{query}, e{seq}) was delivered but never expected"),
+                format!("row (q{query}, r{row}) was delivered but never expected"),
             ));
         }
         if entry.1 > 1 {
             return Err((
                 "exactly-once-delivery",
-                format!("row (q{query}, e{seq}) delivered {} times", entry.1),
+                format!("row (q{query}, r{row}) delivered {} times", entry.1),
             ));
         }
         Ok(())
     }
 
-    /// End-of-run checks (all queues drained, script done).
-    fn final_checks(&self) -> Result<(), (&'static str, String)> {
-        if self.barrier.is_some() {
+    /// End-of-run checks (every queue drained, every worker finished).
+    fn final_checks(&self) -> Result<(), Broken> {
+        if !self.cut.done() {
             return Err((
                 "barrier-protocol",
-                "execution ended with a barrier still in flight".into(),
+                "execution ended with a cut still in flight".into(),
             ));
         }
-        if self.finish_acks != self.cfg.shards {
-            return Err((
-                "barrier-protocol",
-                format!(
-                    "only {}/{} shards acked the final drain",
-                    self.finish_acks, self.cfg.shards
-                ),
-            ));
-        }
-        let c = &self.counters;
-        if c.barrier_snapshots != c.checkpoints + c.rebalances - c.fused_barriers {
-            return Err((
-                "snapshot-accounting",
-                format!(
-                    "barrier_snapshots {} != checkpoints {} + rebalances {} - fused {}",
-                    c.barrier_snapshots, c.checkpoints, c.rebalances, c.fused_barriers
-                ),
-            ));
-        }
-        for (&(query, seq), &(expected, deliveries)) in &self.ledger {
+        for (&(query, row), &(expected, deliveries)) in &self.ledger {
             if expected && deliveries != 1 {
                 return Err((
                     "exactly-once-delivery",
-                    format!("row (q{query}, e{seq}) delivered {deliveries} times, expected 1"),
+                    format!("row (q{query}, r{row}) delivered {deliveries} times, expected 1"),
                 ));
             }
         }
@@ -589,48 +583,46 @@ impl<'a> Run<'a> {
         let mut decisions: Vec<(usize, usize)> = Vec::new();
         loop {
             let acts = self.enabled();
-            if acts.is_empty() {
-                let violation = self.final_checks().err();
-                return (
-                    RunOutcome {
-                        decisions,
-                        steps: self.steps,
-                        violation,
-                    },
-                    self.trace,
-                );
-            }
-            let choice = if acts.len() == 1 {
-                0
+            let violation = if acts.is_empty() {
+                self.final_checks().err()
             } else {
-                let c = prefix.get(decisions.len()).copied().unwrap_or(0);
-                decisions.push((c, acts.len()));
-                c
+                let choice = if acts.len() == 1 {
+                    0
+                } else {
+                    let c = prefix.get(decisions.len()).copied().unwrap_or(0);
+                    decisions.push((c, acts.len()));
+                    c
+                };
+                let act = acts[choice.min(acts.len() - 1)];
+                self.trace.push(act);
+                self.steps += 1;
+                let stepped = match act {
+                    Action::ShardProcess(s) => self.shard_process(s),
+                    Action::Absorb(s) => self.absorb(s),
+                    Action::Advance => {
+                        self.advance();
+                        Ok(())
+                    }
+                };
+                match stepped {
+                    Ok(()) => continue,
+                    Err(v) => Some(v),
+                }
             };
-            let act = acts[choice.min(acts.len() - 1)];
-            self.trace.push(act);
-            self.steps += 1;
-            match act {
-                Action::ShardProcess(s) => self.shard_process(s),
-                Action::ShardEmit(s) => self.shard_emit(s),
-                Action::Advance => self.advance(),
-            }
-            if let Err(v) = self.drain_outputs() {
-                return (
-                    RunOutcome {
-                        decisions,
-                        steps: self.steps,
-                        violation: Some(v),
-                    },
-                    self.trace,
-                );
-            }
+            return (
+                RunOutcome {
+                    decisions,
+                    steps: self.steps,
+                    violation,
+                },
+                self.trace,
+            );
         }
     }
 }
 
 /// Exhaustively explore every schedule of the configured model,
-/// checking all four barrier-protocol invariants in each. Returns the
+/// checking the three barrier-protocol invariants in each. Returns the
 /// exploration statistics, or the first [`Violation`] found.
 ///
 /// The exploration is a depth-first replay: each complete execution is
@@ -708,10 +700,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_script_has_one_schedule() {
+    fn empty_script_only_finishes() {
         let r = explore(&cfg(2, vec![])).unwrap();
-        // Only the final drain runs; a handful of forced interleavings.
-        assert!(r.schedules >= 1);
+        // Closing the stream is forced; the two finishes commute.
+        assert_eq!(r.schedules, 2);
     }
 
     #[test]
@@ -721,35 +713,25 @@ mod tests {
     }
 
     #[test]
-    fn fused_cuts_account_for_one_snapshot() {
-        // Checkpoint directly followed by Rebalance: one barrier, counters
-        // must still balance (invariant 3 is checked in every schedule).
+    fn rebalance_moves_state_without_losing_rows() {
+        // Event 1's state moves from shard 1 to shard 0, where event 2
+        // lands on top of it and releases event 1's open row.
         explore(&cfg(
             2,
-            vec![
-                Op::Register(1),
-                Op::Ingest,
-                Op::Checkpoint,
-                Op::Rebalance,
-                Op::Ingest,
-                Op::Checkpoint,
-            ],
+            vec![Op::Register(1), Op::Ingest, Op::Rebalance, Op::Ingest],
         ))
         .unwrap();
     }
 
     #[test]
-    fn skip_cut_fault_is_caught() {
+    fn row_after_ack_fault_is_caught() {
         let mut c = cfg(
             2,
             vec![Op::Register(1), Op::Ingest, Op::Ingest, Op::Checkpoint],
         );
-        c.fault = Fault::SkipCut { shard: 0 };
+        c.fault = Fault::RowAfterAck { shard: 0 };
         let v = explore(&c).unwrap_err();
-        assert!(
-            v.invariant == "row-crosses-barrier" || v.invariant == "exactly-once-delivery",
-            "{v}"
-        );
+        assert_eq!(v.invariant, "row-crosses-barrier", "{v}");
         assert!(!v.trace.is_empty());
     }
 

@@ -56,8 +56,9 @@ pub fn simplify(p: Pattern) -> Pattern {
 ///
 /// * negation only inside a sequence, applied to a sequence or event type;
 /// * negation is not the outermost operator;
-/// * `OR` / `AND` only at the top level with positive operands (§9 count
-///   composition handles them; see `greta-core::compose`);
+/// * `OR` / `AND` only at the top level with positive operands (`OR`
+///   expands into alternatives; `AND` parses but is refused at expansion —
+///   §9 count composition is not reproduced);
 /// * the pattern matches no empty trend (Lemma 1).
 pub fn validate(p: &Pattern) -> Result<(), QueryError> {
     match p {
@@ -216,7 +217,7 @@ fn expand(p: &Pattern) -> Result<Vec<Option<Pattern>>, QueryError> {
             Ok(out)
         }
         Pattern::And(_, _) => Err(QueryError::Unsupported(
-            "AND requires count composition (§9); use greta-core::compose".into(),
+            "AND is not supported (§9 count composition is not reproduced)".into(),
         )),
     }
 }

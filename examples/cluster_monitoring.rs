@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t0 = Instant::now();
     let mut engine = GretaEngine::<f64>::new(query.clone(), registry.clone())?;
     for e in &events {
-        engine.process(e)?;
+        engine.process_ref(&e.clone().into_ref())?;
     }
     let rows = engine.finish();
     let seq_ms = t0.elapsed().as_secs_f64() * 1e3;

@@ -248,7 +248,7 @@ proptest! {
         let mut stream = GretaEngine::<f64>::new(q, reg.clone()).unwrap();
         let mut got = Vec::new();
         for e in &events {
-            stream.process(e).unwrap();
+            stream.process_ref(&e.clone().into_ref()).unwrap();
             got.extend(stream.poll_results());
         }
         got.extend(stream.finish());

@@ -27,8 +27,10 @@ fn count_query(reg: &SchemaRegistry) -> CompiledQuery {
 fn out_of_order_event_is_rejected_and_engine_survives() {
     let reg = registry();
     let mut engine = GretaEngine::<u64>::new(count_query(&reg), reg.clone()).unwrap();
-    engine.process(&ev(&reg, "A", 10)).unwrap();
-    let err = engine.process(&ev(&reg, "A", 5)).unwrap_err();
+    engine.process_ref(&ev(&reg, "A", 10).into_ref()).unwrap();
+    let err = engine
+        .process_ref(&ev(&reg, "A", 5).into_ref())
+        .unwrap_err();
     assert!(matches!(
         err,
         EngineError::OutOfOrder {
@@ -37,7 +39,7 @@ fn out_of_order_event_is_rejected_and_engine_survives() {
         }
     ));
     // The engine keeps working for in-order input after the rejection.
-    engine.process(&ev(&reg, "A", 11)).unwrap();
+    engine.process_ref(&ev(&reg, "A", 11).into_ref()).unwrap();
     let rows = engine.finish();
     assert_eq!(rows[0].values[0].to_f64(), 3.0); // {a10},{a11},(a10,a11)
 }
@@ -55,7 +57,7 @@ fn stream_of_only_irrelevant_types_produces_no_rows() {
     let reg = registry();
     let mut engine = GretaEngine::<u64>::new(count_query(&reg), reg.clone()).unwrap();
     for t in 0..50 {
-        engine.process(&ev(&reg, "Z", t)).unwrap();
+        engine.process_ref(&ev(&reg, "Z", t).into_ref()).unwrap();
     }
     assert!(engine.finish().is_empty());
     assert_eq!(engine.stats().vertices, 0);
@@ -68,7 +70,7 @@ fn same_timestamp_flood_yields_singletons_only() {
     let reg = registry();
     let mut engine = GretaEngine::<u64>::new(count_query(&reg), reg.clone()).unwrap();
     for _ in 0..100 {
-        engine.process(&ev(&reg, "A", 7)).unwrap();
+        engine.process_ref(&ev(&reg, "A", 7).into_ref()).unwrap();
     }
     let rows = engine.finish();
     assert_eq!(rows[0].values[0].to_f64(), 100.0);
@@ -82,7 +84,7 @@ fn window_shorter_than_slide_samples_the_stream() {
     let q = CompiledQuery::parse("RETURN COUNT(*) PATTERN A+ WITHIN 2 SLIDE 5", &reg).unwrap();
     let mut engine = GretaEngine::<u64>::new(q, reg.clone()).unwrap();
     for t in 0..20u64 {
-        engine.process(&ev(&reg, "A", t)).unwrap();
+        engine.process_ref(&ev(&reg, "A", t).into_ref()).unwrap();
     }
     let rows = engine.finish();
     // Windows [0,2), [5,7), [10,12), [15,17): each holds 2 events ⇒ 3 trends.
@@ -94,7 +96,7 @@ fn window_shorter_than_slide_samples_the_stream() {
 fn finish_is_idempotent() {
     let reg = registry();
     let mut engine = GretaEngine::<u64>::new(count_query(&reg), reg.clone()).unwrap();
-    engine.process(&ev(&reg, "A", 1)).unwrap();
+    engine.process_ref(&ev(&reg, "A", 1).into_ref()).unwrap();
     let first = engine.finish();
     assert_eq!(first.len(), 1);
     assert!(engine.finish().is_empty()); // already drained
@@ -110,7 +112,7 @@ fn saturating_u64_carrier_never_wraps() {
         CompiledQuery::parse("RETURN COUNT(*) PATTERN A+ WITHIN 1000 SLIDE 1000", &reg).unwrap();
     let mut engine = GretaEngine::<u64>::new(q, reg.clone()).unwrap();
     for t in 0..80u64 {
-        engine.process(&ev(&reg, "A", t)).unwrap();
+        engine.process_ref(&ev(&reg, "A", t).into_ref()).unwrap();
     }
     let rows = engine.finish();
     match &rows[0].values[0] {
@@ -127,7 +129,7 @@ fn biguint_carrier_is_exact_past_u64() {
         CompiledQuery::parse("RETURN COUNT(*) PATTERN A+ WITHIN 1000 SLIDE 1000", &reg).unwrap();
     let mut engine = GretaEngine::<BigUint>::new(q, reg.clone()).unwrap();
     for t in 0..80u64 {
-        engine.process(&ev(&reg, "A", t)).unwrap();
+        engine.process_ref(&ev(&reg, "A", t).into_ref()).unwrap();
     }
     let rows = engine.finish();
     // 2^80 - 1, exactly.
@@ -165,7 +167,7 @@ fn huge_time_gaps_do_not_blow_memory_or_panic() {
     let q = CompiledQuery::parse("RETURN COUNT(*) PATTERN A+ WITHIN 10 SLIDE 10", &reg).unwrap();
     let mut engine = GretaEngine::<u64>::new(q, reg.clone()).unwrap();
     for t in [0u64, 1_000_000, 2_000_000_000, 4_000_000_000_000] {
-        engine.process(&ev(&reg, "A", t)).unwrap();
+        engine.process_ref(&ev(&reg, "A", t).into_ref()).unwrap();
     }
     let rows = engine.finish();
     assert_eq!(rows.len(), 4);
@@ -178,7 +180,9 @@ fn max_timestamp_does_not_overflow_window_arithmetic() {
     let q = CompiledQuery::parse("RETURN COUNT(*) PATTERN A+ WITHIN 10 SLIDE 10", &reg).unwrap();
     let mut engine = GretaEngine::<u64>::new(q, reg.clone()).unwrap();
     // A very large (but not MAX, to keep wid*slide+within in range) stamp.
-    engine.process(&ev(&reg, "A", u64::MAX / 4)).unwrap();
+    engine
+        .process_ref(&ev(&reg, "A", u64::MAX / 4).into_ref())
+        .unwrap();
     let rows = engine.finish();
     assert_eq!(rows.len(), 1);
 }
@@ -191,7 +195,7 @@ fn events_with_zero_attributes_work() {
     let mut engine = GretaEngine::<u64>::new(q, reg.clone()).unwrap();
     for t in 0..4u64 {
         let e = EventBuilder::new(&reg, "N").unwrap().at(Time(t)).build();
-        engine.process(&e).unwrap();
+        engine.process_ref(&e.into_ref()).unwrap();
     }
     let rows = engine.finish();
     assert_eq!(rows[0].values[0].to_f64(), 15.0);
@@ -207,7 +211,7 @@ fn vertex_predicate_that_rejects_everything() {
     .unwrap();
     let mut engine = GretaEngine::<u64>::new(q, reg.clone()).unwrap();
     for t in 0..10u64 {
-        engine.process(&ev(&reg, "A", t)).unwrap();
+        engine.process_ref(&ev(&reg, "A", t).into_ref()).unwrap();
     }
     assert!(engine.finish().is_empty());
     assert_eq!(engine.stats().vertices, 0);

@@ -231,6 +231,46 @@ fn register_and_deregister_mid_stream_under_rebalancing() {
     assert_eq!(sorted(rows_a), expect_a, "QA must be undisturbed");
 }
 
+/// A remove barrier's ack queues behind the remainder rows on the one
+/// bounded result channel: with a remainder larger than the channel, the
+/// shards block on their rows until the coordinator — waiting for acks —
+/// absorbs them. Nothing may be dropped, reordered, or deadlock.
+#[test]
+fn deregister_returns_a_remainder_larger_than_the_result_channel() {
+    const WIDE: &str = "RETURN grp, COUNT(*) PATTERN M+ WHERE M.load < NEXT(M).load \
+                        GROUP-BY grp WITHIN 200 SLIDE 10";
+    let reg = setup();
+    let events = events(&reg, 300);
+    let result_capacity = 8;
+    let mut exec = StreamExecutor::<f64>::new(
+        CompiledQuery::parse(QA, &reg).unwrap(),
+        reg.clone(),
+        ExecutorConfig {
+            shards: 4,
+            result_capacity,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let id = exec
+        .register_query(WIDE, EmissionMode::WindowOrdered)
+        .unwrap();
+    for e in &events {
+        exec.push(e.clone()).unwrap();
+    }
+    let mut rows = exec.poll_results_of(id).unwrap();
+    let remainder = exec.deregister_query(id).unwrap();
+    assert!(
+        remainder.len() > 4 * result_capacity,
+        "remainder of {} rows does not overflow the channel",
+        remainder.len()
+    );
+    rows.extend(remainder);
+    // The last pushed event is still in the reorder buffer at the cut.
+    assert_eq!(rows, oracle(WIDE, &reg, &events[..events.len() - 1]));
+    exec.finish().unwrap();
+}
+
 #[test]
 fn crash_recovery_restores_all_registered_queries() {
     let reg = setup();

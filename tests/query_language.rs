@@ -148,7 +148,7 @@ fn minimal_trend_length_unrolling() {
             .unwrap()
             .at(Time(t))
             .build();
-        engine.process(&e).unwrap();
+        engine.process_ref(&e.into_ref()).unwrap();
     }
     let rows = engine.finish();
     assert_eq!(rows[0].values[0].to_f64(), 5.0);

@@ -176,7 +176,13 @@ fn complexity_is_quadratic_not_exponential() {
         let mut engine = GretaEngine::<f64>::new(q.clone(), reg.clone()).unwrap();
         for t in 0..n {
             engine
-                .process(&EventBuilder::new(&reg, "A").unwrap().at(Time(t)).build())
+                .process_ref(
+                    &EventBuilder::new(&reg, "A")
+                        .unwrap()
+                        .at(Time(t))
+                        .build()
+                        .into_ref(),
+                )
                 .unwrap();
         }
         engine.finish();

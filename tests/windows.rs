@@ -76,7 +76,9 @@ fn overlapping_windows_share_one_graph() {
     let q = CompiledQuery::parse("RETURN COUNT(*) PATTERN A+ WITHIN 12 SLIDE 3", &reg).unwrap();
     let mut engine = GretaEngine::<f64>::new(q, reg.clone()).unwrap();
     for t in 0..12u64 {
-        engine.process(&ev(&reg, "A", t, 0.0)).unwrap();
+        engine
+            .process_ref(&ev(&reg, "A", t, 0.0).into_ref())
+            .unwrap();
     }
     assert_eq!(engine.stats().vertices, 12); // k=4 windows, still 12 vertices
     engine.finish();
@@ -89,7 +91,9 @@ fn window_results_stream_incrementally() {
     let mut engine = GretaEngine::<u64>::new(q, reg.clone()).unwrap();
     let mut per_poll = Vec::new();
     for t in 0..20u64 {
-        engine.process(&ev(&reg, "A", t, 0.0)).unwrap();
+        engine
+            .process_ref(&ev(&reg, "A", t, 0.0).into_ref())
+            .unwrap();
         for r in engine.poll_results() {
             per_poll.push((r.window, r.values[0].to_f64()));
         }
@@ -109,7 +113,9 @@ fn pane_purge_bounds_memory() {
     let mut engine = GretaEngine::<f64>::new(q, reg.clone()).unwrap();
     let mut mem_after_each_window = Vec::new();
     for t in 0..500u64 {
-        engine.process(&ev(&reg, "A", t, 0.0)).unwrap();
+        engine
+            .process_ref(&ev(&reg, "A", t, 0.0).into_ref())
+            .unwrap();
         if t % 50 == 10 && t > 50 {
             mem_after_each_window.push(engine.memory_bytes());
         }

@@ -165,7 +165,7 @@ fn memory_stays_bounded_across_many_windows() {
     .unwrap();
     let mut engine = GretaEngine::<f64>::new(q, reg.clone()).unwrap();
     for e in &events {
-        engine.process(e).unwrap();
+        engine.process_ref(&e.clone().into_ref()).unwrap();
     }
     engine.finish();
     // Peak should be in the order of a couple of windows, not the stream.
