@@ -115,8 +115,8 @@ mod tests {
         assert!(!passes_for("crates/server/src/http.rs").lock);
         assert!(passes_for("crates/durability/src/wal.rs").codec);
         assert!(passes_for("tools/load_client.rs").panic);
-        assert!(!passes_for("crates/core/src/executor.rs").panic);
-        assert!(passes_for("crates/core/src/executor.rs").codec);
+        assert!(!passes_for("crates/core/src/executor/route.rs").panic);
+        assert!(passes_for("crates/core/src/executor/route.rs").codec);
         assert!(!passes_for("examples/quickstart.rs").panic);
     }
 

@@ -6,7 +6,9 @@
 //! larger sizes — our budget mechanism reproduces exactly that behaviour,
 //! shown as `DNF` in the tables).
 
-use crate::metrics::{run_greta, run_greta_parallel, run_two_step_engine, Metrics, TwoStep};
+use crate::metrics::{
+    run_greta, run_greta_as, run_greta_parallel, run_two_step_engine, Metrics, TwoStep,
+};
 use greta_core::EngineConfig;
 use greta_query::CompiledQuery;
 use greta_types::{Event, SchemaRegistry};
@@ -256,9 +258,10 @@ pub fn complexity(sizes: &[usize]) -> Vec<Row> {
     rows
 }
 
-/// **Ablations** (DESIGN.md): Vertex-Tree range index on/off, and window
-/// sharing vs. per-window replication (emulated by running one tumbling
-/// engine per slide offset).
+/// **Ablations** (DESIGN.md): Vertex-Tree range index on/off, the
+/// aggregate carrier (`f64` / saturating `u64` / exact `BigUint`), and
+/// window sharing vs. per-window replication (emulated by running one
+/// tumbling engine per slide offset).
 pub fn ablations(n: usize) -> Vec<Row> {
     let mut rows = Vec::new();
 
@@ -298,10 +301,10 @@ pub fn ablations(n: usize) -> Vec<Row> {
     m.engine = "GRETA(scan)".into();
     push(&mut rows, "ablation-index", "n", n as f64, m);
 
-    // (b) Window sharing vs replication: WITHIN n/2 SLIDE n/8 — one shared
-    // engine vs four shifted tumbling engines (Fig. 9(a) vs 9(b)).
-    let within = (n / 2).max(8);
-    let slide = (n / 8).max(2);
+    // (b) Aggregate carrier — Q1 over the stock stream in one window.
+    // Trend counts grow exponentially, so past a few dozen events per
+    // group `u64` saturates and `f64` rounds: their checksums may differ
+    // from the exact carrier's, which is the point of the row.
     let mut reg = SchemaRegistry::new();
     let gen = StockGen::new(
         StockConfig {
@@ -312,6 +315,25 @@ pub fn ablations(n: usize) -> Vec<Row> {
     )
     .expect("schema");
     let events = gen.generate();
+    let query = q1(&reg, n);
+    let config = EngineConfig::default();
+    for (carrier, mut m) in [
+        ("f64", run_greta_as::<f64>(&query, &reg, &events, config)),
+        ("u64", run_greta_as::<u64>(&query, &reg, &events, config)),
+        (
+            "BigUint",
+            run_greta_as::<greta_bignum::BigUint>(&query, &reg, &events, config),
+        ),
+    ] {
+        m.engine = format!("GRETA({carrier})");
+        push(&mut rows, "ablation-carrier", "n", n as f64, m);
+    }
+
+    // (c) Window sharing vs replication: WITHIN n/2 SLIDE n/8 — one shared
+    // engine vs four shifted tumbling engines (Fig. 9(a) vs 9(b)), over
+    // the same stock stream.
+    let within = (n / 2).max(8);
+    let slide = (n / 8).max(2);
     let shared = CompiledQuery::parse(
         &format!(
             "RETURN sector, COUNT(*) PATTERN Stock S+ \
@@ -529,6 +551,10 @@ mod tests {
         let table = render_table(&rows);
         assert!(table.contains("ablation-index"));
         assert!(table.contains("ablation-windows"));
+        let carriers = rows.iter().filter(|r| r.figure == "ablation-carrier");
+        let carriers: Vec<_> = carriers.map(|r| r.metrics.rows).collect();
+        assert_eq!(carriers.len(), 3);
+        assert!(carriers.iter().all(|&n| n == carriers[0] && n > 0));
     }
 
     #[test]

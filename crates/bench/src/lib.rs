@@ -13,8 +13,7 @@
 //! | `ablations` | DESIGN.md design choices | index/carrier/window sharing |
 //!
 //! Run `cargo run --release -p greta-bench --bin harness -- all` for the
-//! paper-style tables, or the criterion benches (`cargo bench`) for
-//! statistically rigorous micro-timings at small sizes.
+//! paper-style tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -53,8 +53,18 @@ pub fn run_greta(
     events: &[Event],
     config: EngineConfig,
 ) -> Metrics {
+    run_greta_as::<f64>(query, registry, events, config)
+}
+
+/// [`run_greta`] over the aggregate carrier `N` (the carrier ablation).
+pub(crate) fn run_greta_as<N: greta_core::TrendNum>(
+    query: &CompiledQuery,
+    registry: &SchemaRegistry,
+    events: &[Event],
+    config: EngineConfig,
+) -> Metrics {
     let mut engine =
-        GretaEngine::<f64>::with_config(query.clone(), registry.clone(), config).expect("engine");
+        GretaEngine::<N>::with_config(query.clone(), registry.clone(), config).expect("engine");
     let t0 = Instant::now();
     for e in events {
         engine.process_ref(&e.clone().into_ref()).expect("in-order");

@@ -37,8 +37,6 @@ pub struct EngineConfig {
     /// Use Vertex-Tree range queries for edge predicates (ablation switch;
     /// `false` falls back to scans with residual evaluation).
     pub use_range_index: bool,
-    /// Track peak memory after every event (small per-event cost).
-    pub track_memory: bool,
 }
 
 impl Default for EngineConfig {
@@ -46,7 +44,6 @@ impl Default for EngineConfig {
         EngineConfig {
             semantics: Semantics::SkipTillAny,
             use_range_index: true,
-            track_memory: true,
         }
     }
 }
@@ -222,10 +219,8 @@ impl<N: TrendNum> GretaEngine<N> {
         for w in windows_of(e.time, &self.query.window) {
             self.touched.insert(w);
         }
-        if self.config.track_memory {
-            let bytes = self.memory_bytes();
-            self.peak.observe(bytes);
-        }
+        let bytes = self.memory_bytes();
+        self.peak.observe(bytes);
         Ok(())
     }
 

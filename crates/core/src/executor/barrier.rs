@@ -279,12 +279,8 @@ pub(crate) fn worker_step<E: ShardEngine>(
                         if let Some(s) = slots.iter_mut().find(|s| s.query == query) {
                             s.engine = engine;
                             // The inherited watermark is the max across
-                            // the source engines. At a cut they have all
-                            // seen the same watermark broadcasts, so this
-                            // closes nothing the sources had not closed —
-                            // which is what lets a fused checkpoint
-                            // persist blobs serialized before this call
-                            // next to whatever rows this ack lets through.
+                            // the source engines; close whatever that
+                            // makes overdue on this one.
                             s.engine.close_overdue();
                             flush_slot(s, shard, emit)?;
                         }

@@ -1,12 +1,15 @@
-//! Crash recovery: latest checkpoint + WAL tail → a running executor.
+//! Bring-up of a whole executor: fresh, or — crash recovery — from the
+//! latest checkpoint plus the WAL tail.
 
-use super::snapshot::{QueryParts, SnapshotParts};
-use super::{decode_tail_record, DurabilityState, ExecutorConfig, StreamExecutor, TailRec};
+use super::ingest::{Ingest, Log, TailRec};
+use super::merge::{Merge, QueryParts};
+use super::route::Route;
+use super::worker::Worker;
+use super::{ExecutorConfig, StreamExecutor};
 use crate::agg::TrendNum;
 use crate::EngineError;
-use greta_durability::{Manifest, SnapshotStore, TailPolicy, Wal};
 use greta_query::CompiledQuery;
-use greta_types::{CodecError, SchemaRegistry};
+use greta_types::SchemaRegistry;
 
 /// Recompile a registered query from its recorded source text (snapshot
 /// section or WAL register record).
@@ -42,145 +45,131 @@ impl<N: TrendNum> StreamExecutor<N> {
         registry: SchemaRegistry,
         config: ExecutorConfig,
     ) -> Result<Self, EngineError> {
-        let dcfg = config.durability.clone().ok_or_else(|| {
-            EngineError::Config("recover requires ExecutorConfig::durability".into())
-        })?;
-        // Opening the WAL first repairs a torn tail before replay.
-        let wal = Wal::open(&dcfg.dir, dcfg.segment_bytes, dcfg.fsync)?;
-        let snapshots = SnapshotStore::open(&dcfg.dir)?;
-        let shards = Self::shard_count(&query, &config)?;
-        // No manifest = crash before the first checkpoint: the registry is
-        // what `new` built, and the whole WAL replays into it.
-        let manifest = Manifest::load(&dcfg.dir)?;
-        let mut saved: Option<SnapshotParts<N>> = match &manifest {
-            None => None,
-            Some(m) => Some(Self::decode_snapshot(
-                &snapshots.read(m.epoch)?,
+        Self::open(query, registry, config, true)
+    }
+
+    /// The one way an executor comes to be. [`new`](Self::new) is the
+    /// case with nothing on disk: the planes start empty around `query`
+    /// and there is no WAL tail. With `recover` the planes are the latest
+    /// checkpoint's (if there is one) and the tail is replayed into them.
+    pub(super) fn open(
+        query: CompiledQuery,
+        registry: SchemaRegistry,
+        config: ExecutorConfig,
+        recover: bool,
+    ) -> Result<Self, EngineError> {
+        if config.shards == 0 {
+            return Err(EngineError::Config("shards must be ≥ 1".into()));
+        }
+        // Id 0 anchors the shard count for the executor's lifetime: without
+        // a `GROUP-BY` there is nothing to partition by.
+        let ungrouped = query.group_by.is_empty();
+        let shards = if ungrouped { 1 } else { config.shards };
+        let (log, manifest) = match &config.durability {
+            None if recover => {
+                let why = "recover requires ExecutorConfig::durability";
+                return Err(EngineError::Config(why.into()));
+            }
+            None => (None, None),
+            // Opening the log repairs a torn WAL tail before it is read.
+            Some(dcfg) => {
+                let (log, manifest) = Log::open(dcfg)?;
+                if !recover && (manifest.is_some() || !log.is_empty()) {
+                    return Err(EngineError::Config(format!(
+                        "durability dir {} already contains a manifest or WAL records; \
+                         use StreamExecutor::recover or a fresh directory",
+                        dcfg.dir.display()
+                    )));
+                }
+                (Some(log), manifest)
+            }
+        };
+        let late_slide = query.window.slide;
+        let (mut ingest, mut route, barrier_snapshots, mut merge, queries) = match (&log, &manifest)
+        {
+            (Some(log), Some(m)) => Self::decode_snapshot(
+                &log.read_snapshot(m)?,
                 m.shards as usize,
                 &config,
-            )?),
+                shards,
+                late_slide,
+            )?,
+            // Nothing checkpointed (yet): empty planes around `query`.
+            _ => (
+                Ingest::new(&config, late_slide),
+                Route::new(&config, shards),
+                0,
+                Merge::new(),
+                vec![(QueryParts::fresh(0, None, config.emission), Vec::new())],
+            ),
         };
-        let queries = match &mut saved {
-            None => vec![QueryParts::fresh(0, None, config.emission)],
-            Some(parts) => std::mem::take(&mut parts.queries),
+        let tail = match &log {
+            Some(log) if recover => log.read_tail(manifest.map_or(0, |m| m.wal_index))?,
+            _ => Vec::new(),
         };
-        let mut groups = Vec::new();
-        let mut hosted = Vec::with_capacity(queries.len());
-        for q in queries {
-            // A section without source text is the query this call was
-            // handed compiled; every other plan comes from recorded text.
-            let plan = match &q.text {
-                Some(text) => recompile(q.id, text, &registry)?,
-                None if q.emission != config.emission => {
+
+        let mut per_shard: Vec<_> = (0..shards).map(|_| Vec::new()).collect();
+        for (parts, saved) in queries {
+            // A part without source text is the query this call was handed
+            // compiled; every other plan comes from recorded text.
+            let plan = match &parts.text {
+                Some(text) => recompile(parts.id, text, &registry)?,
+                None if parts.emission != config.emission => {
                     return Err(EngineError::Config(format!(
                         "emission-mode mismatch: checkpoint was taken with {:?}, \
                          config asks for {:?}",
-                        q.emission, config.emission
+                        parts.emission, config.emission
                     )))
                 }
                 None => query.clone(),
             };
-            hosted.push(Self::bring_up(
-                &registry,
-                config.engine,
-                shards,
-                &mut groups,
-                plan,
-                q,
-            )?);
+            let (slot, hosted) =
+                Self::bring_up(&registry, config.engine, &mut route, plan, parts, &saved)?;
+            per_shard
+                .iter_mut()
+                .zip(hosted)
+                .for_each(|(s, e)| s.push(e));
+            merge.host(slot);
         }
-        let durability = DurabilityState {
-            config: dcfg.clone(),
-            wal,
-            snapshots,
-            epoch: manifest.as_ref().map_or(0, |m| m.epoch),
-            record_buf: Vec::new(),
+        if let Some(log) = log {
+            ingest.attach_log(log);
+        }
+        let mut worker = Worker::spawn(per_shard, &config, ingest.durable())?;
+        worker.barrier_snapshots = barrier_snapshots;
+        let mut exec = StreamExecutor {
+            ingest,
+            route,
+            worker,
+            merge,
+            registry,
+            engine_config: config.engine,
         };
-        let mut exec = Self::assemble(registry, &config, shards, groups, hosted, Some(durability))?;
-        if let (Some(m), Some(parts)) = (&manifest, saved) {
-            exec.restore_ingest(parts, m.shards as usize != shards);
-        }
 
-        // Replay the WAL tail through the normal ingest path (without
-        // re-appending): events flow through reorder + routing, register /
-        // deregister records re-run their barriers at the original stream
-        // positions. A torn final frame was already repaired by open.
-        let mut tail: Vec<TailRec> = Vec::new();
-        let mut decode_err: Option<CodecError> = None;
-        Wal::replay(
-            &dcfg.dir,
-            manifest.map_or(0, |m| m.wal_index),
-            TailPolicy::Tolerate,
-            |_, payload| {
-                if decode_err.is_some() {
-                    return;
-                }
-                match decode_tail_record(payload) {
-                    Ok(rec) => tail.push(rec),
-                    Err(e) => decode_err = Some(e),
-                }
-            },
-        )
-        .map_err(EngineError::from)?;
-        if let Some(e) = decode_err {
-            return Err(e.into());
-        }
+        // Replay the WAL tail through the path a live event takes once it
+        // is logged: events flow through reorder + routing (taking the
+        // cadence barriers they make due), register / deregister records
+        // re-run their barriers at the original stream positions.
         for rec in tail {
             match rec {
-                TailRec::Event(e) => {
-                    exec.stats.pushed += 1;
-                    match exec.ingest(e) {
-                        // Under LatePolicy::Error the original push() surfaced
-                        // the Late error to the caller *after* logging the
-                        // event, and the pipeline stayed usable — mirror that
-                        // here so one logged-then-rejected record cannot
-                        // poison recovery.
-                        Err(EngineError::Late { .. }) => {}
-                        other => other?,
-                    }
-                    if exec.rebalance_due {
-                        exec.run_rebalance_check()?;
-                    }
-                    if exec.checkpoint_due {
-                        exec.checkpoint()?;
-                    }
-                }
+                // Under LatePolicy::Error the original push() surfaced the
+                // Late error to the caller *after* logging the event, and
+                // the pipeline stayed usable — mirror that here so one
+                // logged-then-rejected record cannot poison recovery.
+                TailRec::Event(e) => match exec.accept(e) {
+                    Err(EngineError::Late { .. }) => {}
+                    other => other?,
+                },
                 TailRec::Register { id, emission, text } => {
                     let q = recompile(id, &text, &exec.registry)?;
                     exec.apply_register(id, text, emission, q)?;
                 }
-                TailRec::Deregister(id) => {
-                    // Rows the live run handed back at deregistration stay
-                    // in the inactive slot's pending buffer — like every
-                    // other post-checkpoint row, the caller re-reads them
-                    // via poll_results_of.
-                    exec.apply_deregister(id)?;
-                }
+                // Rows the live run handed back at deregistration stay in
+                // the inactive slot's pending buffer — like every other
+                // post-checkpoint row, the caller re-reads them via
+                // poll_results_of.
+                TailRec::Deregister(id) => exec.apply_deregister(id)?,
             }
         }
         Ok(exec)
-    }
-
-    /// Put the checkpointed ingest-plane state back (the per-query
-    /// sections were consumed by bring-up).
-    fn restore_ingest(&mut self, parts: SnapshotParts<N>, resharded: bool) {
-        self.stats = parts.stats;
-        self.max_occupancy = parts.max_occupancy;
-        self.late_windows = parts.late_windows;
-        self.groups[0].table = parts.table;
-        self.group_stats = parts.group_stats;
-        self.recent_events = parts.recent_events;
-        self.windows_since_rebalance = parts.windows_since_rebalance;
-        self.reorder = parts.reorder;
-        self.diverted = parts.diverted;
-        self.next_query_id = parts.next_query_id;
-        self.query_epoch = parts.query_epoch;
-        if resharded {
-            // The old epoch's pinned assignment and per-shard attribution
-            // are meaningless for a different count: routing restarts from
-            // the pure hash under a fresh epoch, the load picture from 0.
-            self.groups[0].table.reset_for_shards();
-            self.stats.events_per_shard = vec![0; self.shards];
-        }
     }
 }

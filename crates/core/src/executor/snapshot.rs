@@ -1,299 +1,240 @@
-//! The executor snapshot blob: an ingest-plane header followed by one
-//! identical section per hosted query. Format notes and the upgrade policy
-//! are in `ARCHITECTURE.md` ("On-disk formats and versioning").
+//! The executor snapshot blob: a version byte, then the four plane
+//! sections in plane order — ingest, route, worker, merge — each written
+//! and read back by the plane that owns the state. Format notes and the
+//! upgrade policy are in `ARCHITECTURE.md` ("On-disk formats and
+//! versioning").
 
-use super::{
-    decode_emission, encode_emission, EmissionMode, ExecutorConfig, ExecutorStats, LatePolicy,
-    QueryBlobs, StreamExecutor,
-};
+use super::ingest::Ingest;
+use super::merge::{Merge, QueryParts};
+use super::route::Route;
+use super::worker::Worker;
+use super::{ExecutorConfig, QueryBlobs, StreamExecutor};
 use crate::agg::TrendNum;
-use crate::grouping::RoutingTable;
-use crate::reorder::{ReorderBuffer, ResultMerge};
-use crate::results::WindowResult;
-use crate::sketch::GroupSketch;
-use crate::state::{
-    decode_events, decode_window_result, encode_events, encode_window_result, get_opt_u64,
-    put_opt_u64,
-};
-use crate::window::WindowId;
 use crate::EngineError;
-use greta_types::codec::{put_str, put_u32, put_u64, Reader};
-use greta_types::{CodecError, EventRef};
-use std::collections::BTreeMap;
+use greta_types::codec::Reader;
+use greta_types::CodecError;
 
-/// Bumped to 6 when every hosted query became the same section: the v5
-/// layout (a section for the constructor query inlined into the header,
-/// a second one for registered queries) is gone. Snapshots taken by older
+/// Bumped to 7 when the blob was regrouped by plane (v6 interleaved the
+/// ingest and route planes' state in one header). Snapshots taken by older
 /// revisions are rejected instead of being silently misread.
-const SNAPSHOT_VERSION: u8 = 6;
+const SNAPSHOT_VERSION: u8 = 7;
 
-/// One query's checkpointed state — the repeated section of a snapshot.
-/// With no shard states it describes a query that starts fresh.
-pub(super) struct QueryParts<N: TrendNum> {
-    pub(super) id: u32,
-    /// `None` = the query `new`/`recover` are handed as a compiled plan.
-    pub(super) text: Option<String>,
-    pub(super) emission: EmissionMode,
-    pub(super) last_close_idx: Option<u64>,
-    pub(super) rows: u64,
-    pub(super) pending: Vec<WindowResult<N>>,
-    pub(super) merge: Option<ResultMerge<N>>,
-    /// Per-shard engine blobs at the checkpoint's shard count; empty =
-    /// never checkpointed.
-    pub(super) shard_states: Vec<Vec<u8>>,
-}
-
-impl<N: TrendNum> QueryParts<N> {
-    /// A query that has produced nothing yet.
-    pub(super) fn fresh(id: u32, text: Option<String>, emission: EmissionMode) -> Self {
-        QueryParts {
-            id,
-            text,
-            emission,
-            last_close_idx: None,
-            rows: 0,
-            pending: Vec::new(),
-            merge: None,
-            shard_states: Vec::new(),
-        }
-    }
-}
-
-/// Everything a snapshot blob holds: the ingest plane's state, then the
-/// hosted queries ascending by id.
-pub(super) struct SnapshotParts<N: TrendNum> {
-    pub(super) stats: ExecutorStats,
-    pub(super) max_occupancy: usize,
-    pub(super) late_windows: BTreeMap<WindowId, (u64, u64)>,
-    pub(super) table: RoutingTable,
-    pub(super) group_stats: GroupSketch,
-    pub(super) recent_events: GroupSketch,
-    pub(super) windows_since_rebalance: u64,
-    pub(super) reorder: ReorderBuffer,
-    pub(super) diverted: Vec<EventRef>,
-    pub(super) next_query_id: u32,
-    pub(super) query_epoch: u64,
-    pub(super) queries: Vec<QueryParts<N>>,
-}
+/// A decoded checkpoint: the ingest, route and merge planes as they were
+/// at the cut, the worker plane's export-cut counter (its threads are
+/// respawned), and per query the part and engine blobs to bring it up
+/// from.
+pub(super) type Planes<N> = (
+    Ingest,
+    Route,
+    u64,
+    Merge<N>,
+    Vec<(QueryParts<N>, Vec<Vec<u8>>)>,
+);
 
 impl<N: TrendNum> StreamExecutor<N> {
-    /// Serialize the current cut: the ingest-plane header, then one
-    /// section per active query carrying its entry of every shard's
-    /// `per_shard` blobs.
-    pub(super) fn encode_snapshot(&self, per_shard: &[QueryBlobs]) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.push(SNAPSHOT_VERSION);
-        put_u32(&mut out, self.shards as u32);
-        // Result-shaping configuration the snapshot depends on: recovery
-        // with different values would silently diverge from the original
-        // run, so it is recorded and checked instead.
-        put_u64(&mut out, self.reorder.slack());
-        out.push(match self.late_policy {
-            LatePolicy::Drop => 0,
-            LatePolicy::Divert => 1,
-            LatePolicy::Error => 2,
-        });
-        for v in [
-            self.stats.pushed,
-            self.stats.released,
-            self.stats.late_dropped,
-            self.stats.late_diverted,
-            self.stats.broadcasts,
-            self.stats.watermarks,
-            self.stats.frames,
-            self.stats.checkpoints,
-            self.stats.barrier_snapshots,
-            self.stats.fused_barriers,
-            self.stats.rebalances,
-            self.stats.groups_moved,
-            self.max_occupancy as u64,
-        ] {
-            put_u64(&mut out, v);
-        }
-        put_u32(&mut out, self.late_windows.len() as u32);
-        for (&wid, &(dropped, diverted)) in &self.late_windows {
-            put_u64(&mut out, wid);
-            put_u64(&mut out, dropped);
-            put_u64(&mut out, diverted);
-        }
-        self.groups[0].table.encode(&mut out);
-        self.group_stats.encode(&mut out);
-        put_u64(&mut out, self.windows_since_rebalance);
-        self.recent_events.encode(&mut out);
-        put_u32(&mut out, self.stats.events_per_shard.len() as u32);
-        for v in &self.stats.events_per_shard {
-            put_u64(&mut out, *v);
-        }
-        self.reorder.export_state(&mut out);
-        encode_events(self.diverted.iter(), &mut out);
-        put_u32(&mut out, self.next_query_id);
-        put_u64(&mut out, self.query_epoch);
-        let active = || self.queries.iter().filter(|s| s.active);
-        put_u32(&mut out, active().count() as u32);
-        for slot in active() {
-            put_u32(&mut out, slot.id);
-            put_str(&mut out, slot.text.as_deref().unwrap_or(""));
-            out.push(encode_emission(slot.emission));
-            put_opt_u64(&mut out, slot.last_close_idx);
-            put_u64(&mut out, slot.rows);
-            put_u32(&mut out, slot.pending.len() as u32);
-            for row in &slot.pending {
-                encode_window_result(row, &mut out);
-            }
-            if let Some(m) = &slot.merge {
-                m.export_state(&mut out);
-            }
-            put_u32(&mut out, per_shard.len() as u32);
-            for blobs in per_shard {
-                let blob = blobs
-                    .iter()
-                    .find(|(q, _)| *q == slot.id)
-                    .map_or(&[][..], |(_, b)| b);
-                put_u32(&mut out, blob.len() as u32);
-                out.extend_from_slice(blob);
-            }
-        }
+    /// Serialize the current cut; `per_shard` are its engine blobs, and
+    /// `terminal` marks the checkpoint `drain` takes.
+    fn encode_snapshot(&self, per_shard: &[QueryBlobs], terminal: bool) -> Vec<u8> {
+        let mut out = vec![SNAPSHOT_VERSION];
+        self.ingest.encode(&mut out);
+        self.route.encode(&mut out);
+        self.worker.encode(&mut out);
+        self.merge.encode(per_shard, terminal, &mut out);
         out
     }
 
-    /// Inverse of [`encode_snapshot`](Self::encode_snapshot). Refuses a
-    /// `config` whose ingest-side result-shaping knobs (slack, late
-    /// policy) differ from the checkpointed run's — recovering under
-    /// different values would silently break the byte-identical-replay
-    /// guarantee.
+    /// Serialize the current cut and commit it as the next checkpoint.
+    pub(super) fn persist_snapshot(
+        &mut self,
+        per_shard: &[QueryBlobs],
+        terminal: bool,
+    ) -> Result<(), EngineError> {
+        let blob = self.encode_snapshot(per_shard, terminal);
+        self.ingest.persist(&blob, self.worker.shards)
+    }
+
+    /// Inverse of [`encode_snapshot`](Self::encode_snapshot) for a blob
+    /// the manifest says was taken at `saved_shards`, to be resumed on
+    /// `shards`. Refuses a `config` whose result-shaping knobs differ from
+    /// the checkpointed run's.
     pub(super) fn decode_snapshot(
         bytes: &[u8],
-        expect_shards: usize,
+        saved_shards: usize,
         config: &ExecutorConfig,
-    ) -> Result<SnapshotParts<N>, EngineError> {
+        shards: usize,
+        late_slide: u64,
+    ) -> Result<Planes<N>, EngineError> {
         let r = &mut Reader::new(bytes);
         let version = r.u8()?;
         if version != SNAPSHOT_VERSION {
             return Err(CodecError(format!("unsupported snapshot version {version}")).into());
         }
-        let shards = r.u32()? as usize;
-        if shards != expect_shards {
-            return Err(CodecError(format!(
-                "snapshot has {shards} shard state(s), manifest says {expect_shards}"
-            ))
-            .into());
-        }
-        let slack = r.u64()?;
-        if slack != config.slack {
-            return Err(EngineError::Config(format!(
-                "slack mismatch: checkpoint was taken with slack {slack}, \
-                 config asks for {}",
-                config.slack
-            )));
-        }
-        let late_policy = match r.u8()? {
-            0 => LatePolicy::Drop,
-            1 => LatePolicy::Divert,
-            2 => LatePolicy::Error,
-            t => return Err(CodecError(format!("bad LatePolicy tag {t}")).into()),
-        };
-        if late_policy != config.late_policy {
-            return Err(EngineError::Config(format!(
-                "late-policy mismatch: checkpoint was taken with {late_policy:?}, \
-                 config asks for {:?}",
-                config.late_policy
-            )));
-        }
-        let mut stats = ExecutorStats {
-            pushed: r.u64()?,
-            released: r.u64()?,
-            late_dropped: r.u64()?,
-            late_diverted: r.u64()?,
-            broadcasts: r.u64()?,
-            watermarks: r.u64()?,
-            frames: r.u64()?,
-            checkpoints: r.u64()?,
-            barrier_snapshots: r.u64()?,
-            fused_barriers: r.u64()?,
-            rebalances: r.u64()?,
-            groups_moved: r.u64()?,
-            ..Default::default()
-        };
-        let max_occupancy = r.u64()? as usize;
-        let n_late = r.seq_len(24)?;
-        let mut late_windows = BTreeMap::new();
-        for _ in 0..n_late {
-            let wid = r.u64()?;
-            let dropped = r.u64()?;
-            let diverted = r.u64()?;
-            late_windows.insert(wid, (dropped, diverted));
-        }
-        let table = RoutingTable::decode(r, expect_shards)?;
-        let group_stats = GroupSketch::decode(config.group_stats_capacity, r)?;
-        let windows_since_rebalance = r.u64()?;
-        let recent_events = GroupSketch::decode(config.group_stats_capacity, r)?;
-        let n_shard_loads = r.seq_len(8)?;
-        stats.events_per_shard = Vec::with_capacity(n_shard_loads);
-        for _ in 0..n_shard_loads {
-            stats.events_per_shard.push(r.u64()?);
-        }
-        let reorder = ReorderBuffer::import_state(slack, r)?;
-        let diverted = decode_events(r)?;
-        let next_query_id = r.u32()?;
-        let query_epoch = r.u64()?;
-        let n_queries = r.seq_len(22)?;
-        let mut queries = Vec::with_capacity(n_queries);
-        for _ in 0..n_queries {
-            let id = r.u32()?;
-            let text = r.str()?;
-            let text = (!text.is_empty()).then(|| text.to_string());
-            let emission = decode_emission(r.u8()?)?;
-            let last_close_idx = get_opt_u64(r)?;
-            let rows = r.u64()?;
-            let n_pending = r.seq_len(9)?;
-            let mut pending = Vec::with_capacity(n_pending);
-            for _ in 0..n_pending {
-                pending.push(decode_window_result(r)?);
-            }
-            let merge = match emission {
-                EmissionMode::Unordered => None,
-                EmissionMode::WindowOrdered => Some(ResultMerge::import_state(r)?),
-            };
-            let n_states = r.seq_len(4)?;
-            if n_states != shards {
-                return Err(CodecError(format!(
-                    "query q{id} carries {n_states} state blobs, expected {shards}"
-                ))
-                .into());
-            }
-            let mut shard_states = Vec::with_capacity(n_states);
-            for _ in 0..n_states {
-                shard_states.push(r.bytes()?.to_vec());
-            }
-            queries.push(QueryParts {
-                id,
-                text,
-                emission,
-                last_close_idx,
-                rows,
-                pending,
-                merge,
-                shard_states,
-            });
-        }
+        let ingest = Ingest::decode(r, config, late_slide)?;
+        let route = Route::decode(r, config, saved_shards, shards)?;
+        let barrier_snapshots = Worker::<N>::decode(r, saved_shards)?;
+        let (merge, queries) = Merge::decode(r, saved_shards)?;
         if !r.is_empty() {
             return Err(
                 CodecError(format!("{} trailing bytes after snapshot", r.remaining())).into(),
             );
         }
-        Ok(SnapshotParts {
-            stats,
-            max_occupancy,
-            late_windows,
-            table,
-            group_stats,
-            recent_events,
-            windows_since_rebalance,
-            reorder,
-            diverted,
-            next_query_id,
-            query_epoch,
-            queries,
-        })
+        Ok((ingest, route, barrier_snapshots, merge, queries))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Section-level codec checks: they need the planes themselves, which
+    //! nothing outside `executor` can name. The whole-blob checks through
+    //! the public API are in `tests/codec_roundtrip.rs`.
+
+    use super::super::merge::QuerySlot;
+    use super::super::{EmissionMode, LatePolicy, RebalanceConfig};
+    use super::*;
+    use crate::grouping::{PartitionKey, StreamRouting};
+    use greta_query::CompiledQuery;
+    use greta_types::{Event, SchemaRegistry, Time, Value};
+
+    const Q0: &str = "RETURN grp, COUNT(*) PATTERN M+ WHERE M.load < NEXT(M).load \
+                      GROUP-BY grp WITHIN 40 SLIDE 20";
+    const Q1: &str = "RETURN grp, COUNT(*) PATTERN M+ GROUP-BY grp WITHIN 30 SLIDE 30";
+    const SHARDS: usize = 3;
+
+    fn config() -> ExecutorConfig {
+        ExecutorConfig {
+            shards: SHARDS,
+            slack: 3,
+            late_policy: LatePolicy::Divert,
+            emission: EmissionMode::WindowOrdered,
+            rebalance: Some(RebalanceConfig {
+                check_every_windows: 2,
+                imbalance_ratio: 1.2,
+                min_moves: 1,
+            }),
+            group_stats_capacity: 4,
+            ..Default::default()
+        }
+    }
+
+    /// A two-query executor stopped at a cut with something in every
+    /// corner a checkpoint covers: events parked in the reorder buffer, a
+    /// diverted event and its late-ledger entry, pinned groups in the
+    /// routing table, skew sketches compacted past their capacity,
+    /// un-polled rows and an ordered merge that has released some.
+    fn populated() -> (SchemaRegistry, StreamExecutor<u64>, Vec<QueryBlobs>) {
+        let mut reg = SchemaRegistry::new();
+        reg.register_type("M", &["grp", "load"]).unwrap();
+        let q0 = CompiledQuery::parse(Q0, &reg).unwrap();
+        let routing = StreamRouting::new(&q0, &reg);
+        let on_shard_0 = |g: &i64| {
+            routing.shard_of_group_key(&PartitionKey(vec![Some(Value::Int(*g))]), SHARDS) == 0
+        };
+        let hot: Vec<i64> = (0..10_000).filter(on_shard_0).take(3).collect();
+        let tid = reg.type_id("M").unwrap();
+        let ev = |t: u64, grp: i64| {
+            let load = Value::Float(((t * 31) % 17) as f64);
+            Event::new_unchecked(tid, Time(t), vec![Value::Int(grp), load])
+        };
+        let mut exec = StreamExecutor::<u64>::new(q0, reg.clone(), config()).unwrap();
+        exec.register_query(Q1, EmissionMode::Unordered).unwrap();
+        for t in 0..300u64 {
+            let cold = t % 10 == 9;
+            let grp = if cold {
+                100_000 + (t % 29) as i64
+            } else {
+                hot[(t % 3) as usize]
+            };
+            exec.push(ev(t, grp)).unwrap();
+        }
+        exec.push(ev(100, hot[0])).unwrap(); // far behind the slack: diverted
+        let blobs = exec.export_cut().unwrap();
+        let stats = exec.stats();
+        assert!(stats.routing_epoch > 0 && stats.groups_moved > 0, "no pins");
+        assert_eq!(stats.late_diverted, 1);
+        assert!(
+            stats.pushed - stats.late_diverted > stats.released,
+            "nothing buffered"
+        );
+        assert_eq!(stats.group_stats.len(), 4, "sketch never compacted");
+        assert!(stats.queries.iter().all(|q| q.pending_rows > 0));
+        assert!(stats.queries[0].released_to > 0, "ordered merge is idle");
+        (reg, exec, blobs)
+    }
+
+    /// The four plane sections of `exec` at its current cut, in plane order.
+    fn sections(exec: &StreamExecutor<u64>, blobs: &[QueryBlobs]) -> [Vec<u8>; 4] {
+        let mut out = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
+        exec.ingest.encode(&mut out[0]);
+        exec.route.encode(&mut out[1]);
+        exec.worker.encode(&mut out[2]);
+        exec.merge.encode(blobs, false, &mut out[3]);
+        out
+    }
+
+    /// Decode section `i` of a checkpoint taken (and resumed) at `SHARDS`
+    /// shards and encode what came back.
+    fn reencode(i: usize, bytes: &[u8], reg: &SchemaRegistry) -> Result<Vec<u8>, EngineError> {
+        let r = &mut Reader::new(bytes);
+        let mut out = Vec::new();
+        match i {
+            0 => Ingest::decode(r, &config(), 20)?.encode(&mut out),
+            1 => Route::decode(r, &config(), SHARDS, SHARDS)?.encode(&mut out),
+            2 => {
+                // The rest of the plane is threads; its section is small
+                // enough to spell out.
+                let barrier_snapshots = Worker::<u64>::decode(r, SHARDS)?;
+                out.extend((SHARDS as u32).to_le_bytes());
+                out.extend(barrier_snapshots.to_le_bytes());
+            }
+            _ => {
+                // What bring-up does with the parts, minus the engines.
+                let (mut merge, parts) = Merge::<u64>::decode(r, SHARDS)?;
+                let mut per_shard = vec![QueryBlobs::new(); SHARDS];
+                for (parts, saved) in parts {
+                    for (blobs, blob) in per_shard.iter_mut().zip(saved) {
+                        blobs.push((parts.id, blob));
+                    }
+                    let text = parts.text.clone().unwrap_or(Q0.to_string());
+                    merge.host(QuerySlot {
+                        query: CompiledQuery::parse(&text, reg).unwrap(),
+                        group: 0,
+                        active: true,
+                        parts,
+                    });
+                }
+                merge.encode(&per_shard, false, &mut out);
+            }
+        }
+        assert!(
+            r.is_empty(),
+            "section {i} left {} bytes unread",
+            r.remaining()
+        );
+        Ok(out)
+    }
+
+    #[test]
+    fn every_plane_section_round_trips_byte_identically() {
+        let (reg, mut exec, blobs) = populated();
+        for (i, bytes) in sections(&exec, &blobs).iter().enumerate() {
+            assert_eq!(&reencode(i, bytes, &reg).unwrap(), bytes, "section {i}");
+        }
+        exec.finish().unwrap();
+    }
+
+    #[test]
+    fn every_truncation_of_every_section_is_a_clean_error() {
+        let (reg, mut exec, blobs) = populated();
+        for (i, bytes) in sections(&exec, &blobs).iter().enumerate() {
+            for cut in 0..bytes.len() {
+                let err = reencode(i, &bytes[..cut], &reg).err();
+                let err = err.unwrap_or_else(|| panic!("section {i} decoded from {cut} bytes"));
+                assert!(
+                    matches!(err, EngineError::Durability(_)),
+                    "{i}@{cut}: {err}"
+                );
+            }
+        }
+        exec.finish().unwrap();
     }
 }

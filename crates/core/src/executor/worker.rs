@@ -1,0 +1,277 @@
+//! Plane 3 — shard engines, seen from the coordinator: one input channel
+//! and one thread per shard, the shared result channel, and the ack
+//! ledger of the barrier in flight. What a shard does with a message is
+//! [`worker_step`]; this module is how messages get there, how answers
+//! come back, and how the threads end.
+
+use super::barrier::{worker_finish, worker_step, Cut, EngineSlot, Msg, OutMsg, QueryBlobs};
+use super::merge::Merge;
+use super::{ExecutorConfig, ExecutorStats};
+use crate::agg::TrendNum;
+use crate::engine::{EngineStats, GretaEngine};
+use crate::grouping::PartitionKey;
+use crate::results::WindowResult;
+use crate::EngineError;
+use crate::MemoryFootprint;
+use crossbeam::channel::{self, Receiver, Sender, TrySendError};
+use greta_types::codec::{put_u32, put_u64, Reader};
+use greta_types::{CodecError, Event};
+use std::thread::JoinHandle;
+
+/// What a shard worker hands back when it ends — and, summed over the
+/// shards, what the end of the stream leaves behind.
+#[derive(Default)]
+pub(super) struct Report {
+    /// Engine counters and peak memory, summed over the engines.
+    stats: EngineStats,
+    peak_bytes: usize,
+    /// Live graph vertices per group of id 0's engines (skew reporting
+    /// covers the rebalanced route group).
+    pub(super) group_vertices: Vec<(PartitionKey, u64)>,
+    /// Post-`finish` engine states per hosted query, one entry per shard,
+    /// exported when durability is on so the terminal checkpoint reflects
+    /// a fully-closed stream.
+    pub(super) final_states: Vec<QueryBlobs>,
+}
+
+/// The worker plane. See the [module docs](self).
+pub(super) struct Worker<N: TrendNum> {
+    pub(super) shards: usize,
+    /// One input channel per shard; empty once the inputs are closed.
+    senders: Vec<Sender<Msg<GretaEngine<N>>>>,
+    results_rx: Receiver<OutMsg<WindowResult<N>>>,
+    /// Ack ledger of the barrier in flight, if any.
+    pub(super) cut: Cut,
+    handles: Vec<JoinHandle<Result<Report, EngineError>>>,
+    /// `Export` cuts taken (checkpoints and migrations).
+    pub(super) barrier_snapshots: u64,
+    /// The workers' reports, summed; empty until the stream has ended.
+    pub(super) ended: Report,
+}
+
+impl<N: TrendNum> Worker<N> {
+    /// Wire the channels and spawn one worker per entry of `per_shard`,
+    /// each hosting that entry's engines from the start (nothing waits on
+    /// a thread that is still starting up).
+    pub(super) fn spawn(
+        per_shard: Vec<Vec<EngineSlot<GretaEngine<N>>>>,
+        config: &ExecutorConfig,
+        export_final: bool,
+    ) -> Result<Self, EngineError> {
+        let shards = per_shard.len();
+        let (results_tx, results_rx) = channel::bounded(config.result_capacity.max(1));
+        let mut senders = Vec::with_capacity(shards);
+        let mut handles = Vec::with_capacity(shards);
+        for (shard, slots) in per_shard.into_iter().enumerate() {
+            let (tx, rx) = channel::bounded(config.channel_capacity.max(1));
+            senders.push(tx);
+            let results_tx = results_tx.clone();
+            handles.push(
+                std::thread::Builder::new()
+                    .name(format!("greta-shard-{shard}"))
+                    .spawn(move || worker_loop::<N>(slots, shard, rx, results_tx, export_final))
+                    .map_err(|e| EngineError::Worker(e.to_string()))?,
+            );
+        }
+        // `results_tx` drops here: the workers hold the only senders.
+        Ok(Worker {
+            shards,
+            senders,
+            results_rx,
+            cut: Cut::new(shards),
+            handles,
+            barrier_snapshots: 0,
+            ended: Report::default(),
+        })
+    }
+
+    /// The inputs are closed: the stream has ended or a worker failed.
+    pub(super) fn closed(&self) -> bool {
+        self.senders.is_empty()
+    }
+
+    /// Frames queued on `shard`'s input channel.
+    pub(super) fn queued(&self, shard: usize) -> usize {
+        self.senders[shard].len()
+    }
+
+    /// Drain the result channel into `merge` without blocking; true if
+    /// anything came.
+    pub(super) fn drain_ready(&mut self, merge: &mut Merge<N>) -> Result<bool, EngineError> {
+        let mut any = false;
+        while let Ok(msg) = self.results_rx.try_recv() {
+            merge.absorb(msg, &mut self.cut)?;
+            any = true;
+        }
+        Ok(any)
+    }
+
+    /// Deliver `msg` to a shard without ever blocking this thread for good:
+    /// while the shard's input queue is full, drain the result channel into
+    /// the per-query buffers (the pushing thread is the only result
+    /// consumer, so parking in a blocking `send` while workers wait to
+    /// emit rows would deadlock the pipeline).
+    pub(super) fn send(
+        &mut self,
+        shard: usize,
+        mut msg: Msg<GretaEngine<N>>,
+        merge: &mut Merge<N>,
+    ) -> Result<(), EngineError> {
+        loop {
+            match self.senders[shard].try_send(msg) {
+                Ok(()) => return Ok(()),
+                Err(TrySendError::Full(back)) => {
+                    msg = back;
+                    if !self.drain_ready(merge)? {
+                        std::thread::yield_now();
+                    }
+                }
+                Err(TrySendError::Disconnected(_)) => return Err(self.reap(merge)),
+            }
+        }
+    }
+
+    /// Absorb the result channel until every shard has acked the open
+    /// cut; the acks' blobs, by shard.
+    pub(super) fn wait_acks(
+        &mut self,
+        merge: &mut Merge<N>,
+    ) -> Result<Vec<QueryBlobs>, EngineError> {
+        while !self.cut.done() {
+            if !self.drain_ready(merge)? {
+                // A worker that exits while its input is open has failed,
+                // and its ack will never come.
+                if self.handles.iter().any(JoinHandle::is_finished) {
+                    return Err(self.reap(merge));
+                }
+                std::thread::yield_now();
+            }
+        }
+        Ok(self.cut.take())
+    }
+
+    /// The end of every worker, wanted or not: close the inputs, absorb
+    /// what the workers still emit while they finish (joining one that is
+    /// blocked sending rows would hang), and join them into
+    /// [`ended`](Self::ended). Returns the first failure, if any worker
+    /// (or the absorbing side) had one.
+    pub(super) fn finish(&mut self, merge: &mut Merge<N>) -> Option<EngineError> {
+        self.senders.clear();
+        let mut error = None;
+        // recv() ends when every worker has dropped its result sender —
+        // no window of any query can receive further rows after that.
+        while let Ok(msg) = self.results_rx.recv() {
+            let absorbed = merge.absorb(msg, &mut self.cut);
+            error = error.or(absorbed.err());
+        }
+        for w in self.handles.drain(..) {
+            let panicked = |_| Err(EngineError::Worker("shard worker panicked".into()));
+            match w.join().unwrap_or_else(panicked) {
+                Ok(report) => {
+                    add_stats(&mut self.ended.stats, &report.stats);
+                    self.ended.peak_bytes += report.peak_bytes;
+                    self.ended.group_vertices.extend(report.group_vertices);
+                    self.ended.final_states.extend(report.final_states);
+                }
+                Err(e) => error = error.or(Some(e)),
+            }
+        }
+        error
+    }
+
+    /// A worker vanished mid-stream: end them all and report the first
+    /// error among them (a vanished worker's own, normally).
+    fn reap(&mut self, merge: &mut Merge<N>) -> EngineError {
+        let closed = || EngineError::Worker("shard input channel closed".into());
+        self.finish(merge).unwrap_or_else(closed)
+    }
+
+    /// This plane's snapshot section: the shard count the engine blobs of
+    /// the merge section are partitioned for, and the export-cut counter.
+    /// Threads, channels and the (idle, at a cut) ack ledger are rebuilt
+    /// by [`spawn`](Self::spawn).
+    pub(super) fn encode(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.shards as u32);
+        put_u64(out, self.barrier_snapshots);
+    }
+
+    /// Inverse of [`encode`](Self::encode): checks the shard count
+    /// against the manifest's and returns the export-cut counter a
+    /// respawned plane resumes from.
+    pub(super) fn decode(r: &mut Reader<'_>, expect_shards: usize) -> Result<u64, CodecError> {
+        let shards = r.u32()? as usize;
+        if shards != expect_shards {
+            return Err(CodecError(format!(
+                "snapshot has {shards} shard state(s), manifest says {expect_shards}"
+            )));
+        }
+        r.u64()
+    }
+
+    /// Fill in the counters this plane owns.
+    pub(super) fn fill_stats(&self, s: &mut ExecutorStats) {
+        s.barrier_snapshots = self.barrier_snapshots;
+        s.channel_occupancy = self.senders.iter().map(Sender::len).collect();
+        s.result_occupancy = self.results_rx.len();
+        s.engine = self.ended.stats;
+        s.peak_memory_bytes = self.ended.peak_bytes;
+    }
+}
+
+fn add_stats(sum: &mut EngineStats, s: &EngineStats) {
+    sum.events += s.events;
+    sum.vertices += s.vertices;
+    sum.edges += s.edges;
+    sum.results += s.results;
+}
+
+/// One shard worker: [`worker_step`] per message until the input channel
+/// closes, then the end-of-stream finish and the report.
+fn worker_loop<N: TrendNum>(
+    mut slots: Vec<EngineSlot<GretaEngine<N>>>,
+    shard: usize,
+    rx: Receiver<Msg<GretaEngine<N>>>,
+    results_tx: Sender<OutMsg<WindowResult<N>>>,
+    export_final: bool,
+) -> Result<Report, EngineError> {
+    // The result channel closes only when the executor is dropped without
+    // drain(); nobody reads the error that then ends this worker.
+    let mut emit = |m| {
+        results_tx
+            .send(m)
+            .map_err(|_| EngineError::Worker("result channel closed".into()))
+    };
+    for msg in rx.iter() {
+        worker_step(&mut slots, shard, msg, &mut emit)?;
+    }
+    worker_finish(&mut slots, shard, &mut emit)?;
+    let mut report = Report::default();
+    if export_final {
+        let states = slots.iter().map(|s| (s.query, s.engine.export_state()));
+        report.final_states.push(states.collect());
+    }
+    for s in &slots {
+        add_stats(&mut report.stats, &s.engine.stats());
+        report.peak_bytes += s.engine.peak_memory_bytes().max(s.engine.memory_bytes());
+        if s.query == 0 {
+            report.group_vertices = s.engine.group_vertices();
+        }
+    }
+    Ok(report)
+}
+
+/// Inline batch driver: the single-shard, zero-thread execution path that
+/// [`GretaEngine::run`] wraps. Processing an in-order batch through an
+/// engine and draining incrementally is exactly what one shard worker does.
+pub(crate) fn drive_batch<N: TrendNum>(
+    engine: &mut GretaEngine<N>,
+    events: &[Event],
+) -> Result<Vec<WindowResult<N>>, EngineError> {
+    let mut out = Vec::new();
+    for e in events {
+        engine.process_ref(&e.clone().into_ref())?;
+        out.extend(engine.poll_results());
+    }
+    out.extend(engine.finish());
+    Ok(out)
+}

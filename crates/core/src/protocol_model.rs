@@ -40,10 +40,6 @@
 //!    delivered exactly once across all paths: normal emission,
 //!    deregister remainders, and the end-of-stream finish.
 //!
-//! (`barrier_snapshots == checkpoints + rebalances − fused_barriers` is a
-//! property of `ExecutorStats`, asserted on a real fused run by
-//! `tests/rebalance.rs`.)
-//!
 //! The checker also has a red path ([`Fault`]): a shard whose row slips
 //! out behind its ack, or whose barrier jumps its queue, must produce a
 //! [`Violation`] — a model checker that stops seeing broken protocols
@@ -68,8 +64,7 @@ pub enum Op {
     /// Cut an export barrier across every shard.
     Checkpoint,
     /// Cut an export barrier, move every engine's state to another shard,
-    /// and cut an install barrier. Adjacent to an [`Op::Checkpoint`]
-    /// (either order) the two share one export cut.
+    /// and cut an install barrier.
     Rebalance,
     /// Register query `id` on every shard (an add barrier).
     Register(u32),
@@ -371,15 +366,7 @@ impl<'a> Run<'a> {
                 });
             }
             Op::Checkpoint | Op::Rebalance => {
-                // Adjacent cut requests share one export (the executor's
-                // fused barrier).
-                let mut rebalance = op == Op::Rebalance;
-                while let Some(next @ (Op::Checkpoint | Op::Rebalance)) =
-                    self.cfg.script.get(self.script_pos)
-                {
-                    rebalance |= *next == Op::Rebalance;
-                    self.script_pos += 1;
-                }
+                let rebalance = op == Op::Rebalance;
                 self.start_cut(Pending::Export { rebalance }, |_| BarrierKind::Export);
             }
             Op::Register(q) => {

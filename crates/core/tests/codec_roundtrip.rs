@@ -1,6 +1,7 @@
 //! Property-based roundtrips for every persisted codec: data-model values
-//! (`greta_types::codec`) and the snapshot sections the executor owns
-//! (`GroupSketch`, `RoutingTable`).
+//! (`greta_types::codec`), the public pieces of an executor snapshot
+//! (`GroupSketch`, `RoutingTable`), and — last in the file, example-based —
+//! the executor snapshot as a whole.
 //!
 //! Two properties per codec, mirroring the codec-symmetry lint's contract:
 //!
@@ -317,5 +318,156 @@ proptest! {
         if let Ok(got) = GroupSketch::decode(8, &mut Reader::new(&buf)) {
             prop_assert!(got.len() <= 8);
         }
+    }
+}
+
+// ---------------------------------------------------- executor snapshot (v7)
+//
+// A checkpoint is a version byte and the four plane sections. The planes
+// are private to `greta_core::executor`, so section by section (`encode` →
+// `decode` → `encode`, truncation at every prefix) they are checked beside
+// the code, in `executor/snapshot.rs`; here the same properties are held
+// for the whole blob through the public API: `recover` is the decoder,
+// `checkpoint` the encoder.
+
+mod executor_snapshot {
+    use greta_core::{
+        EmissionMode, EngineError, ExecutorConfig, LatePolicy, PartitionKey, RebalanceConfig,
+        StreamExecutor, StreamRouting,
+    };
+    use greta_durability::{DurabilityConfig, Manifest, SnapshotStore};
+    use greta_query::CompiledQuery;
+    use greta_types::{Event, SchemaRegistry, Time, Value};
+    use std::path::{Path, PathBuf};
+
+    const Q0: &str = "RETURN grp, COUNT(*) PATTERN M+ WHERE M.load < NEXT(M).load \
+                      GROUP-BY grp WITHIN 40 SLIDE 20";
+    const Q1: &str = "RETURN grp, COUNT(*) PATTERN M+ GROUP-BY grp WITHIN 30 SLIDE 30";
+
+    fn config(dir: &Path) -> ExecutorConfig {
+        let mut durability = DurabilityConfig::new(dir);
+        durability.snapshot_every_windows = u64::MAX; // checkpoints on request only
+        ExecutorConfig {
+            shards: 3,
+            slack: 3,
+            late_policy: LatePolicy::Divert,
+            emission: EmissionMode::WindowOrdered,
+            rebalance: Some(RebalanceConfig {
+                check_every_windows: 2,
+                imbalance_ratio: 1.2,
+                min_moves: 1,
+            }),
+            group_stats_capacity: 4,
+            durability: Some(durability),
+            ..Default::default()
+        }
+    }
+
+    /// Run a two-query durable executor until every section of its
+    /// checkpoint holds something — buffered reorder events, a diverted
+    /// event, pinned groups, compacted sketches, un-polled rows — then
+    /// checkpoint and crash. Returns what `recover` needs and the blob.
+    fn checkpointed(name: &str) -> (PathBuf, SchemaRegistry, CompiledQuery, u64, Vec<u8>) {
+        let dir = std::env::temp_dir().join(format!("greta-codec-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut reg = SchemaRegistry::new();
+        reg.register_type("M", &["grp", "load"]).unwrap();
+        let q0 = CompiledQuery::parse(Q0, &reg).unwrap();
+        let routing = StreamRouting::new(&q0, &reg);
+        let on_shard_0 =
+            |g: &i64| routing.shard_of_group_key(&PartitionKey(vec![Some(Value::Int(*g))]), 3) == 0;
+        let hot: Vec<i64> = (0..10_000).filter(on_shard_0).take(3).collect();
+        let tid = reg.type_id("M").unwrap();
+        let ev = |t: u64, grp: i64| {
+            let load = Value::Float(((t * 31) % 17) as f64);
+            Event::new_unchecked(tid, Time(t), vec![Value::Int(grp), load])
+        };
+        let mut exec = StreamExecutor::<u64>::new(q0.clone(), reg.clone(), config(&dir)).unwrap();
+        exec.register_query(Q1, EmissionMode::Unordered).unwrap();
+        for t in 0..300u64 {
+            let cold = t % 10 == 9;
+            let grp = if cold {
+                100_000 + (t % 29) as i64
+            } else {
+                hot[(t % 3) as usize]
+            };
+            exec.push(ev(t, grp)).unwrap();
+        }
+        exec.push(ev(100, hot[0])).unwrap(); // far behind the slack: diverted
+        exec.checkpoint().unwrap();
+        let stats = exec.stats();
+        assert!(stats.routing_epoch > 0 && stats.late_diverted == 1);
+        assert!(stats.pushed - stats.late_diverted > stats.released);
+        assert!(stats.queries.iter().all(|q| q.pending_rows > 0));
+        drop(exec); // crash
+        let epoch = Manifest::load(&dir).unwrap().expect("manifest").epoch;
+        let blob = SnapshotStore::open(&dir).unwrap().read(epoch).unwrap();
+        (dir, reg, q0, epoch, blob)
+    }
+
+    /// Decode the whole blob (`recover`), encode it again at once
+    /// (`checkpoint`): nothing was pushed in between, so the second blob is
+    /// the first except for the export-cut counter the second checkpoint
+    /// bumped — one byte, up by one.
+    #[test]
+    fn decode_then_encode_reproduces_the_blob() {
+        let (dir, reg, q0, epoch, first) = checkpointed("reencode");
+        assert_eq!(first[0], 7, "snapshot format version");
+        let mut exec = StreamExecutor::<u64>::recover(q0, reg, config(&dir)).unwrap();
+        exec.checkpoint().unwrap();
+        drop(exec);
+        let second = SnapshotStore::open(&dir).unwrap().read(epoch + 1).unwrap();
+        assert_eq!(second.len(), first.len());
+        let differing: Vec<usize> = (0..first.len())
+            .filter(|&i| first[i] != second[i])
+            .collect();
+        assert_eq!(differing.len(), 1, "blobs differ at {differing:?}");
+        assert_eq!(second[differing[0]], first[differing[0]] + 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A strict prefix of the blob — checksummed afresh, so only the
+    /// executor's own decoder can object — is refused with a clean codec
+    /// error: never a panic, never a half-restored executor. Each probe
+    /// costs two fsyncs, so this walks every prefix near both ends and
+    /// every 13th in between; `executor/snapshot.rs` walks them all,
+    /// section by section.
+    #[test]
+    fn truncation_is_a_clean_recovery_error() {
+        let (dir, reg, q0, epoch, blob) = checkpointed("truncate");
+        let store = SnapshotStore::open(&dir).unwrap();
+        let probed = |cut: &usize| *cut < 64 || blob.len() - cut <= 64 || cut % 13 == 0;
+        for cut in (0..blob.len()).filter(probed) {
+            store.write(epoch, &blob[..cut]).unwrap();
+            let err = StreamExecutor::<u64>::recover(q0.clone(), reg.clone(), config(&dir))
+                .err()
+                .unwrap_or_else(|| panic!("recovered from a {cut}-byte prefix"));
+            assert!(matches!(err, EngineError::Durability(_)), "@{cut}: {err}");
+        }
+        // And the untruncated blob still recovers.
+        store.write(epoch, &blob).unwrap();
+        let mut exec = StreamExecutor::<u64>::recover(q0, reg, config(&dir)).unwrap();
+        exec.finish().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The previous format is refused by its version byte, whatever
+    /// follows it.
+    #[test]
+    fn a_v6_blob_is_refused_by_version() {
+        let (dir, reg, q0, epoch, mut blob) = checkpointed("v6");
+        blob[0] = 6;
+        SnapshotStore::open(&dir)
+            .unwrap()
+            .write(epoch, &blob)
+            .unwrap();
+        let err = StreamExecutor::<u64>::recover(q0, reg, config(&dir))
+            .err()
+            .unwrap();
+        assert!(
+            err.to_string().contains("unsupported snapshot version 6"),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

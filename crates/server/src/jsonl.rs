@@ -18,9 +18,8 @@
 //! `{"drained":{…}}` · `{"stats":{"text":…}}` · `{"shutdown":"ok"}` ·
 //! `{"pong":{}}` · `{"error":"…"}`.
 
-use crate::protocol::{IngestAck, SessionOptions};
-use crate::server::Shared;
-use crate::session::SubMsg;
+use crate::protocol::{IngestAck, Request, Response, SessionOptions};
+use crate::server::{serve_request, Shared};
 use greta_core::{EmissionMode, LatePolicy, OutValue, WindowResult};
 use greta_types::{Event, Schema, SchemaRegistry, Value};
 use greta_workloads::io::json::{self, Json};
@@ -30,94 +29,83 @@ use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Serve a JSON-line connection until it closes.
+/// Serve a JSON-line connection until it closes: each line decodes to the
+/// [`Request`] the binary protocol would carry, is served by the one
+/// dispatcher, and every [`Response`] goes back as one line.
 pub(crate) fn handle(stream: TcpStream, shared: &Arc<Shared>) {
     let reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
     };
     let mut writer = stream;
+    let mut write = |resp: &Response| {
+        writeln!(writer, "{}", response_to_json(resp)).is_ok() && writer.flush().is_ok()
+    };
     for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => return,
-        };
+        let Ok(line) = line else { return };
         if line.trim().is_empty() {
             continue;
         }
         shared.frames.fetch_add(1, Ordering::Relaxed);
-        let reply = match serve_line(&mut writer, shared, &line) {
-            Ok(reply) => reply,
+        let keep_going = match request_from_json(&line) {
+            Ok(req) => serve_request(shared, req, &mut write),
             Err(msg) => {
                 shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                format!("{{\"error\":{}}}", json::str_lit(&msg))
+                write(&Response::Error { msg })
             }
         };
-        if writeln!(writer, "{reply}").is_err() || writer.flush().is_err() {
+        if !keep_going {
             return;
         }
     }
 }
 
-/// Handle one request line; subscription row streaming writes directly
-/// to `writer`, everything else returns the reply line.
-fn serve_line(writer: &mut TcpStream, shared: &Arc<Shared>, line: &str) -> Result<String, String> {
+/// Decode one request line.
+fn request_from_json(line: &str) -> Result<Request, String> {
     let req = json::parse(line)?;
     let obj = req.as_object().ok_or("request must be an object")?;
     let (verb, body) = obj.first().ok_or("empty request object")?;
-    match verb.as_str() {
+    let query_text = || {
+        let text = body.get("query").and_then(Json::as_str);
+        text.ok_or_else(|| format!("{verb} lacks `query`"))
+    };
+    Ok(match verb.as_str() {
         "submit" => {
-            let query = body
-                .get("query")
-                .and_then(Json::as_str)
-                .ok_or("submit lacks `query`")?;
             let schemas = body
                 .get("schemas")
                 .and_then(Json::as_array)
                 .ok_or("submit lacks `schemas`")?;
-            let mut reg = SchemaRegistry::new();
+            let mut registry = SchemaRegistry::new();
             for s in schemas {
                 let schema: Schema = json::schema_from_json(s)?;
-                reg.register(schema).map_err(|e| e.to_string())?;
+                registry.register(schema).map_err(|e| e.to_string())?;
             }
-            let options = match body.get("options") {
-                None => SessionOptions::default(),
-                Some(o) => options_from_json(o)?,
-            };
-            let (session, query) = shared.submit(query, reg, options, None)?;
-            Ok(format!(
-                "{{\"submitted\":{{\"session\":{session},\"query\":{query}}}}}"
-            ))
+            Request::Submit {
+                query: query_text()?.to_string(),
+                registry,
+                options: body
+                    .get("options")
+                    .map_or(Ok(SessionOptions::default()), options_from_json)?,
+                attach_to: None,
+            }
         }
+        // A `Submit` attached to a live session, which brings the schemas.
         "register" => {
-            let session = session_of(body)?;
-            let query = body
-                .get("query")
-                .and_then(Json::as_str)
-                .ok_or("register lacks `query`")?;
             let mut options = SessionOptions::default();
             if let Some(e) = body.get("emission").and_then(Json::as_str) {
-                options.emission = match e {
-                    "unordered" => EmissionMode::Unordered,
-                    "ordered" => EmissionMode::WindowOrdered,
-                    e => return Err(format!("unknown emission `{e}`")),
-                };
+                options.emission = emission_from_json(e)?;
             }
-            let (session, query) =
-                shared.submit(query, SchemaRegistry::new(), options, Some(session))?;
-            Ok(format!(
-                "{{\"submitted\":{{\"session\":{session},\"query\":{query}}}}}"
-            ))
+            Request::Submit {
+                query: query_text()?.to_string(),
+                registry: SchemaRegistry::new(),
+                options,
+                attach_to: Some(session_of(body)?),
+            }
         }
-        "attach" => {
-            let session = session_of(body)?;
-            let session = shared.attach(session)?;
-            Ok(format!(
-                "{{\"submitted\":{{\"session\":{session},\"query\":0}}}}"
-            ))
-        }
+        "attach" => Request::Attach {
+            session: session_of(body)?,
+        },
         "ingest" => {
-            let session = session_of(body)?;
             let events = body
                 .get("events")
                 .and_then(Json::as_array)
@@ -126,60 +114,62 @@ fn serve_line(writer: &mut TcpStream, shared: &Arc<Shared>, line: &str) -> Resul
                 .iter()
                 .map(json::event_from_json)
                 .collect::<Result<_, _>>()?;
-            let ack = shared.ingest(session, events)?;
-            Ok(encode_ack(&ack))
-        }
-        "subscribe" => {
-            let session = session_of(body)?;
-            let query = query_of(body)?;
-            match shared.subscribe(session, query)? {
-                None => Ok(format!(
-                    "{{\"end\":{{\"session\":{session},\"query\":{query}}}}}"
-                )),
-                Some(rx) => {
-                    while let Ok(SubMsg::Rows(rows)) = rx.recv() {
-                        let line = encode_rows(session, query, &rows);
-                        writeln!(writer, "{line}").map_err(|e| e.to_string())?;
-                        writer.flush().map_err(|e| e.to_string())?;
-                    }
-                    Ok(format!(
-                        "{{\"end\":{{\"session\":{session},\"query\":{query}}}}}"
-                    ))
-                }
+            Request::Ingest {
+                session: session_of(body)?,
+                events,
             }
         }
+        "subscribe" => Request::Subscribe {
+            session: session_of(body)?,
+            query: query_of(body)?,
+        },
         "detach" => {
-            let session = session_of(body)?;
             let query = body
                 .get("query")
                 .and_then(Json::as_u64)
                 .ok_or("detach lacks a numeric `query`")?;
-            let query = u32::try_from(query).map_err(|_| "query id out of range")?;
-            let rows = shared.detach(session, query)?;
-            let mut out = String::new();
-            let _ = write!(
-                out,
-                "{{\"detached\":{{\"session\":{session},\"query\":{query},\"rows\":"
-            );
-            push_rows_array(&mut out, &rows);
-            out.push_str("}}");
-            Ok(out)
+            Request::Detach {
+                session: session_of(body)?,
+                query: u32::try_from(query).map_err(|_| "query id out of range")?,
+            }
         }
-        "drain" => {
-            let session = session_of(body)?;
-            shared.drain_session(session)?;
-            Ok(format!("{{\"drained\":{{\"session\":{session}}}}}"))
+        "drain" => Request::Drain {
+            session: session_of(body)?,
+        },
+        "stats" => Request::Stats,
+        "shutdown" => Request::Shutdown,
+        "ping" => Request::Ping,
+        v => return Err(format!("unknown request `{v}`")),
+    })
+}
+
+/// Encode one response line.
+fn response_to_json(resp: &Response) -> String {
+    match resp {
+        Response::SubmitOk { session, query } => {
+            format!("{{\"submitted\":{{\"session\":{session},\"query\":{query}}}}}")
         }
-        "stats" => Ok(format!(
-            "{{\"stats\":{{\"text\":{}}}}}",
-            json::str_lit(&shared.metrics_text())
-        )),
-        "shutdown" => {
-            shared.drain_all()?;
-            Ok("{\"shutdown\":\"ok\"}".to_string())
+        Response::Ack(ack) => encode_ack(ack),
+        Response::Rows {
+            session,
+            query,
+            rows,
+        } => encode_rows("rows", *session, *query, rows),
+        Response::End { session, query } => {
+            format!("{{\"end\":{{\"session\":{session},\"query\":{query}}}}}")
         }
-        "ping" => Ok("{\"pong\":{}}".to_string()),
-        v => Err(format!("unknown request `{v}`")),
+        Response::DetachOk {
+            session,
+            query,
+            rows,
+        } => encode_rows("detached", *session, *query, rows),
+        Response::DrainOk { session } => format!("{{\"drained\":{{\"session\":{session}}}}}"),
+        Response::ShutdownOk => "{\"shutdown\":\"ok\"}".to_string(),
+        Response::StatsText { text } => {
+            format!("{{\"stats\":{{\"text\":{}}}}}", json::str_lit(text))
+        }
+        Response::Pong => "{\"pong\":{}}".to_string(),
+        Response::Error { msg } => format!("{{\"error\":{}}}", json::str_lit(msg)),
     }
 }
 
@@ -200,6 +190,14 @@ fn query_of(body: &Json) -> Result<u32, String> {
     }
 }
 
+fn emission_from_json(e: &str) -> Result<EmissionMode, String> {
+    match e {
+        "unordered" => Ok(EmissionMode::Unordered),
+        "ordered" => Ok(EmissionMode::WindowOrdered),
+        e => Err(format!("unknown emission `{e}`")),
+    }
+}
+
 fn options_from_json(o: &Json) -> Result<SessionOptions, String> {
     let mut opts = SessionOptions::default();
     if let Some(n) = o.get("shards").and_then(Json::as_u64) {
@@ -217,11 +215,7 @@ fn options_from_json(o: &Json) -> Result<SessionOptions, String> {
         };
     }
     if let Some(e) = o.get("emission").and_then(Json::as_str) {
-        opts.emission = match e {
-            "unordered" => EmissionMode::Unordered,
-            "ordered" => EmissionMode::WindowOrdered,
-            e => return Err(format!("unknown emission `{e}`")),
-        };
+        opts.emission = emission_from_json(e)?;
     }
     if let Some(n) = o.get("batch_size").and_then(Json::as_u64) {
         opts.batch_size = u32::try_from(n).map_err(|_| "batch_size out of range")?;
@@ -267,12 +261,12 @@ fn encode_ack(a: &IngestAck) -> String {
     out
 }
 
-/// `{"rows":{"session":N,"query":Q,"rows":[{"window":…,"group":[…],"values":[…]},…]}}`
-pub(crate) fn encode_rows(session: u64, query: u32, rows: &[WindowResult<f64>]) -> String {
+/// `{"<verb>":{"session":N,"query":Q,"rows":[{"window":…,"group":[…],"values":[…]},…]}}`
+fn encode_rows(verb: &str, session: u64, query: u32, rows: &[WindowResult<f64>]) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\"rows\":{{\"session\":{session},\"query\":{query},\"rows\":"
+        "{{\"{verb}\":{{\"session\":{session},\"query\":{query},\"rows\":"
     );
     push_rows_array(&mut out, rows);
     out.push_str("}}");

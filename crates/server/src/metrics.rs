@@ -203,12 +203,6 @@ pub(crate) fn render(server: &ServerMetrics, sessions: &[SessionMetrics<'_>]) ->
             |s| s.barrier_snapshots as f64,
         ),
         (
-            "greta_fused_barriers_total",
-            "counter",
-            "Barriers fused with rebalance pauses.",
-            |s| s.fused_barriers as f64,
-        ),
-        (
             "greta_rebalances_total",
             "counter",
             "Shard rebalance operations.",

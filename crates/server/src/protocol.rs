@@ -314,44 +314,12 @@ fn get_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, CodecError> {
     }
 }
 
-fn late_policy_byte(p: LatePolicy) -> u8 {
-    match p {
-        LatePolicy::Drop => 0,
-        LatePolicy::Divert => 1,
-        LatePolicy::Error => 2,
-    }
-}
-
-fn late_policy_from(b: u8) -> Result<LatePolicy, CodecError> {
-    match b {
-        0 => Ok(LatePolicy::Drop),
-        1 => Ok(LatePolicy::Divert),
-        2 => Ok(LatePolicy::Error),
-        t => Err(CodecError(format!("bad late policy {t}"))),
-    }
-}
-
-fn emission_byte(e: EmissionMode) -> u8 {
-    match e {
-        EmissionMode::Unordered => 0,
-        EmissionMode::WindowOrdered => 1,
-    }
-}
-
-fn emission_from(b: u8) -> Result<EmissionMode, CodecError> {
-    match b {
-        0 => Ok(EmissionMode::Unordered),
-        1 => Ok(EmissionMode::WindowOrdered),
-        t => Err(CodecError(format!("bad emission mode {t}"))),
-    }
-}
-
 impl SessionOptions {
     fn encode(&self, out: &mut Vec<u8>) {
         put_u32(out, self.shards);
         put_u64(out, self.slack);
-        out.push(late_policy_byte(self.late_policy));
-        out.push(emission_byte(self.emission));
+        out.push(self.late_policy.tag());
+        out.push(self.emission.tag());
         put_u32(out, self.batch_size);
         put_u32(out, self.channel_capacity);
         put_u32(out, self.result_capacity);
@@ -370,8 +338,8 @@ impl SessionOptions {
         Ok(SessionOptions {
             shards: r.u32()?,
             slack: r.u64()?,
-            late_policy: late_policy_from(r.u8()?)?,
-            emission: emission_from(r.u8()?)?,
+            late_policy: LatePolicy::from_tag(r.u8()?)?,
+            emission: EmissionMode::from_tag(r.u8()?)?,
             batch_size: r.u32()?,
             channel_capacity: r.u32()?,
             result_capacity: r.u32()?,

@@ -19,7 +19,6 @@ use crate::metrics::{self, ServerMetrics, SessionMetrics};
 use crate::protocol::{self, ProtoError, Request, Response, SessionOptions};
 use crate::session::{spawn_session, SessionCmd, SessionHandle, SubMsg};
 use crate::{http, jsonl};
-use crossbeam::channel::bounded;
 use greta_query::compile::CompiledQuery;
 use greta_types::{Event, SchemaRegistry};
 use std::collections::{HashMap, VecDeque};
@@ -121,23 +120,15 @@ impl Shared {
             return Err("server is draining; no new sessions".into());
         }
         if let Some(sid) = attach_to {
-            let h = self.session(sid)?;
-            if h.drained.load(Ordering::SeqCst) {
-                return Err(format!("session {sid} is drained"));
-            }
             // The session thread compiles against its own registry — one
             // stream, one schema set — and runs the register barrier.
-            let (reply_tx, reply_rx) = bounded(1);
-            h.cmd_tx
-                .send(SessionCmd::Register {
+            let q = self
+                .session(sid)?
+                .call("register", |reply| SessionCmd::Register {
                     text: query_text.to_string(),
                     emission: options.emission,
-                    reply: reply_tx,
-                })
-                .map_err(|_| format!("session {sid} is gone"))?;
-            let q = reply_rx
-                .recv()
-                .map_err(|_| format!("session {sid} died during register"))??;
+                    reply,
+                })??;
             return Ok((sid, q));
         }
         let compiled =
@@ -159,19 +150,7 @@ impl Shared {
         query: u32,
     ) -> Result<Vec<greta_core::WindowResult<f64>>, String> {
         let h = self.session(id)?;
-        if h.drained.load(Ordering::SeqCst) {
-            return Err(format!("session {id} is drained"));
-        }
-        let (reply_tx, reply_rx) = bounded(1);
-        h.cmd_tx
-            .send(SessionCmd::Deregister {
-                query,
-                reply: reply_tx,
-            })
-            .map_err(|_| format!("session {id} is gone"))?;
-        reply_rx
-            .recv()
-            .map_err(|_| format!("session {id} died during detach"))?
+        h.call("detach", |reply| SessionCmd::Deregister { query, reply })?
     }
 
     /// Check a session id exists (the `Attach` frame).
@@ -189,19 +168,7 @@ impl Shared {
             return Err("server is draining; ingest refused".into());
         }
         let h = self.session(id)?;
-        if h.drained.load(Ordering::SeqCst) {
-            return Err(format!("session {id} is drained"));
-        }
-        let (reply_tx, reply_rx) = bounded(1);
-        h.cmd_tx
-            .send(SessionCmd::Ingest {
-                events,
-                reply: reply_tx,
-            })
-            .map_err(|_| format!("session {id} is gone"))?;
-        reply_rx
-            .recv()
-            .map_err(|_| format!("session {id} died during ingest"))?
+        h.call("ingest", |reply| SessionCmd::Ingest { events, reply })?
     }
 
     /// Register a subscriber channel on one query of a session. Returns
@@ -479,96 +446,69 @@ fn binary_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
             }
         };
         shared.frames.fetch_add(1, Ordering::Relaxed);
-        let keep_going = serve_request(&mut stream, shared, req);
-        if !keep_going {
+        let mut write = |resp: &Response| protocol::write_response(&mut stream, resp).is_ok();
+        if !serve_request(shared, req, &mut write) {
             return;
         }
     }
 }
 
-/// Serve one decoded request; returns false when the connection should
-/// close (write failure).
-fn serve_request(stream: &mut TcpStream, shared: &Arc<Shared>, req: Request) -> bool {
-    let resp = match req {
+/// Serve one decoded request, whichever protocol it arrived in: `write`
+/// puts one [`Response`] on the connection. Returns false when the
+/// connection should close (write failure).
+pub(crate) fn serve_request(
+    shared: &Shared,
+    req: Request,
+    write: &mut impl FnMut(&Response) -> bool,
+) -> bool {
+    let done = |res: Result<Response, String>| res.unwrap_or_else(|msg| Response::Error { msg });
+    let resp = done(match req {
         Request::Submit {
             query,
             registry,
             options,
             attach_to,
-        } => match shared.submit(&query, registry, options, attach_to) {
-            Ok((session, query)) => Response::SubmitOk { session, query },
-            Err(msg) => Response::Error { msg },
-        },
-        Request::Attach { session } => match shared.attach(session) {
-            Ok(session) => Response::SubmitOk { session, query: 0 },
-            Err(msg) => Response::Error { msg },
-        },
-        Request::Ingest { session, events } => match shared.ingest(session, events) {
-            Ok(ack) => Response::Ack(ack),
-            Err(msg) => Response::Error { msg },
-        },
-        Request::Subscribe { session, query } => {
-            return serve_subscription(stream, shared, session, query);
-        }
-        Request::Detach { session, query } => match shared.detach(session, query) {
-            Ok(rows) => Response::DetachOk {
-                session,
-                query,
-                rows,
-            },
-            Err(msg) => Response::Error { msg },
-        },
-        Request::Drain { session } => match shared.drain_session(session) {
-            Ok(()) => Response::DrainOk { session },
-            Err(msg) => Response::Error { msg },
-        },
-        Request::Shutdown => match shared.drain_all() {
-            Ok(()) => Response::ShutdownOk,
-            Err(msg) => Response::Error { msg },
-        },
-        Request::Stats => Response::StatsText {
-            text: shared.metrics_text(),
-        },
-        Request::Ping => Response::Pong,
-    };
-    protocol::write_response(stream, &resp).is_ok()
-}
-
-/// Stream one query's `Rows` frames until it detaches or the session
-/// drains (`End`), then return to the request loop.
-fn serve_subscription(
-    stream: &mut TcpStream,
-    shared: &Arc<Shared>,
-    session: u64,
-    query: u32,
-) -> bool {
-    let rx = match shared.subscribe(session, query) {
-        Ok(Some(rx)) => rx,
-        Ok(None) => {
-            // Already drained: nothing more will ever arrive.
-            return protocol::write_response(stream, &Response::End { session, query }).is_ok();
-        }
-        Err(msg) => return protocol::write_response(stream, &Response::Error { msg }).is_ok(),
-    };
-    loop {
-        match rx.recv() {
-            Ok(SubMsg::Rows(rows)) => {
-                if protocol::write_response(
-                    stream,
-                    &Response::Rows {
-                        session,
-                        query,
-                        rows,
-                    },
-                )
-                .is_err()
-                {
-                    return false;
+        } => shared
+            .submit(&query, registry, options, attach_to)
+            .map(|(session, query)| Response::SubmitOk { session, query }),
+        Request::Attach { session } => shared
+            .attach(session)
+            .map(|session| Response::SubmitOk { session, query: 0 }),
+        Request::Ingest { session, events } => shared.ingest(session, events).map(Response::Ack),
+        // Stream the query's `Rows` until it detaches or the session
+        // drains, then answer `End` — at once when there is no channel:
+        // the session had drained already, nothing more will ever arrive.
+        Request::Subscribe { session, query } => shared.subscribe(session, query).map(|rx| {
+            for msg in rx.iter().flat_map(|rx| rx.iter()) {
+                let SubMsg::Rows(rows) = msg else { break };
+                let rows = Response::Rows {
+                    session,
+                    query,
+                    rows,
+                };
+                if !write(&rows) {
+                    break;
                 }
             }
-            Ok(SubMsg::End) | Err(_) => {
-                return protocol::write_response(stream, &Response::End { session, query }).is_ok();
-            }
+            Response::End { session, query }
+        }),
+        Request::Detach { session, query } => {
+            shared
+                .detach(session, query)
+                .map(|rows| Response::DetachOk {
+                    session,
+                    query,
+                    rows,
+                })
         }
-    }
+        Request::Drain { session } => shared
+            .drain_session(session)
+            .map(|()| Response::DrainOk { session }),
+        Request::Shutdown => shared.drain_all().map(|()| Response::ShutdownOk),
+        Request::Stats => Ok(Response::StatsText {
+            text: shared.metrics_text(),
+        }),
+        Request::Ping => Ok(Response::Pong),
+    });
+    write(&resp)
 }

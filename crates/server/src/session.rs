@@ -171,14 +171,11 @@ pub(crate) fn spawn_session(
     let last_stats = Arc::new(Mutex::new(exec.stats()));
     // A recovered executor may come back hosting queries registered in a
     // previous run; seed the text table from its registry.
-    let mut texts: Vec<(u32, String)> = exec
+    let texts: Vec<(u32, String)> = exec
         .query_ids()
         .iter()
         .map(|q| (q.0, exec.query_text(*q).unwrap_or(&query_text).to_string()))
         .collect();
-    if texts.is_empty() {
-        texts.push((0, query_text.clone()));
-    }
     let query_texts = Arc::new(Mutex::new(texts));
     let drained = Arc::new(AtomicBool::new(false));
     let thread_stats = Arc::clone(&last_stats);
@@ -272,14 +269,8 @@ fn run_session(
 ) {
     // One stream per query the executor hosts at start — one on a fresh
     // session, more after a multi-query recovery.
-    let streams: Vec<QueryStream> = {
-        let ids = exec.query_ids();
-        if ids.is_empty() {
-            vec![QueryStream::new(0)]
-        } else {
-            ids.iter().map(|q| QueryStream::new(q.0)).collect()
-        }
-    };
+    let ids = exec.query_ids();
+    let streams: Vec<QueryStream> = ids.iter().map(|q| QueryStream::new(q.0)).collect();
     let mut s = SessionLoop {
         id,
         exec,
@@ -637,26 +628,35 @@ impl SessionHandle {
         bounded(SUB_CHANNEL_CAPACITY)
     }
 
+    /// Send the command `make` builds around a fresh reply channel and
+    /// wait for the session's answer; `Err` means it never answered. A
+    /// drained session answers nothing any more, so it is refused here.
+    pub(crate) fn call<T>(
+        &self,
+        what: &str,
+        make: impl FnOnce(Sender<T>) -> SessionCmd,
+    ) -> Result<T, String> {
+        let id = self.id;
+        if self.drained.load(Ordering::SeqCst) {
+            return Err(format!("session {id} is drained"));
+        }
+        let (reply_tx, reply_rx) = bounded(1);
+        self.cmd_tx
+            .send(make(reply_tx))
+            .map_err(|_| format!("session {id} is gone"))?;
+        reply_rx
+            .recv()
+            .map_err(|_| format!("session {id} died during {what}"))
+    }
+
     /// Send a drain command and wait for the terminal checkpoint. A
     /// second drain of an already-drained session succeeds immediately.
     pub(crate) fn drain_blocking(&self) -> Result<(), String> {
-        let (reply_tx, reply_rx) = bounded(1);
-        if self
-            .cmd_tx
-            .send(SessionCmd::Drain { reply: reply_tx })
-            .is_err()
-        {
-            return if self.drained.load(Ordering::SeqCst) {
-                Ok(())
-            } else {
-                Err("session thread is gone without draining".into())
-            };
-        }
-        match reply_rx.recv() {
-            Ok(res) => {
-                // Poison recovery: the slot holds only an Option —
-                // taking it after a panic elsewhere is always sound,
-                // and skipping the join would leak the thread.
+        match self.call("drain", |reply| SessionCmd::Drain { reply }) {
+            Ok(answer) => {
+                // Poison recovery: the slot holds only an Option — taking
+                // it after a panic elsewhere is always sound, and skipping
+                // the join would leak the thread.
                 let join = self
                     .join
                     .lock()
@@ -665,15 +665,11 @@ impl SessionHandle {
                 if let Some(j) = join {
                     let _ = j.join();
                 }
-                res
+                answer
             }
-            Err(_) => {
-                if self.drained.load(Ordering::SeqCst) {
-                    Ok(())
-                } else {
-                    Err("session thread died during drain".into())
-                }
-            }
+            // It never answered, having drained before or meanwhile.
+            Err(_) if self.drained.load(Ordering::SeqCst) => Ok(()),
+            Err(e) => Err(e),
         }
     }
 }

@@ -4,11 +4,14 @@
 //! tails recover, checksum corruption is a clean error).
 
 use greta::core::{
-    EngineError, ExecutorConfig, GretaEngine, PartitionKey, StreamExecutor, WindowResult,
+    EngineError, ExecutorConfig, GretaEngine, LatePolicy, PartitionKey, StreamExecutor,
+    WindowResult,
 };
-use greta::durability::{DurabilityConfig, Manifest, SnapshotStore};
+use greta::durability::{
+    DurabilityConfig, DurabilityError, Manifest, SnapshotStore, TailPolicy, Wal,
+};
 use greta::query::CompiledQuery;
-use greta::types::{Event, SchemaRegistry};
+use greta::types::{Event, SchemaRegistry, Time, Value};
 use greta::workloads::{ClusterConfig, ClusterGen, StockConfig, StockGen};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -111,6 +114,11 @@ fn assert_crash_recover_exact(
         exec.checkpoint().unwrap();
         // Crash: dropped without finish(); un-polled rows ride the snapshot.
     }
+    // new() on a used dir is refused (would shadow recoverable state).
+    let err = StreamExecutor::<u64>::new(q.clone(), reg.clone(), durable(&dir, shards, 2))
+        .err()
+        .expect("new() must refuse a dir with recoverable state");
+    assert!(matches!(err, EngineError::Config(_)), "{err}");
     let mut exec =
         StreamExecutor::<u64>::recover(q.clone(), reg.clone(), durable(&dir, shards, 2)).unwrap();
     for e in &events[crash_at..] {
@@ -178,6 +186,210 @@ fn double_crash_double_recover() {
     }
     committed.extend(exec.finish().unwrap());
     assert_eq!(sorted(committed), expect);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn crash_before_first_checkpoint_replays_whole_wal() {
+    let (reg, q, events) = stock_q1(400);
+    let dir = tmpdir("no-ckpt");
+    // Cadence so large no automatic checkpoint fires.
+    let config = || durable(&dir, 2, u64::MAX);
+    {
+        let mut exec = StreamExecutor::<u64>::new(q.clone(), reg.clone(), config()).unwrap();
+        for e in &events[..157] {
+            exec.push(e.clone()).unwrap();
+        }
+        // Crash without ever polling: every row must come from recovery.
+    }
+    let mut exec = StreamExecutor::<u64>::recover(q.clone(), reg.clone(), config()).unwrap();
+    let mut rows = Vec::new();
+    for e in &events[157..] {
+        exec.push(e.clone()).unwrap();
+        rows.extend(exec.poll_results());
+    }
+    rows.extend(exec.finish().unwrap());
+    assert_eq!(sorted(rows), oracle(&q, &reg, &events));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn automatic_cadence_checkpoints_and_wal_truncation() {
+    let (reg, q, events) = stock_q1(1200);
+    let dir = tmpdir("cadence");
+    let mut cfg = durable(&dir, 2, 1);
+    // Force rotations so truncation can bite.
+    cfg.durability.as_mut().unwrap().segment_bytes = 512;
+    let mut exec = StreamExecutor::<u64>::new(q, reg, cfg).unwrap();
+    for e in &events {
+        exec.push(e.clone()).unwrap();
+        exec.poll_results();
+    }
+    exec.finish().unwrap();
+    let stats = exec.stats();
+    assert!(
+        stats.checkpoints >= 3,
+        "expected cadence checkpoints, got {}",
+        stats.checkpoints
+    );
+    // Obsolete segments were truncated: the on-disk WAL no longer reaches
+    // back to record 0.
+    let err = Wal::replay(&dir, 0, TailPolicy::Tolerate, |_, _| {}).unwrap_err();
+    assert!(matches!(err, DurabilityError::NothingToRecover(_)), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn recovery_after_graceful_finish_resumes_empty() {
+    // finish() takes a final checkpoint; recovering afterwards yields an
+    // executor with the full history in its counters and nothing to
+    // replay.
+    let (reg, q, events) = stock_q1(600);
+    let dir = tmpdir("graceful");
+    let mut exec = StreamExecutor::<u64>::new(q.clone(), reg.clone(), durable(&dir, 2, 2)).unwrap();
+    for e in &events {
+        exec.push(e.clone()).unwrap();
+        exec.poll_results();
+    }
+    exec.finish().unwrap();
+    let mut recovered = StreamExecutor::<u64>::recover(q, reg, durable(&dir, 2, 2)).unwrap();
+    assert_eq!(recovered.stats().pushed, events.len() as u64);
+    let rows = recovered.finish().unwrap();
+    assert!(rows.is_empty(), "graceful finish left {} rows", rows.len());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A one-group `A+` count over bare ticks, tumbling `within`, for the
+/// ingest-side cases below; the closure makes the tick at `t`.
+fn tick_q(within: u64) -> (SchemaRegistry, CompiledQuery, impl Fn(u64) -> Event) {
+    let mut reg = SchemaRegistry::new();
+    reg.register_type("A", &["grp"]).unwrap();
+    let text =
+        format!("RETURN grp, COUNT(*) PATTERN A+ GROUP-BY grp WITHIN {within} SLIDE {within}");
+    let q = CompiledQuery::parse(&text, &reg).unwrap();
+    let tid = reg.type_id("A").unwrap();
+    let ev = move |t: u64| Event::new_unchecked(tid, Time(t), vec![Value::Int(0)]);
+    (reg, q, ev)
+}
+
+#[test]
+fn logged_then_rejected_late_event_does_not_poison_recovery() {
+    // Under LatePolicy::Error the event is WAL-logged before the late
+    // check fails the push; replay must skip it the same way the
+    // original caller did, not fail recovery forever.
+    let (reg, q, ev) = tick_q(100);
+    let dir = tmpdir("late-poison");
+    let config = || ExecutorConfig {
+        slack: 2,
+        late_policy: LatePolicy::Error,
+        ..durable(&dir, 1, 2)
+    };
+    {
+        let mut exec = StreamExecutor::<u64>::new(q.clone(), reg.clone(), config()).unwrap();
+        exec.push(ev(10)).unwrap();
+        exec.push(ev(20)).unwrap();
+        // Late: logged, then rejected — the caller notes it and goes on.
+        assert!(matches!(
+            exec.push(ev(5)).unwrap_err(),
+            EngineError::Late { got: 5, .. }
+        ));
+        exec.push(ev(30)).unwrap();
+    } // crash
+    let mut exec = StreamExecutor::<u64>::recover(q, reg, config()).unwrap();
+    assert_eq!(exec.stats().pushed, 4);
+    let rows = exec.finish().unwrap();
+    // Same result the uninterrupted run produces: trends over {10,20,30}.
+    assert_eq!(rows[0].values[0].to_f64(), 7.0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn recover_refuses_mismatched_slack_or_late_policy() {
+    let (reg, q, events) = stock_q1(300);
+    let dir = tmpdir("cfg-mismatch");
+    let config = |slack, late_policy| ExecutorConfig {
+        slack,
+        late_policy,
+        ..durable(&dir, 2, 2)
+    };
+    {
+        let mut exec =
+            StreamExecutor::<u64>::new(q.clone(), reg.clone(), config(3, LatePolicy::Divert))
+                .unwrap();
+        for e in &events[..150] {
+            exec.push(e.clone()).unwrap();
+        }
+        exec.checkpoint().unwrap();
+    }
+    for bad in [config(0, LatePolicy::Divert), config(3, LatePolicy::Drop)] {
+        let err = StreamExecutor::<u64>::recover(q.clone(), reg.clone(), bad)
+            .err()
+            .expect("recover must refuse result-shaping config changes");
+        assert!(matches!(err, EngineError::Config(_)), "{err}");
+    }
+    // The matching config still works.
+    let mut exec = StreamExecutor::<u64>::recover(q, reg, config(3, LatePolicy::Divert)).unwrap();
+    exec.finish().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn checkpoint_requires_durability() {
+    let (reg, q, _) = stock_q1(10);
+    let mut exec = StreamExecutor::<u64>::new(q, reg, ExecutorConfig::default()).unwrap();
+    assert!(matches!(
+        exec.checkpoint().unwrap_err(),
+        EngineError::Config(_)
+    ));
+    exec.finish().unwrap();
+}
+
+#[test]
+fn recovery_preserves_reorder_slack_state_and_diverted() {
+    // Out-of-order events pending in the reorder buffer at checkpoint
+    // time survive the crash via the snapshot (they are *before* the
+    // manifest's WAL cut).
+    let (reg, q, ev) = tick_q(20);
+    let times: Vec<u64> = vec![2, 1, 4, 3, 6, 5, 8, 7, 30, 29, 31, 28, 50];
+    let dir = tmpdir("reorder-divert");
+    let config = || ExecutorConfig {
+        slack: 3,
+        late_policy: LatePolicy::Divert,
+        ..durable(&dir, 1, u64::MAX)
+    };
+    // Oracle without durability.
+    let mut oracle = StreamExecutor::<u64>::new(
+        q.clone(),
+        reg.clone(),
+        ExecutorConfig {
+            durability: None,
+            ..config()
+        },
+    )
+    .unwrap();
+    for &t in &times {
+        oracle.push(ev(t)).unwrap();
+    }
+    let expect = sorted(oracle.finish().unwrap());
+    let n_div_expect = oracle.take_diverted().len();
+
+    let mut committed = Vec::new();
+    {
+        let mut exec = StreamExecutor::<u64>::new(q.clone(), reg.clone(), config()).unwrap();
+        for &t in &times[..7] {
+            exec.push(ev(t)).unwrap();
+            committed.extend(exec.poll_results());
+        }
+        exec.checkpoint().unwrap();
+    } // crash
+    let mut exec = StreamExecutor::<u64>::recover(q, reg, config()).unwrap();
+    for &t in &times[7..] {
+        exec.push(ev(t)).unwrap();
+        committed.extend(exec.poll_results());
+    }
+    committed.extend(exec.finish().unwrap());
+    assert_eq!(sorted(committed), expect);
+    assert_eq!(exec.take_diverted().len(), n_div_expect);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -351,9 +563,10 @@ fn snapshot_corruption_is_a_clean_recovery_error() {
 
 #[test]
 fn snapshot_of_an_older_format_version_is_refused_not_misread() {
-    // A checksum-valid blob whose executor-format version byte says 5
-    // (the layout before every query became the same section): recovery
-    // must name the version and stop, whatever the bytes behind it say.
+    // A checksum-valid blob whose executor-format version byte says 6
+    // (the layout before the blob was regrouped by plane) or 5 (before
+    // every query became the same section): recovery must name the
+    // version and stop, whatever the bytes behind it say.
     let dir = tmpdir("old-version");
     let (reg, q, events) = stock_q1(300);
     {
@@ -367,14 +580,17 @@ fn snapshot_of_an_older_format_version_is_refused_not_misread() {
     let epoch = Manifest::load(&dir).unwrap().expect("manifest").epoch;
     let store = SnapshotStore::open(&dir).unwrap();
     let mut blob = store.read(epoch).unwrap();
-    blob[0] = 5;
-    store.write(epoch, &blob).unwrap();
-    let err = StreamExecutor::<u64>::recover(q, reg, durable(&dir, 2, 2))
-        .err()
-        .expect("recover must refuse a version-5 snapshot");
-    assert!(
-        err.to_string().contains("unsupported snapshot version 5"),
-        "{err}"
-    );
+    for old in [6u8, 5] {
+        blob[0] = old;
+        store.write(epoch, &blob).unwrap();
+        let err = StreamExecutor::<u64>::recover(q.clone(), reg.clone(), durable(&dir, 2, 2))
+            .err()
+            .expect("recover must refuse an older snapshot version");
+        assert!(
+            err.to_string()
+                .contains(&format!("unsupported snapshot version {old}")),
+            "{err}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

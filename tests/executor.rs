@@ -209,8 +209,17 @@ fn late_event_policy_drop_counts_and_excludes() {
             .unwrap();
     }
     let rows = exec.finish().unwrap();
-    // t=2 arrives after the slack released the watermark past it: dropped.
+    // t=2 arrives after the slack released the watermark past it: dropped,
+    // and counted against the window it would have fallen in.
     assert_eq!(exec.stats().late_dropped, 1);
+    assert_eq!(
+        exec.stats().late_by_window,
+        vec![greta::core::executor::WindowLateCounts {
+            window: 0,
+            dropped: 1,
+            diverted: 0
+        }]
+    );
     // Remaining in-order events: 4 5 6 20 21 → 2^5 - 1 trends... but only
     // the 5 surviving events count: 31.
     assert_eq!(rows[0].values[0].to_f64(), 31.0);
@@ -237,6 +246,7 @@ fn late_event_policy_divert_hands_events_back() {
     exec.finish().unwrap();
     let diverted = exec.take_diverted();
     assert_eq!(exec.stats().late_diverted, 2);
+    assert_eq!(exec.stats().late_by_window[0].diverted, 2);
     let times: Vec<u64> = diverted.iter().map(|e| e.time.ticks()).collect();
     assert_eq!(times, vec![3, 4]);
     assert!(exec.take_diverted().is_empty()); // drained
@@ -305,6 +315,7 @@ fn slack_repairs_disorder_to_match_the_sorted_run() {
         },
     );
     assert_eq!(stats.late_dropped + stats.late_diverted, 0);
+    assert_eq!(stats.released, events.len() as u64);
     assert_eq!(rows, expect);
 }
 
@@ -415,6 +426,137 @@ fn drain_plus_poll_is_byte_identical_to_finish() {
             assert_eq!(via_drain.stats().pushed, events.len() as u64);
         }
     }
+}
+
+#[test]
+fn batch_sizes_do_not_change_results() {
+    let (reg, q, events) = stock_setup(400);
+    let mut engine = GretaEngine::<f64>::new(q.clone(), reg.clone()).unwrap();
+    let expect = sorted(engine.run(&events).unwrap());
+    let mut frames_seen = Vec::new();
+    for batch_size in [1usize, 7, 64, 10_000] {
+        let (rows, stats) = run_executor(
+            &q,
+            &reg,
+            &events,
+            ExecutorConfig {
+                shards: 3,
+                batch_size,
+                ..Default::default()
+            },
+        );
+        assert_eq!(rows, expect, "batch_size={batch_size}");
+        frames_seen.push(stats.frames);
+    }
+    // Bigger batches mean fewer frames.
+    assert!(
+        frames_seen[0] > frames_seen[2],
+        "batch=1 sent {} frames, batch=64 sent {}",
+        frames_seen[0],
+        frames_seen[2]
+    );
+}
+
+#[test]
+fn zero_shards_rejected_and_push_after_finish_errors() {
+    let (reg, q) = tick_setup();
+    assert!(StreamExecutor::<f64>::new(
+        q.clone(),
+        reg.clone(),
+        ExecutorConfig {
+            shards: 0,
+            ..Default::default()
+        },
+    )
+    .is_err());
+    let tid = reg.type_id("A").unwrap();
+    let mut exec = StreamExecutor::<f64>::new(q, reg, ExecutorConfig::default()).unwrap();
+    exec.finish().unwrap();
+    assert!(exec.finish().unwrap().is_empty()); // idempotent
+    assert!(exec
+        .push(Event::new_unchecked(tid, Time(1), vec![]))
+        .is_err());
+}
+
+#[test]
+fn poll_free_caller_with_tiny_channels_cannot_deadlock() {
+    // Regression: with a full result channel and full shard queues, a
+    // caller that never polls used to park forever in push()/finish().
+    // The sender now drains results into an internal buffer instead.
+    let (reg, q, events) = stock_setup(400);
+    let mut engine = GretaEngine::<f64>::new(q.clone(), reg.clone()).unwrap();
+    let expect = sorted(engine.run(&events).unwrap());
+    let mut exec = StreamExecutor::<f64>::new(
+        q,
+        reg,
+        ExecutorConfig {
+            shards: 2,
+            channel_capacity: 2,
+            result_capacity: 1,
+            batch_size: 4,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    for e in &events {
+        exec.push(e.clone()).unwrap(); // no poll_results() on purpose
+    }
+    let rows = exec.finish().unwrap();
+    assert_eq!(sorted(rows), expect);
+    assert!(exec.stats().max_channel_occupancy >= 2);
+}
+
+#[test]
+fn broadcast_types_reach_all_shards() {
+    // Q3-style leading negation with a sub-key type, 3 shards.
+    let mut reg = SchemaRegistry::new();
+    reg.register_type("Accident", &["segment"]).unwrap();
+    reg.register_type("Position", &["vehicle", "segment"])
+        .unwrap();
+    let q = CompiledQuery::parse(
+        "RETURN segment, COUNT(*) PATTERN SEQ(NOT Accident X, Position P+) \
+         WHERE [P.vehicle, segment] GROUP-BY segment WITHIN 100 SLIDE 100",
+        &reg,
+    )
+    .unwrap();
+    let pos = |t: u64, v: i64, s: i64| {
+        EventBuilder::new(&reg, "Position")
+            .unwrap()
+            .at(Time(t))
+            .set("vehicle", v)
+            .unwrap()
+            .set("segment", s)
+            .unwrap()
+            .build()
+    };
+    let acc = |t: u64, s: i64| {
+        EventBuilder::new(&reg, "Accident")
+            .unwrap()
+            .at(Time(t))
+            .set("segment", s)
+            .unwrap()
+            .build()
+    };
+    let events = vec![
+        pos(1, 1, 1),
+        pos(1, 2, 2),
+        acc(2, 1),
+        pos(3, 1, 1),
+        pos(3, 2, 2),
+    ];
+    let mut engine = GretaEngine::<f64>::new(q.clone(), reg.clone()).unwrap();
+    let expect = sorted(engine.run(&events).unwrap());
+    let (rows, stats) = run_executor(
+        &q,
+        &reg,
+        &events,
+        ExecutorConfig {
+            shards: 3,
+            ..Default::default()
+        },
+    );
+    assert_eq!(rows, expect);
+    assert_eq!(stats.broadcasts, 1);
 }
 
 mod props {

@@ -585,9 +585,19 @@ fn unequal_subscribers_each_get_every_row_exactly_once() {
             },
         )
         .unwrap();
-    let fast = Client::connect(addr).unwrap().subscribe(session).unwrap();
+    // `Subscribe` has no reply, and a subscriber that joins after rows
+    // have gone out to the others starts behind them. A ping first means
+    // each connection is accepted, sniffed and in its request loop, so the
+    // subscription is one short frame ahead of the first 256-event batch
+    // instead of racing a thread spawn against it.
+    let subscriber = || {
+        let mut conn = Client::connect(addr).unwrap();
+        conn.ping().unwrap();
+        conn.subscribe(session).unwrap()
+    };
+    let fast = subscriber();
     let fast_t = std::thread::spawn(move || fast.collect_rows().unwrap());
-    let mut slow = Client::connect(addr).unwrap().subscribe(session).unwrap();
+    let mut slow = subscriber();
     let slow_t = std::thread::spawn(move || {
         let mut all = Vec::new();
         while let Some(batch) = slow.next_rows().unwrap() {

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! `--self-test` is CI's red path: it injects a `clone()` into a live
-//! `lint:hot-path` region of `executor.rs` and an `unwrap()` into
+//! `lint:hot-path` region of `executor/route.rs` and an `unwrap()` into
 //! non-test code of `session.rs` (in memory — the tree is never
 //! touched), then asserts the lint reports **exactly** those two new
 //! findings on top of a clean baseline. The CI job runs the normal lint
@@ -95,7 +95,7 @@ type SelfTestCase = (&'static str, fn(&str) -> Option<String>, Pass, &'static st
 fn run_self_test(root: &Path) -> ExitCode {
     let cases: &[SelfTestCase] = &[
         (
-            "crates/core/src/executor.rs",
+            "crates/core/src/executor/route.rs",
             inject_hot_path_clone,
             Pass::HotPath,
             "clone() in a hot-path region",
@@ -159,7 +159,7 @@ fn debug_print(found: &[Finding]) {
     }
 }
 
-/// Insert `let _injected = frame.clone();` as the first statement of the
+/// Insert `let _injected = self.events_per_shard.clone();` at the top of the
 /// first function following a `// lint:hot-path` marker.
 fn inject_hot_path_clone(content: &str) -> Option<String> {
     let marker = content.find("// lint:hot-path")?;
@@ -168,7 +168,7 @@ fn inject_hot_path_clone(content: &str) -> Option<String> {
     let body_open = content[marker..].find('{')? + marker;
     let mut out = String::with_capacity(content.len() + 48);
     out.push_str(&content[..body_open + 1]);
-    out.push_str("\n        let _injected = self.stats.events_per_shard.clone();\n");
+    out.push_str("\n        let _injected = self.events_per_shard.clone();\n");
     out.push_str(&content[body_open + 1..]);
     Some(out)
 }
