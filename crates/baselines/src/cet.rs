@@ -161,11 +161,8 @@ fn build_window_trends(
 
     for e in events {
         for (gi, spec) in plan.graphs.iter().enumerate() {
-            {
-                let log_of = |id: greta_query::compile::GraphId| logs.get(id.0 as usize);
-                if insertion_dropped(&deps[gi], log_of, e.time) {
-                    continue;
-                }
+            if insertion_dropped(&deps[gi], &logs, e.time) {
+                continue;
             }
             // Root-graph trends are window-scoped; negative trends use the
             // same stream-global semantics as the GRETA engine.
@@ -200,12 +197,11 @@ fn build_window_trends(
                     let Some(cands) = by_state.get(&(gi, p_state)) else {
                         continue;
                     };
-                    let log_of = |id: greta_query::compile::GraphId| logs.get(id.0 as usize);
                     for pv in cands {
                         if pv.time >= e.time || pv.time.ticks() + within <= e.time.ticks() {
                             continue;
                         }
-                        if !predecessor_valid(&deps[gi], log_of, p_state, state, pv.time, e.time) {
+                        if !predecessor_valid(&deps[gi], &logs, p_state, state, pv.time, e.time) {
                             continue;
                         }
                         if !plan
@@ -249,9 +245,8 @@ fn build_window_trends(
         }
     }
     // Aggregation upon construction, deferred for END validity (Case 2).
-    let log_of = |id: greta_query::compile::GraphId| logs.get(id.0 as usize);
     for (t, n) in &end_nodes {
-        if end_event_valid_at_close(&deps[0], log_of, *t, we) {
+        if end_event_valid_at_close(&deps[0], &logs, *t, we) {
             trends += 1;
             n.stats.fold_into(acc);
         }

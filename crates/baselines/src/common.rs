@@ -147,15 +147,7 @@ impl<'a> MatchGraph<'a> {
         let mut by_state: HashMap<(usize, StateId), Vec<usize>> = HashMap::new();
         for (ei, e) in events.iter().enumerate() {
             for (gi, spec) in plan.graphs.iter().enumerate() {
-                let dropped = {
-                    let logs = &g.logs;
-                    insertion_dropped(
-                        &g.deps[gi],
-                        |id: greta_query::compile::GraphId| logs.get(id.0 as usize),
-                        e.time,
-                    )
-                };
-                if dropped {
+                if insertion_dropped(&g.deps[gi], &g.logs, e.time) {
                     continue;
                 }
                 let states: Vec<StateId> = spec
@@ -185,18 +177,8 @@ impl<'a> MatchGraph<'a> {
                             if pe.time >= e.time || pe.time.ticks() + within <= e.time.ticks() {
                                 continue;
                             }
-                            let valid = {
-                                let logs = &g.logs;
-                                predecessor_valid(
-                                    &g.deps[gi],
-                                    |id: greta_query::compile::GraphId| logs.get(id.0 as usize),
-                                    p_state,
-                                    state,
-                                    pe.time,
-                                    e.time,
-                                )
-                            };
-                            if !valid {
+                            let deps = &g.deps[gi];
+                            if !predecessor_valid(deps, &g.logs, p_state, state, pe.time, e.time) {
                                 continue;
                             }
                             if !plan
@@ -248,13 +230,7 @@ impl<'a> MatchGraph<'a> {
     /// True when an END vertex of the root graph still counts at a window
     /// closing at `close_time` (Case-2 negation, Fig. 8(a)).
     pub fn end_valid_at(&self, v: usize, close_time: Time) -> bool {
-        let logs = &self.logs;
-        end_event_valid_at_close(
-            &self.deps[0],
-            |id: greta_query::compile::GraphId| logs.get(id.0 as usize),
-            self.time(v),
-            close_time,
-        )
+        end_event_valid_at_close(&self.deps[0], &self.logs, self.time(v), close_time)
     }
 
     /// Bytes of the pointer graph (events + pointers), the state SASE keeps.

@@ -1,5 +1,5 @@
 //! Experiment definitions: one function per paper figure (§10.2–§10.4),
-//! plus the §8 complexity check and the DESIGN.md ablations.
+//! plus the §8 complexity check and the design-choice ablations.
 //!
 //! Event counts are scaled to laptop budgets (the two-step baselines are
 //! exponential; the paper itself reports them failing to terminate at
@@ -258,7 +258,7 @@ pub fn complexity(sizes: &[usize]) -> Vec<Row> {
     rows
 }
 
-/// **Ablations** (DESIGN.md): Vertex-Tree range index on/off, the
+/// **Ablations**: Vertex-Tree range index on/off, the
 /// aggregate carrier (`f64` / saturating `u64` / exact `BigUint`), and
 /// window sharing vs. per-window replication (emulated by running one
 /// tumbling engine per slide offset).

@@ -1,7 +1,7 @@
 //! # greta-bench
 //!
 //! Benchmark harness regenerating **every figure** of the GRETA evaluation
-//! (paper §10) plus the ablations called out in DESIGN.md:
+//! (paper §10) plus ablations of the engine's own design choices:
 //!
 //! | experiment | paper artifact | sweep |
 //! |------------|----------------|-------|
@@ -10,7 +10,7 @@
 //! | `fig16`    | Fig. 16 (edge-predicate selectivity, Linear Road) | selectivity |
 //! | `fig17`    | Fig. 17 (number of trend groups, cluster) | groups |
 //! | `complexity` | §8 claims | n (GRETA only; slope check) |
-//! | `ablations` | DESIGN.md design choices | index/carrier/window sharing |
+//! | `ablations` | engine design choices | index/carrier/window sharing |
 //!
 //! Run `cargo run --release -p greta-bench --bin harness -- all` for the
 //! paper-style tables.

@@ -132,7 +132,6 @@ pub use config::{
     EmissionMode, ExecutorConfig, ExecutorStats, LatePolicy, QueryId, QueryStreamStats,
     RebalanceConfig, WindowLateCounts,
 };
-pub(crate) use worker::drive_batch;
 
 /// "Every `every` closed windows of id 0, a barrier is owed" — the
 /// checkpoint cadence and the skew-check cadence are each one of these.

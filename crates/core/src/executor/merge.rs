@@ -8,10 +8,10 @@ use super::{EmissionMode, ExecutorStats, QueryId, QueryStreamStats};
 use crate::agg::TrendNum;
 use crate::reorder::ResultMerge;
 use crate::results::{sort_canonical, WindowResult};
-use crate::state::{decode_window_result, encode_window_result, get_opt_u64, put_opt_u64};
+use crate::state::{decode_window_result, encode_window_result};
 use crate::EngineError;
 use greta_query::CompiledQuery;
-use greta_types::codec::{put_str, put_u32, put_u64, Reader};
+use greta_types::codec::{get_opt_u64, put_opt_u64, put_str, put_u32, put_u64, Reader};
 use greta_types::CodecError;
 
 /// One query's checkpointed state — the repeated part of the merge

@@ -15,7 +15,7 @@ use crate::EngineError;
 use crate::MemoryFootprint;
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use greta_types::codec::{put_u32, put_u64, Reader};
-use greta_types::{CodecError, Event};
+use greta_types::CodecError;
 use std::thread::JoinHandle;
 
 /// What a shard worker hands back when it ends — and, summed over the
@@ -258,20 +258,4 @@ fn worker_loop<N: TrendNum>(
         }
     }
     Ok(report)
-}
-
-/// Inline batch driver: the single-shard, zero-thread execution path that
-/// [`GretaEngine::run`] wraps. Processing an in-order batch through an
-/// engine and draining incrementally is exactly what one shard worker does.
-pub(crate) fn drive_batch<N: TrendNum>(
-    engine: &mut GretaEngine<N>,
-    events: &[Event],
-) -> Result<Vec<WindowResult<N>>, EngineError> {
-    let mut out = Vec::new();
-    for e in events {
-        engine.process_ref(&e.clone().into_ref())?;
-        out.extend(engine.poll_results());
-    }
-    out.extend(engine.finish());
-    Ok(out)
 }

@@ -2,9 +2,10 @@
 //! extended with negation §5.2, sliding windows §6 and selection semantics
 //! §9).
 //!
-//! An [`AltRuntime`] maintains one [`GraphStorage`] per graph of a compiled
-//! alternative (the positive root plus negative sub-patterns). Processing an
-//! event:
+//! What the query fixes is compiled **once per engine** into an
+//! [`EnginePlan`]; a [`Partition`] is only graph state — per alternative
+//! and graph (the positive root plus negative sub-patterns) one
+//! [`GraphStorage`] and one [`InvalidationLog`]. Processing an event:
 //!
 //! 1. offer it to every graph/state whose event type matches (Case-3
 //!    negation may drop it, Fig. 8(b));
@@ -21,51 +22,59 @@
 //!    finished trend (Example 5).
 
 use crate::agg::{AggLayout, AggState, TrendNum};
+use crate::grouping::PartitionKey;
 use crate::negation::{
     end_event_valid_at_close, insertion_dropped, needs_deferred_final, predecessor_valid, DepMode,
     Dependency, InvalidationLog,
 };
 use crate::semantics::Semantics;
 use crate::storage::{GraphStorage, Vertex, VertexId};
-use crate::window::{pane_length, windows_of, WindowId};
-use greta_query::compile::AltPlan;
+use crate::window::{last_window_of_pane, pane_length, windows_of, WindowId};
+use greta_query::compile::{AltPlan, GraphSpec};
 use greta_query::predicate::{CompiledExpr, EdgePredicate};
-use greta_query::{StateId, WindowSpec};
-use greta_types::{EventRef, Time};
+use greta_query::{CompiledQuery, StateId, WindowSpec};
+use greta_types::codec::{put_u32, put_u64};
+use greta_types::{AttrId, CodecError, EventRef, Reader, Time};
 
-/// Immutable per-event processing context.
-#[derive(Debug, Clone, Copy)]
-pub struct Ctx<'a> {
+/// Everything the runtime derives from the query and the engine
+/// configuration alone: built once per engine, passed down by reference.
+pub struct EnginePlan {
     /// Aggregate layout of the query.
-    pub layout: &'a AggLayout,
+    pub layout: AggLayout,
     /// The window specification.
     pub window: WindowSpec,
     /// Selection semantics.
     pub semantics: Semantics,
-    /// Whether Vertex-Tree range queries are used (ablation switch).
-    pub use_range_index: bool,
+    /// True when final aggregates must be computed at window close instead
+    /// of incrementally (trailing negation on some root graph, Case 2).
+    pub deferred_final: bool,
+    /// Length of a time pane, `gcd(within, slide)`.
+    pane_len: u64,
+    /// Per alternative, its graphs (index 0 is the positive root).
+    alts: Vec<Vec<GraphOps>>,
 }
 
-/// One graph's runtime state.
-struct GraphRuntime<N: TrendNum> {
-    storage: GraphStorage<N>,
-    /// Invalidations produced by this graph (non-empty only for negative
-    /// graphs that finished trends).
-    log: InvalidationLog,
-    /// Dependencies on child (negative) graphs.
-    deps: Vec<Dependency>,
-}
-
-/// Compiled per-state accessors of one graph, resolved once from the plan
-/// (no per-event name/hash lookups or predicate scans on the hot path):
-/// dispatch table from event type to candidate states, hoisted vertex and
-/// edge predicate lists, START/END flags, and the range-query predicate
-/// index per predecessor state.
+/// Compiled per-state accessors of one graph (no per-event name/hash
+/// lookups or predicate scans on the hot path): dispatch table from event
+/// type to candidate states, hoisted vertex and edge predicate lists,
+/// START/END flags, and the range-query predicate index per predecessor
+/// state.
 struct GraphOps {
+    /// Index of the graph within its alternative (0 is the positive root);
+    /// its storage and log sit at this index in every partition.
+    gi: usize,
     /// `TypeId.0` → indices into [`GraphOps::states`].
     dispatch: Vec<Box<[usize]>>,
     /// Per-state ops, in `state_types` order.
     states: Vec<StateOps>,
+    /// Dependencies on child (negative) graphs.
+    deps: Vec<Dependency>,
+    /// Sort attribute per state, dense by `StateId` (from the range-form
+    /// edge predicate whose previous state this is); `None` sorts by event
+    /// time. Its length is the number of trees per pane.
+    sort_attr: Vec<Option<AttrId>>,
+    /// The template's END state.
+    end: StateId,
 }
 
 /// Compiled accessors for one template state.
@@ -85,164 +94,321 @@ struct PredOps {
     p_state: StateId,
     eps: Vec<EdgePredicate>,
     /// Index into `eps` of the predicate the Vertex Tree answers as a
-    /// range query (honored only when `Ctx::use_range_index` is set).
+    /// range query; `None` for every pair when the engine was configured
+    /// with `use_range_index: false`.
     range_idx: Option<usize>,
 }
 
-/// Runtime of one compiled alternative within one partition.
-pub struct AltRuntime<N: TrendNum> {
-    graphs: Vec<GraphRuntime<N>>,
-    /// Compiled accessors, parallel to `graphs`.
-    ops: Vec<GraphOps>,
-    /// Vertices inserted (statistics).
-    pub vertices_inserted: u64,
-    /// Edges traversed, i.e. predecessor pairs merged (statistics; the
-    /// quadratic term of Theorem 8.1).
-    pub edges_traversed: u64,
+impl EnginePlan {
+    /// Compile `query` for an engine running under `semantics`, answering
+    /// range-form edge predicates from the Vertex Trees iff
+    /// `use_range_index`.
+    pub fn new(query: &CompiledQuery, semantics: Semantics, use_range_index: bool) -> EnginePlan {
+        let compile = |plan: &AltPlan| -> Vec<GraphOps> {
+            let ops = |spec| GraphOps::new(plan, spec, use_range_index);
+            plan.graphs.iter().map(ops).collect()
+        };
+        let alts: Vec<Vec<GraphOps>> = query.alternatives.iter().map(compile).collect();
+        EnginePlan {
+            layout: AggLayout::new(&query.aggregates),
+            window: query.window,
+            semantics,
+            deferred_final: alts
+                .iter()
+                .any(|graphs| needs_deferred_final(&graphs[0].deps)),
+            pane_len: pane_length(&query.window),
+            alts,
+        }
+    }
 }
 
-impl<N: TrendNum> AltRuntime<N> {
-    /// Set up runtime state for an alternative.
-    pub fn new(plan: &AltPlan, window: &WindowSpec) -> AltRuntime<N> {
-        let pane_len = pane_length(window);
-        let mut graphs = Vec::with_capacity(plan.graphs.len());
-        let mut ops = Vec::with_capacity(plan.graphs.len());
-        for spec in &plan.graphs {
-            let n_states = spec
+impl GraphOps {
+    fn new(plan: &AltPlan, spec: &GraphSpec, use_range_index: bool) -> GraphOps {
+        let n_states = spec
+            .template
+            .states
+            .iter()
+            .map(|s| s.occ.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
+        // Sort attribute per state: first range-form edge predicate
+        // using this state as the previous side.
+        let mut sort_attr: Vec<Option<AttrId>> = vec![None; n_states];
+        for s in &spec.template.states {
+            sort_attr[s.occ.0 as usize] = plan
+                .predicates
+                .edges
+                .iter()
+                .filter(|e| e.prev_state == s.occ)
+                .find_map(|e| e.range.as_ref().map(|r| r.prev_attr));
+        }
+        let mut states: Vec<StateOps> = Vec::with_capacity(spec.state_types.len());
+        let mut dispatch: Vec<Vec<usize>> = Vec::new();
+        for (sid, tid) in &spec.state_types {
+            let ti = tid.0 as usize;
+            if dispatch.len() <= ti {
+                dispatch.resize(ti + 1, Vec::new());
+            }
+            dispatch[ti].push(states.len());
+            let preds = spec
                 .template
-                .states
-                .iter()
-                .map(|s| s.occ.0 as usize + 1)
-                .max()
-                .unwrap_or(0);
-            // Sort attribute per state: first range-form edge predicate
-            // using this state as the previous side.
-            let mut sort_attr: Vec<Option<greta_types::AttrId>> = vec![None; n_states];
-            for s in &spec.template.states {
-                sort_attr[s.occ.0 as usize] = plan
-                    .predicates
-                    .edges
-                    .iter()
-                    .filter(|e| e.prev_state == s.occ)
-                    .find_map(|e| e.range.as_ref().map(|r| r.prev_attr));
-            }
-            let mut states: Vec<StateOps> = Vec::with_capacity(spec.state_types.len());
-            let mut dispatch: Vec<Vec<usize>> = Vec::new();
-            for (sid, tid) in &spec.state_types {
-                let ti = tid.0 as usize;
-                if dispatch.len() <= ti {
-                    dispatch.resize(ti + 1, Vec::new());
-                }
-                dispatch[ti].push(states.len());
-                let preds = spec
-                    .template
-                    .predecessors(*sid)
-                    .into_iter()
-                    .map(|p_state| {
-                        let eps: Vec<EdgePredicate> =
-                            plan.predicates.edge_preds(p_state, *sid).cloned().collect();
-                        let range_idx = eps.iter().position(|ep| {
-                            ep.range.as_ref().is_some_and(|r| {
-                                sort_attr.get(p_state.0 as usize).copied().flatten()
-                                    == Some(r.prev_attr)
-                            })
-                        });
-                        PredOps {
-                            p_state,
-                            eps,
-                            range_idx,
-                        }
-                    })
-                    .collect();
-                states.push(StateOps {
-                    state: *sid,
-                    is_start: spec.template.is_start(*sid),
-                    is_end: spec.template.is_end(*sid),
-                    vertex_preds: plan
-                        .predicates
-                        .vertex_preds(*sid)
-                        .map(|p| p.expr.clone())
-                        .collect(),
-                    preds,
-                });
-            }
-            let deps = plan
-                .graphs
-                .iter()
-                .filter(|g| g.parent == Some(spec.id))
-                .map(|g| Dependency {
-                    child: g.id,
-                    mode: DepMode::of(g),
+                .predecessors(*sid)
+                .into_iter()
+                .map(|p_state| {
+                    let eps: Vec<EdgePredicate> =
+                        plan.predicates.edge_preds(p_state, *sid).cloned().collect();
+                    let sorted_on = sort_attr[p_state.0 as usize].filter(|_| use_range_index);
+                    let range_idx = eps.iter().position(|ep| {
+                        let r = ep.range.as_ref();
+                        r.is_some_and(|r| sorted_on == Some(r.prev_attr))
+                    });
+                    PredOps {
+                        p_state,
+                        eps,
+                        range_idx,
+                    }
                 })
                 .collect();
-            graphs.push(GraphRuntime {
-                storage: GraphStorage::new(pane_len, sort_attr),
-                log: InvalidationLog::default(),
-                deps,
-            });
-            ops.push(GraphOps {
-                dispatch: dispatch.into_iter().map(Vec::into_boxed_slice).collect(),
-                states,
+            states.push(StateOps {
+                state: *sid,
+                is_start: spec.template.is_start(*sid),
+                is_end: spec.template.is_end(*sid),
+                vertex_preds: plan
+                    .predicates
+                    .vertex_preds(*sid)
+                    .map(|p| p.expr.clone())
+                    .collect(),
+                preds,
             });
         }
-        AltRuntime {
-            graphs,
-            ops,
-            vertices_inserted: 0,
-            edges_traversed: 0,
+        let deps = plan
+            .children_of(spec.id)
+            .map(|g| Dependency {
+                child: g.id,
+                mode: DepMode::of(g),
+            })
+            .collect();
+        GraphOps {
+            gi: spec.id.0 as usize,
+            dispatch: dispatch.into_iter().map(Vec::into_boxed_slice).collect(),
+            states,
+            deps,
+            sort_attr,
+            end: spec.template.end,
         }
     }
 
-    /// True when final aggregates must be computed at window close instead
-    /// of incrementally (trailing negation on the root, Case 2).
-    pub fn needs_deferred_final(&self) -> bool {
-        needs_deferred_final(&self.graphs[0].deps)
+    /// Vertex-Tree sort key of `e` at `state`.
+    fn sort_key(&self, state: StateId, e: &EventRef) -> f64 {
+        match self.sort_attr[state.0 as usize] {
+            Some(a) => e.attr(a).as_f64(),
+            None => e.time.ticks() as f64,
+        }
+    }
+}
+
+/// The graphs of one stream partition — per compiled alternative the
+/// storages, logs and counters of its graphs — plus the `GROUP-BY` prefix
+/// of the partition's key.
+pub struct Partition<N: TrendNum> {
+    /// The output group this partition's trends count towards.
+    pub group: PartitionKey,
+    alts: Vec<AltRuntime<N>>,
+}
+
+/// Graph state of one compiled alternative within one partition.
+struct AltRuntime<N: TrendNum> {
+    /// One storage per graph of the alternative.
+    storages: Vec<GraphStorage<N>>,
+    /// Invalidations produced by each graph (non-empty only for negative
+    /// graphs that finished trends), parallel to `storages`.
+    logs: Vec<InvalidationLog>,
+    /// Vertices inserted (statistics).
+    vertices_inserted: u64,
+    /// Edges traversed, i.e. predecessor pairs merged (statistics; the
+    /// quadratic term of Theorem 8.1).
+    edges_traversed: u64,
+}
+
+impl<N: TrendNum> Partition<N> {
+    /// An empty partition of output group `group`.
+    pub fn new(plan: &EnginePlan, group: PartitionKey) -> Partition<N> {
+        let alts = plan.alts.iter().map(|g| AltRuntime::new(g.len())).collect();
+        Partition { group, alts }
     }
 
-    /// Process one event. `event_seq` is the partition-local arrival index.
-    /// `on_root_end` is called once per window entry of every END vertex
-    /// inserted into the **root** graph (drives incremental final
-    /// aggregation, Algorithm 2 line 8).
+    /// Process one event. `event_seq` is the engine-wide arrival index;
+    /// `preds` is predecessor scratch the caller keeps across events (its
+    /// contents are ignored). `on_root_end` is called with the partition's
+    /// group once per window entry of every END vertex inserted into a
+    /// **root** graph (drives incremental final aggregation, Algorithm 2
+    /// line 8).
     // lint:hot-path
     pub fn process(
         &mut self,
-        ctx: &Ctx<'_>,
+        plan: &EnginePlan,
+        preds: &mut Vec<VertexId>,
         e: &EventRef,
         event_seq: u64,
-        mut on_root_end: impl FnMut(WindowId, &AggState<N>),
+        mut on_root_end: impl FnMut(&PartitionKey, WindowId, &AggState<N>),
     ) {
-        for gi in 0..self.graphs.len() {
-            self.process_graph(ctx, gi, e, event_seq, &mut on_root_end);
+        let group = &self.group;
+        for (alt, graphs) in self.alts.iter_mut().zip(&plan.alts) {
+            for ops in graphs {
+                alt.process_graph(plan, ops, preds, e, event_seq, &mut |w, st| {
+                    on_root_end(group, w, st)
+                });
+            }
+        }
+    }
+
+    /// Deferred final aggregation for Case-2 negation: per alternative,
+    /// the folded aggregates of all still-valid END vertices of the root
+    /// graph for window `wid` closing at `close_time`.
+    pub fn collect_final<'a>(
+        &'a self,
+        plan: &'a EnginePlan,
+        wid: WindowId,
+        close_time: Time,
+    ) -> impl Iterator<Item = AggState<N>> + 'a {
+        self.alts.iter().zip(&plan.alts).map(move |(alt, graphs)| {
+            let root = &graphs[0];
+            let mut acc = AggState::zero(&plan.layout);
+            alt.storages[0].visit_state(root.end, |_, v| {
+                if let Some(st) = v.agg(wid) {
+                    if end_event_valid_at_close(&root.deps, &alt.logs, v.event.time, close_time) {
+                        acc.merge(st);
+                    }
+                }
+            });
+            acc
+        })
+    }
+
+    /// Batch-delete, in all graphs, the panes whose last window is `closed`
+    /// or earlier.
+    pub fn purge_panes(&mut self, plan: &EnginePlan, closed: WindowId) {
+        let dead = |ps| last_window_of_pane(ps, plan.pane_len, &plan.window) <= closed;
+        for storage in self.alts.iter_mut().flat_map(|a| &mut a.storages) {
+            storage.purge_panes_while(dead);
+        }
+    }
+
+    /// Summed `(vertices inserted, edges traversed)` counters.
+    pub fn counters(&self) -> (u64, u64) {
+        self.alts.iter().fold((0, 0), |(v, e), a| {
+            (v + a.vertices_inserted, e + a.edges_traversed)
+        })
+    }
+
+    /// Approximate bytes of live state.
+    pub fn bytes(&self) -> usize {
+        let graphs = self
+            .alts
+            .iter()
+            .flat_map(|a| a.storages.iter().zip(&a.logs));
+        graphs.map(|(s, l)| s.bytes() + l.heap_size()).sum()
+    }
+
+    /// Append the binary encoding of the partition's state: per
+    /// alternative the statistics counters, each graph's invalidation log,
+    /// and every live vertex in pane order (durability snapshots). The
+    /// group is a projection of the partition key and is not written.
+    pub fn encode_state(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.alts.len() as u32);
+        for alt in &self.alts {
+            put_u64(out, alt.vertices_inserted);
+            put_u64(out, alt.edges_traversed);
+            put_u32(out, alt.storages.len() as u32);
+            for (storage, log) in alt.storages.iter().zip(&alt.logs) {
+                log.encode(out);
+                put_u32(out, storage.len() as u32);
+                for pane in storage.panes() {
+                    for id in pane.all_ids() {
+                        crate::state::encode_vertex(storage.store.get(id), out);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Rebuild a partition of `group` from state written by
+    /// [`encode_state`](Self::encode_state) under the same plan. Vertices
+    /// are re-inserted in pane order, reconstructing the pane/tree indexes
+    /// exactly.
+    pub fn decode_state(
+        plan: &EnginePlan,
+        group: PartitionKey,
+        r: &mut Reader<'_>,
+    ) -> Result<Partition<N>, CodecError> {
+        let mismatch = |what: &str, got: usize, want: usize| {
+            CodecError(format!(
+                "{what} count mismatch: snapshot has {got}, query has {want}"
+            ))
+        };
+        let n_alts = r.seq_len(16)?;
+        if n_alts != plan.alts.len() {
+            return Err(mismatch("alternative", n_alts, plan.alts.len()));
+        }
+        let mut part = Partition::new(plan, group);
+        for (alt, graphs) in part.alts.iter_mut().zip(&plan.alts) {
+            alt.vertices_inserted = r.u64()?;
+            alt.edges_traversed = r.u64()?;
+            let n = r.seq_len(8)?;
+            if n != graphs.len() {
+                return Err(mismatch("graph", n, graphs.len()));
+            }
+            for ops in graphs {
+                let gi = ops.gi;
+                alt.logs[gi] = InvalidationLog::decode(r)?;
+                let nv = r.seq_len(27)?;
+                for _ in 0..nv {
+                    let v = crate::state::decode_vertex(r)?;
+                    let n_states = ops.sort_attr.len();
+                    if v.state.0 as usize >= n_states {
+                        let s = v.state.0;
+                        return Err(CodecError(format!(
+                            "vertex state {s} out of range: the graph has {n_states}"
+                        )));
+                    }
+                    let key = ops.sort_key(v.state, &v.event);
+                    alt.storages[gi].insert(v, key, plan.pane_len, n_states);
+                }
+            }
+        }
+        Ok(part)
+    }
+}
+
+impl<N: TrendNum> AltRuntime<N> {
+    fn new(n_graphs: usize) -> AltRuntime<N> {
+        AltRuntime {
+            storages: (0..n_graphs).map(|_| GraphStorage::new()).collect(),
+            logs: vec![InvalidationLog::default(); n_graphs],
+            vertices_inserted: 0,
+            edges_traversed: 0,
         }
     }
 
     // lint:hot-path
     fn process_graph(
         &mut self,
-        ctx: &Ctx<'_>,
-        gi: usize,
+        plan: &EnginePlan,
+        ops: &GraphOps,
+        preds: &mut Vec<VertexId>,
         e: &EventRef,
         event_seq: u64,
         on_root_end: &mut impl FnMut(WindowId, &AggState<N>),
     ) {
+        let gi = ops.gi;
         // Compiled dispatch: event type → candidate states, one array index.
-        let ops = &self.ops[gi];
         let Some(state_idxs) = ops.dispatch.get(e.type_id.0 as usize) else {
             return;
         };
-        if state_idxs.is_empty() {
-            return;
-        }
-
         // Case-3 negation: drop events arriving strictly after the first
         // finished trend of a DropFollowing child (Fig. 8(b)).
-        {
-            let deps = &self.graphs[gi].deps;
-            let logs =
-                |g: greta_query::compile::GraphId| self.graphs.get(g.0 as usize).map(|gr| &gr.log);
-            if insertion_dropped(deps, logs, e.time) {
-                return;
-            }
+        if state_idxs.is_empty() || insertion_dropped(&ops.deps, &self.logs, e.time) {
+            return;
         }
 
         for &si in state_idxs.iter() {
@@ -256,44 +422,24 @@ impl<N: TrendNum> AltRuntime<N> {
             let is_end = so.is_end;
 
             // --- predecessor collection ------------------------------------
-            // lint:allow(hot-path): per-state scratch; hoisting it would alias the storage borrow taken inside visit_candidates
-            let mut preds: Vec<VertexId> = Vec::new();
-            let lo = Time(e.time.ticks().saturating_sub(ctx.window.within - 1));
+            preds.clear();
+            let lo = Time(e.time.ticks().saturating_sub(plan.window.within - 1));
+            let (storage, logs) = (&self.storages[gi], &self.logs);
             for po in &so.preds {
                 let p_state = po.p_state;
-                let eps = &po.eps;
                 // Range form answered by the Vertex Tree (if it sorts on
                 // the predicate's attribute; resolved at plan time).
-                let range_idx = if ctx.use_range_index {
-                    po.range_idx
-                } else {
-                    None
-                };
-                let range = range_idx.map(|i| eps[i].range.as_ref().unwrap().bound(e));
-
-                let (storage, deps, logs_src) = {
-                    let (before, rest) = self.graphs.split_at(gi);
-                    let (cur, after) = rest.split_first().unwrap();
-                    // Child graphs always have larger ids than the parent
-                    // (BFS flattening), so their logs live in `after`.
-                    let _ = before;
-                    (&cur.storage, &cur.deps, after)
-                };
-                let logs = |g: greta_query::compile::GraphId| {
-                    let idx = g.0 as usize;
-                    idx.checked_sub(gi + 1)
-                        .and_then(|i| logs_src.get(i))
-                        .map(|gr| &gr.log)
-                };
+                let range_idx = po.range_idx;
+                let range = range_idx.map(|i| po.eps[i].range.as_ref().unwrap().bound(e));
 
                 let mut best: Option<(u64, VertexId)> = None; // skip-till-next
-                storage.visit_candidates(p_state, lo, e.time, range, |id, v| {
+                storage.visit_candidates(p_state, lo, e.time, plan.pane_len, range, |id, v| {
                     // Definition-5 invalidation.
-                    if !predecessor_valid(deps, logs, p_state, state, v.event.time, e.time) {
+                    if !predecessor_valid(&ops.deps, logs, p_state, state, v.event.time, e.time) {
                         return;
                     }
                     // Residual edge predicates (the range one is exact).
-                    for (i, ep) in eps.iter().enumerate() {
+                    for (i, ep) in po.eps.iter().enumerate() {
                         if Some(i) == range_idx {
                             continue;
                         }
@@ -301,7 +447,7 @@ impl<N: TrendNum> AltRuntime<N> {
                             return;
                         }
                     }
-                    match ctx.semantics {
+                    match plan.semantics {
                         Semantics::SkipTillAny => preds.push(id),
                         Semantics::Contiguous => {
                             if v.seq + 1 == event_seq {
@@ -328,25 +474,22 @@ impl<N: TrendNum> AltRuntime<N> {
             // --- aggregate propagation (Theorem 9.1) ------------------------
             // lint:allow(hot-path): these aggregates ARE the new vertex's owned state — the allocation is the data structure, not a copy
             let mut aggs: Vec<(WindowId, AggState<N>)> = Vec::new();
-            for w in windows_of(e.time, &ctx.window) {
-                aggs.push((w, AggState::zero(ctx.layout)));
+            for w in windows_of(e.time, &plan.window) {
+                aggs.push((w, AggState::zero(&plan.layout)));
             }
             let mut latest_start = if is_start { e.time } else { Time::ZERO };
-            {
-                let storage = &self.graphs[gi].storage;
-                for pid in &preds {
-                    let pv = storage.store.get(*pid);
-                    latest_start = latest_start.max(pv.latest_start);
-                    for (w, st) in aggs.iter_mut() {
-                        if let Some(ps) = pv.agg(*w) {
-                            st.merge(ps);
-                        }
+            for pid in preds.iter() {
+                let pv = storage.store.get(*pid);
+                latest_start = latest_start.max(pv.latest_start);
+                for (w, st) in aggs.iter_mut() {
+                    if let Some(ps) = pv.agg(*w) {
+                        st.merge(ps);
                     }
                 }
             }
             self.edges_traversed += preds.len() as u64;
             for (_, st) in aggs.iter_mut() {
-                st.apply_own(e, is_start, ctx.layout);
+                st.apply_own(e, is_start, &plan.layout);
             }
 
             let vertex = Vertex {
@@ -363,121 +506,17 @@ impl<N: TrendNum> AltRuntime<N> {
                     on_root_end(*w, st);
                 }
             }
-            let finished_negative = is_end && gi != 0;
-            self.graphs[gi].storage.insert(vertex);
+            let key = ops.sort_key(state, e);
+            self.storages[gi].insert(vertex, key, plan.pane_len, ops.sort_attr.len());
             self.vertices_inserted += 1;
 
-            if finished_negative {
+            if is_end && gi != 0 {
                 // A negative trend finished: record the invalidation and
                 // prune the dominated prefix (Example 5, Theorem 5.1).
-                self.graphs[gi].log.push(e.time, latest_start);
-                self.graphs[gi].storage.purge_vertices_up_to(latest_start);
+                self.logs[gi].push(e.time, latest_start);
+                self.storages[gi].purge_vertices_up_to(latest_start);
             }
         }
-    }
-
-    /// Deferred final aggregation for Case-2 negation: fold the aggregates
-    /// of all still-valid END vertices of the root graph for window `wid`
-    /// closing at `close_time`.
-    pub fn collect_final(
-        &self,
-        plan: &AltPlan,
-        layout: &AggLayout,
-        wid: WindowId,
-        close_time: Time,
-    ) -> AggState<N> {
-        let spec = &plan.graphs[0];
-        let deps = &self.graphs[0].deps;
-        let logs =
-            |g: greta_query::compile::GraphId| self.graphs.get(g.0 as usize).map(|gr| &gr.log);
-        let mut acc = AggState::zero(layout);
-        self.graphs[0]
-            .storage
-            .visit_state(spec.template.end, |_, v| {
-                if let Some(st) = v.agg(wid) {
-                    if end_event_valid_at_close(deps, logs, v.event.time, close_time) {
-                        acc.merge(st);
-                    }
-                }
-            });
-        acc
-    }
-
-    /// Batch-delete panes that ended before `deadline` in all graphs.
-    pub fn purge_panes_before(&mut self, deadline: Time) -> usize {
-        self.graphs
-            .iter_mut()
-            .map(|g| g.storage.purge_panes_before(deadline))
-            .sum()
-    }
-
-    /// Live vertices across all graphs.
-    pub fn len(&self) -> usize {
-        self.graphs.iter().map(|g| g.storage.len()).sum()
-    }
-
-    /// True when no vertices are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Approximate bytes of live state.
-    pub fn bytes(&self) -> usize {
-        self.graphs
-            .iter()
-            .map(|g| g.storage.bytes() + g.log.heap_size())
-            .sum()
-    }
-
-    /// Append the binary encoding of the mutable runtime state: statistics
-    /// counters, each graph's invalidation log, and every live vertex in
-    /// pane order (durability snapshots). The immutable plan-derived parts
-    /// (state indexes, sort attributes, dependencies) are rebuilt from the
-    /// query on [`decode_state`](Self::decode_state).
-    pub fn encode_state(&self, out: &mut Vec<u8>) {
-        use greta_types::codec::{put_u32, put_u64};
-        put_u64(out, self.vertices_inserted);
-        put_u64(out, self.edges_traversed);
-        put_u32(out, self.graphs.len() as u32);
-        for g in &self.graphs {
-            g.log.encode(out);
-            put_u32(out, g.storage.len() as u32);
-            for pane in g.storage.panes() {
-                for id in pane.all_ids() {
-                    crate::state::encode_vertex(g.storage.store.get(id), out);
-                }
-            }
-        }
-    }
-
-    /// Rebuild a runtime from `plan`/`window` and state written by
-    /// [`encode_state`](Self::encode_state). Vertices are re-inserted in
-    /// pane order, reconstructing the pane/tree indexes exactly.
-    pub fn decode_state(
-        plan: &AltPlan,
-        window: &WindowSpec,
-        r: &mut greta_types::Reader<'_>,
-    ) -> Result<AltRuntime<N>, greta_types::CodecError> {
-        use greta_types::CodecError;
-        let mut rt = AltRuntime::new(plan, window);
-        rt.vertices_inserted = r.u64()?;
-        rt.edges_traversed = r.u64()?;
-        let n = r.seq_len(8)?;
-        if n != rt.graphs.len() {
-            return Err(CodecError(format!(
-                "graph count mismatch: snapshot has {n}, plan has {}",
-                rt.graphs.len()
-            )));
-        }
-        for g in &mut rt.graphs {
-            g.log = crate::negation::InvalidationLog::decode(r)?;
-            let nv = r.seq_len(27)?;
-            for _ in 0..nv {
-                let v = crate::state::decode_vertex(r)?;
-                g.storage.insert(v);
-            }
-        }
-        Ok(rt)
     }
 }
 
@@ -502,15 +541,8 @@ mod tests {
 
     fn run_count(pattern: &str, events: &[(&str, u64)]) -> f64 {
         let (reg, q) = setup(pattern);
-        let layout = AggLayout::new(&q.aggregates);
-        let plan = &q.alternatives[0];
-        let mut rt = AltRuntime::<f64>::new(plan, &q.window);
-        let ctx = Ctx {
-            layout: &layout,
-            window: q.window,
-            semantics: Semantics::SkipTillAny,
-            use_range_index: true,
-        };
+        let plan = EnginePlan::new(&q, Semantics::SkipTillAny, true);
+        let mut rt = Partition::<f64>::new(&plan, PartitionKey::default());
         let mut total = 0.0;
         for (seq, (ty, t)) in events.iter().enumerate() {
             let e = EventBuilder::new(&reg, ty)
@@ -518,7 +550,9 @@ mod tests {
                 .at(Time(*t))
                 .build()
                 .into_ref();
-            rt.process(&ctx, &e, seq as u64 + 1, |_w, st| total += st.count);
+            rt.process(&plan, &mut Vec::new(), &e, seq as u64 + 1, |_, _, st| {
+                total += st.count
+            });
         }
         total
     }
@@ -634,15 +668,8 @@ mod tests {
     #[test]
     fn contiguous_semantics_counts_runs() {
         let (reg, q) = setup("A+");
-        let layout = AggLayout::new(&q.aggregates);
-        let plan = &q.alternatives[0];
-        let mut rt = AltRuntime::<f64>::new(plan, &q.window);
-        let ctx = Ctx {
-            layout: &layout,
-            window: q.window,
-            semantics: Semantics::Contiguous,
-            use_range_index: true,
-        };
+        let plan = EnginePlan::new(&q, Semantics::Contiguous, true);
+        let mut rt = Partition::<f64>::new(&plan, PartitionKey::default());
         let mut total = 0.0;
         for (seq, t) in [1u64, 2, 3].iter().enumerate() {
             let e = EventBuilder::new(&reg, "A")
@@ -650,7 +677,9 @@ mod tests {
                 .at(Time(*t))
                 .build()
                 .into_ref();
-            rt.process(&ctx, &e, seq as u64 + 1, |_w, st| total += st.count);
+            rt.process(&plan, &mut Vec::new(), &e, seq as u64 + 1, |_, _, st| {
+                total += st.count
+            });
         }
         // Contiguous trends of a1 a2 a3: (a1),(a2),(a3),(a1a2),(a2a3),(a1a2a3) = 6
         assert_eq!(total, 6.0);
@@ -659,15 +688,8 @@ mod tests {
     #[test]
     fn skip_till_next_is_polynomial() {
         let (reg, q) = setup("A+");
-        let layout = AggLayout::new(&q.aggregates);
-        let plan = &q.alternatives[0];
-        let mut rt = AltRuntime::<f64>::new(plan, &q.window);
-        let ctx = Ctx {
-            layout: &layout,
-            window: q.window,
-            semantics: Semantics::SkipTillNext,
-            use_range_index: true,
-        };
+        let plan = EnginePlan::new(&q, Semantics::SkipTillNext, true);
+        let mut rt = Partition::<f64>::new(&plan, PartitionKey::default());
         let mut total = 0.0;
         for (seq, t) in (1u64..=10).enumerate() {
             let e = EventBuilder::new(&reg, "A")
@@ -675,35 +697,59 @@ mod tests {
                 .at(Time(t))
                 .build()
                 .into_ref();
-            rt.process(&ctx, &e, seq as u64 + 1, |_w, st| total += st.count);
+            rt.process(&plan, &mut Vec::new(), &e, seq as u64 + 1, |_, _, st| {
+                total += st.count
+            });
         }
         // Each event links only to its immediate predecessor: runs = n(n+1)/2.
         assert_eq!(total, 55.0);
     }
 
     #[test]
+    fn decode_refuses_a_vertex_state_the_plan_does_not_have() {
+        // `SEQ(A, B)` has two states, `A+` one: a blob written under the
+        // first must be refused under the second, not index past its
+        // per-pane trees.
+        let (reg, q) = setup("SEQ(A, B)");
+        let plan = EnginePlan::new(&q, Semantics::SkipTillAny, true);
+        let mut part = Partition::<f64>::new(&plan, PartitionKey::default());
+        for (seq, (ty, t)) in [("A", 1), ("B", 2)].into_iter().enumerate() {
+            let e = EventBuilder::new(&reg, ty).unwrap().at(Time(t)).build();
+            part.process(
+                &plan,
+                &mut Vec::new(),
+                &e.into_ref(),
+                seq as u64 + 1,
+                |_, _, _| {},
+            );
+        }
+        let mut blob = Vec::new();
+        part.encode_state(&mut blob);
+        let decode = |q: &CompiledQuery| {
+            let plan = EnginePlan::new(q, Semantics::SkipTillAny, true);
+            let r = &mut Reader::new(&blob);
+            Partition::<f64>::decode_state(&plan, PartitionKey::default(), r).map(|p| p.counters())
+        };
+        assert_eq!(decode(&q), Ok((2, 1)));
+        let err = decode(&setup("A+").1).unwrap_err();
+        assert!(err.0.contains("vertex state 1 out of range"), "{err:?}");
+    }
+
+    #[test]
     fn stats_track_vertices_and_edges() {
         let (reg, q) = setup("A+");
-        let layout = AggLayout::new(&q.aggregates);
-        let plan = &q.alternatives[0];
-        let mut rt = AltRuntime::<f64>::new(plan, &q.window);
-        let ctx = Ctx {
-            layout: &layout,
-            window: q.window,
-            semantics: Semantics::SkipTillAny,
-            use_range_index: true,
-        };
+        let plan = EnginePlan::new(&q, Semantics::SkipTillAny, true);
+        let mut rt = Partition::<f64>::new(&plan, PartitionKey::default());
         for (seq, t) in (1u64..=4).enumerate() {
             let e = EventBuilder::new(&reg, "A")
                 .unwrap()
                 .at(Time(t))
                 .build()
                 .into_ref();
-            rt.process(&ctx, &e, seq as u64 + 1, |_, _| {});
+            rt.process(&plan, &mut Vec::new(), &e, seq as u64 + 1, |_, _, _| {});
         }
-        assert_eq!(rt.vertices_inserted, 4);
-        assert_eq!(rt.edges_traversed, 1 + 2 + 3);
-        assert_eq!(rt.len(), 4);
+        assert_eq!(rt.counters(), (4, 1 + 2 + 3));
+        assert_eq!(rt.alts[0].storages[0].len(), 4);
         assert!(rt.bytes() > 0);
     }
 }

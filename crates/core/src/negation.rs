@@ -95,7 +95,7 @@ impl InvalidationLog {
             put_u64(out, end.ticks());
             put_u64(out, pmax.ticks());
         }
-        crate::state::put_opt_u64(out, self.first_end.map(Time::ticks));
+        greta_types::codec::put_opt_u64(out, self.first_end.map(Time::ticks));
     }
 
     /// Decode a log written by [`encode`](Self::encode).
@@ -107,7 +107,7 @@ impl InvalidationLog {
         for _ in 0..n {
             entries.push((Time(r.u64()?), Time(r.u64()?)));
         }
-        let first_end = crate::state::get_opt_u64(r)?.map(Time);
+        let first_end = greta_types::codec::get_opt_u64(r)?.map(Time);
         Ok(InvalidationLog { entries, first_end })
     }
 }
@@ -156,12 +156,17 @@ pub struct Dependency {
     pub mode: DepMode,
 }
 
+/// The log of child graph `g` among an alternative's per-graph `logs`.
+fn log_of(logs: &[InvalidationLog], g: GraphId) -> Option<&InvalidationLog> {
+    logs.get(g.0 as usize)
+}
+
 /// Decide whether a candidate predecessor is valid for a connection
 /// `prev_state → next_state` happening at time `now`, given the dependency
-/// list and an accessor for child logs.
-pub fn predecessor_valid<'a>(
+/// list and the alternative's logs (one per graph, indexed by graph id).
+pub fn predecessor_valid(
     deps: &[Dependency],
-    logs: impl Fn(GraphId) -> Option<&'a InvalidationLog>,
+    logs: &[InvalidationLog],
     prev_state: StateId,
     next_state: StateId,
     pred_time: Time,
@@ -179,7 +184,7 @@ pub fn predecessor_valid<'a>(
         if !applies {
             continue;
         }
-        if let Some(log) = logs(d.child) {
+        if let Some(log) = log_of(logs, d.child) {
             if let Some(thr) = log.threshold_before(now) {
                 if pred_time < thr {
                     return false;
@@ -192,9 +197,9 @@ pub fn predecessor_valid<'a>(
 
 /// Decide whether an END vertex still contributes to the final aggregate of
 /// a window closing at `close_time` (Case 2 exclusion).
-pub fn end_event_valid_at_close<'a>(
+pub fn end_event_valid_at_close(
     deps: &[Dependency],
-    logs: impl Fn(GraphId) -> Option<&'a InvalidationLog>,
+    logs: &[InvalidationLog],
     vertex_time: Time,
     close_time: Time,
 ) -> bool {
@@ -202,7 +207,7 @@ pub fn end_event_valid_at_close<'a>(
         if d.mode != DepMode::InvalidatePrevious {
             continue;
         }
-        if let Some(log) = logs(d.child) {
+        if let Some(log) = log_of(logs, d.child) {
             if let Some(thr) = log.threshold_before(close_time) {
                 if vertex_time < thr {
                     return false;
@@ -215,14 +220,10 @@ pub fn end_event_valid_at_close<'a>(
 
 /// Decide whether a new event offered to the parent graph at `t` must be
 /// dropped (Case 3).
-pub fn insertion_dropped<'a>(
-    deps: &[Dependency],
-    logs: impl Fn(GraphId) -> Option<&'a InvalidationLog>,
-    t: Time,
-) -> bool {
+pub fn insertion_dropped(deps: &[Dependency], logs: &[InvalidationLog], t: Time) -> bool {
     deps.iter().any(|d| {
         d.mode == DepMode::DropFollowing
-            && logs(d.child)
+            && log_of(logs, d.child)
                 .and_then(InvalidationLog::first_end)
                 .is_some_and(|end| t > end)
     })
@@ -302,7 +303,7 @@ mod tests {
                 following: StateId(1),
             },
         }];
-        let logs = |g: GraphId| if g == GraphId(1) { Some(&log) } else { None };
+        let logs = &[InvalidationLog::default(), log];
         // Connection A(0)→B(1) at t=7: preds before time 5 invalid.
         assert!(!predecessor_valid(
             &deps,
@@ -348,7 +349,7 @@ mod tests {
             child: GraphId(1),
             mode: DepMode::InvalidatePrevious,
         }];
-        let logs = |g: GraphId| if g == GraphId(1) { Some(&log) } else { None };
+        let logs = &[InvalidationLog::default(), log];
         assert!(!end_event_valid_at_close(&deps2, logs, Time(1), Time(10)));
         assert!(end_event_valid_at_close(&deps2, logs, Time(3), Time(10)));
         assert!(needs_deferred_final(&deps2));

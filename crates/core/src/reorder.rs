@@ -118,7 +118,7 @@ impl ReorderBuffer {
     /// release order (durability snapshots). The slack is configuration
     /// and is supplied again on [`import_state`](Self::import_state).
     pub fn export_state(&self, out: &mut Vec<u8>) {
-        crate::state::put_opt_u64(out, self.released.map(Time::ticks));
+        greta_types::codec::put_opt_u64(out, self.released.map(Time::ticks));
         greta_types::codec::put_u64(out, self.late);
         let n: usize = self.pending.values().map(Vec::len).sum();
         greta_types::codec::put_u32(out, n as u32);
@@ -135,7 +135,7 @@ impl ReorderBuffer {
         slack: u64,
         r: &mut greta_types::Reader<'_>,
     ) -> Result<ReorderBuffer, greta_types::CodecError> {
-        let released = crate::state::get_opt_u64(r)?.map(Time);
+        let released = greta_types::codec::get_opt_u64(r)?.map(Time);
         let late = r.u64()?;
         let n = r.seq_len(11)?;
         let mut pending: BTreeMap<Time, Vec<EventRef>> = BTreeMap::new();

@@ -17,26 +17,6 @@ use greta_query::StateId;
 use greta_types::codec::{put_u16, put_u32, put_u64, Reader};
 use greta_types::{CodecError, Event, EventRef, Time, Value};
 
-/// Append an `Option<u64>` (presence byte + value).
-pub(crate) fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => out.push(0),
-        Some(x) => {
-            out.push(1);
-            put_u64(out, x);
-        }
-    }
-}
-
-/// Decode an `Option<u64>` written by [`put_opt_u64`].
-pub(crate) fn get_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, CodecError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.u64()?)),
-        t => Err(CodecError(format!("bad Option tag {t}"))),
-    }
-}
-
 /// Append a partition key (`None` marks a sub-key hole).
 pub(crate) fn encode_key(k: &PartitionKey, out: &mut Vec<u8>) {
     put_u32(out, k.0.len() as u32);

@@ -14,10 +14,10 @@
 //! newer event's aggregate is computed (paper §7).
 
 use crate::agg::{AggState, TrendNum};
-use crate::window::WindowId;
+use crate::window::{pane_start, WindowId};
 use greta_query::ast::CmpOp;
 use greta_query::StateId;
-use greta_types::{shared_heap_size, AttrId, EventRef, Time};
+use greta_types::{shared_heap_size, EventRef, Time};
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Bound;
 
@@ -234,75 +234,47 @@ impl Pane {
 }
 
 /// Pane-partitioned, state-indexed vertex storage for one GRETA graph.
-#[derive(Debug)]
+///
+/// Holds graph state only. What the query fixes — the pane length, the
+/// number of template states and each state's sort attribute — lives in
+/// the engine's plan and is handed to the calls that need it.
+#[derive(Debug, Default)]
 pub struct GraphStorage<N: TrendNum> {
     /// Vertex slab.
     pub store: VertexStore<N>,
     panes: VecDeque<Pane>,
-    pane_len: u64,
-    /// Sort attribute per state, dense by `StateId` (from the range-form
-    /// edge predicate whose previous state this is); `None` sorts by event
-    /// time. Also fixes the number of per-pane trees.
-    sort_attr: Vec<Option<AttrId>>,
 }
 
 impl<N: TrendNum> GraphStorage<N> {
-    /// New storage with the given pane length and per-state sort attributes
-    /// (`sort_attr[state.0]`; its length is the template's state count).
-    pub fn new(pane_len: u64, sort_attr: Vec<Option<AttrId>>) -> Self {
+    /// Empty storage.
+    pub fn new() -> Self {
         GraphStorage {
             store: VertexStore::new(),
             panes: VecDeque::new(),
-            pane_len: pane_len.max(1),
-            sort_attr,
         }
     }
 
-    fn sort_key(&self, state: StateId, e: &EventRef) -> f64 {
-        match self.sort_attr.get(state.0 as usize).copied().flatten() {
-            Some(a) => e.attr(a).as_f64(),
-            None => e.time.ticks() as f64,
-        }
-    }
-
-    /// Number of template states (trees per pane).
-    fn n_states(&self) -> usize {
-        self.sort_attr.len()
-    }
-
-    /// True when range queries on `state` use the given attribute.
-    pub fn indexes_attr(&self, state: StateId, attr: AttrId) -> bool {
-        self.sort_attr.get(state.0 as usize).copied().flatten() == Some(attr)
-    }
-
-    /// Insert a vertex; returns its id.
-    pub fn insert(&mut self, v: Vertex<N>) -> VertexId {
+    /// Insert a vertex under `key`, its state's sort key (the attribute of
+    /// that state's range-form edge predicate, else the event time), into
+    /// the pane of length `pane_len` its time falls in; a new pane gets one
+    /// tree per template state (`n_states`). Returns the vertex id.
+    pub fn insert(&mut self, v: Vertex<N>, key: f64, pane_len: u64, n_states: usize) -> VertexId {
         let t = v.event.time;
-        let state = v.state;
-        let key = self.sort_key(state, &v.event);
+        let state = v.state.0 as usize;
         let seq = v.seq;
         let id = self.store.insert(v);
-        let ps = Time(t.ticks() / self.pane_len * self.pane_len);
+        let ps = pane_start(t, pane_len);
         // In-order arrival: the pane is the last one or a new one.
-        let need_new = match self.panes.back() {
-            Some(p) => p.start < ps,
-            None => true,
-        };
-        if need_new {
-            let n = self.n_states().max(state.0 as usize + 1);
-            self.panes.push_back(Pane::new(ps, n));
+        if self.panes.back().is_none_or(|p| p.start < ps) {
+            self.panes.push_back(Pane::new(ps, n_states));
         }
         let pane = self
             .panes
             .iter_mut()
             .rev()
-            .find(|p| p.start <= t && t.ticks() < p.start.ticks() + self.pane_len)
+            .find(|p| p.start <= t && t.ticks() < p.start.ticks() + pane_len)
             .expect("pane exists for in-order insert");
-        if pane.trees.len() <= state.0 as usize {
-            pane.trees
-                .resize_with(state.0 as usize + 1, StateTree::default);
-        }
-        pane.trees[state.0 as usize].insert(key, seq, id);
+        pane.trees[state].insert(key, seq, id);
         pane.entries += 1;
         id
     }
@@ -315,6 +287,7 @@ impl<N: TrendNum> GraphStorage<N> {
         state: StateId,
         lo: Time,
         hi: Time,
+        pane_len: u64,
         range: Option<(CmpOp, f64)>,
         mut f: impl FnMut(VertexId, &Vertex<N>),
     ) {
@@ -323,7 +296,7 @@ impl<N: TrendNum> GraphStorage<N> {
                 break;
             }
             // Skip panes entirely before lo (latest pane time = start+len-1).
-            if pane.start.ticks() + self.pane_len <= lo.ticks() {
+            if pane.start.ticks() + pane_len <= lo.ticks() {
                 continue;
             }
             if let Some(tree) = pane.trees.get(state.0 as usize) {
@@ -346,19 +319,15 @@ impl<N: TrendNum> GraphStorage<N> {
         }
     }
 
-    /// Batch-delete panes whose start is before `deadline` (their last
-    /// window closed). Returns the number of vertices purged.
-    pub fn purge_panes_before(&mut self, deadline: Time) -> usize {
+    /// Batch-delete the oldest panes while `dead(pane start)` holds (their
+    /// last window closed). Returns the number of vertices purged.
+    pub fn purge_panes_while(&mut self, dead: impl Fn(Time) -> bool) -> usize {
         let mut purged = 0;
-        while let Some(front) = self.panes.front() {
-            if front.start.ticks() + self.pane_len <= deadline.ticks() {
-                let pane = self.panes.pop_front().unwrap();
-                for id in pane.all_ids() {
-                    self.store.remove(id);
-                    purged += 1;
-                }
-            } else {
-                break;
+        while self.panes.front().is_some_and(|p| dead(p.start)) {
+            let pane = self.panes.pop_front().expect("front pane checked above");
+            for id in pane.all_ids() {
+                self.store.remove(id);
+                purged += 1;
             }
         }
         purged
@@ -419,7 +388,7 @@ impl<N: TrendNum> GraphStorage<N> {
 mod tests {
     use super::*;
     use crate::agg::AggLayout;
-    use greta_types::{Event, TypeId, Value};
+    use greta_types::{AttrId, Event, TypeId, Value};
 
     fn vertex(t: u64, attr: f64, state: u16, seq: u64) -> Vertex<f64> {
         let layout = AggLayout::default();
@@ -432,20 +401,31 @@ mod tests {
         }
     }
 
-    fn storage_by_attr() -> GraphStorage<f64> {
-        GraphStorage::new(5, vec![Some(AttrId(0))])
+    /// Insert into 5-tick panes of two states, sorted by event time — or
+    /// by attribute 0 when `by_attr` (the plan's job in the engine).
+    fn ins(s: &mut GraphStorage<f64>, v: Vertex<f64>, by_attr: bool) {
+        let key = if by_attr {
+            v.event.attr(AttrId(0)).as_f64()
+        } else {
+            v.event.time.ticks() as f64
+        };
+        s.insert(v, key, 5, 2);
+    }
+
+    fn purge_before(s: &mut GraphStorage<f64>, deadline: u64) -> usize {
+        s.purge_panes_while(|ps| ps.ticks() + 5 <= deadline)
     }
 
     #[test]
     fn insert_and_candidates_time_bounds() {
-        let mut s = GraphStorage::new(5, Vec::new());
+        let mut s = GraphStorage::new();
         for t in [1, 3, 7, 12] {
-            s.insert(vertex(t, 0.0, 0, t));
+            ins(&mut s, vertex(t, 0.0, 0, t), false);
         }
         assert_eq!(s.len(), 4);
         assert_eq!(s.panes().count(), 3); // panes [0,5) [5,10) [10,15)
         let mut seen = Vec::new();
-        s.visit_candidates(StateId(0), Time(2), Time(12), None, |_, v| {
+        s.visit_candidates(StateId(0), Time(2), Time(12), 5, None, |_, v| {
             seen.push(v.event.time.ticks())
         });
         seen.sort_unstable();
@@ -454,13 +434,13 @@ mod tests {
 
     #[test]
     fn range_queries_on_sort_attr() {
-        let mut s = storage_by_attr();
+        let mut s = GraphStorage::new();
         for (t, a) in [(1, 10.0), (2, 8.0), (3, 6.0), (4, 9.0)] {
-            s.insert(vertex(t, a, 0, t));
+            ins(&mut s, vertex(t, a, 0, t), true);
         }
         let collect = |op, b| {
             let mut v = Vec::new();
-            s.visit_candidates(StateId(0), Time(0), Time(100), Some((op, b)), |_, x| {
+            s.visit_candidates(StateId(0), Time(0), Time(100), 5, Some((op, b)), |_, x| {
                 v.push(x.event.attr(AttrId(0)).as_f64())
             });
             v.sort_by(f64::total_cmp);
@@ -477,23 +457,23 @@ mod tests {
 
     #[test]
     fn state_separation() {
-        let mut s = GraphStorage::new(10, Vec::new());
-        s.insert(vertex(1, 0.0, 0, 1));
-        s.insert(vertex(2, 0.0, 1, 2));
+        let mut s = GraphStorage::new();
+        ins(&mut s, vertex(1, 0.0, 0, 1), false);
+        ins(&mut s, vertex(2, 0.0, 1, 2), false);
         let mut n0 = 0;
-        s.visit_candidates(StateId(0), Time(0), Time(10), None, |_, _| n0 += 1);
+        s.visit_candidates(StateId(0), Time(0), Time(10), 5, None, |_, _| n0 += 1);
         let mut n1 = 0;
-        s.visit_candidates(StateId(1), Time(0), Time(10), None, |_, _| n1 += 1);
+        s.visit_candidates(StateId(1), Time(0), Time(10), 5, None, |_, _| n1 += 1);
         assert_eq!((n0, n1), (1, 1));
     }
 
     #[test]
     fn pane_purge_batch_deletes() {
-        let mut s = GraphStorage::new(5, Vec::new());
+        let mut s = GraphStorage::new();
         for t in [1, 3, 7, 12] {
-            s.insert(vertex(t, 0.0, 0, t));
+            ins(&mut s, vertex(t, 0.0, 0, t), false);
         }
-        let purged = s.purge_panes_before(Time(10)); // panes [0,5) and [5,10)
+        let purged = purge_before(&mut s, 10); // panes [0,5) and [5,10)
         assert_eq!(purged, 3);
         assert_eq!(s.len(), 1);
         let mut seen = Vec::new();
@@ -503,9 +483,9 @@ mod tests {
 
     #[test]
     fn vertex_purge_up_to_cutoff() {
-        let mut s = GraphStorage::new(5, Vec::new());
+        let mut s = GraphStorage::new();
         for t in [1, 3, 7] {
-            s.insert(vertex(t, 0.0, 0, t));
+            ins(&mut s, vertex(t, 0.0, 0, t), false);
         }
         let purged = s.purge_vertices_up_to(Time(3));
         assert_eq!(purged, 2);
@@ -514,12 +494,12 @@ mod tests {
 
     #[test]
     fn bytes_accounting_shrinks_on_purge() {
-        let mut s = GraphStorage::new(5, Vec::new());
+        let mut s = GraphStorage::new();
         for t in [1, 2, 3, 8] {
-            s.insert(vertex(t, 0.0, 0, t));
+            ins(&mut s, vertex(t, 0.0, 0, t), false);
         }
         let before = s.bytes();
-        s.purge_panes_before(Time(5));
+        purge_before(&mut s, 5);
         assert!(s.bytes() < before);
     }
 
@@ -550,14 +530,14 @@ mod tests {
             ) {
                 let mut sorted = inserts.clone();
                 sorted.sort_by_key(|(t, _)| *t); // in-order arrival
-                let mut st = storage_by_attr();
+                let mut st = GraphStorage::new();
                 for (seq, (t, a)) in sorted.iter().enumerate() {
-                    st.insert(vertex(*t, *a as f64, 0, seq as u64));
+                    ins(&mut st, vertex(*t, *a as f64, 0, seq as u64), true);
                 }
                 let ops = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
                 let op = ops[op_idx];
                 let mut got: Vec<(u64, f64)> = Vec::new();
-                st.visit_candidates(StateId(0), Time(lo), Time(hi), Some((op, bound as f64)), |_, v| {
+                st.visit_candidates(StateId(0), Time(lo), Time(hi), 5, Some((op, bound as f64)), |_, v| {
                     got.push((v.event.time.ticks(), v.event.attr(AttrId(0)).as_f64()));
                 });
                 // Ne is answered by a full visit (the caller filters), so
@@ -583,11 +563,11 @@ mod tests {
             ) {
                 let mut sorted = times.clone();
                 sorted.sort_unstable();
-                let mut st = GraphStorage::<f64>::new(5, Vec::new());
+                let mut st = GraphStorage::<f64>::new();
                 for (seq, t) in sorted.iter().enumerate() {
-                    st.insert(vertex(*t, 0.0, 0, seq as u64));
+                    ins(&mut st, vertex(*t, 0.0, 0, seq as u64), false);
                 }
-                st.purge_panes_before(Time(deadline));
+                purge_before(&mut st, deadline);
                 let mut remaining = Vec::new();
                 st.visit_state(StateId(0), |_, v| remaining.push(v.event.time.ticks()));
                 remaining.sort_unstable();

@@ -13,9 +13,10 @@
 //! `(SEQ(A+, B))+`, negative `SEQ(C, D)` hanging off it, and negative `E`
 //! hanging off `SEQ(C, D)`), so the result is a tree of split patterns.
 //!
-//! Deviation from the paper noted in DESIGN.md: consecutive negatives
-//! `SEQ(P, NOT N1, NOT N2, Q)` are treated as two *independent* constraints
-//! at the same gap rather than merged into `NOT SEQ(N1, N2)`.
+//! Deviation from the paper (ARCHITECTURE.md, "Inside a shard engine"):
+//! consecutive negatives `SEQ(P, NOT N1, NOT N2, Q)` are treated as two
+//! *independent* constraints at the same gap rather than merged into
+//! `NOT SEQ(N1, N2)`.
 
 use crate::error::QueryError;
 use crate::template::{LPattern, StateId};

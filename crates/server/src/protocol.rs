@@ -13,7 +13,7 @@
 //! is read, so a hostile length prefix cannot make the server allocate.
 
 use greta_core::{EmissionMode, LatePolicy, WindowResult};
-use greta_types::codec::{put_str, put_u32, put_u64};
+use greta_types::codec::{get_opt_u64, put_opt_u64, put_str, put_u32, put_u64};
 use greta_types::{CodecError, Event, Reader, SchemaRegistry};
 use std::io::{self, Read, Write};
 
@@ -295,24 +295,6 @@ const K_PONG: u8 = 0x87;
 const K_SHUTDOWN_OK: u8 = 0x88;
 const K_END: u8 = 0x89;
 const K_DETACH_OK: u8 = 0x8A;
-
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => out.push(0),
-        Some(x) => {
-            out.push(1);
-            put_u64(out, x);
-        }
-    }
-}
-
-fn get_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, CodecError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.u64()?)),
-        t => Err(CodecError(format!("bad option tag {t}"))),
-    }
-}
 
 impl SessionOptions {
     fn encode(&self, out: &mut Vec<u8>) {

@@ -134,6 +134,26 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Append an `Option<u64>` (presence byte + value).
+pub fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
+    match v {
+        None => out.push(0),
+        Some(x) => {
+            out.push(1);
+            put_u64(out, x);
+        }
+    }
+}
+
+/// Decode an `Option<u64>` written by [`put_opt_u64`].
+pub fn get_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, CodecError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(r.u64()?)),
+        t => Err(CodecError(format!("bad Option tag {t}"))),
+    }
+}
+
 /// Append a little-endian `i64`.
 pub fn put_i64(out: &mut Vec<u8>, v: i64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -268,15 +288,17 @@ impl SchemaRegistry {
     }
 }
 
-/// Per-group load counters (events routed to the group, graph vertices its
-/// partitions hold). The executor's skew detector aggregates these per
+/// Per-group load counters (events routed to the group, graph vertices
+/// inserted for it). The executor's skew detector aggregates these per
 /// shard; snapshots persist them so a recovered executor keeps detecting
 /// skew from where the original run left off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GroupStats {
     /// Events routed to the group.
     pub events: u64,
-    /// Graph vertices held by the group's partitions (reported at finish).
+    /// Graph vertices ever inserted into the group's partitions — a
+    /// lifetime count, purged panes included (reported at finish, when
+    /// every pane has been purged).
     pub vertices: u64,
 }
 

@@ -1,6 +1,6 @@
-//! Integration tests for nested negation (experiment E3 of DESIGN.md):
-//! the scenarios of Figs. 6(d), 7, 8 and Examples 2–5, cross-validated
-//! against the enumeration oracle and all two-step baselines.
+//! Integration tests for nested negation: the scenarios of Figs. 6(d), 7,
+//! 8 and Examples 2–5, cross-validated against the enumeration oracle and
+//! all two-step baselines.
 
 use greta::baselines::{oracle_run, CetEngine, FlinkEngine, SaseEngine};
 use greta::core::GretaEngine;

@@ -1,5 +1,4 @@
-//! Integration tests reproducing the paper's worked examples exactly
-//! (experiments E1, E2, E5 of DESIGN.md):
+//! Integration tests reproducing the paper's worked examples exactly:
 //!
 //! * Example 1 / Fig. 12 — all six aggregates of `(SEQ(A+, B))+`;
 //! * Fig. 6(a–c) — graph shapes and counts for `A+`, `SEQ(A+, B)`,

@@ -124,6 +124,10 @@ fn hot_key_stream_rebalances_and_matches_sequential_engine() {
         assert!(stats.groups_moved >= 1, "shards={shards}");
         // Engine-side vertex counters are reported per group at finish.
         assert!(stats.group_stats.iter().any(|(_, s)| s.vertices > 0));
+        // A lifetime count: 32 groups fit the sketch and nothing is
+        // replayed, so the per-group figures add up to the engine's own.
+        let vertices: u64 = stats.group_stats.iter().map(|(_, s)| s.vertices).sum();
+        assert_eq!(vertices, stats.engine.vertices, "shards={shards}");
     }
 }
 

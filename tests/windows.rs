@@ -1,7 +1,7 @@
-//! Sliding-window integration tests (experiment E4 of DESIGN.md):
-//! Fig. 9's shared sub-graphs between overlapping windows, window close
-//! and pane purge behaviour, and the edge-predicate example of Fig. 10 —
-//! all cross-validated against the enumeration oracle.
+//! Sliding-window integration tests: Fig. 9's shared sub-graphs between
+//! overlapping windows, window close and pane purge behaviour, and the
+//! edge-predicate example of Fig. 10 — all cross-validated against the
+//! enumeration oracle.
 
 use greta::baselines::oracle_run;
 use greta::core::{GretaEngine, MemoryFootprint};

@@ -1,6 +1,6 @@
 //! End-to-end runs of the three paper queries (Q1/Q2/Q3, §1) on their
-//! respective generated workloads (experiments E7/E13 of DESIGN.md), plus
-//! distribution sanity checks at the integration level.
+//! respective generated workloads, plus distribution sanity checks at the
+//! integration level.
 
 use greta::core::{GretaEngine, MemoryFootprint};
 use greta::query::CompiledQuery;

@@ -8,10 +8,10 @@
 //! ```
 //!
 //! `--self-test` is CI's red path: it injects a `clone()` into a live
-//! `lint:hot-path` region of `executor/route.rs` and an `unwrap()` into
-//! non-test code of `session.rs` (in memory — the tree is never
-//! touched), then asserts the lint reports **exactly** those two new
-//! findings on top of a clean baseline. The CI job runs the normal lint
+//! `lint:hot-path` region of `executor/route.rs`, another into the DP
+//! loop's region in `graph.rs`, and an `unwrap()` into non-test code of
+//! `session.rs` (in memory — the tree is never touched), then asserts
+//! the lint reports each injected violation on top of a clean baseline. The CI job runs the normal lint
 //! (must be green) *and* the self-test (must stay red-capable): a lint
 //! that stopped seeing violations fails the job even though the tree is
 //! clean.
@@ -101,6 +101,12 @@ fn run_self_test(root: &Path) -> ExitCode {
             "clone() in a hot-path region",
         ),
         (
+            "crates/core/src/graph.rs",
+            inject_hot_path_clone,
+            Pass::HotPath,
+            "clone() in the DP loop's hot-path region",
+        ),
+        (
             "crates/server/src/session.rs",
             inject_unwrap,
             Pass::Panic,
@@ -148,7 +154,7 @@ fn run_self_test(root: &Path) -> ExitCode {
         eprintln!("self-test: the lint has lost its teeth; failing the job");
         ExitCode::FAILURE
     } else {
-        println!("self-test: both injected violations caught");
+        println!("self-test: all three injected violations caught");
         ExitCode::SUCCESS
     }
 }
