@@ -23,7 +23,6 @@ use crate::grouping::{PartitionKey, StreamRouting};
 use crate::memory::{MemoryFootprint, PeakTracker};
 use crate::results::{render_aggregates, WindowResult};
 use crate::semantics::Semantics;
-use crate::storage::VertexId;
 use crate::window::{window_close_time, windows_of, WindowId};
 use crate::EngineError;
 use greta_query::CompiledQuery;
@@ -83,10 +82,15 @@ pub struct GretaEngine<N: TrendNum = f64> {
     replay_bytes: usize,
     /// Incremental per-(window, group) final aggregates.
     results: BTreeMap<WindowId, HashMap<PartitionKey, AggState<N>>>,
+    /// Running byte total of `results`, kept by the three places that
+    /// change the map, so the per-event peak sample does not walk every
+    /// open (window, group) aggregate.
+    results_bytes: usize,
     /// Windows touched by any event (deferred-final scans).
     touched: BTreeSet<WindowId>,
-    /// Predecessor scratch of the DP loop, reused from event to event.
-    preds: Vec<VertexId>,
+    /// Scratch of the DP loop, reused from event to event: the per-window
+    /// accumulators of the vertex being built, moved into its run on insert.
+    accs: Vec<AggState<N>>,
     emitted: Vec<WindowResult<N>>,
     watermark: Time,
     saw_event: bool,
@@ -129,8 +133,9 @@ impl<N: TrendNum> GretaEngine<N> {
             replay: VecDeque::new(),
             replay_bytes: 0,
             results: BTreeMap::new(),
+            results_bytes: 0,
             touched: BTreeSet::new(),
-            preds: Vec::new(),
+            accs: Vec::new(),
             emitted: Vec::new(),
             watermark: Time::ZERO,
             saw_event: false,
@@ -234,7 +239,7 @@ impl<N: TrendNum> GretaEngine<N> {
             // below any live event's global index. Contiguous semantics is
             // approximate across replay (ARCHITECTURE.md, "Inside a shard
             // engine").
-            part.process(&self.plan, &mut self.preds, old, i as u64, |_, _, _| {});
+            part.process(&self.plan, &mut self.accs, old, i as u64, |_, _, _| {});
         }
         self.live_bytes += part.bytes();
         self.partitions.insert(key.clone(), part);
@@ -244,13 +249,16 @@ impl<N: TrendNum> GretaEngine<N> {
         let part = self.partitions.get_mut(key).expect("partition exists");
         let ((v0, e0), b0) = (part.counters(), part.bytes());
         let (plan, results) = (&self.plan, &mut self.results);
+        let mut results_grew = 0;
         // Engine-wide arrival index: contiguous semantics counts *every*
         // stream event as a potential gap (Table 1: "skips none").
-        part.process(plan, &mut self.preds, e, self.seq, |group, w, st| {
+        part.process(plan, &mut self.accs, e, self.seq, |group, w, st| {
             if !plan.deferred_final {
-                merge_group(results.entry(w).or_default(), group, st, &plan.layout);
+                let groups = results.entry(w).or_default();
+                results_grew += merge_group(groups, group, st, &plan.layout);
             }
         });
+        self.results_bytes += results_grew;
         let (v1, e1) = part.counters();
         self.stats.vertices += v1 - v0;
         self.stats.edges += e1 - e0;
@@ -287,6 +295,7 @@ impl<N: TrendNum> GretaEngine<N> {
                 }
             }
         } else if let Some(g) = self.results.remove(&wid) {
+            self.results_bytes -= groups_bytes(&g);
             groups = g;
         }
         let mut rows: Vec<WindowResult<N>> = groups
@@ -512,6 +521,7 @@ impl<N: TrendNum> GretaEngine<N> {
             ))
             .into());
         }
+        eng.results_bytes = eng.results.values().map(groups_bytes).sum();
         Ok(eng)
     }
 
@@ -622,6 +632,9 @@ impl<N: TrendNum> GretaEngine<N> {
                 n.touched.extend(old.touched.iter().copied());
             }
         }
+        for n in news.iter_mut() {
+            n.results_bytes = n.results.values().map(groups_bytes).sum();
+        }
         // Summed per-shard peaks are an executor-level metric; carry the
         // total on the first engine so the aggregate never shrinks.
         news[0].peak.observe(peak_sum);
@@ -630,36 +643,48 @@ impl<N: TrendNum> GretaEngine<N> {
 }
 
 /// Merge `st` into `groups[group]`; the key is cloned only when the entry
-/// is first created.
+/// is first created. Returns by how much [`groups_bytes`] of the map grew:
+/// a new entry whole, a merge by what its carrier's heap gained (`BigUint`
+/// limbs).
 fn merge_group<N: TrendNum>(
     groups: &mut HashMap<PartitionKey, AggState<N>>,
     group: &PartitionKey,
     st: &AggState<N>,
     layout: &AggLayout,
-) {
+) -> usize {
     match groups.get_mut(group) {
-        Some(slot) => slot.merge(st),
+        Some(slot) => {
+            let before = slot.heap_size();
+            slot.merge(st);
+            slot.heap_size() - before
+        }
         None => {
             let mut slot = AggState::zero(layout);
             slot.merge(st);
+            let bytes = group_bytes(group, &slot);
             groups.insert(group.clone(), slot);
+            bytes
         }
     }
 }
 
+/// Bytes one (group, aggregate) entry of a window's result map is charged.
+fn group_bytes<N: TrendNum>(group: &PartitionKey, st: &AggState<N>) -> usize {
+    group.heap_size() + st.heap_size() + 64
+}
+
+/// Bytes one window's result map is charged.
+fn groups_bytes<N: TrendNum>(groups: &HashMap<PartitionKey, AggState<N>>) -> usize {
+    groups.iter().map(|(k, st)| group_bytes(k, st)).sum()
+}
+
 impl<N: TrendNum> MemoryFootprint for GretaEngine<N> {
     fn memory_bytes(&self) -> usize {
-        let parts: usize = self.live_bytes;
-        let results: usize = self
-            .results
-            .values()
-            .map(|g| {
-                g.iter()
-                    .map(|(k, st)| k.heap_size() + st.heap_size() + 64)
-                    .sum::<usize>()
-            })
-            .sum();
-        parts + results + self.replay_bytes
+        debug_assert_eq!(
+            self.results_bytes,
+            self.results.values().map(groups_bytes).sum::<usize>()
+        );
+        self.live_bytes + self.results_bytes + self.replay_bytes
     }
 
     fn peak_memory_bytes(&self) -> usize {
@@ -1070,6 +1095,12 @@ mod tests {
         assert_eq!(groups.len(), 5);
     }
 
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
     /// FNV-1a 64 of an engine's `export_state` blob after `events`, and the
     /// blob's length.
     fn blob_digest(text: &str, r: &SchemaRegistry, events: &[Event]) -> (u64, usize) {
@@ -1079,10 +1110,21 @@ mod tests {
             eng.process_ref(&e.clone().into_ref()).unwrap();
         }
         let blob = eng.export_state();
-        let fnv1a = blob.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
-        });
-        (fnv1a, blob.len())
+        (fnv1a(&blob), blob.len())
+    }
+
+    /// The first pinned stream: a positive query over sliding windows with
+    /// an edge predicate, and its 48 events.
+    const PINNED_Q1: &str = "RETURN grp, COUNT(*), SUM(S.attr), MIN(S.attr) PATTERN A S+ \
+         WHERE [grp] AND S.attr > NEXT(S).attr GROUP-BY grp WITHIN 20 SLIDE 5";
+
+    fn pinned_stream(r: &SchemaRegistry, other: &str) -> Vec<Event> {
+        (0..48u64)
+            .map(|t| {
+                let ty = if t % 7 == 3 { other } else { "A" };
+                ev(r, ty, t, ((t * 13) % 7) as f64, (t % 3) as i64)
+            })
+            .collect()
     }
 
     #[test]
@@ -1093,35 +1135,30 @@ mod tests {
         // a positive query over sliding windows with an edge predicate,
         // trailing negation (deferred finals), and leading negation with a
         // sub-key broadcast type (replay buffer, late-created partitions).
-        // The digests were recorded at commit 86deefa, when every
-        // partition still carried its own copy of the plan; a change here
-        // is a snapshot-format change and needs a version bump, not a new
-        // constant.
+        // What is pinned is the record grammar (the lengths: they have not
+        // moved since commit 86deefa) and the canonical record order —
+        // partitions by key; a graph's vertices by pane, then state, then
+        // `(sort key, seq)`. The digests were recorded when that order
+        // replaced the slab-id order of b7ea7c9 and before, whose blobs
+        // still import
+        // (`a_blob_written_before_the_run_layout_imports_and_continues`);
+        // they also cover the peak-memory reading the blob carries, which
+        // fell with the charge per vertex. A change of a length is a
+        // snapshot-format change and needs a version bump, not a new
+        // constant; so does a new digest for bytes an importer of this
+        // version could not read.
         let r = reg_ab();
-        let ab = |other: &str| -> Vec<Event> {
-            (0..48u64)
-                .map(|t| {
-                    let ty = if t % 7 == 3 { other } else { "A" };
-                    ev(&r, ty, t, ((t * 13) % 7) as f64, (t % 3) as i64)
-                })
-                .collect()
-        };
         assert_eq!(
-            blob_digest(
-                "RETURN grp, COUNT(*), SUM(S.attr), MIN(S.attr) PATTERN A S+ \
-                 WHERE [grp] AND S.attr > NEXT(S).attr GROUP-BY grp WITHIN 20 SLIDE 5",
-                &r,
-                &ab("A"),
-            ),
-            (4_819_433_092_787_681_635, 6329)
+            blob_digest(PINNED_Q1, &r, &pinned_stream(&r, "A")),
+            (PINNED_Q1_DIGEST, 6329)
         );
         assert_eq!(
             blob_digest(
                 "RETURN grp, COUNT(*) PATTERN SEQ(A+, NOT E) GROUP-BY grp WITHIN 20 SLIDE 10",
                 &r,
-                &ab("E"),
+                &pinned_stream(&r, "E"),
             ),
-            (9_897_369_577_005_090_443, 2509)
+            (13_643_123_703_393_432_663, 2509)
         );
 
         let mut r3 = SchemaRegistry::new();
@@ -1147,8 +1184,74 @@ mod tests {
                 &r3,
                 &q3,
             ),
-            (2_238_678_054_044_190_321, 1305)
+            (17_037_076_917_590_881_296, 1305)
         );
+    }
+
+    const PINNED_Q1_DIGEST: u64 = 15_503_567_870_960_022_561;
+
+    #[test]
+    fn a_blob_written_before_the_run_layout_imports_and_continues() {
+        // The upgrade path, stated as a recoverable prefix: the blob the
+        // parent commit (b7ea7c9, vertices in slab-id order) exported after
+        // the first pinned stream is a valid prefix for this code. It
+        // imports, re-exports as the canonical bytes this code writes for
+        // the same stream, and continues the stream to the rows an engine
+        // that never stopped emits.
+        let hex = include_str!("../tests/fixtures/engine_state_v2_b7ea7c9.hex");
+        let digits: Vec<u8> = hex.bytes().filter(u8::is_ascii_hexdigit).collect();
+        let nibble = |d: u8| (d as char).to_digit(16).unwrap() as u8;
+        let parent_blob: Vec<u8> = digits
+            .chunks(2)
+            .map(|d| nibble(d[0]) << 4 | nibble(d[1]))
+            .collect();
+        assert_eq!(parent_blob.len(), 6329);
+        assert_eq!(fnv1a(&parent_blob), 4_819_433_092_787_681_635);
+
+        let r = reg_ab();
+        let q = CompiledQuery::parse(PINNED_Q1, &r).unwrap();
+        let prefix = pinned_stream(&r, "A");
+        let suffix: Vec<Event> = (48..96u64)
+            .map(|t| ev(&r, "A", t, ((t * 13) % 7) as f64, (t % 3) as i64))
+            .collect();
+        let feed = |eng: &mut GretaEngine<u64>, events: &[Event]| {
+            let mut rows = Vec::new();
+            for e in events {
+                eng.process_ref(&e.clone().into_ref()).unwrap();
+                rows.extend(eng.poll_results());
+            }
+            rows
+        };
+
+        // Like the parent's exporter: the prefix's rows are still undrained.
+        let mut uninterrupted = GretaEngine::<u64>::new(q.clone(), r.clone()).unwrap();
+        for e in &prefix {
+            uninterrupted.process_ref(&e.clone().into_ref()).unwrap();
+        }
+        let canonical = uninterrupted.export_state();
+        let mut expect = uninterrupted.poll_results();
+        expect.extend(feed(&mut uninterrupted, &suffix));
+        expect.extend(uninterrupted.finish());
+
+        let mut upgraded =
+            GretaEngine::<u64>::import_state(q, r.clone(), EngineConfig::default(), &parent_blob)
+                .unwrap();
+        // Byte for byte but for one field: the blob carries the exporter's
+        // peak-memory reading (8 bytes after the version, watermark, flag
+        // and five counters), a measurement the parent took with its own,
+        // larger charge per vertex, and a peak never falls.
+        let reexported = upgraded.export_state();
+        let peak_at = 1 + 8 + 1 + 5 * 8;
+        let but_peak = |b: &[u8]| [&b[..peak_at], &b[peak_at + 8..]].concat();
+        assert!(but_peak(&reexported) == but_peak(&canonical));
+        assert!(upgraded.peak_memory_bytes() > uninterrupted.peak_memory_bytes());
+        let mut rows = upgraded.poll_results();
+        rows.extend(feed(&mut upgraded, &suffix));
+        rows.extend(upgraded.finish());
+        assert!(!rows.is_empty());
+        assert_eq!(rows, expect);
+        assert_eq!(upgraded.stats().edges, uninterrupted.stats().edges);
+        assert_eq!(upgraded.memory_bytes(), uninterrupted.memory_bytes());
     }
 
     #[test]

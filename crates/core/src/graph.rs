@@ -10,25 +10,39 @@
 //! 1. offer it to every graph/state whose event type matches (Case-3
 //!    negation may drop it, Fig. 8(b));
 //! 2. filter by vertex predicates;
-//! 3. find valid predecessors per predecessor state — Vertex-Tree range
-//!    query for the range-form edge predicate, residual predicates on the
-//!    candidates, Definition-5 invalidation thresholds, selection-semantics
-//!    filter;
-//! 4. insert iff START or some predecessor exists (Algorithm 2 line 5);
-//! 5. compute the per-window aggregates by merging predecessor states and
-//!    applying the event's own contribution (Theorem 9.1);
+//! 3. scan the predecessors, per predecessor state: the panes that can hold
+//!    a time inside the window, oldest first; in each pane the state's run,
+//!    narrowed to a contiguous row range by the range-form edge predicate;
+//!    each row tested against one time bound (window start, Definition-5
+//!    invalidation threshold, strictly before the event), the residual edge
+//!    predicates and the selection semantics;
+//! 4. every row that passes is an edge: in the same pass its aggregates for
+//!    the windows it shares with the event are merged into the event's
+//!    accumulators (Theorem 9.1). Nothing is collected and revisited;
+//! 5. insert iff START or some edge was found (Algorithm 2 line 5), after
+//!    applying the event's own contribution: the accumulators move into the
+//!    run as the new row's aggregates;
 //! 6. END events: root graphs report their aggregate to the caller;
 //!    negative graphs append to their [`InvalidationLog`] and prune the
 //!    finished trend (Example 5).
+//!
+//! **Fold order is the invariant** that makes results byte-identical across
+//! storage layouts (`f64` sums do not commute in their last bit):
+//! predecessor states in [`StateOps::preds`] order; panes oldest → newest;
+//! rows ascending `(key, seq)`; each row merged into each shared window's
+//! accumulator in that order; skip-till-next's single best row after its
+//! state's scan; the event's own contribution last.
+//! [`Partition::collect_final`] walks END rows in the same pane and run
+//! order.
 
 use crate::agg::{AggLayout, AggState, TrendNum};
 use crate::grouping::PartitionKey;
 use crate::negation::{
-    end_event_valid_at_close, insertion_dropped, needs_deferred_final, predecessor_valid, DepMode,
-    Dependency, InvalidationLog,
+    end_event_valid_at_close, insertion_dropped, invalidation_threshold, needs_deferred_final,
+    DepMode, Dependency, InvalidationLog,
 };
 use crate::semantics::Semantics;
-use crate::storage::{GraphStorage, Vertex, VertexId};
+use crate::storage::{GraphStorage, Row};
 use crate::window::{last_window_of_pane, pane_length, windows_of, WindowId};
 use greta_query::compile::{AltPlan, GraphSpec};
 use greta_query::predicate::{CompiledExpr, EdgePredicate};
@@ -71,7 +85,7 @@ struct GraphOps {
     deps: Vec<Dependency>,
     /// Sort attribute per state, dense by `StateId` (from the range-form
     /// edge predicate whose previous state this is); `None` sorts by event
-    /// time. Its length is the number of trees per pane.
+    /// time. Its length is the number of runs per pane.
     sort_attr: Vec<Option<AttrId>>,
     /// The template's END state.
     end: StateId,
@@ -93,15 +107,15 @@ struct StateOps {
 struct PredOps {
     p_state: StateId,
     eps: Vec<EdgePredicate>,
-    /// Index into `eps` of the predicate the Vertex Tree answers as a
-    /// range query; `None` for every pair when the engine was configured
-    /// with `use_range_index: false`.
+    /// Index into `eps` of the predicate the sorted run answers as a row
+    /// range; `None` for every pair when the engine was configured with
+    /// `use_range_index: false`.
     range_idx: Option<usize>,
 }
 
 impl EnginePlan {
     /// Compile `query` for an engine running under `semantics`, answering
-    /// range-form edge predicates from the Vertex Trees iff
+    /// range-form edge predicates from the sorted runs iff
     /// `use_range_index`.
     pub fn new(query: &CompiledQuery, semantics: Semantics, use_range_index: bool) -> EnginePlan {
         let compile = |plan: &AltPlan| -> Vec<GraphOps> {
@@ -198,7 +212,7 @@ impl GraphOps {
         }
     }
 
-    /// Vertex-Tree sort key of `e` at `state`.
+    /// Sort key of `e` within the runs of `state`.
     fn sort_key(&self, state: StateId, e: &EventRef) -> f64 {
         match self.sort_attr[state.0 as usize] {
             Some(a) => e.attr(a).as_f64(),
@@ -238,8 +252,9 @@ impl<N: TrendNum> Partition<N> {
     }
 
     /// Process one event. `event_seq` is the engine-wide arrival index;
-    /// `preds` is predecessor scratch the caller keeps across events (its
-    /// contents are ignored). `on_root_end` is called with the partition's
+    /// `accs` is scratch the caller keeps across events (its contents are
+    /// ignored): a new vertex's per-window accumulators are built in it and
+    /// moved into the vertex's run. `on_root_end` is called with the partition's
     /// group once per window entry of every END vertex inserted into a
     /// **root** graph (drives incremental final aggregation, Algorithm 2
     /// line 8).
@@ -247,7 +262,7 @@ impl<N: TrendNum> Partition<N> {
     pub fn process(
         &mut self,
         plan: &EnginePlan,
-        preds: &mut Vec<VertexId>,
+        accs: &mut Vec<AggState<N>>,
         e: &EventRef,
         event_seq: u64,
         mut on_root_end: impl FnMut(&PartitionKey, WindowId, &AggState<N>),
@@ -255,7 +270,7 @@ impl<N: TrendNum> Partition<N> {
         let group = &self.group;
         for (alt, graphs) in self.alts.iter_mut().zip(&plan.alts) {
             for ops in graphs {
-                alt.process_graph(plan, ops, preds, e, event_seq, &mut |w, st| {
+                alt.process_graph(plan, ops, accs, e, event_seq, &mut |w, st| {
                     on_root_end(group, w, st)
                 });
             }
@@ -274,13 +289,17 @@ impl<N: TrendNum> Partition<N> {
         self.alts.iter().zip(&plan.alts).map(move |(alt, graphs)| {
             let root = &graphs[0];
             let mut acc = AggState::zero(&plan.layout);
-            alt.storages[0].visit_state(root.end, |_, v| {
-                if let Some(st) = v.agg(wid) {
-                    if end_event_valid_at_close(&root.deps, &alt.logs, v.event.time, close_time) {
-                        acc.merge(st);
+            for pane in alt.storages[0].panes() {
+                let Some(at) = pane.window_index(wid) else {
+                    continue;
+                };
+                let run = pane.run(root.end);
+                for (r, row) in run.rows().iter().enumerate() {
+                    if end_event_valid_at_close(&root.deps, &alt.logs, row.time, close_time) {
+                        acc.merge(&run.aggs_of(r, pane.k())[at]);
                     }
                 }
-            });
+            }
             acc
         })
     }
@@ -312,8 +331,10 @@ impl<N: TrendNum> Partition<N> {
 
     /// Append the binary encoding of the partition's state: per
     /// alternative the statistics counters, each graph's invalidation log,
-    /// and every live vertex in pane order (durability snapshots). The
-    /// group is a projection of the partition key and is not written.
+    /// and every live vertex in canonical order — panes oldest first, in a
+    /// pane by state, in a state's run by `(key, seq)` — straight from the
+    /// rows (durability snapshots). The group is a projection of the
+    /// partition key and is not written.
     pub fn encode_state(&self, out: &mut Vec<u8>) {
         put_u32(out, self.alts.len() as u32);
         for alt in &self.alts {
@@ -324,8 +345,11 @@ impl<N: TrendNum> Partition<N> {
                 log.encode(out);
                 put_u32(out, storage.len() as u32);
                 for pane in storage.panes() {
-                    for id in pane.all_ids() {
-                        crate::state::encode_vertex(storage.store.get(id), out);
+                    for (state, run) in pane.runs() {
+                        for (r, row) in run.rows().iter().enumerate() {
+                            let aggs = run.aggs_of(r, pane.k());
+                            crate::state::encode_vertex(state, row, pane.w_lo(), aggs, out);
+                        }
                     }
                 }
             }
@@ -334,8 +358,9 @@ impl<N: TrendNum> Partition<N> {
 
     /// Rebuild a partition of `group` from state written by
     /// [`encode_state`](Self::encode_state) under the same plan. Vertices
-    /// are re-inserted in pane order, reconstructing the pane/tree indexes
-    /// exactly.
+    /// are re-inserted by pane, state and sort key, so any record order
+    /// with the panes ascending — the canonical one, or an older writer's —
+    /// rebuilds the same runs.
     pub fn decode_state(
         plan: &EnginePlan,
         group: PartitionKey,
@@ -362,17 +387,37 @@ impl<N: TrendNum> Partition<N> {
                 let gi = ops.gi;
                 alt.logs[gi] = InvalidationLog::decode(r)?;
                 let nv = r.seq_len(27)?;
+                let n_states = ops.sort_attr.len();
+                let mut aggs = Vec::new();
                 for _ in 0..nv {
                     let v = crate::state::decode_vertex(r)?;
-                    let n_states = ops.sort_attr.len();
                     if v.state.0 as usize >= n_states {
                         let s = v.state.0;
                         return Err(CodecError(format!(
                             "vertex state {s} out of range: the graph has {n_states}"
                         )));
                     }
+                    // A pane's rows share one set of windows: the record's
+                    // must be the ones its time falls into.
+                    let ws = windows_of(v.event.time, &plan.window);
+                    if !v.aggs.iter().map(|(w, _)| *w).eq(ws.clone()) {
+                        let t = v.event.time.ticks();
+                        return Err(CodecError(format!(
+                            "vertex at time {t} does not carry the windows of its time"
+                        )));
+                    }
+                    aggs.extend(v.aggs.into_iter().map(|(_, st)| st));
                     let key = ops.sort_key(v.state, &v.event);
-                    alt.storages[gi].insert(v, key, plan.pane_len, n_states);
+                    let row = Row::new(v.event, key, v.seq, v.latest_start);
+                    let storage = &mut alt.storages[gi];
+                    storage.insert(
+                        v.state,
+                        row,
+                        &mut aggs,
+                        *ws.start(),
+                        plan.pane_len,
+                        n_states,
+                    );
                 }
             }
         }
@@ -395,7 +440,7 @@ impl<N: TrendNum> AltRuntime<N> {
         &mut self,
         plan: &EnginePlan,
         ops: &GraphOps,
-        preds: &mut Vec<VertexId>,
+        accs: &mut Vec<AggState<N>>,
         e: &EventRef,
         event_seq: u64,
         on_root_end: &mut impl FnMut(WindowId, &AggState<N>),
@@ -410,6 +455,11 @@ impl<N: TrendNum> AltRuntime<N> {
         if state_idxs.is_empty() || insertion_dropped(&ops.deps, &self.logs, e.time) {
             return;
         }
+        // The event's windows, and with them those of every vertex of its
+        // pane: `n` consecutive ids from `w_lo`.
+        let windows = windows_of(e.time, &plan.window);
+        let (w_lo, n) = (*windows.start(), windows.count());
+        let lo = Time(e.time.ticks().saturating_sub(plan.window.within - 1));
 
         for &si in state_idxs.iter() {
             let so = &ops.states[si];
@@ -421,93 +471,93 @@ impl<N: TrendNum> AltRuntime<N> {
             let is_start = so.is_start;
             let is_end = so.is_end;
 
-            // --- predecessor collection ------------------------------------
-            preds.clear();
-            let lo = Time(e.time.ticks().saturating_sub(plan.window.within - 1));
+            // --- predecessor scan + aggregate propagation (Theorem 9.1) -----
+            // One accumulator per window of the event; every edge found is
+            // merged into them on the spot, in fold order (module docs).
+            accs.clear();
+            accs.resize_with(n, || AggState::zero(&plan.layout));
+            let mut edges = 0u64;
+            let mut latest_start = if is_start { e.time } else { Time::ZERO };
+            let mut link = |row: &Row, shared: &[AggState<N>]| {
+                edges += 1;
+                latest_start = latest_start.max(row.latest_start);
+                for (acc, st) in accs.iter_mut().zip(shared) {
+                    acc.merge(st);
+                }
+            };
             let (storage, logs) = (&self.storages[gi], &self.logs);
             for po in &so.preds {
                 let p_state = po.p_state;
-                // Range form answered by the Vertex Tree (if it sorts on
-                // the predicate's attribute; resolved at plan time).
+                // Range form answered by the sorted run (if it sorts on the
+                // predicate's attribute; resolved at plan time).
                 let range_idx = po.range_idx;
                 let range = range_idx.map(|i| po.eps[i].range.as_ref().unwrap().bound(e));
+                // Inside the window and not invalidated (Definition 5): one
+                // lower time bound for every row of this state.
+                let valid_from = lo.max(invalidation_threshold(
+                    &ops.deps, logs, p_state, state, e.time,
+                ));
 
-                let mut best: Option<(u64, VertexId)> = None; // skip-till-next
-                storage.visit_candidates(p_state, lo, e.time, plan.pane_len, range, |id, v| {
-                    // Definition-5 invalidation.
-                    if !predecessor_valid(&ops.deps, logs, p_state, state, v.event.time, e.time) {
-                        return;
-                    }
-                    // Residual edge predicates (the range one is exact).
-                    for (i, ep) in po.eps.iter().enumerate() {
-                        if Some(i) == range_idx {
+                let mut best: Option<(&Row, &[AggState<N>])> = None; // skip-till-next
+                for pane in storage.panes_between(valid_from, e.time, plan.pane_len) {
+                    let run = pane.run(p_state);
+                    // A row may pass every filter from a pane that shares
+                    // no window with the event (its windows closed and it is
+                    // here through replay, or `WITHIN < SLIDE` left it in
+                    // none): still an edge, merging nothing.
+                    let shared = pane.shared_windows(w_lo, n);
+                    for r in run.range(range) {
+                        let row = &run.rows()[r];
+                        if row.time < valid_from || row.time >= e.time {
                             continue;
                         }
-                        if !ep.expr.eval_bool(Some(v.event.as_ref()), e) {
-                            return;
+                        // Residual edge predicates (the range one is exact).
+                        let residual = |(i, ep): (usize, &EdgePredicate)| {
+                            Some(i) == range_idx || ep.expr.eval_bool(Some(row.event.as_ref()), e)
+                        };
+                        if !po.eps.iter().enumerate().all(residual) {
+                            continue;
                         }
-                    }
-                    match plan.semantics {
-                        Semantics::SkipTillAny => preds.push(id),
-                        Semantics::Contiguous => {
-                            if v.seq + 1 == event_seq {
-                                preds.push(id);
+                        let row_aggs = &run.aggs_of(r, pane.k())[shared.start..shared.end];
+                        match plan.semantics {
+                            Semantics::SkipTillAny => link(row, row_aggs),
+                            Semantics::Contiguous => {
+                                if row.seq + 1 == event_seq {
+                                    link(row, row_aggs);
+                                }
+                            }
+                            Semantics::SkipTillNext => {
+                                if best.is_none_or(|(b, _)| row.seq > b.seq) {
+                                    best = Some((row, row_aggs));
+                                }
                             }
                         }
-                        Semantics::SkipTillNext => {
-                            if best.is_none_or(|(s, _)| v.seq > s) {
-                                best = Some((v.seq, id));
-                            }
-                        }
                     }
-                });
-                if let Some((_, id)) = best {
-                    preds.push(id);
+                }
+                if let Some((row, row_aggs)) = best {
+                    link(row, row_aggs);
                 }
             }
 
             // Algorithm 2 line 5: MID/END events need a predecessor.
-            if !is_start && preds.is_empty() {
+            if !is_start && edges == 0 {
                 continue;
             }
-
-            // --- aggregate propagation (Theorem 9.1) ------------------------
-            // lint:allow(hot-path): these aggregates ARE the new vertex's owned state — the allocation is the data structure, not a copy
-            let mut aggs: Vec<(WindowId, AggState<N>)> = Vec::new();
-            for w in windows_of(e.time, &plan.window) {
-                aggs.push((w, AggState::zero(&plan.layout)));
-            }
-            let mut latest_start = if is_start { e.time } else { Time::ZERO };
-            for pid in preds.iter() {
-                let pv = storage.store.get(*pid);
-                latest_start = latest_start.max(pv.latest_start);
-                for (w, st) in aggs.iter_mut() {
-                    if let Some(ps) = pv.agg(*w) {
-                        st.merge(ps);
-                    }
-                }
-            }
-            self.edges_traversed += preds.len() as u64;
-            for (_, st) in aggs.iter_mut() {
+            self.edges_traversed += edges;
+            for st in accs.iter_mut() {
                 st.apply_own(e, is_start, &plan.layout);
             }
-
-            let vertex = Vertex {
-                // lint:allow(hot-path): EventRef is an Arc — clone() is a refcount bump, not a payload copy
-                event: e.clone(),
-                state,
-                seq: event_seq,
-                latest_start,
-                aggs,
-            };
-
             if is_end && gi == 0 {
-                for (w, st) in &vertex.aggs {
-                    on_root_end(*w, st);
+                for (w, st) in (w_lo..).zip(accs.iter()) {
+                    on_root_end(w, st);
                 }
             }
+
             let key = ops.sort_key(state, e);
-            self.storages[gi].insert(vertex, key, plan.pane_len, ops.sort_attr.len());
+            // lint:allow(hot-path): EventRef is an Arc — clone() is a refcount bump, not a payload copy
+            let row = Row::new(e.clone(), key, event_seq, latest_start);
+            let n_states = ops.sort_attr.len();
+            self.storages[gi].insert(state, row, accs, w_lo, plan.pane_len, n_states);
             self.vertices_inserted += 1;
 
             if is_end && gi != 0 {
@@ -733,6 +783,43 @@ mod tests {
         assert_eq!(decode(&q), Ok((2, 1)));
         let err = decode(&setup("A+").1).unwrap_err();
         assert!(err.0.contains("vertex state 1 out of range"), "{err:?}");
+    }
+
+    #[test]
+    fn a_predecessor_sharing_no_window_is_still_an_edge() {
+        // WITHIN 10 SLIDE 4. a6 falls into windows 0 and 1 ([0,10), [4,14)),
+        // x15 into 2 and 3 ([8,18), [12,22)): fewer than `within` ticks
+        // apart, yet in no common window. An engine has purged a6's pane by
+        // then (both its windows closed at 14) unless a6 was replayed into
+        // a partition created later; a partition on its own keeps it. The
+        // edge a6 → x15 is logical: found, counted, enough to let a MID/END
+        // event in (Algorithm 2 line 5 asks for a predecessor, not for a
+        // shared window) — and it carries no aggregate.
+        let mut reg = SchemaRegistry::new();
+        reg.register_type("A", &["attr"]).unwrap();
+        reg.register_type("B", &["attr"]).unwrap();
+        let run = |pattern: &str, second: &str| {
+            let text = format!("RETURN COUNT(*) PATTERN {pattern} WITHIN 10 SLIDE 4");
+            let q = CompiledQuery::parse(&text, &reg).unwrap();
+            let plan = EnginePlan::new(&q, Semantics::SkipTillAny, true);
+            let mut part = Partition::<f64>::new(&plan, PartitionKey::default());
+            let mut ends = Vec::new();
+            for (seq, (ty, t)) in [("A", 6), (second, 15)].into_iter().enumerate() {
+                let e = EventBuilder::new(&reg, ty).unwrap().at(Time(t)).build();
+                let e = e.into_ref();
+                part.process(&plan, &mut Vec::new(), &e, seq as u64 + 1, |_, w, st| {
+                    ends.push((t, w, st.count))
+                });
+            }
+            (part.counters(), ends)
+        };
+        let (counters, ends) = run("A+", "A");
+        assert_eq!(counters, (2, 1));
+        let singletons = vec![(6, 0, 1.0), (6, 1, 1.0), (15, 2, 1.0), (15, 3, 1.0)];
+        assert_eq!(ends, singletons);
+        let (counters, ends) = run("SEQ(A, B)", "B");
+        assert_eq!(counters, (2, 1));
+        assert_eq!(ends, vec![(15, 2, 0.0), (15, 3, 0.0)]);
     }
 
     #[test]

@@ -161,9 +161,39 @@ fn log_of(logs: &[InvalidationLog], g: GraphId) -> Option<&InvalidationLog> {
     logs.get(g.0 as usize)
 }
 
+/// Definition 5 as one time bound: events of `prev_state` with a time
+/// **before** the returned threshold may not connect to an event of
+/// `next_state` arriving at `now`, given the dependency list and the
+/// alternative's logs (one per graph, indexed by graph id). It is the
+/// largest threshold over the dependencies that apply to the connection;
+/// [`Time::ZERO`] when none invalidates anything.
+pub fn invalidation_threshold(
+    deps: &[Dependency],
+    logs: &[InvalidationLog],
+    prev_state: StateId,
+    next_state: StateId,
+    now: Time,
+) -> Time {
+    let applies = |d: &&Dependency| match d.mode {
+        DepMode::Pair {
+            previous,
+            following,
+        } => previous == prev_state && following == next_state,
+        DepMode::InvalidatePrevious => true,
+        DepMode::DropFollowing => false, // handled at insertion
+    };
+    let thresholds = deps
+        .iter()
+        .filter(applies)
+        .filter_map(|d| log_of(logs, d.child)?.threshold_before(now));
+    thresholds.max().unwrap_or(Time::ZERO)
+}
+
 /// Decide whether a candidate predecessor is valid for a connection
-/// `prev_state → next_state` happening at time `now`, given the dependency
-/// list and the alternative's logs (one per graph, indexed by graph id).
+/// `prev_state → next_state` happening at time `now`: its time is not
+/// before the connection's [`invalidation_threshold`]. The engine computes
+/// the threshold once per predecessor state; the reference engines in
+/// `crates/baselines` ask per candidate.
 pub fn predecessor_valid(
     deps: &[Dependency],
     logs: &[InvalidationLog],
@@ -172,27 +202,7 @@ pub fn predecessor_valid(
     pred_time: Time,
     now: Time,
 ) -> bool {
-    for d in deps {
-        let applies = match d.mode {
-            DepMode::Pair {
-                previous,
-                following,
-            } => previous == prev_state && following == next_state,
-            DepMode::InvalidatePrevious => true,
-            DepMode::DropFollowing => false, // handled at insertion
-        };
-        if !applies {
-            continue;
-        }
-        if let Some(log) = log_of(logs, d.child) {
-            if let Some(thr) = log.threshold_before(now) {
-                if pred_time < thr {
-                    return false;
-                }
-            }
-        }
-    }
-    true
+    pred_time >= invalidation_threshold(deps, logs, prev_state, next_state, now)
 }
 
 /// Decide whether an END vertex still contributes to the final aggregate of
@@ -330,6 +340,11 @@ mod tests {
             Time(4),
             Time(6)
         ));
+        // One bound says all of that: the connection's threshold.
+        let thr = |prev, next, now| invalidation_threshold(&deps, logs, prev, next, Time(now));
+        assert_eq!(thr(StateId(0), StateId(1), 7), Time(5));
+        assert_eq!(thr(StateId(0), StateId(1), 6), Time::ZERO);
+        assert_eq!(thr(StateId(0), StateId(0), 7), Time::ZERO);
         // Other connections (A→A) unaffected.
         assert!(predecessor_valid(
             &deps,

@@ -12,7 +12,8 @@
 use crate::agg::{AggState, TrendNum};
 use crate::grouping::PartitionKey;
 use crate::results::{OutValue, WindowResult};
-use crate::storage::Vertex;
+use crate::storage::Row;
+use crate::window::WindowId;
 use greta_query::StateId;
 use greta_types::codec::{put_u16, put_u32, put_u64, Reader};
 use greta_types::{CodecError, Event, EventRef, Time, Value};
@@ -99,15 +100,33 @@ pub(crate) fn decode_agg_state<N: TrendNum>(r: &mut Reader<'_>) -> Result<AggSta
     })
 }
 
-/// Append a graph vertex.
-pub(crate) fn encode_vertex<N: TrendNum>(v: &Vertex<N>, out: &mut Vec<u8>) {
-    v.event.encode(out);
-    put_u16(out, v.state.0);
-    put_u64(out, v.seq);
-    put_u64(out, v.latest_start.ticks());
-    put_u32(out, v.aggs.len() as u32);
-    for (w, st) in &v.aggs {
-        put_u64(out, *w);
+/// A graph vertex as the snapshot records it: what [`encode_vertex`] wrote,
+/// owned, before the storage files it under its pane, state and sort key.
+pub(crate) struct Vertex<N: TrendNum> {
+    pub event: EventRef,
+    pub state: StateId,
+    pub seq: u64,
+    pub latest_start: Time,
+    /// Per-window aggregates, ascending by window id.
+    pub aggs: Vec<(WindowId, AggState<N>)>,
+}
+
+/// Append the vertex stored as `row` of a run of `state`; `aggs` are its
+/// aggregates for the consecutive windows from `w_lo` on.
+pub(crate) fn encode_vertex<N: TrendNum>(
+    state: StateId,
+    row: &Row,
+    w_lo: WindowId,
+    aggs: &[AggState<N>],
+    out: &mut Vec<u8>,
+) {
+    row.event.encode(out);
+    put_u16(out, state.0);
+    put_u64(out, row.seq);
+    put_u64(out, row.latest_start.ticks());
+    put_u32(out, aggs.len() as u32);
+    for (w, st) in (w_lo..).zip(aggs) {
+        put_u64(out, w);
         encode_agg_state(st, out);
     }
 }
@@ -251,21 +270,17 @@ mod tests {
         let layout = AggLayout::default();
         let mut st = AggState::<u64>::zero(&layout);
         st.count = 42;
-        let v = Vertex {
-            event: Event::new_unchecked(TypeId(3), Time(99), vec![Value::Int(5)]).into_ref(),
-            state: StateId(2),
-            seq: 17,
-            latest_start: Time(90),
-            aggs: vec![(4, st.clone()), (5, st)],
-        };
+        let event = Event::new_unchecked(TypeId(3), Time(99), vec![Value::Int(5)]).into_ref();
+        let row = Row::new(event, 5.0, 17, Time(90));
+        let aggs = [st.clone(), st.clone()];
         let mut buf = Vec::new();
-        encode_vertex(&v, &mut buf);
+        encode_vertex(StateId(2), &row, 4, &aggs, &mut buf);
         let got: Vertex<u64> = decode_vertex(&mut Reader::new(&buf)).unwrap();
-        assert_eq!(got.event, v.event);
-        assert_eq!(got.state, v.state);
-        assert_eq!(got.seq, v.seq);
-        assert_eq!(got.latest_start, v.latest_start);
-        assert_eq!(got.aggs, v.aggs);
+        assert_eq!(got.event, row.event);
+        assert_eq!(got.state, StateId(2));
+        assert_eq!(got.seq, row.seq);
+        assert_eq!(got.latest_start, row.latest_start);
+        assert_eq!(got.aggs, vec![(4, st.clone()), (5, st)]);
     }
 
     #[test]

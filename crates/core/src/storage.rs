@@ -1,235 +1,225 @@
 //! Runtime storage for one GRETA graph (paper §7, Fig. 11).
 //!
-//! Vertices live in a slab ([`VertexStore`]). For predecessor lookup they
-//! are indexed by **Time Pane** → **template state** → **Vertex Tree**:
+//! Vertices are indexed by **Time Pane** → **template state** → **run**:
 //!
 //! * panes are consecutive time intervals of length `gcd(within, slide)`;
 //!   window boundaries align with pane boundaries, so a whole pane (and its
-//!   trees) is batch-deleted once its last window closed;
-//! * each pane holds one ordered tree per template state, sorted by the
-//!   attribute of that state's range-form edge predicate (falling back to
-//!   event time), so edge predicates are answered with range queries.
+//!   runs) is batch-deleted once its last window closed;
+//! * each pane holds one [`Run`] per template state: the state's vertices
+//!   as [`Row`]s kept sorted by the attribute of that state's range-form
+//!   edge predicate (falling back to event time). An edge predicate is then
+//!   a contiguous row range found by two binary searches — the paper's
+//!   Vertex Tree, stored as a sorted vector;
+//! * the pane length divides both `slide` and `within`, so **every vertex
+//!   of a pane falls into the same windows**. The pane stores their first
+//!   id and their number `k` once, and a run keeps its rows' aggregates as
+//!   a dense row-major `rows × k` matrix: no window ids per vertex, no
+//!   search per window.
 //!
 //! Edges are **not** stored: each edge is traversed exactly once, when the
 //! newer event's aggregate is computed (paper §7).
+//!
+//! Memory accounting is analytic: a row is charged `size_of::<Row>()`, its
+//! share of the event payload, and its `k` aggregate states with their
+//! heap. The charge is recorded in the row — the payload share depends on
+//! the `Arc` strong count at the moment it is taken, so a figure recomputed
+//! at removal could drift — and summed per pane and per storage, so a purge
+//! subtracts a pane in O(1).
 
 use crate::agg::{AggState, TrendNum};
 use crate::window::{pane_start, WindowId};
 use greta_query::ast::CmpOp;
 use greta_query::StateId;
 use greta_types::{shared_heap_size, EventRef, Time};
-use std::collections::{BTreeMap, VecDeque};
-use std::ops::Bound;
+use std::cmp::Ordering;
+use std::collections::VecDeque;
+use std::ops::Range;
 
-/// Slab index of a vertex.
-pub type VertexId = u32;
-
-/// Totally ordered f64 key for the vertex trees.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OrdF64(pub f64);
-
-impl Eq for OrdF64 {}
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// A graph vertex: one matched event at one template state, carrying one
-/// aggregate per window it falls into (paper §4.2 / §6).
-#[derive(Debug, Clone)]
-pub struct Vertex<N: TrendNum> {
-    /// The matched event, shared with the ingest path and every other
-    /// vertex instantiated from it (zero-copy event plane).
-    pub event: EventRef,
-    /// Template state this vertex instantiates.
-    pub state: StateId,
+/// A graph vertex: one matched event at one template state. Its per-window
+/// aggregates (paper §4.2 / §6) sit at the same row of its run's matrix.
+#[derive(Debug)]
+pub struct Row {
+    /// Sort key within the run: the state's range-predicate attribute, or
+    /// the event time.
+    pub key: f64,
     /// Arrival sequence within the owning partition graph (selection
-    /// semantics; see `Semantics`).
+    /// semantics; see `Semantics`). Ties on `key` sort by it.
     pub seq: u64,
+    /// The event's time, read by every predecessor scan without a deref.
+    pub time: Time,
     /// Latest start time over all (sub-)trends ending at this vertex —
     /// propagated like an aggregate; drives Definition 5 invalidation.
     pub latest_start: Time,
-    /// Per-window aggregates, sorted by window id.
-    pub aggs: Vec<(WindowId, AggState<N>)>,
+    /// The matched event, shared with the ingest path and every other
+    /// vertex instantiated from it (zero-copy event plane).
+    pub event: EventRef,
+    /// Bytes charged for this row at insert.
+    charged: usize,
 }
 
-impl<N: TrendNum> Vertex<N> {
-    /// Aggregate for a window, if the vertex falls into it.
-    pub fn agg(&self, wid: WindowId) -> Option<&AggState<N>> {
-        self.aggs
-            .binary_search_by_key(&wid, |(w, _)| *w)
-            .ok()
-            .map(|i| &self.aggs[i].1)
-    }
-
-    /// Approximate heap bytes of this vertex. The shared event payload is
-    /// amortized over its current holders ([`shared_heap_size`]), so an
-    /// event referenced by many vertices/shards is counted once overall —
-    /// not once per reference.
-    pub fn heap_size(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + shared_heap_size(&self.event)
-            + self
-                .aggs
-                .iter()
-                .map(|(_, a)| std::mem::size_of::<(WindowId, AggState<N>)>() + a.heap_size())
-                .sum::<usize>()
-    }
-}
-
-/// Slab of vertices with free-list reuse and running byte accounting.
-///
-/// The byte charge of a vertex is recorded at insert time: with shared
-/// `EventRef` payloads, [`Vertex::heap_size`] depends on the Arc strong
-/// count at the moment of the call, so subtracting a *recomputed* size at
-/// removal could drift (or underflow) as sharing changes. Each slot
-/// remembers exactly what it charged.
-#[derive(Debug, Default)]
-pub struct VertexStore<N: TrendNum> {
-    slots: Vec<Option<(Vertex<N>, usize)>>,
-    free: Vec<VertexId>,
-    live: usize,
-    bytes: usize,
-}
-
-impl<N: TrendNum> VertexStore<N> {
-    /// Empty store.
-    pub fn new() -> Self {
-        VertexStore {
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-            bytes: 0,
-        }
-    }
-
-    /// Insert a vertex, returning its id.
-    pub fn insert(&mut self, v: Vertex<N>) -> VertexId {
-        let charged = v.heap_size();
-        self.bytes += charged;
-        self.live += 1;
-        match self.free.pop() {
-            Some(id) => {
-                self.slots[id as usize] = Some((v, charged));
-                id
-            }
-            None => {
-                self.slots.push(Some((v, charged)));
-                (self.slots.len() - 1) as VertexId
-            }
-        }
-    }
-
-    /// Shared access.
-    pub fn get(&self, id: VertexId) -> &Vertex<N> {
-        &self.slots[id as usize].as_ref().expect("live vertex").0
-    }
-
-    /// Remove a vertex (pane purge / trend pruning).
-    pub fn remove(&mut self, id: VertexId) {
-        if let Some((_, charged)) = self.slots[id as usize].take() {
-            self.bytes = self.bytes.saturating_sub(charged);
-            self.live -= 1;
-            self.free.push(id);
-        }
-    }
-
-    /// Number of live vertices.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Running byte estimate of live vertices.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-}
-
-/// Ordered index of one state's vertices within one pane.
-#[derive(Debug, Default)]
-struct StateTree {
-    tree: BTreeMap<(OrdF64, u64), VertexId>,
-}
-
-/// Per-entry overhead estimate for memory accounting (key + value + BTree
-/// node amortization).
-pub const TREE_ENTRY_BYTES: usize = 48;
-
-impl StateTree {
-    fn insert(&mut self, key: f64, seq: u64, id: VertexId) {
-        self.tree.insert((OrdF64(key), seq), id);
-    }
-
-    fn remove(&mut self, key: f64, seq: u64) {
-        self.tree.remove(&(OrdF64(key), seq));
-    }
-
-    /// Visit ids whose key satisfies `key ⟨op⟩ bound`; `None` visits all.
-    fn visit(&self, range: Option<(CmpOp, f64)>, f: &mut impl FnMut(VertexId)) {
-        use Bound::*;
-        type Key = (OrdF64, u64);
-        let full = (
-            (OrdF64(f64::NEG_INFINITY), 0),
-            (OrdF64(f64::INFINITY), u64::MAX),
-        );
-        let (lo, hi): (Bound<Key>, Bound<Key>) = match range {
-            None => (Included(full.0), Included(full.1)),
-            Some((op, b)) => match op {
-                CmpOp::Lt => (Included(full.0), Excluded((OrdF64(b), 0))),
-                CmpOp::Le => (Included(full.0), Included((OrdF64(b), u64::MAX))),
-                CmpOp::Gt => (Excluded((OrdF64(b), u64::MAX)), Included(full.1)),
-                CmpOp::Ge => (Included((OrdF64(b), 0)), Included(full.1)),
-                CmpOp::Eq => (Included((OrdF64(b), 0)), Included((OrdF64(b), u64::MAX))),
-                // Ne cannot be a contiguous range: visit all, caller filters.
-                CmpOp::Ne => (Included(full.0), Included(full.1)),
-            },
-        };
-        for (_, id) in self.tree.range((lo, hi)) {
-            f(*id);
+impl Row {
+    /// A row for `event`, not yet charged (insertion does that).
+    pub fn new(event: EventRef, key: f64, seq: u64, latest_start: Time) -> Row {
+        Row {
+            key,
+            seq,
+            time: event.time,
+            latest_start,
+            event,
+            charged: 0,
         }
     }
 }
 
-/// One time pane: state-indexed vertex trees (Fig. 11). Trees are a dense
-/// vector indexed by `StateId` (template states are small dense ids), so
-/// the per-event lookup is an array index, not a hash.
+/// One state's vertices within one pane: rows ascending by
+/// `(key.total_cmp, seq)`, and their aggregates row-major, `k` per row.
 #[derive(Debug)]
-pub struct Pane {
+pub struct Run<N: TrendNum> {
+    rows: Vec<Row>,
+    aggs: Vec<AggState<N>>,
+}
+
+impl<N: TrendNum> Run<N> {
+    /// The rows, in run order.
+    pub fn rows(&self) -> &[Row] {
+        &self.rows
+    }
+
+    /// The `k` aggregates of row `r`, by ascending window.
+    // lint:hot-path
+    pub fn aggs_of(&self, r: usize, k: usize) -> &[AggState<N>] {
+        &self.aggs[r * k..(r + 1) * k]
+    }
+
+    /// The rows whose key satisfies `key ⟨op⟩ bound` under `total_cmp`;
+    /// `None` is every row, and so is `Ne`, which is no contiguous range
+    /// (the caller filters).
+    // lint:hot-path
+    pub fn range(&self, range: Option<(CmpOp, f64)>) -> Range<usize> {
+        let below = |b: f64| {
+            self.rows
+                .partition_point(|r| r.key.total_cmp(&b) == Ordering::Less)
+        };
+        let up_to = |b: f64| {
+            self.rows
+                .partition_point(|r| r.key.total_cmp(&b) != Ordering::Greater)
+        };
+        let len = self.rows.len();
+        match range {
+            None | Some((CmpOp::Ne, _)) => 0..len,
+            Some((CmpOp::Lt, b)) => 0..below(b),
+            Some((CmpOp::Le, b)) => 0..up_to(b),
+            Some((CmpOp::Gt, b)) => up_to(b)..len,
+            Some((CmpOp::Ge, b)) => below(b)..len,
+            Some((CmpOp::Eq, b)) => below(b)..up_to(b),
+        }
+    }
+
+    /// Insert `row` with its aggregates (drained from `aggs`) at its sorted
+    /// position.
+    // lint:hot-path
+    fn insert(&mut self, row: Row, aggs: &mut Vec<AggState<N>>) {
+        let k = aggs.len();
+        let at = self.rows.partition_point(|r| {
+            r.key.total_cmp(&row.key).then(r.seq.cmp(&row.seq)) == Ordering::Less
+        });
+        self.rows.insert(at, row);
+        self.aggs.splice(at * k..at * k, aggs.drain(..));
+    }
+
+    /// Remove the rows with time ≤ `cutoff`; returns their number and the
+    /// bytes they were charged.
+    fn purge_up_to(&mut self, cutoff: Time, k: usize) -> (usize, usize) {
+        let mut cell = 0;
+        self.aggs.retain(|_| {
+            cell += 1;
+            self.rows[(cell - 1) / k].time > cutoff
+        });
+        let (mut n, mut bytes) = (0, 0);
+        self.rows.retain(|r| {
+            if r.time <= cutoff {
+                n += 1;
+                bytes += r.charged;
+            }
+            r.time > cutoff
+        });
+        (n, bytes)
+    }
+}
+
+/// One time pane: a run per template state (Fig. 11), dense by `StateId`
+/// (template states are small dense ids), and the windows all its vertices
+/// fall into.
+#[derive(Debug)]
+pub struct Pane<N: TrendNum> {
     /// Pane start time (covers `[start, start + pane_len)`).
     pub start: Time,
-    trees: Vec<StateTree>,
-    entries: usize,
+    /// First window of the pane's vertices.
+    w_lo: WindowId,
+    /// Number of windows of the pane's vertices: the row width of its runs'
+    /// aggregate matrices. Zero when `WITHIN < SLIDE` leaves the pane
+    /// between two windows.
+    k: usize,
+    runs: Vec<Run<N>>,
+    /// Rows over all runs.
+    rows: usize,
+    /// Bytes charged over all rows.
+    charged: usize,
 }
 
-impl Pane {
-    fn new(start: Time, n_states: usize) -> Pane {
+impl<N: TrendNum> Pane<N> {
+    fn new(start: Time, w_lo: WindowId, k: usize, n_states: usize) -> Pane<N> {
+        let run = || Run {
+            rows: Vec::new(),
+            aggs: Vec::new(),
+        };
         Pane {
             start,
-            trees: (0..n_states).map(|_| StateTree::default()).collect(),
-            entries: 0,
+            w_lo,
+            k,
+            runs: (0..n_states).map(|_| run()).collect(),
+            rows: 0,
+            charged: 0,
         }
     }
 
-    /// Ids stored in this pane (all states).
-    pub fn all_ids(&self) -> Vec<VertexId> {
-        let mut v: Vec<VertexId> = self
-            .trees
-            .iter()
-            .flat_map(|t| t.tree.values().copied())
-            .collect();
-        v.sort_unstable();
-        v
+    /// The run of `state`.
+    pub fn run(&self, state: StateId) -> &Run<N> {
+        &self.runs[state.0 as usize]
+    }
+
+    /// The runs with their states, ascending by state.
+    pub fn runs(&self) -> impl Iterator<Item = (StateId, &Run<N>)> {
+        let states = (0u16..).map(StateId);
+        states.zip(&self.runs)
+    }
+
+    /// Number of windows of this pane's vertices (aggregates per row).
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// First window of this pane's vertices.
+    pub fn w_lo(&self) -> WindowId {
+        self.w_lo
+    }
+
+    /// Position of window `wid` among a row's aggregates, if the pane's
+    /// vertices fall into it.
+    pub fn window_index(&self, wid: WindowId) -> Option<usize> {
+        let i = usize::try_from(wid.checked_sub(self.w_lo)?).ok()?;
+        (i < self.k).then_some(i)
+    }
+
+    /// The aggregates a row of this pane shares with a vertex of this or a
+    /// later pane whose `n` windows start at `e_lo`, as positions within the
+    /// row: windows only slide forward, so the shared ones are the newer
+    /// vertex's **first** `min(k − (e_lo − w_lo), n)` — none when the panes
+    /// have no window in common.
+    // lint:hot-path
+    pub fn shared_windows(&self, e_lo: WindowId, n: usize) -> Range<usize> {
+        let off = usize::try_from(e_lo - self.w_lo).map_or(self.k, |off| off.min(self.k));
+        off..off + (self.k - off).min(n)
     }
 }
 
@@ -240,83 +230,83 @@ impl Pane {
 /// the engine's plan and is handed to the calls that need it.
 #[derive(Debug, Default)]
 pub struct GraphStorage<N: TrendNum> {
-    /// Vertex slab.
-    pub store: VertexStore<N>,
-    panes: VecDeque<Pane>,
+    panes: VecDeque<Pane<N>>,
+    /// Rows over all panes.
+    rows: usize,
+    /// Bytes charged over all rows.
+    charged: usize,
 }
 
 impl<N: TrendNum> GraphStorage<N> {
     /// Empty storage.
     pub fn new() -> Self {
         GraphStorage {
-            store: VertexStore::new(),
             panes: VecDeque::new(),
+            rows: 0,
+            charged: 0,
         }
     }
 
-    /// Insert a vertex under `key`, its state's sort key (the attribute of
-    /// that state's range-form edge predicate, else the event time), into
-    /// the pane of length `pane_len` its time falls in; a new pane gets one
-    /// tree per template state (`n_states`). Returns the vertex id.
-    pub fn insert(&mut self, v: Vertex<N>, key: f64, pane_len: u64, n_states: usize) -> VertexId {
-        let t = v.event.time;
-        let state = v.state.0 as usize;
-        let seq = v.seq;
-        let id = self.store.insert(v);
-        let ps = pane_start(t, pane_len);
-        // In-order arrival: the pane is the last one or a new one.
-        if self.panes.back().is_none_or(|p| p.start < ps) {
-            self.panes.push_back(Pane::new(ps, n_states));
-        }
-        let pane = self
-            .panes
-            .iter_mut()
-            .rev()
-            .find(|p| p.start <= t && t.ticks() < p.start.ticks() + pane_len)
-            .expect("pane exists for in-order insert");
-        pane.trees[state].insert(key, seq, id);
-        pane.entries += 1;
-        id
-    }
-
-    /// Visit candidate predecessors of `state` with event time in
-    /// `[lo, hi)`, optionally restricted by a range predicate on the
-    /// state's sort attribute.
-    pub fn visit_candidates(
-        &self,
+    /// Insert a vertex of `state`: `row` (its key is the state's sort key)
+    /// and its per-window aggregates, drained from `aggs`, for the windows
+    /// starting at `w_lo`. It goes into the pane of length `pane_len` its
+    /// time falls in; a new pane gets one run per template state
+    /// (`n_states`) and takes its windows from this, its first, vertex.
+    // lint:hot-path
+    pub fn insert(
+        &mut self,
         state: StateId,
+        mut row: Row,
+        aggs: &mut Vec<AggState<N>>,
+        w_lo: WindowId,
+        pane_len: u64,
+        n_states: usize,
+    ) {
+        let ps = pane_start(row.time, pane_len);
+        // In-order arrival: the pane is the last one or a new last one.
+        let at = match self.panes.back() {
+            Some(p) if p.start == ps => self.panes.len() - 1,
+            _ => {
+                let at = self.panes.partition_point(|p| p.start < ps);
+                if self.panes.get(at).is_none_or(|p| p.start != ps) {
+                    self.panes
+                        .insert(at, Pane::new(ps, w_lo, aggs.len(), n_states));
+                }
+                at
+            }
+        };
+        let pane = &mut self.panes[at];
+        debug_assert_eq!((pane.w_lo, pane.k), (w_lo, aggs.len()));
+        row.charged = std::mem::size_of::<Row>()
+            + shared_heap_size(&row.event)
+            + aggs
+                .iter()
+                .map(|a| std::mem::size_of::<AggState<N>>() + a.heap_size())
+                .sum::<usize>();
+        pane.rows += 1;
+        pane.charged += row.charged;
+        self.rows += 1;
+        self.charged += row.charged;
+        pane.runs[state.0 as usize].insert(row, aggs);
+    }
+
+    /// The panes holding any time in `[lo, hi)`, oldest first.
+    // lint:hot-path
+    pub fn panes_between(
+        &self,
         lo: Time,
         hi: Time,
         pane_len: u64,
-        range: Option<(CmpOp, f64)>,
-        mut f: impl FnMut(VertexId, &Vertex<N>),
-    ) {
-        for pane in &self.panes {
-            if pane.start >= hi {
-                break;
-            }
-            // Skip panes entirely before lo (latest pane time = start+len-1).
-            if pane.start.ticks() + pane_len <= lo.ticks() {
-                continue;
-            }
-            if let Some(tree) = pane.trees.get(state.0 as usize) {
-                tree.visit(range, &mut |id| {
-                    let v = self.store.get(id);
-                    if v.event.time >= lo && v.event.time < hi {
-                        f(id, v);
-                    }
-                });
-            }
-        }
+    ) -> impl Iterator<Item = &Pane<N>> {
+        self.panes
+            .iter()
+            .skip_while(move |p| p.start.ticks() + pane_len <= lo.ticks())
+            .take_while(move |p| p.start < hi)
     }
 
-    /// Visit **all** vertices of a state (deferred final aggregation).
-    pub fn visit_state(&self, state: StateId, mut f: impl FnMut(VertexId, &Vertex<N>)) {
-        for pane in &self.panes {
-            if let Some(tree) = pane.trees.get(state.0 as usize) {
-                tree.visit(None, &mut |id| f(id, self.store.get(id)));
-            }
-        }
+    /// All panes, oldest first.
+    pub fn panes(&self) -> impl Iterator<Item = &Pane<N>> {
+        self.panes.iter()
     }
 
     /// Batch-delete the oldest panes while `dead(pane start)` holds (their
@@ -325,11 +315,10 @@ impl<N: TrendNum> GraphStorage<N> {
         let mut purged = 0;
         while self.panes.front().is_some_and(|p| dead(p.start)) {
             let pane = self.panes.pop_front().expect("front pane checked above");
-            for id in pane.all_ids() {
-                self.store.remove(id);
-                purged += 1;
-            }
+            purged += pane.rows;
+            self.charged -= pane.charged;
         }
+        self.rows -= purged;
         purged
     }
 
@@ -338,49 +327,32 @@ impl<N: TrendNum> GraphStorage<N> {
     /// number purged.
     pub fn purge_vertices_up_to(&mut self, cutoff: Time) -> usize {
         let mut purged = 0;
-        for pane in &mut self.panes {
-            if pane.start > cutoff {
-                break;
-            }
-            for tree in pane.trees.iter_mut() {
-                let doomed: Vec<((OrdF64, u64), VertexId)> = tree
-                    .tree
-                    .iter()
-                    .filter(|(_, id)| self.store.get(**id).event.time <= cutoff)
-                    .map(|(k, id)| (*k, *id))
-                    .collect();
-                for (k, id) in doomed {
-                    tree.remove(k.0 .0, k.1);
-                    self.store.remove(id);
-                    pane.entries -= 1;
-                    purged += 1;
-                }
+        for pane in self.panes.iter_mut().take_while(|p| p.start <= cutoff) {
+            for run in &mut pane.runs {
+                let (n, bytes) = run.purge_up_to(cutoff, pane.k);
+                pane.rows -= n;
+                pane.charged -= bytes;
+                self.charged -= bytes;
+                purged += n;
             }
         }
+        self.rows -= purged;
         purged
     }
 
     /// Number of live vertices.
     pub fn len(&self) -> usize {
-        self.store.len()
+        self.rows
     }
 
     /// True when no vertices are stored.
     pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
+        self.rows == 0
     }
 
-    /// Approximate bytes of live state (vertices + index entries).
+    /// Approximate bytes of live state (rows with their aggregates, panes).
     pub fn bytes(&self) -> usize {
-        let entries: usize = self.panes.iter().map(|p| p.entries).sum();
-        self.store.bytes()
-            + entries * TREE_ENTRY_BYTES
-            + std::mem::size_of::<Pane>() * self.panes.len()
-    }
-
-    /// Pane iterator (tests / diagnostics).
-    pub fn panes(&self) -> impl Iterator<Item = &Pane> {
-        self.panes.iter()
+        self.charged + std::mem::size_of::<Pane<N>>() * self.panes.len()
     }
 }
 
@@ -388,61 +360,88 @@ impl<N: TrendNum> GraphStorage<N> {
 mod tests {
     use super::*;
     use crate::agg::AggLayout;
+    use crate::window::windows_of;
+    use greta_query::WindowSpec;
     use greta_types::{AttrId, Event, TypeId, Value};
 
-    fn vertex(t: u64, attr: f64, state: u16, seq: u64) -> Vertex<f64> {
-        let layout = AggLayout::default();
-        Vertex {
-            event: Event::new_unchecked(TypeId(0), Time(t), vec![Value::Float(attr)]).into_ref(),
-            state: StateId(state),
-            seq,
-            latest_start: Time(t),
-            aggs: vec![(0, AggState::zero(&layout))],
-        }
+    fn event(t: u64, attr: f64) -> EventRef {
+        Event::new_unchecked(TypeId(0), Time(t), vec![Value::Float(attr)]).into_ref()
     }
 
-    /// Insert into 5-tick panes of two states, sorted by event time — or
-    /// by attribute 0 when `by_attr` (the plan's job in the engine).
-    fn ins(s: &mut GraphStorage<f64>, v: Vertex<f64>, by_attr: bool) {
+    /// Insert `e` as a vertex of `state` into 5-tick panes of two states
+    /// under tumbling `WITHIN 5 SLIDE 5` (one window per pane), sorted by
+    /// event time — or by attribute 0 when `by_attr` (the plan's job in the
+    /// engine).
+    fn ins(s: &mut GraphStorage<f64>, e: &EventRef, state: u16, seq: u64, by_attr: bool) {
         let key = if by_attr {
-            v.event.attr(AttrId(0)).as_f64()
+            e.attr(AttrId(0)).as_f64()
         } else {
-            v.event.time.ticks() as f64
+            e.time.ticks() as f64
         };
-        s.insert(v, key, 5, 2);
+        let row = Row::new(e.clone(), key, seq, e.time);
+        let mut aggs = vec![AggState::zero(&AggLayout::default())];
+        s.insert(StateId(state), row, &mut aggs, e.time.ticks() / 5, 5, 2);
+        assert!(aggs.is_empty(), "the aggregates move into the run");
+    }
+
+    /// Times of the rows of `state` with time in `[lo, hi)` passing `range`.
+    fn candidates(
+        s: &GraphStorage<f64>,
+        state: u16,
+        (lo, hi): (u64, u64),
+        range: Option<(CmpOp, f64)>,
+    ) -> Vec<(u64, f64)> {
+        let mut seen = Vec::new();
+        for pane in s.panes_between(Time(lo), Time(hi), 5) {
+            let run = pane.run(StateId(state));
+            for row in &run.rows()[run.range(range)] {
+                if row.time >= Time(lo) && row.time < Time(hi) {
+                    seen.push((row.time.ticks(), row.event.attr(AttrId(0)).as_f64()));
+                }
+            }
+        }
+        seen.sort_by(|x, y| x.partial_cmp(y).unwrap());
+        seen
     }
 
     fn purge_before(s: &mut GraphStorage<f64>, deadline: u64) -> usize {
         s.purge_panes_while(|ps| ps.ticks() + 5 <= deadline)
     }
 
+    fn times(s: &GraphStorage<f64>, state: u16) -> Vec<u64> {
+        let runs = s.panes().map(|p| p.run(StateId(state)));
+        let mut t: Vec<u64> = runs
+            .flat_map(|r| r.rows().iter().map(|row| row.time.ticks()))
+            .collect();
+        t.sort_unstable();
+        t
+    }
+
     #[test]
     fn insert_and_candidates_time_bounds() {
         let mut s = GraphStorage::new();
         for t in [1, 3, 7, 12] {
-            ins(&mut s, vertex(t, 0.0, 0, t), false);
+            ins(&mut s, &event(t, 0.0), 0, t, false);
         }
         assert_eq!(s.len(), 4);
         assert_eq!(s.panes().count(), 3); // panes [0,5) [5,10) [10,15)
-        let mut seen = Vec::new();
-        s.visit_candidates(StateId(0), Time(2), Time(12), 5, None, |_, v| {
-            seen.push(v.event.time.ticks())
-        });
-        seen.sort_unstable();
-        assert_eq!(seen, vec![3, 7]); // in [2, 12)
+        let seen = candidates(&s, 0, (2, 12), None);
+        assert_eq!(seen, vec![(3, 0.0), (7, 0.0)], "in [2, 12)");
+        // Only the panes that can hold such a time are offered.
+        assert_eq!(s.panes_between(Time(5), Time(10), 5).count(), 1);
+        assert_eq!(s.panes_between(Time(4), Time(11), 5).count(), 3);
+        assert_eq!(s.panes_between(Time(10), Time(10), 5).count(), 0);
     }
 
     #[test]
     fn range_queries_on_sort_attr() {
         let mut s = GraphStorage::new();
         for (t, a) in [(1, 10.0), (2, 8.0), (3, 6.0), (4, 9.0)] {
-            ins(&mut s, vertex(t, a, 0, t), true);
+            ins(&mut s, &event(t, a), 0, t, true);
         }
-        let collect = |op, b| {
-            let mut v = Vec::new();
-            s.visit_candidates(StateId(0), Time(0), Time(100), 5, Some((op, b)), |_, x| {
-                v.push(x.event.attr(AttrId(0)).as_f64())
-            });
+        let collect = |op, b| -> Vec<f64> {
+            let seen = candidates(&s, 0, (0, 100), Some((op, b)));
+            let mut v: Vec<f64> = seen.into_iter().map(|(_, a)| a).collect();
             v.sort_by(f64::total_cmp);
             v
         };
@@ -451,66 +450,165 @@ mod tests {
         assert_eq!(collect(CmpOp::Gt, 8.0), vec![9.0, 10.0]);
         assert_eq!(collect(CmpOp::Ge, 8.0), vec![8.0, 9.0, 10.0]);
         assert_eq!(collect(CmpOp::Eq, 8.0), vec![8.0]);
-        // Ne falls back to full scan (caller filters).
+        // Ne falls back to the whole run (caller filters).
         assert_eq!(collect(CmpOp::Ne, 8.0).len(), 4);
+    }
+
+    #[test]
+    fn rows_and_aggregates_stay_aligned_in_run_order() {
+        // Keys arrive out of order; every row's aggregates must sit at the
+        // row's own position of the matrix, for k = 2.
+        let mut s = GraphStorage::<f64>::new();
+        let layout = AggLayout::default();
+        for (seq, key) in [
+            (1u64, 5.0),
+            (2, 1.0),
+            (3, 9.0),
+            (4, 1.0),
+            (5, -0.0),
+            (6, 0.0),
+        ] {
+            let mut aggs: Vec<AggState<f64>> = vec![AggState::zero(&layout); 2];
+            aggs[0].count = seq as f64;
+            aggs[1].count = -(seq as f64);
+            s.insert(
+                StateId(0),
+                Row::new(event(seq, key), key, seq, Time(seq)),
+                &mut aggs,
+                7,
+                10,
+                1,
+            );
+        }
+        let pane = s.panes().next().unwrap();
+        assert_eq!((pane.w_lo(), pane.k()), (7, 2));
+        let run = pane.run(StateId(0));
+        let order: Vec<u64> = run.rows().iter().map(|r| r.seq).collect();
+        assert_eq!(order, vec![5, 6, 2, 4, 1, 3]); // -0.0 < 0.0 < 1.0(seq 2, 4) < 5 < 9
+        for (r, row) in run.rows().iter().enumerate() {
+            let cells: Vec<f64> = run.aggs_of(r, 2).iter().map(|a| a.count).collect();
+            assert_eq!(cells, vec![row.seq as f64, -(row.seq as f64)]);
+        }
     }
 
     #[test]
     fn state_separation() {
         let mut s = GraphStorage::new();
-        ins(&mut s, vertex(1, 0.0, 0, 1), false);
-        ins(&mut s, vertex(2, 0.0, 1, 2), false);
-        let mut n0 = 0;
-        s.visit_candidates(StateId(0), Time(0), Time(10), 5, None, |_, _| n0 += 1);
-        let mut n1 = 0;
-        s.visit_candidates(StateId(1), Time(0), Time(10), 5, None, |_, _| n1 += 1);
-        assert_eq!((n0, n1), (1, 1));
+        ins(&mut s, &event(1, 0.0), 0, 1, false);
+        ins(&mut s, &event(2, 0.0), 1, 2, false);
+        assert_eq!(candidates(&s, 0, (0, 10), None).len(), 1);
+        assert_eq!(candidates(&s, 1, (0, 10), None).len(), 1);
     }
 
     #[test]
     fn pane_purge_batch_deletes() {
         let mut s = GraphStorage::new();
         for t in [1, 3, 7, 12] {
-            ins(&mut s, vertex(t, 0.0, 0, t), false);
+            ins(&mut s, &event(t, 0.0), 0, t, false);
         }
         let purged = purge_before(&mut s, 10); // panes [0,5) and [5,10)
         assert_eq!(purged, 3);
         assert_eq!(s.len(), 1);
-        let mut seen = Vec::new();
-        s.visit_state(StateId(0), |_, v| seen.push(v.event.time.ticks()));
-        assert_eq!(seen, vec![12]);
+        assert_eq!(times(&s, 0), vec![12]);
     }
 
     #[test]
     fn vertex_purge_up_to_cutoff() {
         let mut s = GraphStorage::new();
         for t in [1, 3, 7] {
-            ins(&mut s, vertex(t, 0.0, 0, t), false);
+            ins(&mut s, &event(t, 0.0), 0, t, false);
         }
+        let before = s.bytes();
         let purged = s.purge_vertices_up_to(Time(3));
         assert_eq!(purged, 2);
         assert_eq!(s.len(), 1);
+        assert_eq!(times(&s, 0), vec![7]);
+        assert!(s.bytes() < before);
+        // The surviving row kept its own aggregates.
+        let pane = s.panes().nth(1).unwrap();
+        assert_eq!(pane.run(StateId(0)).aggs_of(0, 1).len(), 1);
     }
 
     #[test]
-    fn bytes_accounting_shrinks_on_purge() {
+    fn bytes_return_to_the_empty_figure_after_purging_everything() {
         let mut s = GraphStorage::new();
+        assert_eq!(s.bytes(), 0);
         for t in [1, 2, 3, 8] {
-            ins(&mut s, vertex(t, 0.0, 0, t), false);
+            ins(&mut s, &event(t, 0.0), 0, t, false);
         }
         let before = s.bytes();
         purge_before(&mut s, 5);
         assert!(s.bytes() < before);
+        assert!(s.bytes() > 0);
+        purge_before(&mut s, 10);
+        assert_eq!((s.len(), s.bytes()), (0, 0));
+        // Row by row instead of pane by pane: only the empty panes remain.
+        for t in [11, 17] {
+            ins(&mut s, &event(t, 0.0), 1, t, false);
+        }
+        assert_eq!(s.purge_vertices_up_to(Time(17)), 2);
+        assert_eq!(s.bytes(), 2 * std::mem::size_of::<Pane<f64>>());
     }
 
     #[test]
-    fn vertex_agg_lookup() {
-        let layout = AggLayout::default();
-        let mut v = vertex(1, 0.0, 0, 1);
-        v.aggs = vec![(2, AggState::zero(&layout)), (5, AggState::zero(&layout))];
-        assert!(v.agg(2).is_some());
-        assert!(v.agg(5).is_some());
-        assert!(v.agg(3).is_none());
+    fn window_positions_shared_with_a_newer_vertex() {
+        // WITHIN 10 SLIDE 4: pane 2, a vertex falls into 2 or 3 windows.
+        let w = WindowSpec::new(10, 4);
+        let pane_of = |t: u64| {
+            let ws = windows_of(Time(t), &w);
+            Pane::<f64>::new(Time(t / 2 * 2), *ws.start(), ws.count(), 1)
+        };
+        for old in (0..40u64).step_by(2) {
+            let pane = pane_of(old);
+            assert!(pane.k() <= 3);
+            for new in old..old + 14 {
+                let ws = windows_of(Time(new), &w);
+                let shared = pane.shared_windows(*ws.start(), ws.clone().count());
+                // Position by position: the pane's window there is the
+                // newer vertex's i-th, and no common window is left out.
+                let pane_ws: Vec<WindowId> = windows_of(Time(old), &w).collect();
+                let got: Vec<WindowId> = pane_ws[shared].to_vec();
+                let want: Vec<WindowId> = ws.clone().filter(|x| pane_ws.contains(x)).collect();
+                assert_eq!(got, want, "old {old} new {new}");
+                assert!(ws.clone().zip(&got).all(|(a, b)| a == *b));
+                for wid in 0..16 {
+                    let at = pane.window_index(wid);
+                    assert_eq!(at, pane_ws.iter().position(|x| *x == wid));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_pane_between_two_windows_holds_rows_without_aggregates() {
+        // WITHIN 3 SLIDE 10: times 3..=9 of every ten fall into no window.
+        let w = WindowSpec::new(3, 10);
+        let mut s = GraphStorage::<f64>::new();
+        for (seq, t) in [2u64, 5, 6, 11].into_iter().enumerate() {
+            let ws = windows_of(Time(t), &w);
+            let mut aggs = vec![AggState::zero(&AggLayout::default()); ws.clone().count()];
+            let row = Row::new(event(t, 0.0), t as f64, seq as u64, Time(t));
+            s.insert(StateId(0), row, &mut aggs, *ws.start(), 1, 1);
+        }
+        let ks: Vec<usize> = s.panes().map(Pane::k).collect();
+        assert_eq!(ks, vec![1, 0, 0, 1]);
+        let gap = s.panes().nth(1).unwrap();
+        assert_eq!(gap.run(StateId(0)).rows().len(), 1);
+        assert!(gap.run(StateId(0)).aggs_of(0, 0).is_empty());
+        assert_eq!(gap.window_index(0), None);
+        assert_eq!(gap.window_index(1), None);
+        // A later vertex shares nothing with it — and nothing with a pane
+        // of the previous window either.
+        let ws = windows_of(Time(11), &w);
+        assert_eq!((*ws.start(), ws.clone().count()), (1, 1));
+        assert!(gap.shared_windows(1, 1).is_empty());
+        assert!(s.panes().next().unwrap().shared_windows(1, 1).is_empty());
+        assert!(gap.shared_windows(1, 0).is_empty()); // from a vertex in no window
+                                                      // Purging by cutoff leaves the zero-width matrix alone.
+        assert_eq!(s.purge_vertices_up_to(Time(5)), 2);
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.purge_panes_while(|_| true), 2);
+        assert_eq!((s.len(), s.bytes()), (0, 0));
     }
 
     mod props {
@@ -519,66 +617,113 @@ mod tests {
 
         proptest! {
             /// Range-assisted candidate visits return exactly the vertices a
-            /// naive filter over all inserted vertices would.
+            /// naive filter over all inserted vertices would — for all six
+            /// operators, with duplicate keys and both zeros.
             #[test]
-            fn visit_candidates_matches_naive_filter(
-                inserts in proptest::collection::vec((0u64..40, -10i32..10), 0..40),
+            fn run_range_matches_naive_filter(
+                inserts in proptest::collection::vec((0u64..40, -4i32..5, any::<bool>()), 0..40),
                 lo in 0u64..40,
                 hi in 0u64..45,
                 op_idx in 0usize..6,
-                bound in -10i32..10,
+                bound in -4i32..5,
+                neg_zero_bound in any::<bool>(),
             ) {
+                // Few distinct keys, so duplicates are the rule; an integer
+                // key of 0 is stored as -0.0 or +0.0.
+                let f = |a: i32, neg: bool| if a == 0 && neg { -0.0 } else { a as f64 };
                 let mut sorted = inserts.clone();
-                sorted.sort_by_key(|(t, _)| *t); // in-order arrival
+                sorted.sort_by_key(|(t, _, _)| *t); // in-order arrival
                 let mut st = GraphStorage::new();
-                for (seq, (t, a)) in sorted.iter().enumerate() {
-                    ins(&mut st, vertex(*t, *a as f64, 0, seq as u64), true);
+                for (seq, (t, a, neg)) in sorted.iter().enumerate() {
+                    ins(&mut st, &event(*t, f(*a, *neg)), 0, seq as u64, true);
                 }
                 let ops = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
-                let op = ops[op_idx];
-                let mut got: Vec<(u64, f64)> = Vec::new();
-                st.visit_candidates(StateId(0), Time(lo), Time(hi), 5, Some((op, bound as f64)), |_, v| {
-                    got.push((v.event.time.ticks(), v.event.attr(AttrId(0)).as_f64()));
-                });
-                // Ne is answered by a full visit (the caller filters), so
+                let (op, bound) = (ops[op_idx], f(bound, neg_zero_bound));
+                let got = candidates(&st, 0, (lo, hi), Some((op, bound)));
+                // Ne is answered by the whole run (the caller filters), so
                 // emulate that here.
                 let mut expect: Vec<(u64, f64)> = sorted
                     .iter()
+                    .map(|(t, a, neg)| (*t, f(*a, *neg)))
                     .filter(|(t, a)| {
-                        *t >= lo && *t < hi && (op == CmpOp::Ne || op.eval((*a as f64).total_cmp(&(bound as f64))))
+                        *t >= lo && *t < hi && (op == CmpOp::Ne || op.eval(a.total_cmp(&bound)))
                     })
-                    .map(|(t, a)| (*t, *a as f64))
                     .collect();
-                got.sort_by(|x, y| x.partial_cmp(y).unwrap());
                 expect.sort_by(|x, y| x.partial_cmp(y).unwrap());
-                prop_assert_eq!(got, expect);
+                let bits = |v: &[(u64, f64)]| -> Vec<(u64, u64)> {
+                    let mut b: Vec<(u64, u64)> = v.iter().map(|(t, a)| (*t, a.to_bits())).collect();
+                    b.sort_unstable();
+                    b
+                };
+                prop_assert_eq!(bits(&got), bits(&expect));
+                // Every run stays sorted by (key, seq).
+                for pane in st.panes() {
+                    let rows = pane.run(StateId(0)).rows();
+                    prop_assert!(rows.windows(2).all(|w| {
+                        w[0].key.total_cmp(&w[1].key).then(w[0].seq.cmp(&w[1].seq)).is_lt()
+                    }));
+                }
             }
 
             /// Pane purge removes exactly the vertices strictly before the
             /// deadline pane boundary.
             #[test]
             fn pane_purge_is_exact(
-                times in proptest::collection::vec(0u64..60, 0..40),
+                times_in in proptest::collection::vec(0u64..60, 0..40),
                 deadline in 0u64..70,
             ) {
-                let mut sorted = times.clone();
+                let mut sorted = times_in.clone();
                 sorted.sort_unstable();
                 let mut st = GraphStorage::<f64>::new();
                 for (seq, t) in sorted.iter().enumerate() {
-                    ins(&mut st, vertex(*t, 0.0, 0, seq as u64), false);
+                    ins(&mut st, &event(*t, 0.0), 0, seq as u64, false);
                 }
-                purge_before(&mut st, deadline);
-                let mut remaining = Vec::new();
-                st.visit_state(StateId(0), |_, v| remaining.push(v.event.time.ticks()));
-                remaining.sort_unstable();
+                let purged = purge_before(&mut st, deadline);
                 // A vertex survives iff its pane [p, p+5) ends after deadline.
-                let mut expect: Vec<u64> = sorted
+                let expect: Vec<u64> = sorted
                     .iter()
                     .copied()
                     .filter(|t| (t / 5) * 5 + 5 > deadline)
                     .collect();
-                expect.sort_unstable();
-                prop_assert_eq!(remaining, expect);
+                prop_assert_eq!(purged, sorted.len() - expect.len());
+                prop_assert_eq!(st.len(), expect.len());
+                prop_assert_eq!(times(&st, 0), expect);
+            }
+
+            /// Cutoff purge removes exactly the vertices at or before the
+            /// cutoff, keeps every survivor's aggregates with it, and the
+            /// byte total returns to the panes alone once all are gone.
+            #[test]
+            fn purge_vertices_up_to_is_exact(
+                times_in in proptest::collection::vec((0u64..30, -5i32..5), 0..30),
+                cutoff in 0u64..32,
+            ) {
+                let mut sorted = times_in.clone();
+                sorted.sort_by_key(|(t, _)| *t);
+                let layout = AggLayout::default();
+                let mut st = GraphStorage::<f64>::new();
+                for (seq, (t, a)) in sorted.iter().enumerate() {
+                    // Two windows per vertex; the aggregates name their row.
+                    let mut aggs: Vec<AggState<f64>> = vec![AggState::zero(&layout); 2];
+                    aggs[0].count = seq as f64;
+                    aggs[1].count = seq as f64 + 0.5;
+                    let row = Row::new(event(*t, *a as f64), *a as f64, seq as u64, Time(*t));
+                    st.insert(StateId(0), row, &mut aggs, t / 5, 5, 1);
+                }
+                let purged = st.purge_vertices_up_to(Time(cutoff));
+                let expect: Vec<u64> =
+                    sorted.iter().map(|(t, _)| *t).filter(|t| *t > cutoff).collect();
+                prop_assert_eq!(purged, sorted.len() - expect.len());
+                prop_assert_eq!(times(&st, 0), expect);
+                for pane in st.panes() {
+                    let run = pane.run(StateId(0));
+                    for (r, row) in run.rows().iter().enumerate() {
+                        let cells: Vec<f64> = run.aggs_of(r, 2).iter().map(|a| a.count).collect();
+                        prop_assert_eq!(cells, vec![row.seq as f64, row.seq as f64 + 0.5]);
+                    }
+                }
+                st.purge_vertices_up_to(Time(40));
+                prop_assert_eq!(st.bytes(), st.panes().count() * std::mem::size_of::<Pane<f64>>());
             }
         }
     }
@@ -588,29 +733,21 @@ mod tests {
         // Two vertices holding the SAME EventRef must together charge the
         // event payload about once; two vertices over deep copies charge it
         // twice. Use a long string payload so the difference dominates.
-        let layout = AggLayout::default();
         let long = "X".repeat(4096);
-        let mk = |e: &EventRef, seq: u64| Vertex::<f64> {
-            event: e.clone(),
-            state: StateId(0),
-            seq,
-            latest_start: Time(1),
-            aggs: vec![(0, AggState::zero(&layout))],
-        };
-        let shared =
-            Event::new_unchecked(TypeId(0), Time(1), vec![Value::from(long.clone())]).into_ref();
-        let mut with_sharing = VertexStore::<f64>::new();
-        // Hold both vertices' refs before charging so the amortized charge
-        // sees the final strong count.
-        let (v1, v2) = (mk(&shared, 1), mk(&shared, 2));
-        with_sharing.insert(v1);
-        with_sharing.insert(v2);
+        let mk = || Event::new_unchecked(TypeId(0), Time(1), vec![Value::from(long.clone())]);
+        let mut with_sharing = GraphStorage::<f64>::new();
+        let shared = mk().into_ref();
+        {
+            // Hold both vertices' refs before charging so the amortized
+            // charge sees the final strong count.
+            let _second_holder = shared.clone();
+            ins(&mut with_sharing, &shared, 0, 1, false);
+        }
+        ins(&mut with_sharing, &shared, 1, 2, false);
 
-        let mut without_sharing = VertexStore::<f64>::new();
+        let mut without_sharing = GraphStorage::<f64>::new();
         for seq in [1, 2] {
-            let copy = Event::new_unchecked(TypeId(0), Time(1), vec![Value::from(long.clone())])
-                .into_ref();
-            without_sharing.insert(mk(&copy, seq));
+            ins(&mut without_sharing, &mk().into_ref(), 0, seq, false);
         }
         assert!(
             with_sharing.bytes() < without_sharing.bytes() * 3 / 4,
@@ -621,19 +758,10 @@ mod tests {
         // Removal subtracts the recorded charge exactly: no drift/underflow
         // even though the strong count changed since insertion.
         drop(shared);
-        with_sharing.remove(0);
-        with_sharing.remove(1);
-        assert_eq!(with_sharing.bytes(), 0);
+        assert_eq!(with_sharing.purge_vertices_up_to(Time(1)), 2);
         assert_eq!(with_sharing.len(), 0);
-    }
-
-    #[test]
-    fn store_reuses_slots() {
-        let mut st = VertexStore::<f64>::new();
-        let a = st.insert(vertex(1, 0.0, 0, 1));
-        st.remove(a);
-        let b = st.insert(vertex(2, 0.0, 0, 2));
-        assert_eq!(a, b);
-        assert_eq!(st.len(), 1);
+        assert_eq!(with_sharing.bytes(), std::mem::size_of::<Pane<f64>>());
+        assert_eq!(with_sharing.purge_panes_while(|_| true), 0);
+        assert_eq!(with_sharing.bytes(), 0);
     }
 }

@@ -11,7 +11,8 @@ use greta_types::Time;
 /// Window identifier: the window starting at `wid · slide`.
 pub type WindowId = u64;
 
-/// All window ids an event at time `t` falls into, ascending.
+/// All window ids an event at time `t` falls into, ascending: a contiguous
+/// id range, empty when `within < slide` leaves `t` between two windows.
 ///
 /// ```
 /// use greta_core::window::windows_of;
@@ -20,7 +21,7 @@ pub type WindowId = u64;
 /// let w = WindowSpec::new(10, 3); // WITHIN 10 SLIDE 3
 /// assert_eq!(windows_of(Time(9), &w).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
 /// ```
-pub fn windows_of(t: Time, w: &WindowSpec) -> impl Iterator<Item = WindowId> {
+pub fn windows_of(t: Time, w: &WindowSpec) -> std::ops::RangeInclusive<WindowId> {
     let t = t.ticks();
     let hi = t / w.slide; // last window starting at or before t
     let lo = if t >= w.within {

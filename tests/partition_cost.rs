@@ -1,10 +1,11 @@
 //! What a *new partition* costs on the heap, through the public API only.
 //!
-//! A partition is graph state: its storages, invalidation logs, counters
-//! and `GROUP-BY` prefix. Everything derived from the query alone
-//! (dispatch tables, predicate trees, dependencies, sort attributes, pane
-//! length) is built once per engine — see ARCHITECTURE "Inside a shard
-//! engine". This file pins that split with a counting allocator on the
+//! A partition is graph state: its storages (panes of sorted runs),
+//! invalidation logs, counters and `GROUP-BY` prefix. Everything derived
+//! from the query alone (dispatch tables, predicate trees, dependencies,
+//! sort attributes, pane length) is built once per engine — see
+//! ARCHITECTURE "Inside a shard engine". This file pins that split and what
+//! the storage layout costs a partition, with a counting allocator on the
 //! Q1-sparse shape (one partition per company, all companies in one
 //! sector so the per-group result slot is created once): the heap an event
 //! costs when it opens a partition, beyond what an event costs that only
@@ -61,25 +62,29 @@ fn per_event(n: u64, f: impl FnOnce()) -> (f64, f64) {
     ((c1 - c0) as f64 / n as f64, grown as f64 / n as f64)
 }
 
-/// Measured at the parent commit (86deefa) with this file: opening a
-/// partition cost 18 allocator calls and 1 783 B of live heap beyond a
-/// vertex-only event (5 calls, 320 B), and the analytic accounting read
-/// `PARENT_MEMORY_BYTES` after the run. Amortised growth of the partition
-/// map adds 0.01 calls per event on both sides; calls are compared whole.
-const PARENT_CALLS: f64 = 18.0;
-const PARENT_BYTES: f64 = 1783.2;
-const PARENT_MEMORY_BYTES: usize = 790_616;
-/// Of the parent's figure, 11 calls / 740 B were copies of the plan (the
-/// dispatch tables, the cloned predicate trees, `sort_attr`) and are gone.
-/// The other 1 043 B are not plan: the first vertex's index structures
-/// (slab 256 B, pane deque 160 B, per-pane tree vector 24 B, B-tree leaf
-/// 232 B), the map entry and key, and the partition's own containers — so
-/// "half the parent's bytes" (891 B), which ISSUE 19 asked for on the
-/// strength of counting the 192 B vector of graph state among the copies,
-/// is below what a partition must hold. The bound is the parent less nine
-/// tenths of its plan copies; the tenth pays for the stored `GROUP-BY`
-/// prefix (24 B + 24 B of map entry at the map's load factor of 1/2).
-const PARENT_PLAN_COPY_BYTES: f64 = 740.0;
+/// Measured at the parent commit (b7ea7c9: slab + B-tree storage) with this
+/// file: opening a partition cost 9 allocator calls and 1 091 B of live heap
+/// beyond a vertex-only event (2 calls, 320 B), and the analytic accounting
+/// read 790 616 B after the run. Amortised growth of the partition map adds
+/// 0.01 calls per event on both sides; calls are compared whole.
+///
+/// None of that is plan (the copies went in b7ea7c9's own change: 18 calls /
+/// 1 783 B before it). It is the map entry and key, the partition's own
+/// containers, and what the first vertex sets up. Under the run layout that
+/// is the pane deque (4 × 64 B), the pane's run vector (48 B per state) and
+/// the run's two vectors at their first capacity of four (rows 192 B,
+/// aggregates 288 B) — in place of the slab (256 B), a 160 B deque, the tree
+/// vector (24 B) and a B-tree leaf (232 B). The vectors are sized by their
+/// first `push`, not ahead of it: a partition may cost a tenth more live
+/// heap than the parent's, and no more calls.
+const PARENT_CALLS: f64 = 9.0;
+const PARENT_BYTES: f64 = 1091.2;
+/// What the engine reports after the run: 3 072 vertices at 48 B of row,
+/// 72 B of aggregate and their event share, 1 024 panes at 64 B. The parent
+/// read 790 616: a vertex stopped paying for a slab slot, a tree entry and
+/// a window id per aggregate (64 B less), a pane holds its windows (24 B
+/// more).
+const MEMORY_BYTES: usize = 618_584;
 
 #[test]
 fn a_new_partition_carries_no_copy_of_the_plan() {
@@ -120,8 +125,8 @@ fn a_new_partition_carries_no_copy_of_the_plan() {
         })
     };
     let with_partition = feed(&open);
-    // The second vertex of a partition still grows first-use buffers (the
-    // slab's free list aside, nothing is sized yet); the third is steady.
+    // The second and third vertex of a partition fit the capacity its runs
+    // took at the first; neither grows anything.
     feed(&again);
     let vertex_only = feed(&settle);
     let calls = with_partition.0 - vertex_only.0;
@@ -137,13 +142,12 @@ fn a_new_partition_carries_no_copy_of_the_plan() {
     assert_eq!(eng.stats().edges, 0);
     assert_eq!(eng.partition_count() as u64, COMPANIES);
     assert!(
-        calls.round() <= PARENT_CALLS / 2.0,
+        calls.round() <= PARENT_CALLS,
         "{calls} calls, parent {PARENT_CALLS}"
     );
     assert!(
-        bytes <= PARENT_BYTES - 0.9 * PARENT_PLAN_COPY_BYTES,
+        bytes <= 1.1 * PARENT_BYTES,
         "{bytes} B, parent {PARENT_BYTES}"
     );
-    // What the engine reports did not move: the copies were never counted.
-    assert_eq!(eng.memory_bytes(), PARENT_MEMORY_BYTES);
+    assert_eq!(eng.memory_bytes(), MEMORY_BYTES);
 }

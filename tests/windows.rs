@@ -211,3 +211,78 @@ fn late_window_gap_is_handled() {
     assert_eq!(rows[0].window, 0);
     assert_eq!(rows[1].window, 100);
 }
+
+#[test]
+fn within_not_a_multiple_of_slide_matches_oracle_and_per_window_runs() {
+    // WITHIN 10 SLIDE 4: panes of 2 ticks, a vertex in 2 or 3 windows, and
+    // consecutive panes that share some, all or none of them — the
+    // arithmetic the per-pane aggregate matrix rests on. One range-form
+    // edge predicate, one residual, one `Pair` negation (`SEQ(A+, NOT E, B)`).
+    use greta::core::{EngineConfig, Semantics, WindowResult};
+    let mut reg = registry();
+    reg.register_type("E", &["attr"]).unwrap();
+    const PATTERN: &str = "RETURN COUNT(*), SUM(S.attr), MIN(S.attr) \
+         PATTERN (SEQ(A S+, NOT E, B))+ \
+         WHERE S.attr < NEXT(S).attr AND S.attr + 4 > NEXT(S).attr";
+    let sliding = format!("{PATTERN} WITHIN 10 SLIDE 4");
+    let evs: Vec<Event> = (0..34u64)
+        .map(|t| {
+            let ty = match t % 7 {
+                2 | 5 => "B",
+                _ if t % 11 == 8 => "E",
+                _ => "A",
+            };
+            ev(&reg, ty, t, ((t * 5) % 9) as f64)
+        })
+        .collect();
+    // Skip-till-any-match is what the oracle enumerates.
+    rows_match_oracle(&sliding, &evs, &reg);
+
+    // Under every semantics: a window's row equals the only row of a
+    // one-window run over exactly the window's events, where no vertex
+    // shares anything with another pane's windows.
+    let run = |text: &str, sem: Semantics, use_range_index: bool, evs: &[Event]| {
+        let q = CompiledQuery::parse(text, &reg).unwrap();
+        let config = EngineConfig {
+            semantics: sem,
+            use_range_index,
+        };
+        let mut engine = GretaEngine::<f64>::with_config(q, reg.clone(), config).unwrap();
+        let mut rows = engine.run(evs).unwrap();
+        rows.sort_by_key(|r| r.window);
+        (rows, engine.stats())
+    };
+    for sem in [
+        Semantics::SkipTillAny,
+        Semantics::SkipTillNext,
+        Semantics::Contiguous,
+    ] {
+        let (rows, stats) = run(&sliding, sem, true, &evs);
+        assert!(rows.len() >= 6, "{sem:?}: {} rows", rows.len());
+        let mut expect: Vec<WindowResult<f64>> = Vec::new();
+        for wid in 0..=33 / 4 {
+            let inside: Vec<Event> = evs
+                .iter()
+                .filter(|e| wid * 4 <= e.time.ticks() && e.time.ticks() < wid * 4 + 10)
+                .cloned()
+                .collect();
+            let (alone, _) = run(
+                &format!("{PATTERN} WITHIN 1000 SLIDE 1000"),
+                sem,
+                true,
+                &inside,
+            );
+            assert!(alone.len() <= 1);
+            expect.extend(alone.into_iter().map(|r| WindowResult { window: wid, ..r }));
+        }
+        assert_eq!(rows, expect, "{sem:?}");
+        // Scanning whole runs instead of row ranges finds the same edges.
+        let (scanned, scan_stats) = run(&sliding, sem, false, &evs);
+        assert_eq!(scanned, rows, "{sem:?}");
+        assert_eq!(
+            (scan_stats.vertices, scan_stats.edges),
+            (stats.vertices, stats.edges),
+            "{sem:?}"
+        );
+    }
+}
