@@ -60,6 +60,17 @@ impl SourceFile {
         self.test_regions.iter().any(|&(a, b)| i >= a && i < b)
     }
 
+    /// Lines carrying at least one token outside every test region: the
+    /// non-blank, non-comment lines of non-test code (`greta_lint --loc`).
+    /// A line only a multi-line string literal runs through has no token
+    /// of its own and is not counted.
+    pub fn code_lines(&self) -> usize {
+        let live = |(i, t): (usize, &Token)| (!self.in_test(i)).then_some(t.line);
+        let mut lines: Vec<u32> = self.tokens.iter().enumerate().filter_map(live).collect();
+        lines.dedup();
+        lines.len()
+    }
+
     /// True when a finding of `pass` on `line` is suppressed by an
     /// `allow` directive on the same or the preceding line.
     pub fn allowed(&self, pass: &str, line: u32) -> bool {
@@ -312,6 +323,15 @@ mod tests {
         assert_eq!(unwraps.len(), 2);
         assert!(!f.in_test(unwraps[0]));
         assert!(f.in_test(unwraps[1]));
+    }
+
+    #[test]
+    fn code_lines_skip_blanks_comments_and_test_items() {
+        let src = "//! doc\n\nfn live() {\n    // note\n    x.f(); /* c */ y.g();\n}\n\
+                   #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n\
+                   #[test]\nfn loose() {\n    z();\n}\nconst K: u8 = 1;\n";
+        // `fn live() {`, the statement line, `}`, and the const.
+        assert_eq!(SourceFile::parse("x.rs", src).code_lines(), 4);
     }
 
     #[test]

@@ -92,6 +92,21 @@ pub fn lint_source(rel_path: &str, content: &str) -> Vec<Finding> {
     out
 }
 
+/// [`SourceFile::code_lines`] of every first-party file under `root`
+/// that is a crate's own source (`crates/<name>/src/`), sorted by path.
+pub fn workspace_loc(root: &Path) -> io::Result<Vec<(String, usize)>> {
+    let mut out = Vec::new();
+    for rel in workspace_files(root)? {
+        let in_src = rel.strip_prefix("crates/").and_then(|r| r.split_once('/'));
+        if in_src.is_some_and(|(_, rest)| rest.starts_with("src/")) {
+            let content = fs::read_to_string(root.join(&rel))?;
+            let lines = SourceFile::parse(&rel, &content).code_lines();
+            out.push((rel, lines));
+        }
+    }
+    Ok(out)
+}
+
 /// Lint the whole workspace under `root`. Findings are sorted by path
 /// then line.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {

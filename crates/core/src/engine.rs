@@ -1,7 +1,9 @@
 //! The GRETA engine (paper Fig. 4, runtime side): stream partitioning,
 //! per-partition graphs, window lifecycle, result emission.
 //!
-//! Responsibilities:
+//! A [`GretaEngine`] is an [`EnginePlan`] — everything the query fixes,
+//! compiled once per hosted query and shared by `Arc` with every other
+//! engine running it — plus stream state. Responsibilities:
 //!
 //! * **Partitioning** (§6): events are routed by the values of the
 //!   partition attributes (`GROUP-BY` + equivalence predicates). Events of
@@ -19,15 +21,17 @@
 
 use crate::agg::{AggLayout, AggState, TrendNum};
 use crate::graph::{EnginePlan, Partition};
-use crate::grouping::{PartitionKey, StreamRouting};
+use crate::grouping::PartitionKey;
 use crate::memory::{MemoryFootprint, PeakTracker};
 use crate::results::{render_aggregates, WindowResult};
 use crate::semantics::Semantics;
-use crate::window::{window_close_time, windows_of, WindowId};
+use crate::window::{last_closed, window_close_time, windows_of, WindowId};
 use crate::EngineError;
 use greta_query::CompiledQuery;
 use greta_types::{shared_heap_size, Event, EventRef, SchemaRegistry, Time};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -61,17 +65,15 @@ pub struct EngineStats {
     pub results: u64,
 }
 
+/// One window's final aggregates, per group.
+type Groups<N> = HashMap<PartitionKey, AggState<N>>;
+
 /// The GRETA engine. Generic over the aggregate carrier `N` (`f64` default
 /// mirrors large-count behaviour; `u64` saturates; `BigUint` is exact).
 pub struct GretaEngine<N: TrendNum = f64> {
-    query: CompiledQuery,
-    registry: SchemaRegistry,
-    /// Everything derived from the query and the configuration alone,
-    /// compiled once; partitions hold only graph state.
-    plan: EnginePlan,
-    /// Shared event classification (root vs broadcast types, key
-    /// extraction) — the same view the executor shards by.
-    routing: StreamRouting,
+    /// Everything the query fixes, compiled once per hosted query; the
+    /// fields below are stream state and nothing else.
+    plan: Arc<EnginePlan>,
     partitions: HashMap<PartitionKey, Partition<N>>,
     /// Events of types that lack the full partition key (broadcast types),
     /// kept one window deep for replay into new partitions (shared refs —
@@ -80,14 +82,14 @@ pub struct GretaEngine<N: TrendNum = f64> {
     replay: VecDeque<(EventRef, usize)>,
     /// Running byte total of the replay buffer.
     replay_bytes: usize,
-    /// Incremental per-(window, group) final aggregates.
-    results: BTreeMap<WindowId, HashMap<PartitionKey, AggState<N>>>,
-    /// Running byte total of `results`, kept by the three places that
-    /// change the map, so the per-event peak sample does not walk every
-    /// open (window, group) aggregate.
+    /// The open windows: every window an event fell into and the watermark
+    /// has not closed yet, with its incremental per-group final aggregates
+    /// (none under deferred finals, or while no END vertex reached it).
+    open: BTreeMap<WindowId, Groups<N>>,
+    /// Running byte total of the aggregates in `open`, kept by the three
+    /// places that change them, so the per-event peak sample does not walk
+    /// every open (window, group) aggregate.
     results_bytes: usize,
-    /// Windows touched by any event (deferred-final scans).
-    touched: BTreeSet<WindowId>,
     /// Scratch of the DP loop, reused from event to event: the per-window
     /// accumulators of the vertex being built, moved into its run on insert.
     accs: Vec<AggState<N>>,
@@ -107,34 +109,64 @@ pub struct GretaEngine<N: TrendNum = f64> {
     live_bytes: usize,
 }
 
+/// The engine fields one delivery writes, borrowed apart from the
+/// partition map the delivery's target came out of.
+struct Delivery<'a, N: TrendNum> {
+    plan: &'a EnginePlan,
+    seq: u64,
+    accs: &'a mut Vec<AggState<N>>,
+    open: &'a mut BTreeMap<WindowId, Groups<N>>,
+    results_bytes: &'a mut usize,
+    stats: &'a mut EngineStats,
+    live_bytes: &'a mut usize,
+}
+
+impl<N: TrendNum> Delivery<'_, N> {
+    /// Hand `e` to `part`, folding what its root END vertices report into
+    /// the open windows' finals.
+    // lint:hot-path
+    fn deliver(&mut self, part: &mut Partition<N>, e: &EventRef) {
+        let before = part.bytes();
+        let (plan, open, grew) = (self.plan, &mut *self.open, &mut *self.results_bytes);
+        // Engine-wide arrival index: contiguous semantics counts *every*
+        // stream event as a potential gap (Table 1: "skips none").
+        let (vertices, edges) = part.process(plan, self.accs, e, self.seq, |group, w, st| {
+            if !plan.deferred_final {
+                *grew += merge_group(open.entry(w).or_default(), group, st, &plan.layout);
+            }
+        });
+        self.stats.vertices += vertices;
+        self.stats.edges += edges;
+        *self.live_bytes = *self.live_bytes + part.bytes() - before;
+    }
+}
+
 impl<N: TrendNum> GretaEngine<N> {
     /// Create an engine with default configuration.
     pub fn new(query: CompiledQuery, registry: SchemaRegistry) -> Result<Self, EngineError> {
         Self::with_config(query, registry, EngineConfig::default())
     }
 
-    /// Create an engine with an explicit configuration.
+    /// Create an engine with an explicit configuration: compiles the plan
+    /// and runs it alone. Engines that run one query side by side share
+    /// one plan through [`with_plan`](Self::with_plan).
     pub fn with_config(
         query: CompiledQuery,
         registry: SchemaRegistry,
         config: EngineConfig,
     ) -> Result<Self, EngineError> {
-        let routing = StreamRouting::new(&query, &registry);
-        // Root-graph event types must carry the full partition key: the
-        // partition of a positive event must be unambiguous.
-        routing.validate(&query, &registry)?;
+        Ok(Self::with_plan(EnginePlan::new(query, registry, config)?))
+    }
 
-        Ok(GretaEngine {
-            plan: EnginePlan::new(&query, config.semantics, config.use_range_index),
-            query,
-            registry,
-            routing,
+    /// An engine at the start of its stream, running `plan`.
+    pub fn with_plan(plan: Arc<EnginePlan>) -> Self {
+        GretaEngine {
+            plan,
             partitions: HashMap::new(),
             replay: VecDeque::new(),
             replay_bytes: 0,
-            results: BTreeMap::new(),
+            open: BTreeMap::new(),
             results_bytes: 0,
-            touched: BTreeSet::new(),
             accs: Vec::new(),
             emitted: Vec::new(),
             watermark: Time::ZERO,
@@ -143,17 +175,23 @@ impl<N: TrendNum> GretaEngine<N> {
             stats: EngineStats::default(),
             peak: PeakTracker::default(),
             live_bytes: 0,
-        })
+        }
+    }
+
+    /// The plan this engine runs — one value per hosted query, however
+    /// many engines run it.
+    pub fn plan(&self) -> &Arc<EnginePlan> {
+        &self.plan
     }
 
     /// The compiled query.
     pub fn query(&self) -> &CompiledQuery {
-        &self.query
+        &self.plan.query
     }
 
     /// The schema registry.
     pub fn registry(&self) -> &SchemaRegistry {
-        &self.registry
+        &self.plan.registry
     }
 
     /// Engine counters.
@@ -168,7 +206,8 @@ impl<N: TrendNum> GretaEngine<N> {
 
     /// Process one shared event (must arrive in-order by time, §2). The
     /// event is *not* copied: graph vertices and the broadcast replay
-    /// buffer hold clones of the `Arc` handle.
+    /// buffer hold clones of the `Arc` handle. An event of a type outside
+    /// the query advances time and allocates nothing.
     pub fn process_ref(&mut self, e: &EventRef) -> Result<(), EngineError> {
         if self.saw_event && e.time < self.watermark {
             return Err(EngineError::OutOfOrder {
@@ -180,100 +219,75 @@ impl<N: TrendNum> GretaEngine<N> {
         self.stats.events += 1;
         self.seq += 1;
 
-        let key = self.routing.extractor().key_of(e);
-        if self.routing.is_root(e.type_id) {
-            self.ensure_partition(&key);
-            self.deliver(&key, e);
-        } else if self.routing.is_broadcast(e.type_id) {
-            // Deliver to every matching partition, remember for replay.
-            let targets: Vec<PartitionKey> = self
-                .partitions
-                .keys()
-                .filter(|k| key.matches(k))
-                .cloned()
-                .collect();
-            for t in targets {
-                self.deliver(&t, e);
-            }
-            let charge = shared_heap_size(e);
-            self.replay_bytes += charge;
-            self.replay.push_back((e.clone(), charge));
-            // Replay buffer is one window deep (ARCHITECTURE.md, "Inside a
-            // shard engine": Def-5 effects for late-created partitions are
-            // window-bounded).
-            let cutoff = e.time.ticks().saturating_sub(self.plan.window.within);
-            while self
-                .replay
-                .front()
-                .is_some_and(|(old, _)| old.time.ticks() < cutoff)
-            {
-                if let Some((_, c)) = self.replay.pop_front() {
-                    self.replay_bytes = self.replay_bytes.saturating_sub(c);
-                }
+        let (plan, routing) = (&*self.plan, &self.plan.routing);
+        let root = routing.is_root(e.type_id);
+        if root || routing.is_broadcast(e.type_id) {
+            let key = routing.extractor().key_of(e);
+            let mut to = Delivery {
+                plan,
+                seq: self.seq,
+                accs: &mut self.accs,
+                open: &mut self.open,
+                results_bytes: &mut self.results_bytes,
+                stats: &mut self.stats,
+                live_bytes: &mut self.live_bytes,
+            };
+            if root {
+                // One probe: the partition, opened if this is its first event.
+                let part = match self.partitions.entry(key) {
+                    Entry::Occupied(slot) => slot.into_mut(),
+                    Entry::Vacant(slot) => {
+                        let part = open_partition(plan, slot.key(), &self.replay, to.accs);
+                        *to.live_bytes += part.bytes();
+                        slot.insert(part)
+                    }
+                };
+                to.deliver(part, e);
+            } else {
+                // Deliver to every matching partition, remember for replay.
+                let matching = self.partitions.iter_mut().filter(|(k, _)| key.matches(k));
+                matching.for_each(|(_, part)| to.deliver(part, e));
+                self.remember(e);
             }
         }
-        // Events of types not in the query are ignored entirely.
 
-        for w in windows_of(e.time, &self.plan.window) {
-            self.touched.insert(w);
+        for w in windows_of(e.time, &self.plan.query.window) {
+            self.open.entry(w).or_default();
         }
         let bytes = self.memory_bytes();
         self.peak.observe(bytes);
         Ok(())
     }
 
-    fn ensure_partition(&mut self, key: &PartitionKey) {
-        if self.partitions.contains_key(key) {
-            return;
-        }
-        let group = key.group_prefix(self.query.group_by.len());
-        let mut part = Partition::new(&self.plan, group);
-        // Replay buffered broadcast events that match this partition.
-        let extractor = self.routing.extractor();
-        let replayable = self.replay.iter().map(|(old, _)| old);
-        for (i, old) in replayable
-            .filter(|old| extractor.key_of(old).matches(key))
-            .enumerate()
+    /// Keep a broadcast event for partitions opened later. The buffer is
+    /// one window deep (ARCHITECTURE.md, "Inside a shard engine": Def-5
+    /// effects for late-created partitions are window-bounded).
+    fn remember(&mut self, e: &EventRef) {
+        let charge = shared_heap_size(e);
+        self.replay_bytes += charge;
+        self.replay.push_back((e.clone(), charge));
+        let cutoff = e.time.ticks().saturating_sub(self.plan.query.window.within);
+        while self
+            .replay
+            .front()
+            .is_some_and(|(old, _)| old.time.ticks() < cutoff)
         {
-            // Replayed events are historical; give them sequence numbers
-            // below any live event's global index. Contiguous semantics is
-            // approximate across replay (ARCHITECTURE.md, "Inside a shard
-            // engine").
-            part.process(&self.plan, &mut self.accs, old, i as u64, |_, _, _| {});
-        }
-        self.live_bytes += part.bytes();
-        self.partitions.insert(key.clone(), part);
-    }
-
-    fn deliver(&mut self, key: &PartitionKey, e: &EventRef) {
-        let part = self.partitions.get_mut(key).expect("partition exists");
-        let ((v0, e0), b0) = (part.counters(), part.bytes());
-        let (plan, results) = (&self.plan, &mut self.results);
-        let mut results_grew = 0;
-        // Engine-wide arrival index: contiguous semantics counts *every*
-        // stream event as a potential gap (Table 1: "skips none").
-        part.process(plan, &mut self.accs, e, self.seq, |group, w, st| {
-            if !plan.deferred_final {
-                let groups = results.entry(w).or_default();
-                results_grew += merge_group(groups, group, st, &plan.layout);
+            if let Some((_, c)) = self.replay.pop_front() {
+                self.replay_bytes = self.replay_bytes.saturating_sub(c);
             }
-        });
-        self.results_bytes += results_grew;
-        let (v1, e1) = part.counters();
-        self.stats.vertices += v1 - v0;
-        self.stats.edges += e1 - e0;
-        self.live_bytes = self.live_bytes + part.bytes() - b0;
+        }
     }
 
     /// Close (emit + purge) every window whose end is ≤ `t`.
     fn close_due(&mut self, t: Time) {
-        while let Some(&wid) = self.touched.first() {
-            let close = window_close_time(wid, &self.plan.window);
+        while let Some(first) = self.open.first_entry() {
+            let wid = *first.key();
+            let close = window_close_time(wid, &self.plan.query.window);
             if close > t {
                 break;
             }
-            self.touched.remove(&wid);
-            self.emit_window(wid, close);
+            let finals = first.remove();
+            self.emit_window(wid, close, finals);
             // Batch pane purge: panes whose last window just closed die.
             // Purges change many partitions at once: recompute the total.
             self.live_bytes = 0;
@@ -284,27 +298,32 @@ impl<N: TrendNum> GretaEngine<N> {
         }
     }
 
-    fn emit_window(&mut self, wid: WindowId, close: Time) {
-        let mut groups: HashMap<PartitionKey, AggState<N>> = HashMap::new();
-        if self.plan.deferred_final {
-            for part in self.partitions.values() {
-                for st in part.collect_final(&self.plan, wid, close) {
+    /// Emit the rows of window `wid`, closing at `close`: its incremental
+    /// `finals`, or under deferred finals what the partitions' END vertices
+    /// still valid at `close` fold to.
+    fn emit_window(&mut self, wid: WindowId, close: Time, mut finals: Groups<N>) {
+        let plan = &*self.plan;
+        self.results_bytes -= groups_bytes(&finals);
+        if plan.deferred_final {
+            // A group may span partitions, and `f64` sums do not commute in
+            // their last bit: fold them ascending by key, not in map order.
+            let mut parts: Vec<_> = self.partitions.iter().collect();
+            parts.sort_unstable_by_key(|(key, _)| *key);
+            for (_, part) in parts {
+                for st in part.collect_final(plan, wid, close) {
                     if !st.count.is_zero() {
-                        merge_group(&mut groups, &part.group, &st, &self.plan.layout);
+                        merge_group(&mut finals, &part.group, &st, &plan.layout);
                     }
                 }
             }
-        } else if let Some(g) = self.results.remove(&wid) {
-            self.results_bytes -= groups_bytes(&g);
-            groups = g;
         }
-        let mut rows: Vec<WindowResult<N>> = groups
+        let mut rows: Vec<WindowResult<N>> = finals
             .into_iter()
             .filter(|(_, st)| !st.count.is_zero())
             .map(|(group, st)| WindowResult {
                 window: wid,
                 group,
-                values: render_aggregates(&st, &self.query.aggregates, &self.plan.layout),
+                values: render_aggregates(&st, &plan.query.aggregates, &plan.layout),
             })
             .collect();
         rows.sort_by(|a, b| a.group.cmp(&b.group));
@@ -340,26 +359,15 @@ impl<N: TrendNum> GretaEngine<N> {
     ///
     /// Two bounds compose: the watermark bound (windows whose close time
     /// the watermark passed cannot receive events) and the first still-open
-    /// *touched* window. The second matters after a state import or
+    /// window. The second matters after a state import or
     /// barrier-migration install, where the inherited watermark (the max
     /// across source engines) may already be past the close time of a
     /// window whose `close_due` simply has not run yet.
     pub fn emission_frontier(&self) -> WindowId {
-        let wm_bound = if !self.saw_event {
-            0
-        } else {
-            let w = &self.plan.window;
-            let t = self.watermark.ticks();
-            if t < w.within {
-                0
-            } else {
-                (t - w.within) / w.slide.max(1) + 1
-            }
-        };
-        match self.touched.first() {
-            Some(&w) => wm_bound.min(w),
-            None => wm_bound,
-        }
+        let closed = last_closed(self.watermark, &self.plan.query.window);
+        let wm_bound = closed.filter(|_| self.saw_event).map_or(0, |w| w + 1);
+        let first_open = self.open.keys().next();
+        first_open.map_or(wm_bound, |&w| wm_bound.min(w))
     }
 
     /// Close every window already due at the current watermark. A no-op on
@@ -393,12 +401,11 @@ impl<N: TrendNum> GretaEngine<N> {
         Ok(out)
     }
 
-    /// Serialize the engine's mutable state (partitions with their graphs,
+    /// Serialize the engine's stream state (partitions with their graphs,
     /// the broadcast replay buffer, incremental per-window results, open
-    /// windows, watermark, counters) into a snapshot blob. Everything
-    /// derived from the query/registry/config is rebuilt on
-    /// [`import_state`](Self::import_state), which must be given the same
-    /// query, registry, and configuration.
+    /// windows, watermark, counters) into a snapshot blob. The plan is not
+    /// in it: [`import_state`](Self::import_state) is handed the plan the
+    /// blob was written under.
     pub fn export_state(&self) -> Vec<u8> {
         use crate::state::{encode_agg_state, encode_events, encode_key, encode_window_result};
         use greta_types::codec::{put_u32, put_u64};
@@ -424,8 +431,11 @@ impl<N: TrendNum> GretaEngine<N> {
 
         encode_events(self.replay.iter().map(|(e, _)| e), &mut out);
 
-        put_u32(&mut out, self.results.len() as u32);
-        for (wid, groups) in &self.results {
+        // The open windows, as the two sections the format has always
+        // had: those with finals, then every id.
+        let with_finals = || self.open.iter().filter(|(_, groups)| !groups.is_empty());
+        put_u32(&mut out, with_finals().count() as u32);
+        for (wid, groups) in with_finals() {
             put_u64(&mut out, *wid);
             let mut gkeys: Vec<&PartitionKey> = groups.keys().collect();
             gkeys.sort();
@@ -435,9 +445,8 @@ impl<N: TrendNum> GretaEngine<N> {
                 encode_agg_state(&groups[g], &mut out);
             }
         }
-
-        put_u32(&mut out, self.touched.len() as u32);
-        for w in &self.touched {
+        put_u32(&mut out, self.open.len() as u32);
+        for w in self.open.keys() {
             put_u64(&mut out, *w);
         }
 
@@ -449,20 +458,14 @@ impl<N: TrendNum> GretaEngine<N> {
     }
 
     /// Rebuild an engine from a blob written by
-    /// [`export_state`](Self::export_state). The `query`, `registry`, and
-    /// `config` must match the exporting engine's — the blob only carries
-    /// the mutable state. The restored engine continues the stream exactly
-    /// where the exporter stopped: same results, same counters, same
-    /// selection-semantics sequence numbers.
-    pub fn import_state(
-        query: CompiledQuery,
-        registry: SchemaRegistry,
-        config: EngineConfig,
-        bytes: &[u8],
-    ) -> Result<Self, EngineError> {
+    /// [`export_state`](Self::export_state) under `plan` — the blob only
+    /// carries the stream state. The restored engine continues the stream
+    /// exactly where the exporter stopped: same results, same counters,
+    /// same selection-semantics sequence numbers.
+    pub fn import_state(plan: Arc<EnginePlan>, bytes: &[u8]) -> Result<Self, EngineError> {
         use crate::state::{decode_agg_state, decode_events, decode_key, decode_window_result};
         use greta_types::CodecError;
-        let mut eng = Self::with_config(query, registry, config)?;
+        let mut eng = Self::with_plan(plan);
         let r = &mut greta_types::Reader::new(bytes);
         let version = r.u8()?;
         if version != 2 {
@@ -475,10 +478,9 @@ impl<N: TrendNum> GretaEngine<N> {
         eng.stats.vertices = r.u64()?;
         eng.stats.edges = r.u64()?;
         eng.stats.results = r.u64()?;
-        let peak = r.u64()? as usize;
-        eng.peak.observe(peak);
+        eng.peak.observe(r.u64()? as usize);
 
-        let n_group = eng.query.group_by.len();
+        let n_group = eng.plan.query.group_by.len();
         let n_parts = r.seq_len(8)?;
         for _ in 0..n_parts {
             let key = decode_key(r)?;
@@ -502,12 +504,12 @@ impl<N: TrendNum> GretaEngine<N> {
                 let g = decode_key(r)?;
                 groups.insert(g, decode_agg_state(r)?);
             }
-            eng.results.insert(wid, groups);
+            eng.open.insert(wid, groups);
         }
 
         let n_touched = r.seq_len(8)?;
         for _ in 0..n_touched {
-            eng.touched.insert(r.u64()?);
+            eng.open.entry(r.u64()?).or_default();
         }
 
         let n_emitted = r.seq_len(9)?;
@@ -521,7 +523,7 @@ impl<N: TrendNum> GretaEngine<N> {
             ))
             .into());
         }
-        eng.results_bytes = eng.results.values().map(groups_bytes).sum();
+        eng.results_bytes = eng.open.values().map(groups_bytes).sum();
         Ok(eng)
     }
 
@@ -545,13 +547,13 @@ impl<N: TrendNum> GretaEngine<N> {
     /// recovery-with-resharding.
     ///
     /// `blobs` are [`export_state`](Self::export_state) snapshots of
-    /// engines that together processed one partitioned stream (each group
-    /// owned by exactly one engine, broadcast events seen by all).
-    /// `shard_of_group` maps a `GROUP-BY` prefix to its new owner in
-    /// `0..new_shards`. Returns one ready-to-run engine per new shard (no
-    /// re-serialization roundtrip) such that continuing the stream under
-    /// the new assignment yields byte-identical results to never having
-    /// moved anything:
+    /// engines that together processed one partitioned stream under `plan`
+    /// (each group owned by exactly one engine, broadcast events seen by
+    /// all). `shard_of_group` maps a `GROUP-BY` prefix to its new owner in
+    /// `0..new_shards`. Returns one ready-to-run engine per new shard, all
+    /// sharing `plan` (nothing is recompiled, no re-serialization
+    /// roundtrip), such that continuing the stream under the new assignment
+    /// yields byte-identical results to never having moved anything:
     ///
     /// * partitions and their per-(window, group) incremental aggregates
     ///   follow their group atomically;
@@ -565,9 +567,7 @@ impl<N: TrendNum> GretaEngine<N> {
     /// * engine counters are carried on the first new engine so the
     ///   *summed* stats across engines are preserved.
     pub fn repartition_states(
-        query: &CompiledQuery,
-        registry: &SchemaRegistry,
-        config: EngineConfig,
+        plan: &Arc<EnginePlan>,
         blobs: &[Vec<u8>],
         new_shards: usize,
         mut shard_of_group: impl FnMut(&PartitionKey) -> usize,
@@ -579,11 +579,11 @@ impl<N: TrendNum> GretaEngine<N> {
         }
         let olds = blobs
             .iter()
-            .map(|b| Self::import_state(query.clone(), registry.clone(), config, b))
+            .map(|b| Self::import_state(plan.clone(), b))
             .collect::<Result<Vec<Self>, _>>()?;
-        let mut news = (0..new_shards)
-            .map(|_| Self::with_config(query.clone(), registry.clone(), config))
-            .collect::<Result<Vec<Self>, _>>()?;
+        let mut news: Vec<Self> = (0..new_shards)
+            .map(|_| Self::with_plan(plan.clone()))
+            .collect();
 
         let watermark = olds.iter().map(|e| e.watermark).max().unwrap_or(Time::ZERO);
         let saw_event = olds.iter().any(|e| e.saw_event);
@@ -613,27 +613,19 @@ impl<N: TrendNum> GretaEngine<N> {
                 news[dest].live_bytes += part.bytes();
                 news[dest].partitions.insert(key, part);
             }
-            for (wid, groups) in std::mem::take(&mut old.results) {
+            for (wid, groups) in old.open {
+                // Open windows close via the broadcast watermark on every
+                // shard; emitting a window with no local groups is a no-op,
+                // so replicating the union is always safe.
+                for n in news.iter_mut() {
+                    n.open.entry(wid).or_default();
+                }
                 for (group, st) in groups {
-                    let dest = shard_of_group(&group) % new_shards;
-                    news[dest]
-                        .results
-                        .entry(wid)
-                        .or_default()
-                        .entry(group)
-                        .or_insert_with(|| AggState::zero(&old.plan.layout))
-                        .merge(&st);
+                    let n = &mut news[shard_of_group(&group) % new_shards];
+                    let finals = n.open.entry(wid).or_default();
+                    n.results_bytes += merge_group(finals, &group, &st, &plan.layout);
                 }
             }
-            // Open windows close via the broadcast watermark on every
-            // shard; emitting a window with no local groups is a no-op, so
-            // replicating the union is always safe.
-            for n in news.iter_mut() {
-                n.touched.extend(old.touched.iter().copied());
-            }
-        }
-        for n in news.iter_mut() {
-            n.results_bytes = n.results.values().map(groups_bytes).sum();
         }
         // Summed per-shard peaks are an executor-level metric; carry the
         // total on the first engine so the aggregate never shrinks.
@@ -642,12 +634,38 @@ impl<N: TrendNum> GretaEngine<N> {
     }
 }
 
+/// A new partition for `key`, shown the buffered broadcast events that
+/// match it.
+fn open_partition<N: TrendNum>(
+    plan: &EnginePlan,
+    key: &PartitionKey,
+    replay: &VecDeque<(EventRef, usize)>,
+    accs: &mut Vec<AggState<N>>,
+) -> Partition<N> {
+    let mut part = Partition::new(plan, key.group_prefix(plan.query.group_by.len()));
+    let extractor = plan.routing.extractor();
+    let matches = |old: &&EventRef| extractor.key_of(old).matches(key);
+    for (i, old) in replay
+        .iter()
+        .map(|(old, _)| old)
+        .filter(matches)
+        .enumerate()
+    {
+        // Replayed events are historical; give them sequence numbers
+        // below any live event's global index. Contiguous semantics is
+        // approximate across replay (ARCHITECTURE.md, "Inside a shard
+        // engine").
+        part.process(plan, accs, old, i as u64, |_, _, _| {});
+    }
+    part
+}
+
 /// Merge `st` into `groups[group]`; the key is cloned only when the entry
 /// is first created. Returns by how much [`groups_bytes`] of the map grew:
 /// a new entry whole, a merge by what its carrier's heap gained (`BigUint`
 /// limbs).
 fn merge_group<N: TrendNum>(
-    groups: &mut HashMap<PartitionKey, AggState<N>>,
+    groups: &mut Groups<N>,
     group: &PartitionKey,
     st: &AggState<N>,
     layout: &AggLayout,
@@ -674,7 +692,7 @@ fn group_bytes<N: TrendNum>(group: &PartitionKey, st: &AggState<N>) -> usize {
 }
 
 /// Bytes one window's result map is charged.
-fn groups_bytes<N: TrendNum>(groups: &HashMap<PartitionKey, AggState<N>>) -> usize {
+fn groups_bytes<N: TrendNum>(groups: &Groups<N>) -> usize {
     groups.iter().map(|(k, st)| group_bytes(k, st)).sum()
 }
 
@@ -682,7 +700,7 @@ impl<N: TrendNum> MemoryFootprint for GretaEngine<N> {
     fn memory_bytes(&self) -> usize {
         debug_assert_eq!(
             self.results_bytes,
-            self.results.values().map(groups_bytes).sum::<usize>()
+            self.open.values().map(groups_bytes).sum::<usize>()
         );
         self.live_bytes + self.results_bytes + self.replay_bytes
     }
@@ -997,13 +1015,7 @@ mod tests {
                 rows.extend(a.poll_results());
             }
             let blob = a.export_state();
-            let mut b = GretaEngine::<u64>::import_state(
-                q.clone(),
-                r.clone(),
-                EngineConfig::default(),
-                &blob,
-            )
-            .unwrap();
+            let mut b = GretaEngine::<u64>::import_state(a.plan().clone(), &blob).unwrap();
             for e in &events[split..] {
                 b.process_ref(&e.clone().into_ref()).unwrap();
                 rows.extend(b.poll_results());
@@ -1056,18 +1068,16 @@ mod tests {
             }
         }
         let blobs: Vec<Vec<u8>> = olds.iter().map(GretaEngine::export_state).collect();
-        let mut news = GretaEngine::<u64>::repartition_states(
-            &q,
-            &r,
-            EngineConfig::default(),
-            &blobs,
-            3,
-            |g| match &g.0[0] {
+        let plan = olds[0].plan().clone();
+        let mut news =
+            GretaEngine::<u64>::repartition_states(&plan, &blobs, 3, |g| match &g.0[0] {
                 Some(greta_types::Value::Int(v)) => (*v % 3) as usize,
                 _ => 0,
-            },
-        )
-        .unwrap();
+            })
+            .unwrap();
+        // One plan, however many engines: nothing was recompiled.
+        assert!(news.iter().all(|e| Arc::ptr_eq(e.plan(), &plan)));
+        assert_eq!(Arc::strong_count(&plan), 1 + 1 + news.len());
         for e in &events[40..] {
             news[(grp_of(e) % 3) as usize]
                 .process_ref(&e.clone().into_ref())
@@ -1233,9 +1243,8 @@ mod tests {
         expect.extend(feed(&mut uninterrupted, &suffix));
         expect.extend(uninterrupted.finish());
 
-        let mut upgraded =
-            GretaEngine::<u64>::import_state(q, r.clone(), EngineConfig::default(), &parent_blob)
-                .unwrap();
+        let plan = uninterrupted.plan().clone();
+        let mut upgraded = GretaEngine::<u64>::import_state(plan, &parent_blob).unwrap();
         // Byte for byte but for one field: the blob carries the exporter's
         // peak-memory reading (8 bytes after the version, watermark, flag
         // and five counters), a measurement the parent took with its own,
@@ -1261,25 +1270,29 @@ mod tests {
         // Truncated blob.
         let eng = GretaEngine::<u64>::new(q.clone(), r.clone()).unwrap();
         let blob = eng.export_state();
+        let import = |bytes: &[u8]| GretaEngine::<u64>::import_state(eng.plan().clone(), bytes);
         for cut in [0, 1, blob.len() / 2] {
-            assert!(GretaEngine::<u64>::import_state(
-                q.clone(),
-                r.clone(),
-                EngineConfig::default(),
-                &blob[..cut]
-            )
-            .is_err());
+            assert!(import(&blob[..cut]).is_err());
         }
         // Wrong version byte.
         let mut bad = blob.clone();
         bad[0] = 99;
-        assert!(GretaEngine::<u64>::import_state(
-            q.clone(),
-            r.clone(),
-            EngineConfig::default(),
-            &bad
-        )
-        .is_err());
+        assert!(import(&bad).is_err());
+        assert!(import(&blob).is_ok());
+        // A blob written under another query's plan: `SEQ(A, B)` has a
+        // vertex state `A+` does not.
+        let seq = CompiledQuery::parse("RETURN COUNT(*) PATTERN SEQ(A, B) WITHIN 10 SLIDE 10", &r);
+        let mut other = GretaEngine::<u64>::new(seq.unwrap(), r.clone()).unwrap();
+        for (ty, t) in [("A", 1), ("B", 2)] {
+            other
+                .process_ref(&ev(&r, ty, t, 0.0, 0).into_ref())
+                .unwrap();
+        }
+        let err = import(&other.export_state()).map(|_| ()).unwrap_err();
+        assert!(
+            err.to_string().contains("vertex state 1 out of range"),
+            "{err}"
+        );
     }
 
     #[test]

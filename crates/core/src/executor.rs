@@ -24,9 +24,10 @@
 //!   or error. With durability on, each event is WAL-appended exactly once
 //!   no matter how many queries consume it.
 //! * **Multi-query fan-out**: every hosted query is the same kind of
-//!   registry slot, keyed by a [`QueryId`] and carrying its own compiled
-//!   plan, [`EmissionMode`], result buffer, and (when ordered)
-//!   [`ResultMerge`]. [`new`](StreamExecutor::new) hosts the first one;
+//!   registry slot, keyed by a [`QueryId`] and carrying its plan (what the
+//!   query fixes, compiled once when it is hosted and shared by `Arc` with
+//!   its shard engines), [`EmissionMode`], result buffer, and (when
+//!   ordered) [`ResultMerge`]. [`new`](StreamExecutor::new) hosts the first one;
 //!   further queries join at runtime via
 //!   [`register_query`](StreamExecutor::register_query) and leave via
 //!   [`deregister_query`](StreamExecutor::deregister_query). Queries whose
@@ -103,7 +104,10 @@
 
 use crate::agg::TrendNum;
 use crate::engine::{EngineConfig, GretaEngine};
-use crate::grouping::{PartitionKey, StreamRouting};
+use crate::graph::EnginePlan;
+use crate::grouping::PartitionKey;
+#[cfg(doc)]
+use crate::grouping::StreamRouting;
 #[cfg(doc)]
 use crate::reorder::ReorderBuffer;
 use crate::reorder::ResultMerge;
@@ -117,6 +121,7 @@ use ingest::{Ingest, TailRecRef};
 use merge::{Merge, QueryParts, QuerySlot};
 use route::Route;
 use std::collections::HashMap;
+use std::sync::Arc;
 use worker::Worker;
 
 pub(crate) mod barrier;
@@ -205,42 +210,32 @@ impl<N: TrendNum> StreamExecutor<N> {
     }
 
     /// The one way a query comes to be hosted, whatever its id and
-    /// whichever of `new`, `recover`, or `register_query` asks: validate
-    /// `plan`'s routing, build one engine per shard — fresh when no state
-    /// was `saved` for it, imported when that was checkpointed at this
-    /// shard count, repartitioned onto `route`'s otherwise — and join the
-    /// route group its routing coincides with (a new one if none does).
-    /// Joining is the last step, so a refused query leaves `route`
-    /// untouched. Returns the registry slot and what each shard is to
-    /// host for it.
+    /// whichever of `new`, `recover`, or `register_query` asks — each
+    /// having compiled `plan` once, which validated its routing: build one
+    /// engine per shard around it — fresh when no state was `saved` for
+    /// it, imported when that was checkpointed at this shard count,
+    /// repartitioned onto `route`'s otherwise — and join the route group
+    /// its routing coincides with (a new one if none does). Joining is the
+    /// last step, so a refused query leaves `route` untouched. Returns the
+    /// registry slot and what each shard is to host for it.
     #[allow(clippy::type_complexity)]
     fn bring_up(
-        registry: &SchemaRegistry,
-        config: EngineConfig,
         route: &mut Route,
-        plan: CompiledQuery,
+        plan: Arc<EnginePlan>,
         mut parts: QueryParts<N>,
         saved: &[Vec<u8>],
     ) -> Result<(QuerySlot<N>, Vec<EngineSlot<GretaEngine<N>>>), EngineError> {
         let shards = route.shards();
-        let routing = StreamRouting::new(&plan, registry);
-        routing.validate(&plan, registry)?;
         let resharded = !saved.is_empty() && saved.len() != shards;
-        let engines = if saved.is_empty() {
-            (0..shards)
-                .map(|_| GretaEngine::with_config(plan.clone(), registry.clone(), config))
-                .collect::<Result<Vec<_>, _>>()?
+        let engines: Vec<GretaEngine<N>> = if saved.is_empty() {
+            let fresh = |_| GretaEngine::with_plan(plan.clone());
+            (0..shards).map(fresh).collect()
         } else if resharded {
-            GretaEngine::<N>::repartition_states(&plan, registry, config, saved, shards, |g| {
-                routing.shard_of_group_key(g, shards)
-            })?
+            let owner = |g: &PartitionKey| plan.routing.shard_of_group_key(g, shards);
+            GretaEngine::repartition_states(&plan, saved, shards, owner)?
         } else {
-            saved
-                .iter()
-                .map(|bytes| {
-                    GretaEngine::import_state(plan.clone(), registry.clone(), config, bytes)
-                })
-                .collect::<Result<Vec<_>, _>>()?
+            let import = |bytes: &Vec<u8>| GretaEngine::import_state(plan.clone(), bytes);
+            saved.iter().map(import).collect::<Result<_, _>>()?
         };
         parts.merge = match (parts.emission, parts.merge) {
             (EmissionMode::Unordered, _) => None,
@@ -256,13 +251,13 @@ impl<N: TrendNum> StreamExecutor<N> {
             }
         };
         let (id, ordered) = (parts.id, parts.merge.is_some());
-        let group = route.join(routing);
+        let group = route.join(&plan);
         let hosted = engines.into_iter();
         let hosted = hosted.map(|engine| EngineSlot::new(id, group, ordered, engine));
         let slot = QuerySlot {
             parts,
             group,
-            query: plan,
+            plan,
             active: true,
         };
         Ok((slot, hosted.collect()))
@@ -382,14 +377,14 @@ impl<N: TrendNum> StreamExecutor<N> {
         self.refuse_if_finished("register_query")?;
         let query = CompiledQuery::parse(text, &self.registry)
             .map_err(|e| EngineError::Config(format!("query error: {e}")))?;
-        // Validate before WAL-logging: an invalid registration must never
-        // enter the log (replay would fail at the same spot forever).
-        let probe = StreamRouting::new(&query, &self.registry);
-        probe.validate(&query, &self.registry)?;
+        // Compiling the plan validates it — before WAL-logging: an invalid
+        // registration must never enter the log (replay would fail at the
+        // same spot forever).
+        let plan = EnginePlan::new(query, self.registry.clone(), self.engine_config)?;
         let id = self.merge.next_query_id;
         self.ingest
             .log(TailRecRef::Register { id, emission, text })?;
-        self.apply_register(id, text.to_string(), emission, query)?;
+        self.apply_register(id, text.to_string(), emission, plan)?;
         Ok(QueryId(id))
     }
 
@@ -403,16 +398,10 @@ impl<N: TrendNum> StreamExecutor<N> {
         id: u32,
         text: String,
         emission: EmissionMode,
-        query: CompiledQuery,
+        plan: Arc<EnginePlan>,
     ) -> Result<(), EngineError> {
-        let (slot, hosted) = Self::bring_up(
-            &self.registry,
-            self.engine_config,
-            &mut self.route,
-            query,
-            QueryParts::fresh(id, Some(text), emission),
-            &[],
-        )?;
+        let parts = QueryParts::fresh(id, Some(text), emission);
+        let (slot, hosted) = Self::bring_up(&mut self.route, plan, parts, &[])?;
         let mut hosted = hosted.into_iter();
         self.cut(|_| BarrierKind::Add(Box::new(hosted.next().expect("one per shard"))))?;
         self.merge.host(slot);
@@ -723,13 +712,6 @@ impl<N: TrendNum> StreamExecutor<N> {
         self.ingest.watermark()
     }
 
-    /// Whether this executor runs with a write-ahead log
-    /// ([`ExecutorConfig::durability`]): when true, every event accepted
-    /// by [`push`](Self::push) was appended to the WAL before routing.
-    pub fn durability_enabled(&self) -> bool {
-        self.ingest.durable()
-    }
-
     /// Number of records appended to the WAL so far (events plus
     /// register/deregister records). Appended is not yet durable under
     /// [`greta_durability::FsyncPolicy`]s that buffer between syncs — use
@@ -823,8 +805,9 @@ impl<N: TrendNum> StreamExecutor<N> {
     /// 2. install the new table under a bumped routing epoch;
     /// 3. repartition the snapshots of every query routed through
     ///    group 0 so each group's graphs, incremental aggregates,
-    ///    and replay context follow it to its new owner (queries on their
-    ///    own key plane keep their engines);
+    ///    and replay context follow it to its new owner, the new engines
+    ///    sharing the slot's plan (queries on their own key plane keep
+    ///    their engines);
     /// 4. hand each shard its rebuilt engines at a second cut. Nothing is
     ///    routed between the two, so every frame routed under epoch `e+1`
     ///    is processed by an epoch-`e+1` engine — results stay
@@ -852,14 +835,8 @@ impl<N: TrendNum> StreamExecutor<N> {
                     blob.map(|(_, b)| b.clone()).unwrap_or_default()
                 })
                 .collect();
-            let engines = GretaEngine::<N>::repartition_states(
-                &slot.query,
-                &self.registry,
-                self.engine_config,
-                &states,
-                shards,
-                |g| self.route.owner(g),
-            )?;
+            let owner = |g: &PartitionKey| self.route.owner(g);
+            let engines = GretaEngine::<N>::repartition_states(&slot.plan, &states, shards, owner)?;
             for (install, engine) in installs.iter_mut().zip(engines) {
                 install.push((slot.parts.id, engine));
             }
@@ -877,5 +854,90 @@ impl<N: TrendNum> Drop for StreamExecutor<N> {
         if !self.worker.closed() {
             self.worker.finish(&mut self.merge);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use greta_durability::DurabilityConfig;
+    use greta_types::Value;
+
+    #[test]
+    fn one_plan_per_hosted_query_shared_by_its_slot_group_and_engines() {
+        // A hosted query is compiled once: its registry slot, the route
+        // group it founded and its shard engines hold the same
+        // `Arc<EnginePlan>`, so the count is `shards + 1` (+1 for a
+        // founder) — after bring-up, after a registration, after a
+        // migration rebuilt the engines and after a recovery onto another
+        // shard count. A second compilation anywhere would show up as a
+        // plan with fewer holders.
+        let mut reg = SchemaRegistry::new();
+        let m = reg.register_type("M", &["grp", "host", "load"]).unwrap();
+        let by_grp = "RETURN grp, COUNT(*) PATTERN M+ GROUP-BY grp WITHIN 20 SLIDE 10";
+        let by_host = "RETURN host, COUNT(*) PATTERN M+ GROUP-BY host WITHIN 20 SLIDE 20";
+        let q0 = CompiledQuery::parse(by_grp, &reg).unwrap();
+        let dir = std::env::temp_dir().join(format!("greta-one-plan-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = |shards| ExecutorConfig {
+            shards,
+            durability: Some(DurabilityConfig::new(&dir)),
+            ..Default::default()
+        };
+        let holders = |exec: &StreamExecutor<u64>| -> Vec<usize> {
+            let plans = exec.merge.queries.iter().map(|s| &s.plan);
+            plans.map(Arc::strong_count).collect()
+        };
+
+        let mut exec = StreamExecutor::<u64>::new(q0.clone(), reg.clone(), config(3)).unwrap();
+        assert_eq!(holders(&exec), [3 + 2]);
+        // Same key plane: joins group 0. Another key plane: founds group 1.
+        exec.register_query(by_grp, EmissionMode::Unordered)
+            .unwrap();
+        exec.register_query(by_host, EmissionMode::WindowOrdered)
+            .unwrap();
+        assert_eq!(holders(&exec), [3 + 2, 3 + 1, 3 + 2]);
+
+        let ev = |t: u64| {
+            let attrs = vec![
+                Value::Int((t % 7) as i64),
+                Value::Int((t % 5) as i64),
+                Value::Float(t as f64),
+            ];
+            Event::new_unchecked(m, Time(t), attrs)
+        };
+        for t in 0..50 {
+            exec.push(ev(t)).unwrap();
+        }
+        // Pin every group to the shard after its hashed one: group 0's two
+        // queries get rebuilt engines, group 1's query keeps its own.
+        let pins = (0..7).map(|g| {
+            let key = PartitionKey(vec![Some(Value::Int(g))]);
+            let next = (exec.route.owner(&key) + 1) % 3;
+            (key, next as u32)
+        });
+        let pins: HashMap<PartitionKey, u32> = pins.collect();
+        exec.migrate(pins, 7).unwrap();
+        assert_eq!(exec.routing_epoch(), 1);
+        assert_eq!(holders(&exec), [3 + 2, 3 + 1, 3 + 2]);
+
+        for t in 50..80 {
+            exec.push(ev(t)).unwrap();
+        }
+        exec.checkpoint().unwrap();
+        drop(exec);
+        let mut exec = StreamExecutor::<u64>::recover(q0, reg, config(2)).unwrap();
+        assert_eq!(exec.shards(), 2);
+        assert_eq!(holders(&exec), [2 + 2, 2 + 1, 2 + 2]);
+        for t in 80..120 {
+            exec.push(ev(t)).unwrap();
+        }
+        exec.drain().unwrap();
+        for id in exec.query_ids() {
+            assert!(!exec.poll_results_of(id).unwrap().is_empty());
+        }
+        // The engines went with the workers.
+        assert_eq!(holders(&exec), [2, 1, 2]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,18 +1,19 @@
 //! Plane 4 — per-query merge: the query registry. Every hosted query is
-//! one slot carrying its plan, its [`EmissionMode`], the rows ready for
+//! one slot carrying its (shared) plan, its [`EmissionMode`], the rows ready for
 //! its caller and — when ordered — the cross-shard [`ResultMerge`] that
 //! releases them window by window.
 
 use super::barrier::{Cut, OutMsg, QueryBlobs};
 use super::{EmissionMode, ExecutorStats, QueryId, QueryStreamStats};
 use crate::agg::TrendNum;
+use crate::graph::EnginePlan;
 use crate::reorder::ResultMerge;
 use crate::results::{sort_canonical, WindowResult};
 use crate::state::{decode_window_result, encode_window_result};
 use crate::EngineError;
-use greta_query::CompiledQuery;
 use greta_types::codec::{get_opt_u64, put_opt_u64, put_str, put_u32, put_u64, Reader};
 use greta_types::CodecError;
+use std::sync::Arc;
 
 /// One query's checkpointed state — the repeated part of the merge
 /// plane's snapshot section, minus the engine blobs that travel with it.
@@ -23,8 +24,8 @@ pub(super) struct QueryParts<N: TrendNum> {
     /// is what WAL replay and snapshots recompile from.
     pub(super) text: Option<String>,
     pub(super) emission: EmissionMode,
-    /// Window-close boundary index already broadcast for this query
-    /// (⌊(wm−within)/slide⌋).
+    /// Window-close boundary already broadcast for this query
+    /// ([`last_closed`](crate::window::last_closed) of that watermark).
     pub(super) last_close_idx: Option<u64>,
     /// Rows produced for the caller so far (drained + pending).
     pub(super) rows: u64,
@@ -57,9 +58,10 @@ impl<N: TrendNum> QueryParts<N> {
 /// for it.
 pub(super) struct QuerySlot<N: TrendNum> {
     pub(super) parts: QueryParts<N>,
-    /// Plan + schemas, kept to rebuild shard engines during barrier
-    /// migrations and resharded recovery.
-    pub(super) query: CompiledQuery,
+    /// What the query fixes, compiled once at bring-up: the one value the
+    /// slot, the route group it founded and every shard engine share.
+    /// Migrations and resharded recovery rebuild engines around it.
+    pub(super) plan: Arc<EnginePlan>,
     /// Index into the route plane's groups.
     pub(super) group: u32,
     /// False once deregistered (pending rows may still be polled).

@@ -7,6 +7,7 @@ use super::route::Route;
 use super::worker::Worker;
 use super::{ExecutorConfig, StreamExecutor};
 use crate::agg::TrendNum;
+use crate::graph::EnginePlan;
 use crate::EngineError;
 use greta_query::CompiledQuery;
 use greta_types::SchemaRegistry;
@@ -111,8 +112,8 @@ impl<N: TrendNum> StreamExecutor<N> {
         let mut per_shard: Vec<_> = (0..shards).map(|_| Vec::new()).collect();
         for (parts, saved) in queries {
             // A part without source text is the query this call was handed
-            // compiled; every other plan comes from recorded text.
-            let plan = match &parts.text {
+            // compiled; every other one comes from recorded text.
+            let query = match &parts.text {
                 Some(text) => recompile(parts.id, text, &registry)?,
                 None if parts.emission != config.emission => {
                     return Err(EngineError::Config(format!(
@@ -123,8 +124,8 @@ impl<N: TrendNum> StreamExecutor<N> {
                 }
                 None => query.clone(),
             };
-            let (slot, hosted) =
-                Self::bring_up(&registry, config.engine, &mut route, plan, parts, &saved)?;
+            let plan = EnginePlan::new(query, registry.clone(), config.engine)?;
+            let (slot, hosted) = Self::bring_up(&mut route, plan, parts, &saved)?;
             per_shard
                 .iter_mut()
                 .zip(hosted)
@@ -161,7 +162,8 @@ impl<N: TrendNum> StreamExecutor<N> {
                 },
                 TailRec::Register { id, emission, text } => {
                     let q = recompile(id, &text, &exec.registry)?;
-                    exec.apply_register(id, text, emission, q)?;
+                    let plan = EnginePlan::new(q, exec.registry.clone(), exec.engine_config)?;
+                    exec.apply_register(id, text, emission, plan)?;
                 }
                 // Rows the live run handed back at deregistration stay in
                 // the inactive slot's pending buffer — like every other

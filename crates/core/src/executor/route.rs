@@ -10,18 +10,23 @@ use super::merge::Merge;
 use super::worker::Worker;
 use super::{Cadence, ExecutorConfig, ExecutorStats, RebalanceConfig};
 use crate::agg::TrendNum;
-use crate::grouping::{group_key_hash, shard_of_hash, PartitionKey, RoutingTable, StreamRouting};
+use crate::graph::EnginePlan;
+use crate::grouping::{group_key_hash, shard_of_hash, PartitionKey, RoutingTable};
 use crate::sketch::GroupSketch;
+use crate::window::last_closed;
 use crate::EngineError;
 use greta_types::codec::{put_u32, put_u64, Reader};
 use greta_types::{CodecError, EventRef, Time};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One routed event plane: queries whose `GROUP-BY` keys coincide share a
 /// group, so classification, hashing, and framing are paid once for all of
 /// them.
 struct RouteGroup {
-    routing: StreamRouting,
+    /// The plan of the query that founded the group; its routing is the
+    /// group's.
+    plan: Arc<EnginePlan>,
     /// Per-shard event frames not yet sent.
     batch_bufs: Vec<Vec<EventRef>>,
     /// Active queries routing through this group (0 = the group is
@@ -88,13 +93,13 @@ impl Route {
         self.table.epoch()
     }
 
-    /// Join the route group `routing` coincides with (a new one if none
-    /// does); returns its index.
-    pub(super) fn join(&mut self, routing: StreamRouting) -> u32 {
-        let like = |g: &RouteGroup| g.routing.routes_like(&routing);
+    /// Join the route group `plan`'s routing coincides with (a new one,
+    /// founded on `plan`, if none does); returns its index.
+    pub(super) fn join(&mut self, plan: &Arc<EnginePlan>) -> u32 {
+        let like = |g: &RouteGroup| g.plan.routing.routes_like(&plan.routing);
         let group = self.groups.iter().position(like).unwrap_or_else(|| {
             self.groups.push(RouteGroup {
-                routing,
+                plan: plan.clone(),
                 batch_bufs: vec![Vec::new(); self.shards()],
                 members: 0,
             });
@@ -126,7 +131,7 @@ impl Route {
     /// no group key is materialized per event (only once, when a group is
     /// first tracked by the sketch).
     fn group_dest_shard(&mut self, g: usize, e: &EventRef) -> Option<usize> {
-        let routing = &self.groups[g].routing;
+        let routing = &self.groups[g].plan.routing;
         if routing.is_broadcast(e.type_id) {
             return None;
         }
@@ -212,15 +217,12 @@ impl Route {
         worker: &mut Worker<N>,
         merge: &mut Merge<N>,
     ) -> Result<u64, EngineError> {
-        let t = wm.ticks();
         let mut any_closed = false;
         let mut cadence_closed = 0u64;
-        for slot in &mut merge.queries {
-            let window = &slot.query.window;
-            if !slot.active || t < window.within {
+        for slot in merge.queries.iter_mut().filter(|s| s.active) {
+            let Some(close_idx) = last_closed(wm, &slot.plan.query.window) else {
                 continue;
-            }
-            let close_idx = (t - window.within) / window.slide.max(1);
+            };
             let last = &mut slot.parts.last_close_idx;
             if *last == Some(close_idx) {
                 continue;

@@ -91,6 +91,7 @@ mod tests {
     use super::super::merge::QuerySlot;
     use super::super::{EmissionMode, LatePolicy, RebalanceConfig};
     use super::*;
+    use crate::graph::EnginePlan;
     use crate::grouping::{PartitionKey, StreamRouting};
     use greta_query::CompiledQuery;
     use greta_types::{Event, SchemaRegistry, Time, Value};
@@ -195,8 +196,9 @@ mod tests {
                         blobs.push((parts.id, blob));
                     }
                     let text = parts.text.clone().unwrap_or(Q0.to_string());
+                    let query = CompiledQuery::parse(&text, reg).unwrap();
                     merge.host(QuerySlot {
-                        query: CompiledQuery::parse(&text, reg).unwrap(),
+                        plan: EnginePlan::new(query, reg.clone(), Default::default()).unwrap(),
                         group: 0,
                         active: true,
                         parts,

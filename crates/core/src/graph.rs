@@ -2,10 +2,12 @@
 //! extended with negation §5.2, sliding windows §6 and selection semantics
 //! §9).
 //!
-//! What the query fixes is compiled **once per engine** into an
-//! [`EnginePlan`]; a [`Partition`] is only graph state — per alternative
-//! and graph (the positive root plus negative sub-patterns) one
-//! [`GraphStorage`] and one [`InvalidationLog`]. Processing an event:
+//! What the query fixes is compiled **once per hosted query** into an
+//! [`EnginePlan`] — the query, its schemas, its validated routing, the
+//! engine configuration and the per-graph accessors — and shared by `Arc`
+//! between every engine that runs it; a [`Partition`] is only graph state —
+//! per alternative and graph (the positive root plus negative sub-patterns)
+//! one [`GraphStorage`] and one [`InvalidationLog`]. Processing an event:
 //!
 //! 1. offer it to every graph/state whose event type matches (Case-3
 //!    negation may drop it, Fig. 8(b));
@@ -28,15 +30,16 @@
 //!
 //! **Fold order is the invariant** that makes results byte-identical across
 //! storage layouts (`f64` sums do not commute in their last bit):
-//! predecessor states in [`StateOps::preds`] order; panes oldest → newest;
+//! predecessor states in `StateOps::preds` order; panes oldest → newest;
 //! rows ascending `(key, seq)`; each row merged into each shared window's
 //! accumulator in that order; skip-till-next's single best row after its
 //! state's scan; the event's own contribution last.
 //! [`Partition::collect_final`] walks END rows in the same pane and run
-//! order.
+//! order, and the engine folds the partitions of a group ascending by key.
 
 use crate::agg::{AggLayout, AggState, TrendNum};
-use crate::grouping::PartitionKey;
+use crate::engine::EngineConfig;
+use crate::grouping::{PartitionKey, StreamRouting};
 use crate::negation::{
     end_event_valid_at_close, insertion_dropped, invalidation_threshold, needs_deferred_final,
     DepMode, Dependency, InvalidationLog,
@@ -44,21 +47,32 @@ use crate::negation::{
 use crate::semantics::Semantics;
 use crate::storage::{GraphStorage, Row};
 use crate::window::{last_window_of_pane, pane_length, windows_of, WindowId};
+use crate::EngineError;
 use greta_query::compile::{AltPlan, GraphSpec};
 use greta_query::predicate::{CompiledExpr, EdgePredicate};
-use greta_query::{CompiledQuery, StateId, WindowSpec};
+use greta_query::{CompiledQuery, StateId};
 use greta_types::codec::{put_u32, put_u64};
-use greta_types::{AttrId, CodecError, EventRef, Reader, Time};
+use greta_types::{AttrId, CodecError, EventRef, Reader, SchemaRegistry, Time, TypeId};
+use std::sync::Arc;
 
-/// Everything the runtime derives from the query and the engine
-/// configuration alone: built once per engine, passed down by reference.
+/// Everything a hosted query fixes: built once per query, shared by `Arc`
+/// between every engine that runs it (and, in an executor, the query's
+/// registry slot and route group), passed down by reference. What it
+/// derives from the query must stay in step with the query, so those fields
+/// are the crate's to read and nobody's to write.
 pub struct EnginePlan {
+    /// The compiled query.
+    pub(crate) query: CompiledQuery,
+    /// The schemas it was compiled against.
+    pub(crate) registry: SchemaRegistry,
+    /// Event classification (root vs broadcast types, key extraction) —
+    /// the same view the executor shards by. Validated: every root-graph
+    /// type carries the full partition key.
+    pub(crate) routing: StreamRouting,
+    /// Selection semantics and the range-index switch.
+    pub(crate) config: EngineConfig,
     /// Aggregate layout of the query.
     pub layout: AggLayout,
-    /// The window specification.
-    pub window: WindowSpec,
-    /// Selection semantics.
-    pub semantics: Semantics,
     /// True when final aggregates must be computed at window close instead
     /// of incrementally (trailing negation on some root graph, Case 2).
     pub deferred_final: bool,
@@ -114,25 +128,47 @@ struct PredOps {
 }
 
 impl EnginePlan {
-    /// Compile `query` for an engine running under `semantics`, answering
-    /// range-form edge predicates from the sorted runs iff
-    /// `use_range_index`.
-    pub fn new(query: &CompiledQuery, semantics: Semantics, use_range_index: bool) -> EnginePlan {
+    /// Compile `query` for the engines that will run it under `config` —
+    /// once; they share the value returned. Refuses a query
+    /// whose partitioning is ambiguous (§6): every event type of a root
+    /// graph must carry the full partition key.
+    pub fn new(
+        query: CompiledQuery,
+        registry: SchemaRegistry,
+        config: EngineConfig,
+    ) -> Result<Arc<EnginePlan>, EngineError> {
+        let routing = StreamRouting::new(&query, &registry);
+        let roots = query
+            .alternatives
+            .iter()
+            .flat_map(|a| &a.graphs[0].state_types);
+        let partial = |t: &TypeId| !routing.extractor().has_full_key(*t);
+        if let Some(tid) = roots.map(|(_, t)| *t).filter(partial).min() {
+            let schema = registry.schema(tid);
+            let lacks = |a: &&String| schema.attr(a).is_none();
+            let attr = query.partition_attrs.iter().find(lacks).cloned();
+            return Err(EngineError::PartitionAttr {
+                attr: attr.unwrap_or_default(),
+                ty: schema.name.clone(),
+            });
+        }
         let compile = |plan: &AltPlan| -> Vec<GraphOps> {
-            let ops = |spec| GraphOps::new(plan, spec, use_range_index);
+            let ops = |spec| GraphOps::new(plan, spec, config.use_range_index);
             plan.graphs.iter().map(ops).collect()
         };
         let alts: Vec<Vec<GraphOps>> = query.alternatives.iter().map(compile).collect();
-        EnginePlan {
+        Ok(Arc::new(EnginePlan {
             layout: AggLayout::new(&query.aggregates),
-            window: query.window,
-            semantics,
             deferred_final: alts
                 .iter()
                 .any(|graphs| needs_deferred_final(&graphs[0].deps)),
             pane_len: pane_length(&query.window),
             alts,
-        }
+            query,
+            registry,
+            routing,
+            config,
+        }))
     }
 }
 
@@ -257,7 +293,8 @@ impl<N: TrendNum> Partition<N> {
     /// moved into the vertex's run. `on_root_end` is called with the partition's
     /// group once per window entry of every END vertex inserted into a
     /// **root** graph (drives incremental final aggregation, Algorithm 2
-    /// line 8).
+    /// line 8). Returns the `(vertices inserted, edges traversed)` this
+    /// event added to [`counters`](Self::counters).
     // lint:hot-path
     pub fn process(
         &mut self,
@@ -266,15 +303,20 @@ impl<N: TrendNum> Partition<N> {
         e: &EventRef,
         event_seq: u64,
         mut on_root_end: impl FnMut(&PartitionKey, WindowId, &AggState<N>),
-    ) {
+    ) -> (u64, u64) {
         let group = &self.group;
+        let mut did = (0, 0);
         for (alt, graphs) in self.alts.iter_mut().zip(&plan.alts) {
+            let before = (alt.vertices_inserted, alt.edges_traversed);
             for ops in graphs {
                 alt.process_graph(plan, ops, accs, e, event_seq, &mut |w, st| {
                     on_root_end(group, w, st)
                 });
             }
+            did.0 += alt.vertices_inserted - before.0;
+            did.1 += alt.edges_traversed - before.1;
         }
+        did
     }
 
     /// Deferred final aggregation for Case-2 negation: per alternative,
@@ -307,7 +349,7 @@ impl<N: TrendNum> Partition<N> {
     /// Batch-delete, in all graphs, the panes whose last window is `closed`
     /// or earlier.
     pub fn purge_panes(&mut self, plan: &EnginePlan, closed: WindowId) {
-        let dead = |ps| last_window_of_pane(ps, plan.pane_len, &plan.window) <= closed;
+        let dead = |ps| last_window_of_pane(ps, plan.pane_len, &plan.query.window) <= closed;
         for storage in self.alts.iter_mut().flat_map(|a| &mut a.storages) {
             storage.purge_panes_while(dead);
         }
@@ -399,7 +441,7 @@ impl<N: TrendNum> Partition<N> {
                     }
                     // A pane's rows share one set of windows: the record's
                     // must be the ones its time falls into.
-                    let ws = windows_of(v.event.time, &plan.window);
+                    let ws = windows_of(v.event.time, &plan.query.window);
                     if !v.aggs.iter().map(|(w, _)| *w).eq(ws.clone()) {
                         let t = v.event.time.ticks();
                         return Err(CodecError(format!(
@@ -457,9 +499,9 @@ impl<N: TrendNum> AltRuntime<N> {
         }
         // The event's windows, and with them those of every vertex of its
         // pane: `n` consecutive ids from `w_lo`.
-        let windows = windows_of(e.time, &plan.window);
+        let windows = windows_of(e.time, &plan.query.window);
         let (w_lo, n) = (*windows.start(), windows.count());
-        let lo = Time(e.time.ticks().saturating_sub(plan.window.within - 1));
+        let lo = Time(e.time.ticks().saturating_sub(plan.query.window.within - 1));
 
         for &si in state_idxs.iter() {
             let so = &ops.states[si];
@@ -519,7 +561,7 @@ impl<N: TrendNum> AltRuntime<N> {
                             continue;
                         }
                         let row_aggs = &run.aggs_of(r, pane.k())[shared.start..shared.end];
-                        match plan.semantics {
+                        match plan.config.semantics {
                             Semantics::SkipTillAny => link(row, row_aggs),
                             Semantics::Contiguous => {
                                 if row.seq + 1 == event_seq {
@@ -589,9 +631,17 @@ mod tests {
         (reg, q)
     }
 
+    fn plan_of(q: &CompiledQuery, reg: &SchemaRegistry, semantics: Semantics) -> Arc<EnginePlan> {
+        let config = EngineConfig {
+            semantics,
+            ..Default::default()
+        };
+        EnginePlan::new(q.clone(), reg.clone(), config).unwrap()
+    }
+
     fn run_count(pattern: &str, events: &[(&str, u64)]) -> f64 {
         let (reg, q) = setup(pattern);
-        let plan = EnginePlan::new(&q, Semantics::SkipTillAny, true);
+        let plan = plan_of(&q, &reg, Semantics::SkipTillAny);
         let mut rt = Partition::<f64>::new(&plan, PartitionKey::default());
         let mut total = 0.0;
         for (seq, (ty, t)) in events.iter().enumerate() {
@@ -718,7 +768,7 @@ mod tests {
     #[test]
     fn contiguous_semantics_counts_runs() {
         let (reg, q) = setup("A+");
-        let plan = EnginePlan::new(&q, Semantics::Contiguous, true);
+        let plan = plan_of(&q, &reg, Semantics::Contiguous);
         let mut rt = Partition::<f64>::new(&plan, PartitionKey::default());
         let mut total = 0.0;
         for (seq, t) in [1u64, 2, 3].iter().enumerate() {
@@ -738,7 +788,7 @@ mod tests {
     #[test]
     fn skip_till_next_is_polynomial() {
         let (reg, q) = setup("A+");
-        let plan = EnginePlan::new(&q, Semantics::SkipTillNext, true);
+        let plan = plan_of(&q, &reg, Semantics::SkipTillNext);
         let mut rt = Partition::<f64>::new(&plan, PartitionKey::default());
         let mut total = 0.0;
         for (seq, t) in (1u64..=10).enumerate() {
@@ -761,7 +811,7 @@ mod tests {
         // first must be refused under the second, not index past its
         // per-pane trees.
         let (reg, q) = setup("SEQ(A, B)");
-        let plan = EnginePlan::new(&q, Semantics::SkipTillAny, true);
+        let plan = plan_of(&q, &reg, Semantics::SkipTillAny);
         let mut part = Partition::<f64>::new(&plan, PartitionKey::default());
         for (seq, (ty, t)) in [("A", 1), ("B", 2)].into_iter().enumerate() {
             let e = EventBuilder::new(&reg, ty).unwrap().at(Time(t)).build();
@@ -776,7 +826,7 @@ mod tests {
         let mut blob = Vec::new();
         part.encode_state(&mut blob);
         let decode = |q: &CompiledQuery| {
-            let plan = EnginePlan::new(q, Semantics::SkipTillAny, true);
+            let plan = plan_of(q, &reg, Semantics::SkipTillAny);
             let r = &mut Reader::new(&blob);
             Partition::<f64>::decode_state(&plan, PartitionKey::default(), r).map(|p| p.counters())
         };
@@ -801,7 +851,7 @@ mod tests {
         let run = |pattern: &str, second: &str| {
             let text = format!("RETURN COUNT(*) PATTERN {pattern} WITHIN 10 SLIDE 4");
             let q = CompiledQuery::parse(&text, &reg).unwrap();
-            let plan = EnginePlan::new(&q, Semantics::SkipTillAny, true);
+            let plan = plan_of(&q, &reg, Semantics::SkipTillAny);
             let mut part = Partition::<f64>::new(&plan, PartitionKey::default());
             let mut ends = Vec::new();
             for (seq, (ty, t)) in [("A", 6), (second, 15)].into_iter().enumerate() {
@@ -825,7 +875,7 @@ mod tests {
     #[test]
     fn stats_track_vertices_and_edges() {
         let (reg, q) = setup("A+");
-        let plan = EnginePlan::new(&q, Semantics::SkipTillAny, true);
+        let plan = plan_of(&q, &reg, Semantics::SkipTillAny);
         let mut rt = Partition::<f64>::new(&plan, PartitionKey::default());
         for (seq, t) in (1u64..=4).enumerate() {
             let e = EventBuilder::new(&reg, "A")

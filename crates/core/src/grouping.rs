@@ -3,12 +3,11 @@
 //! aggregates are reported per **group** (the `GROUP-BY` projection of the
 //! partition key).
 
-use crate::EngineError;
 use greta_query::CompiledQuery;
 use greta_types::codec::{put_u32, put_u64};
 use greta_types::{AttrId, CodecError, Event, Reader, SchemaRegistry, TypeId, Value};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 /// A partition / group key: attribute values in `partition_attrs` order.
@@ -143,12 +142,7 @@ impl KeyExtractor {
 
     /// Extract the (sub-)key of an event.
     pub fn key_of(&self, e: &Event) -> PartitionKey {
-        match self.slots_of(e.type_id) {
-            Some(slots) => {
-                PartitionKey(slots.iter().map(|s| s.map(|a| e.attr(a).clone())).collect())
-            }
-            None => PartitionKey(vec![None; self.n_attrs]),
-        }
+        self.key_prefix_of(e, self.n_attrs)
     }
 
     /// Extract only the leading `n` attributes of the (sub-)key (the
@@ -336,7 +330,9 @@ impl RoutingTable {
 
 /// Unified routing view of a compiled query, shared by [`GretaEngine`]
 /// (partition creation/broadcast) and the [`StreamExecutor`] so both
-/// layers classify events identically:
+/// layers classify events identically. A hosted query's routing is built
+/// (and its §6 precondition checked) once, with its
+/// [`EnginePlan`](crate::graph::EnginePlan):
 ///
 /// * **root types** appear in the root (positive) graph and carry the full
 ///   partition key — each such event belongs to exactly one partition and,
@@ -360,32 +356,17 @@ impl StreamRouting {
     /// Classify every event type of `query`.
     pub fn new(query: &CompiledQuery, registry: &SchemaRegistry) -> StreamRouting {
         let extractor = KeyExtractor::new(query, registry);
-        let mut root_types = HashSet::new();
-        let mut all_types = HashSet::new();
+        // The extractor's table spans every type of every graph.
+        let mut root = vec![false; extractor.per_type.len()];
+        let mut broadcast = root.clone();
         for alt in &query.alternatives {
             for (_, tid) in &alt.graphs[0].state_types {
-                root_types.insert(*tid);
-            }
-            for g in &alt.graphs {
-                for (_, tid) in &g.state_types {
-                    all_types.insert(*tid);
-                }
+                root[tid.0 as usize] = true;
             }
         }
-        let max_ty = all_types
-            .iter()
-            .map(|t| t.0 as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let mut root = vec![false; max_ty];
-        let mut broadcast = vec![false; max_ty];
-        for t in &root_types {
-            root[t.0 as usize] = true;
-        }
-        for t in all_types {
-            if !root_types.contains(&t) || !extractor.has_full_key(t) {
-                broadcast[t.0 as usize] = true;
-            }
+        let graphs = query.alternatives.iter().flat_map(|alt| &alt.graphs);
+        for (_, tid) in graphs.flat_map(|g| &g.state_types) {
+            broadcast[tid.0 as usize] = !root[tid.0 as usize] || !extractor.has_full_key(*tid);
         }
         StreamRouting {
             extractor,
@@ -393,33 +374,6 @@ impl StreamRouting {
             broadcast_types: broadcast,
             n_group: query.group_by.len(),
         }
-    }
-
-    /// Check the §6 partitioning precondition: every root-graph event type
-    /// must carry the full partition key (its partition must be
-    /// unambiguous).
-    pub fn validate(
-        &self,
-        query: &CompiledQuery,
-        registry: &SchemaRegistry,
-    ) -> Result<(), EngineError> {
-        for (i, is_root) in self.root_types.iter().enumerate() {
-            let tid = TypeId(i as u16);
-            if *is_root && !self.extractor.has_full_key(tid) {
-                let schema = registry.schema(tid);
-                let missing = query
-                    .partition_attrs
-                    .iter()
-                    .find(|a| schema.attr(a).is_none())
-                    .cloned()
-                    .unwrap_or_default();
-                return Err(EngineError::PartitionAttr {
-                    attr: missing,
-                    ty: schema.name.clone(),
-                });
-            }
-        }
-        Ok(())
     }
 
     /// The partition-key extractor.
@@ -597,7 +551,6 @@ mod tests {
     fn routing_classifies_and_shards_deterministically() {
         let (reg, q) = q3_setup();
         let routing = StreamRouting::new(&q, &reg);
-        routing.validate(&q, &reg).unwrap();
         let acc_id = reg.type_id("Accident").unwrap();
         let pos_id = reg.type_id("Position").unwrap();
         assert!(routing.is_broadcast(acc_id));

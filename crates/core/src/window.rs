@@ -38,6 +38,16 @@ pub fn window_close_time(wid: WindowId, w: &WindowSpec) -> Time {
     Time(wid * w.slide + w.within)
 }
 
+/// The last window closed once time stands at `t`: the largest `wid` with
+/// [`window_close_time`]`(wid) ≤ t`, `None` while `t < within` (not even
+/// window 0 has closed). The one statement of the window-close boundary —
+/// an engine's emission frontier and the executor's watermark broadcast
+/// both read it. A zero `slide` (never compiled) is read as 1.
+pub fn last_closed(t: Time, w: &WindowSpec) -> Option<WindowId> {
+    let past = t.ticks().checked_sub(w.within)?;
+    Some(past / w.slide.max(1))
+}
+
 /// Start time of a window.
 pub fn window_start_time(wid: WindowId, w: &WindowSpec) -> Time {
     Time(wid * w.slide)
@@ -118,6 +128,27 @@ mod tests {
         let w = wspec(10, 3);
         assert_eq!(window_start_time(2, &w), Time(6));
         assert_eq!(window_close_time(2, &w), Time(16));
+    }
+
+    #[test]
+    fn last_closed_is_the_inverse_of_close_time() {
+        // Sliding, tumbling, and `WITHIN < SLIDE` (gaps between windows).
+        for w in [wspec(10, 3), wspec(10, 10), wspec(3, 10)] {
+            assert_eq!(last_closed(Time(w.within - 1), &w), None, "t < within");
+            assert_eq!(last_closed(Time(w.within), &w), Some(0));
+            for t in w.within..60 {
+                let last = last_closed(Time(t), &w).unwrap();
+                assert!(window_close_time(last, &w) <= Time(t));
+                assert!(window_close_time(last + 1, &w) > Time(t));
+            }
+        }
+        // In a gap of `WITHIN 3 SLIDE 10`: window 0 = [0,3) closed at 3,
+        // window 1 = [10,13) still open at 12.
+        assert_eq!(last_closed(Time(12), &wspec(3, 10)), Some(0));
+        assert_eq!(last_closed(Time(13), &wspec(3, 10)), Some(1));
+        // A zero slide is never compiled; it must not divide by zero.
+        assert_eq!(last_closed(Time(4), &wspec(5, 0)), None);
+        assert_eq!(last_closed(Time(7), &wspec(5, 0)), Some(2));
     }
 
     #[test]

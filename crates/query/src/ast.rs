@@ -500,12 +500,6 @@ impl QuerySpec {
         self.group_by = attrs.iter().map(|s| s.to_string()).collect();
         self
     }
-
-    /// Replace the aggregate list.
-    pub fn with_aggregates(mut self, aggs: Vec<AggFunc>) -> QuerySpec {
-        self.aggregates = aggs.into_iter().map(AggSpec::new).collect();
-        self
-    }
 }
 
 #[cfg(test)]

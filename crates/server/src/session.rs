@@ -286,11 +286,10 @@ fn run_session(
             match cmd_rx.try_recv() {
                 Ok(SessionCmd::Ingest { events, reply }) => {
                     worked = true;
-                    let ack = s.ingest(events);
-                    let fatal = matches!(ack, Err(IngestError::Fatal(_)));
-                    // Publish before acking so a metrics scrape issued
+                    // Publishes before acking, so a metrics scrape issued
                     // right after the ack sees the events it covers.
-                    s.publish_stats(&last_stats);
+                    let ack = s.ingest(events, &last_stats);
+                    let fatal = matches!(ack, Err(IngestError::Fatal(_)));
                     let _ = reply.send(ack.map_err(IngestError::into_msg));
                     if fatal {
                         // The executor is wedged (I/O or internal error):
@@ -399,8 +398,30 @@ fn refuse_queued(cmd_rx: &Receiver<SessionCmd>, why: &str, drained: Result<(), S
 }
 
 impl SessionLoop {
-    /// Validate and push one batch, then build the ack.
-    fn ingest(&mut self, events: Vec<Event>) -> Result<IngestAck, IngestError> {
+    /// Validate and push one batch, then build the ack and publish the
+    /// executor's stats — whatever the batch's fate, and from one
+    /// [`ExecutorStats`] value: it is assembled once per batch.
+    fn ingest(
+        &mut self,
+        events: Vec<Event>,
+        last_stats: &Mutex<ExecutorStats>,
+    ) -> Result<IngestAck, IngestError> {
+        let durable = self.push_batch(events);
+        let stats = self.exec.stats();
+        let ack = durable.map(|durable| IngestAck {
+            session: self.id,
+            pushed: stats.pushed,
+            durable,
+            watermark: self.exec.watermark().map(|t| t.0),
+            busy: self.busy(&stats),
+        });
+        publish(last_stats, stats);
+        ack
+    }
+
+    /// Push one batch and group-commit it; the durable WAL index, if there
+    /// is a WAL.
+    fn push_batch(&mut self, events: Vec<Event>) -> Result<Option<u64>, IngestError> {
         for e in events {
             self.validate(&e).map_err(IngestError::Recoverable)?;
             match self.exec.push(e) {
@@ -422,18 +443,9 @@ impl SessionLoop {
         self.pump();
         // Group commit: one WAL sync per acknowledged batch, so the
         // `durable` watermark in the ack is true even across a crash.
-        let durable = self
-            .exec
+        self.exec
             .sync_wal()
-            .map_err(|e| IngestError::Fatal(format!("wal sync failed: {e}")))?;
-        let stats = self.exec.stats();
-        Ok(IngestAck {
-            session: self.id,
-            pushed: stats.pushed,
-            durable,
-            watermark: self.exec.watermark().map(|t| t.0),
-            busy: self.busy(&stats),
-        })
+            .map_err(|e| IngestError::Fatal(format!("wal sync failed: {e}")))
     }
 
     /// Arity/type checks the engine's compiled accessors rely on: a frame
@@ -552,15 +564,20 @@ impl SessionLoop {
     }
 
     fn publish_stats(&self, last_stats: &Mutex<ExecutorStats>) {
-        // Recover from a poisoned mutex: the stored stats are replaced
-        // wholesale, so a writer that panicked mid-update cannot leave
-        // torn state behind — and stats must not silently freeze for
-        // the rest of the session's life.
-        let mut g = last_stats
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *g = self.exec.stats();
+        publish(last_stats, self.exec.stats());
     }
+}
+
+/// Replace the published stats with `stats`.
+fn publish(last_stats: &Mutex<ExecutorStats>, stats: ExecutorStats) {
+    // Recover from a poisoned mutex: the stored stats are replaced
+    // wholesale, so a writer that panicked mid-update cannot leave
+    // torn state behind — and stats must not silently freeze for
+    // the rest of the session's life.
+    let mut g = last_stats
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    *g = stats;
 }
 
 /// Push one stream's pending rows to every one of its subscribers, each

@@ -230,3 +230,59 @@ fn negation_with_all_aggregates_matches_oracle() {
         }
     }
 }
+
+#[test]
+fn deferred_finals_fold_a_group_in_partition_key_order() {
+    // Trailing negation defers the finals to window close, where a group
+    // that spans several partitions (`[k, g] GROUP-BY g`: one partition per
+    // `k`, one group) is folded from all of them. `f64` sums do not commute
+    // in their last bit, so the fold must not follow the partition map's
+    // per-instance hash order: two identical runs would disagree. The
+    // contract is ascending partition key — here, ascending `k`.
+    let mut reg = SchemaRegistry::new();
+    reg.register_type("A", &["k", "g", "attr"]).unwrap();
+    reg.register_type("E", &["k", "g", "attr"]).unwrap();
+    let q = CompiledQuery::parse(
+        "RETURN g, SUM(A.attr) PATTERN SEQ(A+, NOT E) WHERE [k, g] GROUP-BY g \
+         WITHIN 100 SLIDE 100",
+        &reg,
+    )
+    .unwrap();
+    let attrs = [
+        0.1,
+        0.2,
+        0.3,
+        0.7,
+        1e-3,
+        3.3,
+        1e9 + 0.1,
+        2.5e-7,
+        1e7 + 0.3,
+        0.9,
+        123.456,
+        1e-9,
+    ];
+    // Arrival order is not key order: event `i` carries k = 7·i mod 12.
+    let k_of = |i: usize| (7 * i % attrs.len()) as i64;
+    let evs: Vec<Event> = (0..attrs.len())
+        .map(|i| {
+            let b = EventBuilder::new(&reg, "A").unwrap().at(Time(i as u64));
+            let b = b.set("k", k_of(i)).unwrap().set("g", 0).unwrap();
+            b.set("attr", attrs[i]).unwrap().build()
+        })
+        .collect();
+    // One trend per partition, so the group's sum is the attrs folded in
+    // ascending `k`.
+    let mut by_k: Vec<(i64, f64)> = (0..attrs.len()).map(|i| (k_of(i), attrs[i])).collect();
+    by_k.sort_by_key(|(k, _)| *k);
+    let expect = by_k.iter().fold(0.0, |sum, (_, a)| sum + a);
+    let arrival = attrs.iter().fold(0.0, |sum, a| sum + a);
+    assert_ne!(expect.to_bits(), arrival.to_bits(), "the order must matter");
+    for run in 0..40 {
+        let mut engine = GretaEngine::<f64>::new(q.clone(), reg.clone()).unwrap();
+        let rows = engine.run(&evs).unwrap();
+        assert_eq!(rows.len(), 1);
+        let sum = rows[0].values[0].to_f64();
+        assert_eq!(sum.to_bits(), expect.to_bits(), "run {run}: {sum:e}");
+    }
+}

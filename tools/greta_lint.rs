@@ -5,7 +5,13 @@
 //! cargo run --release -p greta-analysis --bin greta_lint              # lint the workspace
 //! cargo run --release -p greta-analysis --bin greta_lint -- --root X  # lint another tree
 //! cargo run --release -p greta-analysis --bin greta_lint -- --self-test
+//! cargo run --release -p greta-analysis --bin greta_lint -- --loc      # count, don't lint
 //! ```
+//!
+//! `--loc` prints the non-blank, non-comment lines outside
+//! `#[cfg(test)]` / `#[test]` items, per first-party crate and per file
+//! of `crates/core/src` — the figure a "less code" PR quotes for parent
+//! and change, so nobody counts by hand.
 //!
 //! `--self-test` is CI's red path: it injects a `clone()` into a live
 //! `lint:hot-path` region of `executor/route.rs`, another into the DP
@@ -18,7 +24,7 @@
 
 #![forbid(unsafe_code)]
 
-use greta_analysis::workspace::{lint_source, lint_workspace, workspace_files};
+use greta_analysis::workspace::{lint_source, lint_workspace, workspace_files, workspace_loc};
 use greta_analysis::{Finding, Pass};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -26,6 +32,7 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut self_test = false;
+    let mut loc = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -37,8 +44,9 @@ fn main() -> ExitCode {
                 }
             },
             "--self-test" => self_test = true,
+            "--loc" => loc = true,
             "--help" | "-h" => {
-                eprintln!("usage: greta_lint [--root <dir>] [--self-test]");
+                eprintln!("usage: greta_lint [--root <dir>] [--self-test | --loc]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -60,7 +68,44 @@ fn main() -> ExitCode {
     if self_test {
         return run_self_test(&root);
     }
+    if loc {
+        return run_loc(&root);
+    }
     run_lint(&root)
+}
+
+/// The crate `--loc` breaks down by file.
+const CORE_SRC: &str = "crates/core/src/";
+
+/// `--loc`: one line per first-party crate, then one per file of
+/// `crates/core/src` and their sum.
+fn run_loc(root: &Path) -> ExitCode {
+    let files = match workspace_loc(root) {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("greta-lint: workspace scan failed: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    println!("non-blank non-comment lines outside #[cfg(test)] / #[test] items");
+    let mut crates: Vec<(&str, usize)> = Vec::new();
+    for (rel, lines) in &files {
+        let name = rel.split('/').nth(1).unwrap_or(rel);
+        match crates.last_mut() {
+            Some((last, sum)) if *last == name => *sum += lines,
+            _ => crates.push((name, *lines)),
+        }
+    }
+    for (name, lines) in crates {
+        println!("{lines:>7}  crate {name}");
+    }
+    let core = files.iter().filter(|(rel, _)| rel.starts_with(CORE_SRC));
+    for (rel, lines) in core.clone() {
+        println!("{lines:>7}  {rel}");
+    }
+    let total: usize = core.map(|(_, lines)| lines).sum();
+    println!("{total:>7}  {CORE_SRC} total");
+    ExitCode::SUCCESS
 }
 
 fn run_lint(root: &Path) -> ExitCode {
