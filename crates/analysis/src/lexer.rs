@@ -67,14 +67,11 @@ pub struct Directive {
 /// The annotation grammar (documented in `ARCHITECTURE.md § Invariants`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DirectiveKind {
-    /// `// lint:hot-path` — the next `fn` item's body is a hot region:
-    /// the allocation pass denies allocating calls inside it.
-    HotPath,
     /// `// lint:allow(<pass>): <reason>` — suppress findings of `pass`
     /// on this line and the next. `reason` must be non-empty; the lint
     /// itself enforces that.
     Allow {
-        /// Pass name: `hot-path`, `panic`, `codec`, or `lock`.
+        /// Pass name: `codec` or `lock`.
         pass: String,
         /// Checked-in justification (may be empty — then it's a finding).
         reason: String,
@@ -337,9 +334,6 @@ fn scan_directive(comment: &str, line: u32, out: &mut Vec<Directive>) {
 
 fn parse_directive(rest: &str) -> DirectiveKind {
     let rest = rest.trim();
-    if rest == "hot-path" {
-        return DirectiveKind::HotPath;
-    }
     if let Some(args) = rest.strip_prefix("allow(") {
         if let Some(close) = args.find(')') {
             let pass = args[..close].trim().to_string();
@@ -417,31 +411,29 @@ mod tests {
     #[test]
     fn directives_parse() {
         let src = "
-            // lint:hot-path
             fn f() {}
-            x.clone(); // lint:allow(hot-path): Arc refcount bump
+            x.lock(); // lint:allow(lock): released before the write
             // lint:lock-order: sessions < drained_tail < join
             // lint:bogus
         ";
         let l = lex(src);
-        assert_eq!(l.directives.len(), 4);
-        assert_eq!(l.directives[0].kind, DirectiveKind::HotPath);
+        assert_eq!(l.directives.len(), 3);
         assert_eq!(
-            l.directives[1].kind,
+            l.directives[0].kind,
             DirectiveKind::Allow {
-                pass: "hot-path".into(),
-                reason: "Arc refcount bump".into()
+                pass: "lock".into(),
+                reason: "released before the write".into()
             }
         );
         assert_eq!(
-            l.directives[2].kind,
+            l.directives[1].kind,
             DirectiveKind::LockOrder(vec![
                 "sessions".into(),
                 "drained_tail".into(),
                 "join".into()
             ])
         );
-        assert!(matches!(l.directives[3].kind, DirectiveKind::Malformed(_)));
+        assert!(matches!(l.directives[2].kind, DirectiveKind::Malformed(_)));
     }
 
     #[test]

@@ -1,20 +1,16 @@
-//! The four lint passes plus the annotation meta-checks.
+//! The two lint passes plus the annotation meta-checks.
 
 pub mod codec_sym;
-pub mod hot_path;
 pub mod lock_discipline;
-pub mod panic_free;
 
 use crate::lexer::DirectiveKind;
 use crate::report::{Finding, Pass};
 use crate::source::SourceFile;
 
-/// Which passes run on a file (hot-path and the annotation checks always
-/// run — they are driven entirely by in-file annotations).
+/// Which passes run on a file (the annotation checks always run — they
+/// are driven entirely by in-file annotations).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PassSet {
-    /// Panic-freedom (serving/durability crates + CI tools).
-    pub panic: bool,
     /// Codec symmetry (codec-bearing modules).
     pub codec: bool,
     /// Lock discipline (server connection/session plumbing).
@@ -24,10 +20,6 @@ pub struct PassSet {
 /// Run every applicable pass over one parsed file.
 pub fn run_all(file: &SourceFile, set: PassSet, out: &mut Vec<Finding>) {
     annotation_checks(file, out);
-    hot_path::run(file, out);
-    if set.panic {
-        panic_free::run(file, out);
-    }
     if set.codec {
         codec_sym::run(file, out);
     }
@@ -68,7 +60,7 @@ fn annotation_checks(file: &SourceFile, out: &mut Vec<Finding>) {
                     });
                 }
             }
-            DirectiveKind::HotPath | DirectiveKind::LockOrder(_) => {}
+            DirectiveKind::LockOrder(_) => {}
         }
     }
 }
@@ -79,9 +71,11 @@ mod tests {
 
     #[test]
     fn reasonless_allow_and_unknown_pass_are_findings() {
+        // `hot-path` and `panic` are clippy lints, not passes: their
+        // directives are findings, not silent no-ops.
         let f = SourceFile::parse(
             "x.rs",
-            "// lint:allow(panic)\n// lint:allow(typo-pass): reason\n// lint:hotpath\n",
+            "// lint:allow(lock)\n// lint:allow(panic): reason\n// lint:hot-path\n",
         );
         let mut out = Vec::new();
         run_all(&f, PassSet::default(), &mut out);

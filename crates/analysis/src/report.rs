@@ -2,13 +2,9 @@
 
 use std::fmt;
 
-/// The four lint passes (names double as `lint:allow(<pass>)` keys).
+/// The two lint passes (names double as `lint:allow(<pass>)` keys).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Pass {
-    /// Allocation-free hot regions (`// lint:hot-path`).
-    HotPath,
-    /// Panic-freedom in serving/durability code.
-    Panic,
     /// Encode/decode + version-constant symmetry.
     Codec,
     /// Lock ordering and no-lock-across-socket-write.
@@ -22,8 +18,6 @@ impl Pass {
     /// The `lint:allow(...)` key for this pass.
     pub fn key(self) -> &'static str {
         match self {
-            Pass::HotPath => "hot-path",
-            Pass::Panic => "panic",
             Pass::Codec => "codec",
             Pass::Lock => "lock",
             Pass::Annotation => "annotation",
@@ -33,8 +27,6 @@ impl Pass {
     /// Parse an `allow(...)` key.
     pub fn from_key(s: &str) -> Option<Pass> {
         Some(match s {
-            "hot-path" => Pass::HotPath,
-            "panic" => Pass::Panic,
             "codec" => Pass::Codec,
             "lock" => Pass::Lock,
             "annotation" => Pass::Annotation,

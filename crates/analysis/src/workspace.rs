@@ -1,6 +1,5 @@
 //! Workspace scan: which files exist, which passes apply to each, and
-//! the one-call entry point the `greta_lint` binary (and its red-path
-//! self-test) drive.
+//! the one-call entry points the `greta_lint` binary drives.
 
 use crate::passes::{run_all, PassSet};
 use crate::report::Finding;
@@ -13,14 +12,6 @@ use std::path::{Path, PathBuf};
 /// `vendor/` are exempt — they are held to compile-compatibility, not to
 /// GRETA's invariants).
 const SCAN_ROOTS: &[&str] = &["crates", "src", "tools", "examples", "tests"];
-
-/// Panic-freedom scope: serving + durability crates, plus the load-test
-/// tool that escapes clippy's strictest settings.
-const PANIC_SCOPE: &[&str] = &[
-    "crates/server/src/",
-    "crates/durability/src/",
-    "tools/load_client.rs",
-];
 
 /// Codec-symmetry scope: every module that defines an on-disk or wire
 /// format.
@@ -41,7 +32,6 @@ const LOCK_SCOPE: &[&str] = &[
 pub fn passes_for(rel: &str) -> PassSet {
     let hit = |scope: &[&str]| scope.iter().any(|p| rel.starts_with(p));
     PassSet {
-        panic: hit(PANIC_SCOPE),
         codec: hit(CODEC_SCOPE),
         lock: hit(LOCK_SCOPE),
     }
@@ -83,8 +73,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Lint one file's content (the unit the self-test injects violations
-/// into).
+/// Lint one file's content.
 pub fn lint_source(rel_path: &str, content: &str) -> Vec<Finding> {
     let file = SourceFile::parse(rel_path, content);
     let mut out = Vec::new();
@@ -125,20 +114,17 @@ mod tests {
 
     #[test]
     fn scopes_resolve() {
-        assert!(passes_for("crates/server/src/session.rs").panic);
         assert!(passes_for("crates/server/src/session.rs").lock);
         assert!(!passes_for("crates/server/src/http.rs").lock);
         assert!(passes_for("crates/durability/src/wal.rs").codec);
-        assert!(passes_for("tools/load_client.rs").panic);
-        assert!(!passes_for("crates/core/src/executor/route.rs").panic);
         assert!(passes_for("crates/core/src/executor/route.rs").codec);
-        assert!(!passes_for("examples/quickstart.rs").panic);
+        assert_eq!(passes_for("examples/quickstart.rs"), PassSet::default());
     }
 
     #[test]
     fn lint_source_end_to_end() {
-        let f = lint_source("crates/server/src/session.rs", "fn f() { x.unwrap(); }");
+        let f = lint_source("crates/server/src/session.rs", "fn f() { self.a.lock(); }");
         assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("unwrap"));
+        assert!(f[0].message.contains("lock-order"));
     }
 }

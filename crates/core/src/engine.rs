@@ -124,7 +124,7 @@ struct Delivery<'a, N: TrendNum> {
 impl<N: TrendNum> Delivery<'_, N> {
     /// Hand `e` to `part`, folding what its root END vertices report into
     /// the open windows' finals.
-    // lint:hot-path
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     fn deliver(&mut self, part: &mut Partition<N>, e: &EventRef) {
         let before = part.bytes();
         let (plan, open, grew) = (self.plan, &mut *self.open, &mut *self.results_bytes);

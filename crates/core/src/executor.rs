@@ -103,7 +103,7 @@
 //! the end of the stream.
 
 use crate::agg::TrendNum;
-use crate::engine::{EngineConfig, GretaEngine};
+use crate::engine::GretaEngine;
 use crate::graph::EnginePlan;
 use crate::grouping::PartitionKey;
 #[cfg(doc)]
@@ -188,8 +188,6 @@ pub struct StreamExecutor<N: TrendNum = f64> {
     route: Route,
     worker: Worker<N>,
     merge: Merge<N>,
-    registry: SchemaRegistry,
-    engine_config: EngineConfig,
 }
 
 impl<N: TrendNum> StreamExecutor<N> {
@@ -218,7 +216,7 @@ impl<N: TrendNum> StreamExecutor<N> {
     /// its routing coincides with (a new one if none does). Joining is the
     /// last step, so a refused query leaves `route` untouched. Returns the
     /// registry slot and what each shard is to host for it.
-    #[allow(clippy::type_complexity)]
+    #[allow(clippy::type_complexity, reason = "a slot and its engines")]
     fn bring_up(
         route: &mut Route,
         plan: Arc<EnginePlan>,
@@ -375,12 +373,15 @@ impl<N: TrendNum> StreamExecutor<N> {
         emission: EmissionMode,
     ) -> Result<QueryId, EngineError> {
         self.refuse_if_finished("register_query")?;
-        let query = CompiledQuery::parse(text, &self.registry)
+        // Id 0 never leaves the registry: its plan holds the schemas and
+        // the engine config every query of this executor is compiled with.
+        let base = &self.merge.queries[0].plan;
+        let query = CompiledQuery::parse(text, &base.registry)
             .map_err(|e| EngineError::Config(format!("query error: {e}")))?;
         // Compiling the plan validates it — before WAL-logging: an invalid
         // registration must never enter the log (replay would fail at the
         // same spot forever).
-        let plan = EnginePlan::new(query, self.registry.clone(), self.engine_config)?;
+        let plan = EnginePlan::new(query, base.registry.clone(), base.config)?;
         let id = self.merge.next_query_id;
         self.ingest
             .log(TailRecRef::Register { id, emission, text })?;

@@ -217,7 +217,7 @@ impl<N: TrendNum> Merge<N> {
     /// Inverse of [`encode`](Self::encode) for a checkpoint taken at
     /// `shards`: the plane without its slots, and per query the part and
     /// engine blobs bring-up turns into one.
-    #[allow(clippy::type_complexity)]
+    #[allow(clippy::type_complexity, reason = "the plane and its parts")]
     pub(super) fn decode(
         r: &mut Reader<'_>,
         shards: usize,

@@ -142,8 +142,6 @@ impl<N: TrendNum> StreamExecutor<N> {
             route,
             worker,
             merge,
-            registry,
-            engine_config: config.engine,
         };
 
         // Replay the WAL tail through the path a live event takes once it
@@ -161,8 +159,8 @@ impl<N: TrendNum> StreamExecutor<N> {
                     other => other?,
                 },
                 TailRec::Register { id, emission, text } => {
-                    let q = recompile(id, &text, &exec.registry)?;
-                    let plan = EnginePlan::new(q, exec.registry.clone(), exec.engine_config)?;
+                    let q = recompile(id, &text, &registry)?;
+                    let plan = EnginePlan::new(q, registry.clone(), config.engine)?;
                     exec.apply_register(id, text, emission, plan)?;
                 }
                 // Rows the live run handed back at deregistration stay in

@@ -150,7 +150,7 @@ impl Route {
 
     /// Frame one released event for route group `g` (all of the group's
     /// member queries see the same frame).
-    // lint:hot-path
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     fn route_to_group<N: TrendNum>(
         &mut self,
         g: usize,
@@ -171,7 +171,7 @@ impl Route {
             if g == 0 {
                 self.events_per_shard[i] += 1;
             }
-            // lint:allow(hot-path): EventRef is an Arc — clone() is a refcount bump, not a payload copy
+            #[expect(clippy::disallowed_methods, reason = "EventRef: an Arc refcount bump")]
             self.groups[g].batch_bufs[i].push(e.clone());
             if self.groups[g].batch_bufs[i].len() >= self.batch_size {
                 self.flush_group_shard(g, i, worker, merge)?;
@@ -183,7 +183,7 @@ impl Route {
     /// Route a release batch through every live group, watermark by
     /// watermark. Returns how many of id 0's windows the batch closed —
     /// what the cadences count (this plane's own is counted here).
-    // lint:hot-path
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub(super) fn route_all<N: TrendNum>(
         &mut self,
         released: &[EventRef],
@@ -210,7 +210,7 @@ impl Route {
     /// events) and broadcast the watermark — shards that received no
     /// recent events still close their windows, for every query. Returns
     /// how many of id 0's windows that closed.
-    // lint:hot-path
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     fn note_watermark<N: TrendNum>(
         &mut self,
         wm: Time,
@@ -247,7 +247,7 @@ impl Route {
     /// (`Vec::with_capacity` replacing the taken buffer is the one
     /// amortized allocation per frame — deliberately not in the denied
     /// set.)
-    // lint:hot-path
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     fn flush_group_shard<N: TrendNum>(
         &mut self,
         g: usize,
@@ -269,7 +269,7 @@ impl Route {
     }
 
     /// Send every buffered frame of every group.
-    // lint:hot-path
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub(super) fn flush_all_batches<N: TrendNum>(
         &mut self,
         worker: &mut Worker<N>,

@@ -295,7 +295,7 @@ impl<N: TrendNum> Partition<N> {
     /// **root** graph (drives incremental final aggregation, Algorithm 2
     /// line 8). Returns the `(vertices inserted, edges traversed)` this
     /// event added to [`counters`](Self::counters).
-    // lint:hot-path
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub fn process(
         &mut self,
         plan: &EnginePlan,
@@ -477,7 +477,7 @@ impl<N: TrendNum> AltRuntime<N> {
         }
     }
 
-    // lint:hot-path
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     fn process_graph(
         &mut self,
         plan: &EnginePlan,
@@ -596,7 +596,7 @@ impl<N: TrendNum> AltRuntime<N> {
             }
 
             let key = ops.sort_key(state, e);
-            // lint:allow(hot-path): EventRef is an Arc — clone() is a refcount bump, not a payload copy
+            #[expect(clippy::disallowed_methods, reason = "EventRef: an Arc refcount bump")]
             let row = Row::new(e.clone(), key, event_seq, latest_start);
             let n_states = ops.sort_attr.len();
             self.storages[gi].insert(state, row, accs, w_lo, plan.pane_len, n_states);

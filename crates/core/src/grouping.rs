@@ -193,7 +193,7 @@ fn hash_group_slot(h: &mut DefaultHasher, v: Option<&Value>) {
 /// values straight off an event (no key materialization), and both the
 /// static shard assignment and [`RoutingTable`] override lookups key on
 /// it, so the hot routing path never has to allocate a [`PartitionKey`].
-// lint:hot-path
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 pub fn group_key_hash(key: &PartitionKey) -> u64 {
     let mut h = DefaultHasher::new();
     for v in &key.0 {
@@ -207,7 +207,7 @@ pub fn group_key_hash(key: &PartitionKey) -> u64 {
 /// pin routes by. Single definition shared by the event router, the
 /// rebalance planner, and state repartitioning — they can never drift.
 #[inline]
-// lint:hot-path
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 pub fn shard_of_hash(h: u64, shards: usize) -> usize {
     (h % shards.max(1) as u64) as usize
 }
@@ -407,7 +407,7 @@ impl StreamRouting {
     /// drives the static shard assignment (`hash % shards`), the
     /// [`RoutingTable`] override lookup, and the skew detector's per-group
     /// counters.
-    // lint:hot-path
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub fn group_hash(&self, e: &Event) -> u64 {
         let mut h = DefaultHasher::new();
         match self.extractor.slots_of(e.type_id) {
@@ -429,7 +429,7 @@ impl StreamRouting {
     /// broadcast. Deterministic for a given key and shard count, so the
     /// same stream always shards identically. The group values are hashed
     /// straight out of the event — no key is materialized per event.
-    // lint:hot-path
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub fn shard_of(&self, e: &Event, shards: usize) -> Option<usize> {
         if self.is_broadcast(e.type_id) {
             return None;
@@ -442,7 +442,7 @@ impl StreamRouting {
     /// [`group_key`](Self::group_key) lands on the same shard whichever
     /// entry point hashed it. This is the fallback assignment for groups a
     /// [`RoutingTable`] does not pin.
-    // lint:hot-path
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub fn shard_of_group_key(&self, key: &PartitionKey, shards: usize) -> usize {
         shard_of_hash(group_key_hash(key), shards)
     }

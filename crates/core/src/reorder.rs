@@ -56,7 +56,7 @@ impl ReorderBuffer {
 
     /// [`push`](Self::push) into a caller-provided buffer — the hot path
     /// reuses one scratch vector instead of allocating per event.
-    // lint:hot-path
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub fn push_into(&mut self, e: EventRef, out: &mut Vec<EventRef>) -> Result<(), EventRef> {
         if let Some(r) = self.released {
             if e.time < r {
@@ -80,7 +80,7 @@ impl ReorderBuffer {
         out
     }
 
-    // lint:hot-path
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     fn release_before(&mut self, horizon: Time, out: &mut Vec<EventRef>) {
         while let Some((&t, _)) = self.pending.iter().next() {
             if t >= horizon {

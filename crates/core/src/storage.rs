@@ -86,7 +86,7 @@ impl<N: TrendNum> Run<N> {
     }
 
     /// The `k` aggregates of row `r`, by ascending window.
-    // lint:hot-path
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub fn aggs_of(&self, r: usize, k: usize) -> &[AggState<N>] {
         &self.aggs[r * k..(r + 1) * k]
     }
@@ -94,7 +94,7 @@ impl<N: TrendNum> Run<N> {
     /// The rows whose key satisfies `key ⟨op⟩ bound` under `total_cmp`;
     /// `None` is every row, and so is `Ne`, which is no contiguous range
     /// (the caller filters).
-    // lint:hot-path
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub fn range(&self, range: Option<(CmpOp, f64)>) -> Range<usize> {
         let below = |b: f64| {
             self.rows
@@ -117,7 +117,7 @@ impl<N: TrendNum> Run<N> {
 
     /// Insert `row` with its aggregates (drained from `aggs`) at its sorted
     /// position.
-    // lint:hot-path
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     fn insert(&mut self, row: Row, aggs: &mut Vec<AggState<N>>) {
         let k = aggs.len();
         let at = self.rows.partition_point(|r| {
@@ -216,7 +216,7 @@ impl<N: TrendNum> Pane<N> {
     /// row: windows only slide forward, so the shared ones are the newer
     /// vertex's **first** `min(k − (e_lo − w_lo), n)` — none when the panes
     /// have no window in common.
-    // lint:hot-path
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub fn shared_windows(&self, e_lo: WindowId, n: usize) -> Range<usize> {
         let off = usize::try_from(e_lo - self.w_lo).map_or(self.k, |off| off.min(self.k));
         off..off + (self.k - off).min(n)
@@ -252,7 +252,7 @@ impl<N: TrendNum> GraphStorage<N> {
     /// starting at `w_lo`. It goes into the pane of length `pane_len` its
     /// time falls in; a new pane gets one run per template state
     /// (`n_states`) and takes its windows from this, its first, vertex.
-    // lint:hot-path
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub fn insert(
         &mut self,
         state: StateId,
@@ -291,7 +291,7 @@ impl<N: TrendNum> GraphStorage<N> {
     }
 
     /// The panes holding any time in `[lo, hi)`, oldest first.
-    // lint:hot-path
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub fn panes_between(
         &self,
         lo: Time,

@@ -1,6 +1,7 @@
 //! CRC-32 (IEEE 802.3 polynomial, reflected) — the frame checksum of the
 //! WAL and snapshot files. Table-driven, dependency-free.
 
+#[expect(clippy::indexing_slicing, reason = "`i < 256`, const-evaluated")]
 const fn make_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -15,7 +16,6 @@ const fn make_table() -> [u32; 256] {
             };
             k += 1;
         }
-        // lint:allow(panic): `i < 256` loop bound; const-evaluated, a bad index is a compile error
         table[i] = c;
         i += 1;
     }
@@ -25,10 +25,10 @@ const fn make_table() -> [u32; 256] {
 static TABLE: [u32; 256] = make_table();
 
 /// CRC-32 of `data`.
+#[expect(clippy::indexing_slicing, reason = "masked to TABLE's 256 slots")]
 pub fn crc32(data: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in data {
-        // lint:allow(panic): index is masked with `& 0xFF` and TABLE has 256 entries
         c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF

@@ -21,6 +21,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The panic rule (see clippy.toml): fail through typed errors.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros
+    )
+)]
 
 pub mod client;
 mod http;

@@ -175,7 +175,7 @@ pub(crate) fn render(server: &ServerMetrics, sessions: &[SessionMetrics<'_>]) ->
         (
             "greta_broadcast_events_total",
             "counter",
-            "Events broadcast to every shard (no partition key).",
+            "Events broadcast to every shard (no partition key), by route group 0 only.",
             |s| s.broadcasts as f64,
         ),
         (
@@ -347,7 +347,7 @@ pub(crate) fn render(server: &ServerMetrics, sessions: &[SessionMetrics<'_>]) ->
     r.family(
         "greta_shard_events_total",
         "counter",
-        "Events routed to each shard.",
+        "Events routed to each shard by route group 0 (broadcasts count once per shard).",
     );
     for s in sessions {
         let id = s.id.to_string();

@@ -182,13 +182,10 @@ impl Shared {
     ) -> Result<Option<crossbeam::channel::Receiver<SubMsg>>, String> {
         let h = self.session(id)?;
         let (tx, rx) = SessionHandle::subscriber_channel();
-        // The second look at `drained` closes the race with a concurrent
-        // drain: the session sets the flag before it answers what is
-        // still queued, so a command that slipped in after that sweep is
-        // caught here instead of waiting forever.
+        // A subscription queued behind a drain ends with the session
+        // thread: its command channel drops `tx`, which ends `rx`.
         if h.drained.load(Ordering::SeqCst)
             || h.cmd_tx.send(SessionCmd::Subscribe { query, tx }).is_err()
-            || h.drained.load(Ordering::SeqCst)
         {
             return Ok(None);
         }

@@ -256,7 +256,7 @@ struct SessionLoop {
     result_capacity: usize,
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "a session thread's state")]
 fn run_session(
     id: u64,
     exec: StreamExecutor<f64>,
@@ -298,8 +298,6 @@ fn run_session(
                         // under LatePolicy::Error) already replied with an
                         // error and the session keeps serving.
                         s.broadcast_end();
-                        let why = "session stopped after a fatal ingest error";
-                        refuse_queued(&cmd_rx, why, Err(why.into()));
                         return;
                     }
                 }
@@ -348,8 +346,7 @@ fn run_session(
                     let res = s.drain();
                     s.publish_stats(&last_stats);
                     drained.store(true, Ordering::SeqCst);
-                    let _ = reply.send(res.clone());
-                    refuse_queued(&cmd_rx, "session drained", res);
+                    let _ = reply.send(res);
                     return;
                 }
                 Err(TryRecvError::Empty) => break,
@@ -366,33 +363,6 @@ fn run_session(
         }
         if !worked {
             std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-}
-
-/// The session loop is about to exit with commands possibly still queued
-/// behind the one that ended it: answer each instead of dropping it, so
-/// no connection thread waits on a reply that will never come — a queued
-/// `Subscribe` gets its end-of-stream, a concurrent `Drain` the outcome
-/// `drained` (drains are idempotent), everything else the error `why`.
-fn refuse_queued(cmd_rx: &Receiver<SessionCmd>, why: &str, drained: Result<(), String>) {
-    while let Ok(cmd) = cmd_rx.try_recv() {
-        match cmd {
-            SessionCmd::Subscribe { tx, .. } => {
-                let _ = tx.send(SubMsg::End);
-            }
-            SessionCmd::Ingest { reply, .. } => {
-                let _ = reply.send(Err(why.into()));
-            }
-            SessionCmd::Register { reply, .. } => {
-                let _ = reply.send(Err(why.into()));
-            }
-            SessionCmd::Deregister { reply, .. } => {
-                let _ = reply.send(Err(why.into()));
-            }
-            SessionCmd::Drain { reply } => {
-                let _ = reply.send(drained.clone());
-            }
         }
     }
 }
@@ -647,7 +617,9 @@ impl SessionHandle {
 
     /// Send the command `make` builds around a fresh reply channel and
     /// wait for the session's answer; `Err` means it never answered. A
-    /// drained session answers nothing any more, so it is refused here.
+    /// drained session answers nothing any more, so it is refused here;
+    /// a command still queued when the session thread ends goes down with
+    /// its command channel, which hangs up the reply channel.
     pub(crate) fn call<T>(
         &self,
         what: &str,

@@ -14,6 +14,21 @@
 //! of the stream in batches, honouring the backpressure contract: when
 //! an ack carries `busy`, the connection pauses before its next batch.
 
+// The panic rule (see crates/server/clippy.toml): fail through typed errors.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros
+    )
+)]
+
 use greta_server::{Client, GretaServer, SessionOptions};
 use greta_types::{Event, SchemaRegistry};
 use greta_workloads::{LinearRoadConfig, LinearRoadGen, StockConfig, StockGen};
