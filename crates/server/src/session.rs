@@ -11,6 +11,13 @@
 //! `busy` bit computed from those occupancies — the credit signal the
 //! wire protocol's backpressure contract is built on.
 //!
+//! The session thread wakes the moment a command arrives: after a pass in
+//! which nothing moved it waits on the command channel for at most
+//! [`ROW_POLL`], then pumps result rows again. Rows released while an
+//! ingest is applied go out before its ack; rows the shard workers release
+//! while no command arrives wait at most that long. The executor's result
+//! channel is not a second wake source.
+//!
 //! Lock discipline (checked by `greta-lint`): the handle's locks follow
 //! the same global order as `server.rs` and are never held across a
 //! socket write.
@@ -18,7 +25,7 @@
 // lint:lock-order: sessions < drained_tail < last_stats < query_texts < join
 
 use crate::protocol::{IngestAck, SessionOptions};
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use greta_core::{
     EmissionMode, ExecutorConfig, ExecutorStats, QueryId, StreamExecutor, WindowResult,
 };
@@ -26,6 +33,7 @@ use greta_durability::DurabilityConfig;
 use greta_query::compile::CompiledQuery;
 use greta_types::{Event, SchemaRegistry};
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -34,6 +42,10 @@ use std::time::Duration;
 /// How many in-flight ingest batches the command channel admits before
 /// connection threads block — the outermost backpressure layer.
 const CMD_CHANNEL_CAPACITY: usize = 16;
+/// Longest an idle session waits for a command before it polls the
+/// executor for result rows again: the delivery delay of a row released
+/// while no command arrives.
+const ROW_POLL: Duration = Duration::from_millis(1);
 /// Capacity of each subscriber's row channel, in row batches.
 const SUB_CHANNEL_CAPACITY: usize = 64;
 /// Rows per `Rows` frame handed to a subscriber.
@@ -170,31 +182,30 @@ pub(crate) fn spawn_session(
     let (cmd_tx, cmd_rx) = bounded(CMD_CHANNEL_CAPACITY);
     let last_stats = Arc::new(Mutex::new(exec.stats()));
     // A recovered executor may come back hosting queries registered in a
-    // previous run; seed the text table from its registry.
-    let texts: Vec<(u32, String)> = exec
-        .query_ids()
+    // previous run; seed the text table from its registry, and give each
+    // such query its own result stream.
+    let ids = exec.query_ids();
+    let texts: Vec<(u32, String)> = ids
         .iter()
         .map(|q| (q.0, exec.query_text(*q).unwrap_or(&query_text).to_string()))
         .collect();
     let query_texts = Arc::new(Mutex::new(texts));
     let drained = Arc::new(AtomicBool::new(false));
-    let thread_stats = Arc::clone(&last_stats);
-    let thread_texts = Arc::clone(&query_texts);
-    let thread_drained = Arc::clone(&drained);
+    let session = SessionLoop {
+        id,
+        exec,
+        registry,
+        streams: ids.iter().map(|q| QueryStream::new(q.0)).collect(),
+        pending_high: (opts.result_capacity.max(1)) as usize,
+        channel_capacity: (opts.channel_capacity.max(1)) as usize,
+        result_capacity: (opts.result_capacity.max(1)) as usize,
+        last_stats: Arc::clone(&last_stats),
+        query_texts: Arc::clone(&query_texts),
+        drained: Arc::clone(&drained),
+    };
     let join = std::thread::Builder::new()
         .name(format!("greta-session-{id}"))
-        .spawn(move || {
-            run_session(
-                id,
-                exec,
-                registry,
-                opts,
-                cmd_rx,
-                thread_stats,
-                thread_texts,
-                thread_drained,
-            )
-        })
+        .spawn(move || session.run(cmd_rx))
         .map_err(|e| format!("failed to spawn session thread: {e}"))?;
 
     Ok(SessionHandle {
@@ -254,128 +265,113 @@ struct SessionLoop {
     pending_high: usize,
     channel_capacity: usize,
     result_capacity: usize,
-}
-
-#[allow(clippy::too_many_arguments, reason = "a session thread's state")]
-fn run_session(
-    id: u64,
-    exec: StreamExecutor<f64>,
-    registry: SchemaRegistry,
-    opts: SessionOptions,
-    cmd_rx: Receiver<SessionCmd>,
+    // Shared with the `SessionHandle`: what this thread publishes.
     last_stats: Arc<Mutex<ExecutorStats>>,
     query_texts: Arc<Mutex<Vec<(u32, String)>>>,
     drained: Arc<AtomicBool>,
-) {
-    // One stream per query the executor hosts at start — one on a fresh
-    // session, more after a multi-query recovery.
-    let ids = exec.query_ids();
-    let streams: Vec<QueryStream> = ids.iter().map(|q| QueryStream::new(q.0)).collect();
-    let mut s = SessionLoop {
-        id,
-        exec,
-        registry,
-        streams,
-        pending_high: (opts.result_capacity.max(1)) as usize,
-        channel_capacity: (opts.channel_capacity.max(1)) as usize,
-        result_capacity: (opts.result_capacity.max(1)) as usize,
-    };
-    loop {
-        let mut worked = false;
-        loop {
-            match cmd_rx.try_recv() {
-                Ok(SessionCmd::Ingest { events, reply }) => {
-                    worked = true;
-                    // Publishes before acking, so a metrics scrape issued
-                    // right after the ack sees the events it covers.
-                    let ack = s.ingest(events, &last_stats);
-                    let fatal = matches!(ack, Err(IngestError::Fatal(_)));
-                    let _ = reply.send(ack.map_err(IngestError::into_msg));
-                    if fatal {
-                        // The executor is wedged (I/O or internal error):
-                        // end subscriptions and stop serving commands.
-                        // Recoverable rejections (validation, late events
-                        // under LatePolicy::Error) already replied with an
-                        // error and the session keeps serving.
-                        s.broadcast_end();
-                        return;
-                    }
-                }
-                Ok(SessionCmd::Subscribe { query, tx }) => {
-                    worked = true;
-                    match s.streams.iter_mut().find(|st| st.query == query) {
-                        // A new subscriber starts at the head of the
-                        // retained backlog, like every one before it.
-                        Some(st) => st.subs.push(Subscriber {
-                            tx,
-                            next: st.pending_base,
-                        }),
-                        // Unknown (or already-detached) query: nothing
-                        // will ever arrive.
-                        None => {
-                            let _ = tx.send(SubMsg::End);
-                        }
-                    }
-                }
-                Ok(SessionCmd::Register {
-                    text,
-                    emission,
-                    reply,
-                }) => {
-                    worked = true;
-                    let res = s.register(&text, emission);
-                    if let Ok(q) = &res {
-                        // Poison recovery: the list only ever grows by
-                        // whole tuples, so state after a writer panic is
-                        // still well-formed.
-                        query_texts
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .push((*q, text));
-                    }
-                    s.publish_stats(&last_stats);
-                    let _ = reply.send(res);
-                }
-                Ok(SessionCmd::Deregister { query, reply }) => {
-                    worked = true;
-                    let res = s.deregister(query);
-                    s.publish_stats(&last_stats);
-                    let _ = reply.send(res);
-                }
-                Ok(SessionCmd::Drain { reply }) => {
-                    let res = s.drain();
-                    s.publish_stats(&last_stats);
-                    drained.store(true, Ordering::SeqCst);
-                    let _ = reply.send(res);
-                    return;
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    // Server dropped the handle without draining (abort /
-                    // crash path): drop the executor as-is. With
-                    // durability the WAL stays on disk for recovery.
-                    return;
-                }
-            }
-        }
-        if s.pump() {
-            worked = true;
-        }
-        if !worked {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
 }
 
 impl SessionLoop {
+    /// Serve commands until a drain, a fatal ingest error or a hang-up.
+    /// Each pass takes at most one command and then pumps rows. After a
+    /// pass that moved something the next command is taken without
+    /// waiting; after an idle one the thread waits for a command for at
+    /// most [`ROW_POLL`].
+    fn run(mut self, cmd_rx: Receiver<SessionCmd>) {
+        let mut idle = false;
+        loop {
+            let wait = if idle { ROW_POLL } else { Duration::ZERO };
+            let handled = match cmd_rx.recv_timeout(wait) {
+                Ok(cmd) => {
+                    if self.handle(cmd).is_break() {
+                        return;
+                    }
+                    true
+                }
+                Err(RecvTimeoutError::Timeout) => false,
+                // Server dropped the handle without draining (abort /
+                // crash path): drop the executor as-is. With durability
+                // the WAL stays on disk for recovery.
+                Err(RecvTimeoutError::Disconnected) => return,
+            };
+            let moved = self.pump();
+            idle = !handled && !moved;
+        }
+    }
+
+    /// Carry out one command and answer it; `Break` once the session has
+    /// stopped serving (drained, or its executor is wedged).
+    fn handle(&mut self, cmd: SessionCmd) -> ControlFlow<()> {
+        match cmd {
+            SessionCmd::Ingest { events, reply } => {
+                // Publishes before acking, so a metrics scrape issued
+                // right after the ack sees the events it covers.
+                let ack = self.ingest(events);
+                let fatal = matches!(ack, Err(IngestError::Fatal(_)));
+                let _ = reply.send(ack.map_err(IngestError::into_msg));
+                if fatal {
+                    // The executor is wedged (I/O or internal error): end
+                    // subscriptions and stop serving commands. Recoverable
+                    // rejections (validation, late events under
+                    // LatePolicy::Error) already replied with an error and
+                    // the session keeps serving.
+                    self.broadcast_end();
+                    return ControlFlow::Break(());
+                }
+            }
+            SessionCmd::Subscribe { query, tx } => {
+                match self.streams.iter_mut().find(|st| st.query == query) {
+                    // A new subscriber starts at the head of the retained
+                    // backlog, like every one before it.
+                    Some(st) => st.subs.push(Subscriber {
+                        tx,
+                        next: st.pending_base,
+                    }),
+                    // Unknown (or already-detached) query: nothing will
+                    // ever arrive.
+                    None => {
+                        let _ = tx.send(SubMsg::End);
+                    }
+                }
+            }
+            SessionCmd::Register {
+                text,
+                emission,
+                reply,
+            } => {
+                let res = self.register(&text, emission);
+                if let Ok(q) = &res {
+                    // Poison recovery: the list only ever grows by whole
+                    // tuples, so state after a writer panic is still
+                    // well-formed.
+                    self.query_texts
+                        .lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                        .push((*q, text));
+                }
+                self.publish_stats();
+                let _ = reply.send(res);
+            }
+            SessionCmd::Deregister { query, reply } => {
+                let res = self.deregister(query);
+                self.publish_stats();
+                let _ = reply.send(res);
+            }
+            SessionCmd::Drain { reply } => {
+                let res = self.drain();
+                self.publish_stats();
+                self.drained.store(true, Ordering::SeqCst);
+                let _ = reply.send(res);
+                return ControlFlow::Break(());
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
     /// Validate and push one batch, then build the ack and publish the
     /// executor's stats — whatever the batch's fate, and from one
     /// [`ExecutorStats`] value: it is assembled once per batch.
-    fn ingest(
-        &mut self,
-        events: Vec<Event>,
-        last_stats: &Mutex<ExecutorStats>,
-    ) -> Result<IngestAck, IngestError> {
+    fn ingest(&mut self, events: Vec<Event>) -> Result<IngestAck, IngestError> {
         let durable = self.push_batch(events);
         let stats = self.exec.stats();
         let ack = durable.map(|durable| IngestAck {
@@ -385,7 +381,7 @@ impl SessionLoop {
             watermark: self.exec.watermark().map(|t| t.0),
             busy: self.busy(&stats),
         });
-        publish(last_stats, stats);
+        publish(&self.last_stats, stats);
         ack
     }
 
@@ -533,8 +529,8 @@ impl SessionLoop {
         }
     }
 
-    fn publish_stats(&self, last_stats: &Mutex<ExecutorStats>) {
-        publish(last_stats, self.exec.stats());
+    fn publish_stats(&self) {
+        publish(&self.last_stats, self.exec.stats());
     }
 }
 

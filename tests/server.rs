@@ -2,9 +2,11 @@
 //! wire ingest (binary and JSON) byte-identical to the in-process
 //! executor, ordered subscription monotonicity, backpressure under a
 //! slow consumer, graceful-drain-vs-crash recovery, the Prometheus
-//! endpoint, malformed-frame handling, and multi-query sessions
-//! (runtime register/detach on a shared ingest stream).
+//! endpoint, malformed-frame handling, multi-query sessions (runtime
+//! register/detach on a shared ingest stream), and how a session thread
+//! wakes (acks not paced by a clock, rows delivered while idle).
 
+use greta::core::window::last_closed;
 use greta::core::{EmissionMode, ExecutorConfig, LatePolicy, StreamExecutor, WindowResult};
 use greta::durability::DurabilityConfig;
 use greta::query::CompiledQuery;
@@ -948,5 +950,103 @@ fn drain_is_idempotent_and_refuses_post_drain_ingest() {
     // A late subscriber gets an immediate, clean end-of-stream.
     let sub = Client::connect(addr).unwrap().subscribe(session).unwrap();
     assert!(sub.collect_rows().unwrap().is_empty());
+    server.shutdown().unwrap();
+}
+
+/// An ack goes out as soon as its batch is in, and the session takes the
+/// next batch the moment it arrives: a closed-loop client is not paced by
+/// a session clock.
+#[test]
+fn acks_are_not_paced_by_a_clock() {
+    let (reg, events) = stock(300);
+    let server = GretaServer::bind("127.0.0.1:0").unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let session = client.submit(Q1, &reg, SessionOptions::default()).unwrap();
+    // A 1 ms tick per ack would cost 100 ms a round; the best of three
+    // rounds keeps a busy machine from failing the test.
+    let fastest = events
+        .chunks(100)
+        .map(|round| {
+            let started = Instant::now();
+            for e in round {
+                client.ingest(session, vec![e.clone()]).unwrap();
+            }
+            started.elapsed()
+        })
+        .min()
+        .unwrap();
+    assert!(
+        fastest < Duration::from_millis(50),
+        "100 single-event acks took {fastest:?}"
+    );
+    client.drain(session).unwrap();
+    server.shutdown().unwrap();
+}
+
+/// Rows a shard releases after the last command still reach the
+/// subscriber: a session with no command to serve keeps polling the
+/// executor instead of blocking on its command channel.
+#[test]
+fn an_idle_session_still_delivers_rows() {
+    // Time stamps 1..=1500 under WITHIN 500 SLIDE 250: windows 0–4 close
+    // before the stream ends.
+    let (reg, events) = stock(1_500);
+    let window = CompiledQuery::parse(Q1, &reg).unwrap().window;
+    let frontier = last_closed(events.last().unwrap().time, &window).unwrap() + 1;
+    assert!(frontier >= 4, "the prefix must span four windows");
+    // Under ordered emission the in-process executor releases exactly
+    // the windows below its frontier before `finish`.
+    let expected: Vec<WindowResult<f64>> = in_process(Q1, &reg, &events, 1)
+        .into_iter()
+        .filter(|r| r.window < frontier)
+        .collect();
+    assert!(!expected.is_empty());
+
+    let server = GretaServer::bind("127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    let mut client = Client::connect(addr).unwrap();
+    let session = client
+        .submit(
+            Q1,
+            &reg,
+            SessionOptions {
+                shards: 1,
+                emission: EmissionMode::WindowOrdered,
+                ..SessionOptions::default()
+            },
+        )
+        .unwrap();
+    // A ping first: the subscription is in the session's queue ahead of
+    // the ingest (see `unequal_subscribers_each_get_every_row_exactly_once`).
+    let mut conn = Client::connect(addr).unwrap();
+    conn.ping().unwrap();
+    let mut sub = conn.subscribe(session).unwrap();
+    let (rows_tx, rows_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        while let Ok(Some(rows)) = sub.next_rows() {
+            if rows_tx.send(rows).is_err() {
+                break;
+            }
+        }
+    });
+    client.ingest(session, events).unwrap();
+
+    // No further command: only the session's own polling moves the rows
+    // the shard releases after the ack.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut got = Vec::new();
+    while got.len() < expected.len() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        match rows_rx.recv_timeout(left) {
+            Ok(rows) => got.extend(rows),
+            Err(_) => panic!(
+                "{} of {} rows arrived within 5 s of the last command",
+                got.len(),
+                expected.len()
+            ),
+        }
+    }
+    assert_eq!(encode_rows(&got), encode_rows(&expected));
+    client.drain(session).unwrap();
     server.shutdown().unwrap();
 }

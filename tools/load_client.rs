@@ -10,9 +10,10 @@
 //!
 //! With `--spawn` the tool starts an in-process [`GretaServer`] on a
 //! loopback port, so a single command exercises the full network stack.
-//! Each connection attaches to one shared session and pushes its slice
-//! of the stream in batches, honouring the backpressure contract: when
-//! an ack carries `busy`, the connection pauses before its next batch.
+//! Each connection attaches to one shared session and pushes the stream's
+//! next batch whenever its previous one is acked, honouring the
+//! backpressure contract: when an ack carries `busy`, the connection
+//! pauses before its next batch.
 
 // The panic rule (see crates/server/clippy.toml): fail through typed errors.
 #![cfg_attr(
@@ -33,6 +34,8 @@ use greta_server::{Client, GretaServer, SessionOptions};
 use greta_types::{Event, SchemaRegistry};
 use greta_workloads::{LinearRoadConfig, LinearRoadGen, StockConfig, StockGen};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 #[derive(Debug, Clone, PartialEq)]
@@ -221,18 +224,17 @@ fn run(args: &Args) -> Result<(), String> {
         None
     };
 
-    // Interleave the stream round-robin across connections in batch-sized
-    // chunks; with reorder slack the executor restores time order.
-    let chunks: Vec<Vec<Event>> = events.chunks(args.batch).map(|c| c.to_vec()).collect();
+    // Connections take the stream's batch-sized chunks in order from one
+    // shared cursor, so at most one chunk per connection is in flight out
+    // of order and the reorder slack restores time order.
+    let chunks: Arc<Vec<Vec<Event>>> =
+        Arc::new(events.chunks(args.batch).map(|c| c.to_vec()).collect());
+    let cursor = Arc::new(AtomicUsize::new(0));
     let started = Instant::now();
     let mut workers = Vec::new();
-    for conn in 0..args.connections {
-        let my_chunks: Vec<Vec<Event>> = chunks
-            .iter()
-            .skip(conn)
-            .step_by(args.connections)
-            .cloned()
-            .collect();
+    for _ in 0..args.connections {
+        let chunks = Arc::clone(&chunks);
+        let cursor = Arc::clone(&cursor);
         let addr = addr.clone();
         workers.push(std::thread::spawn(move || -> Result<ConnReport, String> {
             let mut client = Client::connect(&addr).map_err(|e| format!("connect: {e}"))?;
@@ -241,12 +243,11 @@ fn run(args: &Args) -> Result<(), String> {
                 sent: 0,
                 busy_acks: 0,
             };
-            for chunk in my_chunks {
-                let n = chunk.len() as u64;
+            while let Some(chunk) = chunks.get(cursor.fetch_add(1, Ordering::Relaxed)) {
                 let ack = client
-                    .ingest(session, chunk)
+                    .ingest(session, chunk.clone())
                     .map_err(|e| format!("ingest: {e}"))?;
-                report.sent += n;
+                report.sent += chunk.len() as u64;
                 if ack.busy {
                     report.busy_acks += 1;
                     std::thread::sleep(Duration::from_millis(1));
