@@ -1,13 +1,12 @@
-//! A minimal hand-rolled Rust lexer — just enough structure for the lint
-//! passes: identifiers, punctuation, literals, and line numbers, with
-//! comments set aside as [`Directive`]s when they carry `lint:` markers.
+//! A minimal hand-rolled Rust lexer — just enough structure for the line
+//! counter: identifiers, punctuation, literals, and line numbers, with
+//! comments dropped.
 //!
 //! The lexer understands the token-level syntax that would otherwise
 //! confuse a regex-based scan: line and (nested) block comments, string
 //! and raw-string literals, char literals vs. lifetimes, and numeric
-//! literals. It deliberately does **not** parse Rust — the passes layer
-//! item/region structure on top via brace tracking (see
-//! [`crate::source`]).
+//! literals. It deliberately does **not** parse Rust — test regions are
+//! found on top of it by brace tracking (see [`crate::source`]).
 
 /// One lexical token with its 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,7 +17,7 @@ pub struct Token {
     pub line: u32,
 }
 
-/// Token classes the lint passes care about.
+/// Token classes the line counter tells apart.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokenKind {
     /// An identifier or keyword (`fn`, `clone`, `Vec`, ...), including
@@ -28,7 +27,7 @@ pub enum TokenKind {
     /// `&'a str` types never interact with identifier matching).
     Lifetime,
     /// Any literal: string, raw string, byte string, char, or number.
-    /// The payload is dropped — no pass inspects literal contents.
+    /// The payload is dropped: only the line it starts on counts.
     Literal,
     /// A single punctuation character (`.`, `(`, `[`, `!`, `#`, ...).
     /// Multi-character operators arrive as consecutive tokens.
@@ -36,14 +35,6 @@ pub enum TokenKind {
 }
 
 impl TokenKind {
-    /// The identifier text, if this is an identifier.
-    pub fn ident(&self) -> Option<&str> {
-        match self {
-            TokenKind::Ident(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// True when this token is exactly the identifier `s`.
     pub fn is_ident(&self, s: &str) -> bool {
         matches!(self, TokenKind::Ident(i) if i == s)
@@ -55,49 +46,11 @@ impl TokenKind {
     }
 }
 
-/// A `lint:` marker comment, attached to the line it appeared on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Directive {
-    /// 1-based line of the comment.
-    pub line: u32,
-    /// Parsed form.
-    pub kind: DirectiveKind,
-}
-
-/// The annotation grammar (documented in `ARCHITECTURE.md § Invariants`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DirectiveKind {
-    /// `// lint:allow(<pass>): <reason>` — suppress findings of `pass`
-    /// on this line and the next. `reason` must be non-empty; the lint
-    /// itself enforces that.
-    Allow {
-        /// Pass name: `codec` or `lock`.
-        pass: String,
-        /// Checked-in justification (may be empty — then it's a finding).
-        reason: String,
-    },
-    /// `// lint:lock-order: a < b < c` — declares the file's lock
-    /// acquisition order for the lock-discipline pass.
-    LockOrder(Vec<String>),
-    /// A `lint:` comment that matched none of the known forms — always
-    /// reported, so a typo can't silently disarm a suppression.
-    Malformed(String),
-}
-
-/// Lexer output: the token stream plus any `lint:` directives.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// All non-comment tokens in source order.
-    pub tokens: Vec<Token>,
-    /// All `lint:` marker comments in source order.
-    pub directives: Vec<Directive>,
-}
-
 /// Lex `src`. Never fails: unterminated constructs consume to the end of
-/// input (the real compiler rejects such files long before the lint runs).
-pub fn lex(src: &str) -> Lexed {
+/// input (the real compiler rejects such files long before they are counted).
+pub fn lex(src: &str) -> Vec<Token> {
     let b = src.as_bytes();
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
     let mut i = 0usize;
     let mut line: u32 = 1;
     while i < b.len() {
@@ -109,11 +62,9 @@ pub fn lex(src: &str) -> Lexed {
             }
             c if c.is_ascii_whitespace() => i += 1,
             b'/' if b.get(i + 1) == Some(&b'/') => {
-                let start = i;
                 while i < b.len() && b[i] != b'\n' {
                     i += 1;
                 }
-                scan_directive(&src[start..i], line, &mut out.directives);
             }
             b'/' if b.get(i + 1) == Some(&b'*') => {
                 // Nested block comments, tracking newlines.
@@ -135,14 +86,14 @@ pub fn lex(src: &str) -> Lexed {
                 }
             }
             b'"' => {
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokenKind::Literal,
                     line,
                 });
                 i = skip_string(b, i, &mut line);
             }
             b'r' | b'b' if is_raw_or_byte_string(b, i) => {
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokenKind::Literal,
                     line,
                 });
@@ -151,7 +102,7 @@ pub fn lex(src: &str) -> Lexed {
             b'\'' => {
                 // Lifetime (`'a`) vs char literal (`'a'`, `'\n'`).
                 if is_lifetime(b, i) {
-                    out.tokens.push(Token {
+                    out.push(Token {
                         kind: TokenKind::Lifetime,
                         line,
                     });
@@ -160,7 +111,7 @@ pub fn lex(src: &str) -> Lexed {
                         i += 1;
                     }
                 } else {
-                    out.tokens.push(Token {
+                    out.push(Token {
                         kind: TokenKind::Literal,
                         line,
                     });
@@ -172,7 +123,7 @@ pub fn lex(src: &str) -> Lexed {
                 while i < b.len() && (b[i] == b'_' || b[i].is_ascii_alphanumeric()) {
                     i += 1;
                 }
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokenKind::Ident(src[start..i].to_string()),
                     line,
                 });
@@ -198,13 +149,13 @@ pub fn lex(src: &str) -> Lexed {
                     }
                     i += 1;
                 }
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokenKind::Literal,
                     line,
                 });
             }
             c => {
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokenKind::Punct(c as char),
                     line,
                 });
@@ -317,68 +268,23 @@ fn skip_char_literal(b: &[u8], mut i: usize) -> usize {
     i
 }
 
-/// Parse `// lint:...` comments into [`Directive`]s. Doc comments and
-/// ordinary comments that merely *mention* `lint:` in prose (after other
-/// words) are ignored: the marker must be the first word of the comment.
-fn scan_directive(comment: &str, line: u32, out: &mut Vec<Directive>) {
-    let body = comment
-        .trim_start_matches('/')
-        .trim_start_matches('!')
-        .trim();
-    let Some(rest) = body.strip_prefix("lint:") else {
-        return;
-    };
-    let kind = parse_directive(rest);
-    out.push(Directive { line, kind });
-}
-
-fn parse_directive(rest: &str) -> DirectiveKind {
-    let rest = rest.trim();
-    if let Some(args) = rest.strip_prefix("allow(") {
-        if let Some(close) = args.find(')') {
-            let pass = args[..close].trim().to_string();
-            let tail = args[close + 1..].trim();
-            let reason = tail
-                .strip_prefix(':')
-                .map(str::trim)
-                .unwrap_or("")
-                .to_string();
-            return DirectiveKind::Allow { pass, reason };
-        }
-    }
-    if let Some(order) = rest.strip_prefix("lock-order:") {
-        let names: Vec<String> = order
-            .split('<')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect();
-        if !names.is_empty() {
-            return DirectiveKind::LockOrder(names);
-        }
-    }
-    DirectiveKind::Malformed(rest.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn idents(src: &str) -> Vec<String> {
-        lex(src)
-            .tokens
-            .iter()
-            .filter_map(|t| t.kind.ident().map(str::to_string))
-            .collect()
+        let ident = |t: Token| match t.kind {
+            TokenKind::Ident(s) => Some(s),
+            _ => None,
+        };
+        lex(src).into_iter().filter_map(ident).collect()
     }
 
     #[test]
     fn basic_tokens_and_lines() {
         let l = lex("fn a() {\n  b.clone();\n}\n");
-        let lines: Vec<u32> = l
-            .tokens
-            .iter()
-            .filter_map(|t| t.kind.ident().map(|_| t.line))
-            .collect();
+        let is_ident = |t: &&Token| matches!(t.kind, TokenKind::Ident(_));
+        let lines: Vec<u32> = l.iter().filter(is_ident).map(|t| t.line).collect();
         assert_eq!(
             idents("fn a() {\n  b.clone();\n}\n"),
             ["fn", "a", "b", "clone"]
@@ -406,34 +312,6 @@ mod tests {
     fn raw_strings() {
         let src = r###"let s = r#"a "quoted" unwrap()"# ; let t = b"bytes";"###;
         assert_eq!(idents(src), ["let", "s", "let", "t"]);
-    }
-
-    #[test]
-    fn directives_parse() {
-        let src = "
-            fn f() {}
-            x.lock(); // lint:allow(lock): released before the write
-            // lint:lock-order: sessions < drained_tail < join
-            // lint:bogus
-        ";
-        let l = lex(src);
-        assert_eq!(l.directives.len(), 3);
-        assert_eq!(
-            l.directives[0].kind,
-            DirectiveKind::Allow {
-                pass: "lock".into(),
-                reason: "released before the write".into()
-            }
-        );
-        assert_eq!(
-            l.directives[1].kind,
-            DirectiveKind::LockOrder(vec![
-                "sessions".into(),
-                "drained_tail".into(),
-                "join".into()
-            ])
-        );
-        assert!(matches!(l.directives[2].kind, DirectiveKind::Malformed(_)));
     }
 
     #[test]

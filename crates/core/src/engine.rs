@@ -33,6 +33,10 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
+/// Version byte of a [`GretaEngine::export_state`] blob (2: explicit
+/// `seq` counter); [`GretaEngine::import_state`] refuses any other.
+const ENGINE_STATE_VERSION: u8 = 2;
+
 /// Engine tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
@@ -410,7 +414,7 @@ impl<N: TrendNum> GretaEngine<N> {
         use crate::state::{encode_agg_state, encode_events, encode_key, encode_window_result};
         use greta_types::codec::{put_u32, put_u64};
         let mut out = Vec::new();
-        out.push(2u8); // engine-state version (2: explicit `seq` counter)
+        out.push(ENGINE_STATE_VERSION);
         put_u64(&mut out, self.watermark.ticks());
         out.push(self.saw_event as u8);
         put_u64(&mut out, self.seq);
@@ -468,7 +472,7 @@ impl<N: TrendNum> GretaEngine<N> {
         let mut eng = Self::with_plan(plan);
         let r = &mut greta_types::Reader::new(bytes);
         let version = r.u8()?;
-        if version != 2 {
+        if version != ENGINE_STATE_VERSION {
             return Err(CodecError(format!("unsupported engine-state version {version}")).into());
         }
         eng.watermark = Time(r.u64()?);
@@ -1274,10 +1278,6 @@ mod tests {
         for cut in [0, 1, blob.len() / 2] {
             assert!(import(&blob[..cut]).is_err());
         }
-        // Wrong version byte.
-        let mut bad = blob.clone();
-        bad[0] = 99;
-        assert!(import(&bad).is_err());
         assert!(import(&blob).is_ok());
         // A blob written under another query's plan: `SEQ(A, B)` has a
         // vertex state `A+` does not.
@@ -1293,6 +1293,25 @@ mod tests {
             err.to_string().contains("vertex state 1 out of range"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn import_refuses_an_unknown_version() {
+        let r = reg_ab();
+        let q = CompiledQuery::parse("RETURN COUNT(*) PATTERN A+ WITHIN 10 SLIDE 10", &r).unwrap();
+        let eng = GretaEngine::<u64>::new(q, r).unwrap();
+        let mut blob = eng.export_state();
+        assert_eq!(blob[0], ENGINE_STATE_VERSION);
+        blob[0] = ENGINE_STATE_VERSION + 1;
+        let err = GretaEngine::<u64>::import_state(eng.plan().clone(), &blob)
+            .map(|_| ())
+            .unwrap_err()
+            .to_string();
+        let expect = format!(
+            "unsupported engine-state version {}",
+            ENGINE_STATE_VERSION + 1
+        );
+        assert!(err.contains(&expect), "{err}");
     }
 
     #[test]

@@ -137,6 +137,7 @@ pub use config::{
     EmissionMode, ExecutorConfig, ExecutorStats, LatePolicy, QueryId, QueryStreamStats,
     RebalanceConfig, WindowLateCounts,
 };
+pub use route::GROUP_STATS_CAPACITY;
 
 /// "Every `every` closed windows of id 0, a barrier is owed" — the
 /// checkpoint cadence and the skew-check cadence are each one of these.

@@ -104,9 +104,6 @@ pub struct RebalanceConfig {
     /// (values ≤ 1.0 behave like 1.0; 2.0 means "one shard does double its
     /// fair share").
     pub imbalance_ratio: f64,
-    /// Skip the migration when fewer than this many groups would move
-    /// (suppresses churn from marginal plans).
-    pub min_moves: usize,
 }
 
 impl Default for RebalanceConfig {
@@ -114,7 +111,6 @@ impl Default for RebalanceConfig {
         RebalanceConfig {
             check_every_windows: 4,
             imbalance_ratio: 2.0,
-            min_moves: 1,
         }
     }
 }
@@ -154,10 +150,6 @@ pub struct ExecutorConfig {
     /// registered queries pick theirs at
     /// [`register_query`](StreamExecutor::register_query) time.
     pub emission: EmissionMode,
-    /// Maximum groups tracked in [`ExecutorStats::group_stats`] (top-K +
-    /// decayed-counter sketch; `0` = unbounded exact counting). Bounds the
-    /// skew detector's memory on high-cardinality `GROUP-BY` streams.
-    pub group_stats_capacity: usize,
 }
 
 impl Default for ExecutorConfig {
@@ -175,7 +167,6 @@ impl Default for ExecutorConfig {
             durability: None,
             rebalance: None,
             emission: EmissionMode::default(),
-            group_stats_capacity: 1024,
         }
     }
 }
@@ -292,9 +283,10 @@ pub struct ExecutorStats {
     /// routing time (only when [`ExecutorConfig::rebalance`] is set — this
     /// is the skew detector's signal), live graph vertices are filled in by
     /// [`finish`](StreamExecutor::finish) from the shard engines. Bounded
-    /// to the [`ExecutorConfig::group_stats_capacity`] heaviest groups
-    /// (space-saving sketch: counts of tracked groups never under-estimate,
-    /// light groups may be evicted on high-cardinality streams).
+    /// to the [`GROUP_STATS_CAPACITY`](super::GROUP_STATS_CAPACITY)
+    /// heaviest groups (space-saving sketch: counts of tracked groups never
+    /// under-estimate, light groups may be evicted on high-cardinality
+    /// streams).
     pub group_stats: Vec<(PartitionKey, GroupStats)>,
     /// Events delivered per shard by route group 0 (broadcasts count
     /// once per shard): the load-balance picture. On a skewed stream

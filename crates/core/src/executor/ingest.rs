@@ -328,3 +328,45 @@ impl Ingest {
         s.late_diverted = s.late_by_window.iter().map(|c| c.diverted).sum();
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use greta_types::{TypeId, Value};
+
+    #[test]
+    fn tail_records_round_trip() {
+        // One buffer for all three: encoding clears what is already there.
+        let mut buf = Vec::new();
+        let mut roundtrip = |rec: TailRecRef<'_>| {
+            encode_tail_record(&mut buf, rec);
+            decode_tail_record(&buf).unwrap()
+        };
+        let e = Event::new_unchecked(TypeId(3), Time(42), vec![Value::Int(-7), Value::Float(2.5)]);
+        let decoded = roundtrip(TailRecord::Event(&e));
+        assert!(matches!(decoded, TailRecord::Event(d) if *d == e));
+        let text = "RETURN COUNT(*) PATTERN A+ WITHIN 10 SLIDE 10";
+        let emission = EmissionMode::WindowOrdered;
+        let decoded = roundtrip(TailRecord::Register {
+            id: 9,
+            emission,
+            text,
+        });
+        assert!(matches!(
+            decoded,
+            TailRecord::Register { id: 9, emission: m, text: t } if m == emission && t == text
+        ));
+        let decoded = roundtrip(TailRecord::Deregister(5));
+        assert!(matches!(decoded, TailRecord::Deregister(5)));
+    }
+
+    #[test]
+    fn an_unknown_tail_record_tag_is_a_codec_error() {
+        let mut buf = Vec::new();
+        encode_tail_record(&mut buf, TailRecord::Deregister(5));
+        buf[0] = WAL_DEREGISTER + 1;
+        let err = decode_tail_record(&buf).map(|_| ()).unwrap_err();
+        let tag = WAL_DEREGISTER + 1;
+        assert_eq!(err, CodecError(format!("bad WAL record tag {tag}")));
+    }
+}

@@ -20,6 +20,11 @@ use greta_types::{CodecError, EventRef, Time};
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// Groups the skew detector tracks: its per-group counters keep this many
+/// of the heaviest groups in a top-K + decayed-counter sketch, which
+/// bounds its memory on high-cardinality `GROUP-BY` streams.
+pub const GROUP_STATS_CAPACITY: usize = 1024;
+
 /// One routed event plane: queries whose `GROUP-BY` keys coincide share a
 /// group, so classification, hashing, and framing are paid once for all of
 /// them.
@@ -47,7 +52,7 @@ pub(super) struct Route {
     rebalance: Option<RebalanceConfig>,
     /// Per-group counters: events bumped at routing time when rebalancing
     /// is on, vertices filled from worker reports at end of stream.
-    /// Bounded to the `group_stats_capacity` heaviest groups.
+    /// Bounded to the [`GROUP_STATS_CAPACITY`] heaviest groups.
     group_stats: GroupSketch,
     /// Per-group events since the last skew check (taken and cleared by
     /// every check). The detector works on these interval counts, not the
@@ -76,8 +81,8 @@ impl Route {
         Route {
             batch_size: config.batch_size.max(1),
             rebalance: config.rebalance,
-            group_stats: GroupSketch::new(config.group_stats_capacity),
-            recent_events: GroupSketch::new(config.group_stats_capacity),
+            group_stats: GroupSketch::new(GROUP_STATS_CAPACITY),
+            recent_events: GroupSketch::new(GROUP_STATS_CAPACITY),
             rebalance_every: Cadence::new(check_every.map(|r| r.check_every_windows)),
             events_per_shard: vec![0; shards],
             ..Default::default()
@@ -299,8 +304,7 @@ impl Route {
     /// executor replays identical migrations. Only groups whose planned
     /// shard differs from what the table-plus-hash already yields are
     /// pinned, so the override table stays proportional to actual moves.
-    /// Plans moving fewer than [`RebalanceConfig::min_moves`] groups are
-    /// discarded (the old pins are kept).
+    /// A plan that moves no group is dropped (the old pins are kept).
     pub(super) fn plan_rebalance(&mut self) -> Option<(HashMap<PartitionKey, u32>, usize)> {
         let cfg = self.rebalance?;
         let shards = self.shards();
@@ -340,7 +344,7 @@ impl Route {
                 overrides.insert(k.clone(), dest as u32);
             }
         }
-        (moves >= cfg.min_moves.max(1)).then_some((overrides, moves))
+        (moves > 0).then_some((overrides, moves))
     }
 
     /// Route group 0 by `overrides` from now on, under a bumped epoch:
@@ -412,8 +416,8 @@ impl Route {
             .map(|_| r.u64())
             .collect::<Result<_, _>>()?;
         route.table = RoutingTable::decode(r, saved_shards)?;
-        route.group_stats = GroupSketch::decode(config.group_stats_capacity, r)?;
-        route.recent_events = GroupSketch::decode(config.group_stats_capacity, r)?;
+        route.group_stats = GroupSketch::decode(GROUP_STATS_CAPACITY, r)?;
+        route.recent_events = GroupSketch::decode(GROUP_STATS_CAPACITY, r)?;
         if saved_shards == shards {
             route.events_per_shard = events_per_shard;
         } else {

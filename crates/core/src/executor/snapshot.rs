@@ -110,9 +110,7 @@ mod tests {
             rebalance: Some(RebalanceConfig {
                 check_every_windows: 2,
                 imbalance_ratio: 1.2,
-                min_moves: 1,
             }),
-            group_stats_capacity: 4,
             ..Default::default()
         }
     }
@@ -120,7 +118,7 @@ mod tests {
     /// A two-query executor stopped at a cut with something in every
     /// corner a checkpoint covers: events parked in the reorder buffer, a
     /// diverted event and its late-ledger entry, pinned groups in the
-    /// routing table, skew sketches compacted past their capacity,
+    /// routing table, skew sketches with counts in them,
     /// un-polled rows and an ordered merge that has released some.
     fn populated() -> (SchemaRegistry, StreamExecutor<u64>, Vec<QueryBlobs>) {
         let mut reg = SchemaRegistry::new();
@@ -156,7 +154,7 @@ mod tests {
             stats.pushed - stats.late_diverted > stats.released,
             "nothing buffered"
         );
-        assert_eq!(stats.group_stats.len(), 4, "sketch never compacted");
+        assert!(!stats.group_stats.is_empty(), "sketch never counted");
         assert!(stats.queries.iter().all(|q| q.pending_rows > 0));
         assert!(stats.queries[0].released_to > 0, "ordered merge is idle");
         (reg, exec, blobs)

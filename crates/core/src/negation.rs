@@ -276,6 +276,26 @@ mod tests {
     }
 
     #[test]
+    fn log_codec_round_trips_and_refuses_every_truncation() {
+        let mut log = InvalidationLog::default();
+        log.push(Time(5), Time(2));
+        log.push(Time(5), Time(4)); // merged into the entry before
+        log.push(Time(9), Time(1));
+        assert_eq!(log.len(), 2);
+        assert_eq!(log.first_end(), Some(Time(5)));
+        let mut bytes = Vec::new();
+        log.encode(&mut bytes);
+        let decode = |b: &[u8]| InvalidationLog::decode(&mut greta_types::Reader::new(b));
+        assert_eq!(decode(&bytes).unwrap(), log);
+        for cut in 0..bytes.len() {
+            assert!(
+                decode(&bytes[..cut]).is_err(),
+                "a {cut}-byte prefix decoded"
+            );
+        }
+    }
+
+    #[test]
     fn dep_mode_derivation() {
         use greta_query::CompiledQuery;
         use greta_types::SchemaRegistry;

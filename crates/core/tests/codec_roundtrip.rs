@@ -355,9 +355,7 @@ mod executor_snapshot {
             rebalance: Some(RebalanceConfig {
                 check_every_windows: 2,
                 imbalance_ratio: 1.2,
-                min_moves: 1,
             }),
-            group_stats_capacity: 4,
             durability: Some(durability),
             ..Default::default()
         }
@@ -365,7 +363,7 @@ mod executor_snapshot {
 
     /// Run a two-query durable executor until every section of its
     /// checkpoint holds something — buffered reorder events, a diverted
-    /// event, pinned groups, compacted sketches, un-polled rows — then
+    /// event, pinned groups, skew sketches, un-polled rows — then
     /// checkpoint and crash. Returns what `recover` needs and the blob.
     fn checkpointed(name: &str) -> (PathBuf, SchemaRegistry, CompiledQuery, u64, Vec<u8>) {
         let dir = std::env::temp_dir().join(format!("greta-codec-{name}-{}", std::process::id()));

@@ -148,4 +148,25 @@ mod tests {
         assert!(Manifest::load(&dir).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
+
+    #[test]
+    fn an_unknown_version_is_refused() {
+        let dir = std::env::temp_dir().join(format!("greta-manifest-v-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let m = Manifest {
+            epoch: 3,
+            wal_index: 7,
+            shards: 2,
+        };
+        m.store(&dir).unwrap();
+        let mut data = fs::read(manifest_path(&dir)).unwrap();
+        assert_eq!(data[MAGIC.len()], VERSION);
+        data[MAGIC.len()] = VERSION + 1;
+        fs::write(manifest_path(&dir), &data).unwrap();
+        let err = Manifest::load(&dir).unwrap_err().to_string();
+        let expect = format!("unsupported manifest version {}", VERSION + 1);
+        assert!(err.contains(&expect), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

@@ -187,4 +187,20 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
     }
+
+    #[test]
+    fn an_unknown_version_is_refused() {
+        let dir = tmpdir("version");
+        let store = SnapshotStore::open(&dir).unwrap();
+        store.write(3, b"state").unwrap();
+        let path = snapshot_path(&dir, 3);
+        let mut data = fs::read(&path).unwrap();
+        assert_eq!(data[MAGIC.len()], VERSION);
+        data[MAGIC.len()] = VERSION + 1;
+        fs::write(&path, &data).unwrap();
+        let err = store.read(3).unwrap_err().to_string();
+        let expect = format!("unsupported snapshot version {}", VERSION + 1);
+        assert!(err.contains(&expect), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

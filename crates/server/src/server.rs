@@ -9,11 +9,12 @@
 //! each session gets its own executor-owning thread (see
 //! [`crate::session`]).
 //!
-//! Lock discipline (checked by `greta-lint`): registry locks are
-//! acquired in the declared order below and never held across a socket
-//! write — a stalled peer must not be able to freeze the registry.
-
-// lint:lock-order: sessions < drained_tail < last_stats < query_texts < join
+//! Locks: the session registry is one private mutex inside [`Registry`],
+//! taken only by its own short methods, each of which locks once and
+//! releases before returning. No guard leaves a method and none is held
+//! while another is taken, so the code that writes to sockets (the
+//! connection loops here, `http.rs`, `jsonl.rs`) cannot hold one: a
+//! stalled peer cannot freeze the registry.
 
 use crate::metrics::{self, ServerMetrics, SessionMetrics};
 use crate::protocol::{self, ProtoError, Request, Response, SessionOptions};
@@ -25,7 +26,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -41,12 +42,71 @@ const SNIFF_DEADLINE: Duration = Duration::from_secs(2);
 /// mid-frame (or idles this long between requests) is disconnected.
 const READ_IDLE_TIMEOUT: Duration = Duration::from_secs(600);
 
-/// Shared server state: the session registry and page-level counters.
-pub(crate) struct Shared {
-    sessions: Mutex<HashMap<u64, Arc<SessionHandle>>>,
+/// The session registry: live sessions and the bounded tail of drained
+/// ones, under one lock, so a session moves from one to the other in one
+/// critical section and a lookup or a metrics page finds it in exactly
+/// one place. Each method locks once and releases before returning. A
+/// poisoned lock is recovered rather than failing every later request:
+/// only these methods hold it, and their collection updates do not panic
+/// part-way.
+#[derive(Default)]
+struct Registry {
+    sessions: Mutex<Sessions>,
+}
+
+#[derive(Default)]
+struct Sessions {
+    live: HashMap<u64, Arc<SessionHandle>>,
     /// Most recent drained sessions, oldest first (see
     /// [`DRAINED_TAIL_MAX`]).
-    drained_tail: Mutex<VecDeque<Arc<SessionHandle>>>,
+    drained: VecDeque<Arc<SessionHandle>>,
+}
+
+impl Registry {
+    /// A live or recently drained session.
+    fn get(&self, id: u64) -> Option<Arc<SessionHandle>> {
+        let s = self.sessions.lock().unwrap_or_else(PoisonError::into_inner);
+        let drained = || s.drained.iter().find(|h| h.id == id);
+        s.live.get(&id).or_else(drained).cloned()
+    }
+
+    /// A session just started.
+    fn insert(&self, h: Arc<SessionHandle>) {
+        let mut s = self.sessions.lock().unwrap_or_else(PoisonError::into_inner);
+        s.live.insert(h.id, h);
+    }
+
+    /// Move a session whose thread has ended out of the live map into the
+    /// drained tail, evicting the oldest entry. Without this a
+    /// long-running server would leak one handle (query text, stats,
+    /// metrics series) per session forever.
+    fn retire(&self, id: u64) {
+        let mut s = self.sessions.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(h) = s.live.remove(&id) {
+            s.drained.push_back(h);
+            while s.drained.len() > DRAINED_TAIL_MAX {
+                s.drained.pop_front();
+            }
+        }
+    }
+
+    /// The live sessions, then the drained tail.
+    fn all(&self) -> (Vec<Arc<SessionHandle>>, Vec<Arc<SessionHandle>>) {
+        let s = self.sessions.lock().unwrap_or_else(PoisonError::into_inner);
+        let live = s.live.values().cloned().collect();
+        (live, s.drained.iter().cloned().collect())
+    }
+
+    /// Empty the live map, handing back its sessions.
+    fn take_live(&self) -> Vec<Arc<SessionHandle>> {
+        let mut s = self.sessions.lock().unwrap_or_else(PoisonError::into_inner);
+        s.live.drain().map(|(_, h)| h).collect()
+    }
+}
+
+/// Shared server state: the session registry and page-level counters.
+pub(crate) struct Shared {
+    registry: Registry,
     next_session: AtomicU64,
     /// Stops the accept loop.
     stop: AtomicBool,
@@ -61,8 +121,7 @@ pub(crate) struct Shared {
 impl Shared {
     fn new() -> Shared {
         Shared {
-            sessions: Mutex::new(HashMap::new()),
-            drained_tail: Mutex::new(VecDeque::new()),
+            registry: Registry::default(),
             next_session: AtomicU64::new(1),
             stop: AtomicBool::new(false),
             draining: AtomicBool::new(false),
@@ -74,35 +133,8 @@ impl Shared {
     }
 
     fn session(&self, id: u64) -> Result<Arc<SessionHandle>, String> {
-        if let Some(h) = self
-            .sessions
-            .lock()
-            .map_err(|_| "session registry poisoned".to_string())?
-            .get(&id)
-        {
-            return Ok(Arc::clone(h));
-        }
-        self.drained_tail
-            .lock()
-            .ok()
-            .and_then(|g| g.iter().find(|h| h.id == id).cloned())
-            .ok_or_else(|| format!("unknown session {id}"))
-    }
-
-    /// Move a session whose thread has ended out of the live registry
-    /// into the bounded drained tail, evicting the oldest entry. Without
-    /// this a long-running server would leak one handle (query text,
-    /// stats, metrics series) per session forever.
-    fn retire(&self, id: u64) {
-        let Some(h) = self.sessions.lock().ok().and_then(|mut g| g.remove(&id)) else {
-            return;
-        };
-        if let Ok(mut tail) = self.drained_tail.lock() {
-            tail.push_back(h);
-            while tail.len() > DRAINED_TAIL_MAX {
-                tail.pop_front();
-            }
-        }
+        let unknown = || format!("unknown session {id}");
+        self.registry.get(id).ok_or_else(unknown)
     }
 
     /// Compile the query and start a session — or, with `attach_to`,
@@ -135,10 +167,7 @@ impl Shared {
             CompiledQuery::parse(query_text, &registry).map_err(|e| format!("query error: {e}"))?;
         let id = self.next_session.fetch_add(1, Ordering::SeqCst);
         let handle = spawn_session(id, query_text.to_string(), compiled, registry, options)?;
-        self.sessions
-            .lock()
-            .map_err(|_| "session registry poisoned".to_string())?
-            .insert(id, Arc::new(handle));
+        self.registry.insert(Arc::new(handle));
         Ok((id, 0))
     }
 
@@ -198,23 +227,20 @@ impl Shared {
         let res = self.session(id)?.drain_blocking();
         // The session thread has ended (cleanly or not) — either way it
         // no longer serves commands, so it leaves the live registry.
-        self.retire(id);
+        self.registry.retire(id);
         res
     }
 
     /// Drain every session and refuse new work from now on.
     pub(crate) fn drain_all(&self) -> Result<(), String> {
         self.draining.store(true, Ordering::SeqCst);
-        let handles: Vec<Arc<SessionHandle>> = match self.sessions.lock() {
-            Ok(g) => g.values().cloned().collect(),
-            Err(_) => return Err("session registry poisoned".into()),
-        };
+        let (live, _) = self.registry.all();
         let mut first_err = None;
-        for h in handles {
+        for h in live {
             if let Err(e) = h.drain_blocking() {
                 first_err.get_or_insert(e);
             }
-            self.retire(h.id);
+            self.registry.retire(h.id);
         }
         match first_err {
             None => Ok(()),
@@ -225,43 +251,17 @@ impl Shared {
     /// Render the Prometheus metrics page: live sessions plus the
     /// bounded tail of recently drained ones.
     pub(crate) fn metrics_text(&self) -> String {
-        let mut handles: Vec<Arc<SessionHandle>> = self
-            .sessions
-            .lock()
-            .map(|g| g.values().cloned().collect())
-            .unwrap_or_default();
-        let live = handles.len();
-        if let Ok(tail) = self.drained_tail.lock() {
-            handles.extend(tail.iter().cloned());
-        }
-        type SessionRow = (
-            u64,
-            String,
-            bool,
-            greta_core::ExecutorStats,
-            Vec<(u32, String)>,
-        );
-        let mut rows: Vec<SessionRow> = handles
+        let (live, drained) = self.registry.all();
+        let mut handles: Vec<_> = live.iter().chain(&drained).collect();
+        handles.sort_by_key(|h| h.id);
+        let published: Vec<_> = handles.iter().map(|h| h.published()).collect();
+        let sessions: Vec<SessionMetrics<'_>> = handles
             .iter()
-            .map(|h| {
-                let stats = h.last_stats.lock().map(|g| g.clone()).unwrap_or_default();
-                let texts = h.query_texts.lock().map(|g| g.clone()).unwrap_or_default();
-                (
-                    h.id,
-                    h.query_text.clone(),
-                    h.drained.load(Ordering::SeqCst),
-                    stats,
-                    texts,
-                )
-            })
-            .collect();
-        rows.sort_by_key(|r| r.0);
-        let sessions: Vec<SessionMetrics<'_>> = rows
-            .iter()
-            .map(|(id, query, drained, stats, texts)| SessionMetrics {
-                id: *id,
-                query,
-                drained: *drained,
+            .zip(&published)
+            .map(|(h, (stats, texts))| SessionMetrics {
+                id: h.id,
+                query: &h.query_text,
+                drained: h.drained.load(Ordering::SeqCst),
                 stats: stats.clone(),
                 queries: texts,
             })
@@ -272,7 +272,7 @@ impl Shared {
                 frames: self.frames.load(Ordering::Relaxed),
                 protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
                 http_requests: self.http_requests.load(Ordering::Relaxed),
-                sessions: live,
+                sessions: live.len(),
                 draining: self.draining.load(Ordering::SeqCst),
             },
             &sessions,
@@ -330,14 +330,8 @@ impl GretaServer {
     }
 
     fn abort_in_place(&mut self) {
-        let handles: Vec<Arc<SessionHandle>> = match self.shared.sessions.lock() {
-            Ok(mut g) => g.drain().map(|(_, h)| h).collect(),
-            Err(_) => Vec::new(),
-        };
-        let joins: Vec<_> = handles
-            .iter()
-            .filter_map(|h| h.join.lock().ok().and_then(|mut g| g.take()))
-            .collect();
+        let handles = self.shared.registry.take_live();
+        let joins: Vec<_> = handles.iter().filter_map(|h| h.take_join()).collect();
         // Dropping the handles drops the command senders; session
         // threads observe the disconnect and exit without draining.
         // Joining afterwards makes the on-disk WAL state settled by the
@@ -508,4 +502,61 @@ pub(crate) fn serve_request(
         Request::Ping => Ok(Response::Pong),
     });
     write(&resp)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+    use std::sync::atomic::AtomicUsize;
+
+    /// Retiring a session moves it from the live map to the drained tail
+    /// in one step: a concurrent lookup always finds it (until the tail
+    /// evicts it), and a concurrent metrics page lists it once.
+    #[test]
+    fn retiring_sessions_never_hides_or_duplicates_them() {
+        let shared = Shared::new();
+        let mut registry = SchemaRegistry::new();
+        registry.register_type("A", &["x"]).unwrap();
+        let options = SessionOptions {
+            channel_capacity: 16,
+            result_capacity: 16,
+            ..SessionOptions::default()
+        };
+        let query = "RETURN COUNT(*) PATTERN A+ WITHIN 10 SLIDE 10";
+        let submit = |_| shared.submit(query, registry.clone(), options.clone(), None);
+        let ids: Vec<u64> = (0..32).map(|i| submit(i).unwrap().0).collect();
+        let retired = AtomicUsize::new(0);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    while !stop.load(Ordering::SeqCst) {
+                        for (i, &id) in ids.iter().enumerate() {
+                            // Session `i` leaves the drained tail when the
+                            // one `DRAINED_TAIL_MAX` after it is retired.
+                            let evicted = || retired.load(Ordering::SeqCst) >= i + DRAINED_TAIL_MAX;
+                            let found = shared.session(id);
+                            assert!(found.is_ok() || evicted(), "lookup of session {id} failed");
+                        }
+                    }
+                });
+            }
+            s.spawn(|| {
+                while !stop.load(Ordering::SeqCst) {
+                    let page = shared.metrics_text();
+                    let mut seen = HashSet::new();
+                    for line in page.lines().filter(|l| l.contains("session=\"")) {
+                        let series = line.rsplit_once(' ').map_or(line, |(s, _)| s);
+                        assert!(seen.insert(series), "series listed twice: {series}");
+                    }
+                }
+            });
+            for (i, &id) in ids.iter().enumerate() {
+                shared.drain_session(id).unwrap();
+                retired.store(i + 1, Ordering::SeqCst);
+            }
+            stop.store(true, Ordering::SeqCst);
+        });
+    }
 }

@@ -18,11 +18,12 @@
 //! while no command arrives wait at most that long. The executor's result
 //! channel is not a second wake source.
 //!
-//! Lock discipline (checked by `greta-lint`): the handle's locks follow
-//! the same global order as `server.rs` and are never held across a
-//! socket write.
-
-// lint:lock-order: sessions < drained_tail < last_stats < query_texts < join
+//! Locks: a handle owns two private mutexes, the [`Published`] state the
+//! session thread writes for `/metrics` and the thread's join slot. Each
+//! is taken only inside a short method of the struct that owns it, which
+//! locks once and releases before returning. No guard leaves a method and
+//! none is held while another is taken, so lock order and "no lock across
+//! a socket write" hold by construction.
 
 use crate::protocol::{IngestAck, SessionOptions};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
@@ -35,7 +36,7 @@ use greta_types::{Event, SchemaRegistry};
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -129,16 +130,43 @@ pub(crate) struct SessionHandle {
     pub(crate) id: u64,
     pub(crate) query_text: String,
     pub(crate) cmd_tx: Sender<SessionCmd>,
-    /// Stats snapshot refreshed by the session thread after every command
-    /// burst, so `/metrics` never blocks on a busy executor.
-    pub(crate) last_stats: Arc<Mutex<ExecutorStats>>,
-    /// Query texts by id, ascending — the submitted query plus every
-    /// query ever registered (deregistered ones stay for metrics continuity;
-    /// `ExecutorStats::queries` marks them inactive).
-    pub(crate) query_texts: Arc<Mutex<Vec<(u32, String)>>>,
+    published: Arc<Published>,
     /// Set once the session has drained (terminal checkpoint taken).
     pub(crate) drained: Arc<AtomicBool>,
-    pub(crate) join: Mutex<Option<JoinHandle<()>>>,
+    join: Mutex<Option<JoinHandle<()>>>,
+}
+
+/// What the session thread publishes for `/metrics`, so a scrape never
+/// blocks on a busy executor. A poisoned lock is recovered: every write
+/// replaces the stats wholesale and appends whole tuples, so a writer that
+/// panicked cannot leave torn state behind — and the stats must not
+/// freeze for the rest of the session's life.
+struct Published {
+    state: Mutex<PublishedState>,
+}
+
+struct PublishedState {
+    /// Stats snapshot refreshed after every command.
+    stats: ExecutorStats,
+    /// Query texts by id, ascending — the submitted query plus every
+    /// query ever registered (deregistered ones stay for metrics
+    /// continuity; `ExecutorStats::queries` marks them inactive).
+    queries: Vec<(u32, String)>,
+}
+
+impl Published {
+    /// Replace the stats, and add the text of a query just registered.
+    fn set(&self, stats: ExecutorStats, registered: Option<(u32, String)>) {
+        let mut p = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        p.stats = stats;
+        p.queries.extend(registered);
+    }
+
+    /// Copies of the stats and the query texts.
+    fn get(&self) -> (ExecutorStats, Vec<(u32, String)>) {
+        let p = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        (p.stats.clone(), p.queries.clone())
+    }
 }
 
 /// Build the [`ExecutorConfig`] a [`SessionOptions`] describes.
@@ -180,16 +208,19 @@ pub(crate) fn spawn_session(
     .map_err(|e| e.to_string())?;
 
     let (cmd_tx, cmd_rx) = bounded(CMD_CHANNEL_CAPACITY);
-    let last_stats = Arc::new(Mutex::new(exec.stats()));
     // A recovered executor may come back hosting queries registered in a
     // previous run; seed the text table from its registry, and give each
     // such query its own result stream.
     let ids = exec.query_ids();
-    let texts: Vec<(u32, String)> = ids
+    let queries: Vec<(u32, String)> = ids
         .iter()
         .map(|q| (q.0, exec.query_text(*q).unwrap_or(&query_text).to_string()))
         .collect();
-    let query_texts = Arc::new(Mutex::new(texts));
+    let state = Mutex::new(PublishedState {
+        stats: exec.stats(),
+        queries,
+    });
+    let published = Arc::new(Published { state });
     let drained = Arc::new(AtomicBool::new(false));
     let session = SessionLoop {
         id,
@@ -199,8 +230,7 @@ pub(crate) fn spawn_session(
         pending_high: (opts.result_capacity.max(1)) as usize,
         channel_capacity: (opts.channel_capacity.max(1)) as usize,
         result_capacity: (opts.result_capacity.max(1)) as usize,
-        last_stats: Arc::clone(&last_stats),
-        query_texts: Arc::clone(&query_texts),
+        published: Arc::clone(&published),
         drained: Arc::clone(&drained),
     };
     let join = std::thread::Builder::new()
@@ -212,8 +242,7 @@ pub(crate) fn spawn_session(
         id,
         query_text,
         cmd_tx,
-        last_stats,
-        query_texts,
+        published,
         drained,
         join: Mutex::new(Some(join)),
     })
@@ -266,8 +295,7 @@ struct SessionLoop {
     channel_capacity: usize,
     result_capacity: usize,
     // Shared with the `SessionHandle`: what this thread publishes.
-    last_stats: Arc<Mutex<ExecutorStats>>,
-    query_texts: Arc<Mutex<Vec<(u32, String)>>>,
+    published: Arc<Published>,
     drained: Arc<AtomicBool>,
 }
 
@@ -340,26 +368,18 @@ impl SessionLoop {
                 reply,
             } => {
                 let res = self.register(&text, emission);
-                if let Ok(q) = &res {
-                    // Poison recovery: the list only ever grows by whole
-                    // tuples, so state after a writer panic is still
-                    // well-formed.
-                    self.query_texts
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push((*q, text));
-                }
-                self.publish_stats();
+                let registered = res.as_ref().ok().map(|q| (*q, text));
+                self.published.set(self.exec.stats(), registered);
                 let _ = reply.send(res);
             }
             SessionCmd::Deregister { query, reply } => {
                 let res = self.deregister(query);
-                self.publish_stats();
+                self.published.set(self.exec.stats(), None);
                 let _ = reply.send(res);
             }
             SessionCmd::Drain { reply } => {
                 let res = self.drain();
-                self.publish_stats();
+                self.published.set(self.exec.stats(), None);
                 self.drained.store(true, Ordering::SeqCst);
                 let _ = reply.send(res);
                 return ControlFlow::Break(());
@@ -381,7 +401,7 @@ impl SessionLoop {
             watermark: self.exec.watermark().map(|t| t.0),
             busy: self.busy(&stats),
         });
-        publish(&self.last_stats, stats);
+        self.published.set(stats, None);
         ack
     }
 
@@ -528,22 +548,6 @@ impl SessionLoop {
             }
         }
     }
-
-    fn publish_stats(&self) {
-        publish(&self.last_stats, self.exec.stats());
-    }
-}
-
-/// Replace the published stats with `stats`.
-fn publish(last_stats: &Mutex<ExecutorStats>, stats: ExecutorStats) {
-    // Recover from a poisoned mutex: the stored stats are replaced
-    // wholesale, so a writer that panicked mid-update cannot leave
-    // torn state behind — and stats must not silently freeze for
-    // the rest of the session's life.
-    let mut g = last_stats
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    *g = stats;
 }
 
 /// Push one stream's pending rows to every one of its subscribers, each
@@ -639,15 +643,7 @@ impl SessionHandle {
     pub(crate) fn drain_blocking(&self) -> Result<(), String> {
         match self.call("drain", |reply| SessionCmd::Drain { reply }) {
             Ok(answer) => {
-                // Poison recovery: the slot holds only an Option — taking
-                // it after a panic elsewhere is always sound, and skipping
-                // the join would leak the thread.
-                let join = self
-                    .join
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .take();
-                if let Some(j) = join {
+                if let Some(j) = self.take_join() {
                     let _ = j.join();
                 }
                 answer
@@ -656,5 +652,20 @@ impl SessionHandle {
             Err(_) if self.drained.load(Ordering::SeqCst) => Ok(()),
             Err(e) => Err(e),
         }
+    }
+
+    /// The session thread's join handle, the first time it is asked for.
+    pub(crate) fn take_join(&self) -> Option<JoinHandle<()>> {
+        // Poison recovery: the slot holds only an Option — taking it
+        // after a panic elsewhere is always sound, and skipping the join
+        // would leak the thread.
+        let mut join = self.join.lock().unwrap_or_else(PoisonError::into_inner);
+        join.take()
+    }
+
+    /// Copies of what the session thread last published: its stats and
+    /// its query texts by id.
+    pub(crate) fn published(&self) -> (ExecutorStats, Vec<(u32, String)>) {
+        self.published.get()
     }
 }

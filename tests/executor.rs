@@ -625,7 +625,6 @@ mod props {
                         rebalance: Some(greta::core::RebalanceConfig {
                             check_every_windows: 1,
                             imbalance_ratio: 1.0,
-                            min_moves: 1,
                         }),
                         ..Default::default()
                     },
@@ -701,7 +700,6 @@ mod props {
                         rebalance: Some(greta::core::RebalanceConfig {
                             check_every_windows: 1,
                             imbalance_ratio: 1.0,
-                            min_moves: 1,
                         }),
                         ..Default::default()
                     },

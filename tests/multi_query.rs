@@ -191,7 +191,6 @@ fn register_and_deregister_mid_stream_under_rebalancing() {
             rebalance: Some(RebalanceConfig {
                 check_every_windows: 2,
                 imbalance_ratio: 1.2,
-                min_moves: 1,
             }),
             ..Default::default()
         },

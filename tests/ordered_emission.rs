@@ -231,7 +231,6 @@ fn window_ordered_composes_with_rebalancing() {
             rebalance: Some(RebalanceConfig {
                 check_every_windows: 2,
                 imbalance_ratio: 1.2,
-                min_moves: 1,
             }),
             ..Default::default()
         },
@@ -410,7 +409,6 @@ mod props {
             rebalance: rebalance.then_some(RebalanceConfig {
                 check_every_windows: 1,
                 imbalance_ratio: 1.2,
-                min_moves: 1,
             }),
             ..Default::default()
         };

@@ -4,6 +4,7 @@
 //! byte-identical to the sequential engine, and recovery must be able to
 //! repartition a snapshot onto a different shard count.
 
+use greta::core::executor::GROUP_STATS_CAPACITY;
 use greta::core::{
     EngineError, ExecutorConfig, GretaEngine, PartitionKey, RebalanceConfig, StreamExecutor,
     StreamRouting, WindowResult,
@@ -76,7 +77,6 @@ fn aggressive() -> RebalanceConfig {
     RebalanceConfig {
         check_every_windows: 2,
         imbalance_ratio: 1.2,
-        min_moves: 1,
     }
 }
 
@@ -163,27 +163,6 @@ fn balanced_stream_never_rebalances() {
 }
 
 #[test]
-fn min_moves_suppresses_marginal_migrations() {
-    let (reg, q) = setup();
-    let hot = colliding_groups(&reg, &q, 4, 3);
-    let events = skewed_events(&reg, 400, &hot, 23);
-    let (_, stats) = run(
-        &q,
-        &reg,
-        &events,
-        ExecutorConfig {
-            shards: 4,
-            rebalance: Some(RebalanceConfig {
-                min_moves: usize::MAX, // no plan can clear this bar
-                ..aggressive()
-            }),
-            ..Default::default()
-        },
-    );
-    assert_eq!(stats.rebalances, 0);
-}
-
-#[test]
 fn rebalancing_off_and_on_agree_bytewise() {
     let (reg, q) = setup();
     let hot = colliding_groups(&reg, &q, 4, 2);
@@ -257,7 +236,6 @@ fn late_emerging_skew_is_detected_within_one_check_period() {
             rebalance: Some(RebalanceConfig {
                 check_every_windows: 2,
                 imbalance_ratio: 1.5,
-                min_moves: 1,
             }),
             ..Default::default()
         },
@@ -419,7 +397,6 @@ fn ungrouped_query_ignores_rebalance_config() {
             rebalance: Some(RebalanceConfig {
                 check_every_windows: 1,
                 imbalance_ratio: 1.0,
-                min_moves: 1,
             }),
             ..Default::default()
         },
@@ -458,7 +435,6 @@ fn coinciding_rebalance_and_checkpoint_barriers_take_one_barrier_each() {
             rebalance: Some(RebalanceConfig {
                 check_every_windows: 2,
                 imbalance_ratio: 1.2,
-                min_moves: 1,
             }),
             durability: Some(durability),
             ..Default::default()
@@ -507,11 +483,11 @@ fn coinciding_rebalance_and_checkpoint_barriers_take_one_barrier_each() {
 
 #[test]
 fn group_stats_stay_bounded_on_high_cardinality_streams() {
-    // Regression (ISSUE 5 satellite): the per-group counters used to grow
-    // one map entry per distinct group forever. They are now a top-K +
-    // decayed-counter sketch bounded by ExecutorConfig::group_stats_capacity.
+    // The per-group counters used to grow one map entry per distinct group
+    // forever. They are a top-K + decayed-counter sketch bounded by
+    // GROUP_STATS_CAPACITY.
     let (reg, q) = setup();
-    // 2500 distinct groups, each a handful of events — far past any cap.
+    // 2500 distinct groups, each a handful of events — far past the cap.
     let events: Vec<Event> = (0..5000u64)
         .map(|t| {
             EventBuilder::new(&reg, "M")
@@ -524,43 +500,27 @@ fn group_stats_stay_bounded_on_high_cardinality_streams() {
                 .build()
         })
         .collect();
-    for cap in [64usize, 1024] {
-        let (rows, stats) = run(
-            &q,
-            &reg,
-            &events,
-            ExecutorConfig {
-                shards: 2,
-                rebalance: Some(aggressive()),
-                group_stats_capacity: cap,
-                ..Default::default()
-            },
-        );
-        assert!(
-            stats.group_stats.len() <= cap,
-            "cap {cap}: {} groups reported",
-            stats.group_stats.len()
-        );
-        assert!(!rows.is_empty());
-        // Tracked counts never under-estimate (space-saving property), so
-        // the reported sum can only meet or exceed an exact per-group
-        // count for the tracked survivors.
-        assert!(stats.group_stats.iter().all(|(_, s)| s.events >= 1));
-    }
-    // Results are unaffected by the sketch capacity (it only shapes the
-    // detector's signal, never the routing of a already-pinned group).
-    let a = run(
+    let (rows, stats) = run(
         &q,
         &reg,
         &events,
         ExecutorConfig {
             shards: 2,
-            group_stats_capacity: 16,
+            rebalance: Some(aggressive()),
             ..Default::default()
         },
     );
+    assert!(
+        stats.group_stats.len() <= GROUP_STATS_CAPACITY,
+        "{} groups reported",
+        stats.group_stats.len()
+    );
+    // Tracked counts never under-estimate (space-saving property), so
+    // every survivor has counted at least its own event.
+    assert!(stats.group_stats.iter().all(|(_, s)| s.events >= 1));
+    // The sketch only shapes the detector's signal, never the rows.
     let mut engine = GretaEngine::<f64>::new(q.clone(), reg.clone()).unwrap();
-    assert_eq!(a.0, sorted(engine.run(&events).unwrap()));
+    assert_eq!(rows, sorted(engine.run(&events).unwrap()));
 }
 
 #[test]
@@ -645,7 +605,6 @@ mod props {
                     rebalance: Some(RebalanceConfig {
                         check_every_windows: 1,
                         imbalance_ratio: 1.2,
-                        min_moves: 1,
                     }),
                     ..Default::default()
                 },
