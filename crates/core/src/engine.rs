@@ -363,26 +363,15 @@ impl<N: TrendNum> GretaEngine<N> {
     ///
     /// Two bounds compose: the watermark bound (windows whose close time
     /// the watermark passed cannot receive events) and the first still-open
-    /// window. The second matters after a state import or
-    /// barrier-migration install, where the inherited watermark (the max
-    /// across source engines) may already be past the close time of a
-    /// window whose `close_due` simply has not run yet.
+    /// window. The second matters after a state import or a repartition,
+    /// where the inherited watermark (the max across source engines) may
+    /// already be past the close time of a window whose `close_due` simply
+    /// has not run yet.
     pub fn emission_frontier(&self) -> WindowId {
         let closed = last_closed(self.watermark, &self.plan.query.window);
         let wm_bound = closed.filter(|_| self.saw_event).map_or(0, |w| w + 1);
         let first_open = self.open.keys().next();
         first_open.map_or(wm_bound, |&w| wm_bound.min(w))
-    }
-
-    /// Close every window already due at the current watermark. A no-op on
-    /// a live engine (`close_due` runs on every event/watermark); after a
-    /// barrier-migration install or a state import the inherited watermark
-    /// can already be past some windows' close times, and this emits them
-    /// without waiting for the next message.
-    pub fn close_overdue(&mut self) {
-        if self.saw_event {
-            self.close_due(self.watermark);
-        }
     }
 
     /// Flush: close all remaining windows and drain every result.
@@ -531,24 +520,9 @@ impl<N: TrendNum> GretaEngine<N> {
         Ok(eng)
     }
 
-    /// Graph vertices per `GROUP-BY` group: the engine-side load signal the
-    /// executor reports in its per-group stats. A lifetime count — every
-    /// vertex ever inserted into the group's partitions, purged panes
-    /// included, so the figure is still meaningful after
-    /// [`finish`](Self::finish) has purged everything — summed over a
-    /// group's partitions, sorted by group for deterministic output.
-    pub fn group_vertices(&self) -> Vec<(PartitionKey, u64)> {
-        let mut by_group: BTreeMap<PartitionKey, u64> = BTreeMap::new();
-        for part in self.partitions.values() {
-            *by_group.entry(part.group.clone()).or_default() += part.counters().0;
-        }
-        by_group.into_iter().collect()
-    }
-
     /// Redistribute the state of several engines across a (possibly
-    /// different) number of engines, moving whole groups: the workhorse of
-    /// both the executor's live shard rebalancing and
-    /// recovery-with-resharding.
+    /// different) number of engines, moving whole groups: what recovery onto
+    /// another shard count runs.
     ///
     /// `blobs` are [`export_state`](Self::export_state) snapshots of
     /// engines that together processed one partitioned stream under `plan`
@@ -1101,12 +1075,6 @@ mod tests {
         assert_eq!(rows, expect);
         // Summed counters are preserved across the repartition.
         assert_eq!(total_events, events.len() as u64);
-        // Per-group vertex reporting sees every group somewhere.
-        let groups: std::collections::BTreeSet<PartitionKey> = news
-            .iter()
-            .flat_map(|e| e.group_vertices().into_iter().map(|(k, _)| k))
-            .collect();
-        assert_eq!(groups.len(), 5);
     }
 
     fn fnv1a(bytes: &[u8]) -> u64 {

@@ -57,10 +57,10 @@
 //!   registered query's window-close boundary, buffered frames are flushed
 //!   and the watermark is broadcast so shards that received no recent
 //!   events still close their windows.
-//! * **Barrier protocol**: checkpoint, rebalance, register, and deregister
-//!   all use the same cut — flush buffered frames, send a barrier message
-//!   down every FIFO shard channel, install the change under a bumped
-//!   epoch; register/deregister barriers bump
+//! * **Barrier protocol**: checkpoint, register, and deregister all use
+//!   the same cut — flush buffered frames, send a barrier message down
+//!   every FIFO shard channel, wait for every shard's ack;
+//!   register/deregister barriers bump
 //!   [`query_epoch`](StreamExecutor::query_epoch).
 //! * **Durability** (off by default): with
 //!   [`ExecutorConfig::durability`] set, every pushed event is appended to
@@ -96,7 +96,7 @@
 //! The code follows the planes of `ARCHITECTURE.md`, one struct per
 //! module, each owning its state, its counters and its snapshot section:
 //! `ingest` (WAL, reorder buffer, late policy), `route` (route groups,
-//! framing, skew detection), `worker` (shard channels, threads, the ack
+//! hash routing, framing), `worker` (shard channels, threads, the ack
 //! ledger; the shard's own step is in `barrier`) and `merge` (the query
 //! registry and its result buffers). What is left in this file is the
 //! sequencing between them: an event's way through, the barrier cut, and
@@ -120,7 +120,6 @@ use greta_types::{Event, EventRef, SchemaRegistry, Time};
 use ingest::{Ingest, TailRecRef};
 use merge::{Merge, QueryParts, QuerySlot};
 use route::Route;
-use std::collections::HashMap;
 use std::sync::Arc;
 use worker::Worker;
 
@@ -135,13 +134,11 @@ mod worker;
 
 pub use config::{
     EmissionMode, ExecutorConfig, ExecutorStats, LatePolicy, QueryId, QueryStreamStats,
-    RebalanceConfig, WindowLateCounts,
+    WindowLateCounts,
 };
-pub use route::GROUP_STATS_CAPACITY;
 
-/// "Every `every` closed windows of id 0, a barrier is owed" — the
-/// checkpoint cadence and the skew-check cadence are each one of these.
-/// The barrier is taken after the routing pass that made it due, so a cut
+/// "Every `every` closed windows of id 0, a checkpoint is owed". The
+/// checkpoint is taken after the routing pass that made it due, so a cut
 /// never splits a reorder release batch.
 #[derive(Debug, Default)]
 struct Cadence {
@@ -267,13 +264,6 @@ impl<N: TrendNum> StreamExecutor<N> {
         self.worker.shards
     }
 
-    /// Version of the group → shard routing table: 0 while the static hash
-    /// assignment is in effect, bumped by every barrier migration (and by a
-    /// resharded recovery).
-    pub fn routing_epoch(&self) -> u64 {
-        self.route.epoch()
-    }
-
     /// Version of the query registry: bumped by every successful
     /// [`register_query`](Self::register_query) /
     /// [`deregister_query`](Self::deregister_query) barrier (0 = nothing
@@ -310,7 +300,7 @@ impl<N: TrendNum> StreamExecutor<N> {
     /// The query is compiled from `text` against the executor's schema
     /// registry and validated first — an invalid query is rejected before
     /// anything is logged or installed. It then joins via a barrier (the
-    /// same machinery as rebalancing): buffered frames are flushed, every
+    /// same machinery as a checkpoint): buffered frames are flushed, every
     /// shard installs a fresh engine for the query under a bumped
     /// [`query_epoch`](Self::query_epoch), and FIFO channels guarantee the
     /// new engines see exactly the events released after the cut — so the
@@ -423,10 +413,10 @@ impl<N: TrendNum> StreamExecutor<N> {
     /// [`poll_results_of`](Self::poll_results_of) they are byte-identical
     /// to a standalone run of the query over the same events, ended at the
     /// deregistration point. [`QueryId::PRIMARY`] cannot be deregistered —
-    /// it anchors the shard count, the checkpoint/rebalance cadence, and
-    /// the rebalanced route group; [`drain`](Self::drain) stops the
-    /// stream. With durability on, the removal is WAL-logged so
-    /// [`recover`](Self::recover) re-runs it at the same stream position.
+    /// it anchors the shard count, the checkpoint cadence and the late
+    /// ledger; [`drain`](Self::drain) stops the stream. With durability
+    /// on, the removal is WAL-logged so [`recover`](Self::recover) re-runs
+    /// it at the same stream position.
     ///
     /// ```
     /// use greta_core::{EmissionMode, ExecutorConfig, QueryId, StreamExecutor};
@@ -471,8 +461,7 @@ impl<N: TrendNum> StreamExecutor<N> {
     }
 
     /// Only an active query other than id 0 can leave: id 0 anchors the
-    /// shard count, the checkpoint/rebalance cadence, and the rebalanced
-    /// route group.
+    /// shard count, the checkpoint cadence and the late ledger.
     fn deregister_guard(&self, id: u32) -> Result<(), EngineError> {
         if id == QueryId::PRIMARY.0 {
             return Err(EngineError::Config(
@@ -526,21 +515,14 @@ impl<N: TrendNum> StreamExecutor<N> {
 
     /// One event's way through the planes, once it is logged (WAL replay
     /// enters here): ingest reorders it, route frames whatever that
-    /// released and broadcasts the watermarks it crossed, and the barriers
-    /// the closed windows made due are taken — the skew check before the
-    /// checkpoint, so the checkpoint records the post-migration table and
-    /// state.
+    /// released and broadcasts the watermarks it crossed, and the
+    /// checkpoint the closed windows made due is taken.
     fn accept(&mut self, e: EventRef) -> Result<(), EngineError> {
         let released = self.ingest.admit(e)?;
         let closed = self
             .route
             .route_all(released, &mut self.worker, &mut self.merge)?;
         self.ingest.checkpoint_every.note_closed(closed);
-        if self.route.rebalance_every.take_due() {
-            if let Some((overrides, moves)) = self.route.plan_rebalance() {
-                self.migrate(overrides, moves)?;
-            }
-        }
         if self.ingest.checkpoint_every.take_due() {
             self.checkpoint()?;
         }
@@ -681,7 +663,6 @@ impl<N: TrendNum> StreamExecutor<N> {
         for slot in &mut self.merge.queries {
             slot.close_remainder();
         }
-        self.route.add_vertices(&self.worker.ended.group_vertices);
         let final_states = std::mem::take(&mut self.worker.ended.final_states);
         let mut first_err = routed.err().or(failed);
         if first_err.is_none() && self.ingest.durable() && final_states.len() == self.worker.shards
@@ -757,7 +738,7 @@ impl<N: TrendNum> StreamExecutor<N> {
         }
         self.refuse_if_finished("checkpoint")?;
         self.ingest.checkpoint_every.since = 0;
-        let per_shard = self.export_cut()?;
+        let per_shard = self.cut(|_| BarrierKind::Export)?;
         self.persist_snapshot(&per_shard, false)
     }
 
@@ -769,8 +750,8 @@ impl<N: TrendNum> StreamExecutor<N> {
     /// are absorbed before its ack: on return the stream is cut at
     /// `stats.pushed` — no event is between the router and an engine, no
     /// row between an engine and its query's buffer (events still in the
-    /// reorder buffer live on the ingest side). Checkpoint, rebalance,
-    /// register and deregister differ only in the [`BarrierKind`].
+    /// reorder buffer live on the ingest side). Checkpoint, register and
+    /// deregister differ only in the [`BarrierKind`].
     ///
     /// [`barrier::worker_step`] is the shard's side, and
     /// [`crate::protocol_model`] drives that function and the
@@ -790,61 +771,6 @@ impl<N: TrendNum> StreamExecutor<N> {
                 .send(i, Msg::Barrier { kind }, &mut self.merge)?;
         }
         self.worker.wait_acks(&mut self.merge)
-    }
-
-    /// [`cut`](Self::cut) with [`BarrierKind::Export`]: every hosted
-    /// engine's state at the cut, one `(query, blob)` per hosted query per
-    /// shard.
-    fn export_cut(&mut self) -> Result<Vec<QueryBlobs>, EngineError> {
-        self.worker.barrier_snapshots += 1;
-        self.cut(|_| BarrierKind::Export)
-    }
-
-    /// Barrier migration of route group 0 to the assignment
-    /// [`Route::plan_rebalance`] chose:
-    ///
-    /// 1. export every hosted engine's state at a [`cut`](Self::cut);
-    /// 2. install the new table under a bumped routing epoch;
-    /// 3. repartition the snapshots of every query routed through
-    ///    group 0 so each group's graphs, incremental aggregates,
-    ///    and replay context follow it to its new owner, the new engines
-    ///    sharing the slot's plan (queries on their own key plane keep
-    ///    their engines);
-    /// 4. hand each shard its rebuilt engines at a second cut. Nothing is
-    ///    routed between the two, so every frame routed under epoch `e+1`
-    ///    is processed by an epoch-`e+1` engine — results stay
-    ///    byte-identical to any static assignment.
-    fn migrate(
-        &mut self,
-        overrides: HashMap<PartitionKey, u32>,
-        moves: usize,
-    ) -> Result<(), EngineError> {
-        let per_shard = self.export_cut()?;
-        self.route.install(overrides, moves);
-        let shards = self.worker.shards;
-        let mut installs: Vec<Vec<(u32, GretaEngine<N>)>> =
-            (0..shards).map(|_| Vec::new()).collect();
-        for slot in self
-            .merge
-            .queries
-            .iter()
-            .filter(|s| s.active && s.group == 0)
-        {
-            let states: Vec<Vec<u8>> = per_shard
-                .iter()
-                .map(|blobs| {
-                    let blob = blobs.iter().find(|(q, _)| *q == slot.parts.id);
-                    blob.map(|(_, b)| b.clone()).unwrap_or_default()
-                })
-                .collect();
-            let owner = |g: &PartitionKey| self.route.owner(g);
-            let engines = GretaEngine::<N>::repartition_states(&slot.plan, &states, shards, owner)?;
-            for (install, engine) in installs.iter_mut().zip(engines) {
-                install.push((slot.parts.id, engine));
-            }
-        }
-        self.cut(|i| BarrierKind::Install(std::mem::take(&mut installs[i])))?;
-        Ok(())
     }
 }
 
@@ -870,10 +796,9 @@ mod tests {
         // A hosted query is compiled once: its registry slot, the route
         // group it founded and its shard engines hold the same
         // `Arc<EnginePlan>`, so the count is `shards + 1` (+1 for a
-        // founder) — after bring-up, after a registration, after a
-        // migration rebuilt the engines and after a recovery onto another
-        // shard count. A second compilation anywhere would show up as a
-        // plan with fewer holders.
+        // founder) — after bring-up, after a registration and after a
+        // recovery onto another shard count. A second compilation anywhere
+        // would show up as a plan with fewer holders.
         let mut reg = SchemaRegistry::new();
         let m = reg.register_type("M", &["grp", "host", "load"]).unwrap();
         let by_grp = "RETURN grp, COUNT(*) PATTERN M+ GROUP-BY grp WITHIN 20 SLIDE 10";
@@ -908,22 +833,7 @@ mod tests {
             ];
             Event::new_unchecked(m, Time(t), attrs)
         };
-        for t in 0..50 {
-            exec.push(ev(t)).unwrap();
-        }
-        // Pin every group to the shard after its hashed one: group 0's two
-        // queries get rebuilt engines, group 1's query keeps its own.
-        let pins = (0..7).map(|g| {
-            let key = PartitionKey(vec![Some(Value::Int(g))]);
-            let next = (exec.route.owner(&key) + 1) % 3;
-            (key, next as u32)
-        });
-        let pins: HashMap<PartitionKey, u32> = pins.collect();
-        exec.migrate(pins, 7).unwrap();
-        assert_eq!(exec.routing_epoch(), 1);
-        assert_eq!(holders(&exec), [3 + 2, 3 + 1, 3 + 2]);
-
-        for t in 50..80 {
+        for t in 0..80 {
             exec.push(ev(t)).unwrap();
         }
         exec.checkpoint().unwrap();

@@ -29,7 +29,6 @@ pub(crate) trait ShardEngine {
     fn finish(&mut self) -> Vec<Self::Row>;
     fn export_state(&self) -> Vec<u8>;
     fn emission_frontier(&self) -> WindowId;
-    fn close_overdue(&mut self);
 }
 
 impl<N: TrendNum> ShardEngine for GretaEngine<N> {
@@ -51,9 +50,6 @@ impl<N: TrendNum> ShardEngine for GretaEngine<N> {
     }
     fn emission_frontier(&self) -> WindowId {
         GretaEngine::emission_frontier(self)
-    }
-    fn close_overdue(&mut self) {
-        GretaEngine::close_overdue(self)
     }
 }
 
@@ -90,10 +86,6 @@ pub(crate) enum BarrierKind<E> {
     /// Serialize every hosted engine; the ack carries the blobs. They
     /// cover exactly the messages queued before the barrier.
     Export,
-    /// Replace these queries' engines with repartitioned ones (the commit
-    /// step of a barrier migration): every frame routed under the new
-    /// table is processed by the new engine.
-    Install(Vec<(u32, E)>),
     /// Host one more query: the engine sees exactly the frames queued
     /// after the barrier.
     Add(Box<EngineSlot<E>>),
@@ -273,18 +265,6 @@ pub(crate) fn worker_step<E: ShardEngine>(
                         .iter()
                         .map(|s| (s.query, s.engine.export_state()))
                         .collect();
-                }
-                BarrierKind::Install(engines) => {
-                    for (query, engine) in engines {
-                        if let Some(s) = slots.iter_mut().find(|s| s.query == query) {
-                            s.engine = engine;
-                            // The inherited watermark is the max across
-                            // the source engines; close whatever that
-                            // makes overdue on this one.
-                            s.engine.close_overdue();
-                            flush_slot(s, shard, emit)?;
-                        }
-                    }
                 }
                 BarrierKind::Add(slot) => slots.push(*slot),
                 BarrierKind::Remove(query) => {

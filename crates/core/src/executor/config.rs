@@ -5,14 +5,13 @@
 #[cfg(doc)]
 use super::StreamExecutor;
 use crate::engine::{EngineConfig, EngineStats};
-use crate::grouping::PartitionKey;
 #[cfg(doc)]
 use crate::reorder::ResultMerge;
 use crate::window::WindowId;
 #[cfg(doc)]
 use crate::EngineError;
 use greta_durability::DurabilityConfig;
-use greta_types::{CodecError, GroupStats};
+use greta_types::CodecError;
 
 /// What to do with an event that arrives later than the reorder slack
 /// allows.
@@ -82,39 +81,6 @@ impl EmissionMode {
     }
 }
 
-/// Knobs of the executor's skew detector (dynamic shard rebalancing).
-///
-/// Real trend workloads are hot-key skewed: one hot sector/segment can pin
-/// a single shard while the rest idle, capping throughput no matter how
-/// many shards exist (the paper's §10.4 scaling model assumes uniform
-/// groups). With rebalancing on, the executor counts routed events per
-/// `GROUP-BY` group and, every `check_every_windows` closed windows,
-/// compares the most-loaded shard against the mean. On imbalance it plans
-/// a greedy longest-processing-time reassignment of the observed groups
-/// and migrates state at a window-close barrier — results stay
-/// byte-identical to any static assignment. The detector watches the
-/// first route group (the one [`QueryId::PRIMARY`] routes through);
-/// queries that share it migrate with it, queries with their own key stay
-/// on the static hash.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RebalanceConfig {
-    /// Run the skew check every this many closed windows.
-    pub check_every_windows: u64,
-    /// Trigger when `max shard load ≥ imbalance_ratio × mean shard load`
-    /// (values ≤ 1.0 behave like 1.0; 2.0 means "one shard does double its
-    /// fair share").
-    pub imbalance_ratio: f64,
-}
-
-impl Default for RebalanceConfig {
-    fn default() -> Self {
-        RebalanceConfig {
-            check_every_windows: 4,
-            imbalance_ratio: 2.0,
-        }
-    }
-}
-
 /// Tuning knobs for [`StreamExecutor`].
 #[derive(Debug, Clone)]
 pub struct ExecutorConfig {
@@ -142,9 +108,6 @@ pub struct ExecutorConfig {
     /// Write-ahead log + snapshot configuration; `None` (the default) runs
     /// without any persistence.
     pub durability: Option<DurabilityConfig>,
-    /// Dynamic shard rebalancing for skewed groups; `None` (the default)
-    /// keeps the static hash assignment.
-    pub rebalance: Option<RebalanceConfig>,
     /// Result-stream ordering guarantee of the query passed to
     /// [`new`](StreamExecutor::new) (default: [`EmissionMode::Unordered`]);
     /// registered queries pick theirs at
@@ -165,7 +128,6 @@ impl Default for ExecutorConfig {
             batch_size: 64,
             engine: EngineConfig::default(),
             durability: None,
-            rebalance: None,
             emission: EmissionMode::default(),
         }
     }
@@ -221,8 +183,7 @@ pub struct QueryStreamStats {
     pub buffered_rows: usize,
     /// Index of the route group this query's events are framed for.
     /// Queries with the same value share one `GROUP-BY` key plane — one
-    /// classification and hash per event serves them all; group 0 is the
-    /// one skew rebalancing migrates.
+    /// classification and hash per event serves them all.
     pub route_group: u32,
     /// False once the query has been deregistered (its drained rows may
     /// still be pollable).
@@ -253,8 +214,8 @@ pub struct ExecutorStats {
     pub late_dropped: u64,
     /// Late events kept under [`LatePolicy::Divert`].
     pub late_diverted: u64,
-    /// Events delivered to every shard of route group 0 (broadcast
-    /// types).
+    /// Events delivered to every shard (broadcast types), counted once
+    /// per route group that framed them.
     pub broadcasts: u64,
     /// Watermark messages broadcast to the shards.
     pub watermarks: u64,
@@ -262,16 +223,6 @@ pub struct ExecutorStats {
     pub frames: u64,
     /// Durability checkpoints completed.
     pub checkpoints: u64,
-    /// Barrier snapshots taken across the shard workers: one per
-    /// checkpoint and one per migration.
-    pub barrier_snapshots: u64,
-    /// Barrier migrations performed by the skew detector.
-    pub rebalances: u64,
-    /// Groups whose shard assignment changed across all rebalances.
-    pub groups_moved: u64,
-    /// Version of the group → shard routing table (0 = the static hash
-    /// assignment, bumped by every rebalance / resharded recovery).
-    pub routing_epoch: u64,
     /// Version of the query registry: bumped by every successful
     /// [`register_query`](StreamExecutor::register_query) /
     /// [`deregister_query`](StreamExecutor::deregister_query) barrier.
@@ -279,19 +230,9 @@ pub struct ExecutorStats {
     /// Per-query stream counters, ascending by [`QueryId`] — one entry per
     /// hosted query, deregistered ones included (marked inactive).
     pub queries: Vec<QueryStreamStats>,
-    /// Per-group load counters, sorted by group key: events are counted at
-    /// routing time (only when [`ExecutorConfig::rebalance`] is set — this
-    /// is the skew detector's signal), live graph vertices are filled in by
-    /// [`finish`](StreamExecutor::finish) from the shard engines. Bounded
-    /// to the [`GROUP_STATS_CAPACITY`](super::GROUP_STATS_CAPACITY)
-    /// heaviest groups (space-saving sketch: counts of tracked groups never
-    /// under-estimate, light groups may be evicted on high-cardinality
-    /// streams).
-    pub group_stats: Vec<(PartitionKey, GroupStats)>,
-    /// Events delivered per shard by route group 0 (broadcasts count
-    /// once per shard): the load-balance picture. On a skewed stream
-    /// the pre-rebalance max of this vector is the parallel-throughput
-    /// bottleneck; a successful migration flattens it.
+    /// Events delivered per shard, summed over the route groups
+    /// (broadcasts count once per shard): the load-balance picture. Its
+    /// max is the parallel-throughput bottleneck on a skewed stream.
     pub events_per_shard: Vec<u64>,
     /// Late drops/diverts per window, ascending by window id.
     pub late_by_window: Vec<WindowLateCounts>,

@@ -60,7 +60,7 @@ pub(super) struct QuerySlot<N: TrendNum> {
     pub(super) parts: QueryParts<N>,
     /// What the query fixes, compiled once at bring-up: the one value the
     /// slot, the route group it founded and every shard engine share.
-    /// Migrations and resharded recovery rebuild engines around it.
+    /// Resharded recovery rebuilds engines around it.
     pub(super) plan: Arc<EnginePlan>,
     /// Index into the route plane's groups.
     pub(super) group: u32,

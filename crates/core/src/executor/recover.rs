@@ -26,15 +26,16 @@ impl<N: TrendNum> StreamExecutor<N> {
     /// `query` and `registry` must match what the original run passed to
     /// [`new`](Self::new) (as must `config.emission`), but `config.shards`
     /// may differ from the checkpoint's: every query's per-group engine
-    /// state is then repartitioned onto the new shard count under a fresh
-    /// routing epoch, so a stream can be recovered into a wider (or
-    /// narrower) executor with byte-identical results. Every query hosted
-    /// at the time of the checkpoint is restored byte-identically — plan
-    /// (recompiled from its recorded source text), engine state, result
-    /// buffers, counters — and register/deregister records in the WAL tail
-    /// are replayed in their original stream positions, so the recovered
-    /// registry matches the pre-crash one exactly. The recovered executor
-    /// continues the stream exactly where the WAL ends: rows for windows
+    /// state is then repartitioned onto the new shard count by the groups'
+    /// hashes, so a stream can be recovered into a wider (or narrower)
+    /// executor with byte-identical results — the way to spread a hot
+    /// shard. Every query hosted at the time of the checkpoint is restored
+    /// byte-identically — plan (recompiled from its recorded source text),
+    /// engine state, result buffers, counters — and register/deregister
+    /// records in the WAL tail are replayed in their original stream
+    /// positions, so the recovered registry matches the pre-crash one
+    /// exactly. The recovered executor continues the stream exactly where
+    /// the WAL ends: rows for windows
     /// that closed after the last checkpoint are (re-)emitted through
     /// [`poll_results_of`](Self::poll_results_of), rows for earlier
     /// windows are not repeated. If the process crashed before the first
@@ -86,8 +87,7 @@ impl<N: TrendNum> StreamExecutor<N> {
             }
         };
         let late_slide = query.window.slide;
-        let (mut ingest, mut route, barrier_snapshots, mut merge, queries) = match (&log, &manifest)
-        {
+        let (mut ingest, mut route, mut merge, queries) = match (&log, &manifest) {
             (Some(log), Some(m)) => Self::decode_snapshot(
                 &log.read_snapshot(m)?,
                 m.shards as usize,
@@ -99,7 +99,6 @@ impl<N: TrendNum> StreamExecutor<N> {
             _ => (
                 Ingest::new(&config, late_slide),
                 Route::new(&config, shards),
-                0,
                 Merge::new(),
                 vec![(QueryParts::fresh(0, None, config.emission), Vec::new())],
             ),
@@ -135,8 +134,7 @@ impl<N: TrendNum> StreamExecutor<N> {
         if let Some(log) = log {
             ingest.attach_log(log);
         }
-        let mut worker = Worker::spawn(per_shard, &config, ingest.durable())?;
-        worker.barrier_snapshots = barrier_snapshots;
+        let worker = Worker::spawn(per_shard, &config, ingest.durable())?;
         let mut exec = StreamExecutor {
             ingest,
             route,

@@ -14,22 +14,17 @@ use crate::EngineError;
 use greta_types::codec::Reader;
 use greta_types::CodecError;
 
-/// Bumped to 7 when the blob was regrouped by plane (v6 interleaved the
-/// ingest and route planes' state in one header). Snapshots taken by older
-/// revisions are rejected instead of being silently misread.
-const SNAPSHOT_VERSION: u8 = 7;
+/// Bumped to 8 when live rebalancing went: the route section lost its
+/// routing table, both skew sketches and two counters, the worker section
+/// its export-cut counter (v7 regrouped the blob by plane). Snapshots
+/// taken by older revisions are rejected instead of being silently
+/// misread.
+const SNAPSHOT_VERSION: u8 = 8;
 
 /// A decoded checkpoint: the ingest, route and merge planes as they were
-/// at the cut, the worker plane's export-cut counter (its threads are
-/// respawned), and per query the part and engine blobs to bring it up
-/// from.
-pub(super) type Planes<N> = (
-    Ingest,
-    Route,
-    u64,
-    Merge<N>,
-    Vec<(QueryParts<N>, Vec<Vec<u8>>)>,
-);
+/// at the cut (the worker plane's threads are respawned), and per query
+/// the part and engine blobs to bring it up from.
+pub(super) type Planes<N> = (Ingest, Route, Merge<N>, Vec<(QueryParts<N>, Vec<Vec<u8>>)>);
 
 impl<N: TrendNum> StreamExecutor<N> {
     /// Serialize the current cut; `per_shard` are its engine blobs, and
@@ -71,14 +66,14 @@ impl<N: TrendNum> StreamExecutor<N> {
         }
         let ingest = Ingest::decode(r, config, late_slide)?;
         let route = Route::decode(r, config, saved_shards, shards)?;
-        let barrier_snapshots = Worker::<N>::decode(r, saved_shards)?;
+        Worker::<N>::decode(r, saved_shards)?;
         let (merge, queries) = Merge::decode(r, saved_shards)?;
         if !r.is_empty() {
             return Err(
                 CodecError(format!("{} trailing bytes after snapshot", r.remaining())).into(),
             );
         }
-        Ok((ingest, route, barrier_snapshots, merge, queries))
+        Ok((ingest, route, merge, queries))
     }
 }
 
@@ -88,8 +83,9 @@ mod tests {
     //! nothing outside `executor` can name. The whole-blob checks through
     //! the public API are in `tests/codec_roundtrip.rs`.
 
+    use super::super::barrier::BarrierKind;
     use super::super::merge::QuerySlot;
-    use super::super::{EmissionMode, LatePolicy, RebalanceConfig};
+    use super::super::{EmissionMode, LatePolicy};
     use super::*;
     use crate::graph::EnginePlan;
     use crate::grouping::{PartitionKey, StreamRouting};
@@ -107,19 +103,15 @@ mod tests {
             slack: 3,
             late_policy: LatePolicy::Divert,
             emission: EmissionMode::WindowOrdered,
-            rebalance: Some(RebalanceConfig {
-                check_every_windows: 2,
-                imbalance_ratio: 1.2,
-            }),
             ..Default::default()
         }
     }
 
     /// A two-query executor stopped at a cut with something in every
     /// corner a checkpoint covers: events parked in the reorder buffer, a
-    /// diverted event and its late-ledger entry, pinned groups in the
-    /// routing table, skew sketches with counts in them,
-    /// un-polled rows and an ordered merge that has released some.
+    /// diverted event and its late-ledger entry, per-shard counts skewed
+    /// onto one shard, un-polled rows and an ordered merge that has
+    /// released some.
     fn populated() -> (SchemaRegistry, StreamExecutor<u64>, Vec<QueryBlobs>) {
         let mut reg = SchemaRegistry::new();
         reg.register_type("M", &["grp", "load"]).unwrap();
@@ -146,15 +138,15 @@ mod tests {
             exec.push(ev(t, grp)).unwrap();
         }
         exec.push(ev(100, hot[0])).unwrap(); // far behind the slack: diverted
-        let blobs = exec.export_cut().unwrap();
+        let blobs = exec.cut(|_| BarrierKind::Export).unwrap();
         let stats = exec.stats();
-        assert!(stats.routing_epoch > 0 && stats.groups_moved > 0, "no pins");
+        let busiest = stats.events_per_shard.iter().max();
+        assert_eq!(busiest, Some(&stats.events_per_shard[0]), "not skewed");
         assert_eq!(stats.late_diverted, 1);
         assert!(
             stats.pushed - stats.late_diverted > stats.released,
             "nothing buffered"
         );
-        assert!(!stats.group_stats.is_empty(), "sketch never counted");
         assert!(stats.queries.iter().all(|q| q.pending_rows > 0));
         assert!(stats.queries[0].released_to > 0, "ordered merge is idle");
         (reg, exec, blobs)
@@ -181,9 +173,8 @@ mod tests {
             2 => {
                 // The rest of the plane is threads; its section is small
                 // enough to spell out.
-                let barrier_snapshots = Worker::<u64>::decode(r, SHARDS)?;
+                Worker::<u64>::decode(r, SHARDS)?;
                 out.extend((SHARDS as u32).to_le_bytes());
-                out.extend(barrier_snapshots.to_le_bytes());
             }
             _ => {
                 // What bring-up does with the parts, minus the engines.

@@ -9,12 +9,11 @@ use super::merge::Merge;
 use super::{ExecutorConfig, ExecutorStats};
 use crate::agg::TrendNum;
 use crate::engine::{EngineStats, GretaEngine};
-use crate::grouping::PartitionKey;
 use crate::results::WindowResult;
 use crate::EngineError;
 use crate::MemoryFootprint;
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
-use greta_types::codec::{put_u32, put_u64, Reader};
+use greta_types::codec::{put_u32, Reader};
 use greta_types::CodecError;
 use std::thread::JoinHandle;
 
@@ -25,9 +24,6 @@ pub(super) struct Report {
     /// Engine counters and peak memory, summed over the engines.
     stats: EngineStats,
     peak_bytes: usize,
-    /// Live graph vertices per group of id 0's engines (skew reporting
-    /// covers the rebalanced route group).
-    pub(super) group_vertices: Vec<(PartitionKey, u64)>,
     /// Post-`finish` engine states per hosted query, one entry per shard,
     /// exported when durability is on so the terminal checkpoint reflects
     /// a fully-closed stream.
@@ -43,8 +39,6 @@ pub(super) struct Worker<N: TrendNum> {
     /// Ack ledger of the barrier in flight, if any.
     pub(super) cut: Cut,
     handles: Vec<JoinHandle<Result<Report, EngineError>>>,
-    /// `Export` cuts taken (checkpoints and migrations).
-    pub(super) barrier_snapshots: u64,
     /// The workers' reports, summed; empty until the stream has ended.
     pub(super) ended: Report,
 }
@@ -80,7 +74,6 @@ impl<N: TrendNum> Worker<N> {
             results_rx,
             cut: Cut::new(shards),
             handles,
-            barrier_snapshots: 0,
             ended: Report::default(),
         })
     }
@@ -170,7 +163,6 @@ impl<N: TrendNum> Worker<N> {
                 Ok(report) => {
                     add_stats(&mut self.ended.stats, &report.stats);
                     self.ended.peak_bytes += report.peak_bytes;
-                    self.ended.group_vertices.extend(report.group_vertices);
                     self.ended.final_states.extend(report.final_states);
                 }
                 Err(e) => error = error.or(Some(e)),
@@ -187,30 +179,26 @@ impl<N: TrendNum> Worker<N> {
     }
 
     /// This plane's snapshot section: the shard count the engine blobs of
-    /// the merge section are partitioned for, and the export-cut counter.
-    /// Threads, channels and the (idle, at a cut) ack ledger are rebuilt
-    /// by [`spawn`](Self::spawn).
+    /// the merge section are partitioned for. Threads, channels and the
+    /// (idle, at a cut) ack ledger are rebuilt by [`spawn`](Self::spawn).
     pub(super) fn encode(&self, out: &mut Vec<u8>) {
         put_u32(out, self.shards as u32);
-        put_u64(out, self.barrier_snapshots);
     }
 
     /// Inverse of [`encode`](Self::encode): checks the shard count
-    /// against the manifest's and returns the export-cut counter a
-    /// respawned plane resumes from.
-    pub(super) fn decode(r: &mut Reader<'_>, expect_shards: usize) -> Result<u64, CodecError> {
+    /// against the manifest's.
+    pub(super) fn decode(r: &mut Reader<'_>, expect_shards: usize) -> Result<(), CodecError> {
         let shards = r.u32()? as usize;
         if shards != expect_shards {
             return Err(CodecError(format!(
                 "snapshot has {shards} shard state(s), manifest says {expect_shards}"
             )));
         }
-        r.u64()
+        Ok(())
     }
 
     /// Fill in the counters this plane owns.
     pub(super) fn fill_stats(&self, s: &mut ExecutorStats) {
-        s.barrier_snapshots = self.barrier_snapshots;
         s.channel_occupancy = self.senders.iter().map(Sender::len).collect();
         s.result_occupancy = self.results_rx.len();
         s.engine = self.ended.stats;
@@ -253,9 +241,6 @@ fn worker_loop<N: TrendNum>(
     for s in &slots {
         add_stats(&mut report.stats, &s.engine.stats());
         report.peak_bytes += s.engine.peak_memory_bytes().max(s.engine.memory_bytes());
-        if s.query == 0 {
-            report.group_vertices = s.engine.group_vertices();
-        }
     }
     Ok(report)
 }

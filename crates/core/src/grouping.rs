@@ -4,10 +4,8 @@
 //! partition key).
 
 use greta_query::CompiledQuery;
-use greta_types::codec::{put_u32, put_u64};
-use greta_types::{AttrId, CodecError, Event, Reader, SchemaRegistry, TypeId, Value};
+use greta_types::{AttrId, Event, SchemaRegistry, TypeId, Value};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 /// A partition / group key: attribute values in `partition_attrs` order.
@@ -190,11 +188,11 @@ fn hash_group_slot(h: &mut DefaultHasher, v: Option<&Value>) {
 
 /// The deterministic 64-bit hash of a materialized group key. This is the
 /// *routing hash*: [`StreamRouting::group_hash`] produces bit-identical
-/// values straight off an event (no key materialization), and both the
-/// static shard assignment and [`RoutingTable`] override lookups key on
-/// it, so the hot routing path never has to allocate a [`PartitionKey`].
+/// values straight off an event (no key materialization), and the shard
+/// assignment keys on it, so the hot routing path never has to allocate a
+/// [`PartitionKey`].
 #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
-pub fn group_key_hash(key: &PartitionKey) -> u64 {
+fn group_key_hash(key: &PartitionKey) -> u64 {
     let mut h = DefaultHasher::new();
     for v in &key.0 {
         hash_group_slot(&mut h, v.as_ref());
@@ -202,130 +200,13 @@ pub fn group_key_hash(key: &PartitionKey) -> u64 {
     h.finish()
 }
 
-/// The static (fallback) shard assignment of a routing hash: the
-/// deterministic `hash % shards` every group without a [`RoutingTable`]
-/// pin routes by. Single definition shared by the event router, the
-/// rebalance planner, and state repartitioning — they can never drift.
+/// The shard assignment of a routing hash: the deterministic
+/// `hash % shards` every group routes by. Single definition shared by the
+/// event router and state repartitioning — they can never drift.
 #[inline]
 #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
-pub fn shard_of_hash(h: u64, shards: usize) -> usize {
+fn shard_of_hash(h: u64, shards: usize) -> usize {
     (h % shards.max(1) as u64) as usize
-}
-
-/// A versioned group → shard routing table (one *routing epoch*).
-///
-/// The default table is empty: every group falls back to the deterministic
-/// hash ([`StreamRouting::shard_of_group_key`]), which is the static
-/// assignment the paper's parallel evaluation (§10.4) assumes. When the
-/// executor's skew detector migrates hot groups, it installs explicit
-/// per-group overrides and bumps the epoch; events of groups without an
-/// override keep hashing. Epochs only grow — a snapshot taken under epoch
-/// `e` can never be confused with state from an earlier assignment.
-///
-/// Lookups go through the group's [routing hash](group_key_hash), so the
-/// executor can resolve an event's shard without materializing its key
-/// (`by_hash` is rebuilt from `overrides` on every install/decode — the
-/// two can never drift).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RoutingTable {
-    epoch: u64,
-    overrides: HashMap<PartitionKey, u32>,
-    /// `group_key_hash(key)` → shard, derived from `overrides`.
-    by_hash: HashMap<u64, u32>,
-}
-
-impl RoutingTable {
-    /// Routing-table version: 0 until the first install, then monotone.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Number of groups with an explicit (non-hash) assignment.
-    pub fn len(&self) -> usize {
-        self.overrides.len()
-    }
-
-    /// True when every group still routes by hash.
-    pub fn is_empty(&self) -> bool {
-        self.overrides.is_empty()
-    }
-
-    /// Explicit shard of `group`, if the table pins one. Resolved through
-    /// the group's routing hash, identically to
-    /// [`shard_for_hash`](Self::shard_for_hash) — every lookup path sees
-    /// the same assignment.
-    pub fn shard_for(&self, group: &PartitionKey) -> Option<usize> {
-        self.shard_for_hash(group_key_hash(group))
-    }
-
-    /// Explicit shard pinned for the group with routing hash `h`, if any —
-    /// the allocation-free lookup the executor's hot path uses with a hash
-    /// computed straight off the event.
-    #[inline]
-    pub fn shard_for_hash(&self, h: u64) -> Option<usize> {
-        self.by_hash.get(&h).map(|&s| s as usize)
-    }
-
-    /// Replace the overrides and advance the epoch. Returns the new epoch.
-    pub fn install(&mut self, overrides: HashMap<PartitionKey, u32>) -> u64 {
-        self.by_hash = overrides
-            .iter()
-            .map(|(k, &s)| (group_key_hash(k), s))
-            .collect();
-        self.overrides = overrides;
-        self.epoch += 1;
-        self.epoch
-    }
-
-    /// Drop every override (back to pure hashing) and advance the epoch —
-    /// used when recovery repartitions a snapshot onto a different shard
-    /// count, where the old pinned assignment is meaningless.
-    pub fn reset_for_shards(&mut self) -> u64 {
-        self.overrides.clear();
-        self.by_hash.clear();
-        self.epoch += 1;
-        self.epoch
-    }
-
-    /// Append the binary encoding (`epoch`, override count, `key → shard`
-    /// pairs sorted by key for a deterministic blob).
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.epoch);
-        let mut keys: Vec<&PartitionKey> = self.overrides.keys().collect();
-        keys.sort();
-        put_u32(out, keys.len() as u32);
-        for k in keys {
-            crate::state::encode_key(k, out);
-            put_u32(out, self.overrides[k]);
-        }
-    }
-
-    /// Decode a table encoded by [`RoutingTable::encode`], rejecting shard
-    /// indices outside `0..shards`.
-    pub fn decode(r: &mut Reader<'_>, shards: usize) -> Result<RoutingTable, CodecError> {
-        let epoch = r.u64()?;
-        let n = r.seq_len(8)?;
-        let mut overrides = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let key = crate::state::decode_key(r)?;
-            let shard = r.u32()?;
-            if shard as usize >= shards {
-                return Err(CodecError(format!(
-                    "routing table pins a group to shard {shard}, but only {shards} exist"
-                )));
-            }
-            overrides.insert(key, shard);
-        }
-        let by_hash = overrides
-            .iter()
-            .map(|(k, &s)| (group_key_hash(k), s))
-            .collect();
-        Ok(RoutingTable {
-            epoch,
-            overrides,
-            by_hash,
-        })
-    }
 }
 
 /// Unified routing view of a compiled query, shared by [`GretaEngine`]
@@ -402,11 +283,9 @@ impl StreamRouting {
     }
 
     /// Routing hash of the event's `GROUP-BY` group, computed straight off
-    /// the event — bit-identical to [`group_key_hash`] of the materialized
+    /// the event — bit-identical to hashing the materialized
     /// [`group_key`](Self::group_key), with no allocation. This one value
-    /// drives the static shard assignment (`hash % shards`), the
-    /// [`RoutingTable`] override lookup, and the skew detector's per-group
-    /// counters.
+    /// drives the shard assignment (`hash % shards`).
     #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub fn group_hash(&self, e: &Event) -> u64 {
         let mut h = DefaultHasher::new();
@@ -440,8 +319,8 @@ impl StreamRouting {
     /// Hash a *materialized* group key to a shard, bit-identical to the
     /// off-event path of [`shard_of`](Self::shard_of): a key produced by
     /// [`group_key`](Self::group_key) lands on the same shard whichever
-    /// entry point hashed it. This is the fallback assignment for groups a
-    /// [`RoutingTable`] does not pin.
+    /// entry point hashed it. Recovery onto another shard count
+    /// repartitions engine state by it.
     #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub fn shard_of_group_key(&self, key: &PartitionKey, shards: usize) -> usize {
         shard_of_hash(group_key_hash(key), shards)
@@ -451,7 +330,7 @@ impl StreamRouting {
     /// broadcast classification per event type and the same `GROUP-BY`
     /// attribute slots (so [`group_hash`](Self::group_hash) agrees on every
     /// event). Queries whose routings agree this way can share one routed
-    /// event plane — and one [`RoutingTable`] — inside a multi-query
+    /// event plane inside a multi-query
     /// executor: each event is classified and hashed once for the whole
     /// set.
     pub fn routes_like(&self, other: &StreamRouting) -> bool {
@@ -599,43 +478,13 @@ mod tests {
                 );
             }
             // The off-event routing hash is bit-identical to hashing the
-            // materialized key: counters and table lookups keyed on either
-            // can never disagree.
+            // materialized key: the router and a repartition keyed on
+            // either can never disagree.
             assert_eq!(
                 routing.group_hash(&p),
                 group_key_hash(&routing.group_key(&p)),
                 "vehicle={vehicle} segment={segment}"
             );
         }
-    }
-
-    #[test]
-    fn routing_table_overrides_epoch_and_codec() {
-        let mut table = RoutingTable::default();
-        assert!(table.is_empty());
-        assert_eq!(table.epoch(), 0);
-        let g = |v: i64| PartitionKey(vec![Some(Value::Int(v))]);
-        let mut overrides = HashMap::new();
-        overrides.insert(g(1), 3u32);
-        overrides.insert(g(2), 0u32);
-        assert_eq!(table.install(overrides), 1);
-        assert_eq!(table.shard_for(&g(1)), Some(3));
-        assert_eq!(table.shard_for(&g(2)), Some(0));
-        assert_eq!(table.shard_for(&g(9)), None); // falls back to hash
-        assert_eq!(table.len(), 2);
-        // Hash-keyed lookups see the same pins as key lookups.
-        assert_eq!(table.shard_for_hash(group_key_hash(&g(1))), Some(3));
-        assert_eq!(table.shard_for_hash(group_key_hash(&g(9))), None);
-
-        let mut buf = Vec::new();
-        table.encode(&mut buf);
-        let got = RoutingTable::decode(&mut greta_types::Reader::new(&buf), 4).unwrap();
-        assert_eq!(got, table);
-        // A pin outside the shard range is rejected.
-        assert!(RoutingTable::decode(&mut greta_types::Reader::new(&buf), 3).is_err());
-
-        assert_eq!(table.reset_for_shards(), 2);
-        assert!(table.is_empty());
-        assert_eq!(table.epoch(), 2);
     }
 }

@@ -43,7 +43,6 @@ pub mod protocol_model;
 pub mod reorder;
 pub mod results;
 pub mod semantics;
-pub mod sketch;
 mod state;
 pub mod storage;
 pub mod window;
@@ -53,12 +52,11 @@ pub use engine::{EngineConfig, EngineStats, GretaEngine};
 pub use error::EngineError;
 pub use executor::{
     EmissionMode, ExecutorConfig, ExecutorStats, LatePolicy, QueryId, QueryStreamStats,
-    RebalanceConfig, StreamExecutor,
+    StreamExecutor,
 };
-pub use grouping::{group_key_hash, shard_of_hash, PartitionKey, RoutingTable, StreamRouting};
+pub use grouping::{PartitionKey, StreamRouting};
 pub use memory::MemoryFootprint;
 pub use reorder::{ReorderBuffer, ResultMerge};
 pub use results::{sort_canonical, OutValue, WindowResult};
 pub use semantics::Semantics;
-pub use sketch::GroupSketch;
 pub use window::{window_close_time, windows_of, WindowId};

@@ -2,12 +2,11 @@
 //! shipped code.
 //!
 //! [`crate::executor::StreamExecutor`] coordinates its shard workers
-//! over FIFO channels: events are routed as frames, and checkpoints,
-//! rebalances, and query registration changes travel **in-band** on the
-//! same channels as one barrier message. Every shard answers every barrier
-//! with one ack on the result channel, behind the rows it emitted before
-//! the barrier, and the coordinator absorbs that channel until all shards
-//! have acked.
+//! over FIFO channels: events are routed as frames, and checkpoints and
+//! query registration changes travel **in-band** on the same channels as
+//! one barrier message. Every shard answers every barrier with one ack on
+//! the result channel, behind the rows it emitted before the barrier, and
+//! the coordinator absorbs that channel until all shards have acked.
 //!
 //! Which interleaving of shard progress and coordinator progress a real
 //! run takes is up to the OS scheduler, so example tests cannot cover the
@@ -63,9 +62,6 @@ pub enum Op {
     Ingest,
     /// Cut an export barrier across every shard.
     Checkpoint,
-    /// Cut an export barrier, move every engine's state to another shard,
-    /// and cut an install barrier.
-    Rebalance,
     /// Register query `id` on every shard (an add barrier).
     Register(u32),
     /// Deregister query `id` (a remove barrier); each shard must deliver
@@ -210,7 +206,6 @@ impl ShardEngine for ToyEngine {
     fn emission_frontier(&self) -> WindowId {
         0
     }
-    fn close_overdue(&mut self) {}
 }
 
 /// The event with sequence number (and time stamp) `seq`.
@@ -259,7 +254,7 @@ struct Shard {
 
 /// What the cut in flight is for.
 enum Pending {
-    Export { rebalance: bool },
+    Export,
     Remove(u32),
     Other,
 }
@@ -365,10 +360,7 @@ impl<'a> Run<'a> {
                     frame: vec![toy_event(seq)],
                 });
             }
-            Op::Checkpoint | Op::Rebalance => {
-                let rebalance = op == Op::Rebalance;
-                self.start_cut(Pending::Export { rebalance }, |_| BarrierKind::Export);
-            }
+            Op::Checkpoint => self.start_cut(Pending::Export, |_| BarrierKind::Export),
             Op::Register(q) => {
                 self.actives.push((q, self.seq));
                 self.start_cut(Pending::Other, |_| {
@@ -479,12 +471,10 @@ impl<'a> Run<'a> {
         Ok(())
     }
 
-    /// Every shard has acked: invariant 1 on an export, then the install
-    /// half of a rebalance.
+    /// Every shard has acked: invariant 1 on an export.
     fn complete_cut(&mut self) -> Result<(), Broken> {
         let per_shard = self.cut.take();
-        let Pending::Export { rebalance } = std::mem::replace(&mut self.pending, Pending::Other)
-        else {
+        let Pending::Export = std::mem::replace(&mut self.pending, Pending::Other) else {
             return Ok(());
         };
         for &(q, since) in &self.actives {
@@ -506,23 +496,6 @@ impl<'a> Run<'a> {
                     ),
                 ));
             }
-        }
-        if rebalance {
-            // Repartition: every state moves one shard down.
-            let shards = self.cfg.shards;
-            self.start_cut(Pending::Other, |s| {
-                let moved = per_shard[(s + 1) % shards].iter().map(|(q, blob)| {
-                    let seen = ToyEngine::seen_in(blob);
-                    (
-                        *q,
-                        ToyEngine {
-                            seen,
-                            ready: Vec::new(),
-                        },
-                    )
-                });
-                BarrierKind::Install(moved.collect())
-            });
         }
         Ok(())
     }
@@ -697,17 +670,6 @@ mod tests {
     fn single_ingest_is_clean() {
         let r = explore(&cfg(2, vec![Op::Register(1), Op::Ingest, Op::Checkpoint])).unwrap();
         assert!(r.schedules > 1);
-    }
-
-    #[test]
-    fn rebalance_moves_state_without_losing_rows() {
-        // Event 1's state moves from shard 1 to shard 0, where event 2
-        // lands on top of it and releases event 1's open row.
-        explore(&cfg(
-            2,
-            vec![Op::Register(1), Op::Ingest, Op::Rebalance, Op::Ingest],
-        ))
-        .unwrap();
     }
 
     #[test]

@@ -161,10 +161,7 @@ impl ReorderBuffer {
 /// released in canonical `(window, group)` order and the released
 /// watermark (`released_to`) advances monotonically. Frontier updates
 /// arrive from window-close watermark broadcasts and from barrier drains
-/// (checkpoint / migration), and survive routing-epoch bumps: a barrier
-/// migration swaps the engines behind the shards but never rewinds a
-/// frontier, because the repartitioned engines resume from the *max*
-/// source watermark.
+/// (checkpoint, register, deregister).
 #[derive(Debug, Clone)]
 pub struct ResultMerge<N: TrendNum> {
     /// Per-shard emission frontier: shard `s` will never emit a row for a

@@ -1,7 +1,6 @@
 //! Property-based roundtrips for every persisted codec: data-model values
-//! (`greta_types::codec`), the public pieces of an executor snapshot
-//! (`GroupSketch`, `RoutingTable`), and — last in the file, example-based —
-//! the executor snapshot as a whole.
+//! (`greta_types::codec`) and — last in the file, example-based — the
+//! executor snapshot as a whole.
 //!
 //! Two properties per codec, mirroring the codec-symmetry lint's contract:
 //!
@@ -16,12 +15,11 @@
 //! tuples, `vec`, `prop_oneof!`, `prop_map`): floats are generated from
 //! arbitrary bit patterns and strings from an explicit charset.
 
-use greta_core::{group_key_hash, GroupSketch, PartitionKey, RoutingTable};
-use greta_types::codec::{GroupStats, Reader};
+use greta_types::codec::Reader;
 use greta_types::{Event, Schema, SchemaRegistry, Time, TypeId, Value};
 use proptest::prelude::*;
 use proptest::BoxedStrategy;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 // ---------------------------------------------------------------- strategies
 
@@ -89,19 +87,6 @@ fn registry() -> BoxedStrategy<SchemaRegistry> {
     )
 }
 
-/// Partition key: per-attribute grouping values, `None` = ungrouped slot.
-fn partition_key() -> BoxedStrategy<PartitionKey> {
-    proptest::collection::vec(
-        prop_oneof![
-            Just(None),
-            any::<i64>().prop_map(|i| Some(Value::Int(i))),
-            name().prop_map(|s| Some(Value::from(s.as_str()))),
-        ],
-        0..3,
-    )
-    .prop_map(PartitionKey)
-}
-
 fn encode_value(v: &Value) -> Vec<u8> {
     let mut out = Vec::new();
     v.encode(&mut out);
@@ -112,17 +97,6 @@ fn encode_event(e: &Event) -> Vec<u8> {
     let mut out = Vec::new();
     e.encode(&mut out);
     out
-}
-
-fn sketch_from(traffic: &[(PartitionKey, u64)], capacity: usize) -> GroupSketch {
-    let mut sketch = GroupSketch::new(capacity);
-    for (key, events) in traffic {
-        for _ in 0..*events {
-            let k = key.clone();
-            sketch.bump_events(group_key_hash(key), move || k);
-        }
-    }
-    sketch
 }
 
 // --------------------------------------------------------------- roundtrips
@@ -177,69 +151,6 @@ proptest! {
             prop_assert_eq!(&got.schema(id).attributes, &s.attributes);
         }
     }
-
-    /// `GroupStats` roundtrips across the full `u64` range.
-    #[test]
-    fn group_stats_roundtrips(events in any::<u64>(), vertices in any::<u64>()) {
-        let s = GroupStats { events, vertices };
-        let mut buf = Vec::new();
-        s.encode(&mut buf);
-        let mut r = Reader::new(&buf);
-        prop_assert_eq!(GroupStats::decode(&mut r).expect("decode"), s);
-        prop_assert!(r.is_empty());
-    }
-
-    /// Snapshot section: a `GroupSketch` built from arbitrary bump/vertex
-    /// traffic re-encodes byte-identically after decode — the property the
-    /// byte-identical-snapshot guarantee rests on.
-    #[test]
-    fn group_sketch_roundtrips(
-        traffic in proptest::collection::vec((partition_key(), 1u64..30), 0..12),
-        vertex_adds in proptest::collection::vec((0usize..12, 1u64..9), 0..6),
-    ) {
-        let mut sketch = sketch_from(&traffic, 64); // above traffic len: no compaction
-        for (i, n) in &vertex_adds {
-            if let Some((key, _)) = traffic.get(*i) {
-                sketch.add_vertices(key, *n);
-            }
-        }
-        let mut buf = Vec::new();
-        sketch.encode(&mut buf);
-        let mut r = Reader::new(&buf);
-        let got = GroupSketch::decode(64, &mut r).expect("decode of valid encoding");
-        prop_assert!(r.is_empty());
-        let mut buf2 = Vec::new();
-        got.encode(&mut buf2);
-        prop_assert_eq!(buf2, buf);
-        prop_assert_eq!(got.len(), sketch.len());
-    }
-
-    /// Snapshot section: a `RoutingTable` with arbitrary pinned groups
-    /// roundtrips exactly (epoch, overrides, and the derived hash index).
-    #[test]
-    fn routing_table_roundtrips(
-        pins in proptest::collection::vec((partition_key(), 0u32..4), 0..8),
-        installs in 1usize..4,
-    ) {
-        let shards = 4;
-        // Duplicate generated keys collapse here (last one wins) — assert
-        // against the installed map, not the raw pin list.
-        let overrides: HashMap<PartitionKey, u32> = pins.into_iter().collect();
-        let mut table = RoutingTable::default();
-        for _ in 0..installs {
-            // Re-installing advances the epoch; encode must carry it.
-            table.install(overrides.clone());
-        }
-        let mut buf = Vec::new();
-        table.encode(&mut buf);
-        let mut r = Reader::new(&buf);
-        let got = RoutingTable::decode(&mut r, shards).expect("decode of valid encoding");
-        prop_assert!(r.is_empty());
-        prop_assert_eq!(&got, &table);
-        for (key, shard) in &overrides {
-            prop_assert_eq!(got.shard_for(key), Some(*shard as usize));
-        }
-    }
 }
 
 // ------------------------------------------------- truncation and corruption
@@ -276,52 +187,9 @@ proptest! {
         }
     }
 
-    /// Single-byte corruption in a snapshot's routing-table section never
-    /// panics; whatever does decode is itself a well-formed table that
-    /// re-encodes and re-decodes to an identical value.
-    #[test]
-    fn corrupted_routing_table_never_panics(
-        pins in proptest::collection::vec((partition_key(), 0u32..4), 0..6),
-        idx_sel in any::<u64>(),
-        flip in 1u8..=255,
-    ) {
-        let shards = 4;
-        let mut table = RoutingTable::default();
-        table.install(pins.into_iter().collect::<HashMap<_, _>>());
-        let mut buf = Vec::new();
-        table.encode(&mut buf);
-        let i = (idx_sel % buf.len() as u64) as usize;
-        buf[i] ^= flip;
-        if let Ok(got) = RoutingTable::decode(&mut Reader::new(&buf), shards) {
-            let mut buf2 = Vec::new();
-            got.encode(&mut buf2);
-            let again = RoutingTable::decode(&mut Reader::new(&buf2), shards)
-                .expect("re-encoding of a decoded table is valid");
-            prop_assert_eq!(again, got);
-        }
-    }
-
-    /// Single-byte corruption in a group-sketch section never panics; a
-    /// successful decode still respects the capacity bound (the decoder
-    /// compacts immediately if the blob claims more groups than allowed).
-    #[test]
-    fn corrupted_group_sketch_never_panics(
-        traffic in proptest::collection::vec((partition_key(), 1u64..20), 1..6),
-        idx_sel in any::<u64>(),
-        flip in 1u8..=255,
-    ) {
-        let sketch = sketch_from(&traffic, 8);
-        let mut buf = Vec::new();
-        sketch.encode(&mut buf);
-        let i = (idx_sel % buf.len() as u64) as usize;
-        buf[i] ^= flip;
-        if let Ok(got) = GroupSketch::decode(8, &mut Reader::new(&buf)) {
-            prop_assert!(got.len() <= 8);
-        }
-    }
 }
 
-// ---------------------------------------------------- executor snapshot (v7)
+// ---------------------------------------------------- executor snapshot (v8)
 //
 // A checkpoint is a version byte and the four plane sections. The planes
 // are private to `greta_core::executor`, so section by section (`encode` →
@@ -332,8 +200,8 @@ proptest! {
 
 mod executor_snapshot {
     use greta_core::{
-        EmissionMode, EngineError, ExecutorConfig, LatePolicy, PartitionKey, RebalanceConfig,
-        StreamExecutor, StreamRouting,
+        EmissionMode, EngineError, ExecutorConfig, LatePolicy, PartitionKey, StreamExecutor,
+        StreamRouting,
     };
     use greta_durability::{DurabilityConfig, Manifest, SnapshotStore};
     use greta_query::CompiledQuery;
@@ -352,10 +220,6 @@ mod executor_snapshot {
             slack: 3,
             late_policy: LatePolicy::Divert,
             emission: EmissionMode::WindowOrdered,
-            rebalance: Some(RebalanceConfig {
-                check_every_windows: 2,
-                imbalance_ratio: 1.2,
-            }),
             durability: Some(durability),
             ..Default::default()
         }
@@ -363,7 +227,7 @@ mod executor_snapshot {
 
     /// Run a two-query durable executor until every section of its
     /// checkpoint holds something — buffered reorder events, a diverted
-    /// event, pinned groups, skew sketches, un-polled rows — then
+    /// event, per-shard counts skewed onto one shard, un-polled rows — then
     /// checkpoint and crash. Returns what `recover` needs and the blob.
     fn checkpointed(name: &str) -> (PathBuf, SchemaRegistry, CompiledQuery, u64, Vec<u8>) {
         let dir = std::env::temp_dir().join(format!("greta-codec-{name}-{}", std::process::id()));
@@ -394,7 +258,8 @@ mod executor_snapshot {
         exec.push(ev(100, hot[0])).unwrap(); // far behind the slack: diverted
         exec.checkpoint().unwrap();
         let stats = exec.stats();
-        assert!(stats.routing_epoch > 0 && stats.late_diverted == 1);
+        assert_eq!(stats.late_diverted, 1);
+        assert!(stats.events_per_shard[0] > stats.events_per_shard[1]);
         assert!(stats.pushed - stats.late_diverted > stats.released);
         assert!(stats.queries.iter().all(|q| q.pending_rows > 0));
         drop(exec); // crash
@@ -405,22 +270,16 @@ mod executor_snapshot {
 
     /// Decode the whole blob (`recover`), encode it again at once
     /// (`checkpoint`): nothing was pushed in between, so the second blob is
-    /// the first except for the export-cut counter the second checkpoint
-    /// bumped — one byte, up by one.
+    /// the first, byte for byte.
     #[test]
     fn decode_then_encode_reproduces_the_blob() {
         let (dir, reg, q0, epoch, first) = checkpointed("reencode");
-        assert_eq!(first[0], 7, "snapshot format version");
+        assert_eq!(first[0], 8, "snapshot format version");
         let mut exec = StreamExecutor::<u64>::recover(q0, reg, config(&dir)).unwrap();
         exec.checkpoint().unwrap();
         drop(exec);
         let second = SnapshotStore::open(&dir).unwrap().read(epoch + 1).unwrap();
-        assert_eq!(second.len(), first.len());
-        let differing: Vec<usize> = (0..first.len())
-            .filter(|&i| first[i] != second[i])
-            .collect();
-        assert_eq!(differing.len(), 1, "blobs differ at {differing:?}");
-        assert_eq!(second[differing[0]], first[differing[0]] + 1);
+        assert_eq!(second, first);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -452,9 +311,9 @@ mod executor_snapshot {
     /// The previous format is refused by its version byte, whatever
     /// follows it.
     #[test]
-    fn a_v6_blob_is_refused_by_version() {
-        let (dir, reg, q0, epoch, mut blob) = checkpointed("v6");
-        blob[0] = 6;
+    fn a_v7_blob_is_refused_by_version() {
+        let (dir, reg, q0, epoch, mut blob) = checkpointed("v7");
+        blob[0] = 7;
         SnapshotStore::open(&dir)
             .unwrap()
             .write(epoch, &blob)
@@ -463,7 +322,7 @@ mod executor_snapshot {
             .err()
             .unwrap();
         assert!(
-            err.to_string().contains("unsupported snapshot version 6"),
+            err.to_string().contains("unsupported snapshot version 7"),
             "{err}"
         );
         let _ = std::fs::remove_dir_all(&dir);

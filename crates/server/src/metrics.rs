@@ -175,7 +175,7 @@ pub(crate) fn render(server: &ServerMetrics, sessions: &[SessionMetrics<'_>]) ->
         (
             "greta_broadcast_events_total",
             "counter",
-            "Events broadcast to every shard (no partition key), by route group 0 only.",
+            "Events broadcast to every shard (no partition key), once per route group.",
             |s| s.broadcasts as f64,
         ),
         (
@@ -195,30 +195,6 @@ pub(crate) fn render(server: &ServerMetrics, sessions: &[SessionMetrics<'_>]) ->
             "counter",
             "Durability checkpoints taken.",
             |s| s.checkpoints as f64,
-        ),
-        (
-            "greta_barrier_snapshots_total",
-            "counter",
-            "Checkpoints taken via barrier snapshot.",
-            |s| s.barrier_snapshots as f64,
-        ),
-        (
-            "greta_rebalances_total",
-            "counter",
-            "Shard rebalance operations.",
-            |s| s.rebalances as f64,
-        ),
-        (
-            "greta_groups_moved_total",
-            "counter",
-            "Groups moved between shards by rebalancing.",
-            |s| s.groups_moved as f64,
-        ),
-        (
-            "greta_routing_epoch",
-            "gauge",
-            "Current routing epoch (bumps on every rebalance).",
-            |s| s.routing_epoch as f64,
         ),
         (
             "greta_result_occupancy_rows",
@@ -347,7 +323,7 @@ pub(crate) fn render(server: &ServerMetrics, sessions: &[SessionMetrics<'_>]) ->
     r.family(
         "greta_shard_events_total",
         "counter",
-        "Events routed to each shard by route group 0 (broadcasts count once per shard).",
+        "Events routed to each shard by every route group (broadcasts count once per shard).",
     );
     for s in sessions {
         let id = s.id.to_string();

@@ -288,36 +288,6 @@ impl SchemaRegistry {
     }
 }
 
-/// Per-group load counters (events routed to the group, graph vertices
-/// inserted for it). The executor's skew detector aggregates these per
-/// shard; snapshots persist them so a recovered executor keeps detecting
-/// skew from where the original run left off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct GroupStats {
-    /// Events routed to the group.
-    pub events: u64,
-    /// Graph vertices ever inserted into the group's partitions — a
-    /// lifetime count, purged panes included (reported at finish, when
-    /// every pane has been purged).
-    pub vertices: u64,
-}
-
-impl GroupStats {
-    /// Append the binary encoding (`events, vertices`).
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.events);
-        put_u64(out, self.vertices);
-    }
-
-    /// Decode counters encoded by [`GroupStats::encode`].
-    pub fn decode(r: &mut Reader<'_>) -> Result<GroupStats, CodecError> {
-        Ok(GroupStats {
-            events: r.u64()?,
-            vertices: r.u64()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,20 +336,6 @@ mod tests {
         let got = Event::decode(&mut Reader::new(&buf)).unwrap();
         assert_eq!(got, e);
         assert_eq!(got.time, Time(99));
-    }
-
-    #[test]
-    fn group_stats_roundtrip() {
-        let s = GroupStats {
-            events: 123_456,
-            vertices: u64::MAX,
-        };
-        let mut buf = Vec::new();
-        s.encode(&mut buf);
-        let mut r = Reader::new(&buf);
-        assert_eq!(GroupStats::decode(&mut r).unwrap(), s);
-        assert!(r.is_empty());
-        assert!(GroupStats::decode(&mut Reader::new(&buf[..9])).is_err());
     }
 
     #[test]

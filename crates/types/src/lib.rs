@@ -23,7 +23,7 @@ pub mod stream;
 pub mod time;
 pub mod value;
 
-pub use codec::{CodecError, GroupStats, Reader};
+pub use codec::{CodecError, Reader};
 pub use error::TypeError;
 pub use event::{shared_heap_size, Event, EventBuilder, EventRef};
 pub use schema::{AttrId, Schema, SchemaRegistry, TypeId};

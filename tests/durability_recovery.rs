@@ -1,17 +1,18 @@
 //! End-to-end durability: checkpoint → crash → recover on the paper's
 //! workloads (Q1 stock, Q2 cluster), crash at arbitrary points (proptest
-//! against an uninterrupted oracle), and corrupted-log handling (torn
-//! tails recover, checksum corruption is a clean error).
+//! against an uninterrupted oracle), recovery onto another shard count,
+//! and corrupted-log handling (torn tails recover, checksum corruption is
+//! a clean error).
 
 use greta::core::{
     EngineError, ExecutorConfig, GretaEngine, LatePolicy, PartitionKey, StreamExecutor,
-    WindowResult,
+    StreamRouting, WindowResult,
 };
 use greta::durability::{
     DurabilityConfig, DurabilityError, Manifest, SnapshotStore, TailPolicy, Wal,
 };
 use greta::query::CompiledQuery;
-use greta::types::{Event, SchemaRegistry, Time, Value};
+use greta::types::{Event, EventBuilder, SchemaRegistry, Time, Value};
 use greta::workloads::{ClusterConfig, ClusterGen, StockConfig, StockGen};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -461,6 +462,181 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Recovery onto another shard count
+// ---------------------------------------------------------------------
+
+/// Q1-shaped grouped query over a synthetic `M` stream.
+fn grp_q() -> (SchemaRegistry, CompiledQuery) {
+    let mut reg = SchemaRegistry::new();
+    reg.register_type("M", &["grp", "load"]).unwrap();
+    let q = CompiledQuery::parse(
+        "RETURN grp, COUNT(*) PATTERN M+ WHERE M.load < NEXT(M).load \
+         GROUP-BY grp WITHIN 40 SLIDE 20",
+        &reg,
+    )
+    .unwrap();
+    (reg, q)
+}
+
+/// The first `n` group ids whose hash lands on shard 0 of `shards`: hot
+/// keys that pin one shard, the skew a recovery at another shard count
+/// spreads.
+fn colliding_groups(reg: &SchemaRegistry, q: &CompiledQuery, shards: usize, n: usize) -> Vec<i64> {
+    let routing = StreamRouting::new(q, reg);
+    (0..10_000i64)
+        .filter(|g| {
+            routing.shard_of_group_key(&PartitionKey(vec![Some(Value::Int(*g))]), shards) == 0
+        })
+        .take(n)
+        .collect()
+}
+
+/// 90/10 hot-key stream: 90% of events round-robin the `hot` groups, the
+/// rest spread over a `cold`-group tail. One event per tick.
+fn skewed_events(reg: &SchemaRegistry, n: usize, hot: &[i64], cold: i64) -> Vec<Event> {
+    (0..n as u64)
+        .map(|t| {
+            let grp = if t % 10 < 9 {
+                hot[(t % hot.len() as u64) as usize]
+            } else {
+                100_000 + (t % cold as u64) as i64
+            };
+            EventBuilder::new(reg, "M")
+                .unwrap()
+                .at(Time(t))
+                .set("grp", grp)
+                .unwrap()
+                .set("load", ((t * 31) % 17) as f64)
+                .unwrap()
+                .build()
+        })
+        .collect()
+}
+
+#[test]
+fn recover_into_wider_and_narrower_executors_is_byte_identical() {
+    let (reg, q) = grp_q();
+    let hot = colliding_groups(&reg, &q, 4, 3);
+    let events = skewed_events(&reg, 500, &hot, 29);
+    let expect = oracle(&q, &reg, &events);
+    for (from, to) in [(2usize, 4usize), (4, 2), (3, 5), (4, 1)] {
+        let dir = tmpdir(&format!("reshard-{from}-{to}"));
+        let mut committed = Vec::new();
+        {
+            let mut exec =
+                StreamExecutor::<u64>::new(q.clone(), reg.clone(), durable(&dir, from, 4)).unwrap();
+            for e in &events[..300] {
+                exec.push(e.clone()).unwrap();
+                committed.extend(exec.poll_results());
+            }
+            exec.checkpoint().unwrap();
+            // Log a few more events after the checkpoint so the WAL tail
+            // is replayed through the *resharded* routing on recovery.
+            for e in &events[300..350] {
+                exec.push(e.clone()).unwrap();
+                committed.extend(exec.poll_results());
+            }
+        } // crash
+        let mut exec =
+            StreamExecutor::<u64>::recover(q.clone(), reg.clone(), durable(&dir, to, 4)).unwrap();
+        assert_eq!(exec.shards(), to, "{from}→{to}");
+        for e in &events[350..] {
+            exec.push(e.clone()).unwrap();
+            committed.extend(exec.poll_results());
+        }
+        committed.extend(exec.finish().unwrap());
+        // Rows emitted between the checkpoint and the crash are re-emitted
+        // deterministically; dedup on (window, group) like an idempotent
+        // sink would.
+        let mut rows = sorted(committed);
+        rows.dedup_by(|a, b| a.window == b.window && a.group == b.group);
+        assert_eq!(rows, expect, "{from}→{to}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn recover_with_same_shard_count_still_works_unchanged() {
+    // Guard against the resharding path regressing the common case.
+    let (reg, q) = grp_q();
+    let hot = colliding_groups(&reg, &q, 4, 2);
+    let events = skewed_events(&reg, 300, &hot, 11);
+    let expect = oracle(&q, &reg, &events);
+    let dir = tmpdir("same-count");
+    let mut committed = Vec::new();
+    {
+        let mut exec =
+            StreamExecutor::<u64>::new(q.clone(), reg.clone(), durable(&dir, 3, 4)).unwrap();
+        for e in &events[..150] {
+            exec.push(e.clone()).unwrap();
+            committed.extend(exec.poll_results());
+        }
+        exec.checkpoint().unwrap();
+    }
+    let mut exec =
+        StreamExecutor::<u64>::recover(q.clone(), reg.clone(), durable(&dir, 3, 4)).unwrap();
+    assert_eq!(exec.shards(), 3);
+    for e in &events[150..] {
+        exec.push(e.clone()).unwrap();
+        committed.extend(exec.poll_results());
+    }
+    committed.extend(exec.finish().unwrap());
+    assert_eq!(sorted(committed), expect);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    /// Mid-stream crash + recovery into a random different shard count
+    /// on a skewed stream: byte-identical after idempotent-sink dedup.
+    #[test]
+    fn resharded_recovery_is_byte_identical(
+        spec in proptest::collection::vec((0u8..=255, 0u8..=255), 60..140),
+        from in 2usize..5,
+        to in 1usize..6,
+        cut_pct in 20u8..80,
+    ) {
+        let (reg, q) = grp_q();
+        let mut t = 0u64;
+        let events: Vec<Event> = spec.iter().map(|(skew, load)| {
+            t += 1;
+            let grp = if skew % 10 < 9 { (*skew as i64) % 3 } else { 3 + (*load as i64) % 13 };
+            EventBuilder::new(&reg, "M")
+                .unwrap()
+                .at(Time(t))
+                .set("grp", grp).unwrap()
+                .set("load", (*load % 16) as f64).unwrap()
+                .build()
+        }).collect();
+        let expect = oracle(&q, &reg, &events);
+        let cut = events.len() * cut_pct as usize / 100;
+        let dir = tmpdir(&format!("prop-reshard-{from}-{to}-{}", spec.len()));
+        let mut committed = Vec::new();
+        {
+            let mut exec =
+                StreamExecutor::<u64>::new(q.clone(), reg.clone(), durable(&dir, from, 4)).unwrap();
+            for e in &events[..cut] {
+                exec.push(e.clone()).unwrap();
+                committed.extend(exec.poll_results());
+            }
+            exec.checkpoint().unwrap();
+        } // crash
+        let mut exec =
+            StreamExecutor::<u64>::recover(q.clone(), reg.clone(), durable(&dir, to, 4)).unwrap();
+        for e in &events[cut..] {
+            exec.push(e.clone()).unwrap();
+            committed.extend(exec.poll_results());
+        }
+        committed.extend(exec.finish().unwrap());
+        let mut rows = sorted(committed);
+        rows.dedup_by(|a, b| a.window == b.window && a.group == b.group);
+        prop_assert_eq!(rows, expect);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+// ---------------------------------------------------------------------
 // Corrupted logs
 // ---------------------------------------------------------------------
 
@@ -563,8 +739,9 @@ fn snapshot_corruption_is_a_clean_recovery_error() {
 
 #[test]
 fn snapshot_of_an_older_format_version_is_refused_not_misread() {
-    // A checksum-valid blob whose executor-format version byte says 6
-    // (the layout before the blob was regrouped by plane) or 5 (before
+    // A checksum-valid blob whose executor-format version byte says 7
+    // (the layout that still carried the routing table and skew
+    // sketches), 6 (before the blob was regrouped by plane) or 5 (before
     // every query became the same section): recovery must name the
     // version and stop, whatever the bytes behind it say.
     let dir = tmpdir("old-version");
@@ -580,7 +757,7 @@ fn snapshot_of_an_older_format_version_is_refused_not_misread() {
     let epoch = Manifest::load(&dir).unwrap().expect("manifest").epoch;
     let store = SnapshotStore::open(&dir).unwrap();
     let mut blob = store.read(epoch).unwrap();
-    for old in [6u8, 5] {
+    for old in [7u8, 6, 5] {
         blob[0] = old;
         store.write(epoch, &blob).unwrap();
         let err = StreamExecutor::<u64>::recover(q.clone(), reg.clone(), durable(&dir, 2, 2))

@@ -3,13 +3,13 @@
 //! registered queries, each with its own compiled plan, emission mode, and
 //! result channel. Every query's output must be byte-identical to its
 //! standalone single-query run — across shard counts, live
-//! register/deregister barriers (under rebalancing), crash/recovery with
+//! register/deregister barriers (on a skewed stream), crash/recovery with
 //! the registry in the snapshot/WAL, and a two-stage cascaded DAG driven
 //! by `min_frontier`.
 
 use greta::core::{
     sort_canonical, EmissionMode, ExecutorConfig, GretaEngine, PartitionKey, QueryId,
-    RebalanceConfig, StreamExecutor, StreamRouting, WindowResult,
+    StreamExecutor, StreamRouting, WindowResult,
 };
 use greta::durability::DurabilityConfig;
 use greta::query::CompiledQuery;
@@ -146,10 +146,10 @@ fn three_queries_share_one_stream_byte_identical() {
 }
 
 #[test]
-fn register_and_deregister_mid_stream_under_rebalancing() {
+fn register_and_deregister_mid_stream_on_a_skewed_stream() {
     let reg = setup();
-    // Skewed stream: the hot grp keys all hash to shard 0 of 4 so the
-    // detector migrates state mid-run while queries come and go.
+    // Skewed stream: the hot grp keys all hash to shard 0 of 4, so one
+    // shard carries the load while queries come and go.
     let qa = CompiledQuery::parse(QA, &reg).unwrap();
     let routing = StreamRouting::new(&qa, &reg);
     let hot: Vec<i64> = (0..10_000i64)
@@ -188,10 +188,6 @@ fn register_and_deregister_mid_stream_under_rebalancing() {
         reg.clone(),
         ExecutorConfig {
             shards: 4,
-            rebalance: Some(RebalanceConfig {
-                check_every_windows: 2,
-                imbalance_ratio: 1.2,
-            }),
             ..Default::default()
         },
     )
@@ -220,7 +216,11 @@ fn register_and_deregister_mid_stream_under_rebalancing() {
     }
     rows_a.extend(exec.finish().unwrap());
     let stats = exec.stats();
-    assert!(stats.rebalances >= 1, "stream must migrate mid-run");
+    assert!(
+        stats.events_per_shard[0] * 10 >= stats.released * 9,
+        "the hot keys must pin shard 0: {:?}",
+        stats.events_per_shard
+    );
     assert_eq!(
         exec.query_epoch(),
         epoch_before + 2,
@@ -404,7 +404,7 @@ fn wal_replays_registration_made_after_the_last_checkpoint() {
     let events = events(&reg, 400);
     // Registration lands at the release frontier: event 259 is still in
     // the reorder buffer at the cut and is released after it, so the
-    // query's stream starts at index 259 (see the rebalancing test).
+    // query's stream starts at index 259 (see the skewed-stream test).
     let expect_b = oracle(QB, &reg, &events[259..]);
     let dir = tmpdir("wal-register");
     let mk_cfg = || ExecutorConfig {
