@@ -79,7 +79,7 @@ impl CetEngine {
                     let acc = results
                         .entry((wid, group.clone()))
                         .or_insert_with(|| AggState::zero(&layout));
-                    match build_window_trends(
+                    let (nodes, ts, bytes, ok) = build_window_trends(
                         plan,
                         evs,
                         query.window.within,
@@ -88,16 +88,13 @@ impl CetEngine {
                         &layout,
                         budget.saturating_sub(nodes_total),
                         acc,
-                    ) {
-                        Some((nodes, ts, bytes)) => {
-                            nodes_total += nodes;
-                            trends += ts;
-                            peak = peak.max(bytes);
-                        }
-                        None => {
-                            completed = false;
-                            break 'outer;
-                        }
+                    );
+                    nodes_total += nodes;
+                    trends += ts;
+                    peak = peak.max(bytes);
+                    if !ok {
+                        completed = false;
+                        break 'outer;
                     }
                 }
             }
@@ -123,8 +120,10 @@ impl CetEngine {
 }
 
 /// Build all shared sub-trend nodes of the root graph for one window and
-/// fold finished trends into `acc`. Returns `(nodes, trends, bytes)` or
-/// `None` when the node budget was exhausted.
+/// fold finished trends into `acc`. Returns `(nodes, trends, bytes,
+/// completed)`. When the node budget runs out, construction stops and the
+/// counts cover what was built so far: every root END node counts as a
+/// trend, since none has been validated or folded yet.
 #[allow(clippy::too_many_arguments)]
 fn build_window_trends(
     plan: &greta_query::compile::AltPlan,
@@ -135,7 +134,7 @@ fn build_window_trends(
     layout: &AggLayout,
     budget: u64,
     acc: &mut AggState<f64>,
-) -> Option<(u64, u64, usize)> {
+) -> (u64, u64, usize, bool) {
     let n_graphs = plan.graphs.len();
     let deps: Vec<Vec<Dependency>> = plan
         .graphs
@@ -224,13 +223,14 @@ fn build_window_trends(
                     continue;
                 }
                 node_count += new_nodes.len() as u64;
-                if node_count > budget {
-                    return None;
-                }
                 if is_end && gi == 0 {
                     for n in &new_nodes {
                         end_nodes.push((e.time, Rc::clone(n)));
                     }
+                }
+                if node_count > budget {
+                    let bytes = node_count as usize * NODE_BYTES;
+                    return (node_count, end_nodes.len() as u64, bytes, false);
                 }
                 if is_end && gi != 0 {
                     logs[gi].push(e.time, latest_start);
@@ -252,7 +252,7 @@ fn build_window_trends(
         }
     }
     let bytes = node_count as usize * NODE_BYTES;
-    Some((node_count, trends, bytes))
+    (node_count, trends, bytes, true)
 }
 
 #[cfg(test)]
@@ -299,6 +299,22 @@ mod tests {
         let (reg, q, evs) = setup();
         let run = CetEngine::run(&q, &reg, &evs, 10);
         assert!(!run.completed);
+    }
+
+    #[test]
+    fn cet_reports_the_work_done_before_exhaustion() {
+        let mut reg = SchemaRegistry::new();
+        reg.register_type("A", &["x"]).unwrap();
+        let q = CompiledQuery::parse("RETURN COUNT(*) PATTERN A+ WITHIN 1000 SLIDE 1000", &reg)
+            .unwrap();
+        let evs: Vec<Event> = (0..10u64)
+            .map(|t| EventBuilder::new(&reg, "A").unwrap().at(Time(t)).build())
+            .collect();
+        // Events 1, 2, 3 build 1 + 2 + 4 nodes; the seventh breaks budget 5.
+        let run = CetEngine::run(&q, &reg, &evs, 5);
+        assert!(!run.completed);
+        assert_eq!(run.trends, 7);
+        assert_eq!(run.peak_bytes, 7 * NODE_BYTES);
     }
 
     #[test]

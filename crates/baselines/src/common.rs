@@ -428,12 +428,15 @@ impl TrendStats {
 pub struct TwoStepRun {
     /// Result rows (empty groups omitted), sorted by `(window, group)`.
     pub rows: Vec<WindowResult<f64>>,
-    /// False when the trend budget was exhausted ("fails to terminate" in
-    /// the paper's experiments).
+    /// False when the budget was exhausted ("fails to terminate" in the
+    /// paper's experiments). SASE and Flink charge the budget in trends
+    /// constructed, CET in sub-trend nodes built.
     pub completed: bool,
-    /// Trends constructed.
+    /// Trends constructed, including those built before the budget ran
+    /// out.
     pub trends: u64,
-    /// Peak bytes of engine state (match graph + per-strategy extras).
+    /// Peak bytes of engine state (match graph + per-strategy extras),
+    /// including the state built before the budget ran out.
     pub peak_bytes: usize,
 }
 

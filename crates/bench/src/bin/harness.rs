@@ -5,89 +5,49 @@
 //!         [--scale small|medium|large] [--json PATH]
 //! ```
 //!
-//! Prints one table per experiment (latency / total time / throughput /
-//! peak memory / DNF markers — the three metrics of paper §10.1) and
-//! optionally dumps the raw rows as JSON for EXPERIMENTS.md.
+//! Prints one table of exact counters per experiment (GRETA vertices and
+//! edges, two-step trends, peak bytes, DNF markers) and optionally writes
+//! the rows as JSON. Bad arguments exit with status 2 and the usage line.
 
-use greta_bench::{ablations, complexity, fig14, fig15, fig16, fig17, render_table, Row};
+use greta_bench::{render_table, rows_to_json, Row, Scale, EXPERIMENTS};
+use std::io::Write;
 
-struct Scale {
-    fig14_sizes: Vec<usize>,
-    fig15_sizes: Vec<usize>,
-    fig16_n: usize,
-    fig17_n: usize,
-    complexity_sizes: Vec<usize>,
-    ablation_n: usize,
-    budget: u64,
-}
+const USAGE: &str = "usage: harness [fig14|fig15|fig16|fig17|complexity|ablations|all]... \
+                     [--scale small|medium|large] [--json PATH]";
 
-impl Scale {
-    fn by_name(name: &str) -> Scale {
-        match name {
-            "small" => Scale {
-                fig14_sizes: vec![100, 200, 400],
-                fig15_sizes: vec![100, 200, 400],
-                fig16_n: 400,
-                fig17_n: 400,
-                complexity_sizes: vec![250, 500, 1000, 2000],
-                ablation_n: 400,
-                budget: 2_000_000,
-            },
-            "large" => Scale {
-                fig14_sizes: vec![250, 500, 1000, 2500, 5000, 10_000, 50_000],
-                fig15_sizes: vec![250, 500, 1000, 2500, 5000, 10_000, 50_000],
-                fig16_n: 10_000,
-                fig17_n: 50_000,
-                complexity_sizes: vec![1000, 2000, 4000, 8000, 16_000, 32_000, 64_000],
-                ablation_n: 10_000,
-                budget: 50_000_000,
-            },
-            _ => Scale {
-                fig14_sizes: vec![150, 300, 600, 1200, 2400],
-                fig15_sizes: vec![150, 300, 600, 1200, 2400],
-                fig16_n: 2000,
-                fig17_n: 5000,
-                complexity_sizes: vec![500, 1000, 2000, 4000, 8000, 16_000],
-                ablation_n: 2000,
-                budget: 10_000_000,
-            },
-        }
-    }
+fn refuse(why: &str) -> ! {
+    eprintln!("harness: {why}\n{USAGE}");
+    std::process::exit(2);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = std::env::args().skip(1);
     let mut scale_name = "medium".to_string();
     let mut json_path: Option<String> = None;
     let mut experiments: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--scale" => {
-                scale_name = args.get(i + 1).cloned().unwrap_or_default();
-                i += 2;
+                scale_name = args
+                    .next()
+                    .unwrap_or_else(|| refuse("--scale needs a value"))
             }
             "--json" => {
-                json_path = args.get(i + 1).cloned();
-                i += 2;
+                json_path = Some(args.next().unwrap_or_else(|| refuse("--json needs a path")))
             }
-            other => {
-                experiments.push(other.to_string());
-                i += 1;
-            }
+            e if e == "all" || EXPERIMENTS.contains(&e) => experiments.push(arg),
+            other => refuse(&format!("unknown experiment `{other}`")),
         }
     }
     if experiments.is_empty() || experiments.iter().any(|e| e == "all") {
-        experiments = vec![
-            "fig14".into(),
-            "fig15".into(),
-            "fig16".into(),
-            "fig17".into(),
-            "complexity".into(),
-            "ablations".into(),
-        ];
+        experiments = EXPERIMENTS.iter().map(|e| e.to_string()).collect();
     }
-    let scale = Scale::by_name(&scale_name);
+    let scale = Scale::by_name(&scale_name)
+        .unwrap_or_else(|| refuse(&format!("unknown scale `{scale_name}`")));
+    // Open the output before the run, so a bad path fails in a second.
+    let mut json_file = json_path.as_ref().map(|path| {
+        std::fs::File::create(path).unwrap_or_else(|e| refuse(&format!("cannot write {path}: {e}")))
+    });
     eprintln!(
         "# GRETA experiment harness — scale `{scale_name}`, budget {} trends",
         scale.budget
@@ -96,41 +56,14 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     for exp in &experiments {
         eprintln!("running {exp} …");
-        match exp.as_str() {
-            "fig14" => rows.extend(fig14(&scale.fig14_sizes, scale.budget)),
-            "fig15" => rows.extend(fig15(&scale.fig15_sizes, scale.budget)),
-            "fig16" => rows.extend(fig16(scale.fig16_n, &[0.1, 0.25, 0.5, 0.75], scale.budget)),
-            "fig17" => rows.extend(fig17(scale.fig17_n, &[1, 5, 10, 25, 50], scale.budget)),
-            "complexity" => rows.extend(complexity(&scale.complexity_sizes)),
-            "ablations" => rows.extend(ablations(scale.ablation_n)),
-            other => eprintln!("unknown experiment `{other}` — skipping"),
-        }
+        rows.extend(scale.run(exp));
     }
-
     println!("{}", render_table(&rows));
 
-    // §8 slope check when complexity rows are present.
-    let cx: Vec<&Row> = rows.iter().filter(|r| r.figure == "complexity").collect();
-    if cx.len() >= 3 {
-        let slope = |ys: Vec<f64>| -> f64 {
-            let xs: Vec<f64> = cx.iter().map(|r| r.x.ln()).collect();
-            let ys: Vec<f64> = ys.iter().map(|y| y.max(1e-9).ln()).collect();
-            let n = xs.len() as f64;
-            let (sx, sy): (f64, f64) = (xs.iter().sum(), ys.iter().sum());
-            let sxy: f64 = xs.iter().zip(&ys).map(|(a, b)| a * b).sum();
-            let sxx: f64 = xs.iter().map(|a| a * a).sum();
-            (n * sxy - sx * sy) / (n * sxx - sx * sx)
-        };
-        let t = slope(cx.iter().map(|r| r.metrics.total_ms).collect());
-        let m = slope(cx.iter().map(|r| r.metrics.memory_bytes as f64).collect());
-        println!("\n== §8 complexity fit (log–log slopes) ==");
-        println!("time  slope ≈ {t:.2}   (Theorem 8.1: ≤ 2)");
-        println!("space slope ≈ {m:.2}   (Theorem 8.1: ≈ 1)");
-    }
-
-    if let Some(path) = json_path {
-        let json = greta_bench::rows_to_json(&rows);
-        std::fs::write(&path, json).expect("write json");
+    if let (Some(file), Some(path)) = (json_file.as_mut(), json_path) {
+        if let Err(e) = file.write_all(rows_to_json(&rows).as_bytes()) {
+            refuse(&format!("cannot write {path}: {e}"));
+        }
         eprintln!("wrote {path}");
     }
 }

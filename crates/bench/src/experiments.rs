@@ -1,5 +1,5 @@
-//! Experiment definitions: one function per paper figure (§10.2–§10.4),
-//! plus the §8 complexity check and the design-choice ablations.
+//! Experiment definitions: one sweep per paper figure (§10.2–§10.4), plus
+//! the §8 complexity sweep and the design-choice ablations.
 //!
 //! Event counts are scaled to laptop budgets (the two-step baselines are
 //! exponential; the paper itself reports them failing to terminate at
@@ -7,14 +7,109 @@
 //! shown as `DNF` in the tables).
 
 use crate::metrics::{
-    run_greta, run_greta_as, run_greta_parallel, run_two_step_engine, Metrics, TwoStep,
+    checksum_rows, run_greta, run_greta_rows, run_two_step_engine, Metrics, TwoStep,
 };
-use greta_core::EngineConfig;
+use greta_core::{sort_canonical, EngineConfig, WindowResult};
 use greta_query::CompiledQuery;
-use greta_types::{Event, SchemaRegistry};
+use greta_types::{Event, SchemaRegistry, Time};
 use greta_workloads::{
     ClusterConfig, ClusterGen, LinearRoadConfig, LinearRoadGen, StockConfig, StockGen,
 };
+
+/// The harness's experiment names, in the order `all` runs them.
+pub const EXPERIMENTS: [&str; 6] = [
+    "fig14",
+    "fig15",
+    "fig16",
+    "fig17",
+    "complexity",
+    "ablations",
+];
+
+/// Sweep sizes and two-step budget of one harness scale.
+#[derive(Debug, Clone)]
+pub struct Scale {
+    /// Events per window swept by fig. 14.
+    pub fig14_sizes: Vec<usize>,
+    /// Events per window swept by fig. 15.
+    pub fig15_sizes: Vec<usize>,
+    /// Events per window of fig. 16.
+    pub fig16_n: usize,
+    /// Events per window of fig. 17.
+    pub fig17_n: usize,
+    /// Events per window swept by the §8 complexity check.
+    pub complexity_sizes: Vec<usize>,
+    /// Events per window of the ablations.
+    pub ablation_n: usize,
+    /// Budget of each two-step run (trends, or CET nodes).
+    pub budget: u64,
+}
+
+impl Scale {
+    /// The scale called `small`, `medium` or `large`; `None` otherwise.
+    pub fn by_name(name: &str) -> Option<Scale> {
+        Some(match name {
+            "small" => Scale {
+                fig14_sizes: vec![100, 200, 400],
+                fig15_sizes: vec![100, 200, 400],
+                fig16_n: 400,
+                fig17_n: 400,
+                complexity_sizes: vec![250, 500, 1000, 2000],
+                ablation_n: 400,
+                budget: 2_000_000,
+            },
+            "medium" => Scale {
+                fig14_sizes: vec![150, 300, 600, 1200, 2400],
+                fig15_sizes: vec![150, 300, 600, 1200, 2400],
+                fig16_n: 2000,
+                fig17_n: 5000,
+                complexity_sizes: vec![500, 1000, 2000, 4000, 8000, 16_000],
+                ablation_n: 2000,
+                budget: 10_000_000,
+            },
+            "large" => Scale {
+                fig14_sizes: vec![250, 500, 1000, 2500, 5000, 10_000, 50_000],
+                fig15_sizes: vec![250, 500, 1000, 2500, 5000, 10_000, 50_000],
+                fig16_n: 10_000,
+                fig17_n: 50_000,
+                complexity_sizes: vec![1000, 2000, 4000, 8000, 16_000, 32_000, 64_000],
+                ablation_n: 10_000,
+                budget: 50_000_000,
+            },
+            _ => return None,
+        })
+    }
+
+    /// Run the experiment called `name`, which must be one of
+    /// [`EXPERIMENTS`], at this scale.
+    pub fn run(&self, name: &str) -> Vec<Row> {
+        let (figure, x_name, points) = match name {
+            "fig14" => ("fig14", "events/window", fig14_points(&self.fig14_sizes)),
+            "fig15" => ("fig15", "events/window", fig15_points(&self.fig15_sizes)),
+            "fig16" => (
+                "fig16",
+                "selectivity",
+                fig16_points(self.fig16_n, &FIG16_BIASES),
+            ),
+            "fig17" => ("fig17", "groups", fig17_points(self.fig17_n, &FIG17_GROUPS)),
+            "complexity" => return complexity(&fig14_points(&self.complexity_sizes)),
+            "ablations" => return ablations(self.ablation_n),
+            _ => unreachable!("unknown experiment `{name}`"),
+        };
+        let mut rows = Vec::new();
+        for p in &points {
+            for m in all_engines(p, self.budget) {
+                push(&mut rows, figure, x_name, p.x, m);
+            }
+        }
+        rows
+    }
+}
+
+/// Fig. 16's slowdown biases of the Linear Road speed walks.
+pub const FIG16_BIASES: [f64; 4] = [0.1, 0.25, 0.5, 0.75];
+/// Fig. 17's trend-group (mapper) counts.
+pub const FIG17_GROUPS: [u32; 5] = [1, 5, 10, 25, 50];
 
 /// One table row: an engine measured at one sweep point.
 #[derive(Debug, Clone)]
@@ -25,7 +120,7 @@ pub struct Row {
     pub x_name: String,
     /// Swept parameter value.
     pub x: f64,
-    /// The measurements.
+    /// The counters.
     pub metrics: Metrics,
 }
 
@@ -38,362 +133,288 @@ fn push(rows: &mut Vec<Row>, figure: &str, x_name: &str, x: f64, m: Metrics) {
     });
 }
 
-#[allow(clippy::too_many_arguments)]
-fn all_engines(
-    rows: &mut Vec<Row>,
-    figure: &str,
-    x_name: &str,
-    x: f64,
-    query: &CompiledQuery,
-    reg: &SchemaRegistry,
-    events: &[Event],
-    budget: u64,
-) {
-    push(
-        rows,
-        figure,
-        x_name,
-        x,
-        run_greta(query, reg, events, EngineConfig::default()),
-    );
-    for which in [TwoStep::Sase, TwoStep::Cet, TwoStep::Flink] {
-        push(
-            rows,
-            figure,
-            x_name,
-            x,
-            run_two_step_engine(which, query, reg, events, budget),
-        );
-    }
+/// One sweep point: a stream and the query every engine runs over it.
+pub struct Point {
+    /// Swept parameter value.
+    pub x: f64,
+    /// The stream's schemas.
+    pub registry: SchemaRegistry,
+    /// The query.
+    pub query: CompiledQuery,
+    /// The stream, in time order.
+    pub events: Vec<Event>,
 }
 
-/// Query Q1 (§1) with a tumbling window of `n` ticks (= `n` events per
-/// window under per-event time stamps).
-fn q1(reg: &SchemaRegistry, n: usize) -> CompiledQuery {
+/// Every engine over one point: GRETA, then SASE, CET and Flink.
+pub fn all_engines(p: &Point, budget: u64) -> Vec<Metrics> {
+    let mut out = vec![run_greta(
+        &p.query,
+        &p.registry,
+        &p.events,
+        EngineConfig::default(),
+    )];
+    for which in [TwoStep::Sase, TwoStep::Cet, TwoStep::Flink] {
+        out.push(run_two_step_engine(
+            which,
+            &p.query,
+            &p.registry,
+            &p.events,
+            budget,
+        ));
+    }
+    out
+}
+
+/// Query Q1 (§1) with window `WITHIN within SLIDE slide`.
+fn q1(reg: &SchemaRegistry, within: usize, slide: usize) -> CompiledQuery {
     CompiledQuery::parse(
         &format!(
             "RETURN sector, COUNT(*) PATTERN Stock S+ \
              WHERE [company, sector] AND S.price > NEXT(S).price \
-             GROUP-BY sector WITHIN {n} SLIDE {n}"
+             GROUP-BY sector WITHIN {within} SLIDE {slide}"
         ),
         reg,
     )
     .expect("Q1 compiles")
 }
 
-/// **Fig. 14** — positive patterns over the stock stream, varying the
-/// number of events per window.
-pub fn fig14(sizes: &[usize], budget: u64) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for &n in sizes {
-        let mut reg = SchemaRegistry::new();
-        let gen = StockGen::new(
-            StockConfig {
-                events: n,
-                ..Default::default()
-            },
-            &mut reg,
-        )
-        .expect("schema");
-        let events = gen.generate();
-        let query = q1(&reg, n);
-        all_engines(
-            &mut rows,
-            "fig14",
-            "events/window",
-            n as f64,
-            &query,
-            &reg,
-            &events,
-            budget,
-        );
-    }
-    rows
+fn stock(n: usize, halt_rate: f64) -> (SchemaRegistry, Vec<Event>) {
+    let mut reg = SchemaRegistry::new();
+    let gen = StockGen::new(
+        StockConfig {
+            events: n,
+            halt_rate,
+            ..Default::default()
+        },
+        &mut reg,
+    )
+    .expect("schema");
+    let events = gen.generate();
+    (reg, events)
 }
 
-/// **Fig. 15** — the same patterns with a trailing negative sub-pattern
-/// (`SEQ(Stock S+, NOT Halt H)`), varying the number of events per window.
-pub fn fig15(sizes: &[usize], budget: u64) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for &n in sizes {
-        let mut reg = SchemaRegistry::new();
-        let gen = StockGen::new(
-            StockConfig {
-                events: n,
-                halt_rate: 0.002,
-                ..Default::default()
-            },
-            &mut reg,
-        )
-        .expect("schema");
-        let events = gen.generate();
-        let query = CompiledQuery::parse(
-            &format!(
-                "RETURN sector, COUNT(*) PATTERN SEQ(Stock S+, NOT Halt H) \
-                 WHERE [company, sector] AND S.price > NEXT(S).price \
-                 GROUP-BY sector WITHIN {n} SLIDE {n}"
-            ),
-            &reg,
-        )
-        .expect("Q1-neg compiles");
-        all_engines(
-            &mut rows,
-            "fig15",
-            "events/window",
-            n as f64,
-            &query,
-            &reg,
-            &events,
-            budget,
-        );
-    }
-    rows
+/// **Fig. 14** — Q1's positive pattern over the stock stream, with a
+/// tumbling window of `n` ticks (= `n` events per window) for each size.
+pub fn fig14_points(sizes: &[usize]) -> Vec<Point> {
+    sizes
+        .iter()
+        .map(|&n| {
+            let (registry, events) = stock(n, 0.0);
+            Point {
+                x: n as f64,
+                query: q1(&registry, n, n),
+                registry,
+                events,
+            }
+        })
+        .collect()
+}
+
+/// **Fig. 15** — the same pattern with a trailing negative sub-pattern
+/// (`SEQ(Stock S+, NOT Halt H)`), for each size.
+pub fn fig15_points(sizes: &[usize]) -> Vec<Point> {
+    sizes
+        .iter()
+        .map(|&n| {
+            let (registry, events) = stock(n, 0.002);
+            let query = CompiledQuery::parse(
+                &format!(
+                    "RETURN sector, COUNT(*) PATTERN SEQ(Stock S+, NOT Halt H) \
+                     WHERE [company, sector] AND S.price > NEXT(S).price \
+                     GROUP-BY sector WITHIN {n} SLIDE {n}"
+                ),
+                &registry,
+            )
+            .expect("Q1-neg compiles");
+            Point {
+                x: n as f64,
+                registry,
+                query,
+                events,
+            }
+        })
+        .collect()
 }
 
 /// **Fig. 16** — positive patterns over the Linear Road stream, varying the
 /// selectivity of the `P.speed > NEXT(P).speed` edge predicate (driven by
 /// the slowdown bias of the speed walks).
-pub fn fig16(n: usize, biases: &[f64], budget: u64) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for &bias in biases {
-        let mut reg = SchemaRegistry::new();
-        let gen = LinearRoadGen::new(
-            LinearRoadConfig {
-                events: n,
-                slowdown_bias: bias,
-                ..Default::default()
-            },
-            &mut reg,
-        )
-        .expect("schema");
-        let events = gen.generate();
-        let query = CompiledQuery::parse(
-            &format!(
-                "RETURN segment, COUNT(*), AVG(P.speed) PATTERN Position P+ \
-                 WHERE [P.vehicle, segment] AND P.speed > NEXT(P).speed \
-                 GROUP-BY segment WITHIN {n} SLIDE {n}"
-            ),
-            &reg,
-        )
-        .expect("Q3-positive compiles");
-        all_engines(
-            &mut rows,
-            "fig16",
-            "selectivity",
-            bias,
-            &query,
-            &reg,
-            &events,
-            budget,
-        );
-    }
-    rows
+pub fn fig16_points(n: usize, biases: &[f64]) -> Vec<Point> {
+    biases
+        .iter()
+        .map(|&bias| {
+            let mut registry = SchemaRegistry::new();
+            let gen = LinearRoadGen::new(
+                LinearRoadConfig {
+                    events: n,
+                    slowdown_bias: bias,
+                    ..Default::default()
+                },
+                &mut registry,
+            )
+            .expect("schema");
+            let query = CompiledQuery::parse(
+                &format!(
+                    "RETURN segment, COUNT(*), AVG(P.speed) PATTERN Position P+ \
+                     WHERE [P.vehicle, segment] AND P.speed > NEXT(P).speed \
+                     GROUP-BY segment WITHIN {n} SLIDE {n}"
+                ),
+                &registry,
+            )
+            .expect("Q3-positive compiles");
+            Point {
+                x: bias,
+                events: gen.generate(),
+                registry,
+                query,
+            }
+        })
+        .collect()
 }
 
 /// **Fig. 17** — query Q2 over the cluster stream, varying the number of
-/// event trend groups (distinct mappers). Includes a parallel-GRETA series
-/// for the §10.4 scalability claim.
-pub fn fig17(n: usize, groups: &[u32], budget: u64) -> Vec<Row> {
+/// event trend groups (distinct mappers).
+pub fn fig17_points(n: usize, groups: &[u32]) -> Vec<Point> {
+    groups
+        .iter()
+        .map(|&g| {
+            let mut registry = SchemaRegistry::new();
+            let gen = ClusterGen::new(
+                ClusterConfig {
+                    events: n,
+                    mappers: g,
+                    ..Default::default()
+                },
+                &mut registry,
+            )
+            .expect("schema");
+            let query = CompiledQuery::parse(
+                &format!(
+                    "RETURN mapper, SUM(M.cpu) \
+                     PATTERN SEQ(Start S, Measurement M+, End E) \
+                     WHERE [job, mapper] AND M.load < NEXT(M).load \
+                     GROUP-BY mapper WITHIN {n} SLIDE {n}"
+                ),
+                &registry,
+            )
+            .expect("Q2 compiles");
+            Point {
+                x: g as f64,
+                events: gen.generate(),
+                registry,
+                query,
+            }
+        })
+        .collect()
+}
+
+/// **§8 complexity sweep** — GRETA alone over `points` (the harness passes
+/// fig. 14's).
+pub fn complexity(points: &[Point]) -> Vec<Row> {
     let mut rows = Vec::new();
-    for &g in groups {
-        let mut reg = SchemaRegistry::new();
-        let gen = ClusterGen::new(
-            ClusterConfig {
-                events: n,
-                mappers: g,
-                ..Default::default()
-            },
-            &mut reg,
-        )
-        .expect("schema");
-        let events = gen.generate();
-        let query = CompiledQuery::parse(
-            &format!(
-                "RETURN mapper, SUM(M.cpu) \
-                 PATTERN SEQ(Start S, Measurement M+, End E) \
-                 WHERE [job, mapper] AND M.load < NEXT(M).load \
-                 GROUP-BY mapper WITHIN {n} SLIDE {n}"
-            ),
-            &reg,
-        )
-        .expect("Q2 compiles");
-        all_engines(
-            &mut rows, "fig17", "groups", g as f64, &query, &reg, &events, budget,
-        );
-        push(
-            &mut rows,
-            "fig17",
-            "groups",
-            g as f64,
-            run_greta_parallel(&query, &reg, &events, EngineConfig::default(), 4),
-        );
+    for p in points {
+        let m = run_greta(&p.query, &p.registry, &p.events, EngineConfig::default());
+        push(&mut rows, "complexity", "events/window", p.x, m);
     }
     rows
 }
 
-/// **§8 complexity check** — GRETA-only sweep over n; downstream analysis
-/// (EXPERIMENTS.md) fits the log–log slope: ≤ 2 for time, ≈ 1 for memory.
-pub fn complexity(sizes: &[usize]) -> Vec<Row> {
+/// Fig. 9's two plans for Q1 with window `WITHIN within SLIDE slide`
+/// (`within` a multiple of `slide`) over `events`. The shared plan (9(b))
+/// is one engine whose vertices serve every overlapping window. The
+/// replicated plan (9(a)) runs one tumbling engine per slide phase `p`,
+/// over the stream from `p · slide` on, shifted to start at 0; its window
+/// `j` is the shared plan's window `j · (within / slide) + p`, and its rows
+/// are renumbered so. Returns `[shared, replicated]`, rows in `(window,
+/// group)` order.
+pub fn window_plans(
+    reg: &SchemaRegistry,
+    events: &[Event],
+    within: usize,
+    slide: usize,
+) -> [(Metrics, Vec<WindowResult<f64>>); 2] {
+    let config = EngineConfig::default();
+    let (mut shared, shared_rows) = run_greta_rows(&q1(reg, within, slide), reg, events, config);
+    shared.engine = "GRETA(shared-windows)".into();
+
+    let tumbling = q1(reg, within, within);
+    let phases = within / slide;
+    let (mut vertices, mut edges, mut memory_bytes) = (0, 0, 0);
     let mut rows = Vec::new();
-    for &n in sizes {
-        let mut reg = SchemaRegistry::new();
-        let gen = StockGen::new(
-            StockConfig {
-                events: n,
-                ..Default::default()
-            },
-            &mut reg,
-        )
-        .expect("schema");
-        let events = gen.generate();
-        let query = q1(&reg, n);
-        push(
-            &mut rows,
-            "complexity",
-            "events/window",
-            n as f64,
-            run_greta(&query, &reg, &events, EngineConfig::default()),
-        );
+    for phase in 0..phases {
+        let offset = (phase * slide) as u64;
+        let shifted: Vec<Event> = events
+            .iter()
+            .filter(|e| e.time.ticks() >= offset)
+            .map(|e| {
+                let mut e = e.clone();
+                e.time = Time(e.time.ticks() - offset);
+                e
+            })
+            .collect();
+        let (m, mut phase_rows) = run_greta_rows::<f64>(&tumbling, reg, &shifted, config);
+        vertices += m.vertices;
+        edges += m.edges;
+        memory_bytes += m.memory_bytes;
+        for r in &mut phase_rows {
+            r.window = r.window * phases as u64 + phase as u64;
+        }
+        rows.append(&mut phase_rows);
     }
-    rows
+    sort_canonical(&mut rows);
+    let replicated = Metrics {
+        engine: "GRETA(replicated-windows)".into(),
+        vertices,
+        edges,
+        trends: 0,
+        memory_bytes,
+        completed: true,
+        checksum: checksum_rows(&rows),
+        rows: rows.len(),
+    };
+    [(shared, shared_rows), (replicated, rows)]
 }
 
-/// **Ablations**: Vertex-Tree range index on/off, the
-/// aggregate carrier (`f64` / saturating `u64` / exact `BigUint`), and
-/// window sharing vs. per-window replication (emulated by running one
-/// tumbling engine per slide offset).
+/// **Ablations** of the engine's design choices, GRETA only:
+///
+/// * the aggregate carrier (`f64` / saturating `u64` / exact `BigUint`) —
+///   Q1 over the stock stream in one window. Trend counts grow
+///   exponentially, so past a few dozen events per group `u64` saturates
+///   and `f64` rounds: their checksums may differ from the exact
+///   carrier's, which is the point of the rows;
+/// * window sharing against per-window replication ([`window_plans`]) —
+///   Q1 with `WITHIN 4·s SLIDE s`, `s = n/8`, over the same stream.
+///
+/// The range index has no row: with it or without, GRETA traverses the
+/// same edges, so no counter differs (`tests/cross_validation.rs` checks
+/// that the results are equal too).
 pub fn ablations(n: usize) -> Vec<Row> {
     let mut rows = Vec::new();
-
-    // (a) Range index on/off — Linear Road with a selective predicate.
-    let mut reg = SchemaRegistry::new();
-    let gen = LinearRoadGen::new(
-        LinearRoadConfig {
-            events: n,
-            slowdown_bias: 0.25,
-            ..Default::default()
-        },
-        &mut reg,
-    )
-    .expect("schema");
-    let events = gen.generate();
-    let query = CompiledQuery::parse(
-        &format!(
-            "RETURN segment, COUNT(*) PATTERN Position P+ \
-             WHERE [P.vehicle, segment] AND P.speed > NEXT(P).speed \
-             GROUP-BY segment WITHIN {n} SLIDE {n}"
-        ),
-        &reg,
-    )
-    .expect("compiles");
-    let mut m = run_greta(&query, &reg, &events, EngineConfig::default());
-    m.engine = "GRETA(tree-index)".into();
-    push(&mut rows, "ablation-index", "n", n as f64, m);
-    let mut m = run_greta(
-        &query,
-        &reg,
-        &events,
-        EngineConfig {
-            use_range_index: false,
-            ..Default::default()
-        },
-    );
-    m.engine = "GRETA(scan)".into();
-    push(&mut rows, "ablation-index", "n", n as f64, m);
-
-    // (b) Aggregate carrier — Q1 over the stock stream in one window.
-    // Trend counts grow exponentially, so past a few dozen events per
-    // group `u64` saturates and `f64` rounds: their checksums may differ
-    // from the exact carrier's, which is the point of the row.
-    let mut reg = SchemaRegistry::new();
-    let gen = StockGen::new(
-        StockConfig {
-            events: n,
-            ..Default::default()
-        },
-        &mut reg,
-    )
-    .expect("schema");
-    let events = gen.generate();
-    let query = q1(&reg, n);
+    let (reg, events) = stock(n, 0.0);
+    let query = q1(&reg, n, n);
     let config = EngineConfig::default();
     for (carrier, mut m) in [
-        ("f64", run_greta_as::<f64>(&query, &reg, &events, config)),
-        ("u64", run_greta_as::<u64>(&query, &reg, &events, config)),
+        (
+            "f64",
+            run_greta_rows::<f64>(&query, &reg, &events, config).0,
+        ),
+        (
+            "u64",
+            run_greta_rows::<u64>(&query, &reg, &events, config).0,
+        ),
         (
             "BigUint",
-            run_greta_as::<greta_bignum::BigUint>(&query, &reg, &events, config),
+            run_greta_rows::<greta_bignum::BigUint>(&query, &reg, &events, config).0,
         ),
     ] {
         m.engine = format!("GRETA({carrier})");
         push(&mut rows, "ablation-carrier", "n", n as f64, m);
     }
 
-    // (c) Window sharing vs replication: WITHIN n/2 SLIDE n/8 — one shared
-    // engine vs four shifted tumbling engines (Fig. 9(a) vs 9(b)), over
-    // the same stock stream.
-    let within = (n / 2).max(8);
     let slide = (n / 8).max(2);
-    let shared = CompiledQuery::parse(
-        &format!(
-            "RETURN sector, COUNT(*) PATTERN Stock S+ \
-             WHERE [company, sector] AND S.price > NEXT(S).price \
-             GROUP-BY sector WITHIN {within} SLIDE {slide}"
-        ),
-        &reg,
-    )
-    .expect("compiles");
-    let mut m = run_greta(&shared, &reg, &events, EngineConfig::default());
-    m.engine = "GRETA(shared-windows)".into();
-    push(&mut rows, "ablation-windows", "n", n as f64, m);
-
-    // Replication: each window offset processed by its own tumbling engine
-    // over the events shifted into its phase (the naive Fig. 9(a) plan).
-    let t0 = std::time::Instant::now();
-    let mut total_mem = 0usize;
-    let mut checksum = 0.0;
-    let mut n_rows = 0usize;
-    let phases = (within / slide).max(1);
-    for phase in 0..phases {
-        let tumbling = CompiledQuery::parse(
-            &format!(
-                "RETURN sector, COUNT(*) PATTERN Stock S+ \
-                 WHERE [company, sector] AND S.price > NEXT(S).price \
-                 GROUP-BY sector WITHIN {within} SLIDE {within}"
-            ),
-            &reg,
-        )
-        .expect("compiles");
-        // Shift: drop events before this phase offset so tumbling windows
-        // align with the shared plan's windows of the same phase.
-        let offset = (phase * slide) as u64;
-        let shifted: Vec<Event> = events
-            .iter()
-            .filter(|e| e.time.ticks() >= offset)
-            .cloned()
-            .collect();
-        let m = run_greta(&tumbling, &reg, &shifted, EngineConfig::default());
-        total_mem += m.memory_bytes;
-        checksum += m.checksum;
-        n_rows += m.rows;
+    for (m, _) in window_plans(&reg, &events, 4 * slide, slide) {
+        push(&mut rows, "ablation-windows", "n", n as f64, m);
     }
-    let total = t0.elapsed().as_secs_f64() * 1e3;
-    push(
-        &mut rows,
-        "ablation-windows",
-        "n",
-        n as f64,
-        Metrics {
-            engine: "GRETA(replicated-windows)".into(),
-            total_ms: total,
-            latency_ms: total,
-            throughput: (events.len() * phases) as f64 / (total / 1e3).max(1e-9),
-            memory_bytes: total_mem,
-            completed: true,
-            checksum,
-            rows: n_rows,
-        },
-    );
     rows
 }
 
@@ -401,32 +422,44 @@ pub fn ablations(n: usize) -> Vec<Row> {
 pub fn render_table(rows: &[Row]) -> String {
     use std::fmt::Write;
     let mut out = String::new();
-    let mut figures: Vec<&str> = rows.iter().map(|r| r.figure.as_str()).collect();
-    figures.dedup();
-    let mut seen = std::collections::HashSet::new();
-    for fig in figures {
-        if !seen.insert(fig) {
-            continue;
+    let mut figures: Vec<&str> = Vec::new();
+    for r in rows {
+        if !figures.contains(&r.figure.as_str()) {
+            figures.push(&r.figure);
         }
+    }
+    for fig in figures {
         writeln!(out, "\n== {fig} ==").unwrap();
         writeln!(
             out,
-            "{:<14} {:>12} {:<22} {:>12} {:>12} {:>14} {:>12} {:>6}",
-            "x-name", "x", "engine", "latency_ms", "total_ms", "throughput", "memory", "ok"
+            "{:<14} {:>6} {:<26} {:>9} {:>10} {:>10} {:>10} {:>6} {:>12} {:>4}",
+            "x-name",
+            "x",
+            "engine",
+            "vertices",
+            "edges",
+            "trends",
+            "memory",
+            "rows",
+            "checksum",
+            "ok"
         )
         .unwrap();
         for r in rows.iter().filter(|r| r.figure == fig) {
+            let m = &r.metrics;
             writeln!(
                 out,
-                "{:<14} {:>12} {:<22} {:>12.2} {:>12.2} {:>14.0} {:>12} {:>6}",
+                "{:<14} {:>6} {:<26} {:>9} {:>10} {:>10} {:>10} {:>6} {:>12.5e} {:>4}",
                 r.x_name,
                 r.x,
-                r.metrics.engine,
-                r.metrics.latency_ms,
-                r.metrics.total_ms,
-                r.metrics.throughput,
-                human_bytes(r.metrics.memory_bytes),
-                if r.metrics.completed { "yes" } else { "DNF" }
+                m.engine,
+                m.vertices,
+                m.edges,
+                m.trends,
+                human_bytes(m.memory_bytes),
+                m.rows,
+                m.checksum,
+                if m.completed { "yes" } else { "DNF" }
             )
             .unwrap();
         }
@@ -434,37 +467,38 @@ pub fn render_table(rows: &[Row]) -> String {
     out
 }
 
-/// Render rows as a pretty-printed JSON array with flattened metrics
-/// (what `--json` dumps for EXPERIMENTS.md; no external JSON dependency).
+/// Render rows as a pretty-printed JSON array with flattened counters
+/// (what `--json` writes; no external JSON dependency). Identical input
+/// gives a byte-identical file.
 pub fn rows_to_json(rows: &[Row]) -> String {
     use greta_workloads::io::json::str_lit;
-    fn num(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x}")
-        } else {
-            "null".into()
-        }
-    }
     let mut out = String::from("[\n");
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
             out.push_str(",\n");
         }
+        let m = &r.metrics;
+        // `{:e}` keeps exponential trend counts short; JSON has no inf.
+        let checksum = if m.checksum.is_finite() {
+            format!("{:e}", m.checksum)
+        } else {
+            "null".into()
+        };
         out.push_str(&format!(
             "  {{\"figure\": {}, \"x_name\": {}, \"x\": {}, \"engine\": {}, \
-             \"total_ms\": {}, \"latency_ms\": {}, \"throughput\": {}, \
+             \"vertices\": {}, \"edges\": {}, \"trends\": {}, \
              \"memory_bytes\": {}, \"completed\": {}, \"checksum\": {}, \"rows\": {}}}",
             str_lit(&r.figure),
             str_lit(&r.x_name),
-            num(r.x),
-            str_lit(&r.metrics.engine),
-            num(r.metrics.total_ms),
-            num(r.metrics.latency_ms),
-            num(r.metrics.throughput),
-            r.metrics.memory_bytes,
-            r.metrics.completed,
-            num(r.metrics.checksum),
-            r.metrics.rows,
+            r.x,
+            str_lit(&m.engine),
+            m.vertices,
+            m.edges,
+            m.trends,
+            m.memory_bytes,
+            m.completed,
+            checksum,
+            m.rows,
         ));
     }
     out.push_str("\n]\n");
@@ -480,87 +514,5 @@ fn human_bytes(b: usize) -> String {
         format!("{:.2}KiB", b as f64 / 1024.0)
     } else {
         format!("{b}B")
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig14_small_runs_and_engines_agree() {
-        let rows = fig14(&[120], 2_000_000);
-        assert_eq!(rows.len(), 4); // GRETA + 3 baselines
-        let greta = &rows[0];
-        assert_eq!(greta.metrics.engine, "GRETA");
-        for r in &rows[1..] {
-            assert!(r.metrics.completed, "{} DNF", r.metrics.engine);
-            let rel = (r.metrics.checksum - greta.metrics.checksum).abs()
-                / greta.metrics.checksum.abs().max(1.0);
-            assert!(
-                rel < 1e-9,
-                "{} checksum {} vs {}",
-                r.metrics.engine,
-                r.metrics.checksum,
-                greta.metrics.checksum
-            );
-        }
-    }
-
-    #[test]
-    fn fig15_negation_runs() {
-        let rows = fig15(&[120], 2_000_000);
-        let greta = &rows[0];
-        for r in &rows[1..] {
-            if r.metrics.completed {
-                let rel = (r.metrics.checksum - greta.metrics.checksum).abs()
-                    / greta.metrics.checksum.abs().max(1.0);
-                assert!(rel < 1e-9, "{}", r.metrics.engine);
-            }
-        }
-    }
-
-    #[test]
-    fn fig16_and_fig17_run_small() {
-        let r16 = fig16(150, &[0.3], 2_000_000);
-        assert_eq!(r16.len(), 4);
-        let r17 = fig17(150, &[3], 2_000_000);
-        assert_eq!(r17.len(), 5); // + GRETA-par4
-        let greta = &r17[0];
-        let par = r17
-            .iter()
-            .find(|r| r.metrics.engine.starts_with("GRETA-par"))
-            .unwrap();
-        let rel = (par.metrics.checksum - greta.metrics.checksum).abs()
-            / greta.metrics.checksum.abs().max(1.0);
-        assert!(rel < 1e-9);
-    }
-
-    #[test]
-    fn ablations_agree() {
-        let rows = ablations(300);
-        let tree = rows
-            .iter()
-            .find(|r| r.metrics.engine.contains("tree"))
-            .unwrap();
-        let scan = rows
-            .iter()
-            .find(|r| r.metrics.engine.contains("scan"))
-            .unwrap();
-        assert_eq!(tree.metrics.checksum, scan.metrics.checksum);
-        let table = render_table(&rows);
-        assert!(table.contains("ablation-index"));
-        assert!(table.contains("ablation-windows"));
-        let carriers = rows.iter().filter(|r| r.figure == "ablation-carrier");
-        let carriers: Vec<_> = carriers.map(|r| r.metrics.rows).collect();
-        assert_eq!(carriers.len(), 3);
-        assert!(carriers.iter().all(|&n| n == carriers[0] && n > 0));
-    }
-
-    #[test]
-    fn complexity_rows() {
-        let rows = complexity(&[100, 200]);
-        assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|r| r.metrics.completed));
     }
 }

@@ -1,49 +1,57 @@
-//! Measurement of the paper's three metrics (§10.1):
+//! What each engine run reports: exact work counters, not wall time.
 //!
-//! * **Latency** — time between the arrival of the last contributing event
-//!   and the result output. For GRETA that is the final-flush duration
-//!   (aggregates are maintained incrementally); for the two-step baselines
-//!   it is the whole construct-then-aggregate phase.
-//! * **Throughput** — events processed per second.
-//! * **Memory** — peak bytes of engine state (analytic accounting via
-//!   `MemoryFootprint` / `TwoStepRun::peak_bytes`).
+//! The paper's claims are about growth (§8, §10.2–§10.4): GRETA's work per
+//! window is polynomial in the events per window, while the two-step
+//! engines grow exponentially or fail to terminate. Growth is counted
+//! exactly, so every number here repeats on any machine built with the
+//! same Rust toolchain (peak bytes use compiler-chosen type sizes):
+//!
+//! * **GRETA** — vertices inserted and edges traversed (`EngineStats`;
+//!   Theorem 8.1 bounds them by n × states and n(n−1)/2 per window of n
+//!   events), and the analytic peak bytes of `MemoryFootprint`.
+//! * **Two-step baselines** — trends constructed and analytic peak bytes
+//!   (`TwoStepRun`), plus whether the run finished within its budget.
+//!
+//! Wall-clock throughput and latency are the repo benchmark's business
+//! (`benchmark/`), not this crate's.
 
 use greta_baselines::{CetEngine, FlinkEngine, SaseEngine, TwoStepRun};
 use greta_core::{
-    sort_canonical, EngineConfig, ExecutorConfig, GretaEngine, LatePolicy, MemoryFootprint,
-    StreamExecutor,
+    sort_canonical, EngineConfig, GretaEngine, MemoryFootprint, TrendNum, WindowResult,
 };
 use greta_query::CompiledQuery;
 use greta_types::{Event, SchemaRegistry};
-use std::time::Instant;
 
-/// One engine run's measurements.
+/// One engine run's counters.
 #[derive(Debug, Clone)]
 pub struct Metrics {
     /// Engine name (`GRETA`, `SASE`, `CET`, `FLINK`, …).
     pub engine: String,
-    /// End-to-end wall time in milliseconds.
-    pub total_ms: f64,
-    /// Result latency in milliseconds (see module docs).
-    pub latency_ms: f64,
-    /// Events per second.
-    pub throughput: f64,
-    /// Peak engine state in bytes.
+    /// GRETA: vertices inserted (0 for the two-step baselines).
+    pub vertices: u64,
+    /// GRETA: edges traversed (0 for the two-step baselines).
+    pub edges: u64,
+    /// Two-step baselines: trends constructed (0 for GRETA).
+    pub trends: u64,
+    /// Peak engine state in bytes (analytic accounting).
     pub memory_bytes: usize,
-    /// False when the engine hit its trend budget ("fails to terminate").
+    /// False when the engine hit its budget ("fails to terminate").
     pub completed: bool,
-    /// Sum over all result values (cross-engine sanity checksum).
+    /// Sum over all result values in `(window, group)` order (cross-engine
+    /// sanity checksum).
     pub checksum: f64,
     /// Result rows produced.
     pub rows: usize,
 }
 
-fn checksum_rows<N: greta_core::TrendNum>(rows: &[greta_core::WindowResult<N>]) -> f64 {
+/// Folds from `0.0`, not with `Sum`: `f64`'s `Sum` of nothing is `-0.0` on
+/// some Rust releases and `0.0` on others.
+pub(crate) fn checksum_rows<N: TrendNum>(rows: &[WindowResult<N>]) -> f64 {
     rows.iter()
         .flat_map(|r| r.values.iter())
         .map(|v| v.to_f64())
         .filter(|v| v.is_finite())
-        .sum()
+        .fold(0.0, |sum, v| sum + v)
 }
 
 /// Run the GRETA engine over a batch.
@@ -53,81 +61,33 @@ pub fn run_greta(
     events: &[Event],
     config: EngineConfig,
 ) -> Metrics {
-    run_greta_as::<f64>(query, registry, events, config)
+    run_greta_rows::<f64>(query, registry, events, config).0
 }
 
-/// [`run_greta`] over the aggregate carrier `N` (the carrier ablation).
-pub(crate) fn run_greta_as<N: greta_core::TrendNum>(
+/// [`run_greta`] over the aggregate carrier `N`, also returning the result
+/// rows in `(window, group)` order.
+pub fn run_greta_rows<N: TrendNum>(
     query: &CompiledQuery,
     registry: &SchemaRegistry,
     events: &[Event],
     config: EngineConfig,
-) -> Metrics {
+) -> (Metrics, Vec<WindowResult<N>>) {
     let mut engine =
         GretaEngine::<N>::with_config(query.clone(), registry.clone(), config).expect("engine");
-    let t0 = Instant::now();
-    for e in events {
-        engine.process_ref(&e.clone().into_ref()).expect("in-order");
-    }
-    let mid = engine.poll_results();
-    let t_flush = Instant::now();
-    let mut rows = engine.finish();
-    let total = t0.elapsed().as_secs_f64() * 1e3;
-    let latency = t_flush.elapsed().as_secs_f64() * 1e3;
-    let peak = engine.peak_memory_bytes().max(engine.memory_bytes());
-    let n_rows = mid.len() + rows.len();
-    let mut all = mid;
-    all.append(&mut rows);
-    Metrics {
-        engine: "GRETA".into(),
-        total_ms: total,
-        latency_ms: latency,
-        throughput: events.len() as f64 / (total / 1e3).max(1e-9),
-        memory_bytes: peak,
-        completed: true,
-        checksum: checksum_rows(&all),
-        rows: n_rows,
-    }
-}
-
-/// Run GRETA with per-group parallelism (§10.4).
-pub fn run_greta_parallel(
-    query: &CompiledQuery,
-    registry: &SchemaRegistry,
-    events: &[Event],
-    config: EngineConfig,
-    threads: usize,
-) -> Metrics {
-    let t0 = Instant::now();
-    let mut exec = StreamExecutor::<f64>::new(
-        query.clone(),
-        registry.clone(),
-        ExecutorConfig {
-            shards: threads,
-            late_policy: LatePolicy::Error,
-            engine: config,
-            ..Default::default()
-        },
-    )
-    .expect("executor");
-    let mut rows = Vec::new();
-    for e in events {
-        exec.push(e.clone()).expect("in-order push");
-        rows.extend(exec.poll_results());
-    }
-    rows.extend(exec.finish().expect("finish"));
+    let mut rows = engine.run(events).expect("in-order batch");
     sort_canonical(&mut rows);
-    let total = t0.elapsed().as_secs_f64() * 1e3;
-    Metrics {
-        engine: format!("GRETA-par{threads}"),
-        total_ms: total,
-        latency_ms: total, // batch API: results land at the end
-        throughput: events.len() as f64 / (total / 1e3).max(1e-9),
-        memory_bytes: 0, // per-worker peaks are not aggregated in batch mode
+    let stats = engine.stats();
+    let metrics = Metrics {
+        engine: "GRETA".into(),
+        vertices: stats.vertices,
+        edges: stats.edges,
+        trends: 0,
+        memory_bytes: engine.peak_memory_bytes().max(engine.memory_bytes()),
         completed: true,
         checksum: checksum_rows(&rows),
         rows: rows.len(),
-    }
+    };
+    (metrics, rows)
 }
 
 /// Which two-step baseline to run.
@@ -152,7 +112,8 @@ impl TwoStep {
     }
 }
 
-/// Run one of the two-step baselines with a trend/node budget.
+/// Run one of the two-step baselines with a budget (see `TwoStepRun` for
+/// the unit each engine charges it in).
 pub fn run_two_step_engine(
     which: TwoStep,
     query: &CompiledQuery,
@@ -160,68 +121,19 @@ pub fn run_two_step_engine(
     events: &[Event],
     budget: u64,
 ) -> Metrics {
-    let t0 = Instant::now();
     let run: TwoStepRun = match which {
         TwoStep::Sase => SaseEngine::run(query, registry, events, budget),
         TwoStep::Cet => CetEngine::run(query, registry, events, budget),
         TwoStep::Flink => FlinkEngine::run(query, registry, events, budget),
     };
-    let total = t0.elapsed().as_secs_f64() * 1e3;
     Metrics {
         engine: which.name().into(),
-        total_ms: total,
-        latency_ms: total, // two-step: nothing is available before the end
-        throughput: events.len() as f64 / (total / 1e3).max(1e-9),
+        vertices: 0,
+        edges: 0,
+        trends: run.trends,
         memory_bytes: run.peak_bytes,
         completed: run.completed,
         checksum: checksum_rows(&run.rows),
         rows: run.rows.len(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use greta_types::{EventBuilder, Time};
-
-    fn setup() -> (SchemaRegistry, CompiledQuery, Vec<Event>) {
-        let mut reg = SchemaRegistry::new();
-        reg.register_type("A", &["x"]).unwrap();
-        let q = CompiledQuery::parse("RETURN COUNT(*) PATTERN A+ WITHIN 1000 SLIDE 1000", &reg)
-            .unwrap();
-        let evs: Vec<Event> = (0..10u64)
-            .map(|t| EventBuilder::new(&reg, "A").unwrap().at(Time(t)).build())
-            .collect();
-        (reg, q, evs)
-    }
-
-    #[test]
-    fn engines_agree_on_checksum() {
-        let (reg, q, evs) = setup();
-        let g = run_greta(&q, &reg, &evs, EngineConfig::default());
-        let s = run_two_step_engine(TwoStep::Sase, &q, &reg, &evs, u64::MAX);
-        let c = run_two_step_engine(TwoStep::Cet, &q, &reg, &evs, u64::MAX);
-        let f = run_two_step_engine(TwoStep::Flink, &q, &reg, &evs, u64::MAX);
-        assert_eq!(g.checksum, 1023.0); // 2^10 - 1
-        for m in [&s, &c, &f] {
-            assert!(m.completed);
-            assert_eq!(m.checksum, g.checksum, "{}", m.engine);
-        }
-        assert!(g.throughput > 0.0);
-    }
-
-    #[test]
-    fn budget_marks_incomplete() {
-        let (reg, q, evs) = setup();
-        let m = run_two_step_engine(TwoStep::Sase, &q, &reg, &evs, 5);
-        assert!(!m.completed);
-    }
-
-    #[test]
-    fn parallel_matches() {
-        let (reg, q, evs) = setup();
-        let g = run_greta(&q, &reg, &evs, EngineConfig::default());
-        let p = run_greta_parallel(&q, &reg, &evs, EngineConfig::default(), 2);
-        assert_eq!(p.checksum, g.checksum);
     }
 }
