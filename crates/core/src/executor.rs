@@ -753,8 +753,8 @@ impl<N: TrendNum> StreamExecutor<N> {
     /// reorder buffer live on the ingest side). Checkpoint, register and
     /// deregister differ only in the [`BarrierKind`].
     ///
-    /// [`barrier::worker_step`] is the shard's side, and
-    /// [`crate::protocol_model`] drives that function and the
+    /// [`barrier::worker_step`] is the shard's side, and the
+    /// model checker in `barrier`'s tests drives that function and the
     /// [`barrier::Cut`] ledger through every interleaving, checking that
     /// all shards cut at the same sequence, no row crosses a barrier, and
     /// remainders are delivered exactly once.

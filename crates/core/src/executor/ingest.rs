@@ -198,12 +198,14 @@ impl Ingest {
         self.released.clear();
         if let Err(late) = self.reorder.push_into(e, &mut self.released) {
             let window = late.time.ticks() / self.late_slide;
-            let counts = self.late_windows.entry(window).or_default();
-            counts.window = window;
+            let row = WindowLateCounts {
+                window,
+                ..Default::default()
+            };
             match self.late_policy {
-                LatePolicy::Drop => counts.dropped += 1,
+                LatePolicy::Drop => self.late_windows.entry(window).or_insert(row).dropped += 1,
                 LatePolicy::Divert => {
-                    counts.diverted += 1;
+                    self.late_windows.entry(window).or_insert(row).diverted += 1;
                     self.diverted.push(late);
                 }
                 LatePolicy::Error => {

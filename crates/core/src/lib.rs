@@ -39,7 +39,6 @@ pub mod graph;
 pub mod grouping;
 pub mod memory;
 pub mod negation;
-pub mod protocol_model;
 pub mod reorder;
 pub mod results;
 pub mod semantics;

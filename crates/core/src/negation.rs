@@ -13,7 +13,6 @@
 //! sequential engine needs no locking — this is the degenerate (and
 //! correct) instance of the §7 stream-transaction scheduler.
 
-use crate::window::WindowId;
 use greta_query::compile::{GraphId, GraphSpec};
 use greta_query::StateId;
 use greta_types::Time;
@@ -243,9 +242,6 @@ pub fn insertion_dropped(deps: &[Dependency], logs: &[InvalidationLog], t: Time)
 pub fn needs_deferred_final(deps: &[Dependency]) -> bool {
     deps.iter().any(|d| d.mode == DepMode::InvalidatePrevious)
 }
-
-/// Bookkeeping: window ids a deferred-final window scan must cover.
-pub type DeferredWindows = std::collections::BTreeSet<WindowId>;
 
 #[cfg(test)]
 mod tests {

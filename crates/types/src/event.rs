@@ -1,6 +1,6 @@
 //! Events: time-stamped, typed tuples of attribute values (paper §2).
 
-use crate::schema::{AttrId, Schema, SchemaRegistry, TypeId};
+use crate::schema::{AttrId, SchemaRegistry, TypeId};
 use crate::time::Time;
 use crate::value::Value;
 use crate::TypeError;
@@ -82,11 +82,6 @@ impl Event {
     #[inline]
     pub fn attr(&self, id: AttrId) -> &Value {
         &self.attrs[id.0 as usize]
-    }
-
-    /// Attribute value by name, resolved against `schema`.
-    pub fn attr_by_name<'a>(&'a self, schema: &Schema, name: &str) -> Option<&'a Value> {
-        schema.attr(name).map(|a| self.attr(a))
     }
 
     /// Heap + inline size of this event in bytes (used by the memory
@@ -227,19 +222,6 @@ mod tests {
             .set("nope", 1)
             .unwrap_err();
         assert!(matches!(err, TypeError::UnknownAttr { .. }));
-    }
-
-    #[test]
-    fn attr_by_name() {
-        let r = reg();
-        let e = EventBuilder::new(&r, "Stock")
-            .unwrap()
-            .set("price", 7.0)
-            .unwrap()
-            .build();
-        let schema = r.schema(e.type_id);
-        assert_eq!(e.attr_by_name(schema, "price").unwrap().as_f64(), 7.0);
-        assert!(e.attr_by_name(schema, "x").is_none());
     }
 
     #[test]

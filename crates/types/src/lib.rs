@@ -7,7 +7,7 @@
 //! * [`Schema`] / [`SchemaRegistry`] — event types and their attributes,
 //!   interned to small integer ids for cheap comparisons.
 //! * [`Event`] — a time-stamped, typed tuple of attribute values.
-//! * [`stream`] — in-order event streams and helpers.
+//! * [`stream`] — the in-order check on event streams.
 //!
 //! All higher layers (query compilation, the GRETA runtime, the two-step
 //! baselines and the workload generators) are built on this crate.
@@ -27,6 +27,6 @@ pub use codec::{CodecError, Reader};
 pub use error::TypeError;
 pub use event::{shared_heap_size, Event, EventBuilder, EventRef};
 pub use schema::{AttrId, Schema, SchemaRegistry, TypeId};
-pub use stream::{check_in_order, EventStream, VecStream};
+pub use stream::check_in_order;
 pub use time::Time;
 pub use value::Value;

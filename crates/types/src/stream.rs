@@ -2,58 +2,6 @@
 //! stream"; arrival is in-order by time stamps).
 
 use crate::event::Event;
-use crate::time::Time;
-
-/// An in-order source of events. The GRETA runtime and all baselines consume
-/// this trait so workload generators can stream lazily without materializing.
-pub trait EventStream {
-    /// Next event, or `None` when the stream is exhausted.
-    fn next_event(&mut self) -> Option<Event>;
-
-    /// Drain all remaining events into a vector.
-    fn collect_events(mut self) -> Vec<Event>
-    where
-        Self: Sized,
-    {
-        let mut out = Vec::new();
-        while let Some(e) = self.next_event() {
-            out.push(e);
-        }
-        out
-    }
-}
-
-/// A materialized stream backed by a vector (test fixtures, replays).
-#[derive(Debug, Clone, Default)]
-pub struct VecStream {
-    events: std::vec::IntoIter<Event>,
-}
-
-impl VecStream {
-    /// Wrap a vector of events. Debug builds assert in-order time stamps.
-    pub fn new(events: Vec<Event>) -> Self {
-        debug_assert!(
-            check_in_order(&events),
-            "VecStream requires in-order events"
-        );
-        VecStream {
-            events: events.into_iter(),
-        }
-    }
-}
-
-impl EventStream for VecStream {
-    fn next_event(&mut self) -> Option<Event> {
-        self.events.next()
-    }
-}
-
-impl Iterator for VecStream {
-    type Item = Event;
-    fn next(&mut self) -> Option<Event> {
-        self.next_event()
-    }
-}
 
 /// True when `events` is non-decreasing by time stamp (paper §2 assumes
 /// in-order arrival; ties are allowed and handled by the stream-transaction
@@ -62,39 +10,11 @@ pub fn check_in_order(events: &[Event]) -> bool {
     events.windows(2).all(|w| w[0].time <= w[1].time)
 }
 
-/// Merge several in-order streams into one in-order stream (k-way merge,
-/// stable within equal time stamps by source order). Used by workload
-/// generators that synthesize independent sources.
-pub fn merge_in_order(sources: Vec<Vec<Event>>) -> Vec<Event> {
-    let total: usize = sources.iter().map(Vec::len).sum();
-    let mut idx = vec![0usize; sources.len()];
-    let mut out = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<(usize, Time)> = None;
-        for (s, src) in sources.iter().enumerate() {
-            if let Some(e) = src.get(idx[s]) {
-                match best {
-                    Some((_, t)) if t <= e.time => {}
-                    _ => best = Some((s, e.time)),
-                }
-            }
-        }
-        match best {
-            Some((s, _)) => {
-                out.push(sources[s][idx[s]].clone());
-                idx[s] += 1;
-            }
-            None => break,
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::SchemaRegistry;
-    use crate::Event;
+    use crate::Time;
 
     fn ev(reg: &SchemaRegistry, t: u64) -> Event {
         Event::new_unchecked(reg.type_id("A").unwrap(), Time(t), vec![])
@@ -107,37 +27,10 @@ mod tests {
     }
 
     #[test]
-    fn vec_stream_drains_in_order() {
-        let r = reg();
-        let evs = vec![ev(&r, 1), ev(&r, 2), ev(&r, 2), ev(&r, 5)];
-        let s = VecStream::new(evs.clone());
-        assert_eq!(s.collect_events(), evs);
-    }
-
-    #[test]
     fn in_order_check() {
         let r = reg();
         assert!(check_in_order(&[ev(&r, 1), ev(&r, 1), ev(&r, 3)]));
         assert!(!check_in_order(&[ev(&r, 2), ev(&r, 1)]));
         assert!(check_in_order(&[]));
-    }
-
-    #[test]
-    fn merge_preserves_order_and_stability() {
-        let r = reg();
-        let merged = merge_in_order(vec![
-            vec![ev(&r, 1), ev(&r, 4)],
-            vec![ev(&r, 2), ev(&r, 4)],
-            vec![],
-        ]);
-        let times: Vec<u64> = merged.iter().map(|e| e.time.ticks()).collect();
-        assert_eq!(times, vec![1, 2, 4, 4]);
-    }
-
-    #[test]
-    fn iterator_impl() {
-        let r = reg();
-        let s = VecStream::new(vec![ev(&r, 1), ev(&r, 2)]);
-        assert_eq!(s.count(), 2);
     }
 }

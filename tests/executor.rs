@@ -289,6 +289,10 @@ fn late_event_policy_error_fails_the_push() {
         .unwrap();
     let rows = exec.finish().unwrap();
     assert_eq!(rows[0].values[0].to_f64(), 7.0); // {10,12,13} → 2^3 - 1
+
+    // A rejected event was neither dropped nor diverted: the late ledger
+    // has no row for it.
+    assert_eq!(exec.stats().late_by_window, []);
 }
 
 #[test]
