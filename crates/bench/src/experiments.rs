@@ -471,7 +471,6 @@ pub fn render_table(rows: &[Row]) -> String {
 /// (what `--json` writes; no external JSON dependency). Identical input
 /// gives a byte-identical file.
 pub fn rows_to_json(rows: &[Row]) -> String {
-    use greta_workloads::io::json::str_lit;
     let mut out = String::from("[\n");
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
@@ -502,6 +501,24 @@ pub fn rows_to_json(rows: &[Row]) -> String {
         ));
     }
     out.push_str("\n]\n");
+    out
+}
+
+/// `s` as a JSON string literal (quoted and escaped).
+fn str_lit(s: &str) -> String {
+    let mut out = String::from('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
     out
 }
 

@@ -1,7 +1,7 @@
 //! GRETA network front-end: serve the [`greta_core::StreamExecutor`]
 //! over TCP.
 //!
-//! One [`GretaServer`] listens on a single port and speaks three
+//! One [`GretaServer`] listens on a single port and speaks two
 //! protocols, sniffed from each connection's first bytes:
 //!
 //! - **Binary** (preamble `b"GRTA"` + version): length-prefixed frames
@@ -9,9 +9,6 @@
 //!   explicit backpressure acks (WAL-durable watermark + `busy` credit
 //!   signal), subscribe to streaming results (window-ordered by
 //!   default), drain, shut down. See [`protocol`].
-//! - **JSON lines** (first byte `{`): the same operations as
-//!   newline-delimited JSON objects, events encoded exactly as
-//!   `greta_workloads::io::json` does.
 //! - **HTTP** (`GET /metrics`, `GET /healthz`): every
 //!   [`greta_core::ExecutorStats`] counter in Prometheus text format.
 //!
@@ -38,7 +35,6 @@
 
 pub mod client;
 mod http;
-mod jsonl;
 mod metrics;
 pub mod protocol;
 mod server;

@@ -6,8 +6,7 @@
 //! snapshots and result rows already use, so events and rows cross the
 //! wire byte-identical to their on-disk form. A connection opens with the
 //! 6-byte preamble `b"GRTA"` + `u16` protocol version; the server sniffs
-//! it to tell binary clients apart from JSON-line and HTTP clients on the
-//! same port.
+//! it to tell binary clients apart from HTTP clients on the same port.
 //!
 //! Frames larger than [`MAX_FRAME_BYTES`] are refused before the payload
 //! is read, so a hostile length prefix cannot make the server allocate.

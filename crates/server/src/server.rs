@@ -1,10 +1,10 @@
 //! The TCP front-end: a nonblocking accept loop, protocol sniffing, and
 //! the binary request/response connection loop.
 //!
-//! One port serves three protocols, told apart by peeking the first
-//! bytes of each connection: the 6-byte `GRTA` preamble selects the
-//! binary protocol, an HTTP verb selects the metrics endpoint, and `{`
-//! selects newline-delimited JSON. Each connection gets its own thread
+//! One port serves two protocols, told apart by peeking the first bytes
+//! of each connection: the 6-byte `GRTA` preamble selects the binary
+//! protocol and an HTTP verb selects the metrics endpoint; anything else
+//! is a protocol error and is closed. Each connection gets its own thread
 //! (the workspace is offline/vendored-deps-only, so no async runtime);
 //! each session gets its own executor-owning thread (see
 //! [`crate::session`]).
@@ -13,13 +13,13 @@
 //! taken only by its own short methods, each of which locks once and
 //! releases before returning. No guard leaves a method and none is held
 //! while another is taken, so the code that writes to sockets (the
-//! connection loops here, `http.rs`, `jsonl.rs`) cannot hold one: a
-//! stalled peer cannot freeze the registry.
+//! connection loops here, `http.rs`) cannot hold one: a stalled peer
+//! cannot freeze the registry.
 
+use crate::http;
 use crate::metrics::{self, ServerMetrics, SessionMetrics};
 use crate::protocol::{self, ProtoError, Request, Response, SessionOptions};
 use crate::session::{spawn_session, SessionCmd, SessionHandle, SubMsg};
-use crate::{http, jsonl};
 use greta_query::compile::CompiledQuery;
 use greta_types::{Event, SchemaRegistry};
 use std::collections::{HashMap, VecDeque};
@@ -408,8 +408,6 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
         binary_connection(stream, &shared);
     } else if matches!(&first, b"GET " | b"HEAD" | b"POST" | b"PUT ") {
         http::handle(stream, &shared);
-    } else if matches!(first, [b'{', ..]) {
-        jsonl::handle(stream, &shared);
     } else {
         shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
         // Consume the peeked bytes so closing sends a clean FIN instead
@@ -444,14 +442,10 @@ fn binary_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-/// Serve one decoded request, whichever protocol it arrived in: `write`
-/// puts one [`Response`] on the connection. Returns false when the
-/// connection should close (write failure).
-pub(crate) fn serve_request(
-    shared: &Shared,
-    req: Request,
-    write: &mut impl FnMut(&Response) -> bool,
-) -> bool {
+/// Serve one decoded request: `write` puts one [`Response`] on the
+/// connection. Returns false when the connection should close (write
+/// failure).
+fn serve_request(shared: &Shared, req: Request, write: &mut impl FnMut(&Response) -> bool) -> bool {
     let done = |res: Result<Response, String>| res.unwrap_or_else(|msg| Response::Error { msg });
     let resp = done(match req {
         Request::Submit {

@@ -1,9 +1,8 @@
 //! Binary (de)serialization of the data model.
 //!
 //! The durability layer persists events and schemas in a compact
-//! little-endian framing (the build environment is offline, so no serde —
-//! mirroring the hand-rolled JSON codec in `greta-workloads::io`). The
-//! format is deliberately simple: fixed-width scalars, `u32`
+//! little-endian framing (the build environment is offline, so no
+//! serde). The format is deliberately simple: fixed-width scalars, `u32`
 //! length-prefixed sequences, one tag byte per variant. Every `decode`
 //! validates lengths and tags and fails with a [`CodecError`] instead of
 //! panicking, so corrupted or truncated on-disk state surfaces as a clean

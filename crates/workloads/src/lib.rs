@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
-pub mod io;
 pub mod linear_road;
 pub mod rng;
 pub mod stock;

@@ -1,10 +1,12 @@
-//! Record & replay: persist a generated workload to CSV, reload it, repair
-//! a deliberately shuffled copy through the executor's reorder stage, and
-//! verify that all three paths produce identical aggregates.
+//! Record & replay: record a generated workload with the binary event
+//! codec, reload it, repair a deliberately shuffled copy through the
+//! executor's reorder stage, and verify that all three paths produce
+//! identical aggregates.
 //!
-//! Demonstrates `greta_workloads::io` (stream persistence) and the
-//! `StreamExecutor`'s integrated out-of-order ingestion (`slack` +
-//! `LatePolicy`, the §2 out-of-order delegation).
+//! Demonstrates `greta_types::codec` (the one event encoding the WAL,
+//! snapshots and wire protocol share) and the `StreamExecutor`'s
+//! integrated out-of-order ingestion (`slack` + `LatePolicy`, the §2
+//! out-of-order delegation).
 //!
 //! ```sh
 //! cargo run --release --example record_replay
@@ -12,8 +14,7 @@
 
 use greta::core::{ExecutorConfig, GretaEngine, LatePolicy, StreamExecutor};
 use greta::query::CompiledQuery;
-use greta::types::Event;
-use greta::workloads::io::{read_csv, write_csv};
+use greta::types::{Event, Reader};
 use greta::workloads::{StockConfig, StockGen};
 use greta_types::SchemaRegistry;
 
@@ -35,15 +36,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     let events = gen.generate();
     let mut recording = Vec::new();
-    write_csv(&mut recording, &reg, &events)?;
+    reg.encode(&mut recording);
+    for e in &events {
+        e.encode(&mut recording);
+    }
     println!(
-        "recorded {} events → {} bytes of CSV",
+        "recorded {} events → {} bytes",
         events.len(),
         recording.len()
     );
 
-    // 2. Reload — the registry is reconstructed from the file header.
-    let (reg2, replayed) = read_csv(recording.as_slice())?;
+    // 2. Reload — the registry is decoded from the recording's head.
+    let mut r = Reader::new(&recording);
+    let reg2 = SchemaRegistry::decode(&mut r)?;
+    let mut replayed = Vec::new();
+    while !r.is_empty() {
+        replayed.push(Event::decode(&mut r)?);
+    }
+    assert_eq!(events, replayed);
     println!("replayed {} events, {} schemas", replayed.len(), reg2.len());
 
     let query = CompiledQuery::parse(

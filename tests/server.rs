@@ -1,6 +1,6 @@
 //! Loopback integration tests for the `greta-server` network front-end:
-//! wire ingest (binary and JSON) byte-identical to the in-process
-//! executor, ordered subscription monotonicity, backpressure under a
+//! binary wire ingest byte-identical to the in-process executor,
+//! ordered subscription monotonicity, backpressure under a
 //! slow consumer, graceful-drain-vs-crash recovery, the Prometheus
 //! endpoint, malformed-frame handling, multi-query sessions (runtime
 //! register/detach on a shared ingest stream), and how a session thread
@@ -12,9 +12,8 @@ use greta::durability::DurabilityConfig;
 use greta::query::CompiledQuery;
 use greta::server::{Client, GretaServer, SessionOptions};
 use greta::types::{Event, SchemaRegistry, Time, TypeId, Value};
-use greta::workloads::io::json;
 use greta::workloads::{ClusterConfig, ClusterGen, StockConfig, StockGen};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -98,24 +97,33 @@ fn tmpdir(name: &str) -> PathBuf {
     d
 }
 
-#[test]
-fn binary_ingest_byte_identical_to_in_process_q1() {
-    let (reg, events) = stock(100_000);
+/// Runs `query` over the binary wire protocol and asserts that the rows a
+/// subscriber collects are byte-identical to the in-process executor's.
+fn assert_binary_ingest_byte_identical(
+    query: &str,
+    reg: SchemaRegistry,
+    events: Vec<Event>,
+    shards: u32,
+) {
     let server = GretaServer::bind("127.0.0.1:0").unwrap();
     let addr = server.local_addr();
 
     let mut client = Client::connect(addr).unwrap();
     let session = client
         .submit(
-            Q1,
+            query,
             &reg,
             SessionOptions {
-                shards: 4,
+                shards,
                 ..SessionOptions::default()
             },
         )
         .unwrap();
-    let sub = Client::connect(addr).unwrap().subscribe(session).unwrap();
+    // A ping first: the subscription is in the session's queue ahead of
+    // the ingest (see `unequal_subscribers_each_get_every_row_exactly_once`).
+    let mut conn = Client::connect(addr).unwrap();
+    conn.ping().unwrap();
+    let sub = conn.subscribe(session).unwrap();
     let collector = std::thread::spawn(move || sub.collect_rows().unwrap());
 
     for chunk in events.chunks(1024) {
@@ -126,7 +134,7 @@ fn binary_ingest_byte_identical_to_in_process_q1() {
     client.drain(session).unwrap();
     let wire_rows = collector.join().unwrap();
 
-    let oracle = in_process(Q1, &reg, &events, 4);
+    let oracle = in_process(query, &reg, &events, shards as usize);
     assert!(!oracle.is_empty());
     assert_eq!(
         encode_rows(&wire_rows),
@@ -137,72 +145,15 @@ fn binary_ingest_byte_identical_to_in_process_q1() {
 }
 
 #[test]
-fn json_ingest_byte_identical_to_in_process_q2() {
+fn binary_ingest_byte_identical_to_in_process_q1() {
+    let (reg, events) = stock(100_000);
+    assert_binary_ingest_byte_identical(Q1, reg, events, 4);
+}
+
+#[test]
+fn binary_ingest_byte_identical_to_in_process_q2() {
     let (reg, events) = cluster(4000);
-    let server = GretaServer::bind("127.0.0.1:0").unwrap();
-    let addr = server.local_addr();
-
-    // Submit + ingest over the JSON line protocol.
-    let stream = TcpStream::connect(addr).unwrap();
-    let mut r = BufReader::new(stream.try_clone().unwrap());
-    let mut w = stream;
-    let mut line = String::new();
-
-    let schemas: Vec<String> = reg
-        .iter()
-        .map(|(_, s)| {
-            format!(
-                "{{\"name\":{},\"attributes\":[{}]}}",
-                json::str_lit(&s.name),
-                s.attributes
-                    .iter()
-                    .map(|a| json::str_lit(a))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            )
-        })
-        .collect();
-    writeln!(
-        w,
-        "{{\"submit\":{{\"query\":{},\"schemas\":[{}],\"options\":{{\"shards\":2}}}}}}",
-        json::str_lit(Q2),
-        schemas.join(",")
-    )
-    .unwrap();
-    r.read_line(&mut line).unwrap();
-    let session = json::parse(line.trim())
-        .unwrap()
-        .get("submitted")
-        .and_then(|s| s.get("session"))
-        .and_then(json::Json::as_u64)
-        .unwrap_or_else(|| panic!("bad submit reply: {line}"));
-
-    // Binary subscriber on the same session: protocols share sessions.
-    let sub = Client::connect(addr).unwrap().subscribe(session).unwrap();
-    let collector = std::thread::spawn(move || sub.collect_rows().unwrap());
-
-    for chunk in events.chunks(512) {
-        let evs: Vec<String> = chunk.iter().map(json::encode_event).collect();
-        writeln!(
-            w,
-            "{{\"ingest\":{{\"session\":{session},\"events\":[{}]}}}}",
-            evs.join(",")
-        )
-        .unwrap();
-        line.clear();
-        r.read_line(&mut line).unwrap();
-        assert!(line.contains("\"ack\""), "bad ack: {line}");
-    }
-    writeln!(w, "{{\"drain\":{{\"session\":{session}}}}}").unwrap();
-    line.clear();
-    r.read_line(&mut line).unwrap();
-    assert!(line.contains("\"drained\""), "bad drain reply: {line}");
-
-    let wire_rows = collector.join().unwrap();
-    let oracle = in_process(Q2, &reg, &events, 2);
-    assert!(!oracle.is_empty());
-    assert_eq!(encode_rows(&wire_rows), encode_rows(&oracle));
-    server.shutdown().unwrap();
+    assert_binary_ingest_byte_identical(Q2, reg, events, 2);
 }
 
 #[test]
@@ -505,16 +456,24 @@ fn malformed_and_oversized_frames_are_rejected() {
     s.flush().unwrap();
     read_all_tolerant(&mut s); // connection just closes
 
-    // Unknown first bytes (neither GRTA, HTTP, nor '{'): closed cleanly
-    // with nothing sent back.
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.write_all(b"\x00\x01\x02\x03").unwrap();
-    s.flush().unwrap();
-    assert!(read_all_tolerant(&mut s).is_empty());
+    // Unknown first bytes (neither GRTA nor an HTTP verb), a JSON line
+    // among them: closed with nothing sent back.
+    for first in [b"\x00\x01\x02\x03".as_slice(), b"{\"ping\":{}}\n"] {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(first).unwrap();
+        s.flush().unwrap();
+        assert!(read_all_tolerant(&mut s).is_empty());
+    }
 
-    // The server is still healthy afterwards.
+    // The server is still healthy afterwards, and counted each of the
+    // five connections above as a protocol error.
     let mut client = Client::connect(addr).unwrap();
     client.ping().unwrap();
+    let stats = client.stats().unwrap();
+    assert!(
+        stats.contains("greta_server_protocol_errors_total 5\n"),
+        "{stats}"
+    );
     server.shutdown().unwrap();
 }
 
@@ -797,6 +756,9 @@ fn registered_query_shares_the_session_stream_and_detaches_cleanly() {
     // reply carries the barrier remainder — disjoint, exactly-once.
     let detach_rows = client.detach(session, dense_q).unwrap();
     let dense_streamed = dense_t.join().unwrap();
+    // Query 0 refuses to detach: drain the session instead.
+    let err = client.detach(session, 0).unwrap_err().to_string();
+    assert!(err.contains("cannot be deregistered"), "{err}");
     let mut dense_rows = dense_streamed;
     dense_rows.extend(detach_rows);
 
@@ -839,61 +801,6 @@ fn registered_query_shares_the_session_stream_and_detaches_cleanly() {
         .subscribe_query(session, dense_q)
         .unwrap();
     assert!(late.collect_rows().unwrap().is_empty());
-    server.shutdown().unwrap();
-}
-
-/// The JSON-line protocol speaks register/detach too, and query 0
-/// query 0 refuses to detach.
-#[test]
-fn jsonl_register_and_detach_roundtrip() {
-    let (reg, events) = stock(2_000);
-    let server = GretaServer::bind("127.0.0.1:0").unwrap();
-    let addr = server.local_addr();
-    let mut client = Client::connect(addr).unwrap();
-    let session = client.submit(Q1, &reg, SessionOptions::default()).unwrap();
-    client.ingest(session, events).unwrap();
-
-    let stream = TcpStream::connect(addr).unwrap();
-    let mut r = BufReader::new(stream.try_clone().unwrap());
-    let mut w = stream;
-    let mut line = String::new();
-
-    let dense = "RETURN company, COUNT(*) PATTERN Stock S+ \
-                 WHERE [company] AND S.price > NEXT(S).price \
-                 GROUP-BY company WITHIN 200 SLIDE 100";
-    writeln!(
-        w,
-        "{{\"register\":{{\"session\":{session},\"query\":{},\"emission\":\"ordered\"}}}}",
-        json::str_lit(dense)
-    )
-    .unwrap();
-    r.read_line(&mut line).unwrap();
-    assert!(
-        line.contains(&format!(
-            "\"submitted\":{{\"session\":{session},\"query\":1}}"
-        )),
-        "bad register reply: {line}"
-    );
-
-    writeln!(w, "{{\"detach\":{{\"session\":{session},\"query\":1}}}}").unwrap();
-    line.clear();
-    r.read_line(&mut line).unwrap();
-    assert!(line.contains("\"detached\""), "bad detach reply: {line}");
-    assert!(
-        line.contains("\"rows\":["),
-        "detach reply lacks rows: {line}"
-    );
-
-    // Query 0 refuses to detach — drain the session instead.
-    writeln!(w, "{{\"detach\":{{\"session\":{session},\"query\":0}}}}").unwrap();
-    line.clear();
-    r.read_line(&mut line).unwrap();
-    assert!(
-        line.contains("error") && line.contains("cannot be deregistered"),
-        "detaching query 0 must fail: {line}"
-    );
-
-    client.drain(session).unwrap();
     server.shutdown().unwrap();
 }
 

@@ -1,11 +1,13 @@
 //! Network load-test client: replay `greta-workloads` generators over
 //! the binary wire protocol with N concurrent connections and report
-//! achieved events/sec.
+//! achieved events/sec, or send one operator verb and print the reply.
 //!
 //! ```text
 //! load_client [--addr HOST:PORT | --spawn] [--workload stock|linear-road]
 //!             [--events N] [--connections N] [--batch N] [--shards N]
 //!             [--slack N] [--emission ordered|unordered] [--subscribe]
+//! load_client --addr HOST:PORT drain N | shutdown | detach N Q
+//!             | register N '<query>' [--emission ordered|unordered]
 //! ```
 //!
 //! With `--spawn` the tool starts an in-process [`GretaServer`] on a
@@ -30,7 +32,8 @@
     )
 )]
 
-use greta_server::{Client, GretaServer, SessionOptions};
+use greta_core::EmissionMode;
+use greta_server::{Client, ClientError, GretaServer, SessionOptions};
 use greta_types::{Event, SchemaRegistry};
 use greta_workloads::{LinearRoadConfig, LinearRoadGen, StockConfig, StockGen};
 use std::process::ExitCode;
@@ -48,8 +51,18 @@ struct Args {
     batch: usize,
     shards: u32,
     slack: u64,
-    ordered: bool,
+    emission: EmissionMode,
     subscribe: bool,
+    verb: Option<Verb>,
+}
+
+/// One operator request (see the module doc).
+#[derive(Debug, Clone, PartialEq)]
+enum Verb {
+    Drain(u64),
+    Shutdown,
+    Detach(u64, u32),
+    Register(u64, String),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,8 +82,9 @@ impl Default for Args {
             batch: 512,
             shards: 4,
             slack: 4096,
-            ordered: true,
+            emission: EmissionMode::WindowOrdered,
             subscribe: false,
+            verb: None,
         }
     }
 }
@@ -104,24 +118,42 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--shards" => args.shards = value("--shards")?.parse().map_err(|e| format!("{e}"))?,
             "--slack" => args.slack = value("--slack")?.parse().map_err(|e| format!("{e}"))?,
             "--emission" => {
-                args.ordered = match value("--emission")?.as_str() {
-                    "ordered" => true,
-                    "unordered" => false,
+                args.emission = match value("--emission")?.as_str() {
+                    "ordered" => EmissionMode::WindowOrdered,
+                    "unordered" => EmissionMode::Unordered,
                     e => return Err(format!("unknown emission `{e}`")),
                 }
             }
             "--subscribe" => args.subscribe = true,
             "--help" | "-h" => return Err("help".into()),
+            v if !v.starts_with('-') && args.verb.is_none() => {
+                args.verb = Some(parse_verb(v, &mut it)?)
+            }
             f => return Err(format!("unknown flag `{f}`")),
         }
     }
-    if args.addr.is_none() && !args.spawn {
-        return Err("need --addr HOST:PORT or --spawn".into());
+    if args.addr.is_none() && (!args.spawn || args.verb.is_some()) {
+        return Err("need --addr HOST:PORT or --spawn (a verb needs --addr)".into());
     }
     if args.connections == 0 || args.batch == 0 || args.events == 0 {
         return Err("--events, --connections, and --batch must be positive".into());
     }
     Ok(args)
+}
+
+fn parse_verb(verb: &str, it: &mut std::slice::Iter<'_, String>) -> Result<Verb, String> {
+    let mut next = |what: &str| it.next().ok_or_else(|| format!("{verb} needs {what}"));
+    Ok(match verb {
+        "drain" => Verb::Drain(num(next("a session id")?)?),
+        "shutdown" => Verb::Shutdown,
+        "detach" => Verb::Detach(num(next("a session id")?)?, num(next("a query id")?)?),
+        "register" => Verb::Register(num(next("a session id")?)?, next("a query")?.clone()),
+        v => return Err(format!("unknown verb `{v}`")),
+    })
+}
+
+fn num<T: std::str::FromStr<Err = std::num::ParseIntError>>(s: &str) -> Result<T, String> {
+    s.parse().map_err(|e| format!("`{s}`: {e}"))
 }
 
 fn generate(
@@ -174,6 +206,9 @@ struct ConnReport {
 }
 
 fn run(args: &Args) -> Result<(), String> {
+    if let (Some(verb), Some(addr)) = (&args.verb, &args.addr) {
+        return run_verb(addr, verb, args.emission).map_err(|e| e.to_string());
+    }
     let server = if args.spawn {
         Some(GretaServer::bind("127.0.0.1:0").map_err(|e| format!("bind: {e}"))?)
     } else {
@@ -198,11 +233,7 @@ fn run(args: &Args) -> Result<(), String> {
     let options = SessionOptions {
         shards: args.shards,
         slack: args.slack,
-        emission: if args.ordered {
-            greta_core::EmissionMode::WindowOrdered
-        } else {
-            greta_core::EmissionMode::Unordered
-        },
+        emission: args.emission,
         ..SessionOptions::default()
     };
     let mut control = Client::connect(&addr).map_err(|e| format!("connect: {e}"))?;
@@ -291,6 +322,22 @@ fn run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Send one operator request and print the server's reply.
+fn run_verb(addr: &str, verb: &Verb, emission: EmissionMode) -> Result<(), ClientError> {
+    let mut client = Client::connect(addr)?;
+    match verb {
+        Verb::Drain(s) => client.drain(*s).map(|()| println!("drained session {s}")),
+        Verb::Shutdown => client.shutdown().map(|()| println!("shut down")),
+        Verb::Detach(s, q) => client.detach(*s, *q).map(|rows| {
+            println!("detached query {q}: {} remainder rows", rows.len());
+            rows.iter().for_each(|row| println!("{row:?}"));
+        }),
+        Verb::Register(s, q) => client
+            .register(*s, q, emission)
+            .map(|id| println!("registered query {id} on session {s}")),
+    }
+}
+
 /// Extract the (summed) value of a Prometheus series by metric name.
 fn prom_value(text: &str, name: &str) -> Option<f64> {
     let mut sum = None;
@@ -318,7 +365,9 @@ fn main() -> ExitCode {
                 "usage: load_client [--addr HOST:PORT | --spawn] \
                  [--workload stock|linear-road] [--events N] [--connections N] \
                  [--batch N] [--shards N] [--slack N] \
-                 [--emission ordered|unordered] [--subscribe]"
+                 [--emission ordered|unordered] [--subscribe]\n       \
+                 load_client --addr HOST:PORT drain N | shutdown | detach N Q \
+                 | register N '<query>' [--emission ordered|unordered]"
             );
             return ExitCode::SUCCESS;
         }
@@ -373,7 +422,7 @@ mod tests {
         assert_eq!(args.batch, 128);
         assert_eq!(args.shards, 2);
         assert_eq!(args.slack, 64);
-        assert!(!args.ordered);
+        assert_eq!(args.emission, EmissionMode::Unordered);
         assert!(args.subscribe);
     }
 
@@ -387,6 +436,70 @@ mod tests {
     fn rejects_unknown_flags_and_zero_counts() {
         assert!(parse(&["--spawn", "--bogus"]).is_err());
         assert!(parse(&["--spawn", "--connections", "0"]).is_err());
+    }
+
+    #[test]
+    fn parses_each_verb() {
+        let verb = |s: &[&str]| parse(s).map(|a| a.verb);
+        assert_eq!(
+            verb(&["--addr", "h:1", "drain", "3"]),
+            Ok(Some(Verb::Drain(3)))
+        );
+        assert_eq!(
+            verb(&["--addr", "h:1", "shutdown"]),
+            Ok(Some(Verb::Shutdown))
+        );
+        assert_eq!(
+            verb(&["--addr", "h:1", "detach", "3", "1"]),
+            Ok(Some(Verb::Detach(3, 1)))
+        );
+        let args = parse(&[
+            "--addr",
+            "h:1",
+            "register",
+            "3",
+            "RETURN …",
+            "--emission",
+            "unordered",
+        ])
+        .unwrap();
+        assert_eq!(args.verb, Some(Verb::Register(3, "RETURN …".into())));
+        assert_eq!(args.emission, EmissionMode::Unordered);
+    }
+
+    #[test]
+    fn rejects_bad_verbs() {
+        let err = |s: &[&str]| parse(s).unwrap_err();
+        assert!(err(&["--addr", "h:1", "drain"]).contains("needs a session id"));
+        assert!(err(&["--addr", "h:1", "drain", "x"]).contains("`x`: invalid digit"));
+        assert!(err(&["--addr", "h:1", "detach", "3"]).contains("needs a query id"));
+        assert!(err(&["--addr", "h:1", "register"]).contains("needs a session id"));
+        assert!(err(&["--addr", "h:1", "register", "3"]).contains("needs a query"));
+        assert!(err(&["--addr", "h:1", "stats"]).contains("unknown verb `stats`"));
+        assert!(err(&["--addr", "h:1", "drain", "3", "shutdown"]).contains("unknown flag"));
+        assert!(err(&["--spawn", "shutdown"]).contains("needs --addr"));
+    }
+
+    #[test]
+    fn verbs_drive_a_live_server() {
+        let server = GretaServer::bind("127.0.0.1:0").unwrap();
+        let addr = server.local_addr().to_string();
+        let (reg, events, query) = generate(Workload::Stock, 2000).unwrap();
+        let mut client = Client::connect(&addr).unwrap();
+        let session = client
+            .submit(query, &reg, SessionOptions::default())
+            .unwrap();
+        client.ingest(session, events).unwrap();
+
+        let verb = |v: Verb| run_verb(&addr, &v, EmissionMode::WindowOrdered);
+        verb(Verb::Register(session, query.into())).unwrap();
+        verb(Verb::Detach(session, 1)).unwrap();
+        let err = verb(Verb::Detach(session, 0)).unwrap_err().to_string();
+        assert!(err.contains("cannot be deregistered"), "{err}");
+        verb(Verb::Drain(session)).unwrap();
+        verb(Verb::Shutdown).unwrap();
+        assert!(client.ingest(session, Vec::new()).is_err());
+        server.shutdown().unwrap();
     }
 
     #[test]
