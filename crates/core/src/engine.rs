@@ -6,10 +6,13 @@
 //! engine running it — plus stream state. Responsibilities:
 //!
 //! * **Partitioning** (§6): events are routed by the values of the
-//!   partition attributes (`GROUP-BY` + equivalence predicates). Events of
-//!   types carrying only a sub-key (negative-pattern types such as
-//!   `Accident` in Q3) are broadcast to all matching partitions and kept in
-//!   a window-deep replay buffer so that later-created partitions observe
+//!   partition attributes (`GROUP-BY` + equivalence predicates). Partitions
+//!   live in a slab in open order; a root event finds its own by hashing
+//!   and comparing its values in place, and a partition key is built only
+//!   when one opens. Events of types carrying only a sub-key
+//!   (negative-pattern types such as `Accident` in Q3) reach the matching
+//!   partitions through an index per sub-key mask, and are kept in a
+//!   window-deep replay buffer so that later-created partitions observe
 //!   them too.
 //! * **Windows** (§6): windows close when the watermark passes their end;
 //!   results are rendered per group and panes whose last window closed are
@@ -21,7 +24,7 @@
 
 use crate::agg::{AggLayout, AggState, TrendNum};
 use crate::graph::{EnginePlan, Partition};
-use crate::grouping::PartitionKey;
+use crate::grouping::{IdIndex, KeyExtractor, PartitionKey, StreamRouting};
 use crate::memory::{MemoryFootprint, PeakTracker};
 use crate::results::{render_aggregates, WindowResult};
 use crate::semantics::Semantics;
@@ -29,7 +32,6 @@ use crate::window::{last_closed, window_close_time, windows_of, WindowId};
 use crate::EngineError;
 use greta_query::CompiledQuery;
 use greta_types::{shared_heap_size, Event, EventRef, SchemaRegistry, Time};
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -78,7 +80,7 @@ pub struct GretaEngine<N: TrendNum = f64> {
     /// Everything the query fixes, compiled once per hosted query; the
     /// fields below are stream state and nothing else.
     plan: Arc<EnginePlan>,
-    partitions: HashMap<PartitionKey, Partition<N>>,
+    partitions: Slab<N>,
     /// Events of types that lack the full partition key (broadcast types),
     /// kept one window deep for replay into new partitions (shared refs —
     /// replay never copies payloads). Each entry records the bytes it was
@@ -113,8 +115,69 @@ pub struct GretaEngine<N: TrendNum = f64> {
     live_bytes: usize,
 }
 
+/// The engine's partitions in open order, addressed by `u32` ids, their
+/// keys beside them, and per key mask of the plan an index from the hash of
+/// a key's projection to the ids (mask 0, the full key, is what a root
+/// event probes). Nothing is removed.
+struct Slab<N: TrendNum> {
+    keys: Vec<PartitionKey>,
+    parts: Vec<Partition<N>>,
+    index: Vec<IdIndex>,
+}
+
+impl<N: TrendNum> Slab<N> {
+    fn new(routing: &StreamRouting) -> Self {
+        let index = routing.masks().iter().map(|_| IdIndex::default()).collect();
+        Slab {
+            keys: Vec::new(),
+            parts: Vec::new(),
+            index,
+        }
+    }
+
+    /// Add a partition, filing it under every mask: the one insertion path.
+    fn insert(&mut self, routing: &StreamRouting, key: PartitionKey, part: Partition<N>) -> usize {
+        let id = self.parts.len();
+        let id32 = u32::try_from(id).expect("fewer than 2^32 partitions");
+        for (mask, index) in routing.masks().iter().zip(&mut self.index) {
+            index.file(key.hash_on(mask), id32);
+        }
+        self.keys.push(key);
+        self.parts.push(part);
+        id
+    }
+
+    /// The partition of a root event, hashed and compared straight off it.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    fn probe(&self, ex: &KeyExtractor, e: &Event) -> Option<usize> {
+        let mut ids = self.index[0].chain(ex.event_hash(e));
+        ids.find(|&id| ex.event_matches(e, &self.keys[id]))
+    }
+
+    /// Hand a broadcast event to the partitions it matches, visiting only
+    /// the ids filed under its projection's hash. The order is free: the
+    /// plan refuses a root-graph type without the full key, so a broadcast
+    /// event never reaches a root END vertex, hence no `f64` fold.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    fn broadcast(&mut self, routing: &StreamRouting, e: &EventRef, to: &mut Delivery<'_, N>) {
+        let ex = routing.extractor();
+        for id in self.index[routing.mask_of(e.type_id)].chain(ex.event_hash(e)) {
+            if ex.event_matches(e, &self.keys[id]) {
+                to.deliver(&mut self.parts[id], e);
+            }
+        }
+    }
+
+    /// Slab ids ascending by key.
+    fn by_key(&self) -> Vec<usize> {
+        let mut ids: Vec<usize> = (0..self.keys.len()).collect();
+        ids.sort_unstable_by_key(|&id| &self.keys[id]);
+        ids
+    }
+}
+
 /// The engine fields one delivery writes, borrowed apart from the
-/// partition map the delivery's target came out of.
+/// partition slab the delivery's target came out of.
 struct Delivery<'a, N: TrendNum> {
     plan: &'a EnginePlan,
     seq: u64,
@@ -165,8 +228,8 @@ impl<N: TrendNum> GretaEngine<N> {
     /// An engine at the start of its stream, running `plan`.
     pub fn with_plan(plan: Arc<EnginePlan>) -> Self {
         GretaEngine {
+            partitions: Slab::new(&plan.routing),
             plan,
-            partitions: HashMap::new(),
             replay: VecDeque::new(),
             replay_bytes: 0,
             open: BTreeMap::new(),
@@ -205,13 +268,15 @@ impl<N: TrendNum> GretaEngine<N> {
 
     /// Number of live partitions.
     pub fn partition_count(&self) -> usize {
-        self.partitions.len()
+        self.partitions.parts.len()
     }
 
     /// Process one shared event (must arrive in-order by time, §2). The
     /// event is *not* copied: graph vertices and the broadcast replay
     /// buffer hold clones of the `Arc` handle. An event of a type outside
-    /// the query advances time and allocates nothing.
+    /// the query advances time and allocates nothing; neither does one that
+    /// reaches existing partitions only.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub fn process_ref(&mut self, e: &EventRef) -> Result<(), EngineError> {
         if self.saw_event && e.time < self.watermark {
             return Err(EngineError::OutOfOrder {
@@ -226,7 +291,6 @@ impl<N: TrendNum> GretaEngine<N> {
         let (plan, routing) = (&*self.plan, &self.plan.routing);
         let root = routing.is_root(e.type_id);
         if root || routing.is_broadcast(e.type_id) {
-            let key = routing.extractor().key_of(e);
             let mut to = Delivery {
                 plan,
                 seq: self.seq,
@@ -238,19 +302,19 @@ impl<N: TrendNum> GretaEngine<N> {
             };
             if root {
                 // One probe: the partition, opened if this is its first event.
-                let part = match self.partitions.entry(key) {
-                    Entry::Occupied(slot) => slot.into_mut(),
-                    Entry::Vacant(slot) => {
-                        let part = open_partition(plan, slot.key(), &self.replay, to.accs);
+                let slab = &mut self.partitions;
+                let id = match slab.probe(routing.extractor(), e) {
+                    Some(id) => id,
+                    None => {
+                        let key = routing.extractor().key_of(e);
+                        let part = open_partition(plan, &key, &self.replay, to.accs);
                         *to.live_bytes += part.bytes();
-                        slot.insert(part)
+                        slab.insert(routing, key, part)
                     }
                 };
-                to.deliver(part, e);
+                to.deliver(&mut slab.parts[id], e);
             } else {
-                // Deliver to every matching partition, remember for replay.
-                let matching = self.partitions.iter_mut().filter(|(k, _)| key.matches(k));
-                matching.for_each(|(_, part)| to.deliver(part, e));
+                self.partitions.broadcast(routing, e, &mut to);
                 self.remember(e);
             }
         }
@@ -266,9 +330,11 @@ impl<N: TrendNum> GretaEngine<N> {
     /// Keep a broadcast event for partitions opened later. The buffer is
     /// one window deep (ARCHITECTURE.md, "Inside a shard engine": Def-5
     /// effects for late-created partitions are window-bounded).
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     fn remember(&mut self, e: &EventRef) {
         let charge = shared_heap_size(e);
         self.replay_bytes += charge;
+        #[expect(clippy::disallowed_methods, reason = "EventRef: an Arc refcount bump")]
         self.replay.push_back((e.clone(), charge));
         let cutoff = e.time.ticks().saturating_sub(self.plan.query.window.within);
         while self
@@ -295,7 +361,7 @@ impl<N: TrendNum> GretaEngine<N> {
             // Batch pane purge: panes whose last window just closed die.
             // Purges change many partitions at once: recompute the total.
             self.live_bytes = 0;
-            for part in self.partitions.values_mut() {
+            for part in &mut self.partitions.parts {
                 part.purge_panes(&self.plan, wid);
                 self.live_bytes += part.bytes();
             }
@@ -310,10 +376,9 @@ impl<N: TrendNum> GretaEngine<N> {
         self.results_bytes -= groups_bytes(&finals);
         if plan.deferred_final {
             // A group may span partitions, and `f64` sums do not commute in
-            // their last bit: fold them ascending by key, not in map order.
-            let mut parts: Vec<_> = self.partitions.iter().collect();
-            parts.sort_unstable_by_key(|(key, _)| *key);
-            for (_, part) in parts {
+            // their last bit: fold them ascending by key, not in slab order.
+            for id in self.partitions.by_key() {
+                let part = &self.partitions.parts[id];
                 for st in part.collect_final(plan, wid, close) {
                     if !st.count.is_zero() {
                         merge_group(&mut finals, &part.group, &st, &plan.layout);
@@ -414,12 +479,11 @@ impl<N: TrendNum> GretaEngine<N> {
         put_u64(&mut out, self.peak.peak() as u64);
 
         // Partitions, sorted by key for a deterministic blob.
-        let mut keys: Vec<&PartitionKey> = self.partitions.keys().collect();
-        keys.sort();
-        put_u32(&mut out, keys.len() as u32);
-        for key in keys {
-            encode_key(key, &mut out);
-            self.partitions[key].encode_state(&mut out);
+        let ids = self.partitions.by_key();
+        put_u32(&mut out, ids.len() as u32);
+        for id in ids {
+            encode_key(&self.partitions.keys[id], &mut out);
+            self.partitions.parts[id].encode_state(&mut out);
         }
 
         encode_events(self.replay.iter().map(|(e, _)| e), &mut out);
@@ -479,7 +543,7 @@ impl<N: TrendNum> GretaEngine<N> {
             let key = decode_key(r)?;
             let part = Partition::decode_state(&eng.plan, key.group_prefix(n_group), r)?;
             eng.live_bytes += part.bytes();
-            eng.partitions.insert(key, part);
+            eng.partitions.insert(&eng.plan.routing, key, part);
         }
 
         for e in decode_events(r)? {
@@ -586,10 +650,10 @@ impl<N: TrendNum> GretaEngine<N> {
             s0.results += old.stats.results;
             peak_sum += old.peak.peak();
             news[0].emitted.append(&mut old.emitted);
-            for (key, part) in old.partitions.drain() {
-                let dest = shard_of_group(&part.group) % new_shards;
-                news[dest].live_bytes += part.bytes();
-                news[dest].partitions.insert(key, part);
+            for (key, part) in old.partitions.keys.into_iter().zip(old.partitions.parts) {
+                let dest = &mut news[shard_of_group(&part.group) % new_shards];
+                dest.live_bytes += part.bytes();
+                dest.partitions.insert(&plan.routing, key, part);
             }
             for (wid, groups) in old.open {
                 // Open windows close via the broadcast watermark on every
@@ -622,7 +686,7 @@ fn open_partition<N: TrendNum>(
 ) -> Partition<N> {
     let mut part = Partition::new(plan, key.group_prefix(plan.query.group_by.len()));
     let extractor = plan.routing.extractor();
-    let matches = |old: &&EventRef| extractor.key_of(old).matches(key);
+    let matches = |old: &&EventRef| extractor.event_matches(old, key);
     for (i, old) in replay
         .iter()
         .map(|(old, _)| old)
@@ -691,7 +755,7 @@ impl<N: TrendNum> MemoryFootprint for GretaEngine<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use greta_types::EventBuilder;
+    use greta_types::{EventBuilder, Value};
 
     fn reg_ab() -> SchemaRegistry {
         let mut r = SchemaRegistry::new();
@@ -1075,6 +1139,78 @@ mod tests {
         assert_eq!(rows, expect);
         // Summed counters are preserved across the repartition.
         assert_eq!(total_events, events.len() as u64);
+    }
+
+    #[test]
+    fn a_broadcast_visits_exactly_the_matching_partitions() {
+        // Q3's shape: positions partition by (segment, vehicle); an
+        // accident carries the segment only and must reach every vehicle of
+        // its segment and no other partition. Each partition it reaches
+        // adds one vertex to that partition's negative graph.
+        let mut r = SchemaRegistry::new();
+        r.register_type("Accident", &["segment"]).unwrap();
+        r.register_type("Position", &["vehicle", "segment"])
+            .unwrap();
+        let q = CompiledQuery::parse(
+            "RETURN segment, COUNT(*) PATTERN SEQ(NOT Accident X, Position P+) \
+             WHERE [P.vehicle, segment] GROUP-BY segment WITHIN 1000 SLIDE 1000",
+            &r,
+        )
+        .unwrap();
+        let mut eng = GretaEngine::<u64>::new(q, r.clone()).unwrap();
+        let segment = |s: i64| match s % 3 {
+            0 => Value::Int(s),
+            1 => Value::Float(s as f64),
+            _ => Value::from(format!("s{s}")),
+        };
+        let mut t = 0;
+        let mut feed = |ty: &str, vals: &[(&str, Value)]| {
+            t += 1;
+            let mut b = EventBuilder::new(&r, ty).unwrap().at(Time(t));
+            for (a, v) in vals {
+                b = b.set(a, v.clone()).unwrap();
+            }
+            let before = eng.stats().vertices;
+            eng.process_ref(&b.build().into_ref()).unwrap();
+            eng.stats().vertices - before
+        };
+        for v in 0..40i64 {
+            let s = v % 7;
+            feed(
+                "Position",
+                &[("vehicle", Value::Int(v)), ("segment", segment(s))],
+            );
+        }
+        for s in 0..9i64 {
+            // Segments 7 and 8 have no partition; an `Int` segment matches
+            // the partitions a `Float` of equal value opened.
+            let probe = if s % 3 == 1 {
+                Value::Int(s)
+            } else {
+                segment(s)
+            };
+            let matching = (0..40).filter(|v| v % 7 == s).count() as u64;
+            assert_eq!(
+                feed("Accident", &[("segment", probe)]),
+                matching,
+                "segment {s}"
+            );
+        }
+        assert_eq!(eng.partition_count(), 40);
+        // The index lists exactly the brute-force matches.
+        let routing = &eng.plan.routing;
+        let acc = EventBuilder::new(&r, "Accident").unwrap();
+        let acc = acc.set("segment", segment(2)).unwrap().build();
+        let slab = &eng.partitions;
+        let mask = routing.mask_of(acc.type_id);
+        let h = routing.extractor().event_hash(&acc);
+        let mut via_index: Vec<usize> = slab.index[mask].chain(h).collect();
+        via_index.sort_unstable();
+        let key = routing.extractor().key_of(&acc);
+        let brute: Vec<usize> = (0..slab.keys.len())
+            .filter(|&id| key.matches(&slab.keys[id]))
+            .collect();
+        assert_eq!(via_index, brute);
     }
 
     fn fnv1a(bytes: &[u8]) -> u64 {

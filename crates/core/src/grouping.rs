@@ -6,7 +6,8 @@
 use greta_query::CompiledQuery;
 use greta_types::{AttrId, Event, SchemaRegistry, TypeId, Value};
 use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A partition / group key: attribute values in `partition_attrs` order.
 /// `None` marks an attribute the event's type does not carry (sub-key
@@ -50,6 +51,19 @@ impl PartitionKey {
                 (Some(x), Some(y)) => x == y,
                 _ => true,
             })
+    }
+
+    /// Hash of the attributes `mask` selects, slot by slot as
+    /// [`KeyExtractor::event_hash`] reads them off an event whose type
+    /// carries exactly those: a stored key and an event with equal values
+    /// there hash equally.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    pub(crate) fn hash_on(&self, mask: &[bool]) -> u64 {
+        let mut h = DefaultHasher::new();
+        for (v, _) in self.0.iter().zip(mask).filter(|(_, m)| **m) {
+            hash_group_slot(&mut h, v.as_ref());
+        }
+        h.finish()
     }
 
     /// Project onto the first `n` attributes (the `GROUP-BY` prefix).
@@ -158,6 +172,29 @@ impl KeyExtractor {
         }
     }
 
+    /// Hash of the partition attributes `e`'s type carries, straight off the
+    /// event: [`PartitionKey::hash_on`] of any key that agrees with `e` on
+    /// them, under the type's mask. No key is built.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    pub(crate) fn event_hash(&self, e: &Event) -> u64 {
+        let mut h = DefaultHasher::new();
+        for a in self.slots_of(e.type_id).into_iter().flatten().flatten() {
+            hash_group_slot(&mut h, Some(e.attr(*a)));
+        }
+        h.finish()
+    }
+
+    /// `self.key_of(e).matches(key)`, compared in place: `key` agrees with
+    /// `e` on every partition attribute `e`'s type carries.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    pub(crate) fn event_matches(&self, e: &Event, key: &PartitionKey) -> bool {
+        let slots = self.slots_of(e.type_id).unwrap_or_default();
+        slots.iter().zip(&key.0).all(|(s, v)| match (s, v) {
+            (Some(a), Some(v)) => v == e.attr(*a),
+            _ => true,
+        })
+    }
+
     /// True when the event's type carries **all** partition attributes
     /// (complete key ⇒ the event belongs to exactly one partition).
     pub fn has_full_key(&self, ty: TypeId) -> bool {
@@ -230,6 +267,12 @@ pub struct StreamRouting {
     /// Dense by `TypeId`: the per-event classification is an array index.
     root_types: Vec<bool>,
     broadcast_types: Vec<bool>,
+    /// The distinct sets of partition attributes that root and broadcast
+    /// types carry, as masks over the key; mask 0 is the full key.
+    masks: Vec<Box<[bool]>>,
+    /// Dense by `TypeId`: the number of the mask a root or broadcast type
+    /// carries (0 for every other type).
+    mask_of: Vec<usize>,
     n_group: usize,
 }
 
@@ -249,12 +292,36 @@ impl StreamRouting {
         for (_, tid) in graphs.flat_map(|g| &g.state_types) {
             broadcast[tid.0 as usize] = !root[tid.0 as usize] || !extractor.has_full_key(*tid);
         }
+        let mut masks: Vec<Box<[bool]>> = vec![vec![true; extractor.n_attrs].into()];
+        let mut mask_of = vec![0; broadcast.len()];
+        for (ty, slots) in extractor.per_type.iter().enumerate() {
+            let Some(slots) = slots.as_deref().filter(|_| broadcast[ty]) else {
+                continue;
+            };
+            let mask: Box<[bool]> = slots.iter().map(Option::is_some).collect();
+            mask_of[ty] = masks.iter().position(|m| *m == mask).unwrap_or(masks.len());
+            if mask_of[ty] == masks.len() {
+                masks.push(mask);
+            }
+        }
         StreamRouting {
             extractor,
             root_types: root,
             broadcast_types: broadcast,
+            masks,
+            mask_of,
             n_group: query.group_by.len(),
         }
+    }
+
+    /// The key masks root and broadcast types carry (0: the full key).
+    pub(crate) fn masks(&self) -> &[Box<[bool]>] {
+        &self.masks
+    }
+
+    /// The number of the mask a root or broadcast type carries.
+    pub(crate) fn mask_of(&self, ty: TypeId) -> usize {
+        self.mask_of.get(ty.0 as usize).copied().unwrap_or(0)
     }
 
     /// The partition-key extractor.
@@ -339,6 +406,55 @@ impl StreamRouting {
             && self.broadcast_types == other.broadcast_types
             && self.extractor.n_attrs == other.extractor.n_attrs
             && self.extractor.per_type == other.extractor.per_type
+    }
+}
+
+/// A `Hasher` that passes a `u64` through: the keys of an [`IdIndex`] are
+/// hashes already.
+#[derive(Default)]
+pub(crate) struct Identity(u64);
+
+impl Hasher for Identity {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(*b);
+        }
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
+/// Chain terminator of an [`IdIndex`].
+const END: u32 = u32::MAX;
+
+/// Slab ids filed under a 64-bit hash, chained through the slab: `heads`
+/// maps a hash to the newest id filed under it, `next[id]` to the id filed
+/// before it under the same hash. Filing costs no allocation beyond the
+/// amortised growth of the two containers.
+#[derive(Debug, Default)]
+pub(crate) struct IdIndex {
+    heads: HashMap<u64, u32, BuildHasherDefault<Identity>>,
+    next: Vec<u32>,
+}
+
+impl IdIndex {
+    /// File `id` — the next slab id, one past the last filed — under `h`.
+    pub(crate) fn file(&mut self, h: u64, id: u32) {
+        debug_assert_eq!(self.next.len(), id as usize);
+        self.next.push(self.heads.insert(h, id).unwrap_or(END));
+    }
+
+    /// The ids filed under `h`, newest first; a hash collision may add ids
+    /// whose key differs.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    pub(crate) fn chain(&self, h: u64) -> impl Iterator<Item = usize> + '_ {
+        let head = self.heads.get(&h).copied();
+        let next = |id: &u32| Some(self.next[*id as usize]).filter(|n| *n != END);
+        std::iter::successors(head, next).map(|id| id as usize)
     }
 }
 
@@ -486,5 +602,81 @@ mod tests {
                 "vehicle={vehicle} segment={segment}"
             );
         }
+    }
+
+    #[test]
+    fn event_hash_equals_stored_key_hash_for_every_key_shape() {
+        // A root type carrying the full key (a, b, c) and three broadcast
+        // types carrying {b}, {a, c} and nothing: four masks.
+        let mut reg = SchemaRegistry::new();
+        reg.register_type("R", &["c", "b", "a", "v"]).unwrap();
+        reg.register_type("S", &["b"]).unwrap();
+        reg.register_type("T", &["a", "c"]).unwrap();
+        reg.register_type("U", &["v"]).unwrap();
+        let q = CompiledQuery::parse(
+            "RETURN a, COUNT(*) PATTERN SEQ(NOT S X, NOT U Z, R P+, NOT T Y) \
+             WHERE [a, b, c] GROUP-BY a WITHIN 10 SLIDE 10",
+            &reg,
+        )
+        .unwrap();
+        let routing = StreamRouting::new(&q, &reg);
+        let ex = routing.extractor();
+        let ty = |name: &str| reg.type_id(name).unwrap();
+        assert_eq!(routing.mask_of(ty("R")), 0);
+        let masks: Vec<&[bool]> = ["R", "S", "T", "U"]
+            .map(|name| &*routing.masks()[routing.mask_of(ty(name))])
+            .to_vec();
+        let expect: [&[bool]; 4] = [
+            &[true, true, true],
+            &[false, true, false],
+            &[true, false, true],
+            &[false, false, false],
+        ];
+        assert_eq!(masks, expect);
+        assert_eq!(routing.masks().len(), 4);
+
+        let event = |name: &str, vals: &[Value]| {
+            let attrs = reg.schema(ty(name)).attributes.len();
+            let mut all = vec![Value::Int(0); attrs];
+            for (a, v) in ["a", "b", "c"].iter().zip(vals) {
+                if let Some(slot) = reg.schema(ty(name)).attr(a) {
+                    all[slot.0 as usize] = v.clone();
+                }
+            }
+            Event::new_unchecked(ty(name), greta_types::Time(0), all)
+        };
+        let shapes: [[Value; 3]; 5] = [
+            [Value::Int(3), Value::Int(-7), Value::Int(0)],
+            [Value::from("north"), Value::Int(12), Value::from("")],
+            [Value::Float(2.5), Value::from("x"), Value::Float(-0.0)],
+            [
+                Value::Int(i64::MAX),
+                Value::Float(f64::NAN),
+                Value::from("ü"),
+            ],
+            [Value::Bool(true), Value::Int(1), Value::Float(1e300)],
+        ];
+        for vals in &shapes {
+            let key = ex.key_of(&event("R", vals));
+            for name in ["R", "S", "T", "U"] {
+                let e = event(name, vals);
+                let mask = &routing.masks()[routing.mask_of(e.type_id)];
+                assert_eq!(ex.event_hash(&e), key.hash_on(mask), "{name} {vals:?}");
+                assert!(ex.event_matches(&e, &key), "{name} {vals:?}");
+                assert!(ex.key_of(&e).matches(&key));
+            }
+        }
+        // Equal values of two numeric kinds are one key value: an `Int`
+        // event probes the partition a `Float` opened, and vice versa.
+        let int = event("R", &[Value::Int(4), Value::Int(5), Value::Int(6)]);
+        let float = event(
+            "R",
+            &[Value::Float(4.0), Value::Float(5.0), Value::Float(6.0)],
+        );
+        assert_eq!(ex.event_hash(&int), ex.key_of(&float).hash_on(&[true; 3]));
+        assert!(ex.event_matches(&int, &ex.key_of(&float)));
+        // A differing value on a carried attribute does not match.
+        let other = event("S", &[Value::Int(4), Value::Int(9), Value::Int(6)]);
+        assert!(!ex.event_matches(&other, &ex.key_of(&int)));
     }
 }
