@@ -126,7 +126,7 @@ impl AseqEngine {
                 .state
                 .entry((key, wid))
                 .or_insert_with(|| vec![AggState::zero(&self.layout); self.positions.len()]);
-            states[pos].merge(&contrib);
+            states[pos].merge(contrib.slots());
         }
     }
 
@@ -160,7 +160,7 @@ impl AseqEngine {
                 // `pending`).
                 let contrib = if pos == 0 {
                     let mut s = AggState::zero(&self.layout);
-                    s.apply_own(e, true, &self.layout);
+                    extend(&mut s, e, true, &self.layout);
                     s
                 } else {
                     let Some(states) = self.state.get(&(key.clone(), wid)) else {
@@ -171,9 +171,9 @@ impl AseqEngine {
                         continue;
                     }
                     let mut s = prev;
-                    // apply_own(…, false) adds counts_e/min/max/sum weighted
-                    // by `count` — exactly the Theorem 9.1 step.
-                    s.apply_own(e, false, &self.layout);
+                    // Adds counts_e/min/max/sum weighted by `count` —
+                    // exactly the Theorem 9.1 step.
+                    extend(&mut s, e, false, &self.layout);
                     s
                 };
                 if pos == self.positions.len() - 1 {
@@ -183,7 +183,7 @@ impl AseqEngine {
                         .or_default()
                         .entry(group)
                         .or_insert_with(|| AggState::zero(&self.layout))
-                        .merge(&contrib);
+                        .merge(contrib.slots());
                 }
                 self.pending.push(((key.clone(), wid), pos, contrib));
             }
@@ -234,6 +234,35 @@ impl AseqEngine {
             .values()
             .map(|v| v.iter().map(AggState::heap_size).sum::<usize>() + 64)
             .sum()
+    }
+}
+
+/// The Theorem 9.1 step on a prefix aggregate: a sequence starting at `e`
+/// adds one to the count (`start`); a tracked target folds its attribute
+/// in, weighted by the count.
+fn extend(s: &mut AggState<f64>, e: &Event, start: bool, layout: &AggLayout) {
+    if start {
+        s.count += 1.0;
+    }
+    for (i, t) in layout.count_targets.iter().enumerate() {
+        if *t == e.type_id {
+            s.counts_e[i] += s.count;
+        }
+    }
+    for (i, (t, a)) in layout.min_targets.iter().enumerate() {
+        if *t == e.type_id {
+            s.mins[i] = s.mins[i].min(e.attr(*a).as_f64());
+        }
+    }
+    for (i, (t, a)) in layout.max_targets.iter().enumerate() {
+        if *t == e.type_id {
+            s.maxs[i] = s.maxs[i].max(e.attr(*a).as_f64());
+        }
+    }
+    for (i, (t, a)) in layout.sum_targets.iter().enumerate() {
+        if *t == e.type_id {
+            s.sums[i] += s.count * e.attr(*a).as_f64();
+        }
     }
 }
 

@@ -1,10 +1,17 @@
 //! Incremental aggregation calculus (paper Theorem 4.3 and Theorem 9.1).
 //!
-//! Every vertex carries, per sliding window, an [`AggState`]: the aggregate
-//! of all (sub-)trends that start at a START event and end at this vertex.
-//! When a new event is inserted, its state is the *merge* of its
-//! predecessors' states plus its own contribution — each edge is traversed
+//! Every vertex carries, per sliding window, an aggregate *cell*: the
+//! aggregate of all (sub-)trends that start at a START event and end at this
+//! vertex. When a new event is inserted, its cells are the *merge* of its
+//! predecessors' cells plus its own contribution — each edge is traversed
 //! exactly once, which is what makes GRETA quadratic instead of exponential.
+//!
+//! The graph keeps cells in flat [`Cells`] blocks strided by the query's
+//! [`AggLayout`]: per cell `count`, `counts_e` and `sums` in a block of `N`,
+//! `mins` and `maxs` in a block of `f64`. Every numeric slot merges by
+//! addition, so merging a predecessor's cells is one element-wise add plus
+//! an extrema fold. [`AggState`] is one cell owned on its own, for what is
+//! folded per (window, group), rendered or decoded.
 //!
 //! `COUNT`/`SUM` values grow like 2ⁿ under skip-till-any-match, so the
 //! numeric carrier is pluggable via [`TrendNum`]: `u64` (saturating),
@@ -15,9 +22,10 @@ use greta_bignum::BigUint;
 use greta_query::compile::{AggKind, CompiledAgg};
 use greta_types::codec::{put_u32, put_u64, Reader};
 use greta_types::{AttrId, CodecError, Event, TypeId};
+use std::ops::Range;
 
 /// Numeric carrier for trend counts and sums.
-pub trait TrendNum: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {
+pub trait TrendNum: Clone + Default + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     /// Additive identity.
     fn zero() -> Self;
     /// Multiplicative identity (one trend).
@@ -155,18 +163,20 @@ impl TrendNum for BigUint {
 }
 
 /// Dense per-event-type accessor of an [`AggLayout`]: the slots (and
-/// attribute indexes) an event of one type contributes to, resolved once
-/// at plan time so [`AggState::apply_own`] indexes straight into its
-/// arrays instead of scanning every target per event.
+/// attribute indexes) an event of one type contributes to, as positions in
+/// a cell, resolved once at plan time so an event's own contribution
+/// indexes straight into a cell instead of scanning every target per event.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 struct TypeAggOps {
-    counts: Vec<usize>,
-    mins: Vec<(usize, AttrId)>,
-    maxs: Vec<(usize, AttrId)>,
-    sums: Vec<(usize, AttrId)>,
+    /// Numeric slots after `count`: `COUNT(E)` ones (`None`: add the count)
+    /// and `SUM(E.attr)` ones (add the count times the attribute).
+    nums: Vec<(usize, Option<AttrId>)>,
+    /// Extrema slots: a `MIN` below the layout's number of mins, else a
+    /// `MAX`.
+    exts: Vec<(usize, AttrId)>,
 }
 
-/// Physical layout of an [`AggState`], derived from the query's aggregates.
+/// Physical layout of an aggregate cell, derived from the query's aggregates.
 /// Distinct targets are deduplicated: `AVG(E.a)` shares the `COUNT(E)` and
 /// `SUM(E.a)` slots with any other aggregate needing them.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -223,17 +233,18 @@ impl AggLayout {
             .max()
             .unwrap_or(0);
         let mut ops = vec![TypeAggOps::default(); max_ty];
+        let (n_counts, n_mins) = (self.count_targets.len(), self.min_targets.len());
         for (i, t) in self.count_targets.iter().enumerate() {
-            ops[t.0 as usize].counts.push(i);
-        }
-        for (i, (t, a)) in self.min_targets.iter().enumerate() {
-            ops[t.0 as usize].mins.push((i, *a));
-        }
-        for (i, (t, a)) in self.max_targets.iter().enumerate() {
-            ops[t.0 as usize].maxs.push((i, *a));
+            ops[t.0 as usize].nums.push((i, None));
         }
         for (i, (t, a)) in self.sum_targets.iter().enumerate() {
-            ops[t.0 as usize].sums.push((i, *a));
+            ops[t.0 as usize].nums.push((n_counts + i, Some(*a)));
+        }
+        for (i, (t, a)) in self.min_targets.iter().enumerate() {
+            ops[t.0 as usize].exts.push((i, *a));
+        }
+        for (i, (t, a)) in self.max_targets.iter().enumerate() {
+            ops[t.0 as usize].exts.push((n_mins + i, *a));
         }
         self.ops = ops;
     }
@@ -257,6 +268,16 @@ impl AggLayout {
     pub fn max_slot(&self, t: TypeId, a: AttrId) -> Option<usize> {
         self.max_targets.iter().position(|x| *x == (t, a))
     }
+
+    /// `N` slots per cell: `count`, then `counts_e`, then `sums`.
+    pub fn nums(&self) -> usize {
+        1 + self.count_targets.len() + self.sum_targets.len()
+    }
+
+    /// `f64` slots per cell: `mins`, then `maxs`.
+    pub fn exts(&self) -> usize {
+        self.min_targets.len() + self.max_targets.len()
+    }
 }
 
 fn push_unique<T: PartialEq>(v: &mut Vec<T>, x: T) {
@@ -265,12 +286,27 @@ fn push_unique<T: PartialEq>(v: &mut Vec<T>, x: T) {
     }
 }
 
-/// Per-vertex per-window aggregate state (Theorem 9.1):
+/// One cell's slots (Theorem 9.1), borrowed apart:
 ///
 /// * `count`    — number of (sub-)trends ending at this vertex
 /// * `counts_e` — `COUNT(E)` occurrences across those trends, per target
 /// * `mins`/`maxs` — extrema of the tracked attributes across those trends
 /// * `sums`     — `SUM(E.attr)` across those trends, per target
+pub struct Slots<'a, N> {
+    /// Trend count ending here (`e.count`).
+    pub count: &'a N,
+    /// `COUNT(E)` per layout slot.
+    pub counts_e: &'a [N],
+    /// `MIN(E.attr)` per layout slot.
+    pub mins: &'a [f64],
+    /// `MAX(E.attr)` per layout slot.
+    pub maxs: &'a [f64],
+    /// `SUM(E.attr)` per layout slot.
+    pub sums: &'a [N],
+}
+
+/// One aggregate cell owned on its own: a window's final aggregate per
+/// group, a rendered or decoded value, a baseline's accumulator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggState<N: TrendNum> {
     /// Trend count ending here (`e.count`).
@@ -297,54 +333,32 @@ impl<N: TrendNum> AggState<N> {
         }
     }
 
-    /// Merge a predecessor's (or another END event's) state into this one:
-    /// counts and sums add, extrema fold (the `Σ`/`min`/`max` of Thm 9.1).
-    pub fn merge(&mut self, other: &AggState<N>) {
-        self.count.add_assign(&other.count);
-        for (a, b) in self.counts_e.iter_mut().zip(other.counts_e.iter()) {
-            a.add_assign(b);
-        }
-        for (a, b) in self.mins.iter_mut().zip(other.mins.iter()) {
-            *a = a.min(*b);
-        }
-        for (a, b) in self.maxs.iter_mut().zip(other.maxs.iter()) {
-            *a = a.max(*b);
-        }
-        for (a, b) in self.sums.iter_mut().zip(other.sums.iter()) {
-            a.add_assign(b);
+    /// The slots, borrowed.
+    pub fn slots(&self) -> Slots<'_, N> {
+        Slots {
+            count: &self.count,
+            counts_e: &self.counts_e,
+            mins: &self.mins,
+            maxs: &self.maxs,
+            sums: &self.sums,
         }
     }
 
-    /// Apply the inserted event's own contribution (Theorem 9.1), after all
-    /// predecessor states have been merged:
-    ///
-    /// * START events increment `count` by one (they begin a new trend);
-    /// * if the event's type is a tracked target, fold its attribute into
-    ///   `counts_e` / `mins` / `maxs` / `sums` weighted by the final count.
-    pub fn apply_own(&mut self, event: &Event, is_start: bool, layout: &AggLayout) {
-        if is_start {
-            self.count.add_assign(&N::one());
+    /// Merge another state's (or a cell's) slots into this one: counts and
+    /// sums add, extrema fold (the `Σ`/`min`/`max` of Thm 9.1).
+    pub fn merge(&mut self, other: Slots<'_, N>) {
+        self.count.add_assign(other.count);
+        for (a, b) in self.counts_e.iter_mut().zip(other.counts_e) {
+            a.add_assign(b);
         }
-        // Dense accessor: one index by type id, then only the slots this
-        // type actually feeds (resolved once in `AggLayout::new`).
-        let Some(ops) = layout.ops.get(event.type_id.0 as usize) else {
-            return;
-        };
-        for &i in &ops.counts {
-            // e.countE = e.count + Σ p.countE; the Σ part is already in
-            // counts_e from merge(), so add e.count.
-            let c = self.count.clone();
-            self.counts_e[i].add_assign(&c);
+        for (a, b) in self.mins.iter_mut().zip(other.mins) {
+            *a = a.min(*b);
         }
-        for &(i, a) in &ops.mins {
-            self.mins[i] = self.mins[i].min(event.attr(a).as_f64());
+        for (a, b) in self.maxs.iter_mut().zip(other.maxs) {
+            *a = a.max(*b);
         }
-        for &(i, a) in &ops.maxs {
-            self.maxs[i] = self.maxs[i].max(event.attr(a).as_f64());
-        }
-        for &(i, a) in &ops.sums {
-            let contrib = N::scale_by_attr(&self.count, event.attr(a).as_f64());
-            self.sums[i].add_assign(&contrib);
+        for (a, b) in self.sums.iter_mut().zip(other.sums) {
+            a.add_assign(b);
         }
     }
 
@@ -356,6 +370,177 @@ impl<N: TrendNum> AggState<N> {
             + self.count.heap_size()
             + self.counts_e.iter().map(TrendNum::heap_size).sum::<usize>()
             + self.sums.iter().map(TrendNum::heap_size).sum::<usize>()
+    }
+}
+
+/// A block of aggregate cells, row-major and strided by an [`AggLayout`]:
+/// per cell [`AggLayout::nums`] values of `N` — `count`, then `counts_e`,
+/// then `sums` — and [`AggLayout::exts`] `f64`s — `mins`, then `maxs`.
+/// Which cell is which is the owner's business: a vertex's per-window
+/// accumulators, or a run's rows of `k` cells each.
+#[derive(Debug, Default)]
+pub struct Cells<N: TrendNum> {
+    nums: Vec<N>,
+    exts: Vec<f64>,
+}
+
+/// Consecutive cells borrowed from a [`Cells`] block.
+#[derive(Debug)]
+pub struct CellsRef<'a, N> {
+    nums: &'a [N],
+    exts: &'a [f64],
+}
+
+impl<N: TrendNum> Cells<N> {
+    /// Make the block `n` all-zero cells, keeping its capacity.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    pub(crate) fn reset(&mut self, n: usize, layout: &AggLayout) {
+        self.nums.clear();
+        self.nums.resize_with(n * layout.nums(), N::zero);
+        self.exts.clear();
+        for _ in 0..n {
+            let mins = std::iter::repeat_n(f64::INFINITY, layout.min_targets.len());
+            let maxs = std::iter::repeat_n(f64::NEG_INFINITY, layout.max_targets.len());
+            self.exts.extend(mins.chain(maxs));
+        }
+    }
+
+    /// Merge `from` into this block's first cells, cell for cell: one
+    /// element-wise add over the numeric slots, then the extrema fold.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    pub(crate) fn merge(&mut self, from: CellsRef<'_, N>, layout: &AggLayout) {
+        for (a, b) in self.nums.iter_mut().zip(from.nums) {
+            a.add_assign(b);
+        }
+        // `max(1)`: an empty extrema block has no chunk of any size.
+        let (ext, n_min) = (layout.exts().max(1), layout.min_targets.len());
+        let (to, from) = (self.exts.chunks_exact_mut(ext), from.exts.chunks_exact(ext));
+        for (a, b) in to.zip(from) {
+            for (i, (x, y)) in a.iter_mut().zip(b).enumerate() {
+                *x = if i < n_min { x.min(*y) } else { x.max(*y) };
+            }
+        }
+    }
+
+    /// Apply the inserted event's own contribution (Theorem 9.1) to every
+    /// cell, after all predecessor cells have been merged:
+    ///
+    /// * START events increment `count` by one (they begin a new trend);
+    /// * if the event's type is a tracked target, fold its attribute into
+    ///   `counts_e` / `mins` / `maxs` / `sums` weighted by the final count.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    pub(crate) fn apply_own(&mut self, event: &Event, is_start: bool, layout: &AggLayout) {
+        // Dense accessor: one index by type id, then only the slots this
+        // type actually feeds (resolved once in `AggLayout::new`).
+        let ops = layout.ops.get(event.type_id.0 as usize);
+        let (ext, n_mins) = (layout.exts(), layout.min_targets.len());
+        for (i, cell) in self.nums.chunks_exact_mut(layout.nums()).enumerate() {
+            let (count, rest) = cell.split_first_mut().expect("a cell has a count slot");
+            if is_start {
+                count.add_assign(&N::one());
+            }
+            let Some(ops) = ops else { continue };
+            // e.countE = e.count + Σ p.countE and e.sum = e.attr · e.count +
+            // Σ p.sum: the Σ parts are already here from merge().
+            for &(j, attr) in &ops.nums {
+                match attr {
+                    None => rest[j].add_assign(count),
+                    Some(a) => rest[j].add_assign(&N::scale_by_attr(count, event.attr(a).as_f64())),
+                }
+            }
+            let exts = &mut self.exts[i * ext..(i + 1) * ext];
+            for &(j, a) in &ops.exts {
+                let fold = if j < n_mins { f64::min } else { f64::max };
+                exts[j] = fold(exts[j], event.attr(a).as_f64());
+            }
+        }
+    }
+
+    /// The cells at positions `cells`.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    pub fn slice(&self, cells: Range<usize>, layout: &AggLayout) -> CellsRef<'_, N> {
+        let (num, ext) = (layout.nums(), layout.exts());
+        CellsRef {
+            nums: &self.nums[cells.start * num..cells.end * num],
+            exts: &self.exts[cells.start * ext..cells.end * ext],
+        }
+    }
+
+    /// Bytes the values take, with their carriers' heap (memory
+    /// accounting).
+    pub(crate) fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.nums.as_slice())
+            + std::mem::size_of_val(self.exts.as_slice())
+            + self.nums.iter().map(TrendNum::heap_size).sum::<usize>()
+    }
+
+    /// Move every cell of `row` into this block of rows, as row `at`: the
+    /// stride of a row is the size of `row`.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    pub(crate) fn insert_row(&mut self, at: usize, row: &mut Cells<N>) {
+        let (num, ext) = (row.nums.len(), row.exts.len());
+        self.nums.splice(at * num..at * num, row.nums.drain(..));
+        self.exts.splice(at * ext..at * ext, row.exts.drain(..));
+    }
+
+    /// Keep the cells of the rows (of `rows` equal rows) for which `keep`
+    /// holds.
+    pub(crate) fn retain_rows(&mut self, rows: usize, keep: impl Fn(usize) -> bool) {
+        retain_rows(&mut self.nums, rows, &keep);
+        retain_rows(&mut self.exts, rows, &keep);
+    }
+
+    /// Append `st` as one more cell; refuses a state whose slots do not
+    /// match `layout` (a decoded one is not trusted).
+    pub(crate) fn push(&mut self, st: &AggState<N>, layout: &AggLayout) -> Result<(), CodecError> {
+        let l = layout;
+        if [st.counts_e.len(), st.sums.len()] != [l.count_targets.len(), l.sum_targets.len()]
+            || [st.mins.len(), st.maxs.len()] != [l.min_targets.len(), l.max_targets.len()]
+        {
+            return Err(CodecError(
+                "aggregate slots do not match the query's".into(),
+            ));
+        }
+        self.nums.push(st.count.clone());
+        self.nums
+            .extend(st.counts_e.iter().chain(&st.sums).cloned());
+        self.exts.extend(st.mins.iter().chain(&st.maxs));
+        Ok(())
+    }
+}
+
+/// Keep the elements of the rows (of `rows` equal rows of `v`) for which
+/// `keep` holds.
+fn retain_rows<T>(v: &mut Vec<T>, rows: usize, keep: &impl Fn(usize) -> bool) {
+    let (stride, mut i) = (v.len() / rows.max(1), 0);
+    v.retain(|_| {
+        i += 1;
+        keep((i - 1) / stride)
+    });
+}
+
+impl<'a, N: TrendNum> CellsRef<'a, N> {
+    /// The cells one by one.
+    pub fn cells(self, layout: &AggLayout) -> impl ExactSizeIterator<Item = CellsRef<'a, N>> {
+        let (num, ext) = (layout.nums(), layout.exts());
+        (0..self.nums.len() / num).map(move |i| CellsRef {
+            nums: &self.nums[i * num..(i + 1) * num],
+            exts: &self.exts[i * ext..(i + 1) * ext],
+        })
+    }
+
+    /// The slots of a one-cell ref.
+    pub fn slots(self, layout: &AggLayout) -> Slots<'a, N> {
+        let (count, rest) = self.nums.split_first().expect("a cell has a count slot");
+        let (counts_e, sums) = rest.split_at(layout.count_targets.len());
+        let (mins, maxs) = self.exts.split_at(layout.min_targets.len());
+        Slots {
+            count,
+            counts_e,
+            mins,
+            maxs,
+            sums,
+        }
     }
 }
 
@@ -406,11 +591,29 @@ mod tests {
         assert_eq!(l.max_targets.len(), 1);
     }
 
+    /// A vertex of one window: its predecessors' cells merged, then `e`'s
+    /// own contribution.
+    fn vertex<N: TrendNum>(l: &AggLayout, preds: &[&Cells<N>], e: &Event, start: bool) -> Cells<N> {
+        let mut c = Cells::default();
+        c.reset(1, l);
+        for p in preds {
+            c.merge(p.slice(0..1, l), l);
+        }
+        c.apply_own(e, start, l);
+        c
+    }
+
+    /// Cell `i` of `c`, owned.
+    fn state<N: TrendNum>(c: &Cells<N>, i: usize, l: &AggLayout) -> AggState<N> {
+        let mut s = AggState::zero(l);
+        s.merge(c.slice(i..i + 1, l).slots(l));
+        s
+    }
+
     #[test]
     fn start_event_contribution() {
         let l = layout();
-        let mut s = AggState::<u64>::zero(&l);
-        s.apply_own(&ev(0, 5.0, 1), true, &l);
+        let s = state(&vertex::<u64>(&l, &[], &ev(0, 5.0, 1), true), 0, &l);
         assert_eq!(s.count, 1);
         assert_eq!(s.counts_e[0], 1);
         assert_eq!(s.mins[0], 5.0);
@@ -421,8 +624,8 @@ mod tests {
     #[test]
     fn untracked_type_contributes_count_only() {
         let l = layout();
-        let mut s = AggState::<u64>::zero(&l);
-        s.apply_own(&ev(1, 99.0, 1), true, &l); // type B, not tracked
+        // type B, not tracked
+        let s = state(&vertex::<u64>(&l, &[], &ev(1, 99.0, 1), true), 0, &l);
         assert_eq!(s.count, 1);
         assert_eq!(s.counts_e[0], 0);
         assert_eq!(s.mins[0], f64::INFINITY);
@@ -435,55 +638,91 @@ mod tests {
         // preds a1 (count 1, min 5, sum 5), b2 (count 1, carries a1's aggs),
         // a3 (count 3, min 5, sum 28). a4.attr = 4.
         let l = layout();
-        let mut a1 = AggState::<u64>::zero(&l);
-        a1.apply_own(&ev(0, 5.0, 1), true, &l);
-        let mut b2 = AggState::<u64>::zero(&l);
-        b2.merge(&a1);
-        b2.apply_own(&ev(1, 0.0, 2), false, &l);
-        assert_eq!(b2.count, 1);
-        assert_eq!(b2.counts_e[0], 1);
+        let a1 = vertex::<u64>(&l, &[], &ev(0, 5.0, 1), true);
+        let b2 = vertex(&l, &[&a1], &ev(1, 0.0, 2), false);
+        assert_eq!(state(&b2, 0, &l).count, 1);
+        assert_eq!(state(&b2, 0, &l).counts_e[0], 1);
 
-        let mut a3 = AggState::<u64>::zero(&l);
-        a3.merge(&a1);
-        a3.merge(&b2);
-        a3.apply_own(&ev(0, 6.0, 3), true, &l);
-        assert_eq!(a3.count, 3);
-        assert_eq!(a3.counts_e[0], 1 + 1 + 3); // 5
-        assert_eq!(a3.sums[0], 5 + 5 + 6 * 3); // 28
+        let a3 = vertex(&l, &[&a1, &b2], &ev(0, 6.0, 3), true);
+        assert_eq!(state(&a3, 0, &l).count, 3);
+        assert_eq!(state(&a3, 0, &l).counts_e[0], 1 + 1 + 3); // 5
+        assert_eq!(state(&a3, 0, &l).sums[0], 5 + 5 + 6 * 3); // 28
 
-        let mut a4 = AggState::<u64>::zero(&l);
-        a4.merge(&a1);
-        a4.merge(&b2);
-        a4.merge(&a3);
-        a4.apply_own(&ev(0, 4.0, 4), true, &l);
+        let a4 = state(&vertex(&l, &[&a1, &b2, &a3], &ev(0, 4.0, 4), true), 0, &l);
         assert_eq!(a4.count, 6); // 1 + (1+1+3)
         assert_eq!(a4.counts_e[0], 1 + 1 + 5 + 6); // 13
         assert_eq!(a4.mins[0], 4.0);
+        assert_eq!(a4.maxs[0], 6.0);
         assert_eq!(a4.sums[0], 5 + 5 + 28 + 4 * 6); // 62
     }
 
     #[test]
     fn carriers_agree_on_small_counts() {
         let l = layout();
-        let mut u = AggState::<u64>::zero(&l);
-        let mut f = AggState::<f64>::zero(&l);
-        let mut b = AggState::<BigUint>::zero(&l);
-        for i in 0..20 {
-            let e = ev(0, i as f64, i);
-            let (start, other_u) = (i % 2 == 0, u.clone());
-            u.merge(&other_u);
-            u.apply_own(&e, start, &l);
-            let of = f.clone();
-            f.merge(&of);
-            f.apply_own(&e, start, &l);
-            let ob = b.clone();
-            b.merge(&ob);
-            b.apply_own(&e, start, &l);
+        let (mut u, mut f) = (
+            vertex::<u64>(&l, &[], &ev(0, 0.0, 0), true),
+            Cells::<f64>::default(),
+        );
+        let mut b = vertex::<BigUint>(&l, &[], &ev(0, 0.0, 0), true);
+        f.reset(1, &l);
+        f.apply_own(&ev(0, 0.0, 0), true, &l);
+        for i in 1..20 {
+            let (e, start) = (ev(0, i as f64, i), i % 2 == 0);
+            u = vertex(&l, &[&u, &u], &e, start);
+            f = vertex(&l, &[&f, &f], &e, start);
+            b = vertex(&l, &[&b, &b], &e, start);
         }
+        let (u, f, b) = (state(&u, 0, &l), state(&f, 0, &l), state(&b, 0, &l));
         assert_eq!(u.count as f64, f.count);
         assert_eq!(b.count.to_f64(), f.count);
         assert_eq!(u.sums[0] as f64, f.sums[0]);
         assert_eq!(b.sums[0].to_f64(), f.sums[0]);
+    }
+
+    #[test]
+    fn a_block_merges_cell_for_cell() {
+        // Three cells of every slot kind: merging a two-cell slice touches
+        // the first two cells only, each with its own partner, and a state
+        // merged from a cell equals one merged from that cell's state.
+        let l = layout();
+        let mut acc = Cells::<f64>::default();
+        acc.reset(3, &l);
+        let mut from = Cells::<f64>::default();
+        from.reset(2, &l);
+        from.apply_own(&ev(0, 7.0, 1), true, &l);
+        let mut other = Cells::default();
+        other.reset(2, &l);
+        other.apply_own(&ev(0, -2.0, 2), true, &l);
+        from.merge(other.slice(1..2, &l), &l); // cell 0 only
+        acc.merge(from.slice(0..2, &l), &l);
+        let got: Vec<(f64, f64, f64, f64, f64)> = (0..3)
+            .map(|i| {
+                let s = state(&acc, i, &l);
+                (s.count, s.counts_e[0], s.mins[0], s.maxs[0], s.sums[0])
+            })
+            .collect();
+        let inf = f64::INFINITY;
+        let want = vec![
+            (2.0, 2.0, -2.0, 7.0, 5.0),
+            (1.0, 1.0, 7.0, 7.0, 7.0),
+            (0.0, 0.0, inf, -inf, 0.0),
+        ];
+        assert_eq!(got, want);
+        let mut via_state = AggState::zero(&l);
+        via_state.merge(state(&from, 0, &l).slots());
+        assert_eq!(via_state, state(&from, 0, &l));
+    }
+
+    #[test]
+    fn merge_is_commutative_on_extrema() {
+        let l = layout();
+        let s1 = vertex::<f64>(&l, &[], &ev(0, 3.0, 1), true);
+        let s2 = vertex::<f64>(&l, &[], &ev(0, 7.0, 2), true);
+        let a = state(&vertex(&l, &[&s1, &s2], &ev(1, 0.0, 3), false), 0, &l);
+        let b = state(&vertex(&l, &[&s2, &s1], &ev(1, 0.0, 3), false), 0, &l);
+        assert_eq!(a.mins, b.mins);
+        assert_eq!(a.maxs, b.maxs);
+        assert_eq!(a.count, b.count);
     }
 
     #[test]
@@ -500,21 +739,5 @@ mod tests {
         assert_eq!(TrendNum::display(&42.0f64), "42");
         assert_eq!(TrendNum::display(&42.5f64), "42.5");
         assert_eq!(TrendNum::display(&BigUint::from_u64(42)), "42");
-    }
-
-    #[test]
-    fn merge_is_commutative_on_extrema() {
-        let l = layout();
-        let mut s1 = AggState::<f64>::zero(&l);
-        s1.apply_own(&ev(0, 3.0, 1), true, &l);
-        let mut s2 = AggState::<f64>::zero(&l);
-        s2.apply_own(&ev(0, 7.0, 2), true, &l);
-        let mut a = s1.clone();
-        a.merge(&s2);
-        let mut b = s2.clone();
-        b.merge(&s1);
-        assert_eq!(a.mins, b.mins);
-        assert_eq!(a.maxs, b.maxs);
-        assert_eq!(a.count, b.count);
     }
 }

@@ -22,7 +22,7 @@
 //! * **Metrics** (§10.1): events/vertices/edges counters and analytic
 //!   memory accounting with peak tracking.
 
-use crate::agg::{AggLayout, AggState, TrendNum};
+use crate::agg::{AggLayout, AggState, Cells, Slots, TrendNum};
 use crate::graph::{EnginePlan, Partition};
 use crate::grouping::{IdIndex, KeyExtractor, PartitionKey, StreamRouting};
 use crate::memory::{MemoryFootprint, PeakTracker};
@@ -97,8 +97,9 @@ pub struct GretaEngine<N: TrendNum = f64> {
     /// every open (window, group) aggregate.
     results_bytes: usize,
     /// Scratch of the DP loop, reused from event to event: the per-window
-    /// accumulators of the vertex being built, moved into its run on insert.
-    accs: Vec<AggState<N>>,
+    /// accumulator cells of the vertex being built, moved into its run on
+    /// insert.
+    accs: Cells<N>,
     emitted: Vec<WindowResult<N>>,
     watermark: Time,
     saw_event: bool,
@@ -181,7 +182,7 @@ impl<N: TrendNum> Slab<N> {
 struct Delivery<'a, N: TrendNum> {
     plan: &'a EnginePlan,
     seq: u64,
-    accs: &'a mut Vec<AggState<N>>,
+    accs: &'a mut Cells<N>,
     open: &'a mut BTreeMap<WindowId, Groups<N>>,
     results_bytes: &'a mut usize,
     stats: &'a mut EngineStats,
@@ -197,9 +198,10 @@ impl<N: TrendNum> Delivery<'_, N> {
         let (plan, open, grew) = (self.plan, &mut *self.open, &mut *self.results_bytes);
         // Engine-wide arrival index: contiguous semantics counts *every*
         // stream event as a potential gap (Table 1: "skips none").
-        let (vertices, edges) = part.process(plan, self.accs, e, self.seq, |group, w, st| {
+        let (vertices, edges) = part.process(plan, self.accs, e, self.seq, |group, w, cell| {
             if !plan.deferred_final {
-                *grew += merge_group(open.entry(w).or_default(), group, st, &plan.layout);
+                let finals = open.entry(w).or_default();
+                *grew += merge_group(finals, group, cell.slots(&plan.layout), &plan.layout);
             }
         });
         self.stats.vertices += vertices;
@@ -234,7 +236,7 @@ impl<N: TrendNum> GretaEngine<N> {
             replay_bytes: 0,
             open: BTreeMap::new(),
             results_bytes: 0,
-            accs: Vec::new(),
+            accs: Cells::default(),
             emitted: Vec::new(),
             watermark: Time::ZERO,
             saw_event: false,
@@ -381,7 +383,7 @@ impl<N: TrendNum> GretaEngine<N> {
                 let part = &self.partitions.parts[id];
                 for st in part.collect_final(plan, wid, close) {
                     if !st.count.is_zero() {
-                        merge_group(&mut finals, &part.group, &st, &plan.layout);
+                        merge_group(&mut finals, &part.group, st.slots(), &plan.layout);
                     }
                 }
             }
@@ -483,7 +485,7 @@ impl<N: TrendNum> GretaEngine<N> {
         put_u32(&mut out, ids.len() as u32);
         for id in ids {
             encode_key(&self.partitions.keys[id], &mut out);
-            self.partitions.parts[id].encode_state(&mut out);
+            self.partitions.parts[id].encode_state(&self.plan, &mut out);
         }
 
         encode_events(self.replay.iter().map(|(e, _)| e), &mut out);
@@ -499,7 +501,7 @@ impl<N: TrendNum> GretaEngine<N> {
             put_u32(&mut out, gkeys.len() as u32);
             for g in gkeys {
                 encode_key(g, &mut out);
-                encode_agg_state(&groups[g], &mut out);
+                encode_agg_state(groups[g].slots(), &mut out);
             }
         }
         put_u32(&mut out, self.open.len() as u32);
@@ -665,7 +667,7 @@ impl<N: TrendNum> GretaEngine<N> {
                 for (group, st) in groups {
                     let n = &mut news[shard_of_group(&group) % new_shards];
                     let finals = n.open.entry(wid).or_default();
-                    n.results_bytes += merge_group(finals, &group, &st, &plan.layout);
+                    n.results_bytes += merge_group(finals, &group, st.slots(), &plan.layout);
                 }
             }
         }
@@ -682,7 +684,7 @@ fn open_partition<N: TrendNum>(
     plan: &EnginePlan,
     key: &PartitionKey,
     replay: &VecDeque<(EventRef, usize)>,
-    accs: &mut Vec<AggState<N>>,
+    accs: &mut Cells<N>,
 ) -> Partition<N> {
     let mut part = Partition::new(plan, key.group_prefix(plan.query.group_by.len()));
     let extractor = plan.routing.extractor();
@@ -709,7 +711,7 @@ fn open_partition<N: TrendNum>(
 fn merge_group<N: TrendNum>(
     groups: &mut Groups<N>,
     group: &PartitionKey,
-    st: &AggState<N>,
+    st: Slots<'_, N>,
     layout: &AggLayout,
 ) -> usize {
     match groups.get_mut(group) {
@@ -1219,16 +1221,19 @@ mod tests {
         })
     }
 
-    /// FNV-1a 64 of an engine's `export_state` blob after `events`, and the
-    /// blob's length.
-    fn blob_digest(text: &str, r: &SchemaRegistry, events: &[Event]) -> (u64, usize) {
+    /// FNV-1a 64 of an engine's `export_state` blob after `events`, the
+    /// blob's length, and the digest of the blob without its peak-memory
+    /// field (8 bytes after the version, watermark, flag and five counters).
+    fn blob_digest(text: &str, r: &SchemaRegistry, events: &[Event]) -> (u64, usize, u64) {
         let q = CompiledQuery::parse(text, r).unwrap();
         let mut eng = GretaEngine::<u64>::new(q, r.clone()).unwrap();
         for e in events {
             eng.process_ref(&e.clone().into_ref()).unwrap();
         }
         let blob = eng.export_state();
-        (fnv1a(&blob), blob.len())
+        let peak_at = 1 + 8 + 1 + 5 * 8;
+        let but_peak = [&blob[..peak_at], &blob[peak_at + 8..]].concat();
+        (fnv1a(&blob), blob.len(), fnv1a(&but_peak))
     }
 
     /// The first pinned stream: a positive query over sliding windows with
@@ -1261,14 +1266,17 @@ mod tests {
         // still import
         // (`a_blob_written_before_the_run_layout_imports_and_continues`);
         // they also cover the peak-memory reading the blob carries, which
-        // fell with the charge per vertex. A change of a length is a
-        // snapshot-format change and needs a version bump, not a new
-        // constant; so does a new digest for bytes an importer of this
-        // version could not read.
+        // fell with the charge per vertex, last when a vertex's aggregates
+        // became flat cells. The third digest leaves that reading out: it
+        // is the one of the blobs written before the cells, so everything
+        // else is byte for byte what the per-vertex `AggState`s wrote. A
+        // change of a length is a snapshot-format change and needs a
+        // version bump, not a new constant; so does a new digest for bytes
+        // an importer of this version could not read.
         let r = reg_ab();
         assert_eq!(
             blob_digest(PINNED_Q1, &r, &pinned_stream(&r, "A")),
-            (PINNED_Q1_DIGEST, 6329)
+            (PINNED_Q1_DIGEST, 6329, 13_107_088_878_640_862_203)
         );
         assert_eq!(
             blob_digest(
@@ -1276,7 +1284,7 @@ mod tests {
                 &r,
                 &pinned_stream(&r, "E"),
             ),
-            (13_643_123_703_393_432_663, 2509)
+            (9_145_841_057_675_469_327, 2509, 14_459_394_799_429_148_892)
         );
 
         let mut r3 = SchemaRegistry::new();
@@ -1302,11 +1310,11 @@ mod tests {
                 &r3,
                 &q3,
             ),
-            (17_037_076_917_590_881_296, 1305)
+            (15_002_330_635_899_389_053, 1305, 5_289_929_227_659_392_368)
         );
     }
 
-    const PINNED_Q1_DIGEST: u64 = 15_503_567_870_960_022_561;
+    const PINNED_Q1_DIGEST: u64 = 16_911_435_810_474_308_325;
 
     #[test]
     fn a_blob_written_before_the_run_layout_imports_and_continues() {
@@ -1397,6 +1405,16 @@ mod tests {
             err.to_string().contains("vertex state 1 out of range"),
             "{err}"
         );
+        // One whose vertices carry a `SUM` slot the plan's cells lack: the
+        // cells' strides come from the plan, so the record is refused.
+        let text = "RETURN COUNT(*), SUM(A.attr) PATTERN A+ WITHIN 10 SLIDE 10";
+        let q = CompiledQuery::parse(text, &r).unwrap();
+        let mut wider = GretaEngine::<u64>::new(q, r.clone()).unwrap();
+        wider
+            .process_ref(&ev(&r, "A", 1, 2.0, 0).into_ref())
+            .unwrap();
+        let err = import(&wider.export_state()).map(|_| ()).unwrap_err();
+        assert!(err.to_string().contains("aggregate slots"), "{err}");
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! [`Partition::collect_final`] walks END rows in the same pane and run
 //! order, and the engine folds the partitions of a group ascending by key.
 
-use crate::agg::{AggLayout, AggState, TrendNum};
+use crate::agg::{AggLayout, AggState, Cells, CellsRef, TrendNum};
 use crate::engine::EngineConfig;
 use crate::grouping::{PartitionKey, StreamRouting};
 use crate::negation::{
@@ -299,10 +299,10 @@ impl<N: TrendNum> Partition<N> {
     pub fn process(
         &mut self,
         plan: &EnginePlan,
-        accs: &mut Vec<AggState<N>>,
+        accs: &mut Cells<N>,
         e: &EventRef,
         event_seq: u64,
-        mut on_root_end: impl FnMut(&PartitionKey, WindowId, &AggState<N>),
+        mut on_root_end: impl FnMut(&PartitionKey, WindowId, CellsRef<'_, N>),
     ) -> (u64, u64) {
         let group = &self.group;
         let mut did = (0, 0);
@@ -330,15 +330,17 @@ impl<N: TrendNum> Partition<N> {
     ) -> impl Iterator<Item = AggState<N>> + 'a {
         self.alts.iter().zip(&plan.alts).map(move |(alt, graphs)| {
             let root = &graphs[0];
-            let mut acc = AggState::zero(&plan.layout);
+            let layout = &plan.layout;
+            let mut acc = AggState::zero(layout);
             for pane in alt.storages[0].panes() {
                 let Some(at) = pane.window_index(wid) else {
                     continue;
                 };
-                let run = pane.run(root.end);
+                let (run, k) = (pane.run(root.end), pane.k());
                 for (r, row) in run.rows().iter().enumerate() {
                     if end_event_valid_at_close(&root.deps, &alt.logs, row.time, close_time) {
-                        acc.merge(&run.aggs_of(r, pane.k())[at]);
+                        let cell = r * k + at;
+                        acc.merge(run.cells().slice(cell..cell + 1, layout).slots(layout));
                     }
                 }
             }
@@ -375,9 +377,9 @@ impl<N: TrendNum> Partition<N> {
     /// alternative the statistics counters, each graph's invalidation log,
     /// and every live vertex in canonical order — panes oldest first, in a
     /// pane by state, in a state's run by `(key, seq)` — straight from the
-    /// rows (durability snapshots). The group is a projection of the
-    /// partition key and is not written.
-    pub fn encode_state(&self, out: &mut Vec<u8>) {
+    /// rows and cells (durability snapshots). The group is a projection of
+    /// the partition key and is not written.
+    pub fn encode_state(&self, plan: &EnginePlan, out: &mut Vec<u8>) {
         put_u32(out, self.alts.len() as u32);
         for alt in &self.alts {
             put_u64(out, alt.vertices_inserted);
@@ -388,9 +390,11 @@ impl<N: TrendNum> Partition<N> {
                 put_u32(out, storage.len() as u32);
                 for pane in storage.panes() {
                     for (state, run) in pane.runs() {
+                        let k = pane.k();
                         for (r, row) in run.rows().iter().enumerate() {
-                            let aggs = run.aggs_of(r, pane.k());
-                            crate::state::encode_vertex(state, row, pane.w_lo(), aggs, out);
+                            let cells = run.cells().slice(r * k..(r + 1) * k, &plan.layout);
+                            let w_lo = pane.w_lo();
+                            crate::state::encode_vertex(state, row, w_lo, cells, &plan.layout, out);
                         }
                     }
                 }
@@ -430,7 +434,7 @@ impl<N: TrendNum> Partition<N> {
                 alt.logs[gi] = InvalidationLog::decode(r)?;
                 let nv = r.seq_len(27)?;
                 let n_states = ops.sort_attr.len();
-                let mut aggs = Vec::new();
+                let mut cells = Cells::default();
                 for _ in 0..nv {
                     let v = crate::state::decode_vertex(r)?;
                     if v.state.0 as usize >= n_states {
@@ -448,18 +452,14 @@ impl<N: TrendNum> Partition<N> {
                             "vertex at time {t} does not carry the windows of its time"
                         )));
                     }
-                    aggs.extend(v.aggs.into_iter().map(|(_, st)| st));
+                    for (_, st) in &v.aggs {
+                        cells.push(st, &plan.layout)?;
+                    }
                     let key = ops.sort_key(v.state, &v.event);
                     let row = Row::new(v.event, key, v.seq, v.latest_start);
+                    let windows = *ws.start()..*ws.start() + v.aggs.len() as u64;
                     let storage = &mut alt.storages[gi];
-                    storage.insert(
-                        v.state,
-                        row,
-                        &mut aggs,
-                        *ws.start(),
-                        plan.pane_len,
-                        n_states,
-                    );
+                    storage.insert(v.state, row, &mut cells, windows, plan.pane_len, n_states);
                 }
             }
         }
@@ -482,10 +482,10 @@ impl<N: TrendNum> AltRuntime<N> {
         &mut self,
         plan: &EnginePlan,
         ops: &GraphOps,
-        accs: &mut Vec<AggState<N>>,
+        accs: &mut Cells<N>,
         e: &EventRef,
         event_seq: u64,
-        on_root_end: &mut impl FnMut(WindowId, &AggState<N>),
+        on_root_end: &mut impl FnMut(WindowId, CellsRef<'_, N>),
     ) {
         let gi = ops.gi;
         // Compiled dispatch: event type → candidate states, one array index.
@@ -501,6 +501,7 @@ impl<N: TrendNum> AltRuntime<N> {
         // pane: `n` consecutive ids from `w_lo`.
         let windows = windows_of(e.time, &plan.query.window);
         let (w_lo, n) = (*windows.start(), windows.count());
+        let layout = &plan.layout;
         let lo = Time(e.time.ticks().saturating_sub(plan.query.window.within - 1));
 
         for &si in state_idxs.iter() {
@@ -516,16 +517,13 @@ impl<N: TrendNum> AltRuntime<N> {
             // --- predecessor scan + aggregate propagation (Theorem 9.1) -----
             // One accumulator per window of the event; every edge found is
             // merged into them on the spot, in fold order (module docs).
-            accs.clear();
-            accs.resize_with(n, || AggState::zero(&plan.layout));
+            accs.reset(n, layout);
             let mut edges = 0u64;
             let mut latest_start = if is_start { e.time } else { Time::ZERO };
-            let mut link = |row: &Row, shared: &[AggState<N>]| {
+            let mut link = |row: &Row, shared: CellsRef<'_, N>| {
                 edges += 1;
                 latest_start = latest_start.max(row.latest_start);
-                for (acc, st) in accs.iter_mut().zip(shared) {
-                    acc.merge(st);
-                }
+                accs.merge(shared, layout);
             };
             let (storage, logs) = (&self.storages[gi], &self.logs);
             for po in &so.preds {
@@ -540,9 +538,9 @@ impl<N: TrendNum> AltRuntime<N> {
                     &ops.deps, logs, p_state, state, e.time,
                 ));
 
-                let mut best: Option<(&Row, &[AggState<N>])> = None; // skip-till-next
+                let mut best: Option<(&Row, CellsRef<'_, N>)> = None; // skip-till-next
                 for pane in storage.panes_between(valid_from, e.time, plan.pane_len) {
-                    let run = pane.run(p_state);
+                    let (run, k) = (pane.run(p_state), pane.k());
                     // A row may pass every filter from a pane that shares
                     // no window with the event (its windows closed and it is
                     // here through replay, or `WITHIN < SLIDE` left it in
@@ -560,7 +558,8 @@ impl<N: TrendNum> AltRuntime<N> {
                         if !po.eps.iter().enumerate().all(residual) {
                             continue;
                         }
-                        let row_aggs = &run.aggs_of(r, pane.k())[shared.start..shared.end];
+                        let cells = r * k + shared.start..r * k + shared.end;
+                        let row_aggs = run.cells().slice(cells, layout);
                         match plan.config.semantics {
                             Semantics::SkipTillAny => link(row, row_aggs),
                             Semantics::Contiguous => {
@@ -569,7 +568,7 @@ impl<N: TrendNum> AltRuntime<N> {
                                 }
                             }
                             Semantics::SkipTillNext => {
-                                if best.is_none_or(|(b, _)| row.seq > b.seq) {
+                                if best.as_ref().is_none_or(|(b, _)| row.seq > b.seq) {
                                     best = Some((row, row_aggs));
                                 }
                             }
@@ -586,12 +585,10 @@ impl<N: TrendNum> AltRuntime<N> {
                 continue;
             }
             self.edges_traversed += edges;
-            for st in accs.iter_mut() {
-                st.apply_own(e, is_start, &plan.layout);
-            }
+            accs.apply_own(e, is_start, layout);
             if is_end && gi == 0 {
-                for (w, st) in (w_lo..).zip(accs.iter()) {
-                    on_root_end(w, st);
+                for (w, cell) in (w_lo..).zip(accs.slice(0..n, layout).cells(layout)) {
+                    on_root_end(w, cell);
                 }
             }
 
@@ -599,7 +596,8 @@ impl<N: TrendNum> AltRuntime<N> {
             #[expect(clippy::disallowed_methods, reason = "EventRef: an Arc refcount bump")]
             let row = Row::new(e.clone(), key, event_seq, latest_start);
             let n_states = ops.sort_attr.len();
-            self.storages[gi].insert(state, row, accs, w_lo, plan.pane_len, n_states);
+            let windows = w_lo..w_lo + n as u64;
+            self.storages[gi].insert(state, row, accs, windows, plan.pane_len, n_states);
             self.vertices_inserted += 1;
 
             if is_end && gi != 0 {
@@ -650,9 +648,13 @@ mod tests {
                 .at(Time(*t))
                 .build()
                 .into_ref();
-            rt.process(&plan, &mut Vec::new(), &e, seq as u64 + 1, |_, _, st| {
-                total += st.count
-            });
+            rt.process(
+                &plan,
+                &mut Cells::default(),
+                &e,
+                seq as u64 + 1,
+                |_, _, st| total += *st.slots(&plan.layout).count,
+            );
         }
         total
     }
@@ -777,9 +779,13 @@ mod tests {
                 .at(Time(*t))
                 .build()
                 .into_ref();
-            rt.process(&plan, &mut Vec::new(), &e, seq as u64 + 1, |_, _, st| {
-                total += st.count
-            });
+            rt.process(
+                &plan,
+                &mut Cells::default(),
+                &e,
+                seq as u64 + 1,
+                |_, _, st| total += *st.slots(&plan.layout).count,
+            );
         }
         // Contiguous trends of a1 a2 a3: (a1),(a2),(a3),(a1a2),(a2a3),(a1a2a3) = 6
         assert_eq!(total, 6.0);
@@ -797,9 +803,13 @@ mod tests {
                 .at(Time(t))
                 .build()
                 .into_ref();
-            rt.process(&plan, &mut Vec::new(), &e, seq as u64 + 1, |_, _, st| {
-                total += st.count
-            });
+            rt.process(
+                &plan,
+                &mut Cells::default(),
+                &e,
+                seq as u64 + 1,
+                |_, _, st| total += *st.slots(&plan.layout).count,
+            );
         }
         // Each event links only to its immediate predecessor: runs = n(n+1)/2.
         assert_eq!(total, 55.0);
@@ -817,14 +827,14 @@ mod tests {
             let e = EventBuilder::new(&reg, ty).unwrap().at(Time(t)).build();
             part.process(
                 &plan,
-                &mut Vec::new(),
+                &mut Cells::default(),
                 &e.into_ref(),
                 seq as u64 + 1,
                 |_, _, _| {},
             );
         }
         let mut blob = Vec::new();
-        part.encode_state(&mut blob);
+        part.encode_state(&plan, &mut blob);
         let decode = |q: &CompiledQuery| {
             let plan = plan_of(q, &reg, Semantics::SkipTillAny);
             let r = &mut Reader::new(&blob);
@@ -857,8 +867,9 @@ mod tests {
             for (seq, (ty, t)) in [("A", 6), (second, 15)].into_iter().enumerate() {
                 let e = EventBuilder::new(&reg, ty).unwrap().at(Time(t)).build();
                 let e = e.into_ref();
-                part.process(&plan, &mut Vec::new(), &e, seq as u64 + 1, |_, w, st| {
-                    ends.push((t, w, st.count))
+                let accs = &mut Cells::default();
+                part.process(&plan, accs, &e, seq as u64 + 1, |_, w, st| {
+                    ends.push((t, w, *st.slots(&plan.layout).count))
                 });
             }
             (part.counters(), ends)
@@ -883,7 +894,13 @@ mod tests {
                 .at(Time(t))
                 .build()
                 .into_ref();
-            rt.process(&plan, &mut Vec::new(), &e, seq as u64 + 1, |_, _, _| {});
+            rt.process(
+                &plan,
+                &mut Cells::default(),
+                &e,
+                seq as u64 + 1,
+                |_, _, _| {},
+            );
         }
         assert_eq!(rt.counters(), (4, 1 + 2 + 3));
         assert_eq!(rt.alts[0].storages[0].len(), 4);

@@ -154,9 +154,10 @@ mod tests {
         // Two "trends" of a single event with attr 4 and 6.
         for v in [4.0, 6.0] {
             let e = Event::new_unchecked(t, Time(1), vec![Value::Float(v)]);
-            let mut x = AggState::<u64>::zero(&layout);
+            let mut x = crate::agg::Cells::<u64>::default();
+            x.reset(1, &layout);
             x.apply_own(&e, true, &layout);
-            s.merge(&x);
+            s.merge(x.slice(0..1, &layout).slots(&layout));
         }
         let vals = render_aggregates(&s, &aggs, &layout);
         assert_eq!(vals[0].to_f64(), 2.0); // COUNT(*)

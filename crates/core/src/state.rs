@@ -9,7 +9,7 @@
 //! blobs; the [`executor`](crate::executor) composes those into the
 //! per-epoch snapshot the durability layer persists.
 
-use crate::agg::{AggState, TrendNum};
+use crate::agg::{AggLayout, AggState, CellsRef, Slots, TrendNum};
 use crate::grouping::PartitionKey;
 use crate::results::{OutValue, WindowResult};
 use crate::storage::Row;
@@ -46,24 +46,24 @@ pub(crate) fn decode_key(r: &mut Reader<'_>) -> Result<PartitionKey, CodecError>
     Ok(PartitionKey(vals))
 }
 
-/// Append an aggregate state (slot counts written explicitly so decoding
-/// never trusts the layout).
-pub(crate) fn encode_agg_state<N: TrendNum>(st: &AggState<N>, out: &mut Vec<u8>) {
+/// Append an aggregate state, an [`AggState`]'s or a cell's (slot counts
+/// written explicitly so decoding never trusts the layout).
+pub(crate) fn encode_agg_state<N: TrendNum>(st: Slots<'_, N>, out: &mut Vec<u8>) {
     st.count.encode(out);
     put_u32(out, st.counts_e.len() as u32);
-    for n in st.counts_e.iter() {
+    for n in st.counts_e {
         n.encode(out);
     }
     put_u32(out, st.mins.len() as u32);
-    for m in st.mins.iter() {
+    for m in st.mins {
         put_u64(out, m.to_bits());
     }
     put_u32(out, st.maxs.len() as u32);
-    for m in st.maxs.iter() {
+    for m in st.maxs {
         put_u64(out, m.to_bits());
     }
     put_u32(out, st.sums.len() as u32);
-    for n in st.sums.iter() {
+    for n in st.sums {
         n.encode(out);
     }
 }
@@ -111,23 +111,26 @@ pub(crate) struct Vertex<N: TrendNum> {
     pub aggs: Vec<(WindowId, AggState<N>)>,
 }
 
-/// Append the vertex stored as `row` of a run of `state`; `aggs` are its
-/// aggregates for the consecutive windows from `w_lo` on.
+/// Append the vertex stored as `row` of a run of `state`; `cells`, laid
+/// out by `layout`, are its aggregates for the consecutive windows from
+/// `w_lo` on.
 pub(crate) fn encode_vertex<N: TrendNum>(
     state: StateId,
     row: &Row,
     w_lo: WindowId,
-    aggs: &[AggState<N>],
+    cells: CellsRef<'_, N>,
+    layout: &AggLayout,
     out: &mut Vec<u8>,
 ) {
     row.event.encode(out);
     put_u16(out, state.0);
     put_u64(out, row.seq);
     put_u64(out, row.latest_start.ticks());
-    put_u32(out, aggs.len() as u32);
-    for (w, st) in (w_lo..).zip(aggs) {
+    let cells = cells.cells(layout);
+    put_u32(out, cells.len() as u32);
+    for (w, cell) in (w_lo..).zip(cells) {
         put_u64(out, w);
-        encode_agg_state(st, out);
+        encode_agg_state(cell.slots(layout), out);
     }
 }
 
@@ -243,7 +246,7 @@ mod tests {
             st.maxs[0] = f64::NEG_INFINITY;
             st.sums[0] = mk(123456789);
             let mut buf = Vec::new();
-            encode_agg_state(&st, &mut buf);
+            encode_agg_state(st.slots(), &mut buf);
             let got: AggState<N> = decode_agg_state(&mut Reader::new(&buf)).unwrap();
             assert_eq!(got, st);
         }
@@ -272,9 +275,18 @@ mod tests {
         st.count = 42;
         let event = Event::new_unchecked(TypeId(3), Time(99), vec![Value::Int(5)]).into_ref();
         let row = Row::new(event, 5.0, 17, Time(90));
-        let aggs = [st.clone(), st.clone()];
+        let mut cells = crate::agg::Cells::default();
+        cells.push(&st, &layout).unwrap();
+        cells.push(&st, &layout).unwrap();
         let mut buf = Vec::new();
-        encode_vertex(StateId(2), &row, 4, &aggs, &mut buf);
+        encode_vertex(
+            StateId(2),
+            &row,
+            4,
+            cells.slice(0..2, &layout),
+            &layout,
+            &mut buf,
+        );
         let got: Vertex<u64> = decode_vertex(&mut Reader::new(&buf)).unwrap();
         assert_eq!(got.event, row.event);
         assert_eq!(got.state, StateId(2));

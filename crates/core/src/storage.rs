@@ -13,20 +13,20 @@
 //! * the pane length divides both `slide` and `within`, so **every vertex
 //!   of a pane falls into the same windows**. The pane stores their first
 //!   id and their number `k` once, and a run keeps its rows' aggregates as
-//!   a dense row-major `rows × k` matrix: no window ids per vertex, no
-//!   search per window.
+//!   a row-major block of `rows × k` cells ([`Cells`]): no window ids per
+//!   vertex, no search per window, no allocation per cell.
 //!
 //! Edges are **not** stored: each edge is traversed exactly once, when the
 //! newer event's aggregate is computed (paper §7).
 //!
 //! Memory accounting is analytic: a row is charged `size_of::<Row>()`, its
-//! share of the event payload, and its `k` aggregate states with their
-//! heap. The charge is recorded in the row — the payload share depends on
-//! the `Arc` strong count at the moment it is taken, so a figure recomputed
-//! at removal could drift — and summed per pane and per storage, so a purge
-//! subtracts a pane in O(1).
+//! share of the event payload, and the values of its `k` cells with their
+//! carriers' heap. The charge is recorded in the row — the payload share
+//! depends on the `Arc` strong count at the moment it is taken, so a figure
+//! recomputed at removal could drift — and summed per pane and per storage,
+//! so a purge subtracts a pane in O(1).
 
-use crate::agg::{AggState, TrendNum};
+use crate::agg::{Cells, TrendNum};
 use crate::window::{pane_start, WindowId};
 use greta_query::ast::CmpOp;
 use greta_query::StateId;
@@ -36,7 +36,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 /// A graph vertex: one matched event at one template state. Its per-window
-/// aggregates (paper §4.2 / §6) sit at the same row of its run's matrix.
+/// aggregates (paper §4.2 / §6) sit at the same row of its run's block.
 #[derive(Debug)]
 pub struct Row {
     /// Sort key within the run: the state's range-predicate attribute, or
@@ -72,11 +72,12 @@ impl Row {
 }
 
 /// One state's vertices within one pane: rows ascending by
-/// `(key.total_cmp, seq)`, and their aggregates row-major, `k` per row.
+/// `(key.total_cmp, seq)`, and their aggregates row-major, `k` cells per
+/// row.
 #[derive(Debug)]
 pub struct Run<N: TrendNum> {
     rows: Vec<Row>,
-    aggs: Vec<AggState<N>>,
+    cells: Cells<N>,
 }
 
 impl<N: TrendNum> Run<N> {
@@ -85,10 +86,10 @@ impl<N: TrendNum> Run<N> {
         &self.rows
     }
 
-    /// The `k` aggregates of row `r`, by ascending window.
-    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
-    pub fn aggs_of(&self, r: usize, k: usize) -> &[AggState<N>] {
-        &self.aggs[r * k..(r + 1) * k]
+    /// The rows' cells: row `r`'s `k` cells, by ascending window, are cells
+    /// `r · k ..`.
+    pub fn cells(&self) -> &Cells<N> {
+        &self.cells
     }
 
     /// The rows whose key satisfies `key ⟨op⟩ bound` under `total_cmp`;
@@ -115,26 +116,23 @@ impl<N: TrendNum> Run<N> {
         }
     }
 
-    /// Insert `row` with its aggregates (drained from `aggs`) at its sorted
+    /// Insert `row` with its cells (drained from `cells`) at its sorted
     /// position.
     #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
-    fn insert(&mut self, row: Row, aggs: &mut Vec<AggState<N>>) {
-        let k = aggs.len();
+    fn insert(&mut self, row: Row, cells: &mut Cells<N>) {
         let at = self.rows.partition_point(|r| {
             r.key.total_cmp(&row.key).then(r.seq.cmp(&row.seq)) == Ordering::Less
         });
         self.rows.insert(at, row);
-        self.aggs.splice(at * k..at * k, aggs.drain(..));
+        self.cells.insert_row(at, cells);
     }
 
     /// Remove the rows with time ≤ `cutoff`; returns their number and the
     /// bytes they were charged.
-    fn purge_up_to(&mut self, cutoff: Time, k: usize) -> (usize, usize) {
-        let mut cell = 0;
-        self.aggs.retain(|_| {
-            cell += 1;
-            self.rows[(cell - 1) / k].time > cutoff
-        });
+    fn purge_up_to(&mut self, cutoff: Time) -> (usize, usize) {
+        let rows = &self.rows;
+        self.cells
+            .retain_rows(rows.len(), |r| rows[r].time > cutoff);
         let (mut n, mut bytes) = (0, 0);
         self.rows.retain(|r| {
             if r.time <= cutoff {
@@ -156,9 +154,8 @@ pub struct Pane<N: TrendNum> {
     pub start: Time,
     /// First window of the pane's vertices.
     w_lo: WindowId,
-    /// Number of windows of the pane's vertices: the row width of its runs'
-    /// aggregate matrices. Zero when `WITHIN < SLIDE` leaves the pane
-    /// between two windows.
+    /// Number of windows of the pane's vertices: the cells per row of its
+    /// runs. Zero when `WITHIN < SLIDE` leaves the pane between two windows.
     k: usize,
     runs: Vec<Run<N>>,
     /// Rows over all runs.
@@ -171,7 +168,7 @@ impl<N: TrendNum> Pane<N> {
     fn new(start: Time, w_lo: WindowId, k: usize, n_states: usize) -> Pane<N> {
         let run = || Run {
             rows: Vec::new(),
-            aggs: Vec::new(),
+            cells: Cells::default(),
         };
         Pane {
             start,
@@ -248,20 +245,21 @@ impl<N: TrendNum> GraphStorage<N> {
     }
 
     /// Insert a vertex of `state`: `row` (its key is the state's sort key)
-    /// and its per-window aggregates, drained from `aggs`, for the windows
-    /// starting at `w_lo`. It goes into the pane of length `pane_len` its
-    /// time falls in; a new pane gets one run per template state
-    /// (`n_states`) and takes its windows from this, its first, vertex.
+    /// and its cells for `windows`, one each, drained from `cells`. It goes
+    /// into the pane of length `pane_len` its time falls in; a new pane gets
+    /// one run per template state (`n_states`) and takes its windows from
+    /// this, its first, vertex.
     #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub fn insert(
         &mut self,
         state: StateId,
         mut row: Row,
-        aggs: &mut Vec<AggState<N>>,
-        w_lo: WindowId,
+        cells: &mut Cells<N>,
+        windows: Range<WindowId>,
         pane_len: u64,
         n_states: usize,
     ) {
+        let (w_lo, k) = (windows.start, (windows.end - windows.start) as usize);
         let ps = pane_start(row.time, pane_len);
         // In-order arrival: the pane is the last one or a new last one.
         let at = match self.panes.back() {
@@ -269,25 +267,19 @@ impl<N: TrendNum> GraphStorage<N> {
             _ => {
                 let at = self.panes.partition_point(|p| p.start < ps);
                 if self.panes.get(at).is_none_or(|p| p.start != ps) {
-                    self.panes
-                        .insert(at, Pane::new(ps, w_lo, aggs.len(), n_states));
+                    self.panes.insert(at, Pane::new(ps, w_lo, k, n_states));
                 }
                 at
             }
         };
         let pane = &mut self.panes[at];
-        debug_assert_eq!((pane.w_lo, pane.k), (w_lo, aggs.len()));
-        row.charged = std::mem::size_of::<Row>()
-            + shared_heap_size(&row.event)
-            + aggs
-                .iter()
-                .map(|a| std::mem::size_of::<AggState<N>>() + a.heap_size())
-                .sum::<usize>();
+        debug_assert_eq!((pane.w_lo, pane.k), (w_lo, k));
+        row.charged = std::mem::size_of::<Row>() + shared_heap_size(&row.event) + cells.bytes();
         pane.rows += 1;
         pane.charged += row.charged;
         self.rows += 1;
         self.charged += row.charged;
-        pane.runs[state.0 as usize].insert(row, aggs);
+        pane.runs[state.0 as usize].insert(row, cells);
     }
 
     /// The panes holding any time in `[lo, hi)`, oldest first.
@@ -329,7 +321,7 @@ impl<N: TrendNum> GraphStorage<N> {
         let mut purged = 0;
         for pane in self.panes.iter_mut().take_while(|p| p.start <= cutoff) {
             for run in &mut pane.runs {
-                let (n, bytes) = run.purge_up_to(cutoff, pane.k);
+                let (n, bytes) = run.purge_up_to(cutoff);
                 pane.rows -= n;
                 pane.charged -= bytes;
                 self.charged -= bytes;
@@ -359,7 +351,7 @@ impl<N: TrendNum> GraphStorage<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::AggLayout;
+    use crate::agg::{AggLayout, AggState, CellsRef};
     use crate::window::windows_of;
     use greta_query::WindowSpec;
     use greta_types::{AttrId, Event, TypeId, Value};
@@ -379,9 +371,41 @@ mod tests {
             e.time.ticks() as f64
         };
         let row = Row::new(e.clone(), key, seq, e.time);
-        let mut aggs = vec![AggState::zero(&AggLayout::default())];
-        s.insert(StateId(state), row, &mut aggs, e.time.ticks() / 5, 5, 2);
-        assert!(aggs.is_empty(), "the aggregates move into the run");
+        let mut cells = Cells::default();
+        cells.reset(1, &AggLayout::default());
+        let w = e.time.ticks() / 5;
+        s.insert(StateId(state), row, &mut cells, w..w + 1, 5, 2);
+        assert_eq!(cells.bytes(), 0, "the cells move into the run");
+    }
+
+    /// A block of the given cells.
+    fn block(states: &[AggState<f64>], layout: &AggLayout) -> Cells<f64> {
+        let mut cells = Cells::default();
+        for st in states {
+            cells.push(st, layout).unwrap();
+        }
+        cells
+    }
+
+    /// Cell `i` of `run`, owned.
+    fn cell(run: &Run<f64>, i: usize, layout: &AggLayout) -> AggState<f64> {
+        let s = run.cells().slice(i..i + 1, layout).slots(layout);
+        AggState {
+            count: *s.count,
+            counts_e: s.counts_e.into(),
+            mins: s.mins.into(),
+            maxs: s.maxs.into(),
+            sums: s.sums.into(),
+        }
+    }
+
+    /// The counts of row `r`'s `k` cells.
+    fn counts(run: &Run<f64>, r: usize, k: usize, layout: &AggLayout) -> Vec<f64> {
+        let cells = run.cells().slice(r * k..(r + 1) * k, layout);
+        cells
+            .cells(layout)
+            .map(|c: CellsRef<'_, f64>| *c.slots(layout).count)
+            .collect()
     }
 
     /// Times of the rows of `state` with time in `[lo, hi)` passing `range`.
@@ -471,14 +495,8 @@ mod tests {
             let mut aggs: Vec<AggState<f64>> = vec![AggState::zero(&layout); 2];
             aggs[0].count = seq as f64;
             aggs[1].count = -(seq as f64);
-            s.insert(
-                StateId(0),
-                Row::new(event(seq, key), key, seq, Time(seq)),
-                &mut aggs,
-                7,
-                10,
-                1,
-            );
+            let row = Row::new(event(seq, key), key, seq, Time(seq));
+            s.insert(StateId(0), row, &mut block(&aggs, &layout), 7..9, 10, 1);
         }
         let pane = s.panes().next().unwrap();
         assert_eq!((pane.w_lo(), pane.k()), (7, 2));
@@ -486,8 +504,8 @@ mod tests {
         let order: Vec<u64> = run.rows().iter().map(|r| r.seq).collect();
         assert_eq!(order, vec![5, 6, 2, 4, 1, 3]); // -0.0 < 0.0 < 1.0(seq 2, 4) < 5 < 9
         for (r, row) in run.rows().iter().enumerate() {
-            let cells: Vec<f64> = run.aggs_of(r, 2).iter().map(|a| a.count).collect();
-            assert_eq!(cells, vec![row.seq as f64, -(row.seq as f64)]);
+            let want = vec![row.seq as f64, -(row.seq as f64)];
+            assert_eq!(counts(run, r, 2, &layout), want);
         }
     }
 
@@ -526,7 +544,8 @@ mod tests {
         assert!(s.bytes() < before);
         // The surviving row kept its own aggregates.
         let pane = s.panes().nth(1).unwrap();
-        assert_eq!(pane.run(StateId(0)).aggs_of(0, 1).len(), 1);
+        let run = pane.run(StateId(0));
+        assert_eq!(counts(run, 0, 1, &AggLayout::default()), vec![0.0]);
     }
 
     #[test]
@@ -586,15 +605,17 @@ mod tests {
         let mut s = GraphStorage::<f64>::new();
         for (seq, t) in [2u64, 5, 6, 11].into_iter().enumerate() {
             let ws = windows_of(Time(t), &w);
-            let mut aggs = vec![AggState::zero(&AggLayout::default()); ws.clone().count()];
+            let (w_lo, k) = (*ws.start(), ws.clone().count());
+            let mut cells = Cells::default();
+            cells.reset(k, &AggLayout::default());
             let row = Row::new(event(t, 0.0), t as f64, seq as u64, Time(t));
-            s.insert(StateId(0), row, &mut aggs, *ws.start(), 1, 1);
+            s.insert(StateId(0), row, &mut cells, w_lo..w_lo + k as u64, 1, 1);
         }
         let ks: Vec<usize> = s.panes().map(Pane::k).collect();
         assert_eq!(ks, vec![1, 0, 0, 1]);
         let gap = s.panes().nth(1).unwrap();
         assert_eq!(gap.run(StateId(0)).rows().len(), 1);
-        assert!(gap.run(StateId(0)).aggs_of(0, 0).is_empty());
+        assert!(counts(gap.run(StateId(0)), 0, 0, &AggLayout::default()).is_empty());
         assert_eq!(gap.window_index(0), None);
         assert_eq!(gap.window_index(1), None);
         // A later vertex shares nothing with it — and nothing with a pane
@@ -691,39 +712,77 @@ mod tests {
             }
 
             /// Cutoff purge removes exactly the vertices at or before the
-            /// cutoff, keeps every survivor's aggregates with it, and the
-            /// byte total returns to the panes alone once all are gone.
+            /// cutoff, and every survivor keeps the cells it was inserted
+            /// with — every slot kind, k ∈ 0..=3 windows by pane — while the
+            /// byte total stays the sum of the survivors' charges and the
+            /// panes, and returns to the panes alone once all are gone.
             #[test]
-            fn purge_vertices_up_to_is_exact(
+            fn purged_runs_keep_every_cell_and_charge(
                 times_in in proptest::collection::vec((0u64..30, -5i32..5), 0..30),
+                ks in proptest::collection::vec(0usize..=3, 6..7),
                 cutoff in 0u64..32,
             ) {
+                use greta_query::compile::{AggKind, CompiledAgg};
+                let (t, a) = (TypeId(0), AttrId(0));
+                let kinds = [
+                    AggKind::Count(t),
+                    AggKind::Min(t, a),
+                    AggKind::Max(t, a),
+                    AggKind::Sum(t, a),
+                    AggKind::Count(TypeId(1)),
+                ];
+                let aggs: Vec<CompiledAgg> = kinds
+                    .into_iter()
+                    .map(|kind| CompiledAgg { label: String::new(), kind })
+                    .collect();
+                let layout = AggLayout::new(&aggs);
                 let mut sorted = times_in.clone();
                 sorted.sort_by_key(|(t, _)| *t);
-                let layout = AggLayout::default();
                 let mut st = GraphStorage::<f64>::new();
+                let mut inserted = Vec::new();
                 for (seq, (t, a)) in sorted.iter().enumerate() {
-                    // Two windows per vertex; the aggregates name their row.
-                    let mut aggs: Vec<AggState<f64>> = vec![AggState::zero(&layout); 2];
-                    aggs[0].count = seq as f64;
-                    aggs[1].count = seq as f64 + 0.5;
-                    let row = Row::new(event(*t, *a as f64), *a as f64, seq as u64, Time(*t));
-                    st.insert(StateId(0), row, &mut aggs, t / 5, 5, 1);
+                    // k windows by pane; the cells name their row and window.
+                    let k = ks[(t / 5) as usize];
+                    let states: Vec<AggState<f64>> = (0..k)
+                        .map(|w| {
+                            let v = (seq * 4 + w) as f64 + 1.0;
+                            let mut c = AggState::zero(&layout);
+                            c.count = v;
+                            c.counts_e.iter_mut().for_each(|x| *x = v + 0.25);
+                            c.mins[0] = -v;
+                            c.maxs[0] = v + 0.5;
+                            c.sums[0] = v * 3.0;
+                            c
+                        })
+                        .collect();
+                    let e = event(*t, *a as f64);
+                    let charge = std::mem::size_of::<Row>()
+                        + shared_heap_size(&e)
+                        + k * (layout.nums() + layout.exts()) * 8;
+                    let row = Row::new(e, *a as f64, seq as u64, Time(*t));
+                    let w = t / 5;
+                    st.insert(StateId(0), row, &mut block(&states, &layout), w..w + k as u64, 5, 1);
+                    inserted.push((*t, states, charge));
                 }
                 let purged = st.purge_vertices_up_to(Time(cutoff));
-                let expect: Vec<u64> =
-                    sorted.iter().map(|(t, _)| *t).filter(|t| *t > cutoff).collect();
-                prop_assert_eq!(purged, sorted.len() - expect.len());
-                prop_assert_eq!(times(&st, 0), expect);
+                let survivors: Vec<&(u64, Vec<AggState<f64>>, usize)> =
+                    inserted.iter().filter(|(t, _, _)| *t > cutoff).collect();
+                prop_assert_eq!(purged, sorted.len() - survivors.len());
+                let want: Vec<u64> = survivors.iter().map(|(t, _, _)| *t).collect();
+                prop_assert_eq!(times(&st, 0), want);
                 for pane in st.panes() {
-                    let run = pane.run(StateId(0));
+                    let (run, k) = (pane.run(StateId(0)), pane.k());
                     for (r, row) in run.rows().iter().enumerate() {
-                        let cells: Vec<f64> = run.aggs_of(r, 2).iter().map(|a| a.count).collect();
-                        prop_assert_eq!(cells, vec![row.seq as f64, row.seq as f64 + 0.5]);
+                        let got: Vec<AggState<f64>> =
+                            (r * k..(r + 1) * k).map(|i| cell(run, i, &layout)).collect();
+                        prop_assert_eq!(&got, &inserted[row.seq as usize].1);
                     }
                 }
+                let panes = st.panes().count() * std::mem::size_of::<Pane<f64>>();
+                let charged: usize = survivors.iter().map(|(_, _, c)| c).sum();
+                prop_assert_eq!(st.bytes(), charged + panes);
                 st.purge_vertices_up_to(Time(40));
-                prop_assert_eq!(st.bytes(), st.panes().count() * std::mem::size_of::<Pane<f64>>());
+                prop_assert_eq!(st.bytes(), panes);
             }
         }
     }

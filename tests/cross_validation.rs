@@ -60,6 +60,7 @@ const AGGS: &[&str] = &[
     "COUNT(*), COUNT(A)",
     "COUNT(*), MIN(A.attr), MAX(A.attr)",
     "COUNT(*), SUM(A.attr), AVG(A.attr)",
+    "COUNT(*), COUNT(A), MIN(A.attr), MAX(A.attr), SUM(A.attr)",
 ];
 
 fn arb_stream() -> impl Strategy<Value = Vec<(u8, u8, i8, i8)>> {

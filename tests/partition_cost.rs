@@ -89,14 +89,20 @@ fn per_event(n: u64, f: impl FnOnce()) -> (f64, f64) {
 /// calls in all (9.01 before: the slab's key and partition vectors and its
 /// index grow by doubling where one map did), and the difference to a
 /// vertex-only event reads 9.04 calls / 1 119 B, against 8.01 / 1 155 B.
+///
+/// Since a run keeps its aggregates as flat cells, the run holds three
+/// vectors (72 B per state in the pane's run vector, 24 B more) and the
+/// first vertex's numeric block takes 32 B at its first capacity where four
+/// `AggState`s took 288 B: 9.04 calls / 887 B.
 const PARENT_CALLS: f64 = 9.0;
 const PARENT_BYTES: f64 = 1091.2;
 /// What the engine reports after the run: 3 072 vertices at 48 B of row,
-/// 72 B of aggregate and their event share, 1 024 panes at 64 B. The parent
-/// read 790 616: a vertex stopped paying for a slab slot, a tree entry and
-/// a window id per aggregate (64 B less), a pane holds its windows (24 B
-/// more).
-const MEMORY_BYTES: usize = 618_584;
+/// one 8 B aggregate cell (`COUNT(*)` over `f64`) and their event share,
+/// 1 024 panes at 64 B. It read 618 584 while a cell was a 72 B `AggState`
+/// (3 072 × 64 B more), and 790 616 at b7ea7c9: a vertex stopped paying for
+/// a slab slot, a tree entry and a window id per aggregate (64 B less), a
+/// pane holds its windows (24 B more).
+const MEMORY_BYTES: usize = 421_976;
 
 #[test]
 fn a_new_partition_carries_no_copy_of_the_plan() {

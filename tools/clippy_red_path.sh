@@ -61,6 +61,8 @@ case_ "clone() in AltRuntime::process_graph" crates/core/src/graph.rs \
     "fn process_graph(" "let _injected = e.clone();" greta-core disallowed_methods
 case_ "clone() in Slab::probe" crates/core/src/engine.rs \
     "fn probe(" "let _injected = e.clone();" greta-core disallowed_methods
+case_ "clone() in Cells::merge" crates/core/src/agg.rs \
+    "fn merge(&mut self, from: CellsRef" "let _injected = layout.clone();" greta-core disallowed_methods
 case_ "Arc::clone(&e) in Route::route_to_group" crates/core/src/executor/route.rs \
     "fn route_to_group<" "let _injected = std::sync::Arc::clone(&e);" greta-core disallowed_methods
 case_ "unwrap() in SessionLoop::ingest" crates/server/src/session.rs \
@@ -72,4 +74,4 @@ if [ "$failed" -ne 0 ]; then
     echo "red path: a clippy-enforced rule has lost its teeth" >&2
     exit 1
 fi
-echo "red path: all six injected violations rejected"
+echo "red path: all seven injected violations rejected"
