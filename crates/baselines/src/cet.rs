@@ -206,7 +206,7 @@ fn build_window_trends(
                         if !plan
                             .predicates
                             .edge_preds(p_state, state)
-                            .all(|ep| ep.expr.eval_bool(Some(&pv.event), e))
+                            .all(|ep| ep.expr.eval_bool(Some(&pv.event.attrs), e))
                         {
                             continue;
                         }

@@ -184,7 +184,7 @@ impl<'a> MatchGraph<'a> {
                             if !plan
                                 .predicates
                                 .edge_preds(p_state, state)
-                                .all(|ep| ep.expr.eval_bool(Some(pe), e))
+                                .all(|ep| ep.expr.eval_bool(Some(&pe.attrs), e))
                             {
                                 continue;
                             }

@@ -511,7 +511,7 @@ impl<N: TrendNum> Cells<N> {
 
 /// Keep the elements of the rows (of `rows` equal rows of `v`) for which
 /// `keep` holds.
-fn retain_rows<T>(v: &mut Vec<T>, rows: usize, keep: &impl Fn(usize) -> bool) {
+pub(crate) fn retain_rows<T>(v: &mut Vec<T>, rows: usize, keep: &impl Fn(usize) -> bool) {
     let (stride, mut i) = (v.len() / rows.max(1), 0);
     v.retain(|_| {
         i += 1;

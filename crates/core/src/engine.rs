@@ -31,13 +31,14 @@ use crate::semantics::Semantics;
 use crate::window::{last_closed, window_close_time, windows_of, WindowId};
 use crate::EngineError;
 use greta_query::CompiledQuery;
-use greta_types::{shared_heap_size, Event, EventRef, SchemaRegistry, Time};
+use greta_types::{Event, EventRef, SchemaRegistry, Time};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Version byte of a [`GretaEngine::export_state`] blob (2: explicit
-/// `seq` counter); [`GretaEngine::import_state`] refuses any other.
-const ENGINE_STATE_VERSION: u8 = 2;
+/// Version byte of a [`GretaEngine::export_state`] blob (3: a vertex is
+/// written as its row and projected values, not its event);
+/// [`GretaEngine::import_state`] refuses any other.
+const ENGINE_STATE_VERSION: u8 = 3;
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -83,9 +84,9 @@ pub struct GretaEngine<N: TrendNum = f64> {
     partitions: Slab<N>,
     /// Events of types that lack the full partition key (broadcast types),
     /// kept one window deep for replay into new partitions (shared refs —
-    /// replay never copies payloads). Each entry records the bytes it was
-    /// charged, so the running total never drifts as Arc sharing changes.
-    replay: VecDeque<(EventRef, usize)>,
+    /// replay never copies payloads). Each is charged its handle and its
+    /// whole payload ([`replay_charge`]), however many holders share it.
+    replay: VecDeque<EventRef>,
     /// Running byte total of the replay buffer.
     replay_bytes: usize,
     /// The open windows: every window an event fell into and the watermark
@@ -274,8 +275,9 @@ impl<N: TrendNum> GretaEngine<N> {
     }
 
     /// Process one shared event (must arrive in-order by time, §2). The
-    /// event is *not* copied: graph vertices and the broadcast replay
-    /// buffer hold clones of the `Arc` handle. An event of a type outside
+    /// event is *not* copied: a graph vertex keeps the values of the
+    /// attributes its state projects, and the broadcast replay buffer holds
+    /// a clone of the `Arc` handle. An event of a type outside
     /// the query advances time and allocates nothing; neither does one that
     /// reaches existing partitions only.
     #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
@@ -334,18 +336,17 @@ impl<N: TrendNum> GretaEngine<N> {
     /// effects for late-created partitions are window-bounded).
     #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     fn remember(&mut self, e: &EventRef) {
-        let charge = shared_heap_size(e);
-        self.replay_bytes += charge;
+        self.replay_bytes += replay_charge(e);
         #[expect(clippy::disallowed_methods, reason = "EventRef: an Arc refcount bump")]
-        self.replay.push_back((e.clone(), charge));
+        self.replay.push_back(e.clone());
         let cutoff = e.time.ticks().saturating_sub(self.plan.query.window.within);
         while self
             .replay
             .front()
-            .is_some_and(|(old, _)| old.time.ticks() < cutoff)
+            .is_some_and(|old| old.time.ticks() < cutoff)
         {
-            if let Some((_, c)) = self.replay.pop_front() {
-                self.replay_bytes = self.replay_bytes.saturating_sub(c);
+            if let Some(old) = self.replay.pop_front() {
+                self.replay_bytes -= replay_charge(&old);
             }
         }
     }
@@ -488,7 +489,7 @@ impl<N: TrendNum> GretaEngine<N> {
             self.partitions.parts[id].encode_state(&self.plan, &mut out);
         }
 
-        encode_events(self.replay.iter().map(|(e, _)| e), &mut out);
+        encode_events(self.replay.iter(), &mut out);
 
         // The open windows, as the two sections the format has always
         // had: those with finals, then every id.
@@ -549,9 +550,8 @@ impl<N: TrendNum> GretaEngine<N> {
         }
 
         for e in decode_events(r)? {
-            let charge = shared_heap_size(&e);
-            eng.replay_bytes += charge;
-            eng.replay.push_back((e, charge));
+            eng.replay_bytes += replay_charge(&e);
+            eng.replay.push_back(e);
         }
 
         let n_results = r.seq_len(12)?;
@@ -683,18 +683,13 @@ impl<N: TrendNum> GretaEngine<N> {
 fn open_partition<N: TrendNum>(
     plan: &EnginePlan,
     key: &PartitionKey,
-    replay: &VecDeque<(EventRef, usize)>,
+    replay: &VecDeque<EventRef>,
     accs: &mut Cells<N>,
 ) -> Partition<N> {
     let mut part = Partition::new(plan, key.group_prefix(plan.query.group_by.len()));
     let extractor = plan.routing.extractor();
     let matches = |old: &&EventRef| extractor.event_matches(old, key);
-    for (i, old) in replay
-        .iter()
-        .map(|(old, _)| old)
-        .filter(matches)
-        .enumerate()
-    {
+    for (i, old) in replay.iter().filter(matches).enumerate() {
         // Replayed events are historical; give them sequence numbers
         // below any live event's global index. Contiguous semantics is
         // approximate across replay (ARCHITECTURE.md, "Inside a shard
@@ -702,6 +697,13 @@ fn open_partition<N: TrendNum>(
         part.process(plan, accs, old, i as u64, |_, _, _| {});
     }
     part
+}
+
+/// Bytes a replay-buffer entry is charged: its handle and the whole event.
+/// What else holds the event does not enter it, so the figure is the same
+/// on every shard and after an import.
+fn replay_charge(e: &EventRef) -> usize {
+    std::mem::size_of::<EventRef>() + e.heap_size()
 }
 
 /// Merge `st` into `groups[group]`; the key is cloned only when the entry
@@ -1000,6 +1002,33 @@ mod tests {
     }
 
     #[test]
+    fn a_not_equal_edge_predicate_is_residual_not_a_range() {
+        // `!=` has a range form but no row range: it must filter every
+        // candidate, whether or not the run is sorted by its attribute.
+        let r = reg_ab();
+        let q = CompiledQuery::parse(
+            "RETURN COUNT(*) PATTERN A S+ WHERE S.attr != NEXT(S).attr WITHIN 100 SLIDE 100",
+            &r,
+        )
+        .unwrap();
+        let evs = [(1, 10.0), (2, 10.0), (3, 8.0)].map(|(t, a)| ev(&r, "A", t, a, 0));
+        for use_range_index in [true, false] {
+            let config = EngineConfig {
+                use_range_index,
+                ..Default::default()
+            };
+            let mut eng = GretaEngine::<u64>::with_config(q.clone(), r.clone(), config).unwrap();
+            let rows = eng.run(&evs).unwrap();
+            // {a1},{a2},{a3},(a1,a3),(a2,a3): a1 → a2 is no edge.
+            assert_eq!(
+                rows[0].values[0].to_f64(),
+                5.0,
+                "range index {use_range_index}"
+            );
+        }
+    }
+
+    #[test]
     fn range_index_ablation_gives_same_results() {
         let r = reg_ab();
         let mk = || {
@@ -1253,30 +1282,25 @@ mod tests {
     #[test]
     fn export_state_bytes_are_pinned_across_commits() {
         // Round trips prove a blob can be read back by the code that wrote
-        // it; this proves the bytes did not move. Three fixed streams,
+        // it; this proves the bytes did not move. Four fixed streams,
         // exported mid-stream with closed windows' rows still undrained:
-        // a positive query over sliding windows with an edge predicate,
-        // trailing negation (deferred finals), and leading negation with a
-        // sub-key broadcast type (replay buffer, late-created partitions).
-        // What is pinned is the record grammar (the lengths: they have not
-        // moved since commit 86deefa) and the canonical record order —
-        // partitions by key; a graph's vertices by pane, then state, then
-        // `(sort key, seq)`. The digests were recorded when that order
-        // replaced the slab-id order of b7ea7c9 and before, whose blobs
-        // still import
-        // (`a_blob_written_before_the_run_layout_imports_and_continues`);
-        // they also cover the peak-memory reading the blob carries, which
-        // fell with the charge per vertex, last when a vertex's aggregates
-        // became flat cells. The third digest leaves that reading out: it
-        // is the one of the blobs written before the cells, so everything
-        // else is byte for byte what the per-vertex `AggState`s wrote. A
-        // change of a length is a snapshot-format change and needs a
-        // version bump, not a new constant; so does a new digest for bytes
-        // an importer of this version could not read.
+        // a positive query over sliding windows with an edge predicate the
+        // sorted runs answer, trailing negation (deferred finals), leading
+        // negation with a sub-key broadcast type (replay buffer,
+        // late-created partitions), and a residual edge predicate, whose
+        // vertices keep a projected value. What is pinned is the record
+        // grammar of engine-state v3 — a vertex is its row, projected
+        // values and cells — and the canonical record order: partitions by
+        // key; a graph's vertices by pane, then state, then
+        // `(sort key, seq)`. The digests also cover the peak-memory reading
+        // the blob carries; the third leaves it out. A change of a length
+        // is a snapshot-format change and needs a version bump, not a new
+        // constant; so does a new digest for bytes an importer of this
+        // version could not read.
         let r = reg_ab();
         assert_eq!(
             blob_digest(PINNED_Q1, &r, &pinned_stream(&r, "A")),
-            (PINNED_Q1_DIGEST, 6329, 13_107_088_878_640_862_203)
+            (PINNED_Q1_DIGEST, 5537, 7_670_497_041_914_621_060)
         );
         assert_eq!(
             blob_digest(
@@ -1284,7 +1308,7 @@ mod tests {
                 &r,
                 &pinned_stream(&r, "E"),
             ),
-            (9_145_841_057_675_469_327, 2509, 14_459_394_799_429_148_892)
+            (17_696_113_697_413_924_397, 2089, 8_252_188_771_168_512_495)
         );
 
         let mut r3 = SchemaRegistry::new();
@@ -1310,20 +1334,29 @@ mod tests {
                 &r3,
                 &q3,
             ),
-            (15_002_330_635_899_389_053, 1305, 5_289_929_227_659_392_368)
+            (12_776_939_752_399_553_461, 1305, 9_444_403_090_722_247_347)
+        );
+        assert_eq!(
+            blob_digest(
+                "RETURN grp, COUNT(*) PATTERN A S+ WHERE [grp] AND S.attr != NEXT(S).attr \
+                 GROUP-BY grp WITHIN 20 SLIDE 5",
+                &r,
+                &pinned_stream(&r, "A"),
+            ),
+            (10_587_914_544_511_873_581, 4031, 10_872_469_784_093_032_059)
         );
     }
 
-    const PINNED_Q1_DIGEST: u64 = 16_911_435_810_474_308_325;
+    const PINNED_Q1_DIGEST: u64 = 8_425_668_364_044_427_109;
 
     #[test]
-    fn a_blob_written_before_the_run_layout_imports_and_continues() {
-        // The upgrade path, stated as a recoverable prefix: the blob the
-        // parent commit (b7ea7c9, vertices in slab-id order) exported after
-        // the first pinned stream is a valid prefix for this code. It
-        // imports, re-exports as the canonical bytes this code writes for
-        // the same stream, and continues the stream to the rows an engine
-        // that never stopped emits.
+    fn a_v2_blob_is_refused_not_misread() {
+        // Version 3 writes a vertex as its row and projected values, where
+        // version 2 wrote its event, and no converter reads the old
+        // records: the blob the commit b7ea7c9 exported after the first
+        // pinned stream is refused at its version byte. An operator
+        // upgrades across the bump by draining (ARCHITECTURE, "Upgrading
+        // across a snapshot version").
         let hex = include_str!("../tests/fixtures/engine_state_v2_b7ea7c9.hex");
         let digits: Vec<u8> = hex.bytes().filter(u8::is_ascii_hexdigit).collect();
         let nibble = |d: u8| (d as char).to_digit(16).unwrap() as u8;
@@ -1333,50 +1366,16 @@ mod tests {
             .collect();
         assert_eq!(parent_blob.len(), 6329);
         assert_eq!(fnv1a(&parent_blob), 4_819_433_092_787_681_635);
+        assert_eq!(parent_blob[0], 2);
 
         let r = reg_ab();
         let q = CompiledQuery::parse(PINNED_Q1, &r).unwrap();
-        let prefix = pinned_stream(&r, "A");
-        let suffix: Vec<Event> = (48..96u64)
-            .map(|t| ev(&r, "A", t, ((t * 13) % 7) as f64, (t % 3) as i64))
-            .collect();
-        let feed = |eng: &mut GretaEngine<u64>, events: &[Event]| {
-            let mut rows = Vec::new();
-            for e in events {
-                eng.process_ref(&e.clone().into_ref()).unwrap();
-                rows.extend(eng.poll_results());
-            }
-            rows
-        };
-
-        // Like the parent's exporter: the prefix's rows are still undrained.
-        let mut uninterrupted = GretaEngine::<u64>::new(q.clone(), r.clone()).unwrap();
-        for e in &prefix {
-            uninterrupted.process_ref(&e.clone().into_ref()).unwrap();
-        }
-        let canonical = uninterrupted.export_state();
-        let mut expect = uninterrupted.poll_results();
-        expect.extend(feed(&mut uninterrupted, &suffix));
-        expect.extend(uninterrupted.finish());
-
-        let plan = uninterrupted.plan().clone();
-        let mut upgraded = GretaEngine::<u64>::import_state(plan, &parent_blob).unwrap();
-        // Byte for byte but for one field: the blob carries the exporter's
-        // peak-memory reading (8 bytes after the version, watermark, flag
-        // and five counters), a measurement the parent took with its own,
-        // larger charge per vertex, and a peak never falls.
-        let reexported = upgraded.export_state();
-        let peak_at = 1 + 8 + 1 + 5 * 8;
-        let but_peak = |b: &[u8]| [&b[..peak_at], &b[peak_at + 8..]].concat();
-        assert!(but_peak(&reexported) == but_peak(&canonical));
-        assert!(upgraded.peak_memory_bytes() > uninterrupted.peak_memory_bytes());
-        let mut rows = upgraded.poll_results();
-        rows.extend(feed(&mut upgraded, &suffix));
-        rows.extend(upgraded.finish());
-        assert!(!rows.is_empty());
-        assert_eq!(rows, expect);
-        assert_eq!(upgraded.stats().edges, uninterrupted.stats().edges);
-        assert_eq!(upgraded.memory_bytes(), uninterrupted.memory_bytes());
+        let plan = GretaEngine::<u64>::new(q, r).unwrap().plan().clone();
+        let err = GretaEngine::<u64>::import_state(plan, &parent_blob)
+            .map(|_| ())
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("unsupported engine-state version 2"), "{err}");
     }
 
     #[test]

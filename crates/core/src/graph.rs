@@ -17,13 +17,15 @@
 //!    narrowed to a contiguous row range by the range-form edge predicate;
 //!    each row tested against one time bound (window start, Definition-5
 //!    invalidation threshold, strictly before the event), the residual edge
-//!    predicates and the selection semantics;
+//!    predicates — over the values the row keeps of its event, the state's
+//!    projection — and the selection semantics;
 //! 4. every row that passes is an edge: in the same pass its aggregates for
 //!    the windows it shares with the event are merged into the event's
 //!    accumulators (Theorem 9.1). Nothing is collected and revisited;
 //! 5. insert iff START or some edge was found (Algorithm 2 line 5), after
 //!    applying the event's own contribution: the accumulators move into the
-//!    run as the new row's aggregates;
+//!    run as the new row's aggregates, beside the event's values at the
+//!    state's projection;
 //! 6. END events: root graphs report their aggregate to the caller;
 //!    negative graphs append to their [`InvalidationLog`] and prune the
 //!    finished trend (Example 5).
@@ -45,14 +47,16 @@ use crate::negation::{
     DepMode, Dependency, InvalidationLog,
 };
 use crate::semantics::Semantics;
+use crate::state::{decode_vertex, encode_vertex};
 use crate::storage::{GraphStorage, Row};
 use crate::window::{last_window_of_pane, pane_length, windows_of, WindowId};
 use crate::EngineError;
+use greta_query::ast::CmpOp;
 use greta_query::compile::{AltPlan, GraphSpec};
-use greta_query::predicate::{CompiledExpr, EdgePredicate};
+use greta_query::predicate::{CompiledExpr, EdgePredicate, RangeForm};
 use greta_query::{CompiledQuery, StateId};
 use greta_types::codec::{put_u32, put_u64};
-use greta_types::{AttrId, CodecError, EventRef, Reader, SchemaRegistry, Time, TypeId};
+use greta_types::{AttrId, CodecError, Event, EventRef, Reader, SchemaRegistry, Time, TypeId};
 use std::sync::Arc;
 
 /// Everything a hosted query fixes: built once per query, shared by `Arc`
@@ -85,8 +89,8 @@ pub struct EnginePlan {
 /// Compiled per-state accessors of one graph (no per-event name/hash
 /// lookups or predicate scans on the hot path): dispatch table from event
 /// type to candidate states, hoisted vertex and edge predicate lists,
-/// START/END flags, and the range-query predicate index per predecessor
-/// state.
+/// START/END flags, the range-query predicate per predecessor state, and
+/// what each state's vertices keep of their event.
 struct GraphOps {
     /// Index of the graph within its alternative (0 is the positive root);
     /// its storage and log sit at this index in every partition.
@@ -101,6 +105,10 @@ struct GraphOps {
     /// edge predicate whose previous state this is); `None` sorts by event
     /// time. Its length is the number of runs per pane.
     sort_attr: Vec<Option<AttrId>>,
+    /// Projection per state, dense by `StateId`: the attributes its
+    /// outgoing residual edge predicates read from a predecessor, ascending.
+    /// A vertex keeps its event's values of these and nothing else.
+    projection: Vec<Box<[AttrId]>>,
     /// The template's END state.
     end: StateId,
 }
@@ -120,11 +128,14 @@ struct StateOps {
 /// Compiled edge-predicate set for one `(prev_state, state)` pair.
 struct PredOps {
     p_state: StateId,
-    eps: Vec<EdgePredicate>,
-    /// Index into `eps` of the predicate the sorted run answers as a row
-    /// range; `None` for every pair when the engine was configured with
+    /// Width of `p_state`'s projection.
+    width: usize,
+    /// The predicate the sorted run answers as a row range; `None` for
+    /// every pair when the engine was configured with
     /// `use_range_index: false`.
-    range_idx: Option<usize>,
+    range: Option<RangeForm>,
+    /// The other predicates, reading `p_state`'s projection as `Prev`.
+    residual: Vec<CompiledExpr>,
 }
 
 impl EnginePlan {
@@ -181,8 +192,10 @@ impl GraphOps {
             .map(|s| s.occ.0 as usize + 1)
             .max()
             .unwrap_or(0);
-        // Sort attribute per state: first range-form edge predicate
-        // using this state as the previous side.
+        // Sort attribute per state: first range-form edge predicate using
+        // this state as the previous side. `!=` is no row range: it stays
+        // a residual predicate.
+        let ranged = |e: &EdgePredicate| e.range.clone().filter(|r| r.op != CmpOp::Ne);
         let mut sort_attr: Vec<Option<AttrId>> = vec![None; n_states];
         for s in &spec.template.states {
             sort_attr[s.occ.0 as usize] = plan
@@ -190,7 +203,29 @@ impl GraphOps {
                 .edges
                 .iter()
                 .filter(|e| e.prev_state == s.occ)
-                .find_map(|e| e.range.as_ref().map(|r| r.prev_attr));
+                .find_map(|e| ranged(e).map(|r| r.prev_attr));
+        }
+        // Per predecessor pair, the predicate the sorted run answers and
+        // the residual ones; a state's projection is what the residual
+        // predicates of its outgoing pairs read.
+        let split = |p_state: StateId, sid: StateId| {
+            let sorted_on = sort_attr[p_state.0 as usize].filter(|_| use_range_index);
+            let (mut range, mut residual) = (None, Vec::new());
+            for ep in plan.predicates.edge_preds(p_state, sid) {
+                match ranged(ep) {
+                    Some(r) if range.is_none() && sorted_on == Some(r.prev_attr) => range = Some(r),
+                    _ => residual.push(&ep.expr),
+                }
+            }
+            (range, residual)
+        };
+        let mut projection: Vec<Vec<AttrId>> = vec![Vec::new(); n_states];
+        for (sid, _) in &spec.state_types {
+            for p_state in spec.template.predecessors(*sid) {
+                for expr in split(p_state, *sid).1 {
+                    expr.prev_attrs(&mut projection[p_state.0 as usize]);
+                }
+            }
         }
         let mut states: Vec<StateOps> = Vec::with_capacity(spec.state_types.len());
         let mut dispatch: Vec<Vec<usize>> = Vec::new();
@@ -205,17 +240,16 @@ impl GraphOps {
                 .predecessors(*sid)
                 .into_iter()
                 .map(|p_state| {
-                    let eps: Vec<EdgePredicate> =
-                        plan.predicates.edge_preds(p_state, *sid).cloned().collect();
-                    let sorted_on = sort_attr[p_state.0 as usize].filter(|_| use_range_index);
-                    let range_idx = eps.iter().position(|ep| {
-                        let r = ep.range.as_ref();
-                        r.is_some_and(|r| sorted_on == Some(r.prev_attr))
-                    });
+                    let (range, residual) = split(p_state, *sid);
+                    let projection = &projection[p_state.0 as usize];
                     PredOps {
                         p_state,
-                        eps,
-                        range_idx,
+                        width: projection.len(),
+                        range,
+                        residual: residual
+                            .into_iter()
+                            .map(|expr| expr.over_projection(projection))
+                            .collect(),
                     }
                 })
                 .collect();
@@ -244,12 +278,13 @@ impl GraphOps {
             states,
             deps,
             sort_attr,
+            projection: projection.into_iter().map(Vec::into_boxed_slice).collect(),
             end: spec.template.end,
         }
     }
 
     /// Sort key of `e` within the runs of `state`.
-    fn sort_key(&self, state: StateId, e: &EventRef) -> f64 {
+    fn sort_key(&self, state: StateId, e: &Event) -> f64 {
         match self.sort_attr[state.0 as usize] {
             Some(a) => e.attr(a).as_f64(),
             None => e.time.ticks() as f64,
@@ -377,24 +412,24 @@ impl<N: TrendNum> Partition<N> {
     /// alternative the statistics counters, each graph's invalidation log,
     /// and every live vertex in canonical order — panes oldest first, in a
     /// pane by state, in a state's run by `(key, seq)` — straight from the
-    /// rows and cells (durability snapshots). The group is a projection of
-    /// the partition key and is not written.
+    /// rows, projected values and cells (durability snapshots). The group is
+    /// a projection of the partition key and is not written.
     pub fn encode_state(&self, plan: &EnginePlan, out: &mut Vec<u8>) {
         put_u32(out, self.alts.len() as u32);
-        for alt in &self.alts {
+        for (alt, graphs) in self.alts.iter().zip(&plan.alts) {
             put_u64(out, alt.vertices_inserted);
             put_u64(out, alt.edges_traversed);
             put_u32(out, alt.storages.len() as u32);
-            for (storage, log) in alt.storages.iter().zip(&alt.logs) {
+            for ((storage, log), ops) in alt.storages.iter().zip(&alt.logs).zip(graphs) {
                 log.encode(out);
                 put_u32(out, storage.len() as u32);
                 for pane in storage.panes() {
                     for (state, run) in pane.runs() {
-                        let k = pane.k();
+                        let (k, width) = (pane.k(), ops.projection[state.0 as usize].len());
                         for (r, row) in run.rows().iter().enumerate() {
                             let cells = run.cells().slice(r * k..(r + 1) * k, &plan.layout);
-                            let w_lo = pane.w_lo();
-                            crate::state::encode_vertex(state, row, w_lo, cells, &plan.layout, out);
+                            let values = run.values(r, width);
+                            encode_vertex(state, row, values, cells, &plan.layout, out);
                         }
                     }
                 }
@@ -405,8 +440,7 @@ impl<N: TrendNum> Partition<N> {
     /// Rebuild a partition of `group` from state written by
     /// [`encode_state`](Self::encode_state) under the same plan. Vertices
     /// are re-inserted by pane, state and sort key, so any record order
-    /// with the panes ascending — the canonical one, or an older writer's —
-    /// rebuilds the same runs.
+    /// with the panes ascending rebuilds the same runs.
     pub fn decode_state(
         plan: &EnginePlan,
         group: PartitionKey,
@@ -432,34 +466,47 @@ impl<N: TrendNum> Partition<N> {
             for ops in graphs {
                 let gi = ops.gi;
                 alt.logs[gi] = InvalidationLog::decode(r)?;
-                let nv = r.seq_len(27)?;
+                let nv = r.seq_len(42)?;
                 let n_states = ops.sort_attr.len();
                 let mut cells = Cells::default();
                 for _ in 0..nv {
-                    let v = crate::state::decode_vertex(r)?;
-                    if v.state.0 as usize >= n_states {
+                    let v = decode_vertex(r)?;
+                    let Some(projection) = ops.projection.get(v.state.0 as usize) else {
                         let s = v.state.0;
                         return Err(CodecError(format!(
                             "vertex state {s} out of range: the graph has {n_states}"
                         )));
+                    };
+                    let t = v.row.time.ticks();
+                    if v.values.len() != projection.len() {
+                        let (got, want) = (v.values.len(), projection.len());
+                        return Err(CodecError(format!(
+                            "vertex at time {t} keeps {got} values, its state projects {want}"
+                        )));
                     }
                     // A pane's rows share one set of windows: the record's
                     // must be the ones its time falls into.
-                    let ws = windows_of(v.event.time, &plan.query.window);
-                    if !v.aggs.iter().map(|(w, _)| *w).eq(ws.clone()) {
-                        let t = v.event.time.ticks();
+                    let ws = windows_of(v.row.time, &plan.query.window);
+                    if v.aggs.len() != ws.clone().count() {
                         return Err(CodecError(format!(
                             "vertex at time {t} does not carry the windows of its time"
                         )));
                     }
-                    for (_, st) in &v.aggs {
+                    for st in &v.aggs {
                         cells.push(st, &plan.layout)?;
                     }
-                    let key = ops.sort_key(v.state, &v.event);
-                    let row = Row::new(v.event, key, v.seq, v.latest_start);
                     let windows = *ws.start()..*ws.start() + v.aggs.len() as u64;
                     let storage = &mut alt.storages[gi];
-                    storage.insert(v.state, row, &mut cells, windows, plan.pane_len, n_states);
+                    let values = v.values.iter();
+                    storage.insert(
+                        v.state,
+                        v.row,
+                        values,
+                        &mut cells,
+                        windows,
+                        plan.pane_len,
+                        n_states,
+                    );
                 }
             }
         }
@@ -530,8 +577,7 @@ impl<N: TrendNum> AltRuntime<N> {
                 let p_state = po.p_state;
                 // Range form answered by the sorted run (if it sorts on the
                 // predicate's attribute; resolved at plan time).
-                let range_idx = po.range_idx;
-                let range = range_idx.map(|i| po.eps[i].range.as_ref().unwrap().bound(e));
+                let range = po.range.as_ref().map(|r| r.bound(e));
                 // Inside the window and not invalidated (Definition 5): one
                 // lower time bound for every row of this state.
                 let valid_from = lo.max(invalidation_threshold(
@@ -551,11 +597,10 @@ impl<N: TrendNum> AltRuntime<N> {
                         if row.time < valid_from || row.time >= e.time {
                             continue;
                         }
-                        // Residual edge predicates (the range one is exact).
-                        let residual = |(i, ep): (usize, &EdgePredicate)| {
-                            Some(i) == range_idx || ep.expr.eval_bool(Some(row.event.as_ref()), e)
-                        };
-                        if !po.eps.iter().enumerate().all(residual) {
+                        // Residual edge predicates (the range one is exact),
+                        // over the row's projected values.
+                        let prev = || run.values(r, po.width);
+                        if !po.residual.iter().all(|p| p.eval_bool(Some(prev()), e)) {
                             continue;
                         }
                         let cells = r * k + shared.start..r * k + shared.end;
@@ -592,12 +637,17 @@ impl<N: TrendNum> AltRuntime<N> {
                 }
             }
 
-            let key = ops.sort_key(state, e);
-            #[expect(clippy::disallowed_methods, reason = "EventRef: an Arc refcount bump")]
-            let row = Row::new(e.clone(), key, event_seq, latest_start);
-            let n_states = ops.sort_attr.len();
-            let windows = w_lo..w_lo + n as u64;
-            self.storages[gi].insert(state, row, accs, windows, plan.pane_len, n_states);
+            let row = Row {
+                key: ops.sort_key(state, e),
+                seq: event_seq,
+                time: e.time,
+                latest_start,
+            };
+            // The vertex keeps the event's values its state projects.
+            let values = ops.projection[state.0 as usize].iter().map(|a| e.attr(*a));
+            let (n_states, windows) = (ops.sort_attr.len(), w_lo..w_lo + n as u64);
+            let storage = &mut self.storages[gi];
+            storage.insert(state, row, values, accs, windows, plan.pane_len, n_states);
             self.vertices_inserted += 1;
 
             if is_end && gi != 0 {

@@ -81,9 +81,10 @@ impl InvalidationLog {
         self.entries.is_empty()
     }
 
-    /// Approximate heap bytes.
+    /// Heap bytes of the entries held (not of the spare capacity, which
+    /// depends on how the log grew: an imported log holds the same).
     pub fn heap_size(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<(Time, Time)>()
+        self.entries.len() * std::mem::size_of::<(Time, Time)>()
     }
 
     /// Append the binary encoding (durability snapshots).

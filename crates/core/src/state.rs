@@ -13,7 +13,6 @@ use crate::agg::{AggLayout, AggState, CellsRef, Slots, TrendNum};
 use crate::grouping::PartitionKey;
 use crate::results::{OutValue, WindowResult};
 use crate::storage::Row;
-use crate::window::WindowId;
 use greta_query::StateId;
 use greta_types::codec::{put_u16, put_u32, put_u64, Reader};
 use greta_types::{CodecError, Event, EventRef, Time, Value};
@@ -103,54 +102,64 @@ pub(crate) fn decode_agg_state<N: TrendNum>(r: &mut Reader<'_>) -> Result<AggSta
 /// A graph vertex as the snapshot records it: what [`encode_vertex`] wrote,
 /// owned, before the storage files it under its pane, state and sort key.
 pub(crate) struct Vertex<N: TrendNum> {
-    pub event: EventRef,
     pub state: StateId,
-    pub seq: u64,
-    pub latest_start: Time,
-    /// Per-window aggregates, ascending by window id.
-    pub aggs: Vec<(WindowId, AggState<N>)>,
+    pub row: Row,
+    /// The event's values at the state's projection.
+    pub values: Vec<Value>,
+    /// Aggregates for the windows of the vertex's time, ascending.
+    pub aggs: Vec<AggState<N>>,
 }
 
-/// Append the vertex stored as `row` of a run of `state`; `cells`, laid
-/// out by `layout`, are its aggregates for the consecutive windows from
-/// `w_lo` on.
+/// Append the vertex stored as `row` of a run of `state`, with its
+/// projected `values`; `cells`, laid out by `layout`, are its aggregates
+/// for the windows of its time.
 pub(crate) fn encode_vertex<N: TrendNum>(
     state: StateId,
     row: &Row,
-    w_lo: WindowId,
+    values: &[Value],
     cells: CellsRef<'_, N>,
     layout: &AggLayout,
     out: &mut Vec<u8>,
 ) {
-    row.event.encode(out);
     put_u16(out, state.0);
+    put_u64(out, row.time.ticks());
+    put_u64(out, row.key.to_bits());
     put_u64(out, row.seq);
     put_u64(out, row.latest_start.ticks());
+    put_u32(out, values.len() as u32);
+    for v in values {
+        v.encode(out);
+    }
     let cells = cells.cells(layout);
     put_u32(out, cells.len() as u32);
-    for (w, cell) in (w_lo..).zip(cells) {
-        put_u64(out, w);
+    for cell in cells {
         encode_agg_state(cell.slots(layout), out);
     }
 }
 
 /// Decode a graph vertex written by [`encode_vertex`].
 pub(crate) fn decode_vertex<N: TrendNum>(r: &mut Reader<'_>) -> Result<Vertex<N>, CodecError> {
-    let event = Event::decode(r)?.into_ref();
     let state = StateId(r.u16()?);
-    let seq = r.u64()?;
-    let latest_start = Time(r.u64()?);
-    let n = r.seq_len(8)?;
+    let row = Row {
+        time: Time(r.u64()?),
+        key: f64::from_bits(r.u64()?),
+        seq: r.u64()?,
+        latest_start: Time(r.u64()?),
+    };
+    let n = r.seq_len(2)?;
+    let mut values = Vec::with_capacity(n);
+    for _ in 0..n {
+        values.push(Value::decode(r)?);
+    }
+    let n = r.seq_len(16)?;
     let mut aggs = Vec::with_capacity(n);
     for _ in 0..n {
-        let w = r.u64()?;
-        aggs.push((w, decode_agg_state(r)?));
+        aggs.push(decode_agg_state(r)?);
     }
     Ok(Vertex {
-        event,
         state,
-        seq,
-        latest_start,
+        row,
+        values,
         aggs,
     })
 }
@@ -273,26 +282,31 @@ mod tests {
         let layout = AggLayout::default();
         let mut st = AggState::<u64>::zero(&layout);
         st.count = 42;
-        let event = Event::new_unchecked(TypeId(3), Time(99), vec![Value::Int(5)]).into_ref();
-        let row = Row::new(event, 5.0, 17, Time(90));
+        let row = Row {
+            key: -0.0,
+            seq: 17,
+            time: Time(99),
+            latest_start: Time(90),
+        };
+        let values = [Value::Int(5), Value::from("IBM"), Value::Float(f64::NAN)];
         let mut cells = crate::agg::Cells::default();
         cells.push(&st, &layout).unwrap();
         cells.push(&st, &layout).unwrap();
         let mut buf = Vec::new();
-        encode_vertex(
-            StateId(2),
-            &row,
-            4,
-            cells.slice(0..2, &layout),
-            &layout,
-            &mut buf,
-        );
+        let two = cells.slice(0..2, &layout);
+        encode_vertex(StateId(2), &row, &values, two, &layout, &mut buf);
         let got: Vertex<u64> = decode_vertex(&mut Reader::new(&buf)).unwrap();
-        assert_eq!(got.event, row.event);
         assert_eq!(got.state, StateId(2));
-        assert_eq!(got.seq, row.seq);
-        assert_eq!(got.latest_start, row.latest_start);
-        assert_eq!(got.aggs, vec![(4, st.clone()), (5, st)]);
+        assert_eq!(got.row.key.to_bits(), row.key.to_bits());
+        assert_eq!((got.row.seq, got.row.time), (row.seq, row.time));
+        assert_eq!(got.row.latest_start, row.latest_start);
+        assert_eq!(got.values[..2], values[..2]);
+        assert!(got.values[2].as_f64().is_nan());
+        assert_eq!(got.aggs, vec![st.clone(), st]);
+        // Every prefix of the record is refused, never misread.
+        for cut in 0..buf.len() {
+            assert!(decode_vertex::<u64>(&mut Reader::new(&buf[..cut])).is_err());
+        }
     }
 
     #[test]

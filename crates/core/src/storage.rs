@@ -14,29 +14,36 @@
 //!   of a pane falls into the same windows**. The pane stores their first
 //!   id and their number `k` once, and a run keeps its rows' aggregates as
 //!   a row-major block of `rows × k` cells ([`Cells`]): no window ids per
-//!   vertex, no search per window, no allocation per cell.
+//!   vertex, no search per window, no allocation per cell;
+//! * a vertex keeps no event. Its run holds, beside its aggregates, the
+//!   event's values of the attributes the state's outgoing residual edge
+//!   predicates read — the state's **projection**, fixed by the plan — as
+//!   one flat block strided by the projection's width. A state no residual
+//!   predicate reads from stores nothing there.
 //!
 //! Edges are **not** stored: each edge is traversed exactly once, when the
 //! newer event's aggregate is computed (paper §7).
 //!
-//! Memory accounting is analytic: a row is charged `size_of::<Row>()`, its
-//! share of the event payload, and the values of its `k` cells with their
-//! carriers' heap. The charge is recorded in the row — the payload share
-//! depends on the `Arc` strong count at the moment it is taken, so a figure
-//! recomputed at removal could drift — and summed per pane and per storage,
-//! so a purge subtracts a pane in O(1).
+//! Memory accounting is analytic and a function of what is held, never of
+//! who else holds a value: a row is charged `size_of::<Row>()`, its
+//! projected values with their string bytes, and its `k` cells with their
+//! carriers' heap; a pane `size_of::<Pane>()` while it holds a row. None of
+//! it changes after insert, so what a cutoff purge removes is recomputed
+//! from the run, and the totals are kept per pane and per storage, so a
+//! pane purge subtracts a pane in O(1).
 
-use crate::agg::{Cells, TrendNum};
+use crate::agg::{retain_rows, Cells, TrendNum};
 use crate::window::{pane_start, WindowId};
 use greta_query::ast::CmpOp;
 use greta_query::StateId;
-use greta_types::{shared_heap_size, EventRef, Time};
+use greta_types::{Time, Value};
 use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::ops::Range;
 
 /// A graph vertex: one matched event at one template state. Its per-window
-/// aggregates (paper §4.2 / §6) sit at the same row of its run's block.
+/// aggregates (paper §4.2 / §6) and its projected values sit at the same
+/// row of its run's blocks.
 #[derive(Debug)]
 pub struct Row {
     /// Sort key within the run: the state's range-predicate attribute, or
@@ -45,38 +52,27 @@ pub struct Row {
     /// Arrival sequence within the owning partition graph (selection
     /// semantics; see `Semantics`). Ties on `key` sort by it.
     pub seq: u64,
-    /// The event's time, read by every predecessor scan without a deref.
+    /// The event's time.
     pub time: Time,
     /// Latest start time over all (sub-)trends ending at this vertex —
     /// propagated like an aggregate; drives Definition 5 invalidation.
     pub latest_start: Time,
-    /// The matched event, shared with the ingest path and every other
-    /// vertex instantiated from it (zero-copy event plane).
-    pub event: EventRef,
-    /// Bytes charged for this row at insert.
-    charged: usize,
 }
 
-impl Row {
-    /// A row for `event`, not yet charged (insertion does that).
-    pub fn new(event: EventRef, key: f64, seq: u64, latest_start: Time) -> Row {
-        Row {
-            key,
-            seq,
-            time: event.time,
-            latest_start,
-            event,
-            charged: 0,
-        }
-    }
+/// The bytes a row is charged for its projected `values`: the values and
+/// their string bytes.
+fn values_bytes(values: &[Value]) -> usize {
+    let strs = values.iter().map(|v| v.as_str().map_or(0, str::len));
+    std::mem::size_of_val(values) + strs.sum::<usize>()
 }
 
 /// One state's vertices within one pane: rows ascending by
-/// `(key.total_cmp, seq)`, and their aggregates row-major, `k` cells per
-/// row.
+/// `(key.total_cmp, seq)`, their projected values row-major, `width` per
+/// row, and their aggregates row-major, `k` cells per row.
 #[derive(Debug)]
 pub struct Run<N: TrendNum> {
     rows: Vec<Row>,
+    values: Vec<Value>,
     cells: Cells<N>,
 }
 
@@ -84,6 +80,13 @@ impl<N: TrendNum> Run<N> {
     /// The rows, in run order.
     pub fn rows(&self) -> &[Row] {
         &self.rows
+    }
+
+    /// The projected values of row `r` of a state whose projection is
+    /// `width` attributes wide.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    pub fn values(&self, r: usize, width: usize) -> &[Value] {
+        &self.values[r * width..(r + 1) * width]
     }
 
     /// The rows' cells: row `r`'s `k` cells, by ascending window, are cells
@@ -116,32 +119,52 @@ impl<N: TrendNum> Run<N> {
         }
     }
 
-    /// Insert `row` with its cells (drained from `cells`) at its sorted
-    /// position.
+    /// Insert `row` at its sorted position, with its projected `values`
+    /// and its cells (drained from `cells`); returns the bytes it is
+    /// charged.
     #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
-    fn insert(&mut self, row: Row, cells: &mut Cells<N>) {
+    fn insert<'v>(
+        &mut self,
+        row: Row,
+        values: impl ExactSizeIterator<Item = &'v Value>,
+        cells: &mut Cells<N>,
+    ) -> usize {
         let at = self.rows.partition_point(|r| {
             r.key.total_cmp(&row.key).then(r.seq.cmp(&row.seq)) == Ordering::Less
         });
         self.rows.insert(at, row);
+        let w = values.len();
+        let mut charge = std::mem::size_of::<Row>() + cells.bytes();
+        if w > 0 {
+            // A `Value` copies a scalar or bumps a string's `Arc`: nothing
+            // allocates but the block's own growth.
+            self.values.splice(at * w..at * w, values.cloned());
+            charge += values_bytes(self.values(at, w));
+        }
         self.cells.insert_row(at, cells);
+        charge
+    }
+
+    /// Bytes charged for the run's rows (module docs).
+    fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.rows.as_slice())
+            + values_bytes(&self.values)
+            + self.cells.bytes()
     }
 
     /// Remove the rows with time ≤ `cutoff`; returns their number and the
     /// bytes they were charged.
     fn purge_up_to(&mut self, cutoff: Time) -> (usize, usize) {
+        if self.rows.iter().all(|r| r.time > cutoff) {
+            return (0, 0);
+        }
+        let (n_rows, before) = (self.rows.len(), self.bytes());
         let rows = &self.rows;
-        self.cells
-            .retain_rows(rows.len(), |r| rows[r].time > cutoff);
-        let (mut n, mut bytes) = (0, 0);
-        self.rows.retain(|r| {
-            if r.time <= cutoff {
-                n += 1;
-                bytes += r.charged;
-            }
-            r.time > cutoff
-        });
-        (n, bytes)
+        let keep = |r: usize| rows[r].time > cutoff;
+        self.cells.retain_rows(n_rows, keep);
+        retain_rows(&mut self.values, n_rows, &keep);
+        self.rows.retain(|r| r.time > cutoff);
+        (n_rows - self.rows.len(), before - self.bytes())
     }
 }
 
@@ -160,7 +183,8 @@ pub struct Pane<N: TrendNum> {
     runs: Vec<Run<N>>,
     /// Rows over all runs.
     rows: usize,
-    /// Bytes charged over all rows.
+    /// Bytes charged over all rows, and for the pane itself while it
+    /// holds any.
     charged: usize,
 }
 
@@ -168,6 +192,7 @@ impl<N: TrendNum> Pane<N> {
     fn new(start: Time, w_lo: WindowId, k: usize, n_states: usize) -> Pane<N> {
         let run = || Run {
             rows: Vec::new(),
+            values: Vec::new(),
             cells: Cells::default(),
         };
         Pane {
@@ -223,8 +248,8 @@ impl<N: TrendNum> Pane<N> {
 /// Pane-partitioned, state-indexed vertex storage for one GRETA graph.
 ///
 /// Holds graph state only. What the query fixes — the pane length, the
-/// number of template states and each state's sort attribute — lives in
-/// the engine's plan and is handed to the calls that need it.
+/// number of template states, each state's sort attribute and projection —
+/// lives in the engine's plan and is handed to the calls that need it.
 #[derive(Debug, Default)]
 pub struct GraphStorage<N: TrendNum> {
     panes: VecDeque<Pane<N>>,
@@ -244,16 +269,22 @@ impl<N: TrendNum> GraphStorage<N> {
         }
     }
 
-    /// Insert a vertex of `state`: `row` (its key is the state's sort key)
+    /// Insert a vertex of `state`: `row` (its key is the state's sort key),
+    /// its projected `values` (as many as the state's projection is wide)
     /// and its cells for `windows`, one each, drained from `cells`. It goes
     /// into the pane of length `pane_len` its time falls in; a new pane gets
     /// one run per template state (`n_states`) and takes its windows from
     /// this, its first, vertex.
     #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
-    pub fn insert(
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "what the plan fixes is handed in, not kept (type docs)"
+    )]
+    pub fn insert<'v>(
         &mut self,
         state: StateId,
-        mut row: Row,
+        row: Row,
+        values: impl ExactSizeIterator<Item = &'v Value>,
         cells: &mut Cells<N>,
         windows: Range<WindowId>,
         pane_len: u64,
@@ -274,12 +305,16 @@ impl<N: TrendNum> GraphStorage<N> {
         };
         let pane = &mut self.panes[at];
         debug_assert_eq!((pane.w_lo, pane.k), (w_lo, k));
-        row.charged = std::mem::size_of::<Row>() + shared_heap_size(&row.event) + cells.bytes();
+        // A pane is charged while it holds a vertex: an emptied one stays
+        // for reuse, and an import, which rebuilds panes from vertices,
+        // has none.
+        let pane_bytes = std::mem::size_of::<Pane<N>>();
+        let opened = if pane.rows == 0 { pane_bytes } else { 0 };
+        let charged = opened + pane.runs[state.0 as usize].insert(row, values, cells);
         pane.rows += 1;
-        pane.charged += row.charged;
+        pane.charged += charged;
         self.rows += 1;
-        self.charged += row.charged;
-        pane.runs[state.0 as usize].insert(row, cells);
+        self.charged += charged;
     }
 
     /// The panes holding any time in `[lo, hi)`, oldest first.
@@ -320,13 +355,19 @@ impl<N: TrendNum> GraphStorage<N> {
     pub fn purge_vertices_up_to(&mut self, cutoff: Time) -> usize {
         let mut purged = 0;
         for pane in self.panes.iter_mut().take_while(|p| p.start <= cutoff) {
+            let (mut n, mut bytes) = (0, 0);
             for run in &mut pane.runs {
-                let (n, bytes) = run.purge_up_to(cutoff);
-                pane.rows -= n;
-                pane.charged -= bytes;
-                self.charged -= bytes;
-                purged += n;
+                let (rn, rbytes) = run.purge_up_to(cutoff);
+                n += rn;
+                bytes += rbytes;
             }
+            if n > 0 && n == pane.rows {
+                bytes += std::mem::size_of::<Pane<N>>();
+            }
+            pane.rows -= n;
+            pane.charged -= bytes;
+            self.charged -= bytes;
+            purged += n;
         }
         self.rows -= purged;
         purged
@@ -344,7 +385,7 @@ impl<N: TrendNum> GraphStorage<N> {
 
     /// Approximate bytes of live state (rows with their aggregates, panes).
     pub fn bytes(&self) -> usize {
-        self.charged + std::mem::size_of::<Pane<N>>() * self.panes.len()
+        self.charged
     }
 }
 
@@ -354,27 +395,37 @@ mod tests {
     use crate::agg::{AggLayout, AggState, CellsRef};
     use crate::window::windows_of;
     use greta_query::WindowSpec;
-    use greta_types::{AttrId, Event, TypeId, Value};
+    use greta_types::{AttrId, TypeId};
 
-    fn event(t: u64, attr: f64) -> EventRef {
-        Event::new_unchecked(TypeId(0), Time(t), vec![Value::Float(attr)]).into_ref()
+    /// A row at time `t` with sort key `key`.
+    fn row(t: u64, key: f64, seq: u64) -> Row {
+        Row {
+            key,
+            seq,
+            time: Time(t),
+            latest_start: Time(t),
+        }
     }
 
-    /// Insert `e` as a vertex of `state` into 5-tick panes of two states
-    /// under tumbling `WITHIN 5 SLIDE 5` (one window per pane), sorted by
-    /// event time — or by attribute 0 when `by_attr` (the plan's job in the
-    /// engine).
-    fn ins(s: &mut GraphStorage<f64>, e: &EventRef, state: u16, seq: u64, by_attr: bool) {
-        let key = if by_attr {
-            e.attr(AttrId(0)).as_f64()
-        } else {
-            e.time.ticks() as f64
-        };
-        let row = Row::new(e.clone(), key, seq, e.time);
+    /// Insert a vertex at time `t` whose one projected value is `attr` as a
+    /// vertex of `state` into 5-tick panes of two states under tumbling
+    /// `WITHIN 5 SLIDE 5` (one window per pane), sorted by time — or by
+    /// `attr` when `by_attr` (the plan's job in the engine).
+    fn ins(s: &mut GraphStorage<f64>, (t, attr): (u64, f64), state: u16, seq: u64, by_attr: bool) {
+        let key = if by_attr { attr } else { t as f64 };
         let mut cells = Cells::default();
         cells.reset(1, &AggLayout::default());
-        let w = e.time.ticks() / 5;
-        s.insert(StateId(state), row, &mut cells, w..w + 1, 5, 2);
+        let w = t / 5;
+        let values = [Value::Float(attr)];
+        s.insert(
+            StateId(state),
+            row(t, key, seq),
+            values.iter(),
+            &mut cells,
+            w..w + 1,
+            5,
+            2,
+        );
         assert_eq!(cells.bytes(), 0, "the cells move into the run");
     }
 
@@ -418,9 +469,10 @@ mod tests {
         let mut seen = Vec::new();
         for pane in s.panes_between(Time(lo), Time(hi), 5) {
             let run = pane.run(StateId(state));
-            for row in &run.rows()[run.range(range)] {
+            for r in run.range(range) {
+                let row = &run.rows()[r];
                 if row.time >= Time(lo) && row.time < Time(hi) {
-                    seen.push((row.time.ticks(), row.event.attr(AttrId(0)).as_f64()));
+                    seen.push((row.time.ticks(), run.values(r, 1)[0].as_f64()));
                 }
             }
         }
@@ -445,7 +497,7 @@ mod tests {
     fn insert_and_candidates_time_bounds() {
         let mut s = GraphStorage::new();
         for t in [1, 3, 7, 12] {
-            ins(&mut s, &event(t, 0.0), 0, t, false);
+            ins(&mut s, (t, 0.0), 0, t, false);
         }
         assert_eq!(s.len(), 4);
         assert_eq!(s.panes().count(), 3); // panes [0,5) [5,10) [10,15)
@@ -461,7 +513,7 @@ mod tests {
     fn range_queries_on_sort_attr() {
         let mut s = GraphStorage::new();
         for (t, a) in [(1, 10.0), (2, 8.0), (3, 6.0), (4, 9.0)] {
-            ins(&mut s, &event(t, a), 0, t, true);
+            ins(&mut s, (t, a), 0, t, true);
         }
         let collect = |op, b| -> Vec<f64> {
             let seen = candidates(&s, 0, (0, 100), Some((op, b)));
@@ -495,8 +547,9 @@ mod tests {
             let mut aggs: Vec<AggState<f64>> = vec![AggState::zero(&layout); 2];
             aggs[0].count = seq as f64;
             aggs[1].count = -(seq as f64);
-            let row = Row::new(event(seq, key), key, seq, Time(seq));
-            s.insert(StateId(0), row, &mut block(&aggs, &layout), 7..9, 10, 1);
+            let values = [Value::Int(seq as i64), Value::from(format!("v{seq}"))];
+            let (row, cells) = (row(seq, key, seq), &mut block(&aggs, &layout));
+            s.insert(StateId(0), row, values.iter(), cells, 7..9, 10, 1);
         }
         let pane = s.panes().next().unwrap();
         assert_eq!((pane.w_lo(), pane.k()), (7, 2));
@@ -506,14 +559,17 @@ mod tests {
         for (r, row) in run.rows().iter().enumerate() {
             let want = vec![row.seq as f64, -(row.seq as f64)];
             assert_eq!(counts(run, r, 2, &layout), want);
+            let seq = row.seq as i64;
+            let values = [Value::Int(seq), Value::from(format!("v{seq}"))];
+            assert_eq!(run.values(r, 2), values);
         }
     }
 
     #[test]
     fn state_separation() {
         let mut s = GraphStorage::new();
-        ins(&mut s, &event(1, 0.0), 0, 1, false);
-        ins(&mut s, &event(2, 0.0), 1, 2, false);
+        ins(&mut s, (1, 0.0), 0, 1, false);
+        ins(&mut s, (2, 0.0), 1, 2, false);
         assert_eq!(candidates(&s, 0, (0, 10), None).len(), 1);
         assert_eq!(candidates(&s, 1, (0, 10), None).len(), 1);
     }
@@ -522,7 +578,7 @@ mod tests {
     fn pane_purge_batch_deletes() {
         let mut s = GraphStorage::new();
         for t in [1, 3, 7, 12] {
-            ins(&mut s, &event(t, 0.0), 0, t, false);
+            ins(&mut s, (t, 0.0), 0, t, false);
         }
         let purged = purge_before(&mut s, 10); // panes [0,5) and [5,10)
         assert_eq!(purged, 3);
@@ -534,7 +590,7 @@ mod tests {
     fn vertex_purge_up_to_cutoff() {
         let mut s = GraphStorage::new();
         for t in [1, 3, 7] {
-            ins(&mut s, &event(t, 0.0), 0, t, false);
+            ins(&mut s, (t, 0.0), 0, t, false);
         }
         let before = s.bytes();
         let purged = s.purge_vertices_up_to(Time(3));
@@ -553,7 +609,7 @@ mod tests {
         let mut s = GraphStorage::new();
         assert_eq!(s.bytes(), 0);
         for t in [1, 2, 3, 8] {
-            ins(&mut s, &event(t, 0.0), 0, t, false);
+            ins(&mut s, (t, 0.0), 0, t, false);
         }
         let before = s.bytes();
         purge_before(&mut s, 5);
@@ -561,12 +617,16 @@ mod tests {
         assert!(s.bytes() > 0);
         purge_before(&mut s, 10);
         assert_eq!((s.len(), s.bytes()), (0, 0));
-        // Row by row instead of pane by pane: only the empty panes remain.
+        // Row by row instead of pane by pane: the emptied panes stay, and
+        // are charged nothing until they hold a row again.
         for t in [11, 17] {
-            ins(&mut s, &event(t, 0.0), 1, t, false);
+            ins(&mut s, (t, 0.0), 1, t, false);
         }
         assert_eq!(s.purge_vertices_up_to(Time(17)), 2);
-        assert_eq!(s.bytes(), 2 * std::mem::size_of::<Pane<f64>>());
+        assert_eq!((s.panes().count(), s.bytes()), (2, 0));
+        ins(&mut s, (12, 0.0), 1, 18, false);
+        let one = std::mem::size_of::<Row>() + std::mem::size_of::<Value>() + 8;
+        assert_eq!(s.bytes(), one + std::mem::size_of::<Pane<f64>>());
     }
 
     #[test]
@@ -608,8 +668,16 @@ mod tests {
             let (w_lo, k) = (*ws.start(), ws.clone().count());
             let mut cells = Cells::default();
             cells.reset(k, &AggLayout::default());
-            let row = Row::new(event(t, 0.0), t as f64, seq as u64, Time(t));
-            s.insert(StateId(0), row, &mut cells, w_lo..w_lo + k as u64, 1, 1);
+            let (row, none) = (row(t, t as f64, seq as u64), std::iter::empty());
+            s.insert(
+                StateId(0),
+                row,
+                none,
+                &mut cells,
+                w_lo..w_lo + k as u64,
+                1,
+                1,
+            );
         }
         let ks: Vec<usize> = s.panes().map(Pane::k).collect();
         assert_eq!(ks, vec![1, 0, 0, 1]);
@@ -656,7 +724,7 @@ mod tests {
                 sorted.sort_by_key(|(t, _, _)| *t); // in-order arrival
                 let mut st = GraphStorage::new();
                 for (seq, (t, a, neg)) in sorted.iter().enumerate() {
-                    ins(&mut st, &event(*t, f(*a, *neg)), 0, seq as u64, true);
+                    ins(&mut st, (*t, f(*a, *neg)), 0, seq as u64, true);
                 }
                 let ops = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
                 let (op, bound) = (ops[op_idx], f(bound, neg_zero_bound));
@@ -697,7 +765,7 @@ mod tests {
                 sorted.sort_unstable();
                 let mut st = GraphStorage::<f64>::new();
                 for (seq, t) in sorted.iter().enumerate() {
-                    ins(&mut st, &event(*t, 0.0), 0, seq as u64, false);
+                    ins(&mut st, (*t, 0.0), 0, seq as u64, false);
                 }
                 let purged = purge_before(&mut st, deadline);
                 // A vertex survives iff its pane [p, p+5) ends after deadline.
@@ -712,10 +780,11 @@ mod tests {
             }
 
             /// Cutoff purge removes exactly the vertices at or before the
-            /// cutoff, and every survivor keeps the cells it was inserted
-            /// with — every slot kind, k ∈ 0..=3 windows by pane — while the
-            /// byte total stays the sum of the survivors' charges and the
-            /// panes, and returns to the panes alone once all are gone.
+            /// cutoff, and every survivor keeps the projected values and
+            /// the cells it was inserted with — every slot kind, k ∈ 0..=3
+            /// windows by pane — while the byte total stays the sum of the
+            /// survivors' charges and the panes that hold any, and returns
+            /// to zero once all are gone.
             #[test]
             fn purged_runs_keep_every_cell_and_charge(
                 times_in in proptest::collection::vec((0u64..30, -5i32..5), 0..30),
@@ -755,72 +824,68 @@ mod tests {
                             c
                         })
                         .collect();
-                    let e = event(*t, *a as f64);
+                    // A string as long as the row's seq, and a scalar.
+                    let name = "s".repeat(seq);
+                    let values = vec![Value::from(name.as_str()), Value::Float(*a as f64)];
                     let charge = std::mem::size_of::<Row>()
-                        + shared_heap_size(&e)
+                        + 2 * std::mem::size_of::<Value>()
+                        + seq
                         + k * (layout.nums() + layout.exts()) * 8;
-                    let row = Row::new(e, *a as f64, seq as u64, Time(*t));
-                    let w = t / 5;
-                    st.insert(StateId(0), row, &mut block(&states, &layout), w..w + k as u64, 5, 1);
-                    inserted.push((*t, states, charge));
+                    let row = row(*t, *a as f64, seq as u64);
+                    let (cells, w) = (&mut block(&states, &layout), t / 5);
+                    st.insert(StateId(0), row, values.iter(), cells, w..w + k as u64, 5, 1);
+                    inserted.push((*t, states, values, charge));
                 }
                 let purged = st.purge_vertices_up_to(Time(cutoff));
-                let survivors: Vec<&(u64, Vec<AggState<f64>>, usize)> =
-                    inserted.iter().filter(|(t, _, _)| *t > cutoff).collect();
+                let survivors: Vec<_> = inserted.iter().filter(|v| v.0 > cutoff).collect();
                 prop_assert_eq!(purged, sorted.len() - survivors.len());
-                let want: Vec<u64> = survivors.iter().map(|(t, _, _)| *t).collect();
+                let want: Vec<u64> = survivors.iter().map(|v| v.0).collect();
                 prop_assert_eq!(times(&st, 0), want);
                 for pane in st.panes() {
                     let (run, k) = (pane.run(StateId(0)), pane.k());
                     for (r, row) in run.rows().iter().enumerate() {
                         let got: Vec<AggState<f64>> =
                             (r * k..(r + 1) * k).map(|i| cell(run, i, &layout)).collect();
-                        prop_assert_eq!(&got, &inserted[row.seq as usize].1);
+                        let (_, cells, values, _) = &inserted[row.seq as usize];
+                        prop_assert_eq!(&got, cells);
+                        prop_assert_eq!(run.values(r, 2), values.as_slice());
                     }
                 }
-                let panes = st.panes().count() * std::mem::size_of::<Pane<f64>>();
-                let charged: usize = survivors.iter().map(|(_, _, c)| c).sum();
+                let held = st.panes().filter(|p| !p.run(StateId(0)).rows().is_empty());
+                let panes = held.count() * std::mem::size_of::<Pane<f64>>();
+                let charged: usize = survivors.iter().map(|v| v.3).sum();
                 prop_assert_eq!(st.bytes(), charged + panes);
                 st.purge_vertices_up_to(Time(40));
-                prop_assert_eq!(st.bytes(), panes);
+                prop_assert_eq!(st.bytes(), 0);
             }
         }
     }
 
     #[test]
-    fn shared_event_bytes_counted_once_not_per_vertex() {
-        // Two vertices holding the SAME EventRef must together charge the
-        // event payload about once; two vertices over deep copies charge it
-        // twice. Use a long string payload so the difference dominates.
+    fn a_rows_charge_is_its_own_data_however_shared() {
+        // Two vertices projecting one long string: whether the string is
+        // one `Arc` both hold or two copies, each row is charged its bytes
+        // in full — the figure depends on the rows, never on who else
+        // holds a value. A purge gives back exactly what insert charged.
         let long = "X".repeat(4096);
-        let mk = || Event::new_unchecked(TypeId(0), Time(1), vec![Value::from(long.clone())]);
-        let mut with_sharing = GraphStorage::<f64>::new();
-        let shared = mk().into_ref();
-        {
-            // Hold both vertices' refs before charging so the amortized
-            // charge sees the final strong count.
-            let _second_holder = shared.clone();
-            ins(&mut with_sharing, &shared, 0, 1, false);
-        }
-        ins(&mut with_sharing, &shared, 1, 2, false);
-
-        let mut without_sharing = GraphStorage::<f64>::new();
-        for seq in [1, 2] {
-            ins(&mut without_sharing, &mk().into_ref(), 0, seq, false);
-        }
-        assert!(
-            with_sharing.bytes() < without_sharing.bytes() * 3 / 4,
-            "shared: {}, deep-copied: {}",
-            with_sharing.bytes(),
-            without_sharing.bytes()
-        );
-        // Removal subtracts the recorded charge exactly: no drift/underflow
-        // even though the strong count changed since insertion.
-        drop(shared);
-        assert_eq!(with_sharing.purge_vertices_up_to(Time(1)), 2);
-        assert_eq!(with_sharing.len(), 0);
-        assert_eq!(with_sharing.bytes(), std::mem::size_of::<Pane<f64>>());
-        assert_eq!(with_sharing.purge_panes_while(|_| true), 0);
-        assert_eq!(with_sharing.bytes(), 0);
+        let shared = Value::from(long.as_str());
+        let charge = |copies: [Value; 2]| {
+            let mut s = GraphStorage::<f64>::new();
+            for (seq, v) in copies.iter().enumerate() {
+                let mut cells = Cells::default();
+                cells.reset(1, &AggLayout::default());
+                let row = row(1, 1.0, seq as u64);
+                s.insert(StateId(0), row, std::iter::once(v), &mut cells, 0..1, 5, 1);
+            }
+            let bytes = s.bytes();
+            assert_eq!(s.purge_vertices_up_to(Time(1)), 2);
+            assert_eq!((s.len(), s.bytes()), (0, 0));
+            bytes
+        };
+        let one_arc = charge([shared.clone(), shared]);
+        let two_copies = charge([Value::from(long.as_str()), Value::from(long.as_str())]);
+        assert_eq!(one_arc, two_copies);
+        let row = std::mem::size_of::<Row>() + std::mem::size_of::<Value>() + 4096 + 8;
+        assert_eq!(one_arc, 2 * row + std::mem::size_of::<Pane<f64>>());
     }
 }

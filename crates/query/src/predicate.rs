@@ -45,20 +45,22 @@ pub enum CompiledExpr {
 }
 
 impl CompiledExpr {
-    /// Evaluate to a value. `prev` may be absent for vertex predicates.
-    pub fn eval(&self, prev: Option<&Event>, cur: &Event) -> Value {
+    /// Evaluate to a value. `prev` holds the values `Prev` attribute reads
+    /// index — an event's `attrs`, or the projection a graph vertex keeps —
+    /// and may be absent for vertex predicates.
+    pub fn eval(&self, prev: Option<&[Value]>, cur: &Event) -> Value {
         self.eval_ref(prev, cur).into_owned()
     }
 
     /// Allocation-free evaluation core: attribute and constant leaves are
     /// *borrowed* from the event / expression (no `Value::Str` clones on
     /// the hot path); only computed `Bin` results are owned.
-    fn eval_ref<'a>(&'a self, prev: Option<&'a Event>, cur: &'a Event) -> Cow<'a, Value> {
+    fn eval_ref<'a>(&'a self, prev: Option<&'a [Value]>, cur: &'a Event) -> Cow<'a, Value> {
         match self {
             CompiledExpr::Const(v) => Cow::Borrowed(v),
             CompiledExpr::Attr(EventRole::Cur, a) => Cow::Borrowed(cur.attr(*a)),
             CompiledExpr::Attr(EventRole::Prev, a) => match prev {
-                Some(p) => Cow::Borrowed(p.attr(*a)),
+                Some(p) => Cow::Borrowed(&p[a.0 as usize]),
                 None => Cow::Owned(Value::Bool(false)),
             },
             CompiledExpr::Bin { op, lhs, rhs } => {
@@ -79,12 +81,12 @@ impl CompiledExpr {
     }
 
     /// Evaluate as a boolean predicate (no allocation).
-    pub fn eval_bool(&self, prev: Option<&Event>, cur: &Event) -> bool {
+    pub fn eval_bool(&self, prev: Option<&[Value]>, cur: &Event) -> bool {
         truthy(&self.eval_ref(prev, cur))
     }
 
     /// Evaluate as a number (no allocation).
-    pub fn eval_f64(&self, prev: Option<&Event>, cur: &Event) -> f64 {
+    pub fn eval_f64(&self, prev: Option<&[Value]>, cur: &Event) -> f64 {
         self.eval_ref(prev, cur).as_f64()
     }
 
@@ -94,6 +96,45 @@ impl CompiledExpr {
             CompiledExpr::Const(_) => false,
             CompiledExpr::Attr(r, _) => *r == role,
             CompiledExpr::Bin { lhs, rhs, .. } => lhs.uses_role(role) || rhs.uses_role(role),
+        }
+    }
+
+    /// Add every attribute the expression reads from the `Prev` event to
+    /// `out`, once each, keeping `out` ascending.
+    pub fn prev_attrs(&self, out: &mut Vec<AttrId>) {
+        match self {
+            CompiledExpr::Const(_) | CompiledExpr::Attr(EventRole::Cur, _) => {}
+            CompiledExpr::Attr(EventRole::Prev, a) => {
+                if let Err(at) = out.binary_search(a) {
+                    out.insert(at, *a);
+                }
+            }
+            CompiledExpr::Bin { lhs, rhs, .. } => {
+                lhs.prev_attrs(out);
+                rhs.prev_attrs(out);
+            }
+        }
+    }
+
+    /// The expression over a projection of the `Prev` event: each `Prev`
+    /// read of attribute `projection[i]` becomes a read of position `i`.
+    /// `projection` must hold every attribute [`prev_attrs`](Self::prev_attrs)
+    /// reports.
+    pub fn over_projection(&self, projection: &[AttrId]) -> CompiledExpr {
+        match self {
+            CompiledExpr::Attr(EventRole::Prev, a) => {
+                let at = projection
+                    .iter()
+                    .position(|p| p == a)
+                    .expect("the projection holds every Prev attribute read");
+                CompiledExpr::Attr(EventRole::Prev, AttrId(at as u16))
+            }
+            CompiledExpr::Bin { op, lhs, rhs } => CompiledExpr::Bin {
+                op: *op,
+                lhs: Box::new(lhs.over_projection(projection)),
+                rhs: Box::new(rhs.over_projection(projection)),
+            },
+            other => other.clone(),
         }
     }
 }
@@ -304,7 +345,7 @@ mod tests {
             lhs: Box::new(attr(EventRole::Prev, 0)),
             rhs: Box::new(attr(EventRole::Cur, 0)),
         };
-        assert!(e.eval_bool(Some(&prev), &next));
+        assert!(e.eval_bool(Some(&prev.attrs), &next));
         // prev.price * 0.5 > next.price  (5 > 8) = false
         let e = CompiledExpr::Bin {
             op: BinOp::Cmp(CmpOp::Gt),
@@ -315,7 +356,7 @@ mod tests {
             }),
             rhs: Box::new(attr(EventRole::Cur, 0)),
         };
-        assert!(!e.eval_bool(Some(&prev), &next));
+        assert!(!e.eval_bool(Some(&prev.attrs), &next));
     }
 
     #[test]
@@ -347,6 +388,38 @@ mod tests {
         assert!(e.uses_role(EventRole::Prev));
         assert!(e.uses_role(EventRole::Cur));
         assert!(!CompiledExpr::Const(Value::Int(1)).uses_role(EventRole::Prev));
+    }
+
+    #[test]
+    fn a_projected_expression_reads_the_projection() {
+        // prev.volume * prev.price > next.price, over the projection
+        // [price, volume]: (10 · 100 > 8) either way.
+        let (_, prev, next) = setup();
+        let e = CompiledExpr::Bin {
+            op: BinOp::Cmp(CmpOp::Gt),
+            lhs: Box::new(CompiledExpr::Bin {
+                op: BinOp::Mul,
+                lhs: Box::new(attr(EventRole::Prev, 1)),
+                rhs: Box::new(attr(EventRole::Prev, 0)),
+            }),
+            rhs: Box::new(attr(EventRole::Cur, 0)),
+        };
+        let mut read = Vec::new();
+        e.prev_attrs(&mut read);
+        attr(EventRole::Prev, 1).prev_attrs(&mut read);
+        attr(EventRole::Cur, 2).prev_attrs(&mut read);
+        assert_eq!(read, vec![AttrId(0), AttrId(1)]);
+        // Only the volume, at position 0 of its projection.
+        let volume_only = attr(EventRole::Prev, 1).over_projection(&[AttrId(1)]);
+        assert_eq!(volume_only, attr(EventRole::Prev, 0));
+        assert_eq!(
+            volume_only.eval(Some(&[Value::Int(100)]), &next),
+            Value::Int(100)
+        );
+        let projected = e.over_projection(&read);
+        let values: Vec<Value> = read.iter().map(|a| prev.attr(*a).clone()).collect();
+        assert!(projected.eval_bool(Some(&values), &next));
+        assert!(e.eval_bool(Some(&prev.attrs), &next));
     }
 
     #[test]

@@ -11,18 +11,12 @@ use std::sync::Arc;
 ///
 /// The runtime allocates an event **once** at ingestion and shares it by
 /// reference everywhere after: the reorder buffer, shard frames, broadcast
-/// fan-out, and graph vertices all hold `EventRef`s, so a broadcast to N
-/// shards is N pointer clones instead of N deep copies. `EventRef` derefs
-/// to [`Event`], so read-side code is unchanged.
+/// fan-out and the engines' broadcast replay buffers hold `EventRef`s, so a
+/// broadcast to N shards is N pointer clones instead of N deep copies.
+/// Graph vertices hold none: a vertex keeps only the values its edge
+/// predicates read. `EventRef` derefs to [`Event`], so read-side code is
+/// unchanged.
 pub type EventRef = Arc<Event>;
-
-/// Heap bytes of a shared event, amortized over its current holders:
-/// `heap_size() / strong_count`, so summing over every holder accounts the
-/// payload approximately once instead of once per referencing shard or
-/// vertex (the §10.1 memory metric under `Arc<Event>` sharing).
-pub fn shared_heap_size(e: &EventRef) -> usize {
-    std::mem::size_of::<EventRef>() + e.heap_size() / Arc::strong_count(e).max(1)
-}
 
 /// A primitive event on the stream.
 ///
@@ -222,25 +216,6 @@ mod tests {
             .set("nope", 1)
             .unwrap_err();
         assert!(matches!(err, TypeError::UnknownAttr { .. }));
-    }
-
-    #[test]
-    fn shared_heap_size_amortizes_over_holders() {
-        let r = reg();
-        let e = EventBuilder::new(&r, "Stock")
-            .unwrap()
-            .set("company", "A_RATHER_LONG_COMPANY_NAME")
-            .unwrap()
-            .build()
-            .into_ref();
-        let solo = shared_heap_size(&e);
-        let _second = e.clone();
-        let _third = e.clone();
-        let shared = shared_heap_size(&e);
-        // Three holders: each reports ~a third of the payload, so summing
-        // over all holders counts the event about once.
-        assert!(shared < solo);
-        assert!(3 * shared <= solo + 3 * std::mem::size_of::<EventRef>());
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod value;
 
 pub use codec::{CodecError, Reader};
 pub use error::TypeError;
-pub use event::{shared_heap_size, Event, EventBuilder, EventRef};
+pub use event::{Event, EventBuilder, EventRef};
 pub use schema::{AttrId, Schema, SchemaRegistry, TypeId};
 pub use stream::check_in_order;
 pub use time::Time;

@@ -9,10 +9,11 @@
 //!
 //! This is the strongest defence of Theorems 4.3/4.4/5.1/9.1: the DP
 //! propagation and every optimization (panes, pruning, range indexes,
-//! invalidation logs) must be observationally equivalent to brute force.
+//! invalidation logs, vertices that keep only the attributes their residual
+//! edge predicates read) must be observationally equivalent to brute force.
 
 use greta::baselines::{oracle_run, CetEngine, FlinkEngine, SaseEngine};
-use greta::core::{EngineConfig, GretaEngine};
+use greta::core::{EngineConfig, GretaEngine, MemoryFootprint};
 use greta::query::CompiledQuery;
 use greta::types::{Event, EventBuilder, SchemaRegistry, Time};
 use greta_bignum::BigUint;
@@ -255,4 +256,130 @@ proptest! {
         got.extend(stream.finish());
         rows_eq(&canon(&got), &expect, "stream vs batch")?;
     }
+
+    #[test]
+    fn projected_residual_predicates_agree_with_the_oracle(
+        q_idx in 0..PROJECTED.len(),
+        agg_idx in 0..AGGS.len(),
+        window in prop_oneof![Just((10u64, 5u64)), Just((8, 3)), Just((6, 2))],
+        raw in arb_named_stream(),
+    ) {
+        let reg = named_registry();
+        let text = format!(
+            "RETURN {} PATTERN {} WITHIN {} SLIDE {}",
+            AGGS[agg_idx], PROJECTED[q_idx], window.0, window.1
+        );
+        let q = CompiledQuery::parse(&text, &reg).unwrap();
+        let events = build_named_events(&reg, &raw);
+        let ctx = format!("{text} over {} events", events.len());
+        let oracle = canon(&oracle_run(&q, &reg, &events));
+        let mut greta_f = GretaEngine::<f64>::new(q.clone(), reg.clone()).unwrap();
+        let rows_f = canon(&greta_f.run(&events).unwrap());
+        rows_eq(&rows_f, &oracle, &format!("GRETA(f64) vs oracle: {ctx}"))?;
+        let mut greta_u = GretaEngine::<u64>::new(q.clone(), reg.clone()).unwrap();
+        let rows_u = canon(&greta_u.run(&events).unwrap());
+        rows_eq(&rows_u, &oracle, &format!("GRETA(u64) vs oracle: {ctx}"))?;
+        let mut greta_b = GretaEngine::<BigUint>::new(q.clone(), reg.clone()).unwrap();
+        let rows_b = canon(&greta_b.run(&events).unwrap());
+        rows_eq(&rows_b, &oracle, &format!("GRETA(BigUint) vs oracle: {ctx}"))?;
+        // Without the range index every edge predicate is residual, so the
+        // projections widen to the sort attributes too.
+        let scan = EngineConfig { use_range_index: false, ..Default::default() };
+        let mut without = GretaEngine::<f64>::with_config(q, reg.clone(), scan).unwrap();
+        let rows_s = canon(&without.run(&events).unwrap());
+        rows_eq(&rows_s, &oracle, &format!("GRETA(f64, no range index) vs oracle: {ctx}"))?;
+    }
+
+    #[test]
+    fn projected_values_survive_export_import_and_continue(
+        q_idx in 0..PROJECTED.len(),
+        raw in arb_named_stream(),
+        split_at in 0usize..15,
+    ) {
+        // prefix → export → import → suffix emits what an engine that never
+        // stopped emits, and the importer reports the exporter's live
+        // bytes: a vertex's charge is its own data, not its sharing.
+        let reg = named_registry();
+        let text = format!(
+            "RETURN COUNT(*), SUM(A.attr) PATTERN {} WITHIN 6 SLIDE 2",
+            PROJECTED[q_idx]
+        );
+        let q = CompiledQuery::parse(&text, &reg).unwrap();
+        let events: Vec<_> = build_named_events(&reg, &raw)
+            .into_iter()
+            .map(Event::into_ref)
+            .collect();
+        let split = split_at.min(events.len());
+        let mut uninterrupted = GretaEngine::<f64>::new(q, reg).unwrap();
+        for e in &events[..split] {
+            uninterrupted.process_ref(e).unwrap();
+        }
+        let blob = uninterrupted.export_state();
+        let plan = uninterrupted.plan().clone();
+        let mut importer = GretaEngine::<f64>::import_state(plan, &blob).unwrap();
+        prop_assert_eq!(importer.memory_bytes(), uninterrupted.memory_bytes());
+        prop_assert_eq!(importer.export_state(), blob);
+        let (mut expect, mut got) = (uninterrupted.poll_results(), importer.poll_results());
+        for e in &events[split..] {
+            uninterrupted.process_ref(e).unwrap();
+            expect.extend(uninterrupted.poll_results());
+            importer.process_ref(e).unwrap();
+            got.extend(importer.poll_results());
+        }
+        expect.extend(uninterrupted.finish());
+        got.extend(importer.finish());
+        prop_assert_eq!(got, expect, "{} split at {}", text, split);
+        prop_assert_eq!(importer.stats().edges, uninterrupted.stats().edges);
+    }
+}
+
+/// Types with a string attribute, for residual predicates over strings.
+fn named_registry() -> SchemaRegistry {
+    let mut reg = SchemaRegistry::new();
+    for t in ["A", "B", "C", "D", "E"] {
+        reg.register_type(t, &["attr", "g", "name"]).unwrap();
+    }
+    reg
+}
+
+/// Patterns whose edge predicates the sorted runs cannot answer alone, so
+/// vertices keep projected values: a residual over a non-sort attribute, a
+/// non-linear one, one over a string, one `!=`, a state whose two
+/// successors read different attributes, and residuals inside negative
+/// sub-patterns.
+const PROJECTED: &[&str] = &[
+    "SEQ(A+, B) WHERE A.attr > NEXT(A).attr AND A.g <= NEXT(A).g",
+    "A+ WHERE A.attr * A.g < NEXT(A).attr",
+    "A+ WHERE A.attr >= NEXT(A).attr AND A.name < NEXT(A).name",
+    "A+ WHERE A.attr != NEXT(A).attr",
+    "SEQ(A+, B) WHERE A.attr > NEXT(A).attr AND A.g <= NEXT(A).g AND A.name != NEXT(B).name",
+    "SEQ(A+, NOT SEQ(C, D), B) WHERE C.attr > NEXT(D).attr AND C.g = NEXT(D).g",
+    "(SEQ(A+, NOT SEQ(C, NOT E, D), B))+ WHERE C.name != NEXT(D).name",
+    "SEQ(A+, NOT C) WHERE A.attr <= NEXT(A).attr AND A.name = NEXT(A).name",
+];
+
+fn arb_named_stream() -> impl Strategy<Value = Vec<(u8, u8, i8, i8, u8)>> {
+    // (type 0..5, time-delta 0..3, attr, group, name 0..3)
+    prop::collection::vec((0u8..5, 0u8..3, 0i8..6, 0i8..2, 0u8..3), 0..14)
+}
+
+fn build_named_events(reg: &SchemaRegistry, raw: &[(u8, u8, i8, i8, u8)]) -> Vec<Event> {
+    let names = ["A", "B", "C", "D", "E"];
+    let strings = ["x", "yy", "zzz"];
+    let mut t = 0u64;
+    raw.iter()
+        .map(|(ty, dt, attr, g, name)| {
+            t += *dt as u64;
+            EventBuilder::new(reg, names[*ty as usize])
+                .unwrap()
+                .at(Time(t))
+                .set("attr", *attr as i64)
+                .unwrap()
+                .set("g", *g as i64)
+                .unwrap()
+                .set("name", strings[*name as usize])
+                .unwrap()
+                .build()
+        })
+        .collect()
 }

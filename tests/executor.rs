@@ -4,12 +4,14 @@
 //! policies, and watermark-driven window closing.
 
 use greta::core::{
-    EmissionMode, EngineError, ExecutorConfig, GretaEngine, LatePolicy, QueryId, StreamExecutor,
-    WindowResult,
+    EmissionMode, EngineError, ExecutorConfig, GretaEngine, LatePolicy, MemoryFootprint, QueryId,
+    StreamExecutor, WindowResult,
 };
 use greta::query::CompiledQuery;
 use greta::types::{Event, EventBuilder, SchemaRegistry, Time};
-use greta::workloads::{ClusterConfig, ClusterGen, StockConfig, StockGen};
+use greta::workloads::{
+    ClusterConfig, ClusterGen, LinearRoadConfig, LinearRoadGen, StockConfig, StockGen,
+};
 
 fn sorted(mut rows: Vec<WindowResult<f64>>) -> Vec<WindowResult<f64>> {
     rows.sort_by(|a, b| a.window.cmp(&b.window).then_with(|| a.group.cmp(&b.group)));
@@ -567,6 +569,60 @@ fn broadcast_types_reach_all_shards() {
     );
     assert_eq!(rows, expect);
     assert_eq!(stats.broadcasts, 1);
+}
+
+#[test]
+fn memory_accounting_does_not_depend_on_thread_timing() {
+    // Q3's shape: leading negation, and `Accident` broadcast to every
+    // shard, where the shards' replay buffers (and, before vertices kept
+    // only projected values, their graphs) share each accident's `Arc`.
+    // A charge is a function of what the engine holds, never of how many
+    // holders an event has at that moment, so two runs at two shards
+    // report the same peak, and an engine imported from its own export
+    // reports the exporter's bytes.
+    let mut reg = SchemaRegistry::new();
+    let gen = LinearRoadGen::new(
+        LinearRoadConfig {
+            events: 6000,
+            vehicles: 200,
+            segments: 20,
+            accident_rate: 0.05,
+            ..Default::default()
+        },
+        &mut reg,
+    )
+    .unwrap();
+    let events = gen.generate();
+    let q = CompiledQuery::parse(
+        "RETURN segment, COUNT(*) PATTERN SEQ(NOT Accident X, Position P+) \
+         WHERE [P.vehicle, segment] GROUP-BY segment WITHIN 1000 SLIDE 250",
+        &reg,
+    )
+    .unwrap();
+    let two_shards = || ExecutorConfig {
+        shards: 2,
+        ..Default::default()
+    };
+    let (rows, first) = run_executor(&q, &reg, &events, two_shards());
+    assert!(first.broadcasts > 0 && first.peak_memory_bytes > 0);
+    for _ in 0..2 {
+        let (again_rows, again) = run_executor(&q, &reg, &events, two_shards());
+        assert_eq!(again_rows, rows);
+        assert_eq!(again.peak_memory_bytes, first.peak_memory_bytes);
+    }
+
+    let mut exporter = GretaEngine::<f64>::new(q, reg).unwrap();
+    for (i, e) in events.iter().enumerate() {
+        exporter.process_ref(&e.clone().into_ref()).unwrap();
+        if i % 1500 == 1499 {
+            let blob = exporter.export_state();
+            let plan = exporter.plan().clone();
+            let imported = GretaEngine::<f64>::import_state(plan, &blob).unwrap();
+            assert!(exporter.memory_bytes() > 0);
+            assert_eq!(imported.memory_bytes(), exporter.memory_bytes(), "at {i}");
+            assert_eq!(imported.peak_memory_bytes(), exporter.peak_memory_bytes());
+        }
+    }
 }
 
 mod props {

@@ -94,15 +94,24 @@ fn per_event(n: u64, f: impl FnOnce()) -> (f64, f64) {
 /// vectors (72 B per state in the pane's run vector, 24 B more) and the
 /// first vertex's numeric block takes 32 B at its first capacity where four
 /// `AggState`s took 288 B: 9.04 calls / 887 B.
+///
+/// Since a vertex keeps no event, a run holds a fourth vector, its rows'
+/// projected values (96 B per state in the pane's run vector, 24 B more),
+/// which this query's state — no residual edge predicate — never fills,
+/// and a row is 32 B where it was 48 B (the rows vector at its first
+/// capacity of four, 128 B where it took 192 B): 9.04 calls / 847 B.
 const PARENT_CALLS: f64 = 9.0;
 const PARENT_BYTES: f64 = 1091.2;
-/// What the engine reports after the run: 3 072 vertices at 48 B of row,
-/// one 8 B aggregate cell (`COUNT(*)` over `f64`) and their event share,
-/// 1 024 panes at 64 B. It read 618 584 while a cell was a 72 B `AggState`
-/// (3 072 × 64 B more), and 790 616 at b7ea7c9: a vertex stopped paying for
-/// a slab slot, a tree entry and a window id per aggregate (64 B less), a
-/// pane holds its windows (24 B more).
-const MEMORY_BYTES: usize = 421_976;
+/// What the engine reports after the run: 3 072 vertices at 32 B of row
+/// and one 8 B aggregate cell (`COUNT(*)` over `f64`), 1 024 panes at 64 B
+/// and the one group's result slot (88 B). It read 421 976 while a row held its
+/// event (a 48 B row and a share of the event's payload that depended on
+/// how many holders the event had when the row was inserted), 618 584
+/// while a cell was a 72 B `AggState` (3 072 × 64 B more), and 790 616 at
+/// b7ea7c9: a vertex stopped paying for a slab slot, a tree entry and a
+/// window id per aggregate (64 B less), a pane holds its windows (24 B
+/// more).
+const MEMORY_BYTES: usize = 188_504;
 
 #[test]
 fn a_new_partition_carries_no_copy_of_the_plan() {

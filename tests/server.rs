@@ -196,6 +196,10 @@ fn ordered_subscription_is_monotonic_across_batches() {
     server.shutdown().unwrap();
 }
 
+/// Passes over the 30 000-event stream the slow consumer's ingest may
+/// take before its acks must have said busy: 1.2 M events.
+const MAX_PASSES: u64 = 40;
+
 #[test]
 fn slow_consumer_trips_the_busy_signal() {
     let (reg, events) = stock(30_000);
@@ -221,11 +225,23 @@ fn slow_consumer_trips_the_busy_signal() {
         )
         .unwrap();
     let _stalled = Client::connect(addr).unwrap().subscribe(session).unwrap();
+    // How many rows the socket buffers and channels absorb before they
+    // back up depends on the box and its load: one pass of the stream has
+    // gone through without a busy ack. So keep ingesting it, each pass
+    // shifted past the end of the last, until an ack says busy — under a
+    // cap far above what any buffer holds.
+    let span = events.last().unwrap().time.ticks() + 1;
     let mut saw_busy = false;
-    for chunk in events.chunks(512) {
-        if client.ingest(session, chunk.to_vec()).unwrap().busy {
-            saw_busy = true;
-            break;
+    'ingest: for pass in 0..MAX_PASSES {
+        for chunk in events.chunks(512) {
+            let shifted = chunk.iter().map(|e| Event {
+                time: Time(e.time.ticks() + pass * span),
+                ..e.clone()
+            });
+            if client.ingest(session, shifted.collect()).unwrap().busy {
+                saw_busy = true;
+                break 'ingest;
+            }
         }
     }
     assert!(saw_busy, "backpressure signal never tripped");
