@@ -43,16 +43,21 @@
 //!   standalone single-query run over the same event suffix.
 //! * **Batching**: events are accumulated into per-(group, shard)
 //!   `Vec<EventRef>` frames ([`ExecutorConfig::batch_size`]) so channel
-//!   synchronization is paid per frame, not per event. Frames are flushed
-//!   whenever full and at every window-close boundary, so results still
-//!   stream incrementally.
+//!   synchronization is paid per frame, not per event, and a shard sends
+//!   the rows one flush polled as one message, not one per row. Frames are
+//!   flushed whenever full and at every window-close boundary, so results
+//!   still stream incrementally.
 //! * **Zero-copy event plane**: an event is allocated once, when it enters
 //!   [`push`](StreamExecutor::push) (or arrives pre-shared via
-//!   [`push_ref`](StreamExecutor::push_ref)); everything downstream — the
-//!   reorder buffer, shard frames, the broadcast fan-out, graph vertices,
-//!   the divert buffer — holds `Arc` clones of that one allocation. A
-//!   broadcast to N shards (or a fan-out to M route groups) costs pointer
-//!   bumps, not deep copies.
+//!   [`push_ref`](StreamExecutor::push_ref)); the reorder buffer, shard
+//!   frames, the broadcast fan-out, a shard engine's broadcast replay
+//!   buffer and the divert buffer hold `Arc` clones of that one
+//!   allocation, and a graph vertex keeps only the attribute values its
+//!   edge predicates read. A broadcast to N shards (or a fan-out to M
+//!   route groups) costs pointer bumps, not deep copies. A shard hands
+//!   each frame it has run back to the pushing thread, which clears it
+//!   for its next frame: events are released on the thread that
+//!   allocated them, as the caller polls or the stream drains.
 //! * **Watermarks**: whenever the released watermark crosses any
 //!   registered query's window-close boundary, buffered frames are flushed
 //!   and the watermark is broadcast so shards that received no recent
@@ -80,7 +85,7 @@
 //!   deterministic, so an idempotent sink keyed on `(window, group)`
 //!   yields exactly-once output).
 //! * **Emission**: closed-window results flow through one bounded channel,
-//!   tagged by query; [`poll_results_of`](StreamExecutor::poll_results_of)
+//!   a batch per flush of one query on one shard, tagged by query; [`poll_results_of`](StreamExecutor::poll_results_of)
 //!   drains any hosted query, [`StreamExecutor::drain`] flushes the
 //!   pipeline and joins the workers
 //!   ([`poll_results`](StreamExecutor::poll_results) and
@@ -505,8 +510,13 @@ impl<N: TrendNum> StreamExecutor<N> {
 
     /// [`push`](Self::push) without the allocation: the caller hands over a
     /// shared event, and the executor never copies the payload again — the
-    /// reorder buffer, shard frames, broadcast fan-out, and graph vertices
-    /// all hold clones of this `Arc`.
+    /// reorder buffer, shard frames, broadcast fan-out and a broadcast
+    /// type's replay buffers hold clones of this `Arc`; graph vertices copy
+    /// only the attribute values their edge predicates read. The
+    /// executor's clones are dropped on this thread, as spent frames come
+    /// back to [`poll_results_of`](Self::poll_results_of) or the next
+    /// frame; once [`drain`](Self::drain) has returned it holds none but
+    /// the events it diverted.
     pub fn push_ref(&mut self, e: EventRef) -> Result<(), EngineError> {
         self.refuse_if_finished("push")?;
         self.ingest.log(TailRecRef::Event(&e))?;

@@ -109,14 +109,16 @@ pub(crate) enum Msg<E> {
 
 /// Shard → coordinator, all shards over one channel (FIFO per sender).
 pub(crate) enum OutMsg<R> {
-    /// One result row, stamped with the owning query, the emitting shard,
-    /// and that (query, shard)'s emission sequence number (strictly
-    /// increasing; the ordered merge's sanity check).
-    Row {
+    /// The rows one flush of one (query, shard) polled, in emission order,
+    /// stamped with the owning query, the emitting shard, and the first
+    /// row's emission sequence number; the following rows take the next
+    /// numbers (strictly increasing per (query, shard); the ordered merge's
+    /// sanity check). Never empty.
+    Rows {
         query: u32,
         shard: u32,
-        seq: u64,
-        row: R,
+        first_seq: u64,
+        rows: Vec<R>,
     },
     /// One (query, shard)'s emission frontier advanced: that engine will
     /// never emit a row for a window below `next_window`. Sent after the
@@ -190,23 +192,27 @@ impl Cut {
     }
 }
 
-/// Emit `rows` as this slot's next rows.
+/// Emit `rows` as this slot's next rows: one message for the whole batch
+/// (none for an empty one), so the result channel is crossed once per
+/// flush, not once per row.
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 fn emit_rows<E: ShardEngine>(
     slot: &mut EngineSlot<E>,
     shard: usize,
     rows: Vec<E::Row>,
     emit: &mut impl FnMut(OutMsg<E::Row>) -> Result<(), EngineError>,
 ) -> Result<(), EngineError> {
-    for row in rows {
-        slot.seq += 1;
-        emit(OutMsg::Row {
-            query: slot.query,
-            shard: shard as u32,
-            seq: slot.seq,
-            row,
-        })?;
+    if rows.is_empty() {
+        return Ok(());
     }
-    Ok(())
+    let first_seq = slot.seq + 1;
+    slot.seq += rows.len() as u64;
+    emit(OutMsg::Rows {
+        query: slot.query,
+        shard: shard as u32,
+        first_seq,
+        rows,
+    })
 }
 
 /// Emit one slot's ready rows and, when ordered, its advanced emission
@@ -235,25 +241,29 @@ fn flush_slot<E: ShardEngine>(
 /// Everything one shard worker does with one message. `emit` puts a
 /// message on the result channel; its error (the executor hung up) and an
 /// engine's error both end the worker, in which case no ack is sent and
-/// the coordinator finds the worker gone.
+/// the coordinator finds the worker gone. Returns the spent frame of an
+/// [`Msg::Events`], which every engine of its group has run through, so
+/// the caller can hand it back to the thread that allocated its events.
 pub(crate) fn worker_step<E: ShardEngine>(
     slots: &mut Vec<EngineSlot<E>>,
     shard: usize,
     msg: Msg<E>,
     emit: &mut impl FnMut(OutMsg<E::Row>) -> Result<(), EngineError>,
-) -> Result<(), EngineError> {
-    match msg {
+) -> Result<Option<Vec<EventRef>>, EngineError> {
+    let spent = match msg {
         Msg::Events { group, frame } => {
             for s in slots.iter_mut().filter(|s| s.group == group) {
                 for e in &frame {
                     s.engine.process_ref(e)?;
                 }
             }
+            Some(frame)
         }
         Msg::Watermark(t) => {
             for s in slots.iter_mut() {
                 s.engine.advance_watermark(t);
             }
+            None
         }
         Msg::Barrier { kind } => {
             // Every earlier step ended by flushing its rows, so nothing
@@ -282,12 +292,14 @@ pub(crate) fn worker_step<E: ShardEngine>(
                     }
                 }
             }
-            return emit(OutMsg::Ack { shard, blobs });
+            emit(OutMsg::Ack { shard, blobs })?;
+            return Ok(None);
         }
-    }
+    };
     slots
         .iter_mut()
-        .try_for_each(|s| flush_slot(s, shard, emit))
+        .try_for_each(|s| flush_slot(s, shard, emit))?;
+    Ok(spent)
 }
 
 /// End of stream (the shard's input channel closed): close every engine's
@@ -336,10 +348,11 @@ mod tests {
             },
         ];
         let ended = queue.into_iter().try_for_each(|msg| {
-            worker_step(&mut slots, 0, msg, &mut |m| {
+            let spent = worker_step(&mut slots, 0, msg, &mut |m| {
                 out.push(m);
                 Ok(())
-            })
+            });
+            spent.map(drop)
         });
         assert_eq!(
             ended,
@@ -348,7 +361,7 @@ mod tests {
                 got: 1
             })
         );
-        assert!(matches!(out[..], [OutMsg::Row { query: 7, .. }]));
+        assert!(matches!(out[..], [OutMsg::Rows { query: 7, .. }]));
     }
 
     #[test]
@@ -593,7 +606,7 @@ mod model {
         slots: Vec<EngineSlot<ToyEngine>>,
         /// This sender's messages on the result channel, not yet absorbed.
         out: VecDeque<OutMsg<u64>>,
-        /// [`Fault::RowAfterAck`]: the row held back until the next ack.
+        /// [`Fault::RowAfterAck`]: the rows held back until the next ack.
         late: Option<OutMsg<u64>>,
         /// The end-of-stream finish has run.
         finished: bool,
@@ -752,7 +765,7 @@ mod model {
                 .flatten();
             let mut emit = |m: OutMsg<u64>| {
                 match m {
-                    OutMsg::Row { .. } if row_after_ack && late.is_none() => *late = Some(m),
+                    OutMsg::Rows { .. } if row_after_ack && late.is_none() => *late = Some(m),
                     OutMsg::Ack { .. } => {
                         out.push_back(m);
                         out.extend(late.take());
@@ -762,7 +775,7 @@ mod model {
                 Ok(())
             };
             let stepped = match queue.remove(jump.unwrap_or(0)) {
-                Some(msg) => worker_step(slots, s, msg, &mut emit),
+                Some(msg) => worker_step(slots, s, msg, &mut emit).map(drop),
                 None => {
                     *finished = true;
                     worker_finish(slots, s, &mut emit)
@@ -775,7 +788,7 @@ mod model {
         /// invariants as it arrives.
         fn absorb(&mut self, s: usize) -> Result<(), Broken> {
             match self.shards[s].out.pop_front() {
-                Some(OutMsg::Row { query, row, .. }) => {
+                Some(OutMsg::Rows { query, rows, .. }) => rows.into_iter().try_for_each(|row| {
                     if self.shards[s].gone.contains(&query) {
                         return Err((
                             "row-crosses-barrier",
@@ -786,7 +799,7 @@ mod model {
                         ));
                     }
                     self.record_delivery(query, row)
-                }
+                }),
                 Some(OutMsg::Ack { shard, blobs }) => {
                     self.check_ack(shard, &blobs)?;
                     self.cut

@@ -94,9 +94,14 @@ pub struct ExecutorConfig {
     /// Policy for events later than `slack`.
     pub late_policy: LatePolicy,
     /// Per-shard input queue capacity (frames; backpressure beyond it).
+    /// The channel on which shards hand spent frames back holds `shards ×
+    /// channel_capacity` frames; a shard that finds it full drops the
+    /// frame itself rather than wait.
     pub channel_capacity: usize,
-    /// Result channel capacity (rows; callers that never poll get
-    /// backpressure once this many rows are waiting).
+    /// Result channel capacity, in messages: each holds the rows one
+    /// flush of one query on one shard polled (a shard whose message does
+    /// not fit waits for the coordinator to absorb one).
+    /// [`ExecutorStats::result_occupancy`] counts the rows in them.
     pub result_capacity: usize,
     /// Events accumulated per (route group, shard) before a frame is sent
     /// (1 = a frame per event, the pre-batching behaviour). Frames are
@@ -242,7 +247,8 @@ pub struct ExecutorStats {
     /// Highest shard-queue occupancy (frames) observed at any flush.
     pub max_channel_occupancy: usize,
     /// Rows waiting in the result channel when
-    /// [`stats`](StreamExecutor::stats) was called.
+    /// [`stats`](StreamExecutor::stats) was called (in however many
+    /// messages; [`ExecutorConfig::result_capacity`] bounds those).
     pub result_occupancy: usize,
     /// Aggregated per-shard engine counters, summed over every hosted
     /// query's engines (populated by `finish`).

@@ -220,8 +220,10 @@ impl Ingest {
         Ok(&self.released)
     }
 
-    /// End of stream: everything still buffered, in order.
+    /// End of stream: everything still buffered, in order. The scratch
+    /// of the last release lets go of its events too.
     pub(super) fn flush(&mut self) -> Vec<EventRef> {
+        self.released.clear();
         self.reorder.flush()
     }
 

@@ -142,11 +142,11 @@ impl<N: TrendNum> Merge<N> {
         cut: &mut Cut,
     ) -> Result<(), EngineError> {
         match msg {
-            OutMsg::Row {
+            OutMsg::Rows {
                 query,
                 shard,
-                seq,
-                row,
+                first_seq,
+                mut rows,
             } => {
                 let Some(slot) = self.slot_mut(query) else {
                     return Ok(());
@@ -154,10 +154,18 @@ impl<N: TrendNum> Merge<N> {
                 let q = &mut slot.parts;
                 match &mut q.merge {
                     None => {
-                        q.pending.push(row);
-                        q.rows += 1;
+                        q.rows += rows.len() as u64;
+                        if q.pending.is_empty() {
+                            q.pending = rows;
+                        } else {
+                            q.pending.append(&mut rows);
+                        }
                     }
-                    Some(m) => m.offer(shard as usize, seq, row),
+                    Some(m) => {
+                        for (seq, row) in (first_seq..).zip(rows) {
+                            m.offer(shard as usize, seq, row);
+                        }
+                    }
                 }
             }
             OutMsg::Frontier {

@@ -173,10 +173,10 @@ impl Route {
         Ok(cadence_closed)
     }
 
-    /// Send route group `g`'s buffered frame for shard `i`, if any.
-    /// (`Vec::with_capacity` replacing the taken buffer is the one
-    /// amortized allocation per frame — deliberately not in the denied
-    /// set.)
+    /// Send route group `g`'s buffered frame for shard `i`, if any. The
+    /// buffer that replaces it is a spent frame the shards handed back
+    /// ([`Worker::empty_frame`]); a new one is allocated only while none
+    /// has come back.
     #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     fn flush_group_shard<N: TrendNum>(
         &mut self,
@@ -188,10 +188,8 @@ impl Route {
         if self.groups[g].batch_bufs[i].is_empty() {
             return Ok(());
         }
-        let frame = std::mem::replace(
-            &mut self.groups[g].batch_bufs[i],
-            Vec::with_capacity(self.batch_size),
-        );
+        let next = worker.empty_frame(self.batch_size);
+        let frame = std::mem::replace(&mut self.groups[g].batch_bufs[i], next);
         self.max_occupancy = self.max_occupancy.max(worker.queued(i) + 1);
         self.frames += 1;
         let group = g as u32;

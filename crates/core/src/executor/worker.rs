@@ -1,8 +1,9 @@
 //! Plane 3 — shard engines, seen from the coordinator: one input channel
-//! and one thread per shard, the shared result channel, and the ack
-//! ledger of the barrier in flight. What a shard does with a message is
-//! [`worker_step`]; this module is how messages get there, how answers
-//! come back, and how the threads end.
+//! and one thread per shard, the shared result channel, the return
+//! channel for spent event frames, and the ack ledger of the barrier in
+//! flight. What a shard does with a message is [`worker_step`]; this
+//! module is how messages get there, how answers and spent frames come
+//! back, and how the threads end.
 
 use super::barrier::{worker_finish, worker_step, Cut, EngineSlot, Msg, OutMsg, QueryBlobs};
 use super::merge::Merge;
@@ -14,8 +15,14 @@ use crate::EngineError;
 use crate::MemoryFootprint;
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use greta_types::codec::{put_u32, Reader};
-use greta_types::CodecError;
+use greta_types::{CodecError, EventRef};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
+
+/// Empty frame buffers kept per shard for the route plane's next frames;
+/// spent frames beyond that are freed as they come back.
+const SPARE_FRAMES_PER_SHARD: usize = 4;
 
 /// What a shard worker hands back when it ends — and, summed over the
 /// shards, what the end of the stream leaves behind.
@@ -36,6 +43,17 @@ pub(super) struct Worker<N: TrendNum> {
     /// One input channel per shard; empty once the inputs are closed.
     senders: Vec<Sender<Msg<GretaEngine<N>>>>,
     results_rx: Receiver<OutMsg<WindowResult<N>>>,
+    /// Rows on the result channel: the shards add a batch's rows before
+    /// they send it, the coordinator subtracts them as it absorbs it. A
+    /// statistic that publishes nothing else, hence `Relaxed`; the channel
+    /// orders each add before its subtraction.
+    result_rows: Arc<AtomicUsize>,
+    /// Event frames the shards have run through their engines, handed
+    /// back so that their events are released, and their buffers reused,
+    /// on this thread.
+    spent_rx: Receiver<Vec<EventRef>>,
+    /// Cleared spent frames kept for the route plane's next frames.
+    spare: Vec<Vec<EventRef>>,
     /// Ack ledger of the barrier in flight, if any.
     pub(super) cut: Cut,
     handles: Vec<JoinHandle<Result<Report, EngineError>>>,
@@ -53,25 +71,36 @@ impl<N: TrendNum> Worker<N> {
         export_final: bool,
     ) -> Result<Self, EngineError> {
         let shards = per_shard.len();
+        let channel_capacity = config.channel_capacity.max(1);
         let (results_tx, results_rx) = channel::bounded(config.result_capacity.max(1));
+        let (spent_tx, spent_rx) = channel::bounded(shards * channel_capacity);
+        let result_rows = Arc::new(AtomicUsize::new(0));
         let mut senders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         for (shard, slots) in per_shard.into_iter().enumerate() {
-            let (tx, rx) = channel::bounded(config.channel_capacity.max(1));
+            let (tx, rx) = channel::bounded(channel_capacity);
             senders.push(tx);
-            let results_tx = results_tx.clone();
+            let out = ShardOut {
+                results: results_tx.clone(),
+                result_rows: result_rows.clone(),
+                spent: spent_tx.clone(),
+            };
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("greta-shard-{shard}"))
-                    .spawn(move || worker_loop::<N>(slots, shard, rx, results_tx, export_final))
+                    .spawn(move || worker_loop::<N>(slots, shard, rx, out, export_final))
                     .map_err(|e| EngineError::Worker(e.to_string()))?,
             );
         }
-        // `results_tx` drops here: the workers hold the only senders.
+        // `results_tx` and `spent_tx` drop here: the workers hold the only
+        // senders.
         Ok(Worker {
             shards,
             senders,
             results_rx,
+            result_rows,
+            spent_rx,
+            spare: Vec::new(),
             cut: Cut::new(shards),
             handles,
             ended: Report::default(),
@@ -88,12 +117,48 @@ impl<N: TrendNum> Worker<N> {
         self.senders[shard].len()
     }
 
-    /// Drain the result channel into `merge` without blocking; true if
-    /// anything came.
+    /// An empty buffer for the route plane's next frame: a spent frame the
+    /// shards handed back, else a new one.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    pub(super) fn empty_frame(&mut self, batch_size: usize) -> Vec<EventRef> {
+        self.reclaim_frames();
+        self.spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(batch_size))
+    }
+
+    /// Clear every spent frame the shards have handed back — which
+    /// releases its events on the thread that allocated them — keeping a
+    /// bounded number as spares: whoever polls holds no processed event.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    fn reclaim_frames(&mut self) {
+        while let Ok(mut frame) = self.spent_rx.try_recv() {
+            frame.clear();
+            if self.spare.len() < self.shards * SPARE_FRAMES_PER_SHARD {
+                self.spare.push(frame);
+            }
+        }
+    }
+
+    /// Absorb one message off the result channel into `merge`.
+    fn absorb(
+        &mut self,
+        msg: OutMsg<WindowResult<N>>,
+        merge: &mut Merge<N>,
+    ) -> Result<(), EngineError> {
+        if let OutMsg::Rows { rows, .. } = &msg {
+            self.result_rows.fetch_sub(rows.len(), Ordering::Relaxed);
+        }
+        merge.absorb(msg, &mut self.cut)
+    }
+
+    /// Drain the result channel into `merge` without blocking, and reclaim
+    /// the spent frames; true if any result message came.
     pub(super) fn drain_ready(&mut self, merge: &mut Merge<N>) -> Result<bool, EngineError> {
+        self.reclaim_frames();
         let mut any = false;
         while let Ok(msg) = self.results_rx.try_recv() {
-            merge.absorb(msg, &mut self.cut)?;
+            self.absorb(msg, merge)?;
             any = true;
         }
         Ok(any)
@@ -145,16 +210,17 @@ impl<N: TrendNum> Worker<N> {
 
     /// The end of every worker, wanted or not: close the inputs, absorb
     /// what the workers still emit while they finish (joining one that is
-    /// blocked sending rows would hang), and join them into
-    /// [`ended`](Self::ended). Returns the first failure, if any worker
-    /// (or the absorbing side) had one.
+    /// blocked sending rows would hang) and clear the frames they hand
+    /// back, and join them into [`ended`](Self::ended). Returns the first
+    /// failure, if any worker (or the absorbing side) had one.
     pub(super) fn finish(&mut self, merge: &mut Merge<N>) -> Option<EngineError> {
         self.senders.clear();
         let mut error = None;
         // recv() ends when every worker has dropped its result sender —
         // no window of any query can receive further rows after that.
         while let Ok(msg) = self.results_rx.recv() {
-            let absorbed = merge.absorb(msg, &mut self.cut);
+            self.reclaim_frames();
+            let absorbed = self.absorb(msg, merge);
             error = error.or(absorbed.err());
         }
         for w in self.handles.drain(..) {
@@ -168,6 +234,8 @@ impl<N: TrendNum> Worker<N> {
                 Err(e) => error = error.or(Some(e)),
             }
         }
+        // The workers are gone: every frame they handed back is queued.
+        self.reclaim_frames();
         error
     }
 
@@ -200,7 +268,7 @@ impl<N: TrendNum> Worker<N> {
     /// Fill in the counters this plane owns.
     pub(super) fn fill_stats(&self, s: &mut ExecutorStats) {
         s.channel_occupancy = self.senders.iter().map(Sender::len).collect();
-        s.result_occupancy = self.results_rx.len();
+        s.result_occupancy = self.result_rows.load(Ordering::Relaxed);
         s.engine = self.ended.stats;
         s.peak_memory_bytes = self.ended.peak_bytes;
     }
@@ -213,24 +281,53 @@ fn add_stats(sum: &mut EngineStats, s: &EngineStats) {
     sum.results += s.results;
 }
 
+/// A shard's ends of the channels back to the coordinator.
+struct ShardOut<N: TrendNum> {
+    results: Sender<OutMsg<WindowResult<N>>>,
+    /// The coordinator's count of rows on the result channel.
+    result_rows: Arc<AtomicUsize>,
+    spent: Sender<Vec<EventRef>>,
+}
+
+impl<N: TrendNum> ShardOut<N> {
+    /// Put `msg` on the result channel, counting its rows first so the
+    /// coordinator never subtracts rows it has not been told of.
+    fn emit(&self, msg: OutMsg<WindowResult<N>>) -> Result<(), EngineError> {
+        if let OutMsg::Rows { rows, .. } = &msg {
+            self.result_rows.fetch_add(rows.len(), Ordering::Relaxed);
+        }
+        // The result channel closes only when the executor is dropped
+        // without drain(); nobody reads the error that then ends this
+        // worker.
+        self.results
+            .send(msg)
+            .map_err(|_| EngineError::Worker("result channel closed".into()))
+    }
+
+    /// Hand a spent frame back to the coordinator, which allocated its
+    /// events and reuses its buffer. Never blocks: when the return channel
+    /// is full, the frame and its events are dropped here instead.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    fn give_back(&self, frame: Option<Vec<EventRef>>) {
+        if let Some(frame) = frame {
+            let _full_or_gone = self.spent.try_send(frame);
+        }
+    }
+}
+
 /// One shard worker: [`worker_step`] per message until the input channel
 /// closes, then the end-of-stream finish and the report.
 fn worker_loop<N: TrendNum>(
     mut slots: Vec<EngineSlot<GretaEngine<N>>>,
     shard: usize,
     rx: Receiver<Msg<GretaEngine<N>>>,
-    results_tx: Sender<OutMsg<WindowResult<N>>>,
+    out: ShardOut<N>,
     export_final: bool,
 ) -> Result<Report, EngineError> {
-    // The result channel closes only when the executor is dropped without
-    // drain(); nobody reads the error that then ends this worker.
-    let mut emit = |m| {
-        results_tx
-            .send(m)
-            .map_err(|_| EngineError::Worker("result channel closed".into()))
-    };
+    let mut emit = |m| out.emit(m);
     for msg in rx.iter() {
-        worker_step(&mut slots, shard, msg, &mut emit)?;
+        let spent = worker_step(&mut slots, shard, msg, &mut emit)?;
+        out.give_back(spent);
     }
     worker_finish(&mut slots, shard, &mut emit)?;
     let mut report = Report::default();

@@ -23,14 +23,15 @@ use crate::agg::TrendNum;
 use crate::results::WindowResult;
 use crate::window::WindowId;
 use greta_types::{Event, EventRef, Time};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Buffering reorderer with a fixed time slack.
 #[derive(Debug, Default)]
 pub struct ReorderBuffer {
     slack: u64,
-    /// Buffered events keyed by time stamp (stable within a stamp).
-    pending: BTreeMap<Time, Vec<EventRef>>,
+    /// Buffered events in release order: sorted by time stamp, arrival
+    /// order within a stamp. Released from the front.
+    pending: VecDeque<EventRef>,
     /// Highest time stamp already released.
     released: Option<Time>,
     /// Count of events dropped for arriving beyond the slack.
@@ -55,7 +56,9 @@ impl ReorderBuffer {
     }
 
     /// [`push`](Self::push) into a caller-provided buffer — the hot path
-    /// reuses one scratch vector instead of allocating per event.
+    /// reuses one scratch vector instead of allocating per event, and the
+    /// buffer itself allocates only when it grows past its largest backlog
+    /// so far.
     #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub fn push_into(&mut self, e: EventRef, out: &mut Vec<EventRef>) -> Result<(), EventRef> {
         if let Some(r) = self.released {
@@ -64,31 +67,42 @@ impl ReorderBuffer {
                 return Err(e);
             }
         }
-        let t = e.time;
-        self.pending.entry(t).or_default().push(e);
+        self.insert(e);
         // Release everything at least `slack` ticks behind the max seen.
-        let max_seen = *self.pending.keys().next_back().expect("just inserted");
+        let max_seen = self.pending.back().expect("just inserted").time;
         let horizon = Time(max_seen.ticks().saturating_sub(self.slack));
         self.release_before(horizon, out);
         Ok(())
     }
 
+    /// File `e` after every buffered event stamped at or before it: an
+    /// in-order arrival goes to the back, a disordered one behind its
+    /// equals, so events of one stamp keep their arrival order.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    fn insert(&mut self, e: EventRef) {
+        if self.pending.back().is_none_or(|last| last.time <= e.time) {
+            self.pending.push_back(e);
+        } else {
+            let at = self.pending.partition_point(|b| b.time <= e.time);
+            self.pending.insert(at, e);
+        }
+    }
+
     /// Flush all buffered events (stream end).
     pub fn flush(&mut self) -> Vec<EventRef> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.pending.len());
         self.release_before(Time::MAX, &mut out);
         out
     }
 
     #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     fn release_before(&mut self, horizon: Time, out: &mut Vec<EventRef>) {
-        while let Some((&t, _)) = self.pending.iter().next() {
-            if t >= horizon {
+        while let Some(e) = self.pending.front() {
+            if e.time >= horizon {
                 break;
             }
-            let batch = self.pending.remove(&t).expect("key exists");
-            self.released = Some(t);
-            out.extend(batch);
+            self.released = Some(e.time);
+            out.extend(self.pending.pop_front());
         }
     }
 
@@ -105,7 +119,7 @@ impl ReorderBuffer {
 
     /// Events currently buffered.
     pub fn buffered(&self) -> usize {
-        self.pending.values().map(Vec::len).sum()
+        self.pending.len()
     }
 
     /// Events rejected as too late so far.
@@ -120,12 +134,9 @@ impl ReorderBuffer {
     pub fn export_state(&self, out: &mut Vec<u8>) {
         greta_types::codec::put_opt_u64(out, self.released.map(Time::ticks));
         greta_types::codec::put_u64(out, self.late);
-        let n: usize = self.pending.values().map(Vec::len).sum();
-        greta_types::codec::put_u32(out, n as u32);
-        for batch in self.pending.values() {
-            for e in batch {
-                e.encode(out);
-            }
+        greta_types::codec::put_u32(out, self.pending.len() as u32);
+        for e in &self.pending {
+            e.encode(out);
         }
     }
 
@@ -137,18 +148,16 @@ impl ReorderBuffer {
     ) -> Result<ReorderBuffer, greta_types::CodecError> {
         let released = greta_types::codec::get_opt_u64(r)?.map(Time);
         let late = r.u64()?;
-        let n = r.seq_len(11)?;
-        let mut pending: BTreeMap<Time, Vec<EventRef>> = BTreeMap::new();
-        for _ in 0..n {
-            let e = Event::decode(r)?.into_ref();
-            pending.entry(e.time).or_default().push(e);
-        }
-        Ok(ReorderBuffer {
+        let mut buf = ReorderBuffer {
             slack,
-            pending,
             released,
             late,
-        })
+            ..Default::default()
+        };
+        for _ in 0..r.seq_len(11)? {
+            buf.insert(Event::decode(r)?.into_ref());
+        }
+        Ok(buf)
     }
 }
 
@@ -414,6 +423,141 @@ mod tests {
         assert_eq!(buf.buffered(), 2);
         buf.flush();
         assert_eq!(buf.buffered(), 0);
+    }
+
+    mod model {
+        //! The reorder buffer against its specification: what a stable sort
+        //! by stamp releases, over arbitrary arrivals.
+        use super::super::ReorderBuffer;
+        use greta_types::codec::{put_opt_u64, put_u32, put_u64};
+        use greta_types::{Event, EventRef, Reader, Time, TypeId, Value};
+        use proptest::prelude::*;
+
+        /// Every accepted event in arrival order; the released ones are a
+        /// prefix of their stable sort by stamp, since an accepted event is
+        /// never stamped below the watermark and sorts after released
+        /// events of its own stamp.
+        struct Spec {
+            slack: u64,
+            accepted: Vec<EventRef>,
+            released: usize,
+            watermark: Option<Time>,
+            max_seen: Option<Time>,
+            late: u64,
+        }
+
+        impl Spec {
+            fn new(slack: u64) -> Self {
+                Spec {
+                    slack,
+                    accepted: Vec::new(),
+                    released: 0,
+                    watermark: None,
+                    max_seen: None,
+                    late: 0,
+                }
+            }
+
+            fn sorted(&self) -> Vec<EventRef> {
+                let mut sorted = self.accepted.clone();
+                sorted.sort_by_key(|e| e.time);
+                sorted
+            }
+
+            /// Release the sorted events below `horizon` not yet released.
+            fn release_before(&mut self, horizon: Time) -> Vec<EventRef> {
+                let sorted = self.sorted();
+                let out: Vec<EventRef> = sorted[self.released..]
+                    .iter()
+                    .take_while(|e| e.time < horizon)
+                    .cloned()
+                    .collect();
+                self.released += out.len();
+                if let Some(last) = out.last() {
+                    self.watermark = Some(last.time);
+                }
+                out
+            }
+
+            fn push(&mut self, e: EventRef) -> Result<Vec<EventRef>, EventRef> {
+                if self.watermark.is_some_and(|w| e.time < w) {
+                    self.late += 1;
+                    return Err(e);
+                }
+                self.max_seen = self.max_seen.max(Some(e.time));
+                self.accepted.push(e);
+                let max_seen = self.max_seen.expect("just set").ticks();
+                Ok(self.release_before(Time(max_seen.saturating_sub(self.slack))))
+            }
+
+            fn encode(&self) -> Vec<u8> {
+                let mut out = Vec::new();
+                put_opt_u64(&mut out, self.watermark.map(Time::ticks));
+                put_u64(&mut out, self.late);
+                let pending = &self.sorted()[self.released..];
+                put_u32(&mut out, pending.len() as u32);
+                for e in pending {
+                    e.encode(&mut out);
+                }
+                out
+            }
+        }
+
+        /// Arrival `i` at stamp `t`; its attribute tells arrivals apart.
+        fn ev(t: u64, i: usize) -> EventRef {
+            Event::new_unchecked(TypeId(0), Time(t), vec![Value::Int(i as i64)]).into_ref()
+        }
+
+        fn ids(r: &Result<Vec<EventRef>, EventRef>) -> Result<Vec<Value>, Value> {
+            let id = |e: &EventRef| e.attrs[0].clone();
+            match r {
+                Ok(out) => Ok(out.iter().map(id).collect()),
+                Err(e) => Err(id(e)),
+            }
+        }
+
+        proptest! {
+            /// Arrivals trail a clock that moves 0-3 ticks at a time by 0-11
+            /// ticks, so stamps repeat and land within and beyond any slack
+            /// in 0-8. The buffer releases and refuses what the spec does,
+            /// exports the spec's bytes at every step, and a buffer
+            /// imported from the export at `cut` continues identically.
+            #[test]
+            fn releases_what_a_stable_sort_by_stamp_releases(
+                slack in 0u64..9,
+                arrivals in proptest::collection::vec((0u64..4, 0u64..12), 0..60),
+                cut in 0usize..60,
+            ) {
+                let (mut buf, mut spec) = (ReorderBuffer::new(slack), Spec::new(slack));
+                let mut resumed: Option<ReorderBuffer> = None;
+                let mut clock = 0;
+                for (i, &(advance, back)) in arrivals.iter().enumerate() {
+                    let mut bytes = Vec::new();
+                    buf.export_state(&mut bytes);
+                    prop_assert_eq!(&bytes, &spec.encode());
+                    if i == cut {
+                        let imported = ReorderBuffer::import_state(slack, &mut Reader::new(&bytes));
+                        resumed = Some(imported.expect("own export"));
+                    }
+                    clock += advance;
+                    let e = ev(clock.saturating_sub(back), i);
+                    let got = ids(&buf.push(e.clone()));
+                    prop_assert_eq!(&got, &ids(&spec.push(e.clone())));
+                    if let Some(r) = &mut resumed {
+                        prop_assert_eq!(&ids(&r.push(e)), &got);
+                    }
+                    prop_assert_eq!(buf.buffered(), spec.accepted.len() - spec.released);
+                    prop_assert_eq!(buf.late_events(), spec.late);
+                    prop_assert_eq!(buf.watermark(), spec.watermark);
+                }
+                let rest = ids(&Ok(buf.flush()));
+                prop_assert_eq!(&rest, &ids(&Ok(spec.release_before(Time::MAX))));
+                if let Some(mut r) = resumed {
+                    prop_assert_eq!(&ids(&Ok(r.flush())), &rest);
+                }
+                prop_assert_eq!(buf.buffered(), 0);
+            }
+        }
     }
 
     mod merge {

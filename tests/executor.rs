@@ -8,10 +8,11 @@ use greta::core::{
     StreamExecutor, WindowResult,
 };
 use greta::query::CompiledQuery;
-use greta::types::{Event, EventBuilder, SchemaRegistry, Time};
+use greta::types::{Event, EventBuilder, EventRef, SchemaRegistry, Time};
 use greta::workloads::{
     ClusterConfig, ClusterGen, LinearRoadConfig, LinearRoadGen, StockConfig, StockGen,
 };
+use std::sync::Arc;
 
 fn sorted(mut rows: Vec<WindowResult<f64>>) -> Vec<WindowResult<f64>> {
     rows.sort_by(|a, b| a.window.cmp(&b.window).then_with(|| a.group.cmp(&b.group)));
@@ -621,6 +622,131 @@ fn memory_accounting_does_not_depend_on_thread_timing() {
             assert!(exporter.memory_bytes() > 0);
             assert_eq!(imported.memory_bytes(), exporter.memory_bytes(), "at {i}");
             assert_eq!(imported.peak_memory_bytes(), exporter.peak_memory_bytes());
+        }
+    }
+}
+
+/// The events of `events`, shared, with the test holding a handle on each.
+fn shared(events: &[Event]) -> Vec<EventRef> {
+    events.iter().cloned().map(Event::into_ref).collect()
+}
+
+/// How many of `held` anyone but the test still holds.
+fn still_held(held: &[EventRef]) -> usize {
+    held.iter().filter(|e| Arc::strong_count(e) > 1).count()
+}
+
+#[test]
+fn events_are_released_once_the_stream_has_ended() {
+    // Q1's shape: spent frames come back to the pushing thread, which
+    // clears them. Once the workers are joined nothing of the executor's
+    // holds an event — whether the caller ended with `drain` and one poll,
+    // or with `finish`, and whether it polled while pushing or not.
+    let (reg, q, events) = stock_setup(2_000);
+    let held = shared(&events);
+    for shards in [1, 2, 4] {
+        for (poll_while_pushing, by_finish) in [(false, false), (true, false), (false, true)] {
+            let config = ExecutorConfig {
+                shards,
+                ..Default::default()
+            };
+            let mut exec = StreamExecutor::<f64>::new(q.clone(), reg.clone(), config).unwrap();
+            for e in &held {
+                exec.push_ref(e.clone()).unwrap();
+                if poll_while_pushing {
+                    exec.poll_results();
+                }
+            }
+            if by_finish {
+                exec.finish().unwrap();
+            } else {
+                exec.drain().unwrap();
+                exec.poll_results();
+            }
+            assert_eq!(
+                still_held(&held),
+                0,
+                "shards={shards} polled={poll_while_pushing} finish={by_finish}"
+            );
+        }
+    }
+}
+
+#[test]
+fn broadcast_events_are_released_once_the_stream_has_finished() {
+    // Q3's shape: every `Accident` is framed for every shard and kept in
+    // each shard engine's replay buffer until the engines end with their
+    // workers.
+    let mut reg = SchemaRegistry::new();
+    let gen = LinearRoadGen::new(
+        LinearRoadConfig {
+            events: 3_000,
+            vehicles: 100,
+            segments: 10,
+            accident_rate: 0.05,
+            ..Default::default()
+        },
+        &mut reg,
+    )
+    .unwrap();
+    let held = shared(&gen.generate());
+    let q = CompiledQuery::parse(
+        "RETURN segment, COUNT(*) PATTERN SEQ(NOT Accident X, Position P+) \
+         WHERE [P.vehicle, segment] GROUP-BY segment WITHIN 1000 SLIDE 250",
+        &reg,
+    )
+    .unwrap();
+    for shards in [1, 2, 4] {
+        let config = ExecutorConfig {
+            shards,
+            ..Default::default()
+        };
+        let mut exec = StreamExecutor::<f64>::new(q.clone(), reg.clone(), config).unwrap();
+        for e in &held {
+            exec.push_ref(e.clone()).unwrap();
+        }
+        exec.finish().unwrap();
+        assert!(exec.stats().broadcasts > 0);
+        assert_eq!(still_held(&held), 0, "shards={shards}");
+    }
+}
+
+#[test]
+fn row_batches_equal_the_sequential_engine_in_both_emission_modes() {
+    // A flush's rows cross the result channel as one message. Whatever
+    // the shard count, frame size or result-channel capacity (one message
+    // at a time included), the ordered stream equals the sequential
+    // engine's sorted rows as polled, the unordered one once sorted, and
+    // no row is left counted on the channel.
+    let (reg, q, events) = stock_setup(1_200);
+    let mut engine = GretaEngine::<f64>::new(q.clone(), reg.clone()).unwrap();
+    let expect = sorted(engine.run(&events).unwrap());
+    for emission in [EmissionMode::Unordered, EmissionMode::WindowOrdered] {
+        for shards in [1, 2, 4] {
+            for (batch_size, result_capacity) in [(1, 1 << 16), (64, 1 << 16), (64, 1)] {
+                let config = ExecutorConfig {
+                    shards,
+                    batch_size,
+                    result_capacity,
+                    emission,
+                    ..Default::default()
+                };
+                let mut exec = StreamExecutor::<f64>::new(q.clone(), reg.clone(), config).unwrap();
+                let mut rows = Vec::new();
+                for e in &events {
+                    exec.push(e.clone()).unwrap();
+                    rows.extend(exec.poll_results());
+                }
+                rows.extend(exec.finish().unwrap());
+                if emission == EmissionMode::Unordered {
+                    rows = sorted(rows);
+                }
+                let case = format!(
+                    "{emission:?} shards={shards} batch={batch_size} results={result_capacity}"
+                );
+                assert_eq!(rows, expect, "{case}");
+                assert_eq!(exec.stats().result_occupancy, 0, "{case}");
+            }
         }
     }
 }
