@@ -14,9 +14,10 @@
 //! queries it supports it must agree exactly with GRETA while using O(1)
 //! memory per group/window.
 
-use greta_core::agg::{AggLayout, AggState};
+use crate::common::TrendAgg;
+use greta_core::agg::AggLayout;
 use greta_core::grouping::{KeyExtractor, PartitionKey};
-use greta_core::results::{render_aggregates, WindowResult};
+use greta_core::results::WindowResult;
 use greta_core::window::{window_close_time, windows_of, WindowId};
 use greta_query::{CompiledQuery, StateId};
 use greta_types::{Event, SchemaRegistry, Time, TypeId};
@@ -55,13 +56,13 @@ pub struct AseqEngine {
     /// Pattern positions in sequence order: `(state, type)`.
     positions: Vec<(StateId, TypeId)>,
     /// `(partition, window)` → per-position running aggregates.
-    state: HashMap<(PartitionKey, WindowId), Vec<AggState<f64>>>,
+    state: HashMap<(PartitionKey, WindowId), Vec<TrendAgg>>,
     /// Contributions of the current timestamp, applied once time advances
     /// (trend adjacency requires strictly increasing times, Def. 1).
-    pending: Vec<((PartitionKey, WindowId), usize, AggState<f64>)>,
+    pending: Vec<((PartitionKey, WindowId), usize, TrendAgg)>,
     pending_time: Time,
     /// Final aggregate per (window, group).
-    results: BTreeMap<WindowId, HashMap<PartitionKey, AggState<f64>>>,
+    results: BTreeMap<WindowId, HashMap<PartitionKey, TrendAgg>>,
     emitted: Vec<WindowResult<f64>>,
     watermark: Time,
 }
@@ -125,8 +126,8 @@ impl AseqEngine {
             let states = self
                 .state
                 .entry((key, wid))
-                .or_insert_with(|| vec![AggState::zero(&self.layout); self.positions.len()]);
-            states[pos].merge(contrib.slots());
+                .or_insert_with(|| vec![TrendAgg::zero(&self.layout); self.positions.len()]);
+            states[pos].merge(&contrib);
         }
     }
 
@@ -159,7 +160,7 @@ impl AseqEngine {
                 // events are visible (same-timestamp contributions sit in
                 // `pending`).
                 let contrib = if pos == 0 {
-                    let mut s = AggState::zero(&self.layout);
+                    let mut s = TrendAgg::zero(&self.layout);
                     extend(&mut s, e, true, &self.layout);
                     s
                 } else {
@@ -182,8 +183,8 @@ impl AseqEngine {
                         .entry(wid)
                         .or_default()
                         .entry(group)
-                        .or_insert_with(|| AggState::zero(&self.layout))
-                        .merge(contrib.slots());
+                        .or_insert_with(|| TrendAgg::zero(&self.layout))
+                        .merge(&contrib);
                 }
                 self.pending.push(((key.clone(), wid), pos, contrib));
             }
@@ -203,7 +204,7 @@ impl AseqEngine {
                 .map(|(group, st)| WindowResult {
                     window: wid,
                     group,
-                    values: render_aggregates(&st, &self.query.aggregates, &self.layout),
+                    values: st.render(&self.layout),
                 })
                 .collect();
             rows.sort_by(|a, b| a.group.cmp(&b.group));
@@ -232,7 +233,7 @@ impl AseqEngine {
     pub fn memory_bytes(&self) -> usize {
         self.state
             .values()
-            .map(|v| v.iter().map(AggState::heap_size).sum::<usize>() + 64)
+            .map(|v| v.iter().map(TrendAgg::heap_size).sum::<usize>() + 64)
             .sum()
     }
 }
@@ -240,7 +241,7 @@ impl AseqEngine {
 /// The Theorem 9.1 step on a prefix aggregate: a sequence starting at `e`
 /// adds one to the count (`start`); a tracked target folds its attribute
 /// in, weighted by the count.
-fn extend(s: &mut AggState<f64>, e: &Event, start: bool, layout: &AggLayout) {
+fn extend(s: &mut TrendAgg, e: &Event, start: bool, layout: &AggLayout) {
     if start {
         s.count += 1.0;
     }

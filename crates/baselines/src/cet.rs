@@ -11,14 +11,14 @@
 //! exponential — which is exactly the trade-off the paper measures
 //! (≈2× faster than SASE, orders of magnitude more memory).
 
-use crate::common::{PartitionedStream, TrendStats, TwoStepRun};
-use greta_core::agg::{AggLayout, AggState};
+use crate::common::{PartitionedStream, TrendAgg, TrendStats, TwoStepRun};
+use greta_core::agg::AggLayout;
 use greta_core::grouping::PartitionKey;
 use greta_core::negation::{
     end_event_valid_at_close, insertion_dropped, predecessor_valid, DepMode, Dependency,
     InvalidationLog,
 };
-use greta_core::results::{render_aggregates, WindowResult};
+use greta_core::results::WindowResult;
 use greta_core::window::{window_close_time, window_start_time, windows_of, WindowId};
 use greta_query::{CompiledQuery, StateId};
 use greta_types::{Event, SchemaRegistry, Time};
@@ -62,7 +62,7 @@ impl CetEngine {
         let layout = AggLayout::new(&query.aggregates);
         let n_group = query.group_by.len();
         let parts = PartitionedStream::build(query, registry, events);
-        let mut results: HashMap<(WindowId, PartitionKey), AggState<f64>> = HashMap::new();
+        let mut results: HashMap<(WindowId, PartitionKey), TrendAgg> = HashMap::new();
         let mut nodes_total = 0u64;
         let mut trends = 0u64;
         let mut peak = 0usize;
@@ -78,7 +78,7 @@ impl CetEngine {
                 for &wid in &wids {
                     let acc = results
                         .entry((wid, group.clone()))
-                        .or_insert_with(|| AggState::zero(&layout));
+                        .or_insert_with(|| TrendAgg::zero(&layout));
                     let (nodes, ts, bytes, ok) = build_window_trends(
                         plan,
                         evs,
@@ -106,7 +106,7 @@ impl CetEngine {
             .map(|((wid, group), st)| WindowResult {
                 window: wid,
                 group,
-                values: render_aggregates(&st, &query.aggregates, &layout),
+                values: st.render(&layout),
             })
             .collect();
         rows.sort_by(|a, b| a.window.cmp(&b.window).then_with(|| a.group.cmp(&b.group)));
@@ -133,7 +133,7 @@ fn build_window_trends(
     we: Time,
     layout: &AggLayout,
     budget: u64,
-    acc: &mut AggState<f64>,
+    acc: &mut TrendAgg,
 ) -> (u64, u64, usize, bool) {
     let n_graphs = plan.graphs.len();
     let deps: Vec<Vec<Dependency>> = plan

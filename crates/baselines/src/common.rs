@@ -9,13 +9,13 @@
 //! GRETA propagates them along edges (never enumerating trends), the
 //! baselines construct trends first (paper Fig. 1).
 
-use greta_core::agg::{AggLayout, AggState};
+use greta_core::agg::{AggLayout, CellsRef};
 use greta_core::grouping::{KeyExtractor, PartitionKey};
 use greta_core::negation::{
     end_event_valid_at_close, insertion_dropped, predecessor_valid, DepMode, Dependency,
     InvalidationLog,
 };
-use greta_core::results::{render_aggregates, WindowResult};
+use greta_core::results::{render_aggregates, OutValue, WindowResult};
 use greta_core::window::{window_close_time, window_start_time, windows_of, WindowId};
 use greta_query::compile::AltPlan;
 use greta_query::{CompiledQuery, StateId};
@@ -312,10 +312,73 @@ impl<'a> MatchGraph<'a> {
     }
 }
 
+/// The aggregate of a multiset of trends in plain `f64`: the baselines'
+/// own accumulator, folded by the code here and not by the engine's cells.
+/// A row renders through the engine's one renderer, which reads the slots
+/// laid out as in a cell.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TrendAgg {
+    /// Number of trends.
+    pub count: f64,
+    /// `COUNT(E)` per layout slot.
+    pub counts_e: Box<[f64]>,
+    /// `MIN(E.attr)` per layout slot (`+∞` = no occurrence yet).
+    pub mins: Box<[f64]>,
+    /// `MAX(E.attr)` per layout slot (`-∞`).
+    pub maxs: Box<[f64]>,
+    /// `SUM(E.attr)` per layout slot.
+    pub sums: Box<[f64]>,
+}
+
+impl TrendAgg {
+    /// The aggregate of no trend.
+    pub fn zero(layout: &AggLayout) -> TrendAgg {
+        TrendAgg {
+            count: 0.0,
+            counts_e: vec![0.0; layout.count_targets.len()].into_boxed_slice(),
+            mins: vec![f64::INFINITY; layout.min_targets.len()].into_boxed_slice(),
+            maxs: vec![f64::NEG_INFINITY; layout.max_targets.len()].into_boxed_slice(),
+            sums: vec![0.0; layout.sum_targets.len()].into_boxed_slice(),
+        }
+    }
+
+    /// Add `other`'s trends: counts and sums add, extrema fold.
+    pub fn merge(&mut self, other: &TrendAgg) {
+        self.count += other.count;
+        for (a, b) in self.counts_e.iter_mut().zip(&other.counts_e) {
+            *a += *b;
+        }
+        for (a, b) in self.mins.iter_mut().zip(&other.mins) {
+            *a = a.min(*b);
+        }
+        for (a, b) in self.maxs.iter_mut().zip(&other.maxs) {
+            *a = a.max(*b);
+        }
+        for (a, b) in self.sums.iter_mut().zip(&other.sums) {
+            *a += *b;
+        }
+    }
+
+    /// Heap bytes (memory accounting).
+    pub fn heap_size(&self) -> usize {
+        let slots = self.counts_e.len() + self.sums.len() + self.mins.len() + self.maxs.len();
+        slots * std::mem::size_of::<f64>()
+    }
+
+    /// The query's output values.
+    pub fn render(&self, layout: &AggLayout) -> Vec<OutValue<f64>> {
+        let nums: Vec<f64> = std::iter::once(self.count)
+            .chain(self.counts_e.iter().chain(&self.sums).copied())
+            .collect();
+        let exts = [&self.mins[..], &self.maxs[..]].concat();
+        render_aggregates(CellsRef::new(&nums, &exts), layout)
+    }
+}
+
 /// Fold one materialized trend into an aggregate state (the "second step"
 /// of a two-step engine: aggregation after construction).
 pub fn aggregate_trend(
-    acc: &mut AggState<f64>,
+    acc: &mut TrendAgg,
     events: &[Event],
     vertices: &[MVertex],
     path: &[usize],
@@ -406,7 +469,7 @@ impl TrendStats {
     }
 
     /// Fold this completed trend into a multiset aggregate.
-    pub fn fold_into(&self, acc: &mut AggState<f64>) {
+    pub fn fold_into(&self, acc: &mut TrendAgg) {
         acc.count += 1.0;
         for (a, b) in acc.counts_e.iter_mut().zip(self.counts_e.iter()) {
             *a += *b;
@@ -454,7 +517,7 @@ pub fn run_two_step(
     let layout = AggLayout::new(&query.aggregates);
     let n_group = query.group_by.len();
     let parts = PartitionedStream::build(query, registry, events);
-    let mut results: HashMap<(WindowId, PartitionKey), AggState<f64>> = HashMap::new();
+    let mut results: HashMap<(WindowId, PartitionKey), TrendAgg> = HashMap::new();
     let mut budget_left = budget;
     let mut trends: u64 = 0;
     let mut peak = 0usize;
@@ -471,7 +534,7 @@ pub fn run_two_step(
             for &wid in &wids {
                 let acc = results
                     .entry((wid, group.clone()))
-                    .or_insert_with(|| AggState::zero(&layout));
+                    .or_insert_with(|| TrendAgg::zero(&layout));
                 let mut local_trends = 0u64;
                 let mut sum_len = 0u64;
                 let ok = if length_stratified {
@@ -509,7 +572,7 @@ pub fn run_two_step(
         .map(|((wid, group), st)| WindowResult {
             window: wid,
             group,
-            values: render_aggregates(&st, &query.aggregates, &layout),
+            values: st.render(&layout),
         })
         .collect();
     rows.sort_by(|a, b| a.window.cmp(&b.window).then_with(|| a.group.cmp(&b.group)));

@@ -6,12 +6,15 @@
 //! predecessors' cells plus its own contribution — each edge is traversed
 //! exactly once, which is what makes GRETA quadratic instead of exponential.
 //!
-//! The graph keeps cells in flat [`Cells`] blocks strided by the query's
-//! [`AggLayout`]: per cell `count`, `counts_e` and `sums` in a block of `N`,
-//! `mins` and `maxs` in a block of `f64`. Every numeric slot merges by
-//! addition, so merging a predecessor's cells is one element-wise add plus
-//! an extrema fold. [`AggState`] is one cell owned on its own, for what is
-//! folded per (window, group), rendered or decoded.
+//! Every aggregate the engine holds is a cell of a flat [`Cells`] block
+//! strided by the query's [`AggLayout`]: per cell `count`, `counts_e` and
+//! `sums` in a block of `N`, `mins` and `maxs` in a block of `f64`. A run
+//! keeps its rows' cells in one, the DP loop its accumulators, a window its
+//! finals per group (the Results Hash Table of Fig. 11). Every numeric slot
+//! merges by addition, so merging a predecessor's cells is one element-wise
+//! add plus an extrema fold. One codec writes and reads a cell, checking
+//! its slot counts against the layout, and rendering reads a final cell at
+//! offsets the layout resolved once per `RETURN` aggregate.
 //!
 //! `COUNT`/`SUM` values grow like 2ⁿ under skip-till-any-match, so the
 //! numeric carrier is pluggable via [`TrendNum`]: `u64` (saturating),
@@ -176,6 +179,22 @@ struct TypeAggOps {
     exts: Vec<(usize, AttrId)>,
 }
 
+/// Where one `RETURN` aggregate reads its value in a cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Read {
+    /// A numeric slot as it is: `COUNT(*)` (slot 0), `COUNT(E)`, `SUM`.
+    Num(usize),
+    /// An extrema slot: `MIN`, `MAX`.
+    Ext(usize),
+    /// `AVG`: a `SUM` slot over a `COUNT(E)` slot, both numeric.
+    Avg {
+        /// The `SUM(E.attr)` slot.
+        sum: usize,
+        /// The `COUNT(E)` slot.
+        count: usize,
+    },
+}
+
 /// Physical layout of an aggregate cell, derived from the query's aggregates.
 /// Distinct targets are deduplicated: `AVG(E.a)` shares the `COUNT(E)` and
 /// `SUM(E.a)` slots with any other aggregate needing them.
@@ -191,33 +210,50 @@ pub struct AggLayout {
     pub sum_targets: Vec<(TypeId, AttrId)>,
     /// Per-type slot table, indexed by `TypeId` (compiled accessor).
     ops: Vec<TypeAggOps>,
+    /// Per `RETURN` aggregate, in order, where it reads a cell.
+    pub(crate) reads: Vec<Read>,
 }
 
 impl AggLayout {
     /// Build the layout for a list of compiled aggregates.
     pub fn new(aggs: &[CompiledAgg]) -> AggLayout {
         let mut l = AggLayout::default();
-        for a in aggs {
-            match a.kind {
-                AggKind::CountStar => {}
-                AggKind::Count(t) => l.add_count(t),
-                AggKind::Min(t, a) => push_unique(&mut l.min_targets, (t, a)),
-                AggKind::Max(t, a) => push_unique(&mut l.max_targets, (t, a)),
-                AggKind::Sum(t, a) => push_unique(&mut l.sum_targets, (t, a)),
-                AggKind::Avg(t, a) => {
-                    l.add_count(t);
-                    push_unique(&mut l.sum_targets, (t, a));
-                }
-            }
-        }
+        // The targets first, each aggregate's slots as positions in their
+        // lists ...
+        let at: Vec<(usize, usize)> = aggs
+            .iter()
+            .map(|a| match a.kind {
+                AggKind::CountStar => (0, 0),
+                AggKind::Count(t) => (push_unique(&mut l.count_targets, t), 0),
+                AggKind::Min(t, a) => (push_unique(&mut l.min_targets, (t, a)), 0),
+                AggKind::Max(t, a) => (push_unique(&mut l.max_targets, (t, a)), 0),
+                AggKind::Sum(t, a) => (push_unique(&mut l.sum_targets, (t, a)), 0),
+                AggKind::Avg(t, a) => (
+                    push_unique(&mut l.count_targets, t),
+                    push_unique(&mut l.sum_targets, (t, a)),
+                ),
+            })
+            .collect();
+        // ... then as offsets in a cell: `count`, `counts_e`, `sums`; then
+        // `mins`, `maxs`.
+        let (sums, maxs) = (1 + l.count_targets.len(), l.min_targets.len());
+        l.reads = aggs
+            .iter()
+            .zip(at)
+            .map(|(a, (i, j))| match a.kind {
+                AggKind::CountStar => Read::Num(0),
+                AggKind::Count(_) => Read::Num(1 + i),
+                AggKind::Sum(..) => Read::Num(sums + i),
+                AggKind::Min(..) => Read::Ext(i),
+                AggKind::Max(..) => Read::Ext(maxs + i),
+                AggKind::Avg(..) => Read::Avg {
+                    sum: sums + j,
+                    count: 1 + i,
+                },
+            })
+            .collect();
         l.build_ops();
         l
-    }
-
-    fn add_count(&mut self, t: TypeId) {
-        if !self.count_targets.contains(&t) {
-            self.count_targets.push(t);
-        }
     }
 
     /// Resolve the dense per-type slot table from the target lists.
@@ -249,26 +285,6 @@ impl AggLayout {
         self.ops = ops;
     }
 
-    /// Slot of `COUNT(E)`.
-    pub fn count_slot(&self, t: TypeId) -> Option<usize> {
-        self.count_targets.iter().position(|x| *x == t)
-    }
-
-    /// Slot of `SUM(E.attr)`.
-    pub fn sum_slot(&self, t: TypeId, a: AttrId) -> Option<usize> {
-        self.sum_targets.iter().position(|x| *x == (t, a))
-    }
-
-    /// Slot of `MIN(E.attr)`.
-    pub fn min_slot(&self, t: TypeId, a: AttrId) -> Option<usize> {
-        self.min_targets.iter().position(|x| *x == (t, a))
-    }
-
-    /// Slot of `MAX(E.attr)`.
-    pub fn max_slot(&self, t: TypeId, a: AttrId) -> Option<usize> {
-        self.max_targets.iter().position(|x| *x == (t, a))
-    }
-
     /// `N` slots per cell: `count`, then `counts_e`, then `sums`.
     pub fn nums(&self) -> usize {
         1 + self.count_targets.len() + self.sum_targets.len()
@@ -280,104 +296,19 @@ impl AggLayout {
     }
 }
 
-fn push_unique<T: PartialEq>(v: &mut Vec<T>, x: T) {
-    if !v.contains(&x) {
+/// The position of `x` in `v`, pushed first if it is not there.
+fn push_unique<T: PartialEq>(v: &mut Vec<T>, x: T) -> usize {
+    v.iter().position(|y| *y == x).unwrap_or_else(|| {
         v.push(x);
-    }
-}
-
-/// One cell's slots (Theorem 9.1), borrowed apart:
-///
-/// * `count`    — number of (sub-)trends ending at this vertex
-/// * `counts_e` — `COUNT(E)` occurrences across those trends, per target
-/// * `mins`/`maxs` — extrema of the tracked attributes across those trends
-/// * `sums`     — `SUM(E.attr)` across those trends, per target
-pub struct Slots<'a, N> {
-    /// Trend count ending here (`e.count`).
-    pub count: &'a N,
-    /// `COUNT(E)` per layout slot.
-    pub counts_e: &'a [N],
-    /// `MIN(E.attr)` per layout slot.
-    pub mins: &'a [f64],
-    /// `MAX(E.attr)` per layout slot.
-    pub maxs: &'a [f64],
-    /// `SUM(E.attr)` per layout slot.
-    pub sums: &'a [N],
-}
-
-/// One aggregate cell owned on its own: a window's final aggregate per
-/// group, a rendered or decoded value, a baseline's accumulator.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AggState<N: TrendNum> {
-    /// Trend count ending here (`e.count`).
-    pub count: N,
-    /// `COUNT(E)` per layout slot.
-    pub counts_e: Box<[N]>,
-    /// `MIN(E.attr)` per layout slot (`+∞` = no occurrence yet).
-    pub mins: Box<[f64]>,
-    /// `MAX(E.attr)` per layout slot (`-∞`).
-    pub maxs: Box<[f64]>,
-    /// `SUM(E.attr)` per layout slot.
-    pub sums: Box<[N]>,
-}
-
-impl<N: TrendNum> AggState<N> {
-    /// All-zero state for the given layout.
-    pub fn zero(layout: &AggLayout) -> AggState<N> {
-        AggState {
-            count: N::zero(),
-            counts_e: vec![N::zero(); layout.count_targets.len()].into_boxed_slice(),
-            mins: vec![f64::INFINITY; layout.min_targets.len()].into_boxed_slice(),
-            maxs: vec![f64::NEG_INFINITY; layout.max_targets.len()].into_boxed_slice(),
-            sums: vec![N::zero(); layout.sum_targets.len()].into_boxed_slice(),
-        }
-    }
-
-    /// The slots, borrowed.
-    pub fn slots(&self) -> Slots<'_, N> {
-        Slots {
-            count: &self.count,
-            counts_e: &self.counts_e,
-            mins: &self.mins,
-            maxs: &self.maxs,
-            sums: &self.sums,
-        }
-    }
-
-    /// Merge another state's (or a cell's) slots into this one: counts and
-    /// sums add, extrema fold (the `Σ`/`min`/`max` of Thm 9.1).
-    pub fn merge(&mut self, other: Slots<'_, N>) {
-        self.count.add_assign(other.count);
-        for (a, b) in self.counts_e.iter_mut().zip(other.counts_e) {
-            a.add_assign(b);
-        }
-        for (a, b) in self.mins.iter_mut().zip(other.mins) {
-            *a = a.min(*b);
-        }
-        for (a, b) in self.maxs.iter_mut().zip(other.maxs) {
-            *a = a.max(*b);
-        }
-        for (a, b) in self.sums.iter_mut().zip(other.sums) {
-            a.add_assign(b);
-        }
-    }
-
-    /// Heap bytes (memory accounting).
-    pub fn heap_size(&self) -> usize {
-        let slots = self.counts_e.len() + self.sums.len();
-        slots * std::mem::size_of::<N>()
-            + (self.mins.len() + self.maxs.len()) * std::mem::size_of::<f64>()
-            + self.count.heap_size()
-            + self.counts_e.iter().map(TrendNum::heap_size).sum::<usize>()
-            + self.sums.iter().map(TrendNum::heap_size).sum::<usize>()
-    }
+        v.len() - 1
+    })
 }
 
 /// A block of aggregate cells, row-major and strided by an [`AggLayout`]:
 /// per cell [`AggLayout::nums`] values of `N` — `count`, then `counts_e`,
 /// then `sums` — and [`AggLayout::exts`] `f64`s — `mins`, then `maxs`.
 /// Which cell is which is the owner's business: a vertex's per-window
-/// accumulators, or a run's rows of `k` cells each.
+/// accumulators, a run's rows of `k` cells each, a window's finals.
 #[derive(Debug, Default)]
 pub struct Cells<N: TrendNum> {
     nums: Vec<N>,
@@ -391,6 +322,14 @@ pub struct CellsRef<'a, N> {
     exts: &'a [f64],
 }
 
+impl<N> Clone for CellsRef<'_, N> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<N> Copy for CellsRef<'_, N> {}
+
 impl<N: TrendNum> Cells<N> {
     /// Make the block `n` all-zero cells, keeping its capacity.
     #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
@@ -403,6 +342,16 @@ impl<N: TrendNum> Cells<N> {
             let maxs = std::iter::repeat_n(f64::NEG_INFINITY, layout.max_targets.len());
             self.exts.extend(mins.chain(maxs));
         }
+    }
+
+    /// Append one all-zero cell.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    pub(crate) fn push_zero(&mut self, layout: &AggLayout) {
+        let nums = self.nums.len() + layout.nums();
+        self.nums.resize_with(nums, N::zero);
+        let mins = std::iter::repeat_n(f64::INFINITY, layout.min_targets.len());
+        let maxs = std::iter::repeat_n(f64::NEG_INFINITY, layout.max_targets.len());
+        self.exts.extend(mins.chain(maxs));
     }
 
     /// Merge `from` into this block's first cells, cell for cell: one
@@ -419,6 +368,23 @@ impl<N: TrendNum> Cells<N> {
             for (i, (x, y)) in a.iter_mut().zip(b).enumerate() {
                 *x = if i < n_min { x.min(*y) } else { x.max(*y) };
             }
+        }
+    }
+
+    /// Merge the one cell `from` into cell `at`.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    pub(crate) fn merge_at(&mut self, at: usize, from: CellsRef<'_, N>, layout: &AggLayout) {
+        let (num, ext) = (layout.nums(), layout.exts());
+        for (a, b) in self.nums[at * num..(at + 1) * num]
+            .iter_mut()
+            .zip(from.nums)
+        {
+            a.add_assign(b);
+        }
+        let n_min = layout.min_targets.len();
+        let to = &mut self.exts[at * ext..(at + 1) * ext];
+        for (i, (x, y)) in to.iter_mut().zip(from.exts).enumerate() {
+            *x = if i < n_min { x.min(*y) } else { x.max(*y) };
         }
     }
 
@@ -469,9 +435,8 @@ impl<N: TrendNum> Cells<N> {
     /// Bytes the values take, with their carriers' heap (memory
     /// accounting).
     pub(crate) fn bytes(&self) -> usize {
-        std::mem::size_of_val(self.nums.as_slice())
-            + std::mem::size_of_val(self.exts.as_slice())
-            + self.nums.iter().map(TrendNum::heap_size).sum::<usize>()
+        let (nums, exts) = (&self.nums, &self.exts);
+        CellsRef { nums, exts }.bytes()
     }
 
     /// Move every cell of `row` into this block of rows, as row `at`: the
@@ -490,22 +455,41 @@ impl<N: TrendNum> Cells<N> {
         retain_rows(&mut self.exts, rows, &keep);
     }
 
-    /// Append `st` as one more cell; refuses a state whose slots do not
-    /// match `layout` (a decoded one is not trusted).
-    pub(crate) fn push(&mut self, st: &AggState<N>, layout: &AggLayout) -> Result<(), CodecError> {
-        let l = layout;
-        if [st.counts_e.len(), st.sums.len()] != [l.count_targets.len(), l.sum_targets.len()]
-            || [st.mins.len(), st.maxs.len()] != [l.min_targets.len(), l.max_targets.len()]
-        {
-            return Err(CodecError(
+    /// Decode one cell written by [`CellsRef::encode`] and append it. The
+    /// record's slot counts are not trusted: one that does not match
+    /// `layout` is refused.
+    pub(crate) fn decode(
+        &mut self,
+        r: &mut Reader<'_>,
+        layout: &AggLayout,
+    ) -> Result<(), CodecError> {
+        let slots = |r: &mut Reader<'_>, n: usize| match r.u32()? as usize {
+            got if got == n => Ok(n),
+            _ => Err(CodecError(
                 "aggregate slots do not match the query's".into(),
-            ));
+            )),
+        };
+        self.nums.push(N::decode(r)?);
+        for _ in 0..slots(r, layout.count_targets.len())? {
+            self.nums.push(N::decode(r)?);
         }
-        self.nums.push(st.count.clone());
-        self.nums
-            .extend(st.counts_e.iter().chain(&st.sums).cloned());
-        self.exts.extend(st.mins.iter().chain(&st.maxs));
+        for n in [layout.min_targets.len(), layout.max_targets.len()] {
+            for _ in 0..slots(r, n)? {
+                self.exts.push(f64::from_bits(r.u64()?));
+            }
+        }
+        for _ in 0..slots(r, layout.sum_targets.len())? {
+            self.nums.push(N::decode(r)?);
+        }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl<N: TrendNum> Cells<N> {
+    /// A block of the given slots, cell after cell.
+    pub(crate) fn from_slots(nums: Vec<N>, exts: Vec<f64>) -> Self {
+        Cells { nums, exts }
     }
 }
 
@@ -520,6 +504,12 @@ pub(crate) fn retain_rows<T>(v: &mut Vec<T>, rows: usize, keep: &impl Fn(usize) 
 }
 
 impl<'a, N: TrendNum> CellsRef<'a, N> {
+    /// One cell laid out by an [`AggLayout`], from its numeric slots
+    /// (`count`, `counts_e`, `sums`) and its extrema (`mins`, `maxs`).
+    pub fn new(nums: &'a [N], exts: &'a [f64]) -> Self {
+        CellsRef { nums, exts }
+    }
+
     /// The cells one by one.
     pub fn cells(self, layout: &AggLayout) -> impl ExactSizeIterator<Item = CellsRef<'a, N>> {
         let (num, ext) = (layout.nums(), layout.exts());
@@ -529,17 +519,47 @@ impl<'a, N: TrendNum> CellsRef<'a, N> {
         })
     }
 
-    /// The slots of a one-cell ref.
-    pub fn slots(self, layout: &AggLayout) -> Slots<'a, N> {
-        let (count, rest) = self.nums.split_first().expect("a cell has a count slot");
-        let (counts_e, sums) = rest.split_at(layout.count_targets.len());
-        let (mins, maxs) = self.exts.split_at(layout.min_targets.len());
-        Slots {
-            count,
-            counts_e,
-            mins,
-            maxs,
-            sums,
+    /// The trend count of the first cell (`e.count`).
+    pub fn count(&self) -> &'a N {
+        &self.nums[0]
+    }
+
+    /// Numeric slot `i` of the first cell.
+    pub(crate) fn num(&self, i: usize) -> &'a N {
+        &self.nums[i]
+    }
+
+    /// Extrema slot `i` of the first cell.
+    pub(crate) fn ext(&self, i: usize) -> f64 {
+        self.exts[i]
+    }
+
+    /// Bytes the values take, with their carriers' heap (memory
+    /// accounting).
+    pub(crate) fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.nums)
+            + std::mem::size_of_val(self.exts)
+            + self.nums.iter().map(TrendNum::heap_size).sum::<usize>()
+    }
+
+    /// Append every cell as one record: `count`, then the `counts_e`,
+    /// `mins`, `maxs` and `sums` slots, each list after its length.
+    pub(crate) fn encode(self, layout: &AggLayout, out: &mut Vec<u8>) {
+        let n_counts = layout.count_targets.len();
+        let n_mins = layout.min_targets.len();
+        for cell in self.cells(layout) {
+            let (count, rest) = cell.nums.split_at(1);
+            let (counts_e, sums) = rest.split_at(n_counts);
+            let (mins, maxs) = cell.exts.split_at(n_mins);
+            count[0].encode(out);
+            put_u32(out, counts_e.len() as u32);
+            counts_e.iter().for_each(|n| n.encode(out));
+            for ext in [mins, maxs] {
+                put_u32(out, ext.len() as u32);
+                ext.iter().for_each(|m| put_u64(out, m.to_bits()));
+            }
+            put_u32(out, sums.len() as u32);
+            sums.iter().for_each(|n| n.encode(out));
         }
     }
 }
@@ -589,6 +609,11 @@ mod tests {
         assert_eq!(l.sum_targets.len(), 1); // SUM and AVG share
         assert_eq!(l.min_targets.len(), 1);
         assert_eq!(l.max_targets.len(), 1);
+        // Where each `RETURN` aggregate reads: numeric slots `count`,
+        // `COUNT(A)`, `SUM(A.0)`; extrema `MIN`, `MAX`.
+        let avg = Read::Avg { sum: 2, count: 1 };
+        let want = [Read::Num(1), Read::Ext(0), Read::Ext(1), Read::Num(2), avg];
+        assert_eq!(l.reads, want);
     }
 
     /// A vertex of one window: its predecessors' cells merged, then `e`'s
@@ -603,11 +628,26 @@ mod tests {
         c
     }
 
-    /// Cell `i` of `c`, owned.
-    fn state<N: TrendNum>(c: &Cells<N>, i: usize, l: &AggLayout) -> AggState<N> {
-        let mut s = AggState::zero(l);
-        s.merge(c.slice(i..i + 1, l).slots(l));
-        s
+    /// Cell `i` of `c` under the test layout, slot by slot.
+    #[derive(Debug, PartialEq)]
+    struct Slots<N> {
+        count: N,
+        count_a: N,
+        min: f64,
+        max: f64,
+        sum: N,
+    }
+
+    fn state<N: TrendNum>(c: &Cells<N>, i: usize, l: &AggLayout) -> Slots<N> {
+        let cell = c.slice(i..i + 1, l);
+        let (count, count_a, sum) = (cell.num(0), cell.num(1), cell.num(2));
+        Slots {
+            count: count.clone(),
+            count_a: count_a.clone(),
+            min: cell.ext(0),
+            max: cell.ext(1),
+            sum: sum.clone(),
+        }
     }
 
     #[test]
@@ -615,10 +655,10 @@ mod tests {
         let l = layout();
         let s = state(&vertex::<u64>(&l, &[], &ev(0, 5.0, 1), true), 0, &l);
         assert_eq!(s.count, 1);
-        assert_eq!(s.counts_e[0], 1);
-        assert_eq!(s.mins[0], 5.0);
-        assert_eq!(s.maxs[0], 5.0);
-        assert_eq!(s.sums[0], 5);
+        assert_eq!(s.count_a, 1);
+        assert_eq!(s.min, 5.0);
+        assert_eq!(s.max, 5.0);
+        assert_eq!(s.sum, 5);
     }
 
     #[test]
@@ -627,9 +667,9 @@ mod tests {
         // type B, not tracked
         let s = state(&vertex::<u64>(&l, &[], &ev(1, 99.0, 1), true), 0, &l);
         assert_eq!(s.count, 1);
-        assert_eq!(s.counts_e[0], 0);
-        assert_eq!(s.mins[0], f64::INFINITY);
-        assert_eq!(s.sums[0], 0);
+        assert_eq!(s.count_a, 0);
+        assert_eq!(s.min, f64::INFINITY);
+        assert_eq!(s.sum, 0);
     }
 
     #[test]
@@ -641,19 +681,19 @@ mod tests {
         let a1 = vertex::<u64>(&l, &[], &ev(0, 5.0, 1), true);
         let b2 = vertex(&l, &[&a1], &ev(1, 0.0, 2), false);
         assert_eq!(state(&b2, 0, &l).count, 1);
-        assert_eq!(state(&b2, 0, &l).counts_e[0], 1);
+        assert_eq!(state(&b2, 0, &l).count_a, 1);
 
         let a3 = vertex(&l, &[&a1, &b2], &ev(0, 6.0, 3), true);
         assert_eq!(state(&a3, 0, &l).count, 3);
-        assert_eq!(state(&a3, 0, &l).counts_e[0], 1 + 1 + 3); // 5
-        assert_eq!(state(&a3, 0, &l).sums[0], 5 + 5 + 6 * 3); // 28
+        assert_eq!(state(&a3, 0, &l).count_a, 1 + 1 + 3); // 5
+        assert_eq!(state(&a3, 0, &l).sum, 5 + 5 + 6 * 3); // 28
 
         let a4 = state(&vertex(&l, &[&a1, &b2, &a3], &ev(0, 4.0, 4), true), 0, &l);
         assert_eq!(a4.count, 6); // 1 + (1+1+3)
-        assert_eq!(a4.counts_e[0], 1 + 1 + 5 + 6); // 13
-        assert_eq!(a4.mins[0], 4.0);
-        assert_eq!(a4.maxs[0], 6.0);
-        assert_eq!(a4.sums[0], 5 + 5 + 28 + 4 * 6); // 62
+        assert_eq!(a4.count_a, 1 + 1 + 5 + 6); // 13
+        assert_eq!(a4.min, 4.0);
+        assert_eq!(a4.max, 6.0);
+        assert_eq!(a4.sum, 5 + 5 + 28 + 4 * 6); // 62
     }
 
     #[test]
@@ -675,8 +715,8 @@ mod tests {
         let (u, f, b) = (state(&u, 0, &l), state(&f, 0, &l), state(&b, 0, &l));
         assert_eq!(u.count as f64, f.count);
         assert_eq!(b.count.to_f64(), f.count);
-        assert_eq!(u.sums[0] as f64, f.sums[0]);
-        assert_eq!(b.sums[0].to_f64(), f.sums[0]);
+        assert_eq!(u.sum as f64, f.sum);
+        assert_eq!(b.sum.to_f64(), f.sum);
     }
 
     #[test]
@@ -698,7 +738,7 @@ mod tests {
         let got: Vec<(f64, f64, f64, f64, f64)> = (0..3)
             .map(|i| {
                 let s = state(&acc, i, &l);
-                (s.count, s.counts_e[0], s.mins[0], s.maxs[0], s.sums[0])
+                (s.count, s.count_a, s.min, s.max, s.sum)
             })
             .collect();
         let inf = f64::INFINITY;
@@ -708,9 +748,13 @@ mod tests {
             (0.0, 0.0, inf, -inf, 0.0),
         ];
         assert_eq!(got, want);
-        let mut via_state = AggState::zero(&l);
-        via_state.merge(state(&from, 0, &l).slots());
-        assert_eq!(via_state, state(&from, 0, &l));
+        // Into a later cell: that cell only, as if it were the first.
+        let mut at = Cells::<f64>::default();
+        at.reset(3, &l);
+        at.merge_at(2, from.slice(0..1, &l), &l);
+        assert_eq!(state(&at, 2, &l), state(&from, 0, &l));
+        assert_eq!(state(&at, 0, &l), state(&acc, 2, &l));
+        assert_eq!(state(&at, 1, &l), state(&acc, 2, &l));
     }
 
     #[test]
@@ -720,9 +764,7 @@ mod tests {
         let s2 = vertex::<f64>(&l, &[], &ev(0, 7.0, 2), true);
         let a = state(&vertex(&l, &[&s1, &s2], &ev(1, 0.0, 3), false), 0, &l);
         let b = state(&vertex(&l, &[&s2, &s1], &ev(1, 0.0, 3), false), 0, &l);
-        assert_eq!(a.mins, b.mins);
-        assert_eq!(a.maxs, b.maxs);
-        assert_eq!(a.count, b.count);
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! * **Metrics** (§10.1): events/vertices/edges counters and analytic
 //!   memory accounting with peak tracking.
 
-use crate::agg::{AggLayout, AggState, Cells, Slots, TrendNum};
+use crate::agg::{AggLayout, Cells, CellsRef, TrendNum};
 use crate::graph::{EnginePlan, Partition};
 use crate::grouping::{IdIndex, KeyExtractor, PartitionKey, StreamRouting};
 use crate::memory::{MemoryFootprint, PeakTracker};
@@ -72,8 +72,69 @@ pub struct EngineStats {
     pub results: u64,
 }
 
-/// One window's final aggregates, per group.
-type Groups<N> = HashMap<PartitionKey, AggState<N>>;
+/// One window's final aggregates (the Results Hash Table of Fig. 11): a
+/// cell per group in one block, found through the group's key.
+#[derive(Default)]
+struct Finals<N: TrendNum> {
+    index: HashMap<PartitionKey, usize>,
+    cells: Cells<N>,
+}
+
+impl<N: TrendNum> Finals<N> {
+    /// Fold `cell` into `group`'s final, opening it if this is the group's
+    /// first. Returns by how much [`bytes`](Self::bytes) grew: an opened
+    /// final whole, a folded one by what its carriers' heap gained
+    /// (`BigUint` limbs).
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    fn fold(&mut self, group: &PartitionKey, cell: CellsRef<'_, N>, layout: &AggLayout) -> usize {
+        let at = match self.index.get(group) {
+            Some(&at) => at,
+            None => {
+                let at = self.index.len();
+                #[expect(clippy::disallowed_methods, reason = "a final keeps its group's key")]
+                self.index.insert(group.clone(), at);
+                self.cells.push_zero(layout);
+                self.cells.merge_at(at, cell, layout);
+                return final_bytes::<N>(group, self.cells.slice(at..at + 1, layout));
+            }
+        };
+        let before = self.cells.slice(at..at + 1, layout).bytes();
+        self.cells.merge_at(at, cell, layout);
+        self.cells.slice(at..at + 1, layout).bytes() - before
+    }
+
+    /// The groups' keys and final cells.
+    fn iter<'a>(
+        &'a self,
+        layout: &'a AggLayout,
+    ) -> impl Iterator<Item = (&'a PartitionKey, CellsRef<'a, N>)> + 'a {
+        let cell = |at: usize| self.cells.slice(at..at + 1, layout);
+        self.index.iter().map(move |(g, &at)| (g, cell(at)))
+    }
+
+    /// Bytes the finals are charged: per group [`final_bytes`].
+    fn bytes(&self, layout: &AggLayout) -> usize {
+        self.iter(layout)
+            .map(|(g, cell)| final_bytes::<N>(g, cell))
+            .sum()
+    }
+}
+
+/// The finals of window `w`, opened from `spare` if `w` is not open yet.
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+fn open_window<'a, N: TrendNum>(
+    open: &'a mut BTreeMap<WindowId, Finals<N>>,
+    spare: &mut Finals<N>,
+    w: WindowId,
+) -> &'a mut Finals<N> {
+    open.entry(w).or_insert_with(|| std::mem::take(spare))
+}
+
+/// Bytes one group's final is charged: its key's heap, its cell less the
+/// `count` slot, and 64 for the map entry.
+fn final_bytes<N: TrendNum>(group: &PartitionKey, cell: CellsRef<'_, N>) -> usize {
+    group.heap_size() + cell.bytes() - std::mem::size_of::<N>() + 64
+}
 
 /// The GRETA engine. Generic over the aggregate carrier `N` (`f64` default
 /// mirrors large-count behaviour; `u64` saturates; `BigUint` is exact).
@@ -92,11 +153,15 @@ pub struct GretaEngine<N: TrendNum = f64> {
     /// The open windows: every window an event fell into and the watermark
     /// has not closed yet, with its incremental per-group final aggregates
     /// (none under deferred finals, or while no END vertex reached it).
-    open: BTreeMap<WindowId, Groups<N>>,
+    open: BTreeMap<WindowId, Finals<N>>,
     /// Running byte total of the aggregates in `open`, kept by the three
     /// places that change them, so the per-event peak sample does not walk
     /// every open (window, group) aggregate.
     results_bytes: usize,
+    /// The finals of the window closed last, emptied with their capacity
+    /// kept: the next window to open takes them, so opening one allocates
+    /// no index and no cell block.
+    spare: Finals<N>,
     /// Scratch of the DP loop, reused from event to event: the per-window
     /// accumulator cells of the vertex being built, moved into its run on
     /// insert.
@@ -184,7 +249,8 @@ struct Delivery<'a, N: TrendNum> {
     plan: &'a EnginePlan,
     seq: u64,
     accs: &'a mut Cells<N>,
-    open: &'a mut BTreeMap<WindowId, Groups<N>>,
+    open: &'a mut BTreeMap<WindowId, Finals<N>>,
+    spare: &'a mut Finals<N>,
     results_bytes: &'a mut usize,
     stats: &'a mut EngineStats,
     live_bytes: &'a mut usize,
@@ -196,13 +262,13 @@ impl<N: TrendNum> Delivery<'_, N> {
     #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     fn deliver(&mut self, part: &mut Partition<N>, e: &EventRef) {
         let before = part.bytes();
-        let (plan, open, grew) = (self.plan, &mut *self.open, &mut *self.results_bytes);
+        let (plan, open, spare) = (self.plan, &mut *self.open, &mut *self.spare);
+        let grew = &mut *self.results_bytes;
         // Engine-wide arrival index: contiguous semantics counts *every*
         // stream event as a potential gap (Table 1: "skips none").
         let (vertices, edges) = part.process(plan, self.accs, e, self.seq, |group, w, cell| {
             if !plan.deferred_final {
-                let finals = open.entry(w).or_default();
-                *grew += merge_group(finals, group, cell.slots(&plan.layout), &plan.layout);
+                *grew += open_window(open, spare, w).fold(group, cell, &plan.layout);
             }
         });
         self.stats.vertices += vertices;
@@ -237,6 +303,7 @@ impl<N: TrendNum> GretaEngine<N> {
             replay_bytes: 0,
             open: BTreeMap::new(),
             results_bytes: 0,
+            spare: Finals::default(),
             accs: Cells::default(),
             emitted: Vec::new(),
             watermark: Time::ZERO,
@@ -300,6 +367,7 @@ impl<N: TrendNum> GretaEngine<N> {
                 seq: self.seq,
                 accs: &mut self.accs,
                 open: &mut self.open,
+                spare: &mut self.spare,
                 results_bytes: &mut self.results_bytes,
                 stats: &mut self.stats,
                 live_bytes: &mut self.live_bytes,
@@ -324,7 +392,7 @@ impl<N: TrendNum> GretaEngine<N> {
         }
 
         for w in windows_of(e.time, &self.plan.query.window) {
-            self.open.entry(w).or_default();
+            open_window(&mut self.open, &mut self.spare, w);
         }
         let bytes = self.memory_bytes();
         self.peak.observe(bytes);
@@ -374,33 +442,37 @@ impl<N: TrendNum> GretaEngine<N> {
     /// Emit the rows of window `wid`, closing at `close`: its incremental
     /// `finals`, or under deferred finals what the partitions' END vertices
     /// still valid at `close` fold to.
-    fn emit_window(&mut self, wid: WindowId, close: Time, mut finals: Groups<N>) {
-        let plan = &*self.plan;
-        self.results_bytes -= groups_bytes(&finals);
-        if plan.deferred_final {
+    fn emit_window(&mut self, wid: WindowId, close: Time, mut finals: Finals<N>) {
+        let layout = &self.plan.layout;
+        self.results_bytes -= finals.bytes(layout);
+        if self.plan.deferred_final {
             // A group may span partitions, and `f64` sums do not commute in
             // their last bit: fold them ascending by key, not in slab order.
             for id in self.partitions.by_key() {
                 let part = &self.partitions.parts[id];
-                for st in part.collect_final(plan, wid, close) {
-                    if !st.count.is_zero() {
-                        merge_group(&mut finals, &part.group, st.slots(), &plan.layout);
+                part.collect_final(&self.plan, wid, close, &mut self.accs, |cell| {
+                    if !cell.count().is_zero() {
+                        finals.fold(&part.group, cell, layout);
                     }
-                }
+                });
             }
         }
-        let mut rows: Vec<WindowResult<N>> = finals
-            .into_iter()
-            .filter(|(_, st)| !st.count.is_zero())
-            .map(|(group, st)| WindowResult {
+        let Finals { index, cells } = &mut finals;
+        let mut rows: Vec<WindowResult<N>> = index
+            .drain()
+            .map(|(group, at)| (group, cells.slice(at..at + 1, layout)))
+            .filter(|(_, cell)| !cell.count().is_zero())
+            .map(|(group, cell)| WindowResult {
                 window: wid,
                 group,
-                values: render_aggregates(&st, &plan.query.aggregates, &plan.layout),
+                values: render_aggregates(cell, layout),
             })
             .collect();
         rows.sort_by(|a, b| a.group.cmp(&b.group));
         self.stats.results += rows.len() as u64;
         self.emitted.extend(rows);
+        finals.cells.reset(0, layout);
+        self.spare = finals;
     }
 
     /// Advance event time to `t` without an event: closes (and emits) every
@@ -468,7 +540,7 @@ impl<N: TrendNum> GretaEngine<N> {
     /// in it: [`import_state`](Self::import_state) is handed the plan the
     /// blob was written under.
     pub fn export_state(&self) -> Vec<u8> {
-        use crate::state::{encode_agg_state, encode_events, encode_key, encode_window_result};
+        use crate::state::{encode_events, encode_key, encode_window_result};
         use greta_types::codec::{put_u32, put_u64};
         let mut out = Vec::new();
         out.push(ENGINE_STATE_VERSION);
@@ -493,16 +565,17 @@ impl<N: TrendNum> GretaEngine<N> {
 
         // The open windows, as the two sections the format has always
         // had: those with finals, then every id.
-        let with_finals = || self.open.iter().filter(|(_, groups)| !groups.is_empty());
+        let layout = &self.plan.layout;
+        let with_finals = || self.open.iter().filter(|(_, f)| !f.index.is_empty());
         put_u32(&mut out, with_finals().count() as u32);
-        for (wid, groups) in with_finals() {
+        for (wid, finals) in with_finals() {
             put_u64(&mut out, *wid);
-            let mut gkeys: Vec<&PartitionKey> = groups.keys().collect();
-            gkeys.sort();
-            put_u32(&mut out, gkeys.len() as u32);
-            for g in gkeys {
+            let mut groups: Vec<_> = finals.iter(layout).collect();
+            groups.sort_by_key(|(g, _)| *g);
+            put_u32(&mut out, groups.len() as u32);
+            for (g, cell) in groups {
                 encode_key(g, &mut out);
-                encode_agg_state(groups[g].slots(), &mut out);
+                cell.encode(layout, &mut out);
             }
         }
         put_u32(&mut out, self.open.len() as u32);
@@ -523,7 +596,7 @@ impl<N: TrendNum> GretaEngine<N> {
     /// exactly where the exporter stopped: same results, same counters,
     /// same selection-semantics sequence numbers.
     pub fn import_state(plan: Arc<EnginePlan>, bytes: &[u8]) -> Result<Self, EngineError> {
-        use crate::state::{decode_agg_state, decode_events, decode_key, decode_window_result};
+        use crate::state::{decode_events, decode_key, decode_window_result};
         use greta_types::CodecError;
         let mut eng = Self::with_plan(plan);
         let r = &mut greta_types::Reader::new(bytes);
@@ -558,12 +631,16 @@ impl<N: TrendNum> GretaEngine<N> {
         for _ in 0..n_results {
             let wid = r.u64()?;
             let n_groups = r.seq_len(8)?;
-            let mut groups = HashMap::with_capacity(n_groups);
-            for _ in 0..n_groups {
+            let mut finals = Finals::default();
+            for at in 0..n_groups {
                 let g = decode_key(r)?;
-                groups.insert(g, decode_agg_state(r)?);
+                finals.cells.decode(r, &eng.plan.layout)?;
+                if finals.index.insert(g, at).is_some() {
+                    let e = format!("window {wid} has two finals of one group");
+                    return Err(CodecError(e).into());
+                }
             }
-            eng.open.insert(wid, groups);
+            eng.open.insert(wid, finals);
         }
 
         let n_touched = r.seq_len(8)?;
@@ -582,7 +659,8 @@ impl<N: TrendNum> GretaEngine<N> {
             ))
             .into());
         }
-        eng.results_bytes = eng.open.values().map(groups_bytes).sum();
+        let layout = &eng.plan.layout;
+        eng.results_bytes = eng.open.values().map(|f| f.bytes(layout)).sum();
         Ok(eng)
     }
 
@@ -657,17 +735,17 @@ impl<N: TrendNum> GretaEngine<N> {
                 dest.live_bytes += part.bytes();
                 dest.partitions.insert(&plan.routing, key, part);
             }
-            for (wid, groups) in old.open {
+            for (wid, finals) in old.open {
                 // Open windows close via the broadcast watermark on every
                 // shard; emitting a window with no local groups is a no-op,
                 // so replicating the union is always safe.
                 for n in news.iter_mut() {
                     n.open.entry(wid).or_default();
                 }
-                for (group, st) in groups {
-                    let n = &mut news[shard_of_group(&group) % new_shards];
-                    let finals = n.open.entry(wid).or_default();
-                    n.results_bytes += merge_group(finals, &group, st.slots(), &plan.layout);
+                for (group, cell) in finals.iter(&plan.layout) {
+                    let n = &mut news[shard_of_group(group) % new_shards];
+                    let to = n.open.entry(wid).or_default();
+                    n.results_bytes += to.fold(group, cell, &plan.layout);
                 }
             }
         }
@@ -706,47 +784,14 @@ fn replay_charge(e: &EventRef) -> usize {
     std::mem::size_of::<EventRef>() + e.heap_size()
 }
 
-/// Merge `st` into `groups[group]`; the key is cloned only when the entry
-/// is first created. Returns by how much [`groups_bytes`] of the map grew:
-/// a new entry whole, a merge by what its carrier's heap gained (`BigUint`
-/// limbs).
-fn merge_group<N: TrendNum>(
-    groups: &mut Groups<N>,
-    group: &PartitionKey,
-    st: Slots<'_, N>,
-    layout: &AggLayout,
-) -> usize {
-    match groups.get_mut(group) {
-        Some(slot) => {
-            let before = slot.heap_size();
-            slot.merge(st);
-            slot.heap_size() - before
-        }
-        None => {
-            let mut slot = AggState::zero(layout);
-            slot.merge(st);
-            let bytes = group_bytes(group, &slot);
-            groups.insert(group.clone(), slot);
-            bytes
-        }
-    }
-}
-
-/// Bytes one (group, aggregate) entry of a window's result map is charged.
-fn group_bytes<N: TrendNum>(group: &PartitionKey, st: &AggState<N>) -> usize {
-    group.heap_size() + st.heap_size() + 64
-}
-
-/// Bytes one window's result map is charged.
-fn groups_bytes<N: TrendNum>(groups: &Groups<N>) -> usize {
-    groups.iter().map(|(k, st)| group_bytes(k, st)).sum()
-}
-
 impl<N: TrendNum> MemoryFootprint for GretaEngine<N> {
     fn memory_bytes(&self) -> usize {
         debug_assert_eq!(
             self.results_bytes,
-            self.open.values().map(groups_bytes).sum::<usize>()
+            self.open
+                .values()
+                .map(|f| f.bytes(&self.plan.layout))
+                .sum::<usize>()
         );
         self.live_bytes + self.results_bytes + self.replay_bytes
     }
@@ -759,6 +804,7 @@ impl<N: TrendNum> MemoryFootprint for GretaEngine<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::results::OutValue;
     use greta_types::{EventBuilder, Value};
 
     fn reg_ab() -> SchemaRegistry {
@@ -1414,6 +1460,219 @@ mod tests {
             .unwrap();
         let err = import(&wider.export_state()).map(|_| ()).unwrap_err();
         assert!(err.to_string().contains("aggregate slots"), "{err}");
+    }
+
+    /// An engine-state blob holding no partition, no replay buffer and no
+    /// emitted row: only window 0 of a `WITHIN 10` query, open, with one
+    /// final — the record `cell` — for the empty group.
+    fn finals_blob(cell: &[u8]) -> Vec<u8> {
+        use greta_types::codec::{put_u32, put_u64};
+        let mut b = vec![ENGINE_STATE_VERSION];
+        put_u64(&mut b, 5); // watermark
+        b.push(1); // saw an event
+        for _ in 0..6 {
+            put_u64(&mut b, 1); // seq, four counters, peak
+        }
+        put_u32(&mut b, 0); // partitions
+        put_u32(&mut b, 0); // replayed events
+        put_u32(&mut b, 1); // windows with finals: window 0, one group
+        put_u64(&mut b, 0);
+        put_u32(&mut b, 1);
+        put_u32(&mut b, 0); // the empty key
+        b.extend_from_slice(cell);
+        put_u32(&mut b, 1); // open windows: window 0
+        put_u64(&mut b, 0);
+        put_u32(&mut b, 0); // emitted rows
+        b
+    }
+
+    #[test]
+    fn import_refuses_a_final_whose_slots_are_not_the_plans() {
+        // A window's finals decode through the cell codec that checks a
+        // vertex's cells: a final one `SUM` slot short of the plan's is
+        // refused at import, not rendered past its end at close.
+        use greta_types::codec::{put_u32, put_u64};
+        let r = reg_ab();
+        let text = "RETURN COUNT(*), SUM(A.attr) PATTERN A+ WITHIN 10 SLIDE 10";
+        let plan = GretaEngine::<u64>::new(CompiledQuery::parse(text, &r).unwrap(), r)
+            .unwrap()
+            .plan()
+            .clone();
+        // count 3; no COUNT(E), MIN or MAX slot; then the `SUM` slots.
+        let cell = |sums: &[u64]| {
+            let mut c = Vec::new();
+            put_u64(&mut c, 3);
+            for n in [0, 0, 0, sums.len() as u32] {
+                put_u32(&mut c, n);
+            }
+            sums.iter().for_each(|s| put_u64(&mut c, *s));
+            c
+        };
+        let whole = finals_blob(&cell(&[7]));
+        let mut eng = GretaEngine::<u64>::import_state(plan.clone(), &whole).unwrap();
+        assert_eq!(eng.export_state(), whole);
+        let rows = eng.finish();
+        let values: Vec<f64> = rows[0].values.iter().map(OutValue::to_f64).collect();
+        assert_eq!(values, [3.0, 7.0]);
+        let short = GretaEngine::<u64>::import_state(plan, &finals_blob(&cell(&[])));
+        let err = short.map(|mut eng| eng.finish()).unwrap_err();
+        assert!(err.to_string().contains("aggregate slots"), "{err}");
+    }
+
+    /// The one cell codec over layouts mixing every aggregate kind, `AVG`
+    /// sharing its slots: a vertex's cells and an open window's final
+    /// round-trip byte for byte, a final renders what each aggregate's
+    /// definition reads from the slots, and a record with one slot more
+    /// than the plan's is refused, both as a vertex's and as a final.
+    mod cell_codec {
+        use super::*;
+        use crate::agg::{Cells, CellsRef};
+        use crate::results::OutValue;
+        use crate::state::{decode_vertex, encode_vertex};
+        use crate::storage::Row;
+        use greta_bignum::BigUint;
+        use greta_query::compile::{AggKind, CompiledAgg};
+        use greta_query::StateId;
+        use greta_types::Reader;
+        use proptest::prelude::*;
+
+        /// `RETURN` aggregate `kind` (0–5: `COUNT(*)`, `COUNT`, `MIN`,
+        /// `MAX`, `SUM`, `AVG`) over type `A` or `B`, attribute `attr` or
+        /// `grp`.
+        fn agg((kind, ty, attr): (u8, usize, usize)) -> String {
+            agg_over(kind, ["A", "B"][ty], ["attr", "grp"][attr])
+        }
+
+        fn agg_over(kind: u8, t: &str, a: &str) -> String {
+            match kind {
+                0 => "COUNT(*)".into(),
+                1 => format!("COUNT({t})"),
+                2 => format!("MIN({t}.{a})"),
+                3 => format!("MAX({t}.{a})"),
+                4 => format!("SUM({t}.{a})"),
+                _ => format!("AVG({t}.{a})"),
+            }
+        }
+
+        fn plan(aggs: &[String]) -> Arc<EnginePlan> {
+            let r = reg_ab();
+            let text = format!(
+                "RETURN {} PATTERN SEQ(A+, B+, E) WITHIN 10 SLIDE 10",
+                aggs.join(", ")
+            );
+            let q = CompiledQuery::parse(&text, &r).unwrap();
+            GretaEngine::<u64>::new(q, r).unwrap().plan().clone()
+        }
+
+        /// What `a` is by definition, read from a cell's slots found by
+        /// searching the layout's target lists.
+        fn spec<N: TrendNum>(a: &CompiledAgg, l: &AggLayout, nums: &[N], exts: &[f64]) -> String {
+            let count = |t| 1 + l.count_targets.iter().position(|x| *x == t).unwrap();
+            let sums = 1 + l.count_targets.len();
+            let sum = |k| sums + l.sum_targets.iter().position(|x| *x == k).unwrap();
+            let mins = l.min_targets.len();
+            let value = match a.kind {
+                AggKind::CountStar => OutValue::Count(nums[0].clone()),
+                AggKind::Count(t) => OutValue::Count(nums[count(t)].clone()),
+                AggKind::Sum(t, x) => OutValue::Count(nums[sum((t, x))].clone()),
+                AggKind::Min(t, x) => {
+                    OutValue::Float(exts[l.min_targets.iter().position(|y| *y == (t, x)).unwrap()])
+                }
+                AggKind::Max(t, x) => {
+                    let i = l.max_targets.iter().position(|y| *y == (t, x)).unwrap();
+                    OutValue::Float(exts[mins + i])
+                }
+                AggKind::Avg(t, x) => {
+                    let (s, c) = (nums[sum((t, x))].to_f64(), nums[count(t)].to_f64());
+                    OutValue::Float(if c == 0.0 { f64::NAN } else { s / c })
+                }
+            };
+            format!("{value:?}")
+        }
+
+        fn check<N: TrendNum>(
+            aggs: &[String],
+            extra: &str,
+            k: usize,
+            values: &[u64],
+            exts: &[f64],
+            mk: fn(u64) -> N,
+        ) -> Result<(), TestCaseError> {
+            let narrow = plan(aggs);
+            let l = &narrow.layout;
+            let (num, ext) = (l.nums(), l.exts());
+            // `k` cells; a trend count is never 0 in a final.
+            let nums: Vec<N> = (0..k * num)
+                .map(|i| mk(values[i] + u64::from(i % num == 0)))
+                .collect();
+            let exts = &exts[..k * ext];
+            let wider = plan(&[aggs, &[extra.to_string()]].concat());
+
+            // A vertex's `k` cells.
+            let row = Row {
+                key: 1.5,
+                seq: 3,
+                time: Time(4),
+                latest_start: Time(2),
+            };
+            let mut rec = Vec::new();
+            let cells = CellsRef::new(&nums, exts);
+            encode_vertex(StateId(1), &row, &[Value::Int(9)], cells, l, &mut rec);
+            let mut got = Cells::<N>::default();
+            let v = decode_vertex(&mut Reader::new(&rec), l, &mut got).unwrap();
+            prop_assert_eq!(v.cells, k);
+            let mut again = Vec::new();
+            let cells = got.slice(0..k, l);
+            encode_vertex(v.state, &v.row, &v.values, cells, l, &mut again);
+            prop_assert_eq!(&again, &rec);
+            let err = decode_vertex(
+                &mut Reader::new(&rec),
+                &wider.layout,
+                &mut Cells::<N>::default(),
+            );
+            prop_assert!(err.map(|_| ()).unwrap_err().0.contains("aggregate slots"));
+
+            // An open window's final: its first cell.
+            let mut cell = Vec::new();
+            CellsRef::new(&nums[..num], &exts[..ext]).encode(l, &mut cell);
+            let blob = finals_blob(&cell);
+            let mut eng = GretaEngine::<N>::import_state(narrow.clone(), &blob).unwrap();
+            prop_assert_eq!(&eng.export_state(), &blob);
+            let rows = eng.finish();
+            let got: Vec<String> = rows[0].values.iter().map(|v| format!("{v:?}")).collect();
+            let want: Vec<String> = (narrow.query.aggregates.iter())
+                .map(|a| spec(a, l, &nums[..num], &exts[..ext]))
+                .collect();
+            prop_assert_eq!(got, want);
+            let err = GretaEngine::<N>::import_state(wider, &blob)
+                .map(|_| ())
+                .unwrap_err();
+            prop_assert!(err.to_string().contains("aggregate slots"), "{}", err);
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+            #[test]
+            fn cells_round_trip_render_and_refuse_a_mismatch(
+                aggs in proptest::collection::vec((0u8..6, 0usize..2, 0usize..2), 1..7),
+                extra in 1u8..5,
+                k in 1usize..4,
+                values in proptest::collection::vec(0u64..1_000, 21..22),
+                exts in proptest::collection::vec(-50i32..50, 24..25),
+            ) {
+                let aggs: Vec<String> = aggs.into_iter().map(agg).collect();
+                // `E` is in no aggregate above: its slot is always a new one.
+                let extra = agg_over(extra, "E", "attr");
+                let exts: Vec<f64> = exts.iter().map(|&x| match x {
+                    -50 => f64::INFINITY,
+                    49 => f64::NEG_INFINITY,
+                    x => f64::from(x) / 4.0,
+                }).collect();
+                check::<f64>(&aggs, &extra, k, &values, &exts, |v| v as f64)?;
+                check::<BigUint>(&aggs, &extra, k, &values, &exts, BigUint::from_u64)?;
+            }
+        }
     }
 
     #[test]

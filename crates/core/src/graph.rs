@@ -39,7 +39,7 @@
 //! [`Partition::collect_final`] walks END rows in the same pane and run
 //! order, and the engine folds the partitions of a group ascending by key.
 
-use crate::agg::{AggLayout, AggState, Cells, CellsRef, TrendNum};
+use crate::agg::{AggLayout, Cells, CellsRef, TrendNum};
 use crate::engine::EngineConfig;
 use crate::grouping::{PartitionKey, StreamRouting};
 use crate::negation::{
@@ -355,18 +355,21 @@ impl<N: TrendNum> Partition<N> {
     }
 
     /// Deferred final aggregation for Case-2 negation: per alternative,
-    /// the folded aggregates of all still-valid END vertices of the root
-    /// graph for window `wid` closing at `close_time`.
-    pub fn collect_final<'a>(
-        &'a self,
-        plan: &'a EnginePlan,
+    /// fold into `acc` (scratch, reset to one cell) the cells for window
+    /// `wid` of the root graph's END vertices still valid at `close_time`,
+    /// and hand the folded cell to `each`.
+    pub fn collect_final(
+        &self,
+        plan: &EnginePlan,
         wid: WindowId,
         close_time: Time,
-    ) -> impl Iterator<Item = AggState<N>> + 'a {
-        self.alts.iter().zip(&plan.alts).map(move |(alt, graphs)| {
+        acc: &mut Cells<N>,
+        mut each: impl FnMut(CellsRef<'_, N>),
+    ) {
+        let layout = &plan.layout;
+        for (alt, graphs) in self.alts.iter().zip(&plan.alts) {
             let root = &graphs[0];
-            let layout = &plan.layout;
-            let mut acc = AggState::zero(layout);
+            acc.reset(1, layout);
             for pane in alt.storages[0].panes() {
                 let Some(at) = pane.window_index(wid) else {
                     continue;
@@ -375,12 +378,12 @@ impl<N: TrendNum> Partition<N> {
                 for (r, row) in run.rows().iter().enumerate() {
                     if end_event_valid_at_close(&root.deps, &alt.logs, row.time, close_time) {
                         let cell = r * k + at;
-                        acc.merge(run.cells().slice(cell..cell + 1, layout).slots(layout));
+                        acc.merge(run.cells().slice(cell..cell + 1, layout), layout);
                     }
                 }
             }
-            acc
-        })
+            each(acc.slice(0..1, layout));
+        }
     }
 
     /// Batch-delete, in all graphs, the panes whose last window is `closed`
@@ -470,7 +473,7 @@ impl<N: TrendNum> Partition<N> {
                 let n_states = ops.sort_attr.len();
                 let mut cells = Cells::default();
                 for _ in 0..nv {
-                    let v = decode_vertex(r)?;
+                    let v = decode_vertex(r, &plan.layout, &mut cells)?;
                     let Some(projection) = ops.projection.get(v.state.0 as usize) else {
                         let s = v.state.0;
                         return Err(CodecError(format!(
@@ -487,15 +490,12 @@ impl<N: TrendNum> Partition<N> {
                     // A pane's rows share one set of windows: the record's
                     // must be the ones its time falls into.
                     let ws = windows_of(v.row.time, &plan.query.window);
-                    if v.aggs.len() != ws.clone().count() {
+                    if v.cells != ws.clone().count() {
                         return Err(CodecError(format!(
                             "vertex at time {t} does not carry the windows of its time"
                         )));
                     }
-                    for st in &v.aggs {
-                        cells.push(st, &plan.layout)?;
-                    }
-                    let windows = *ws.start()..*ws.start() + v.aggs.len() as u64;
+                    let windows = *ws.start()..*ws.start() + v.cells as u64;
                     let storage = &mut alt.storages[gi];
                     let values = v.values.iter();
                     storage.insert(
@@ -703,7 +703,7 @@ mod tests {
                 &mut Cells::default(),
                 &e,
                 seq as u64 + 1,
-                |_, _, st| total += *st.slots(&plan.layout).count,
+                |_, _, st| total += *st.count(),
             );
         }
         total
@@ -834,7 +834,7 @@ mod tests {
                 &mut Cells::default(),
                 &e,
                 seq as u64 + 1,
-                |_, _, st| total += *st.slots(&plan.layout).count,
+                |_, _, st| total += *st.count(),
             );
         }
         // Contiguous trends of a1 a2 a3: (a1),(a2),(a3),(a1a2),(a2a3),(a1a2a3) = 6
@@ -858,7 +858,7 @@ mod tests {
                 &mut Cells::default(),
                 &e,
                 seq as u64 + 1,
-                |_, _, st| total += *st.slots(&plan.layout).count,
+                |_, _, st| total += *st.count(),
             );
         }
         // Each event links only to its immediate predecessor: runs = n(n+1)/2.
@@ -919,7 +919,7 @@ mod tests {
                 let e = e.into_ref();
                 let accs = &mut Cells::default();
                 part.process(&plan, accs, &e, seq as u64 + 1, |_, w, st| {
-                    ends.push((t, w, *st.slots(&plan.layout).count))
+                    ends.push((t, w, *st.count()))
                 });
             }
             (part.counters(), ends)

@@ -46,7 +46,7 @@ mod state;
 pub mod storage;
 pub mod window;
 
-pub use agg::{AggLayout, AggState, TrendNum};
+pub use agg::{AggLayout, TrendNum};
 pub use engine::{EngineConfig, EngineStats, GretaEngine};
 pub use error::EngineError;
 pub use executor::{

@@ -1,10 +1,9 @@
 //! Query results: one row per closed window per group (the *Results Hash
 //! Table* of Fig. 11).
 
-use crate::agg::{AggLayout, AggState, TrendNum};
+use crate::agg::{AggLayout, CellsRef, Read, TrendNum};
 use crate::grouping::PartitionKey;
 use crate::window::WindowId;
-use greta_query::compile::{AggKind, CompiledAgg};
 use std::fmt;
 
 /// One output aggregate value.
@@ -78,45 +77,28 @@ pub fn sort_canonical<N: TrendNum>(rows: &mut [WindowResult<N>]) {
     rows.sort_by(|a, b| a.window.cmp(&b.window).then_with(|| a.group.cmp(&b.group)));
 }
 
-/// Render a final [`AggState`] into the query's output values.
+/// Render a final cell into the query's output values, one per `RETURN`
+/// aggregate, each read where [`AggLayout::new`] resolved it.
 pub fn render_aggregates<N: TrendNum>(
-    state: &AggState<N>,
-    aggs: &[CompiledAgg],
+    cell: CellsRef<'_, N>,
     layout: &AggLayout,
 ) -> Vec<OutValue<N>> {
-    aggs.iter()
-        .map(|a| match a.kind {
-            AggKind::CountStar => OutValue::Count(state.count.clone()),
-            AggKind::Count(t) => {
-                let i = layout.count_slot(t).expect("layout covers aggregates");
-                OutValue::Count(state.counts_e[i].clone())
-            }
-            AggKind::Min(t, at) => {
-                let i = layout.min_slot(t, at).expect("layout covers aggregates");
-                OutValue::Float(state.mins[i])
-            }
-            AggKind::Max(t, at) => {
-                let i = layout.max_slot(t, at).expect("layout covers aggregates");
-                OutValue::Float(state.maxs[i])
-            }
-            AggKind::Sum(t, at) => {
-                let i = layout.sum_slot(t, at).expect("layout covers aggregates");
-                OutValue::Count(state.sums[i].clone())
-            }
-            AggKind::Avg(t, at) => {
-                let ci = layout.count_slot(t).expect("layout covers aggregates");
-                let si = layout.sum_slot(t, at).expect("layout covers aggregates");
-                let c = state.counts_e[ci].to_f64();
-                let s = state.sums[si].to_f64();
-                OutValue::Float(if c == 0.0 { f64::NAN } else { s / c })
-            }
-        })
-        .collect()
+    let read = |r: &Read| match *r {
+        Read::Num(i) => OutValue::Count(cell.num(i).clone()),
+        Read::Ext(i) => OutValue::Float(cell.ext(i)),
+        Read::Avg { sum, count } => {
+            let (s, c) = (cell.num(sum).to_f64(), cell.num(count).to_f64());
+            OutValue::Float(if c == 0.0 { f64::NAN } else { s / c })
+        }
+    };
+    layout.reads.iter().map(read).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agg::Cells;
+    use greta_query::compile::{AggKind, CompiledAgg};
     use greta_types::{AttrId, Event, Time, TypeId, Value};
 
     #[test]
@@ -150,16 +132,17 @@ mod tests {
             },
         ];
         let layout = AggLayout::new(&aggs);
-        let mut s = AggState::<u64>::zero(&layout);
+        let mut s = Cells::<u64>::default();
+        s.reset(1, &layout);
         // Two "trends" of a single event with attr 4 and 6.
         for v in [4.0, 6.0] {
             let e = Event::new_unchecked(t, Time(1), vec![Value::Float(v)]);
-            let mut x = crate::agg::Cells::<u64>::default();
+            let mut x = Cells::<u64>::default();
             x.reset(1, &layout);
             x.apply_own(&e, true, &layout);
-            s.merge(x.slice(0..1, &layout).slots(&layout));
+            s.merge(x.slice(0..1, &layout), &layout);
         }
-        let vals = render_aggregates(&s, &aggs, &layout);
+        let vals = render_aggregates(s.slice(0..1, &layout), &layout);
         assert_eq!(vals[0].to_f64(), 2.0); // COUNT(*)
         assert_eq!(vals[1].to_f64(), 2.0); // COUNT(A)
         assert_eq!(vals[2].to_f64(), 4.0); // MIN
@@ -177,8 +160,9 @@ mod tests {
             kind: AggKind::Avg(t, at),
         }];
         let layout = AggLayout::new(&aggs);
-        let s = AggState::<u64>::zero(&layout);
-        let vals = render_aggregates(&s, &aggs, &layout);
+        let mut s = Cells::<u64>::default();
+        s.reset(1, &layout);
+        let vals = render_aggregates(s.slice(0..1, &layout), &layout);
         assert!(vals[0].to_f64().is_nan());
     }
 

@@ -3,13 +3,16 @@
 //!
 //! Each piece of engine state gets a small, versionless record encoding
 //! (the containing snapshot blob carries the version byte): partition keys,
-//! per-vertex aggregate states, graph vertices, and emitted result rows.
-//! Container modules ([`graph`](crate::graph), [`engine`](crate::engine),
+//! graph vertices, and emitted result rows. An aggregate cell — a vertex's
+//! per-window aggregate or a window's final per group — is one record of
+//! the cell codec ([`CellsRef::encode`], [`Cells::decode`]), which checks
+//! the record's slot counts against the plan's layout. Container modules
+//! ([`graph`](crate::graph), [`engine`](crate::engine),
 //! [`reorder`](crate::reorder)) compose these into whole-component state
 //! blobs; the [`executor`](crate::executor) composes those into the
 //! per-epoch snapshot the durability layer persists.
 
-use crate::agg::{AggLayout, AggState, CellsRef, Slots, TrendNum};
+use crate::agg::{AggLayout, Cells, CellsRef, TrendNum};
 use crate::grouping::PartitionKey;
 use crate::results::{OutValue, WindowResult};
 use crate::storage::Row;
@@ -45,69 +48,16 @@ pub(crate) fn decode_key(r: &mut Reader<'_>) -> Result<PartitionKey, CodecError>
     Ok(PartitionKey(vals))
 }
 
-/// Append an aggregate state, an [`AggState`]'s or a cell's (slot counts
-/// written explicitly so decoding never trusts the layout).
-pub(crate) fn encode_agg_state<N: TrendNum>(st: Slots<'_, N>, out: &mut Vec<u8>) {
-    st.count.encode(out);
-    put_u32(out, st.counts_e.len() as u32);
-    for n in st.counts_e {
-        n.encode(out);
-    }
-    put_u32(out, st.mins.len() as u32);
-    for m in st.mins {
-        put_u64(out, m.to_bits());
-    }
-    put_u32(out, st.maxs.len() as u32);
-    for m in st.maxs {
-        put_u64(out, m.to_bits());
-    }
-    put_u32(out, st.sums.len() as u32);
-    for n in st.sums {
-        n.encode(out);
-    }
-}
-
-/// Decode an aggregate state written by [`encode_agg_state`].
-pub(crate) fn decode_agg_state<N: TrendNum>(r: &mut Reader<'_>) -> Result<AggState<N>, CodecError> {
-    let count = N::decode(r)?;
-    let n = r.seq_len(1)?;
-    let mut counts_e = Vec::with_capacity(n);
-    for _ in 0..n {
-        counts_e.push(N::decode(r)?);
-    }
-    let n = r.seq_len(8)?;
-    let mut mins = Vec::with_capacity(n);
-    for _ in 0..n {
-        mins.push(f64::from_bits(r.u64()?));
-    }
-    let n = r.seq_len(8)?;
-    let mut maxs = Vec::with_capacity(n);
-    for _ in 0..n {
-        maxs.push(f64::from_bits(r.u64()?));
-    }
-    let n = r.seq_len(1)?;
-    let mut sums = Vec::with_capacity(n);
-    for _ in 0..n {
-        sums.push(N::decode(r)?);
-    }
-    Ok(AggState {
-        count,
-        counts_e: counts_e.into_boxed_slice(),
-        mins: mins.into_boxed_slice(),
-        maxs: maxs.into_boxed_slice(),
-        sums: sums.into_boxed_slice(),
-    })
-}
-
 /// A graph vertex as the snapshot records it: what [`encode_vertex`] wrote,
 /// owned, before the storage files it under its pane, state and sort key.
-pub(crate) struct Vertex<N: TrendNum> {
+/// Its cells went straight into the block [`decode_vertex`] was handed.
+pub(crate) struct Vertex {
     pub state: StateId,
     pub row: Row,
     /// The event's values at the state's projection.
     pub values: Vec<Value>,
-    /// Aggregates for the windows of the vertex's time, ascending.
-    pub aggs: Vec<AggState<N>>,
+    /// How many cells (windows of the vertex's time) the record carried.
+    pub cells: usize,
 }
 
 /// Append the vertex stored as `row` of a run of `state`, with its
@@ -130,15 +80,17 @@ pub(crate) fn encode_vertex<N: TrendNum>(
     for v in values {
         v.encode(out);
     }
-    let cells = cells.cells(layout);
-    put_u32(out, cells.len() as u32);
-    for cell in cells {
-        encode_agg_state(cell.slots(layout), out);
-    }
+    put_u32(out, cells.cells(layout).len() as u32);
+    cells.encode(layout, out);
 }
 
-/// Decode a graph vertex written by [`encode_vertex`].
-pub(crate) fn decode_vertex<N: TrendNum>(r: &mut Reader<'_>) -> Result<Vertex<N>, CodecError> {
+/// Decode a graph vertex written by [`encode_vertex`] under `layout`,
+/// appending its cells to `cells`.
+pub(crate) fn decode_vertex<N: TrendNum>(
+    r: &mut Reader<'_>,
+    layout: &AggLayout,
+    cells: &mut Cells<N>,
+) -> Result<Vertex, CodecError> {
     let state = StateId(r.u16()?);
     let row = Row {
         time: Time(r.u64()?),
@@ -152,15 +104,14 @@ pub(crate) fn decode_vertex<N: TrendNum>(r: &mut Reader<'_>) -> Result<Vertex<N>
         values.push(Value::decode(r)?);
     }
     let n = r.seq_len(16)?;
-    let mut aggs = Vec::with_capacity(n);
     for _ in 0..n {
-        aggs.push(decode_agg_state(r)?);
+        cells.decode(r, layout)?;
     }
     Ok(Vertex {
         state,
         row,
         values,
-        aggs,
+        cells: n,
     })
 }
 
@@ -229,12 +180,11 @@ pub(crate) fn decode_events(r: &mut Reader<'_>) -> Result<Vec<EventRef>, CodecEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::AggLayout;
     use greta_bignum::BigUint;
     use greta_types::TypeId;
 
     #[test]
-    fn agg_state_roundtrip_all_carriers() {
+    fn cell_roundtrip_all_carriers() {
         use greta_query::compile::{AggKind, CompiledAgg};
         let a = |kind| CompiledAgg {
             label: String::new(),
@@ -248,16 +198,21 @@ mod tests {
             a(AggKind::Sum(TypeId(1), greta_types::AttrId(1))),
         ]);
         fn check<N: TrendNum>(layout: &AggLayout, mk: impl Fn(u64) -> N) {
-            let mut st = AggState::<N>::zero(layout);
-            st.count = mk(17);
-            st.counts_e[0] = mk(3);
-            st.mins[0] = -2.5;
-            st.maxs[0] = f64::NEG_INFINITY;
-            st.sums[0] = mk(123456789);
+            // count, COUNT(A), COUNT(B), SUM(B.1); MIN(A.0), MAX(A.0).
+            let nums = [mk(17), mk(3), mk(0), mk(123456789)];
+            let exts = [-2.5, f64::NEG_INFINITY];
             let mut buf = Vec::new();
-            encode_agg_state(st.slots(), &mut buf);
-            let got: AggState<N> = decode_agg_state(&mut Reader::new(&buf)).unwrap();
-            assert_eq!(got, st);
+            CellsRef::new(&nums, &exts).encode(layout, &mut buf);
+            let mut got = Cells::<N>::default();
+            got.decode(&mut Reader::new(&buf), layout).unwrap();
+            let mut again = Vec::new();
+            got.slice(0..1, layout).encode(layout, &mut again);
+            assert_eq!(again, buf);
+            // Under a layout without the `MAX` slot the record is refused.
+            let mut narrower = layout.clone();
+            narrower.max_targets.clear();
+            let err = Cells::<N>::default().decode(&mut Reader::new(&buf), &narrower);
+            assert!(err.unwrap_err().0.contains("aggregate slots"));
         }
         check::<u64>(&layout, |v| v);
         check::<f64>(&layout, |v| v as f64);
@@ -280,8 +235,6 @@ mod tests {
     #[test]
     fn vertex_roundtrip() {
         let layout = AggLayout::default();
-        let mut st = AggState::<u64>::zero(&layout);
-        st.count = 42;
         let row = Row {
             key: -0.0,
             seq: 17,
@@ -289,23 +242,29 @@ mod tests {
             latest_start: Time(90),
         };
         let values = [Value::Int(5), Value::from("IBM"), Value::Float(f64::NAN)];
-        let mut cells = crate::agg::Cells::default();
-        cells.push(&st, &layout).unwrap();
-        cells.push(&st, &layout).unwrap();
+        let (nums, exts) = ([42u64, 7], []);
         let mut buf = Vec::new();
-        let two = cells.slice(0..2, &layout);
+        let two = CellsRef::new(&nums, &exts);
         encode_vertex(StateId(2), &row, &values, two, &layout, &mut buf);
-        let got: Vertex<u64> = decode_vertex(&mut Reader::new(&buf)).unwrap();
+        let mut cells = Cells::<u64>::default();
+        let got = decode_vertex(&mut Reader::new(&buf), &layout, &mut cells).unwrap();
         assert_eq!(got.state, StateId(2));
         assert_eq!(got.row.key.to_bits(), row.key.to_bits());
         assert_eq!((got.row.seq, got.row.time), (row.seq, row.time));
         assert_eq!(got.row.latest_start, row.latest_start);
         assert_eq!(got.values[..2], values[..2]);
         assert!(got.values[2].as_f64().is_nan());
-        assert_eq!(got.aggs, vec![st.clone(), st]);
+        assert_eq!(got.cells, 2);
+        let counts: Vec<u64> = cells
+            .slice(0..2, &layout)
+            .cells(&layout)
+            .map(|c| *c.count())
+            .collect();
+        assert_eq!(counts, nums);
         // Every prefix of the record is refused, never misread.
         for cut in 0..buf.len() {
-            assert!(decode_vertex::<u64>(&mut Reader::new(&buf[..cut])).is_err());
+            let r = &mut Reader::new(&buf[..cut]);
+            assert!(decode_vertex(r, &layout, &mut Cells::<u64>::default()).is_err());
         }
     }
 

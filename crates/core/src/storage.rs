@@ -392,7 +392,7 @@ impl<N: TrendNum> GraphStorage<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::{AggLayout, AggState, CellsRef};
+    use crate::agg::{AggLayout, CellsRef};
     use crate::window::windows_of;
     use greta_query::WindowSpec;
     use greta_types::{AttrId, TypeId};
@@ -429,25 +429,21 @@ mod tests {
         assert_eq!(cells.bytes(), 0, "the cells move into the run");
     }
 
+    /// One cell's values, owned: its numeric slots and its extrema.
+    type Cell = (Vec<f64>, Vec<f64>);
+
     /// A block of the given cells.
-    fn block(states: &[AggState<f64>], layout: &AggLayout) -> Cells<f64> {
-        let mut cells = Cells::default();
-        for st in states {
-            cells.push(st, layout).unwrap();
-        }
-        cells
+    fn block(cells: &[Cell]) -> Cells<f64> {
+        let nums = cells.iter().flat_map(|c| c.0.iter().copied()).collect();
+        let exts = cells.iter().flat_map(|c| c.1.iter().copied()).collect();
+        Cells::from_slots(nums, exts)
     }
 
     /// Cell `i` of `run`, owned.
-    fn cell(run: &Run<f64>, i: usize, layout: &AggLayout) -> AggState<f64> {
-        let s = run.cells().slice(i..i + 1, layout).slots(layout);
-        AggState {
-            count: *s.count,
-            counts_e: s.counts_e.into(),
-            mins: s.mins.into(),
-            maxs: s.maxs.into(),
-            sums: s.sums.into(),
-        }
+    fn cell(run: &Run<f64>, i: usize, layout: &AggLayout) -> Cell {
+        let c = run.cells().slice(i..i + 1, layout);
+        let nums = (0..layout.nums()).map(|j| *c.num(j)).collect();
+        (nums, (0..layout.exts()).map(|j| c.ext(j)).collect())
     }
 
     /// The counts of row `r`'s `k` cells.
@@ -455,7 +451,7 @@ mod tests {
         let cells = run.cells().slice(r * k..(r + 1) * k, layout);
         cells
             .cells(layout)
-            .map(|c: CellsRef<'_, f64>| *c.slots(layout).count)
+            .map(|c: CellsRef<'_, f64>| *c.count())
             .collect()
     }
 
@@ -544,11 +540,9 @@ mod tests {
             (5, -0.0),
             (6, 0.0),
         ] {
-            let mut aggs: Vec<AggState<f64>> = vec![AggState::zero(&layout); 2];
-            aggs[0].count = seq as f64;
-            aggs[1].count = -(seq as f64);
+            let aggs = [(vec![seq as f64], vec![]), (vec![-(seq as f64)], vec![])];
             let values = [Value::Int(seq as i64), Value::from(format!("v{seq}"))];
-            let (row, cells) = (row(seq, key, seq), &mut block(&aggs, &layout));
+            let (row, cells) = (row(seq, key, seq), &mut block(&aggs));
             s.insert(StateId(0), row, values.iter(), cells, 7..9, 10, 1);
         }
         let pane = s.panes().next().unwrap();
@@ -812,16 +806,11 @@ mod tests {
                 for (seq, (t, a)) in sorted.iter().enumerate() {
                     // k windows by pane; the cells name their row and window.
                     let k = ks[(t / 5) as usize];
-                    let states: Vec<AggState<f64>> = (0..k)
+                    // count, COUNT(E) ×2, SUM; MIN, MAX.
+                    let states: Vec<Cell> = (0..k)
                         .map(|w| {
                             let v = (seq * 4 + w) as f64 + 1.0;
-                            let mut c = AggState::zero(&layout);
-                            c.count = v;
-                            c.counts_e.iter_mut().for_each(|x| *x = v + 0.25);
-                            c.mins[0] = -v;
-                            c.maxs[0] = v + 0.5;
-                            c.sums[0] = v * 3.0;
-                            c
+                            (vec![v, v + 0.25, v + 0.25, v * 3.0], vec![-v, v + 0.5])
                         })
                         .collect();
                     // A string as long as the row's seq, and a scalar.
@@ -832,7 +821,7 @@ mod tests {
                         + seq
                         + k * (layout.nums() + layout.exts()) * 8;
                     let row = row(*t, *a as f64, seq as u64);
-                    let (cells, w) = (&mut block(&states, &layout), t / 5);
+                    let (cells, w) = (&mut block(&states), t / 5);
                     st.insert(StateId(0), row, values.iter(), cells, w..w + k as u64, 5, 1);
                     inserted.push((*t, states, values, charge));
                 }
@@ -844,7 +833,7 @@ mod tests {
                 for pane in st.panes() {
                     let (run, k) = (pane.run(StateId(0)), pane.k());
                     for (r, row) in run.rows().iter().enumerate() {
-                        let got: Vec<AggState<f64>> =
+                        let got: Vec<Cell> =
                             (r * k..(r + 1) * k).map(|i| cell(run, i, &layout)).collect();
                         let (_, cells, values, _) = &inserted[row.seq as usize];
                         prop_assert_eq!(&got, cells);

@@ -317,14 +317,6 @@ impl Expr {
         }
     }
 
-    /// `NEXT(target).attr`.
-    pub fn next_attr(target: &str, attr: &str) -> Expr {
-        Expr::NextAttr {
-            target: target.into(),
-            attr: attr.into(),
-        }
-    }
-
     /// Split a conjunction into its top-level conjuncts.
     pub fn conjuncts(&self) -> Vec<&Expr> {
         match self {
@@ -479,27 +471,6 @@ impl QuerySpec {
             window: WindowSpec::new(within, within),
         }
     }
-
-    /// Replace the window.
-    pub fn with_window(mut self, within: u64, slide: u64) -> QuerySpec {
-        self.window = WindowSpec::new(within, slide);
-        self
-    }
-
-    /// Add a `WHERE` conjunct.
-    pub fn with_where(mut self, e: Expr) -> QuerySpec {
-        self.where_expr = Some(match self.where_expr.take() {
-            None => e,
-            Some(old) => Expr::bin(BinOp::And, old, e),
-        });
-        self
-    }
-
-    /// Set grouping attributes.
-    pub fn with_group_by(mut self, attrs: &[&str]) -> QuerySpec {
-        self.group_by = attrs.iter().map(|s| s.to_string()).collect();
-        self
-    }
 }
 
 #[cfg(test)]
@@ -562,7 +533,10 @@ mod tests {
             Expr::bin(
                 BinOp::Cmp(CmpOp::Gt),
                 Expr::attr("S", "price"),
-                Expr::next_attr("S", "price"),
+                Expr::NextAttr {
+                    target: "S".into(),
+                    attr: "price".into(),
+                },
             ),
         );
         let cs = e.conjuncts();
@@ -577,20 +551,5 @@ mod tests {
         assert_eq!(WindowSpec::new(10, 3).windows_per_event(), 4);
         assert_eq!(WindowSpec::new(10, 10).windows_per_event(), 1);
         assert_eq!(WindowSpec::new(10, 5).windows_per_event(), 2);
-    }
-
-    #[test]
-    fn query_builder() {
-        let q = QuerySpec::count_star(Pattern::ty("A").plus(), 100)
-            .with_window(600, 10)
-            .with_group_by(&["sector"])
-            .with_where(Expr::bin(
-                BinOp::Cmp(CmpOp::Gt),
-                Expr::attr("A", "x"),
-                Expr::Int(5),
-            ));
-        assert_eq!(q.window, WindowSpec::new(600, 10));
-        assert_eq!(q.group_by, vec!["sector"]);
-        assert!(q.where_expr.is_some());
     }
 }

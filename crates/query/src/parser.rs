@@ -32,15 +32,6 @@ pub fn parse_pattern(input: &str) -> Result<Pattern, QueryError> {
     Ok(pat)
 }
 
-/// Parse a standalone predicate expression.
-pub fn parse_expr(input: &str) -> Result<Expr, QueryError> {
-    let toks = lex(input)?;
-    let mut p = Parser { toks, i: 0 };
-    let e = p.expr()?;
-    p.expect_eof()?;
-    Ok(e)
-}
-
 struct Parser {
     toks: Vec<Token>,
     i: usize,
@@ -566,8 +557,8 @@ mod tests {
     #[test]
     fn expression_precedence() {
         // a.x * 2 + 1 < NEXT(a).y  parses as ((a.x*2)+1) < NEXT(a).y
-        let e = parse_expr("a.x * 2 + 1 < NEXT(a).y").unwrap();
-        match e {
+        let text = "RETURN COUNT(*) PATTERN A a+ WHERE a.x * 2 + 1 < NEXT(a).y WITHIN 1 SLIDE 1";
+        match parse_query(text).unwrap().where_expr.unwrap() {
             Expr::Bin {
                 op: BinOp::Cmp(CmpOp::Lt),
                 lhs,
@@ -591,7 +582,7 @@ mod tests {
         assert!(parse_query("RETURN COUNT(*)").is_err());
         assert!(parse_query("PATTERN A WITHIN 1 SLIDE 1").is_err());
         assert!(parse_pattern("SEQ(A,)").is_err());
-        assert!(parse_expr("a.x <").is_err());
+        assert!(parse_query("RETURN COUNT(*) PATTERN A WHERE a.x < WITHIN 1 SLIDE 1").is_err());
         assert!(parse_query("RETURN COUNT(*) PATTERN A WITHIN 1 SLIDE 1 trailing").is_err());
     }
 

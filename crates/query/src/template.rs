@@ -216,15 +216,6 @@ impl Template {
         v
     }
 
-    /// States of the given event type name.
-    pub fn states_of_type(&self, type_name: &str) -> Vec<StateId> {
-        self.states
-            .iter()
-            .filter(|s| s.type_name == type_name)
-            .map(|s| s.occ)
-            .collect()
-    }
-
     /// State bound to the given alias/binding.
     pub fn state_of_binding(&self, binding: &str) -> Option<StateId> {
         self.states
@@ -241,47 +232,6 @@ impl Template {
     /// True when events of state `s` may finish trends.
     pub fn is_end(&self, s: StateId) -> bool {
         self.end == s
-    }
-
-    /// Render the template as Graphviz dot (Fig. 5-style diagrams: the
-    /// start state gets an incoming arrow, the end state a double circle,
-    /// `+` transitions are dashed).
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("digraph greta_template {\n  rankdir=LR;\n");
-        out.push_str("  __start [shape=point];\n");
-        for s in &self.states {
-            let shape = if self.is_end(s.occ) {
-                "doublecircle"
-            } else {
-                "circle"
-            };
-            let label = if s.binding == s.type_name {
-                s.type_name.clone()
-            } else {
-                format!("{} {}", s.type_name, s.binding)
-            };
-            writeln!(out, "  s{} [shape={shape}, label=\"{label}\"];", s.occ.0).unwrap();
-        }
-        writeln!(out, "  __start -> s{};", self.start.0).unwrap();
-        for (from, to, kind) in &self.transitions {
-            let style = match kind {
-                TransKind::Seq => "solid",
-                TransKind::Plus => "dashed",
-            };
-            let label = match kind {
-                TransKind::Seq => "SEQ",
-                TransKind::Plus => "+",
-            };
-            writeln!(
-                out,
-                "  s{} -> s{} [style={style}, label=\"{label}\"];",
-                from.0, to.0
-            )
-            .unwrap();
-        }
-        out.push_str("}\n");
-        out
     }
 }
 
@@ -393,8 +343,8 @@ mod tests {
         let lp = LPattern::locate(&p).unwrap();
         let t = Template::build(&lp).unwrap();
         assert_eq!(t.states.len(), 5);
-        assert_eq!(t.states_of_type("A").len(), 3);
-        assert_eq!(t.states_of_type("B").len(), 2);
+        let of_type = |ty: &str| t.states.iter().filter(|s| s.type_name == ty).count();
+        assert_eq!((of_type("A"), of_type("B")), (3, 2));
         let a1 = t.state_of_binding("A1").unwrap();
         let b5 = t.state_of_binding("B5").unwrap();
         assert_eq!(t.start, a1);
@@ -418,16 +368,6 @@ mod tests {
         let p = simplify(parse_pattern("SEQ(A, NOT C, B)").unwrap());
         let lp = LPattern::locate(&p).unwrap();
         assert!(Template::build(&lp).is_err());
-    }
-
-    #[test]
-    fn dot_export_contains_all_states_and_transitions() {
-        let t = template("(SEQ(A+, B))+");
-        let dot = t.to_dot();
-        assert!(dot.contains("digraph"));
-        assert!(dot.contains("doublecircle")); // end state B
-        assert!(dot.contains("style=dashed")); // the + transitions
-        assert_eq!(dot.matches("->").count(), 1 + t.transitions.len());
     }
 
     #[test]

@@ -210,17 +210,24 @@ impl Client {
 
     /// Turn this connection into a result subscription on one query of a
     /// multi-query session (`0` = the submitted one; registered queries use the id
-    /// from [`register`](Self::register)). The stream ends when the
-    /// query detaches or the session drains.
+    /// from [`register`](Self::register)). Returns once the session has
+    /// registered the subscriber, which then receives every row the query
+    /// has not yet handed to all earlier subscribers; an unknown query or
+    /// a drained session gives a stream that has already ended. The stream
+    /// ends when the query detaches or the session drains.
     pub fn subscribe_query(
         mut self,
         session: u64,
         query: u32,
     ) -> Result<Subscription, ClientError> {
-        protocol::write_request(&mut self.stream, &Request::Subscribe { session, query })?;
+        let done = match self.call(&Request::Subscribe { session, query })? {
+            Response::Subscribed { .. } => false,
+            Response::End { .. } => true,
+            other => return Err(ClientError::Unexpected(format!("{other:?}"))),
+        };
         Ok(Subscription {
             stream: self.stream,
-            done: false,
+            done,
         })
     }
 }

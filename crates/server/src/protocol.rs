@@ -23,8 +23,10 @@ pub const MAGIC: [u8; 4] = *b"GRTA";
 /// Version 2 made sessions multi-query: `Submit` can attach a query to
 /// an existing session, `SubmitOk` carries the assigned query id,
 /// `Subscribe`/`Rows`/`End` are query-scoped, and `Detach` deregisters
-/// a query mid-stream, returning its final rows.
-pub const VERSION: u16 = 2;
+/// a query mid-stream, returning its final rows. Version 3 acknowledges a
+/// subscription: its first frame is `Subscribed`, sent once the session
+/// has registered the subscriber, or `End` / `Error` when there is none.
+pub const VERSION: u16 = 3;
 /// Hard cap on a single frame's payload (16 MiB). The length prefix is
 /// validated against this before any payload allocation.
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
@@ -76,22 +78,33 @@ impl From<CodecError> for ProtoError {
     }
 }
 
+/// Most shards (worker threads) a session may ask for.
+pub const MAX_SHARDS: u32 = 256;
+/// Largest router batch a session may ask for, in events.
+pub const MAX_BATCH_SIZE: u32 = 1 << 16;
+
 /// Per-session executor options carried by [`Request::Submit`].
 ///
 /// The wire default emission mode is [`EmissionMode::WindowOrdered`]:
 /// a remote subscriber sees rows in the canonical `(window, group)`
-/// order without trusting shard interleaving.
+/// order without trusting shard interleaving. The options come from the
+/// network: a `Submit` whose options ask for more than the caps below, or
+/// for [`LatePolicy::Divert`], is refused with an `Error` frame before
+/// anything is allocated or started.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionOptions {
-    /// Shard (worker thread) count; `0` is normalised to 1.
+    /// Shard (worker thread) count; `0` is normalised to 1, above
+    /// [`MAX_SHARDS`] is refused.
     pub shards: u32,
     /// Reorder-buffer slack in time units.
     pub slack: u64,
-    /// Policy for events older than the watermark.
+    /// Policy for events older than the watermark. [`LatePolicy::Divert`]
+    /// is refused: no request drains diverted events.
     pub late_policy: LatePolicy,
     /// Result emission mode.
     pub emission: EmissionMode,
-    /// Router batch size.
+    /// Router batch size; `0` is normalised to 1, above
+    /// [`MAX_BATCH_SIZE`] is refused.
     pub batch_size: u32,
     /// Per-shard input channel capacity (frames).
     pub channel_capacity: u32,
@@ -232,6 +245,15 @@ pub enum Response {
         /// `(window, group)` order across all `Rows` frames.
         rows: Vec<WindowResult<f64>>,
     },
+    /// First frame of a subscription: the session registered the
+    /// subscriber, so it gets every row from the query's retained backlog
+    /// on.
+    Subscribed {
+        /// Source session.
+        session: u64,
+        /// Source query within the session.
+        query: u32,
+    },
     /// Subscription terminator: the query detached or the session
     /// drained; no more rows.
     End {
@@ -294,6 +316,7 @@ const K_PONG: u8 = 0x87;
 const K_SHUTDOWN_OK: u8 = 0x88;
 const K_END: u8 = 0x89;
 const K_DETACH_OK: u8 = 0x8A;
+const K_SUBSCRIBED: u8 = 0x8B;
 
 impl SessionOptions {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -463,6 +486,11 @@ impl Response {
                     row.encode(out);
                 }
             }
+            Response::Subscribed { session, query } => {
+                out.push(K_SUBSCRIBED);
+                put_u64(out, *session);
+                put_u32(out, *query);
+            }
             Response::End { session, query } => {
                 out.push(K_END);
                 put_u64(out, *session);
@@ -529,6 +557,10 @@ impl Response {
                     rows,
                 }
             }
+            K_SUBSCRIBED => Response::Subscribed {
+                session: r.u64()?,
+                query: r.u32()?,
+            },
             K_END => Response::End {
                 session: r.u64()?,
                 query: r.u32()?,
@@ -756,6 +788,10 @@ mod tests {
                 group: PartitionKey(vec![Some(Value::Int(1))]),
                 values: vec![OutValue::Count(3.0), OutValue::Float(1.5)],
             }],
+        });
+        roundtrip_response(Response::Subscribed {
+            session: 9,
+            query: 1,
         });
         roundtrip_response(Response::End {
             session: 9,

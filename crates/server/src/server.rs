@@ -1,5 +1,5 @@
-//! The TCP front-end: a nonblocking accept loop, protocol sniffing, and
-//! the binary request/response connection loop.
+//! The TCP front-end: a blocking accept loop, protocol sniffing, and the
+//! binary request/response connection loop.
 //!
 //! One port serves two protocols, told apart by peeking the first bytes
 //! of each connection: the 6-byte `GRTA` preamble selects the binary
@@ -24,7 +24,7 @@ use greta_query::compile::CompiledQuery;
 use greta_types::{Event, SchemaRegistry};
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -200,10 +200,10 @@ impl Shared {
         h.call("ingest", |reply| SessionCmd::Ingest { events, reply })?
     }
 
-    /// Register a subscriber channel on one query of a session. Returns
-    /// `None` when the session already drained (the caller should send
-    /// `End`). An unknown query id yields a live channel that receives
-    /// an immediate `End` from the session thread.
+    /// Register a subscriber channel on one query of a session and wait
+    /// until the session has. Returns `None` when nothing will ever arrive
+    /// (the caller should send `End`): the query is unknown, or the
+    /// session drained — before the command, or with it still queued.
     pub(crate) fn subscribe(
         &self,
         id: u64,
@@ -211,14 +211,8 @@ impl Shared {
     ) -> Result<Option<crossbeam::channel::Receiver<SubMsg>>, String> {
         let h = self.session(id)?;
         let (tx, rx) = SessionHandle::subscriber_channel();
-        // A subscription queued behind a drain ends with the session
-        // thread: its command channel drops `tx`, which ends `rx`.
-        if h.drained.load(Ordering::SeqCst)
-            || h.cmd_tx.send(SessionCmd::Subscribe { query, tx }).is_err()
-        {
-            return Ok(None);
-        }
-        Ok(Some(rx))
+        let make = |reply| SessionCmd::Subscribe { query, tx, reply };
+        Ok(h.call("subscribe", make).unwrap_or(false).then_some(rx))
     }
 
     /// Drain one session (idempotent), then retire it to the bounded
@@ -295,7 +289,6 @@ impl GretaServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"`) and start accepting.
     pub fn bind(addr: impl ToSocketAddrs) -> io::Result<GretaServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let shared = Arc::new(Shared::new());
         let accept_shared = Arc::clone(&shared);
@@ -343,10 +336,22 @@ impl GretaServer {
         self.stop_accept();
     }
 
+    /// Stop the accept loop. It blocks in `accept`, so a connection of
+    /// our own wakes it to see the flag; should that connection fail, the
+    /// thread is left to end at the next connection rather than joined.
     fn stop_accept(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         if let Some(j) = self.accept.take() {
-            let _ = j.join();
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            if TcpStream::connect_timeout(&wake, SNIFF_DEADLINE).is_ok() {
+                let _ = j.join();
+            }
         }
     }
 }
@@ -357,21 +362,20 @@ impl Drop for GretaServer {
     }
 }
 
+/// Accept connections, each on a thread of its own, until the stop flag
+/// is seen: a connection is taken the moment it arrives.
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    loop {
+    for stream in listener.incoming() {
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
+        match stream {
+            Ok(stream) => {
                 shared.connections.fetch_add(1, Ordering::Relaxed);
                 let conn_shared = Arc::clone(&shared);
                 let _ = std::thread::Builder::new()
                     .name("greta-conn".into())
                     .spawn(move || handle_connection(stream, conn_shared));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
@@ -460,11 +464,13 @@ fn serve_request(shared: &Shared, req: Request, write: &mut impl FnMut(&Response
             .attach(session)
             .map(|session| Response::SubmitOk { session, query: 0 }),
         Request::Ingest { session, events } => shared.ingest(session, events).map(Response::Ack),
-        // Stream the query's `Rows` until it detaches or the session
-        // drains, then answer `End` — at once when there is no channel:
-        // the session had drained already, nothing more will ever arrive.
+        // Acknowledge the registered subscription, stream the query's
+        // `Rows` until it detaches or the session drains, then answer
+        // `End` — at once when there is no channel: nothing will ever
+        // arrive.
         Request::Subscribe { session, query } => shared.subscribe(session, query).map(|rx| {
-            for msg in rx.iter().flat_map(|rx| rx.iter()) {
+            let acked = rx.filter(|_| write(&Response::Subscribed { session, query }));
+            for msg in acked.iter().flat_map(|rx| rx.iter()) {
                 let SubMsg::Rows(rows) = msg else { break };
                 let rows = Response::Rows {
                     session,

@@ -25,10 +25,10 @@
 //! none is held while another is taken, so lock order and "no lock across
 //! a socket write" hold by construction.
 
-use crate::protocol::{IngestAck, SessionOptions};
+use crate::protocol::{IngestAck, SessionOptions, MAX_BATCH_SIZE, MAX_SHARDS};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use greta_core::{
-    EmissionMode, ExecutorConfig, ExecutorStats, QueryId, StreamExecutor, WindowResult,
+    EmissionMode, ExecutorConfig, ExecutorStats, LatePolicy, QueryId, StreamExecutor, WindowResult,
 };
 use greta_durability::DurabilityConfig;
 use greta_query::compile::CompiledQuery;
@@ -61,13 +61,16 @@ pub(crate) enum SessionCmd {
         /// Ack channel (capacity 1).
         reply: Sender<Result<IngestAck, String>>,
     },
-    /// Register a subscriber for one query's result rows. An unknown
-    /// query id gets an immediate `End`.
+    /// Register a subscriber for one query's result rows; reply `true`
+    /// once it is registered, `false` for an unknown query id (nothing
+    /// will ever arrive).
     Subscribe {
         /// Query within the session (`0` = the submitted one).
         query: u32,
         /// Row fan-out channel owned by the subscribing connection.
         tx: Sender<SubMsg>,
+        /// Reply channel (capacity 1).
+        reply: Sender<bool>,
     },
     /// Register an additional query on the shared ingest stream
     /// (barrier cut); reply with its assigned query id.
@@ -169,9 +172,23 @@ impl Published {
     }
 }
 
-/// Build the [`ExecutorConfig`] a [`SessionOptions`] describes.
-pub(crate) fn executor_config(opts: &SessionOptions) -> ExecutorConfig {
-    ExecutorConfig {
+/// Build the [`ExecutorConfig`] a [`SessionOptions`] describes, refusing
+/// options that would have it allocate or start more than the caps allow,
+/// or keep what no request can drain.
+pub(crate) fn executor_config(opts: &SessionOptions) -> Result<ExecutorConfig, String> {
+    let (shards, batch) = (opts.shards, opts.batch_size);
+    if shards > MAX_SHARDS {
+        return Err(format!("shards {shards} exceeds the cap of {MAX_SHARDS}"));
+    }
+    if batch > MAX_BATCH_SIZE {
+        return Err(format!(
+            "batch_size {batch} exceeds the cap of {MAX_BATCH_SIZE}"
+        ));
+    }
+    if opts.late_policy == LatePolicy::Divert {
+        return Err("late_policy Divert is not served: no request drains diverted events".into());
+    }
+    Ok(ExecutorConfig {
         shards: (opts.shards.max(1)) as usize,
         slack: opts.slack,
         late_policy: opts.late_policy,
@@ -187,7 +204,7 @@ pub(crate) fn executor_config(opts: &SessionOptions) -> ExecutorConfig {
             dcfg
         }),
         ..ExecutorConfig::default()
-    }
+    })
 }
 
 /// Start a session: compile nothing here — the caller already compiled
@@ -199,7 +216,7 @@ pub(crate) fn spawn_session(
     registry: SchemaRegistry,
     opts: SessionOptions,
 ) -> Result<SessionHandle, String> {
-    let config = executor_config(&opts);
+    let config = executor_config(&opts)?;
     let exec = if opts.recover {
         StreamExecutor::<f64>::recover(query, registry.clone(), config)
     } else {
@@ -347,20 +364,18 @@ impl SessionLoop {
                     return ControlFlow::Break(());
                 }
             }
-            SessionCmd::Subscribe { query, tx } => {
-                match self.streams.iter_mut().find(|st| st.query == query) {
-                    // A new subscriber starts at the head of the retained
-                    // backlog, like every one before it.
-                    Some(st) => st.subs.push(Subscriber {
-                        tx,
-                        next: st.pending_base,
-                    }),
-                    // Unknown (or already-detached) query: nothing will
-                    // ever arrive.
-                    None => {
-                        let _ = tx.send(SubMsg::End);
-                    }
+            SessionCmd::Subscribe { query, tx, reply } => {
+                // A new subscriber starts at the head of the retained
+                // backlog, like every one before it. An unknown (or
+                // already-detached) query gets none: nothing will ever
+                // arrive.
+                let st = self.streams.iter_mut().find(|st| st.query == query);
+                let known = st.is_some();
+                if let Some(st) = st {
+                    let next = st.pending_base;
+                    st.subs.push(Subscriber { tx, next });
                 }
+                let _ = reply.send(known);
             }
             SessionCmd::Register {
                 text,

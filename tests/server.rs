@@ -10,6 +10,7 @@ use greta::core::window::last_closed;
 use greta::core::{EmissionMode, ExecutorConfig, LatePolicy, StreamExecutor, WindowResult};
 use greta::durability::DurabilityConfig;
 use greta::query::CompiledQuery;
+use greta::server::protocol::{MAX_BATCH_SIZE, MAX_SHARDS};
 use greta::server::{Client, GretaServer, SessionOptions};
 use greta::types::{Event, SchemaRegistry, Time, TypeId, Value};
 use greta::workloads::{ClusterConfig, ClusterGen, StockConfig, StockGen};
@@ -119,11 +120,9 @@ fn assert_binary_ingest_byte_identical(
             },
         )
         .unwrap();
-    // A ping first: the subscription is in the session's queue ahead of
-    // the ingest (see `unequal_subscribers_each_get_every_row_exactly_once`).
-    let mut conn = Client::connect(addr).unwrap();
-    conn.ping().unwrap();
-    let sub = conn.subscribe(session).unwrap();
+    // `subscribe` returns once the session has registered the subscriber,
+    // so it sees every row of the ingest below.
+    let sub = Client::connect(addr).unwrap().subscribe(session).unwrap();
     let collector = std::thread::spawn(move || sub.collect_rows().unwrap());
 
     for chunk in events.chunks(1024) {
@@ -450,7 +449,7 @@ fn malformed_and_oversized_frames_are_rejected() {
     // Oversized length prefix after a valid preamble: Error frame, no
     // 4 GiB allocation, connection closed.
     let mut s = TcpStream::connect(addr).unwrap();
-    s.write_all(b"GRTA\x02\x00").unwrap();
+    s.write_all(b"GRTA\x03\x00").unwrap();
     s.write_all(&u32::MAX.to_le_bytes()).unwrap();
     s.flush().unwrap();
     let reply = read_all_tolerant(&mut s);
@@ -459,7 +458,7 @@ fn malformed_and_oversized_frames_are_rejected() {
 
     // Garbage payload under a sane length: decode error reported.
     let mut s = TcpStream::connect(addr).unwrap();
-    s.write_all(b"GRTA\x02\x00").unwrap();
+    s.write_all(b"GRTA\x03\x00").unwrap();
     s.write_all(&8u32.to_le_bytes()).unwrap();
     s.write_all(&[0xFFu8; 8]).unwrap();
     s.flush().unwrap();
@@ -562,16 +561,10 @@ fn unequal_subscribers_each_get_every_row_exactly_once() {
             },
         )
         .unwrap();
-    // `Subscribe` has no reply, and a subscriber that joins after rows
-    // have gone out to the others starts behind them. A ping first means
-    // each connection is accepted, sniffed and in its request loop, so the
-    // subscription is one short frame ahead of the first 256-event batch
-    // instead of racing a thread spawn against it.
-    let subscriber = || {
-        let mut conn = Client::connect(addr).unwrap();
-        conn.ping().unwrap();
-        conn.subscribe(session).unwrap()
-    };
+    // A subscriber that joins after rows have gone out to the others
+    // starts behind them; `subscribe` returns once the session has
+    // registered it, so both are in place before the first ingest.
+    let subscriber = || Client::connect(addr).unwrap().subscribe(session).unwrap();
     let fast = subscriber();
     let fast_t = std::thread::spawn(move || fast.collect_rows().unwrap());
     let mut slow = subscriber();
@@ -858,6 +851,72 @@ fn subscribe_queued_behind_drain_gets_end_of_stream() {
     server.shutdown().unwrap();
 }
 
+/// Options a `Submit` carries come from the network. Each that would have
+/// the session allocate or start more than its cap, or keep what no
+/// request drains, is refused with an `Error` before any executor exists:
+/// no session starts and the connection keeps serving. The values are one
+/// past each cap.
+#[test]
+fn session_options_past_their_caps_are_refused_at_submit() {
+    let (reg, _) = stock(10);
+    let server = GretaServer::bind("127.0.0.1:0").unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let options = SessionOptions::default;
+    let refused = [
+        (
+            "shards",
+            SessionOptions {
+                shards: MAX_SHARDS + 1,
+                ..options()
+            },
+        ),
+        (
+            "batch_size",
+            SessionOptions {
+                batch_size: MAX_BATCH_SIZE + 1,
+                ..options()
+            },
+        ),
+        (
+            "Divert",
+            SessionOptions {
+                late_policy: LatePolicy::Divert,
+                ..options()
+            },
+        ),
+    ];
+    for (what, options) in refused {
+        let err = client.submit(Q1, &reg, options).unwrap_err().to_string();
+        assert!(err.contains(what), "{what}: {err}");
+    }
+    let stats = client.stats().unwrap();
+    assert!(stats.contains("\ngreta_server_sessions 0\n"), "{stats}");
+    server.shutdown().unwrap();
+}
+
+/// A subscription to an unknown session is an `Error` at `subscribe`, one
+/// to an unknown query of a live session an already ended stream.
+#[test]
+fn subscribe_answers_at_once_when_there_is_nothing_to_stream() {
+    let (reg, _) = stock(10);
+    let server = GretaServer::bind("127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    let mut client = Client::connect(addr).unwrap();
+    let session = client.submit(Q1, &reg, SessionOptions::default()).unwrap();
+    let err = Client::connect(addr)
+        .unwrap()
+        .subscribe(session + 1)
+        .err()
+        .unwrap();
+    assert!(err.to_string().contains("unknown session"), "{err}");
+    let sub = Client::connect(addr)
+        .unwrap()
+        .subscribe_query(session, 7)
+        .unwrap();
+    assert!(sub.collect_rows().unwrap().is_empty());
+    server.shutdown().unwrap();
+}
+
 #[test]
 fn drain_is_idempotent_and_refuses_post_drain_ingest() {
     let (reg, events) = stock(2_000);
@@ -939,11 +998,8 @@ fn an_idle_session_still_delivers_rows() {
             },
         )
         .unwrap();
-    // A ping first: the subscription is in the session's queue ahead of
-    // the ingest (see `unequal_subscribers_each_get_every_row_exactly_once`).
-    let mut conn = Client::connect(addr).unwrap();
-    conn.ping().unwrap();
-    let mut sub = conn.subscribe(session).unwrap();
+    // Registered before the ingest: `subscribe` waits for the session.
+    let mut sub = Client::connect(addr).unwrap().subscribe(session).unwrap();
     let (rows_tx, rows_rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         while let Ok(Some(rows)) = sub.next_rows() {

@@ -65,6 +65,8 @@ case_ "clone() in Slab::probe" crates/core/src/engine.rs \
     "fn probe(" "let _injected = e.clone();" greta-core disallowed_methods
 case_ "clone() in Cells::merge" crates/core/src/agg.rs \
     "fn merge(&mut self, from: CellsRef" "let _injected = layout.clone();" greta-core disallowed_methods
+case_ "clone() in Finals::fold" crates/core/src/engine.rs \
+    "fn fold(" "let _injected = group.clone();" greta-core disallowed_methods
 case_ "Arc::clone(&e) in Route::route_to_group" crates/core/src/executor/route.rs \
     "fn route_to_group<" "let _injected = std::sync::Arc::clone(&e);" greta-core disallowed_methods
 case_ "unwrap() in SessionLoop::ingest" crates/server/src/session.rs \
@@ -76,4 +78,4 @@ if [ "$failed" -ne 0 ]; then
     echo "red path: a clippy-enforced rule has lost its teeth" >&2
     exit 1
 fi
-echo "red path: all eight injected violations rejected"
+echo "red path: all nine injected violations rejected"
