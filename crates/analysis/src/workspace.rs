@@ -64,6 +64,75 @@ pub fn workspace_loc(root: &Path) -> io::Result<Vec<(String, usize)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::{lex, Token, TokenKind};
+
+    /// `#[deny]` attributes of the hot-path rule in `file`'s non-test code.
+    fn hot_path_attrs(file: &SourceFile) -> usize {
+        let attr = "#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]";
+        let attr: Vec<TokenKind> = lex(attr).into_iter().map(|t| t.kind).collect();
+        let at =
+            |(i, w): &(usize, &[Token])| !file.in_test(*i) && w.iter().map(|t| &t.kind).eq(&attr);
+        file.tokens
+            .windows(attr.len())
+            .enumerate()
+            .filter(at)
+            .count()
+    }
+
+    /// The number written just before `suffix` in `doc`, line breaks read
+    /// as spaces.
+    fn stated_count(doc: &str, suffix: &str) -> Option<usize> {
+        let doc = doc.split_whitespace().collect::<Vec<_>>().join(" ");
+        let before = &doc[..doc.find(suffix)?];
+        before.split(' ').next_back()?.parse().ok()
+    }
+
+    /// The hot-path rule covers the `greta-core` functions that carry its
+    /// `#[deny]`. ARCHITECTURE and the verify notes state how many there
+    /// are; this keeps both figures equal to the attributes in the code.
+    #[test]
+    fn the_stated_hot_path_function_count_is_the_marked_one() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut marked = 0;
+        for rel in workspace_files(&root).unwrap() {
+            if rel.starts_with("crates/core/src/") {
+                let content = fs::read_to_string(root.join(&rel)).unwrap();
+                marked += hot_path_attrs(&SourceFile::parse(&content));
+            }
+        }
+        assert!(marked > 0, "no hot-path function found");
+        let docs = [
+            ("ARCHITECTURE.md", " per-event functions of `greta-core`"),
+            (
+                ".claude/skills/verify/SKILL.md",
+                " `greta-core` functions marked",
+            ),
+        ];
+        for (doc, suffix) in docs {
+            let text = fs::read_to_string(root.join(doc)).unwrap();
+            assert_eq!(stated_count(&text, suffix), Some(marked), "{doc}");
+        }
+    }
+
+    #[test]
+    fn hot_path_attrs_skip_comments_tests_and_other_lints() {
+        let src = "#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]\n\
+                   fn hot() {}\n\
+                   // #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]\n\
+                   #[deny(clippy::disallowed_methods)]\n\
+                   fn half() {}\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                   #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]\n\
+                   fn in_test() {}\n\
+                   }\n";
+        assert_eq!(hot_path_attrs(&SourceFile::parse(src)), 1);
+        assert_eq!(
+            stated_count("the 43\n per-event fns", " per-event fns"),
+            Some(43)
+        );
+        assert_eq!(stated_count("the per-event fns", " per-event fns"), None);
+    }
 
     #[test]
     fn workspace_loc_counts_crate_sources_only() {

@@ -20,8 +20,7 @@
 //!
 //! * **Ingestion** (paid once, not once per query): events may arrive out
 //!   of order up to a configurable `slack`; later than that, the
-//!   [`LatePolicy`] decides — drop (count), divert (keep for the caller),
-//!   or error. With durability on, each event is WAL-appended exactly once
+//!   [`LatePolicy`] decides — drop (count) or error. With durability on, each event is WAL-appended exactly once
 //!   no matter how many queries consume it.
 //! * **Multi-query fan-out**: every hosted query is the same kind of
 //!   registry slot, keyed by a [`QueryId`] and carrying its plan (what the
@@ -50,14 +49,14 @@
 //! * **Zero-copy event plane**: an event is allocated once, when it enters
 //!   [`push`](StreamExecutor::push) (or arrives pre-shared via
 //!   [`push_ref`](StreamExecutor::push_ref)); the reorder buffer, shard
-//!   frames, the broadcast fan-out, a shard engine's broadcast replay
-//!   buffer and the divert buffer hold `Arc` clones of that one
-//!   allocation, and a graph vertex keeps only the attribute values its
-//!   edge predicates read. A broadcast to N shards (or a fan-out to M
-//!   route groups) costs pointer bumps, not deep copies. A shard hands
-//!   each frame it has run back to the pushing thread, which clears it
-//!   for its next frame: events are released on the thread that
-//!   allocated them, as the caller polls or the stream drains.
+//!   frames, the broadcast fan-out and a shard engine's broadcast replay
+//!   buffer hold `Arc` clones of that one allocation, and a graph vertex
+//!   keeps only the attribute values its edge predicates read. A
+//!   broadcast to N shards (or a fan-out to M route groups) costs pointer
+//!   bumps, not deep copies. A shard hands each frame it has run back to
+//!   the pushing thread, which clears it for its next frame: events are
+//!   released on the thread that allocated them, as the caller polls or
+//!   the stream drains.
 //! * **Watermarks**: whenever the released watermark crosses any
 //!   registered query's window-close boundary, buffered frames are flushed
 //!   and the watermark is broadcast so shards that received no recent
@@ -139,7 +138,6 @@ mod worker;
 
 pub use config::{
     EmissionMode, ExecutorConfig, ExecutorStats, LatePolicy, QueryId, QueryStreamStats,
-    WindowLateCounts,
 };
 
 /// "Every `every` closed windows of id 0, a checkpoint is owed". The
@@ -418,8 +416,8 @@ impl<N: TrendNum> StreamExecutor<N> {
     /// [`poll_results_of`](Self::poll_results_of) they are byte-identical
     /// to a standalone run of the query over the same events, ended at the
     /// deregistration point. [`QueryId::PRIMARY`] cannot be deregistered —
-    /// it anchors the shard count, the checkpoint cadence and the late
-    /// ledger; [`drain`](Self::drain) stops the stream. With durability
+    /// it anchors the shard count and the checkpoint cadence;
+    /// [`drain`](Self::drain) stops the stream. With durability
     /// on, the removal is WAL-logged so [`recover`](Self::recover) re-runs
     /// it at the same stream position.
     ///
@@ -466,7 +464,7 @@ impl<N: TrendNum> StreamExecutor<N> {
     }
 
     /// Only an active query other than id 0 can leave: id 0 anchors the
-    /// shard count, the checkpoint cadence and the late ledger.
+    /// shard count and the checkpoint cadence.
     fn deregister_guard(&self, id: u32) -> Result<(), EngineError> {
         if id == QueryId::PRIMARY.0 {
             return Err(EngineError::Config(
@@ -515,8 +513,7 @@ impl<N: TrendNum> StreamExecutor<N> {
     /// only the attribute values their edge predicates read. The
     /// executor's clones are dropped on this thread, as spent frames come
     /// back to [`poll_results_of`](Self::poll_results_of) or the next
-    /// frame; once [`drain`](Self::drain) has returned it holds none but
-    /// the events it diverted.
+    /// frame; once [`drain`](Self::drain) has returned it holds none.
     pub fn push_ref(&mut self, e: EventRef) -> Result<(), EngineError> {
         self.refuse_if_finished("push")?;
         self.ingest.log(TailRecRef::Event(&e))?;
@@ -647,8 +644,7 @@ impl<N: TrendNum> StreamExecutor<N> {
     /// [`poll_results_of`](Self::poll_results_of) (under
     /// [`EmissionMode::WindowOrdered`] they come straight off the merge,
     /// already ordered; an unordered backlog is sorted here), and
-    /// [`stats`](Self::stats) and [`take_diverted`](Self::take_diverted)
-    /// stay readable. Idempotent.
+    /// [`stats`](Self::stats) stays readable. Idempotent.
     ///
     /// With durability on, the terminal checkpoint is taken *after* every
     /// window closed and records every row as delivered — the remainders
@@ -722,11 +718,6 @@ impl<N: TrendNum> StreamExecutor<N> {
     /// server acknowledges a batch at. `Ok(None)` without durability.
     pub fn sync_wal(&mut self) -> Result<Option<u64>, EngineError> {
         self.ingest.sync_wal()
-    }
-
-    /// Take the events diverted under [`LatePolicy::Divert`] so far.
-    pub fn take_diverted(&mut self) -> Vec<EventRef> {
-        self.ingest.take_diverted()
     }
 
     /// Force a checkpoint now (durability must be configured): flush all

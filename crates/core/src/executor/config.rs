@@ -20,9 +20,6 @@ pub enum LatePolicy {
     /// Silently drop the event (counted in [`ExecutorStats::late_dropped`]).
     #[default]
     Drop = 0,
-    /// Keep the event for the caller ([`StreamExecutor::take_diverted`]) —
-    /// e.g. to route into a correction stream.
-    Divert = 1,
     /// Fail the `push` with [`EngineError::Late`].
     Error = 2,
 }
@@ -35,9 +32,10 @@ impl LatePolicy {
         self as u8
     }
 
-    /// Inverse of [`tag`](Self::tag).
+    /// Inverse of [`tag`](Self::tag). Tag 1 is unused: it was a policy
+    /// that no longer exists, and is refused like any unknown tag.
     pub fn from_tag(tag: u8) -> Result<Self, CodecError> {
-        let all = [LatePolicy::Drop, LatePolicy::Divert, LatePolicy::Error];
+        let all = [LatePolicy::Drop, LatePolicy::Error];
         let found = all.into_iter().find(|p| p.tag() == tag);
         found.ok_or_else(|| CodecError(format!("bad LatePolicy tag {tag}")))
     }
@@ -195,19 +193,6 @@ pub struct QueryStreamStats {
     pub active: bool,
 }
 
-/// Late-event counters of one window (backpressure / data-quality metric:
-/// which windows lost input).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WindowLateCounts {
-    /// The latest window that would have contained the late event
-    /// (`⌊t / slide⌋`, under [`QueryId::PRIMARY`]'s slide).
-    pub window: WindowId,
-    /// Events dropped under [`LatePolicy::Drop`].
-    pub dropped: u64,
-    /// Events kept under [`LatePolicy::Divert`].
-    pub diverted: u64,
-}
-
 /// Executor counters.
 #[derive(Debug, Clone, Default)]
 pub struct ExecutorStats {
@@ -217,8 +202,6 @@ pub struct ExecutorStats {
     pub released: u64,
     /// Late events dropped under [`LatePolicy::Drop`].
     pub late_dropped: u64,
-    /// Late events kept under [`LatePolicy::Divert`].
-    pub late_diverted: u64,
     /// Events delivered to every shard (broadcast types), counted once
     /// per route group that framed them.
     pub broadcasts: u64,
@@ -239,8 +222,6 @@ pub struct ExecutorStats {
     /// (broadcasts count once per shard): the load-balance picture. Its
     /// max is the parallel-throughput bottleneck on a skewed stream.
     pub events_per_shard: Vec<u64>,
-    /// Late drops/diverts per window, ascending by window id.
-    pub late_by_window: Vec<WindowLateCounts>,
     /// Frames queued per shard input channel when
     /// [`stats`](StreamExecutor::stats) was called (empty after `finish`).
     pub channel_occupancy: Vec<usize>,

@@ -1,16 +1,13 @@
 //! Plane 1 — ingest, paid once per event however many queries consume it:
 //! the write-ahead log (and the snapshot store it is truncated against),
-//! the reorder buffer, and the late-event policy with its ledgers.
+//! the reorder buffer, and the late-event policy with its counter.
 
-use super::{Cadence, EmissionMode, ExecutorConfig, ExecutorStats, LatePolicy, WindowLateCounts};
+use super::{Cadence, EmissionMode, ExecutorConfig, ExecutorStats, LatePolicy};
 use crate::reorder::ReorderBuffer;
-use crate::state::{decode_events, encode_events};
-use crate::window::WindowId;
 use crate::EngineError;
 use greta_durability::{DurabilityConfig, Manifest, SnapshotStore, TailPolicy, Wal};
 use greta_types::codec::{put_str, put_u32, put_u64, Reader};
 use greta_types::{CodecError, Event, EventRef, Time};
-use std::collections::BTreeMap;
 
 /// WAL record tags (first byte of every record). Replay dispatches on
 /// them; an event record is the tag followed by the plain event encoding.
@@ -129,12 +126,6 @@ impl Log {
 pub(super) struct Ingest {
     reorder: ReorderBuffer,
     late_policy: LatePolicy,
-    /// Late drop/divert counts keyed by the event's latest window
-    /// (`⌊t / late_slide⌋`); the executor-wide totals are their sums.
-    late_windows: BTreeMap<WindowId, WindowLateCounts>,
-    /// Slide of id 0, the query whose windows bucket the late ledger.
-    late_slide: u64,
-    diverted: Vec<EventRef>,
     /// Reused scratch for reorder-buffer releases (no per-event alloc).
     released: Vec<EventRef>,
     log: Option<Log>,
@@ -143,15 +134,16 @@ pub(super) struct Ingest {
     pub(super) checkpoint_every: Cadence,
     pushed: u64,
     checkpoints: u64,
+    /// Events later than the slack, dropped under [`LatePolicy::Drop`].
+    late_dropped: u64,
 }
 
 impl Ingest {
-    /// An empty ingest plane, not logging; `late_slide` is id 0's slide.
-    pub(super) fn new(config: &ExecutorConfig, late_slide: u64) -> Self {
+    /// An empty ingest plane, not logging.
+    pub(super) fn new(config: &ExecutorConfig) -> Self {
         Ingest {
             reorder: ReorderBuffer::new(config.slack),
             late_policy: config.late_policy,
-            late_slide: late_slide.max(1),
             ..Default::default()
         }
     }
@@ -197,17 +189,8 @@ impl Ingest {
         self.pushed += 1;
         self.released.clear();
         if let Err(late) = self.reorder.push_into(e, &mut self.released) {
-            let window = late.time.ticks() / self.late_slide;
-            let row = WindowLateCounts {
-                window,
-                ..Default::default()
-            };
             match self.late_policy {
-                LatePolicy::Drop => self.late_windows.entry(window).or_insert(row).dropped += 1,
-                LatePolicy::Divert => {
-                    self.late_windows.entry(window).or_insert(row).diverted += 1;
-                    self.diverted.push(late);
-                }
+                LatePolicy::Drop => self.late_dropped += 1,
                 LatePolicy::Error => {
                     return Err(EngineError::Late {
                         slack: self.reorder.slack(),
@@ -230,11 +213,6 @@ impl Ingest {
     /// Highest time stamp released so far.
     pub(super) fn watermark(&self) -> Option<Time> {
         self.reorder.watermark()
-    }
-
-    /// Take the events diverted under [`LatePolicy::Divert`] so far.
-    pub(super) fn take_diverted(&mut self) -> Vec<EventRef> {
-        std::mem::take(&mut self.diverted)
     }
 
     /// Write and commit `blob` as the next checkpoint: fsync the WAL,
@@ -264,33 +242,22 @@ impl Ingest {
 
     /// This plane's snapshot section: the result-shaping knobs (recovery
     /// under different values would silently diverge from the original
-    /// run, so they are recorded and checked), the counters, the late
-    /// ledger (v6 also stored its two sums), the reorder buffer and the
-    /// diverted events.
+    /// run, so they are recorded and checked), the counters, then the
+    /// reorder buffer.
     pub(super) fn encode(&self, out: &mut Vec<u8>) {
         put_u64(out, self.reorder.slack());
         out.push(self.late_policy.tag());
         put_u64(out, self.pushed);
         put_u64(out, self.checkpoints);
-        put_u32(out, self.late_windows.len() as u32);
-        for c in self.late_windows.values() {
-            put_u64(out, c.window);
-            put_u64(out, c.dropped);
-            put_u64(out, c.diverted);
-        }
+        put_u64(out, self.late_dropped);
         self.reorder.export_state(out);
-        encode_events(self.diverted.iter(), out);
     }
 
     /// Inverse of [`encode`](Self::encode). Refuses a `config` whose
     /// slack or late policy differ from the checkpointed run's —
     /// recovering under different values would silently break the
     /// byte-identical-replay guarantee.
-    pub(super) fn decode(
-        r: &mut Reader<'_>,
-        config: &ExecutorConfig,
-        late_slide: u64,
-    ) -> Result<Self, EngineError> {
+    pub(super) fn decode(r: &mut Reader<'_>, config: &ExecutorConfig) -> Result<Self, EngineError> {
         let slack = r.u64()?;
         if slack != config.slack {
             return Err(EngineError::Config(format!(
@@ -307,19 +274,11 @@ impl Ingest {
                 config.late_policy
             )));
         }
-        let mut ingest = Ingest::new(config, late_slide);
+        let mut ingest = Ingest::new(config);
         ingest.pushed = r.u64()?;
         ingest.checkpoints = r.u64()?;
-        for _ in 0..r.seq_len(24)? {
-            let counts = WindowLateCounts {
-                window: r.u64()?,
-                dropped: r.u64()?,
-                diverted: r.u64()?,
-            };
-            ingest.late_windows.insert(counts.window, counts);
-        }
+        ingest.late_dropped = r.u64()?;
         ingest.reorder = ReorderBuffer::import_state(slack, r)?;
-        ingest.diverted = decode_events(r)?;
         Ok(ingest)
     }
 
@@ -327,9 +286,7 @@ impl Ingest {
     pub(super) fn fill_stats(&self, s: &mut ExecutorStats) {
         s.pushed = self.pushed;
         s.checkpoints = self.checkpoints;
-        s.late_by_window = self.late_windows.values().copied().collect();
-        s.late_dropped = s.late_by_window.iter().map(|c| c.dropped).sum();
-        s.late_diverted = s.late_by_window.iter().map(|c| c.diverted).sum();
+        s.late_dropped = self.late_dropped;
     }
 }
 

@@ -86,18 +86,13 @@ impl<N: TrendNum> StreamExecutor<N> {
                 (Some(log), manifest)
             }
         };
-        let late_slide = query.window.slide;
         let (mut ingest, mut route, mut merge, queries) = match (&log, &manifest) {
-            (Some(log), Some(m)) => Self::decode_snapshot(
-                &log.read_snapshot(m)?,
-                m.shards as usize,
-                &config,
-                shards,
-                late_slide,
-            )?,
+            (Some(log), Some(m)) => {
+                Self::decode_snapshot(&log.read_snapshot(m)?, m.shards as usize, &config, shards)?
+            }
             // Nothing checkpointed (yet): empty planes around `query`.
             _ => (
-                Ingest::new(&config, late_slide),
+                Ingest::new(&config),
                 Route::new(&config, shards),
                 Merge::new(),
                 vec![(QueryParts::fresh(0, None, config.emission), Vec::new())],

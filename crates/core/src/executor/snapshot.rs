@@ -14,12 +14,12 @@ use crate::EngineError;
 use greta_types::codec::Reader;
 use greta_types::CodecError;
 
-/// Bumped to 8 when live rebalancing went: the route section lost its
-/// routing table, both skew sketches and two counters, the worker section
-/// its export-cut counter (v7 regrouped the blob by plane). Snapshots
-/// taken by older revisions are rejected instead of being silently
-/// misread.
-const SNAPSHOT_VERSION: u8 = 8;
+/// Bumped to 9 when the ingest section lost its diverted events and its
+/// per-window late ledger, keeping one `late_dropped` counter (v8 had
+/// dropped live rebalancing's state from the route and worker sections).
+/// Snapshots taken by older revisions are rejected instead of being
+/// silently misread.
+const SNAPSHOT_VERSION: u8 = 9;
 
 /// A decoded checkpoint: the ingest, route and merge planes as they were
 /// at the cut (the worker plane's threads are respawned), and per query
@@ -57,14 +57,13 @@ impl<N: TrendNum> StreamExecutor<N> {
         saved_shards: usize,
         config: &ExecutorConfig,
         shards: usize,
-        late_slide: u64,
     ) -> Result<Planes<N>, EngineError> {
         let r = &mut Reader::new(bytes);
         let version = r.u8()?;
         if version != SNAPSHOT_VERSION {
             return Err(CodecError(format!("unsupported snapshot version {version}")).into());
         }
-        let ingest = Ingest::decode(r, config, late_slide)?;
+        let ingest = Ingest::decode(r, config)?;
         let route = Route::decode(r, config, saved_shards, shards)?;
         Worker::<N>::decode(r, saved_shards)?;
         let (merge, queries) = Merge::decode(r, saved_shards)?;
@@ -101,7 +100,7 @@ mod tests {
         ExecutorConfig {
             shards: SHARDS,
             slack: 3,
-            late_policy: LatePolicy::Divert,
+            late_policy: LatePolicy::Drop,
             emission: EmissionMode::WindowOrdered,
             ..Default::default()
         }
@@ -109,7 +108,7 @@ mod tests {
 
     /// A two-query executor stopped at a cut with something in every
     /// corner a checkpoint covers: events parked in the reorder buffer, a
-    /// diverted event and its late-ledger entry, per-shard counts skewed
+    /// dropped late event, per-shard counts skewed
     /// onto one shard, un-polled rows and an ordered merge that has
     /// released some.
     fn populated() -> (SchemaRegistry, StreamExecutor<u64>, Vec<QueryBlobs>) {
@@ -137,14 +136,14 @@ mod tests {
             };
             exec.push(ev(t, grp)).unwrap();
         }
-        exec.push(ev(100, hot[0])).unwrap(); // far behind the slack: diverted
+        exec.push(ev(100, hot[0])).unwrap(); // far behind the slack: dropped
         let blobs = exec.cut(|_| BarrierKind::Export).unwrap();
         let stats = exec.stats();
         let busiest = stats.events_per_shard.iter().max();
         assert_eq!(busiest, Some(&stats.events_per_shard[0]), "not skewed");
-        assert_eq!(stats.late_diverted, 1);
+        assert_eq!(stats.late_dropped, 1);
         assert!(
-            stats.pushed - stats.late_diverted > stats.released,
+            stats.pushed - stats.late_dropped > stats.released,
             "nothing buffered"
         );
         assert!(stats.queries.iter().all(|q| q.pending_rows > 0));
@@ -168,7 +167,7 @@ mod tests {
         let r = &mut Reader::new(bytes);
         let mut out = Vec::new();
         match i {
-            0 => Ingest::decode(r, &config(), 20)?.encode(&mut out),
+            0 => Ingest::decode(r, &config())?.encode(&mut out),
             1 => Route::decode(r, &config(), SHARDS, SHARDS)?.encode(&mut out),
             2 => {
                 // The rest of the plane is threads; its section is small

@@ -645,7 +645,8 @@ mod tests {
             }
             Event::new_unchecked(ty(name), greta_types::Time(0), all)
         };
-        let shapes: [[Value; 3]; 5] = [
+        let p53 = 1i64 << 53;
+        let shapes: [[Value; 3]; 7] = [
             [Value::Int(3), Value::Int(-7), Value::Int(0)],
             [Value::from("north"), Value::Int(12), Value::from("")],
             [Value::Float(2.5), Value::from("x"), Value::Float(-0.0)],
@@ -655,6 +656,13 @@ mod tests {
                 Value::from("ü"),
             ],
             [Value::Bool(true), Value::Int(1), Value::Float(1e300)],
+            // The neighbours of 2^53, where an `Int` stops being a float.
+            [Value::Int(p53), Value::Int(p53 + 1), Value::Int(p53 - 1)],
+            [
+                Value::Int(-p53 - 1),
+                Value::Float(p53 as f64),
+                Value::Int(i64::MIN),
+            ],
         ];
         for vals in &shapes {
             let key = ex.key_of(&event("R", vals));
@@ -675,6 +683,14 @@ mod tests {
         );
         assert_eq!(ex.event_hash(&int), ex.key_of(&float).hash_on(&[true; 3]));
         assert!(ex.event_matches(&int, &ex.key_of(&float)));
+        // Nor do two integers that round to one float.
+        let above = event("R", &[Value::Int(p53 + 1), Value::Int(5), Value::Int(6)]);
+        let at = event(
+            "R",
+            &[Value::Float(p53 as f64), Value::Int(5), Value::Int(6)],
+        );
+        assert_ne!(ex.event_hash(&above), ex.key_of(&at).hash_on(&[true; 3]));
+        assert!(!ex.event_matches(&above, &ex.key_of(&at)));
         // A differing value on a carried attribute does not match.
         let other = event("S", &[Value::Int(4), Value::Int(9), Value::Int(6)]);
         assert!(!ex.event_matches(&other, &ex.key_of(&int)));

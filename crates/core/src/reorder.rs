@@ -49,7 +49,7 @@ impl ReorderBuffer {
 
     /// Offer an event. Returns the events that became safe to release (in
     /// time-stamp order), or `Err(event)` when the event arrived later than
-    /// the slack allows (the caller decides whether to drop or divert it).
+    /// the slack allows (the caller decides whether to drop it or fail).
     pub fn push(&mut self, e: EventRef) -> Result<Vec<EventRef>, EventRef> {
         let mut out = Vec::new();
         self.push_into(e, &mut out).map(|()| out)

@@ -189,7 +189,7 @@ proptest! {
 
 }
 
-// ---------------------------------------------------- executor snapshot (v8)
+// ---------------------------------------------------- executor snapshot (v9)
 //
 // A checkpoint is a version byte and the four plane sections. The planes
 // are private to `greta_core::executor`, so section by section (`encode` →
@@ -218,7 +218,7 @@ mod executor_snapshot {
         ExecutorConfig {
             shards: 3,
             slack: 3,
-            late_policy: LatePolicy::Divert,
+            late_policy: LatePolicy::Drop,
             emission: EmissionMode::WindowOrdered,
             durability: Some(durability),
             ..Default::default()
@@ -226,7 +226,7 @@ mod executor_snapshot {
     }
 
     /// Run a two-query durable executor until every section of its
-    /// checkpoint holds something — buffered reorder events, a diverted
+    /// checkpoint holds something — buffered reorder events, a dropped late
     /// event, per-shard counts skewed onto one shard, un-polled rows — then
     /// checkpoint and crash. Returns what `recover` needs and the blob.
     fn checkpointed(name: &str) -> (PathBuf, SchemaRegistry, CompiledQuery, u64, Vec<u8>) {
@@ -255,12 +255,12 @@ mod executor_snapshot {
             };
             exec.push(ev(t, grp)).unwrap();
         }
-        exec.push(ev(100, hot[0])).unwrap(); // far behind the slack: diverted
+        exec.push(ev(100, hot[0])).unwrap(); // far behind the slack: dropped
         exec.checkpoint().unwrap();
         let stats = exec.stats();
-        assert_eq!(stats.late_diverted, 1);
+        assert_eq!(stats.late_dropped, 1);
         assert!(stats.events_per_shard[0] > stats.events_per_shard[1]);
-        assert!(stats.pushed - stats.late_diverted > stats.released);
+        assert!(stats.pushed - stats.late_dropped > stats.released);
         assert!(stats.queries.iter().all(|q| q.pending_rows > 0));
         drop(exec); // crash
         let epoch = Manifest::load(&dir).unwrap().expect("manifest").epoch;
@@ -274,8 +274,9 @@ mod executor_snapshot {
     #[test]
     fn decode_then_encode_reproduces_the_blob() {
         let (dir, reg, q0, epoch, first) = checkpointed("reencode");
-        assert_eq!(first[0], 8, "snapshot format version");
+        assert_eq!(first[0], 9, "snapshot format version");
         let mut exec = StreamExecutor::<u64>::recover(q0, reg, config(&dir)).unwrap();
+        assert_eq!(exec.stats().late_dropped, 1);
         exec.checkpoint().unwrap();
         drop(exec);
         let second = SnapshotStore::open(&dir).unwrap().read(epoch + 1).unwrap();
@@ -311,9 +312,9 @@ mod executor_snapshot {
     /// The previous format is refused by its version byte, whatever
     /// follows it.
     #[test]
-    fn a_v7_blob_is_refused_by_version() {
-        let (dir, reg, q0, epoch, mut blob) = checkpointed("v7");
-        blob[0] = 7;
+    fn a_v8_blob_is_refused_by_version() {
+        let (dir, reg, q0, epoch, mut blob) = checkpointed("v8");
+        blob[0] = 8;
         SnapshotStore::open(&dir)
             .unwrap()
             .write(epoch, &blob)
@@ -322,7 +323,7 @@ mod executor_snapshot {
             .err()
             .unwrap();
         assert!(
-            err.to_string().contains("unsupported snapshot version 7"),
+            err.to_string().contains("unsupported snapshot version 8"),
             "{err}"
         );
         let _ = std::fs::remove_dir_all(&dir);

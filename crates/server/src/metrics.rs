@@ -2,8 +2,10 @@
 //!
 //! Output follows the exposition format: one `# HELP` + `# TYPE` pair
 //! per metric name, then the series. Every [`ExecutorStats`] counter is
-//! exported; per-query counters carry a `query` label, per-shard vectors
-//! a `shard` label, and every session series a `session` label.
+//! exported but one: `engine`, which only `finish` fills in and a serving
+//! session never calls. Per-query counters carry a `query` label,
+//! per-shard vectors a `shard` label, and every session series a
+//! `session` label.
 
 use greta_core::ExecutorStats;
 use std::fmt::Write as _;
@@ -165,12 +167,6 @@ pub(crate) fn render(server: &ServerMetrics, sessions: &[SessionMetrics<'_>]) ->
             "counter",
             "Late events dropped under LatePolicy::Drop.",
             |s| s.late_dropped as f64,
-        ),
-        (
-            "greta_events_late_diverted_total",
-            "counter",
-            "Late events diverted under LatePolicy::Divert.",
-            |s| s.late_diverted as f64,
         ),
         (
             "greta_broadcast_events_total",

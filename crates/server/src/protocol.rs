@@ -88,9 +88,9 @@ pub const MAX_BATCH_SIZE: u32 = 1 << 16;
 /// The wire default emission mode is [`EmissionMode::WindowOrdered`]:
 /// a remote subscriber sees rows in the canonical `(window, group)`
 /// order without trusting shard interleaving. The options come from the
-/// network: a `Submit` whose options ask for more than the caps below, or
-/// for [`LatePolicy::Divert`], is refused with an `Error` frame before
-/// anything is allocated or started.
+/// network: a `Submit` whose options ask for more than the caps below is
+/// refused with an `Error` frame before anything is allocated or started,
+/// and one whose late-policy tag is unknown does not decode.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionOptions {
     /// Shard (worker thread) count; `0` is normalised to 1, above
@@ -98,8 +98,7 @@ pub struct SessionOptions {
     pub shards: u32,
     /// Reorder-buffer slack in time units.
     pub slack: u64,
-    /// Policy for events older than the watermark. [`LatePolicy::Divert`]
-    /// is refused: no request drains diverted events.
+    /// Policy for events older than the watermark.
     pub late_policy: LatePolicy,
     /// Result emission mode.
     pub emission: EmissionMode,
@@ -723,7 +722,7 @@ mod tests {
             options: SessionOptions {
                 shards: 4,
                 slack: 16,
-                late_policy: LatePolicy::Divert,
+                late_policy: LatePolicy::Error,
                 emission: EmissionMode::Unordered,
                 durability_dir: Some("/tmp/x".into()),
                 recover: true,

@@ -28,7 +28,7 @@
 use crate::protocol::{IngestAck, SessionOptions, MAX_BATCH_SIZE, MAX_SHARDS};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use greta_core::{
-    EmissionMode, ExecutorConfig, ExecutorStats, LatePolicy, QueryId, StreamExecutor, WindowResult,
+    EmissionMode, ExecutorConfig, ExecutorStats, QueryId, StreamExecutor, WindowResult,
 };
 use greta_durability::DurabilityConfig;
 use greta_query::compile::CompiledQuery;
@@ -173,8 +173,7 @@ impl Published {
 }
 
 /// Build the [`ExecutorConfig`] a [`SessionOptions`] describes, refusing
-/// options that would have it allocate or start more than the caps allow,
-/// or keep what no request can drain.
+/// options that would have it allocate or start more than the caps allow.
 pub(crate) fn executor_config(opts: &SessionOptions) -> Result<ExecutorConfig, String> {
     let (shards, batch) = (opts.shards, opts.batch_size);
     if shards > MAX_SHARDS {
@@ -184,9 +183,6 @@ pub(crate) fn executor_config(opts: &SessionOptions) -> Result<ExecutorConfig, S
         return Err(format!(
             "batch_size {batch} exceeds the cap of {MAX_BATCH_SIZE}"
         ));
-    }
-    if opts.late_policy == LatePolicy::Divert {
-        return Err("late_policy Divert is not served: no request drains diverted events".into());
     }
     Ok(ExecutorConfig {
         shards: (opts.shards.max(1)) as usize,

@@ -3,8 +3,10 @@
 //! Queries compare attributes with arithmetic and relational operators
 //! (paper Fig. 2), so values expose total numeric coercion ([`Value::as_f64`])
 //! plus exact equality for partitioning (equivalence predicates and
-//! `GROUP-BY` hash on [`Value`] directly).
+//! `GROUP-BY` hash on [`Value`] directly). Equality, order and hash never
+//! round an `Int`: 2^53 and 2^53 + 1 are two keys.
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -14,8 +16,9 @@ use std::sync::Arc;
 pub enum Value {
     /// 64-bit signed integer (ids, volumes, positions).
     Int(i64),
-    /// 64-bit float (prices, speeds, loads). NaN is normalized away by
-    /// constructors in this crate; comparisons treat NaN as smallest.
+    /// 64-bit float (prices, speeds, loads). In comparisons a NaN sorts
+    /// by its sign bit, as [`f64::total_cmp`] places it: a positive NaN
+    /// above every number, a negative one below.
     Float(f64),
     /// Interned string (company names, sectors).
     Str(Arc<str>),
@@ -61,18 +64,16 @@ impl Value {
         }
     }
 
-    /// Total order used by predicate evaluation: numerics compare by value
-    /// (Int/Float/Bool interoperate), strings compare lexicographically,
+    /// Total order used by predicate evaluation and keys: numerics compare
+    /// by exact value (Int/Float/Bool interoperate, `Bool` as 0 or 1, −0.0
+    /// as 0.0, no `Int` rounded), strings compare lexicographically,
     /// numerics sort before strings.
-    pub fn total_cmp(&self, other: &Value) -> std::cmp::Ordering {
-        use std::cmp::Ordering;
-        match (self.as_f64_opt(), other.as_f64_opt()) {
-            (Some(a), Some(b)) => {
-                // Normalize -0.0 so it equals 0.0 (consistent with `Hash`).
-                let a = if a == 0.0 { 0.0 } else { a };
-                let b = if b == 0.0 { 0.0 } else { b };
-                a.total_cmp(&b)
-            }
+    pub fn total_cmp(&self, other: &Value) -> Ordering {
+        match (self.num(), other.num()) {
+            (Some(Num::Int(a)), Some(Num::Int(b))) => a.cmp(&b),
+            (Some(Num::Int(a)), Some(Num::Float(b))) => int_cmp_float(a, b),
+            (Some(Num::Float(a)), Some(Num::Int(b))) => int_cmp_float(b, a).reverse(),
+            (Some(Num::Float(a)), Some(Num::Float(b))) => a.total_cmp(&b),
             (Some(_), None) => Ordering::Less,
             (None, Some(_)) => Ordering::Greater,
             (None, None) => self
@@ -81,6 +82,50 @@ impl Value {
                 .cmp(other.as_str().unwrap_or("")),
         }
     }
+
+    /// The numeric view `total_cmp` and `Hash` share: integers and flags
+    /// exact, floats with −0.0 made 0.0; `None` for strings.
+    #[inline]
+    fn num(&self) -> Option<Num> {
+        match self {
+            Value::Int(i) => Some(Num::Int(*i)),
+            Value::Bool(b) => Some(Num::Int(*b as i64)),
+            Value::Float(f) => Some(Num::Float(if *f == 0.0 { 0.0 } else { *f })),
+            Value::Str(_) => None,
+        }
+    }
+}
+
+/// A numeric [`Value`] as it is compared and hashed.
+#[derive(Clone, Copy)]
+enum Num {
+    Int(i64),
+    Float(f64),
+}
+
+/// 2^63, the first float past `i64::MAX`.
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// Order of `i` against `f`, exactly. Rounding to `f64` is monotone, so
+/// `i as f64` orders against `f` as `i` does unless it lands on `f`. Then
+/// `f` is a whole number: compare as integers below 2^63, and at 2^63
+/// (where `i64::MAX` rounds to) `f` is the larger.
+#[inline]
+fn int_cmp_float(i: i64, f: f64) -> Ordering {
+    match (i as f64).total_cmp(&f) {
+        Ordering::Equal if f < TWO_POW_63 => i.cmp(&(f as i64)),
+        Ordering::Equal => Ordering::Less,
+        unequal => unequal,
+    }
+}
+
+/// Whether `i` is exactly a `f64`. The rounded float is below 2^63 unless
+/// `i` rounds up to it, which `i64::MAX as f64 as i64` would hide by
+/// saturating back to `i64::MAX`.
+#[inline]
+fn exact_as_f64(i: i64) -> bool {
+    let f = i as f64;
+    f < TWO_POW_63 && f as i64 == i
 }
 
 impl PartialEq for Value {
@@ -92,13 +137,21 @@ impl Eq for Value {}
 
 impl Hash for Value {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        // Must agree with `eq`: 2i64 == 2.0f64, so hash numerics via bits of
-        // the canonical f64.
-        match self.as_f64_opt() {
-            Some(f) => {
+        // Must agree with `eq`: 2i64 == 2.0f64, so a number that is exactly
+        // a float hashes as that float's bits (−0.0 already made 0.0). An
+        // integer that is not equals no float, so it hashes as itself under
+        // its own tag.
+        match self.num() {
+            Some(Num::Int(i)) if !exact_as_f64(i) => {
+                state.write_u8(2);
+                state.write_i64(i);
+            }
+            Some(Num::Int(i)) => {
                 state.write_u8(0);
-                // Normalize -0.0 to 0.0 so equal values hash equally.
-                let f = if f == 0.0 { 0.0 } else { f };
+                state.write_u64((i as f64).to_bits());
+            }
+            Some(Num::Float(f)) => {
+                state.write_u8(0);
                 state.write_u64(f.to_bits());
             }
             None => {
@@ -167,6 +220,39 @@ mod tests {
         assert_eq!(Value::Int(2), Value::Float(2.0));
         assert_eq!(hash_of(&Value::Int(2)), hash_of(&Value::Float(2.0)));
         assert_ne!(Value::Int(2), Value::Float(2.5));
+    }
+
+    #[test]
+    fn integers_past_2_pow_53_stay_apart() {
+        let p = 1i64 << 53;
+        assert_ne!(Value::Int(p), Value::Int(p + 1));
+        assert_eq!(
+            Value::Int(p + 1).total_cmp(&Value::Int(p)),
+            Ordering::Greater
+        );
+        assert_ne!(hash_of(&Value::Int(p)), hash_of(&Value::Int(p + 1)));
+        // 2^53 + 1 rounds to 2^53 as a float, but is not equal to it.
+        assert_eq!(Value::Int(p), Value::Float(p as f64));
+        assert_eq!(hash_of(&Value::Int(p)), hash_of(&Value::Float(p as f64)));
+        assert_eq!(
+            Value::Int(p + 1).total_cmp(&Value::Float(p as f64)),
+            Ordering::Greater
+        );
+        assert_eq!(
+            Value::Int(p - 1).total_cmp(&Value::Float(p as f64)),
+            Ordering::Less
+        );
+        // i64::MAX rounds to 2^63, which is past it.
+        let top = Value::Float(TWO_POW_63);
+        assert_eq!(Value::Int(i64::MAX).total_cmp(&top), Ordering::Less);
+        assert!(!exact_as_f64(i64::MAX));
+        assert!(exact_as_f64(i64::MIN));
+        assert_eq!(Value::Int(i64::MIN), Value::Float(-TWO_POW_63));
+        // A NaN keeps its place by sign: a positive one above every number.
+        let nan = Value::Float(f64::NAN);
+        assert_eq!(Value::Int(i64::MAX).total_cmp(&nan), Ordering::Less);
+        let neg_nan = Value::Float(-f64::NAN);
+        assert_eq!(Value::Int(i64::MIN).total_cmp(&neg_nan), Ordering::Greater);
     }
 
     #[test]

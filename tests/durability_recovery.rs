@@ -315,21 +315,21 @@ fn recover_refuses_mismatched_slack_or_late_policy() {
     };
     {
         let mut exec =
-            StreamExecutor::<u64>::new(q.clone(), reg.clone(), config(3, LatePolicy::Divert))
+            StreamExecutor::<u64>::new(q.clone(), reg.clone(), config(3, LatePolicy::Error))
                 .unwrap();
         for e in &events[..150] {
             exec.push(e.clone()).unwrap();
         }
         exec.checkpoint().unwrap();
     }
-    for bad in [config(0, LatePolicy::Divert), config(3, LatePolicy::Drop)] {
+    for bad in [config(0, LatePolicy::Error), config(3, LatePolicy::Drop)] {
         let err = StreamExecutor::<u64>::recover(q.clone(), reg.clone(), bad)
             .err()
             .expect("recover must refuse result-shaping config changes");
         assert!(matches!(err, EngineError::Config(_)), "{err}");
     }
     // The matching config still works.
-    let mut exec = StreamExecutor::<u64>::recover(q, reg, config(3, LatePolicy::Divert)).unwrap();
+    let mut exec = StreamExecutor::<u64>::recover(q, reg, config(3, LatePolicy::Error)).unwrap();
     exec.finish().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -346,25 +346,27 @@ fn checkpoint_requires_durability() {
 }
 
 #[test]
-fn recovery_preserves_reorder_slack_state_and_diverted() {
+fn recovery_preserves_reorder_slack_state_and_late_drops() {
     // Out-of-order events pending in the reorder buffer at checkpoint
     // time survive the crash via the snapshot (they are *before* the
-    // manifest's WAL cut).
+    // manifest's WAL cut). So does the late-drop counter: tick 0 comes
+    // after tick 2 was released and is dropped before the checkpoint,
+    // tick 2 after tick 8 was and is dropped after it.
     let (reg, q, ev) = tick_q(20);
-    let times: Vec<u64> = vec![2, 1, 4, 3, 6, 5, 8, 7, 30, 29, 31, 28, 50];
-    let dir = tmpdir("reorder-divert");
-    let config = || ExecutorConfig {
+    let times: Vec<u64> = vec![2, 1, 4, 3, 6, 5, 0, 8, 7, 30, 29, 31, 28, 2, 50];
+    let dir = tmpdir("reorder-late");
+    let config = |late_policy| ExecutorConfig {
         slack: 3,
-        late_policy: LatePolicy::Divert,
+        late_policy,
         ..durable(&dir, 1, u64::MAX)
     };
-    // Oracle without durability.
+    // Oracle: the uninterrupted run, without durability.
     let mut oracle = StreamExecutor::<u64>::new(
         q.clone(),
         reg.clone(),
         ExecutorConfig {
             durability: None,
-            ..config()
+            ..config(LatePolicy::Drop)
         },
     )
     .unwrap();
@@ -372,25 +374,37 @@ fn recovery_preserves_reorder_slack_state_and_diverted() {
         oracle.push(ev(t)).unwrap();
     }
     let expect = sorted(oracle.finish().unwrap());
-    let n_div_expect = oracle.take_diverted().len();
+    assert_eq!(oracle.stats().late_dropped, 2);
 
     let mut committed = Vec::new();
     {
-        let mut exec = StreamExecutor::<u64>::new(q.clone(), reg.clone(), config()).unwrap();
+        let mut exec =
+            StreamExecutor::<u64>::new(q.clone(), reg.clone(), config(LatePolicy::Drop)).unwrap();
         for &t in &times[..7] {
             exec.push(ev(t)).unwrap();
             committed.extend(exec.poll_results());
         }
+        assert_eq!(exec.stats().late_dropped, 1);
         exec.checkpoint().unwrap();
     } // crash
-    let mut exec = StreamExecutor::<u64>::recover(q, reg, config()).unwrap();
+    let err = StreamExecutor::<u64>::recover(q.clone(), reg.clone(), config(LatePolicy::Error))
+        .err()
+        .expect("recover must refuse a late-policy change");
+    assert!(
+        matches!(&err, EngineError::Config(m) if m.contains("late-policy mismatch")),
+        "{err}"
+    );
+    let mut exec = StreamExecutor::<u64>::recover(q, reg, config(LatePolicy::Drop)).unwrap();
+    // The checkpoint covers every WAL record, so this count is the
+    // snapshot's.
+    assert_eq!(exec.stats().late_dropped, 1);
     for &t in &times[7..] {
         exec.push(ev(t)).unwrap();
         committed.extend(exec.poll_results());
     }
     committed.extend(exec.finish().unwrap());
     assert_eq!(sorted(committed), expect);
-    assert_eq!(exec.take_diverted().len(), n_div_expect);
+    assert_eq!(exec.stats().late_dropped, 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -739,7 +753,8 @@ fn snapshot_corruption_is_a_clean_recovery_error() {
 
 #[test]
 fn snapshot_of_an_older_format_version_is_refused_not_misread() {
-    // A checksum-valid blob whose executor-format version byte says 7
+    // A checksum-valid blob whose executor-format version byte says 8
+    // (the layout whose ingest section held a per-window late ledger), 7
     // (the layout that still carried the routing table and skew
     // sketches), 6 (before the blob was regrouped by plane) or 5 (before
     // every query became the same section): recovery must name the
@@ -757,7 +772,7 @@ fn snapshot_of_an_older_format_version_is_refused_not_misread() {
     let epoch = Manifest::load(&dir).unwrap().expect("manifest").epoch;
     let store = SnapshotStore::open(&dir).unwrap();
     let mut blob = store.read(epoch).unwrap();
-    for old in [7u8, 6, 5] {
+    for old in [8u8, 7, 6, 5] {
         blob[0] = old;
         store.write(epoch, &blob).unwrap();
         let err = StreamExecutor::<u64>::recover(q.clone(), reg.clone(), durable(&dir, 2, 2))

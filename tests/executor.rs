@@ -212,47 +212,29 @@ fn late_event_policy_drop_counts_and_excludes() {
             .unwrap();
     }
     let rows = exec.finish().unwrap();
-    // t=2 arrives after the slack released the watermark past it: dropped,
-    // and counted against the window it would have fallen in.
+    // t=2 arrives after the slack released the watermark past it: dropped
+    // and counted.
     assert_eq!(exec.stats().late_dropped, 1);
-    assert_eq!(
-        exec.stats().late_by_window,
-        vec![greta::core::executor::WindowLateCounts {
-            window: 0,
-            dropped: 1,
-            diverted: 0
-        }]
-    );
     // Remaining in-order events: 4 5 6 20 21 → 2^5 - 1 trends... but only
     // the 5 surviving events count: 31.
     assert_eq!(rows[0].values[0].to_f64(), 31.0);
 }
 
 #[test]
-fn late_event_policy_divert_hands_events_back() {
-    let (reg, q) = tick_setup();
-    let tid = reg.type_id("A").unwrap();
-    let mut exec = StreamExecutor::<f64>::new(
-        q,
-        reg,
-        ExecutorConfig {
-            slack: 1,
-            late_policy: LatePolicy::Divert,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    for t in [10u64, 12, 3, 14, 4] {
-        exec.push(Event::new_unchecked(tid, Time(t), vec![]))
-            .unwrap();
+fn late_policy_tag_1_is_a_codec_error() {
+    // Two policies, tags 0 and 2; tag 1 names none and is refused like
+    // any unknown tag, in a snapshot's ingest section and on the wire.
+    for p in [LatePolicy::Drop, LatePolicy::Error] {
+        assert_eq!(LatePolicy::from_tag(p.tag()), Ok(p));
     }
-    exec.finish().unwrap();
-    let diverted = exec.take_diverted();
-    assert_eq!(exec.stats().late_diverted, 2);
-    assert_eq!(exec.stats().late_by_window[0].diverted, 2);
-    let times: Vec<u64> = diverted.iter().map(|e| e.time.ticks()).collect();
-    assert_eq!(times, vec![3, 4]);
-    assert!(exec.take_diverted().is_empty()); // drained
+    assert_eq!((LatePolicy::Drop.tag(), LatePolicy::Error.tag()), (0, 2));
+    for tag in [1, 3, u8::MAX] {
+        let err = LatePolicy::from_tag(tag).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("codec error: bad LatePolicy tag {tag}")
+        );
+    }
 }
 
 #[test]
@@ -293,9 +275,8 @@ fn late_event_policy_error_fails_the_push() {
     let rows = exec.finish().unwrap();
     assert_eq!(rows[0].values[0].to_f64(), 7.0); // {10,12,13} → 2^3 - 1
 
-    // A rejected event was neither dropped nor diverted: the late ledger
-    // has no row for it.
-    assert_eq!(exec.stats().late_by_window, []);
+    // A rejected event is not counted as dropped.
+    assert_eq!(exec.stats().late_dropped, 0);
 }
 
 #[test]
@@ -321,7 +302,7 @@ fn slack_repairs_disorder_to_match_the_sorted_run() {
             ..Default::default()
         },
     );
-    assert_eq!(stats.late_dropped + stats.late_diverted, 0);
+    assert_eq!(stats.late_dropped, 0);
     assert_eq!(stats.released, events.len() as u64);
     assert_eq!(rows, expect);
 }

@@ -10,7 +10,9 @@ use greta::core::window::last_closed;
 use greta::core::{EmissionMode, ExecutorConfig, LatePolicy, StreamExecutor, WindowResult};
 use greta::durability::DurabilityConfig;
 use greta::query::CompiledQuery;
-use greta::server::protocol::{MAX_BATCH_SIZE, MAX_SHARDS};
+use greta::server::protocol::{
+    read_response, write_preamble, Request, Response, MAX_BATCH_SIZE, MAX_SHARDS,
+};
 use greta::server::{Client, GretaServer, SessionOptions};
 use greta::types::{Event, SchemaRegistry, Time, TypeId, Value};
 use greta::workloads::{ClusterConfig, ClusterGen, StockConfig, StockGen};
@@ -852,10 +854,9 @@ fn subscribe_queued_behind_drain_gets_end_of_stream() {
 }
 
 /// Options a `Submit` carries come from the network. Each that would have
-/// the session allocate or start more than its cap, or keep what no
-/// request drains, is refused with an `Error` before any executor exists:
-/// no session starts and the connection keeps serving. The values are one
-/// past each cap.
+/// the session allocate or start more than its cap is refused with an
+/// `Error` before any executor exists: no session starts and the
+/// connection keeps serving. The values are one past each cap.
 #[test]
 fn session_options_past_their_caps_are_refused_at_submit() {
     let (reg, _) = stock(10);
@@ -877,19 +878,64 @@ fn session_options_past_their_caps_are_refused_at_submit() {
                 ..options()
             },
         ),
-        (
-            "Divert",
-            SessionOptions {
-                late_policy: LatePolicy::Divert,
-                ..options()
-            },
-        ),
     ];
     for (what, options) in refused {
         let err = client.submit(Q1, &reg, options).unwrap_err().to_string();
         assert!(err.contains(what), "{what}: {err}");
     }
     let stats = client.stats().unwrap();
+    assert!(stats.contains("\ngreta_server_sessions 0\n"), "{stats}");
+    server.shutdown().unwrap();
+}
+
+/// Late-policy tag 1 names no policy. A `Submit` carrying it does not
+/// decode, so it is answered like any malformed frame: one `Error` frame,
+/// a protocol error counted, the connection closed, and no session (nor
+/// any shard thread) started.
+#[test]
+fn a_submit_with_late_policy_tag_1_is_a_decode_error() {
+    let (reg, _) = stock(10);
+    let server = GretaServer::bind("127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    let submit = |late_policy| {
+        let mut payload = Vec::new();
+        Request::Submit {
+            query: Q1.into(),
+            registry: reg.clone(),
+            options: SessionOptions {
+                late_policy,
+                ..SessionOptions::default()
+            },
+            attach_to: None,
+        }
+        .encode(&mut payload);
+        payload
+    };
+    // The policy's byte is the one where Drop's and Error's frames differ.
+    let (mut payload, error) = (submit(LatePolicy::Drop), submit(LatePolicy::Error));
+    let at: Vec<usize> = (0..payload.len())
+        .filter(|&i| payload[i] != error[i])
+        .collect();
+    assert_eq!(at.len(), 1, "{at:?}");
+    payload[at[0]] = 1;
+
+    let mut s = TcpStream::connect(addr).unwrap();
+    write_preamble(&mut s).unwrap();
+    s.write_all(&(payload.len() as u32).to_le_bytes()).unwrap();
+    s.write_all(&payload).unwrap();
+    s.flush().unwrap();
+    match read_response(&mut s).unwrap() {
+        Response::Error { msg } => assert!(msg.contains("bad LatePolicy tag 1"), "{msg}"),
+        other => panic!("expected an Error frame, got {other:?}"),
+    }
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    assert_eq!(s.read(&mut [0u8; 1]).unwrap(), 0, "the connection closes");
+
+    let stats = Client::connect(addr).unwrap().stats().unwrap();
+    assert!(
+        stats.contains("\ngreta_server_protocol_errors_total 1\n"),
+        "{stats}"
+    );
     assert!(stats.contains("\ngreta_server_sessions 0\n"), "{stats}");
     server.shutdown().unwrap();
 }
