@@ -36,7 +36,7 @@ pub enum EngineError {
     },
     /// A shard worker terminated abnormally.
     Worker(String),
-    /// Durability failure: WAL/snapshot/manifest I-O or corruption, or an
+    /// Durability failure: WAL I-O, corruption or an unreadable layout, or an
     /// undecodable state blob.
     Durability(String),
 }

@@ -74,10 +74,11 @@
 //!   checkpoints — each shard serializes every engine it hosts
 //!   ([`GretaEngine::export_state`]), the ingest side serializes the
 //!   reorder buffer and counters, every hosted query adds one identical
-//!   section, the blob goes to the snapshot store, the manifest advances,
-//!   and obsolete WAL segments are deleted. [`StreamExecutor::recover`]
-//!   restores the latest checkpoint — every hosted query, byte-identically — and
-//!   replays the WAL tail: the recovered executor emits exactly the rows
+//!   section, the blob is appended to the same log as a checkpoint record,
+//!   and WAL segments wholly before that record are deleted.
+//!   [`StreamExecutor::recover`] restores the last checkpoint record —
+//!   every hosted query, byte-identically — and replays the records after
+//!   it: the recovered executor emits exactly the rows
 //!   an uninterrupted run would have emitted after that checkpoint (rows
 //!   already emitted for earlier windows are not repeated; rows emitted
 //!   between the checkpoint and the crash are re-emitted — results are
@@ -196,8 +197,8 @@ impl<N: TrendNum> StreamExecutor<N> {
     /// under `config`.
     ///
     /// With [`ExecutorConfig::durability`] set, the directory must be
-    /// fresh: reusing a directory that already holds a manifest or WAL
-    /// records is refused so that state from a previous run is never
+    /// fresh: reusing a directory that already holds WAL records is
+    /// refused so that state from a previous run is never
     /// silently overwritten — use [`recover`](Self::recover) (or point at
     /// a new directory) instead.
     pub fn new(
@@ -702,7 +703,7 @@ impl<N: TrendNum> StreamExecutor<N> {
     }
 
     /// Number of records appended to the WAL so far (events plus
-    /// register/deregister records). Appended is not yet durable under
+    /// register, deregister and checkpoint records). Appended is not yet durable under
     /// [`greta_durability::FsyncPolicy`]s that buffer between syncs — use
     /// [`sync_wal`](Self::sync_wal) for the watermark an ingest
     /// acknowledgement can carry. `None` without durability.
@@ -721,9 +722,9 @@ impl<N: TrendNum> StreamExecutor<N> {
     }
 
     /// Force a checkpoint now (durability must be configured): flush all
-    /// frames, barrier-snapshot every hosted engine, persist the blob
-    /// (query registry included), advance the manifest, and drop WAL
-    /// segments and snapshots it made obsolete.
+    /// frames, barrier-snapshot every hosted engine, append the blob
+    /// (query registry included) to the WAL as a checkpoint record, fsync
+    /// once, and drop the WAL segments it made obsolete.
     ///
     /// Output-commit contract: rows already polled before the checkpoint
     /// are *not* in the snapshot and will never be re-emitted; rows not

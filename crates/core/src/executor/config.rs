@@ -211,6 +211,15 @@ pub struct ExecutorStats {
     pub frames: u64,
     /// Durability checkpoints completed.
     pub checkpoints: u64,
+    /// fsyncs the WAL issued since this executor opened it (segments and
+    /// directory; 0 without durability).
+    pub wal_syncs: u64,
+    /// Bytes appended to the WAL since this executor opened it, frame
+    /// headers and checkpoint records included.
+    pub wal_bytes: u64,
+    /// Payload size of the latest checkpoint record in the WAL, appended or
+    /// recovered from (0 before the first).
+    pub checkpoint_bytes: u64,
     /// Version of the query registry: bumped by every successful
     /// [`register_query`](StreamExecutor::register_query) /
     /// [`deregister_query`](StreamExecutor::deregister_query) barrier.

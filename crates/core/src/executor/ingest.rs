@@ -1,11 +1,11 @@
 //! Plane 1 — ingest, paid once per event however many queries consume it:
-//! the write-ahead log (and the snapshot store it is truncated against),
-//! the reorder buffer, and the late-event policy with its counter.
+//! the write-ahead log (which holds the checkpoints too), the reorder
+//! buffer, and the late-event policy with its counter.
 
 use super::{Cadence, EmissionMode, ExecutorConfig, ExecutorStats, LatePolicy};
 use crate::reorder::ReorderBuffer;
 use crate::EngineError;
-use greta_durability::{DurabilityConfig, Manifest, SnapshotStore, TailPolicy, Wal};
+use greta_durability::{DurabilityConfig, DurabilityError, Wal};
 use greta_types::codec::{put_str, put_u32, put_u64, Reader};
 use greta_types::{CodecError, Event, EventRef, Time};
 
@@ -16,10 +16,13 @@ const WAL_EVENT: u8 = 0;
 const WAL_REGISTER: u8 = 1;
 /// `[tag, u32 query id]`.
 const WAL_DEREGISTER: u8 = 2;
+/// `[tag, snapshot blob]`: the executor's state as of this record's
+/// position in the log (see `snapshot.rs`).
+const WAL_CHECKPOINT: u8 = 3;
 
-/// One WAL record, over however it holds an event (`E`) and a query's
-/// text (`S`).
-pub(super) enum TailRecord<E, S> {
+/// One WAL record, over however it holds an event (`E`), a query's text
+/// (`S`) and a checkpoint blob (`B`).
+pub(super) enum TailRecord<E, S, B> {
     Event(E),
     Register {
         id: u32,
@@ -27,12 +30,13 @@ pub(super) enum TailRecord<E, S> {
         text: S,
     },
     Deregister(u32),
+    Checkpoint(B),
 }
 
 /// A decoded record owns its payload.
-pub(super) type TailRec = TailRecord<EventRef, String>;
+pub(super) type TailRec = TailRecord<EventRef, String, Vec<u8>>;
 /// WAL appends encode from live references.
-pub(super) type TailRecRef<'a> = TailRecord<&'a Event, &'a str>;
+pub(super) type TailRecRef<'a> = TailRecord<&'a Event, &'a str, &'a [u8]>;
 
 /// Encode one WAL record into `buf` (cleared first). Symmetric with
 /// [`decode_tail_record`]: same tag dispatch, same field order.
@@ -53,6 +57,10 @@ fn encode_tail_record(buf: &mut Vec<u8>, rec: TailRecRef<'_>) {
             buf.push(WAL_DEREGISTER);
             put_u32(buf, id);
         }
+        TailRecRef::Checkpoint(blob) => {
+            buf.push(WAL_CHECKPOINT);
+            buf.extend_from_slice(blob);
+        }
     }
 }
 
@@ -67,35 +75,31 @@ fn decode_tail_record(payload: &[u8]) -> Result<TailRec, CodecError> {
             Ok(TailRec::Register { id, emission, text })
         }
         WAL_DEREGISTER => Ok(TailRec::Deregister(r.u32()?)),
+        // The blob is the rest of the record: its own decoder checks it.
+        WAL_CHECKPOINT => Ok(TailRec::Checkpoint(payload[1..].to_vec())),
         t => Err(CodecError(format!("bad WAL record tag {t}"))),
     }
 }
 
-/// The open durability directory: WAL + snapshot store + which snapshot
-/// is live.
+/// The open durability directory: one WAL, checkpoints included.
 pub(super) struct Log {
     config: DurabilityConfig,
     wal: Wal,
-    snapshots: SnapshotStore,
-    /// Epoch of the last written snapshot (0 = none yet).
-    epoch: u64,
+    /// Payload size of the latest checkpoint record, read or appended.
+    checkpoint_bytes: u64,
     /// Reused WAL-record encode buffer.
     record_buf: Vec<u8>,
 }
 
 impl Log {
-    /// Open the directory (repairing a torn WAL tail). Also returns the
-    /// manifest of the live checkpoint, `None` when there is none yet.
-    pub(super) fn open(dcfg: &DurabilityConfig) -> Result<(Self, Option<Manifest>), EngineError> {
-        let manifest = Manifest::load(&dcfg.dir)?;
-        let log = Log {
+    /// Open the directory (repairing a torn WAL tail).
+    pub(super) fn open(dcfg: &DurabilityConfig) -> Result<Self, EngineError> {
+        Ok(Log {
             config: dcfg.clone(),
             wal: Wal::open(&dcfg.dir, dcfg.segment_bytes, dcfg.fsync)?,
-            snapshots: SnapshotStore::open(&dcfg.dir)?,
-            epoch: manifest.as_ref().map_or(0, |m| m.epoch),
+            checkpoint_bytes: 0,
             record_buf: Vec::new(),
-        };
-        Ok((log, manifest))
+        })
     }
 
     /// No record was ever appended here.
@@ -103,21 +107,30 @@ impl Log {
         self.wal.next_index() == 0
     }
 
-    /// The blob of the live checkpoint `manifest` names.
-    pub(super) fn read_snapshot(&self, manifest: &Manifest) -> Result<Vec<u8>, EngineError> {
-        Ok(self.snapshots.read(manifest.epoch)?)
-    }
-
-    /// Decode every WAL record from index `from` on.
-    pub(super) fn read_tail(&self, from: u64) -> Result<Vec<TailRec>, EngineError> {
-        let mut tail = Vec::new();
-        Wal::replay(
-            &self.config.dir,
-            from,
-            TailPolicy::Tolerate,
-            |_, payload| tail.push(decode_tail_record(payload)),
-        )?;
-        Ok(tail.into_iter().collect::<Result<_, _>>()?)
+    /// One pass over the log: the blob of the last checkpoint record
+    /// (`None` before the first) and the records after it, decoded. A log
+    /// that no longer reaches back to record 0 must hold a checkpoint.
+    pub(super) fn read(&mut self) -> Result<(Option<Vec<u8>>, Vec<TailRec>), EngineError> {
+        let (mut oldest, mut checkpoint, mut tail) = (None, None, Vec::new());
+        let end = Wal::replay(&self.config.dir, |index, payload| {
+            oldest.get_or_insert(index);
+            match decode_tail_record(payload) {
+                Ok(TailRec::Checkpoint(blob)) => {
+                    checkpoint = Some(blob);
+                    tail.clear();
+                }
+                rec => tail.push(rec),
+            }
+        })?;
+        let oldest = oldest.unwrap_or(end);
+        if checkpoint.is_none() && oldest > 0 {
+            return Err(DurabilityError::NothingToRecover(format!(
+                "the WAL starts at record {oldest} and holds no checkpoint"
+            ))
+            .into());
+        }
+        self.checkpoint_bytes = checkpoint.as_ref().map_or(0, |b| 1 + b.len() as u64);
+        Ok((checkpoint, tail.into_iter().collect::<Result<_, _>>()?))
     }
 }
 
@@ -159,7 +172,8 @@ impl Ingest {
         self.log.is_some()
     }
 
-    /// Records appended to the WAL so far; `None` without a log.
+    /// Records appended to the WAL so far, checkpoint records included;
+    /// `None` without a log.
     pub(super) fn durable_index(&self) -> Option<u64> {
         self.log.as_ref().map(|l| l.wal.next_index())
     }
@@ -215,27 +229,17 @@ impl Ingest {
         self.reorder.watermark()
     }
 
-    /// Write and commit `blob` as the next checkpoint: fsync the WAL,
-    /// write the blob, advance the manifest, drop WAL segments and
-    /// snapshots it made obsolete. The manifest records the WAL's next
-    /// record index (events *and* registry records), so replay resumes
-    /// exactly past the records the snapshot covers.
-    pub(super) fn persist(&mut self, blob: &[u8], shards: usize) -> Result<(), EngineError> {
+    /// Append `blob` as the next checkpoint record and make it durable.
+    /// Its position in the log is where replay resumes, so segments wholly
+    /// before it are obsolete and go.
+    pub(super) fn persist(&mut self, blob: &[u8]) -> Result<(), EngineError> {
         let l = self.log.as_mut().expect("durability configured");
-        // Order matters: WAL records covered by the manifest must be
-        // durable before the manifest points past them.
+        let mut record = Vec::with_capacity(1 + blob.len());
+        encode_tail_record(&mut record, TailRecRef::Checkpoint(blob));
+        let index = l.wal.append(&record)?;
         l.wal.sync()?;
-        let wal_index = l.wal.next_index();
-        l.epoch += 1;
-        l.snapshots.write(l.epoch, blob)?;
-        Manifest {
-            epoch: l.epoch,
-            wal_index,
-            shards: shards as u32,
-        }
-        .store(&l.config.dir)?;
-        l.wal.truncate_segments_before(wal_index)?;
-        l.snapshots.purge_before(l.epoch)?;
+        l.wal.truncate_segments_before(index)?;
+        l.checkpoint_bytes = record.len() as u64;
         self.checkpoints += 1;
         Ok(())
     }
@@ -287,6 +291,11 @@ impl Ingest {
         s.pushed = self.pushed;
         s.checkpoints = self.checkpoints;
         s.late_dropped = self.late_dropped;
+        if let Some(l) = &self.log {
+            s.wal_syncs = l.wal.syncs();
+            s.wal_bytes = l.wal.bytes();
+            s.checkpoint_bytes = l.checkpoint_bytes;
+        }
     }
 }
 
@@ -297,7 +306,7 @@ mod tests {
 
     #[test]
     fn tail_records_round_trip() {
-        // One buffer for all three: encoding clears what is already there.
+        // One buffer for all four: encoding clears what is already there.
         let mut buf = Vec::new();
         let mut roundtrip = |rec: TailRecRef<'_>| {
             encode_tail_record(&mut buf, rec);
@@ -319,15 +328,18 @@ mod tests {
         ));
         let decoded = roundtrip(TailRecord::Deregister(5));
         assert!(matches!(decoded, TailRecord::Deregister(5)));
+        let blob = [9u8, 0, 1, 2];
+        let decoded = roundtrip(TailRecord::Checkpoint(&blob));
+        assert!(matches!(decoded, TailRecord::Checkpoint(b) if b == blob));
     }
 
     #[test]
     fn an_unknown_tail_record_tag_is_a_codec_error() {
         let mut buf = Vec::new();
         encode_tail_record(&mut buf, TailRecord::Deregister(5));
-        buf[0] = WAL_DEREGISTER + 1;
+        buf[0] = WAL_CHECKPOINT + 1;
         let err = decode_tail_record(&buf).map(|_| ()).unwrap_err();
-        let tag = WAL_DEREGISTER + 1;
+        let tag = WAL_CHECKPOINT + 1;
         assert_eq!(err, CodecError(format!("bad WAL record tag {tag}")));
     }
 }

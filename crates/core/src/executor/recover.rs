@@ -1,5 +1,5 @@
 //! Bring-up of a whole executor: fresh, or — crash recovery — from the
-//! latest checkpoint plus the WAL tail.
+//! last checkpoint record in the WAL plus the records after it.
 
 use super::ingest::{Ingest, Log, TailRec};
 use super::merge::{Merge, QueryParts};
@@ -41,7 +41,9 @@ impl<N: TrendNum> StreamExecutor<N> {
     /// windows are not repeated. If the process crashed before the first
     /// checkpoint, the whole WAL is replayed into fresh state. A torn
     /// final WAL frame (crash mid-append) is repaired; checksum corruption
-    /// anywhere is a clean [`EngineError::Durability`].
+    /// anywhere, a log that lost its head without a checkpoint to stand
+    /// in for it, and a directory of the retired snapshot-store layout are
+    /// clean [`EngineError::Durability`] errors.
     pub fn recover(
         query: CompiledQuery,
         registry: SchemaRegistry,
@@ -67,40 +69,38 @@ impl<N: TrendNum> StreamExecutor<N> {
         // a `GROUP-BY` there is nothing to partition by.
         let ungrouped = query.group_by.is_empty();
         let shards = if ungrouped { 1 } else { config.shards };
-        let (log, manifest) = match &config.durability {
+        let mut log = match &config.durability {
             None if recover => {
                 let why = "recover requires ExecutorConfig::durability";
                 return Err(EngineError::Config(why.into()));
             }
-            None => (None, None),
+            None => None,
             // Opening the log repairs a torn WAL tail before it is read.
             Some(dcfg) => {
-                let (log, manifest) = Log::open(dcfg)?;
-                if !recover && (manifest.is_some() || !log.is_empty()) {
+                let log = Log::open(dcfg)?;
+                if !recover && !log.is_empty() {
                     return Err(EngineError::Config(format!(
-                        "durability dir {} already contains a manifest or WAL records; \
+                        "durability dir {} already contains WAL records; \
                          use StreamExecutor::recover or a fresh directory",
                         dcfg.dir.display()
                     )));
                 }
-                (Some(log), manifest)
+                Some(log)
             }
         };
-        let (mut ingest, mut route, mut merge, queries) = match (&log, &manifest) {
-            (Some(log), Some(m)) => {
-                Self::decode_snapshot(&log.read_snapshot(m)?, m.shards as usize, &config, shards)?
-            }
+        let (checkpoint, tail) = match &mut log {
+            Some(log) if recover => log.read()?,
+            _ => (None, Vec::new()),
+        };
+        let (ingest, mut route, mut merge, queries) = match checkpoint {
+            Some(blob) => Self::decode_snapshot(&blob, &config, shards)?,
             // Nothing checkpointed (yet): empty planes around `query`.
-            _ => (
+            None => (
                 Ingest::new(&config),
                 Route::new(&config, shards),
                 Merge::new(),
                 vec![(QueryParts::fresh(0, None, config.emission), Vec::new())],
             ),
-        };
-        let tail = match &log {
-            Some(log) if recover => log.read_tail(manifest.map_or(0, |m| m.wal_index))?,
-            _ => Vec::new(),
         };
 
         let mut per_shard: Vec<_> = (0..shards).map(|_| Vec::new()).collect();
@@ -126,10 +126,7 @@ impl<N: TrendNum> StreamExecutor<N> {
                 .for_each(|(s, e)| s.push(e));
             merge.host(slot);
         }
-        if let Some(log) = log {
-            ingest.attach_log(log);
-        }
-        let worker = Worker::spawn(per_shard, &config, ingest.durable())?;
+        let worker = Worker::spawn(per_shard, &config, log.is_some())?;
         let mut exec = StreamExecutor {
             ingest,
             route,
@@ -138,9 +135,11 @@ impl<N: TrendNum> StreamExecutor<N> {
         };
 
         // Replay the WAL tail through the path a live event takes once it
-        // is logged: events flow through reorder + routing (taking the
-        // cadence barriers they make due), register / deregister records
-        // re-run their barriers at the original stream positions.
+        // is logged: events flow through reorder + routing, register /
+        // deregister records re-run their barriers at the original stream
+        // positions. The log is attached only afterwards: a checkpoint
+        // record's position in the log is its cut, so none may be appended
+        // behind records the state has not reached yet.
         for rec in tail {
             match rec {
                 // Under LatePolicy::Error the original push() surfaced the
@@ -161,7 +160,12 @@ impl<N: TrendNum> StreamExecutor<N> {
                 // post-checkpoint row, the caller re-reads them via
                 // poll_results_of.
                 TailRec::Deregister(id) => exec.apply_deregister(id)?,
+                // `Log::read` keeps only what follows the last one.
+                TailRec::Checkpoint(_) => {}
             }
+        }
+        if let Some(log) = log {
+            exec.ingest.attach_log(log);
         }
         Ok(exec)
     }

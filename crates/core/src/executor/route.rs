@@ -229,14 +229,12 @@ impl Route {
         }
     }
 
-    /// Inverse of [`encode`](Self::encode) for a checkpoint taken at
-    /// `saved_shards`, resumed at `shards`. A different count restarts
-    /// the per-shard picture from zero — the old attribution means
-    /// nothing there.
+    /// Inverse of [`encode`](Self::encode), resumed at `shards`. A
+    /// checkpoint taken at another count restarts the per-shard picture
+    /// from zero — the old attribution means nothing there.
     pub(super) fn decode(
         r: &mut Reader<'_>,
         config: &ExecutorConfig,
-        saved_shards: usize,
         shards: usize,
     ) -> Result<Self, CodecError> {
         let mut route = Route::new(config, shards);
@@ -245,15 +243,10 @@ impl Route {
         route.watermarks = r.u64()?;
         route.frames = r.u64()?;
         route.max_occupancy = r.u64()? as usize;
-        if r.seq_len(8)? != saved_shards {
-            return Err(CodecError(format!(
-                "route section does not count events for {saved_shards} shard(s)"
-            )));
-        }
-        let events_per_shard: Vec<u64> = (0..saved_shards)
+        let events_per_shard: Vec<u64> = (0..r.seq_len(8)?)
             .map(|_| r.u64())
             .collect::<Result<_, _>>()?;
-        if saved_shards == shards {
+        if events_per_shard.len() == shards {
             route.events_per_shard = events_per_shard;
         }
         Ok(route)

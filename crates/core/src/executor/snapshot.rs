@@ -1,6 +1,7 @@
-//! The executor snapshot blob: a version byte, then the four plane
-//! sections in plane order — ingest, route, worker, merge — each written
-//! and read back by the plane that owns the state. Format notes and the
+//! The executor snapshot blob, carried by a WAL checkpoint record: a
+//! version byte, then the four plane sections in plane order — ingest,
+//! route, worker, merge — each written and read back by the plane that
+//! owns the state. Format notes and the
 //! upgrade policy are in `ARCHITECTURE.md` ("On-disk formats and
 //! versioning").
 
@@ -45,16 +46,15 @@ impl<N: TrendNum> StreamExecutor<N> {
         terminal: bool,
     ) -> Result<(), EngineError> {
         let blob = self.encode_snapshot(per_shard, terminal);
-        self.ingest.persist(&blob, self.worker.shards)
+        self.ingest.persist(&blob)
     }
 
-    /// Inverse of [`encode_snapshot`](Self::encode_snapshot) for a blob
-    /// the manifest says was taken at `saved_shards`, to be resumed on
-    /// `shards`. Refuses a `config` whose result-shaping knobs differ from
-    /// the checkpointed run's.
+    /// Inverse of [`encode_snapshot`](Self::encode_snapshot), to be resumed
+    /// on `shards`; the blob's worker section says how many it was taken
+    /// at. Refuses a `config` whose result-shaping knobs differ from the
+    /// checkpointed run's.
     pub(super) fn decode_snapshot(
         bytes: &[u8],
-        saved_shards: usize,
         config: &ExecutorConfig,
         shards: usize,
     ) -> Result<Planes<N>, EngineError> {
@@ -64,8 +64,8 @@ impl<N: TrendNum> StreamExecutor<N> {
             return Err(CodecError(format!("unsupported snapshot version {version}")).into());
         }
         let ingest = Ingest::decode(r, config)?;
-        let route = Route::decode(r, config, saved_shards, shards)?;
-        Worker::<N>::decode(r, saved_shards)?;
+        let route = Route::decode(r, config, shards)?;
+        let saved_shards = Worker::<N>::decode(r)?;
         let (merge, queries) = Merge::decode(r, saved_shards)?;
         if !r.is_empty() {
             return Err(
@@ -168,12 +168,12 @@ mod tests {
         let mut out = Vec::new();
         match i {
             0 => Ingest::decode(r, &config())?.encode(&mut out),
-            1 => Route::decode(r, &config(), SHARDS, SHARDS)?.encode(&mut out),
+            1 => Route::decode(r, &config(), SHARDS)?.encode(&mut out),
             2 => {
                 // The rest of the plane is threads; its section is small
                 // enough to spell out.
-                Worker::<u64>::decode(r, SHARDS)?;
-                out.extend((SHARDS as u32).to_le_bytes());
+                let shards = Worker::<u64>::decode(r)?;
+                out.extend((shards as u32).to_le_bytes());
             }
             _ => {
                 // What bring-up does with the parts, minus the engines.

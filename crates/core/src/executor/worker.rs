@@ -253,16 +253,10 @@ impl<N: TrendNum> Worker<N> {
         put_u32(out, self.shards as u32);
     }
 
-    /// Inverse of [`encode`](Self::encode): checks the shard count
-    /// against the manifest's.
-    pub(super) fn decode(r: &mut Reader<'_>, expect_shards: usize) -> Result<(), CodecError> {
-        let shards = r.u32()? as usize;
-        if shards != expect_shards {
-            return Err(CodecError(format!(
-                "snapshot has {shards} shard state(s), manifest says {expect_shards}"
-            )));
-        }
-        Ok(())
+    /// Inverse of [`encode`](Self::encode): the shard count the
+    /// checkpoint was taken at.
+    pub(super) fn decode(r: &mut Reader<'_>) -> Result<usize, CodecError> {
+        Ok(r.u32()? as usize)
     }
 
     /// Fill in the counters this plane owns.

@@ -191,11 +191,12 @@ proptest! {
 
 // ---------------------------------------------------- executor snapshot (v9)
 //
-// A checkpoint is a version byte and the four plane sections. The planes
-// are private to `greta_core::executor`, so section by section (`encode` →
-// `decode` → `encode`, truncation at every prefix) they are checked beside
-// the code, in `executor/snapshot.rs`; here the same properties are held
-// for the whole blob through the public API: `recover` is the decoder,
+// A checkpoint is a WAL record (tag 3) whose blob is a version byte and
+// the four plane sections. The planes are private to
+// `greta_core::executor`, so section by section (`encode` → `decode` →
+// `encode`, truncation at every prefix) they are checked beside the code,
+// in `executor/snapshot.rs`; here the same properties are held for the
+// whole blob through the public API: `recover` is the decoder,
 // `checkpoint` the encoder.
 
 mod executor_snapshot {
@@ -203,7 +204,7 @@ mod executor_snapshot {
         EmissionMode, EngineError, ExecutorConfig, LatePolicy, PartitionKey, StreamExecutor,
         StreamRouting,
     };
-    use greta_durability::{DurabilityConfig, Manifest, SnapshotStore};
+    use greta_durability::{DurabilityConfig, FsyncPolicy, Wal};
     use greta_query::CompiledQuery;
     use greta_types::{Event, SchemaRegistry, Time, Value};
     use std::path::{Path, PathBuf};
@@ -229,7 +230,7 @@ mod executor_snapshot {
     /// checkpoint holds something — buffered reorder events, a dropped late
     /// event, per-shard counts skewed onto one shard, un-polled rows — then
     /// checkpoint and crash. Returns what `recover` needs and the blob.
-    fn checkpointed(name: &str) -> (PathBuf, SchemaRegistry, CompiledQuery, u64, Vec<u8>) {
+    fn checkpointed(name: &str) -> (PathBuf, SchemaRegistry, CompiledQuery, Vec<u8>) {
         let dir = std::env::temp_dir().join(format!("greta-codec-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut reg = SchemaRegistry::new();
@@ -263,9 +264,32 @@ mod executor_snapshot {
         assert!(stats.pushed - stats.late_dropped > stats.released);
         assert!(stats.queries.iter().all(|q| q.pending_rows > 0));
         drop(exec); // crash
-        let epoch = Manifest::load(&dir).unwrap().expect("manifest").epoch;
-        let blob = SnapshotStore::open(&dir).unwrap().read(epoch).unwrap();
-        (dir, reg, q0, epoch, blob)
+        let blob = last_checkpoint(&dir);
+        (dir, reg, q0, blob)
+    }
+
+    /// WAL record tag of a checkpoint: the blob follows it.
+    const CHECKPOINT: u8 = 3;
+
+    /// The blob of the last checkpoint record in the log at `dir`.
+    fn last_checkpoint(dir: &Path) -> Vec<u8> {
+        let mut last = None;
+        Wal::replay(dir, |_, rec| {
+            if rec[0] == CHECKPOINT {
+                last = Some(rec[1..].to_vec());
+            }
+        })
+        .unwrap();
+        last.expect("a checkpoint record")
+    }
+
+    /// Replace the log at `dir` by one holding only a checkpoint record
+    /// of `blob`, framed and checksummed afresh.
+    fn reframe(dir: &Path, blob: &[u8]) {
+        let _ = std::fs::remove_dir_all(dir);
+        let mut wal = Wal::open(dir, 4 << 20, FsyncPolicy::AtCheckpoint).unwrap();
+        wal.append(&[&[CHECKPOINT], blob].concat()).unwrap();
+        wal.sync().unwrap();
     }
 
     /// Decode the whole blob (`recover`), encode it again at once
@@ -273,13 +297,13 @@ mod executor_snapshot {
     /// the first, byte for byte.
     #[test]
     fn decode_then_encode_reproduces_the_blob() {
-        let (dir, reg, q0, epoch, first) = checkpointed("reencode");
+        let (dir, reg, q0, first) = checkpointed("reencode");
         assert_eq!(first[0], 9, "snapshot format version");
         let mut exec = StreamExecutor::<u64>::recover(q0, reg, config(&dir)).unwrap();
         assert_eq!(exec.stats().late_dropped, 1);
         exec.checkpoint().unwrap();
         drop(exec);
-        let second = SnapshotStore::open(&dir).unwrap().read(epoch + 1).unwrap();
+        let second = last_checkpoint(&dir);
         assert_eq!(second, first);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -287,23 +311,22 @@ mod executor_snapshot {
     /// A strict prefix of the blob — checksummed afresh, so only the
     /// executor's own decoder can object — is refused with a clean codec
     /// error: never a panic, never a half-restored executor. Each probe
-    /// costs two fsyncs, so this walks every prefix near both ends and
-    /// every 13th in between; `executor/snapshot.rs` walks them all,
-    /// section by section.
+    /// rewrites the log and fsyncs it, so this walks every prefix near
+    /// both ends and every 13th in between; `executor/snapshot.rs` walks
+    /// them all, section by section.
     #[test]
     fn truncation_is_a_clean_recovery_error() {
-        let (dir, reg, q0, epoch, blob) = checkpointed("truncate");
-        let store = SnapshotStore::open(&dir).unwrap();
+        let (dir, reg, q0, blob) = checkpointed("truncate");
         let probed = |cut: &usize| *cut < 64 || blob.len() - cut <= 64 || cut % 13 == 0;
         for cut in (0..blob.len()).filter(probed) {
-            store.write(epoch, &blob[..cut]).unwrap();
+            reframe(&dir, &blob[..cut]);
             let err = StreamExecutor::<u64>::recover(q0.clone(), reg.clone(), config(&dir))
                 .err()
                 .unwrap_or_else(|| panic!("recovered from a {cut}-byte prefix"));
             assert!(matches!(err, EngineError::Durability(_)), "@{cut}: {err}");
         }
         // And the untruncated blob still recovers.
-        store.write(epoch, &blob).unwrap();
+        reframe(&dir, &blob);
         let mut exec = StreamExecutor::<u64>::recover(q0, reg, config(&dir)).unwrap();
         exec.finish().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
@@ -313,12 +336,9 @@ mod executor_snapshot {
     /// follows it.
     #[test]
     fn a_v8_blob_is_refused_by_version() {
-        let (dir, reg, q0, epoch, mut blob) = checkpointed("v8");
+        let (dir, reg, q0, mut blob) = checkpointed("v8");
         blob[0] = 8;
-        SnapshotStore::open(&dir)
-            .unwrap()
-            .write(epoch, &blob)
-            .unwrap();
+        reframe(&dir, &blob);
         let err = StreamExecutor::<u64>::recover(q0, reg, config(&dir))
             .err()
             .unwrap();

@@ -1,5 +1,5 @@
-//! CRC-32 (IEEE 802.3 polynomial, reflected) — the frame checksum of the
-//! WAL and snapshot files. Table-driven, dependency-free.
+//! CRC-32 (IEEE 802.3 polynomial, reflected) — the checksum of every WAL
+//! frame. Table-driven, dependency-free.
 
 #[expect(clippy::indexing_slicing, reason = "`i < 256`, const-evaluated")]
 const fn make_table() -> [u32; 256] {

@@ -4,7 +4,7 @@ use greta_types::CodecError;
 use std::fmt;
 use std::path::PathBuf;
 
-/// Errors raised by the WAL, snapshot store, or manifest.
+/// Errors raised by the write-ahead log and by recovery from it.
 #[derive(Debug)]
 pub enum DurabilityError {
     /// Underlying file-system failure.
@@ -44,8 +44,21 @@ pub enum DurabilityError {
     /// in-memory buffer in an unknown state; reopen the log (which repairs
     /// the on-disk tail) to continue.
     Poisoned(String),
-    /// No usable snapshot/manifest to recover from.
+    /// The log cannot be recovered: its oldest record is past record 0 and
+    /// no checkpoint record covers what came before.
     NothingToRecover(String),
+    /// [`Wal::append`](crate::Wal::append) refused a record longer than
+    /// [`MAX_RECORD`](crate::wal::MAX_RECORD); nothing was written.
+    RecordTooLarge {
+        /// The refused payload's length.
+        len: usize,
+    },
+    /// The directory holds a file of the retired layout (a `MANIFEST` or a
+    /// `snap-*.bin` snapshot), which this release does not read.
+    OldLayout {
+        /// The file concerned.
+        file: PathBuf,
+    },
 }
 
 impl fmt::Display for DurabilityError {
@@ -68,6 +81,17 @@ impl fmt::Display for DurabilityError {
             DurabilityError::Codec(e) => write!(f, "{e}"),
             DurabilityError::Poisoned(m) => write!(f, "WAL writer poisoned: {m}"),
             DurabilityError::NothingToRecover(m) => write!(f, "nothing to recover: {m}"),
+            DurabilityError::RecordTooLarge { len } => write!(
+                f,
+                "WAL record of {len} bytes exceeds the {}-byte maximum",
+                crate::wal::MAX_RECORD
+            ),
+            DurabilityError::OldLayout { file } => write!(
+                f,
+                "{} belongs to the retired snapshot-store layout; \
+                 this release keeps checkpoints in the WAL and cannot read it",
+                file.display()
+            ),
         }
     }
 }

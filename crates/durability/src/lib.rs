@@ -1,29 +1,25 @@
 //! # greta-durability
 //!
-//! Log-structured durability for the GRETA streaming runtime: a segmented
-//! [write-ahead log](wal::Wal), an atomic [snapshot store](snapshot::SnapshotStore),
-//! and a [recovery manifest](manifest::Manifest). The layering follows the
-//! classic LSM / replication-log shape:
+//! Log-structured durability for the GRETA streaming runtime: one
+//! segmented [write-ahead log](wal::Wal) holds both the stream and its
+//! checkpoints.
 //!
 //! ```text
 //!  push(event) ──▶ WAL append (framed: len + crc32 + payload)
 //!                    │ segments wal-<base>.seg, fsync on rotation
 //!                    ▼
-//!  every K closed windows: snapshot all shard engines + ingest state
-//!                    │ snap-<epoch>.bin (atomic tmp+rename, crc32)
+//!  every K closed windows: one more record, the checkpoint blob
+//!                    │ append, fsync once
 //!                    ▼
-//!  MANIFEST {epoch, wal_index, shards}  (atomic rewrite)
-//!                    │
-//!                    ▼
-//!  segments fully below wal_index are deleted, old snapshots purged
+//!  segments wholly before the checkpoint record are deleted
 //! ```
 //!
-//! Recovery is the reverse: load the manifest, restore the snapshot of
-//! `epoch`, replay WAL records from `wal_index` (tolerating a torn final
-//! frame — the expected artifact of a crash mid-append; flagging checksum
-//! mismatches as corruption). This crate stores opaque byte payloads; the
-//! engine-state encoding lives in `greta-core`, the event encoding in
-//! [`greta_types::codec`].
+//! Recovery is one pass over the log: the last complete checkpoint record
+//! is the state, and the records after it are replayed (a torn final frame
+//! — the expected artifact of a crash mid-append — ends the log; checksum
+//! mismatches are corruption). This crate stores opaque byte payloads; the
+//! record tags and the engine-state encoding live in `greta-core`, the
+//! event encoding in [`greta_types::codec`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,25 +40,21 @@
 
 pub mod crc;
 pub mod error;
-pub mod manifest;
-pub mod snapshot;
 pub mod wal;
 
 pub use error::DurabilityError;
-pub use manifest::Manifest;
-pub use snapshot::SnapshotStore;
-pub use wal::{FsyncPolicy, TailPolicy, Wal};
+pub use wal::{FsyncPolicy, Wal};
 
 use std::path::PathBuf;
 
-/// Tuning knobs for the durability layer (all state lives under one
-/// directory: WAL segments, snapshots, and the manifest).
+/// Tuning knobs for the durability layer (all state lives in the WAL
+/// segments of one directory).
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
-    /// Directory holding WAL segments, snapshots, and the manifest.
+    /// Directory holding the WAL segments.
     pub dir: PathBuf,
-    /// Snapshot cadence: checkpoint after this many closed windows (per
-    /// the executor's watermark). Must be ≥ 1.
+    /// Checkpoint cadence: append a checkpoint record after this many
+    /// closed windows (per the executor's watermark). Must be ≥ 1.
     pub snapshot_every_windows: u64,
     /// Rotate WAL segments once they exceed this many bytes. Rotation
     /// fsyncs the sealed segment.
@@ -75,7 +67,7 @@ pub struct DurabilityConfig {
 }
 
 impl DurabilityConfig {
-    /// Defaults rooted at `dir`: snapshot every 4 closed windows, 4 MiB
+    /// Defaults rooted at `dir`: checkpoint every 4 closed windows, 4 MiB
     /// segments, fsync at checkpoints/rotations only.
     pub fn new(dir: impl Into<PathBuf>) -> DurabilityConfig {
         DurabilityConfig {

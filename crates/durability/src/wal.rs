@@ -12,10 +12,15 @@
 //!
 //! * a crash mid-append leaves a **torn tail** — a partial frame at the end
 //!   of the *last* segment. [`Wal::open`] repairs it by truncating to the
-//!   last whole frame; [`Wal::replay`] with [`TailPolicy::Tolerate`] stops
-//!   in front of it.
+//!   last whole frame; [`Wal::replay`] stops in front of it.
 //! * a frame whose checksum does not match is **corruption**, reported as
-//!   [`DurabilityError::BadChecksum`] — never silently skipped.
+//!   [`DurabilityError::BadChecksum`] — never silently skipped. So is a
+//!   partial frame anywhere but the end, and a gap between segments.
+//!
+//! The directory holds segments and nothing else: a `MANIFEST` or
+//! `snap-*.bin` file marks the retired snapshot-store layout, which
+//! [`Wal::open`] and [`Wal::replay`] refuse as
+//! [`DurabilityError::OldLayout`] rather than misread.
 
 use crate::crc::crc32;
 use crate::error::{io_err, DurabilityError};
@@ -50,17 +55,9 @@ pub enum FsyncPolicy {
     AtCheckpoint,
 }
 
-/// Upper bound on a single record; larger lengths are treated as corruption.
-const MAX_RECORD: u32 = 1 << 30;
-
-/// How [`Wal::replay`] treats a partial frame at the very end of the log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TailPolicy {
-    /// Stop before the partial frame (a crash mid-append is expected).
-    Tolerate,
-    /// Surface it as [`DurabilityError::TruncatedFrame`].
-    Error,
-}
+/// Upper bound on a single record: [`Wal::append`] refuses a longer one,
+/// and a scan treats a longer frame length as corruption.
+pub const MAX_RECORD: u32 = 1 << 30;
 
 fn segment_path(dir: &Path, base: u64) -> PathBuf {
     dir.join(format!("wal-{base:020}.seg"))
@@ -72,24 +69,29 @@ fn parse_segment_base(path: &Path) -> Option<u64> {
     base.parse().ok()
 }
 
-/// Sorted `(base_index, path)` of every segment in `dir`.
+/// A file of the retired layout, which kept checkpoints in
+/// `snap-<epoch>.bin` files named by a `MANIFEST`.
+fn is_old_layout(path: &Path) -> bool {
+    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+    name == "MANIFEST" || (name.starts_with("snap-") && name.ends_with(".bin"))
+}
+
+/// Sorted `(base_index, path)` of every segment in `dir`; refuses a
+/// directory of the retired layout.
 fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, DurabilityError> {
     let mut segs = Vec::new();
     for entry in fs::read_dir(dir).map_err(io_err(format!("read dir {}", dir.display())))? {
         let entry = entry.map_err(io_err("read dir entry"))?;
         let path = entry.path();
+        if is_old_layout(&path) {
+            return Err(DurabilityError::OldLayout { file: path });
+        }
         if let Some(base) = parse_segment_base(&path) {
             segs.push((base, path));
         }
     }
     segs.sort_unstable_by_key(|(b, _)| *b);
     Ok(segs)
-}
-
-fn sync_dir(dir: &Path) -> Result<(), DurabilityError> {
-    File::open(dir)
-        .and_then(|d| d.sync_all())
-        .map_err(io_err(format!("fsync dir {}", dir.display())))
 }
 
 /// Outcome of scanning one segment file.
@@ -170,6 +172,14 @@ pub struct Wal {
     /// subsequent writes fail until the WAL is reopened (which truncates
     /// the on-disk tail to the last whole frame).
     poisoned: bool,
+    /// The live segment may hold bytes no fsync has covered: records
+    /// appended since the last sync, or — until the first sync after
+    /// opening — whatever an earlier process left in the page cache.
+    unsynced: bool,
+    /// fsyncs issued by this handle, segments and directory alike.
+    syncs: u64,
+    /// Bytes appended by this handle, frame headers included.
+    bytes: u64,
 }
 
 impl Wal {
@@ -217,12 +227,10 @@ impl Wal {
             fsync,
             last_sync: Instant::now(),
             poisoned: false,
+            unsynced: true,
+            syncs: 0,
+            bytes: 0,
         })
-    }
-
-    /// Directory holding the segments.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Global index the next appended record will receive.
@@ -230,14 +238,28 @@ impl Wal {
         self.next_index
     }
 
+    /// fsyncs this handle has issued (segments and directory).
+    pub fn syncs(&self) -> u64 {
+        self.syncs
+    }
+
+    /// Bytes this handle has appended, frame headers included.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
     /// Append one record, returning its global index. The record is durable
     /// once the segment rotates, [`sync`](Self::sync) is called, or the
     /// [`FsyncPolicy`] forces a sync (every append, or the group-commit
-    /// interval elapsing).
+    /// interval elapsing). A payload longer than [`MAX_RECORD`] is refused
+    /// before anything is written, and the log stays usable.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, DurabilityError> {
+        let len = u32::try_from(payload.len())
+            .ok()
+            .filter(|&len| len <= MAX_RECORD)
+            .ok_or(DurabilityError::RecordTooLarge { len: payload.len() })?;
         self.check_poisoned()?;
         let idx = self.next_index;
-        let len = payload.len() as u32;
         self.writer
             .write_all(&len.to_le_bytes())
             .and_then(|_| self.writer.write_all(&crc32(payload).to_le_bytes()))
@@ -246,8 +268,11 @@ impl Wal {
                 self.poisoned = true;
                 io_err("append WAL record")(e)
             })?;
+        let framed = FRAME_HEADER as u64 + u64::from(len);
+        self.unsynced = true;
         self.next_index += 1;
-        self.segment_len += FRAME_HEADER as u64 + payload.len() as u64;
+        self.segment_len += framed;
+        self.bytes += framed;
         match self.fsync {
             FsyncPolicy::EachAppend => self.sync()?,
             FsyncPolicy::GroupCommit(ms) => {
@@ -263,9 +288,13 @@ impl Wal {
         Ok(idx)
     }
 
-    /// Flush and fsync the live segment.
+    /// Flush and fsync the live segment; free when nothing was appended
+    /// since the last sync (a rotation syncs the segment it seals).
     pub fn sync(&mut self) -> Result<(), DurabilityError> {
         self.check_poisoned()?;
+        if !self.unsynced {
+            return Ok(());
+        }
         self.writer.flush().map_err(|e| {
             self.poisoned = true;
             io_err("flush WAL")(e)
@@ -274,7 +303,17 @@ impl Wal {
             .get_ref()
             .sync_all()
             .map_err(io_err("fsync WAL segment"))?;
+        self.unsynced = false;
+        self.syncs += 1;
         self.last_sync = Instant::now();
+        Ok(())
+    }
+
+    fn sync_dir(&mut self) -> Result<(), DurabilityError> {
+        File::open(&self.dir)
+            .and_then(|d| d.sync_all())
+            .map_err(io_err(format!("fsync dir {}", self.dir.display())))?;
+        self.syncs += 1;
         Ok(())
     }
 
@@ -300,11 +339,12 @@ impl Wal {
             .open(&path)
             .map_err(io_err(format!("open segment {}", path.display())))?;
         self.writer = BufWriter::new(file);
-        sync_dir(&self.dir)
+        self.sync_dir()
     }
 
     /// Delete every sealed segment whose records all have index < `index`
-    /// (they are covered by a snapshot). The live segment always survives.
+    /// (they are covered by the checkpoint record at `index`). The live
+    /// segment always survives.
     pub fn truncate_segments_before(&mut self, index: u64) -> Result<usize, DurabilityError> {
         self.writer.flush().map_err(io_err("flush WAL"))?;
         let segs = list_segments(&self.dir)?;
@@ -321,34 +361,22 @@ impl Wal {
             }
         }
         if removed > 0 {
-            sync_dir(&self.dir)?;
+            self.sync_dir()?;
         }
         Ok(removed)
     }
 
-    /// Replay records with global index ≥ `from_index`, in order, calling
+    /// Visit every record from the oldest segment on, in order, calling
     /// `f(index, payload)` for each. Returns the index one past the last
-    /// replayed record. `tail` selects whether a partial final frame (crash
-    /// artifact) is tolerated or an error; a bad checksum or a gap between
-    /// segments is always an error.
+    /// record (the oldest segment's base when there is none). A partial
+    /// final frame — a crash mid-append — ends the log; a partial frame
+    /// anywhere else, a bad checksum or a gap between segments is an error.
     pub fn replay(
         dir: impl AsRef<Path>,
-        from_index: u64,
-        tail: TailPolicy,
         mut f: impl FnMut(u64, &[u8]),
     ) -> Result<u64, DurabilityError> {
-        let dir = dir.as_ref();
-        let segs = list_segments(dir)?;
-        let first_base = match segs.first() {
-            Some((base, _)) => *base,
-            None => return Ok(from_index),
-        };
-        if from_index < first_base {
-            return Err(DurabilityError::NothingToRecover(format!(
-                "WAL starts at record {first_base} but replay needs record {from_index}"
-            )));
-        }
-        let mut idx = first_base;
+        let segs = list_segments(dir.as_ref())?;
+        let mut idx = segs.first().map_or(0, |(base, _)| *base);
         for (si, (base, path)) in segs.iter().enumerate() {
             if *base != idx {
                 return Err(DurabilityError::Corrupt {
@@ -356,14 +384,11 @@ impl Wal {
                     msg: format!("segment gap: expected base {idx}, found {base}"),
                 });
             }
-            let last = si + 1 == segs.len();
             let scan = scan_segment(path, |payload| {
-                if idx >= from_index {
-                    f(idx, payload);
-                }
+                f(idx, payload);
                 idx += 1;
             })?;
-            if scan.torn && (!last || tail == TailPolicy::Error) {
+            if scan.torn && si + 1 != segs.len() {
                 return Err(DurabilityError::TruncatedFrame {
                     file: path.clone(),
                     offset: scan.valid_len,
@@ -390,13 +415,9 @@ mod tests {
         d
     }
 
-    fn collect(
-        dir: &Path,
-        from: u64,
-        tail: TailPolicy,
-    ) -> Result<Vec<(u64, Vec<u8>)>, DurabilityError> {
+    fn collect(dir: &Path) -> Result<Vec<(u64, Vec<u8>)>, DurabilityError> {
         let mut out = Vec::new();
-        Wal::replay(dir, from, tail, |i, p| out.push((i, p.to_vec())))?;
+        Wal::replay(dir, |i, p| out.push((i, p.to_vec())))?;
         Ok(out)
     }
 
@@ -409,13 +430,9 @@ mod tests {
             assert_eq!(idx, i);
         }
         wal.sync().unwrap();
-        let recs = collect(&dir, 0, TailPolicy::Error).unwrap();
+        let recs = collect(&dir).unwrap();
         assert_eq!(recs.len(), 100);
         assert_eq!(recs[42], (42, b"rec-42".to_vec()));
-        // Replay from an offset skips the prefix.
-        let tail = collect(&dir, 97, TailPolicy::Error).unwrap();
-        assert_eq!(tail.len(), 3);
-        assert_eq!(tail[0].0, 97);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -439,14 +456,14 @@ mod tests {
         assert_eq!(wal.next_index(), 50);
         wal.append(b"after-reopen").unwrap();
         wal.sync().unwrap();
-        let recs = collect(&dir, 0, TailPolicy::Error).unwrap();
+        let recs = collect(&dir).unwrap();
         assert_eq!(recs.len(), 51);
         assert_eq!(recs[50].1, b"after-reopen");
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn truncated_tail_is_a_clean_error_and_tolerated_when_asked() {
+    fn a_torn_final_frame_ends_the_log_and_reopen_repairs_it() {
         let dir = tmpdir("torn");
         {
             let mut wal = Wal::open(&dir, 1 << 20, FsyncPolicy::AtCheckpoint).unwrap();
@@ -461,21 +478,15 @@ mod tests {
         let f = OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(len - 3).unwrap();
         drop(f);
-        // Strict: clean error, not a panic.
-        let err = collect(&dir, 0, TailPolicy::Error).unwrap_err();
-        assert!(
-            matches!(err, DurabilityError::TruncatedFrame { .. }),
-            "{err}"
-        );
-        // Lenient: the whole frames before the tear replay fine.
-        let recs = collect(&dir, 0, TailPolicy::Tolerate).unwrap();
+        // The whole frames before the tear replay fine.
+        let recs = collect(&dir).unwrap();
         assert_eq!(recs.len(), 9);
         // Reopen repairs the tail and appends continue at the right index.
         let mut wal = Wal::open(&dir, 1 << 20, FsyncPolicy::AtCheckpoint).unwrap();
         assert_eq!(wal.next_index(), 9);
         wal.append(b"after-repair").unwrap();
         wal.sync().unwrap();
-        let recs = collect(&dir, 0, TailPolicy::Error).unwrap();
+        let recs = collect(&dir).unwrap();
         assert_eq!(recs.len(), 10);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -496,10 +507,8 @@ mod tests {
         let second = (FRAME_HEADER + 5) + FRAME_HEADER + 2;
         data[second] ^= 0xFF;
         fs::write(&path, &data).unwrap();
-        for tail in [TailPolicy::Tolerate, TailPolicy::Error] {
-            let err = collect(&dir, 0, tail).unwrap_err();
-            assert!(matches!(err, DurabilityError::BadChecksum { .. }), "{err}");
-        }
+        let err = collect(&dir).unwrap_err();
+        assert!(matches!(err, DurabilityError::BadChecksum { .. }), "{err}");
         // Opening for append also refuses.
         assert!(Wal::open(&dir, 1 << 20, FsyncPolicy::AtCheckpoint).is_err());
         let _ = fs::remove_dir_all(&dir);
@@ -515,7 +524,7 @@ mod tests {
             wal.append(format!("rec-{i}").as_bytes()).unwrap();
         }
         // No wal.sync(), no drop: the frames must already be on disk.
-        let recs = collect(&dir, 0, TailPolicy::Error).unwrap();
+        let recs = collect(&dir).unwrap();
         assert_eq!(recs.len(), 5);
         drop(wal);
         let _ = fs::remove_dir_all(&dir);
@@ -532,7 +541,7 @@ mod tests {
         // Records may still sit in the BufWriter; an explicit sync (what a
         // checkpoint does) makes them all replayable.
         wal.sync().unwrap();
-        let recs = collect(&dir, 0, TailPolicy::Error).unwrap();
+        let recs = collect(&dir).unwrap();
         assert_eq!(recs.len(), 5);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -542,7 +551,7 @@ mod tests {
         let dir = tmpdir("each-append");
         let mut wal = Wal::open(&dir, 1 << 20, FsyncPolicy::EachAppend).unwrap();
         wal.append(b"one").unwrap();
-        let recs = collect(&dir, 0, TailPolicy::Error).unwrap();
+        let recs = collect(&dir).unwrap();
         assert_eq!(recs.len(), 1);
         drop(wal);
         let _ = fs::remove_dir_all(&dir);
@@ -560,12 +569,95 @@ mod tests {
         let removed = wal.truncate_segments_before(30).unwrap();
         assert!(removed > 0);
         assert_eq!(list_segments(&dir).unwrap().len(), before - removed);
-        // Everything from index 30 on still replays.
-        let recs = collect(&dir, 30, TailPolicy::Error).unwrap();
-        assert_eq!(recs.len(), 30);
-        assert_eq!(recs[0].0, 30);
-        // Replaying a pre-truncation index is a clean error.
-        assert!(collect(&dir, 0, TailPolicy::Error).is_err());
+        // Replay starts at the oldest surviving record, at or below 30,
+        // and still reaches the last one.
+        let recs = collect(&dir).unwrap();
+        assert!(recs[0].0 > 0 && recs[0].0 <= 30, "{}", recs[0].0);
+        assert_eq!(recs.last().unwrap().0, 59);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_frame_before_the_last_segment_is_an_error() {
+        let dir = tmpdir("torn-sealed");
+        {
+            let mut wal = Wal::open(&dir, 64, FsyncPolicy::AtCheckpoint).unwrap();
+            for i in 0..20u64 {
+                wal.append(format!("payload-{i:04}").as_bytes()).unwrap();
+            }
+        }
+        let (_, path) = list_segments(&dir).unwrap().remove(0);
+        let len = fs::metadata(&path).unwrap().len();
+        OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(len - 3)
+            .unwrap();
+        let err = collect(&dir).unwrap_err();
+        assert!(
+            matches!(err, DurabilityError::TruncatedFrame { .. }),
+            "{err}"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_oversized_record_is_refused_before_anything_is_written() {
+        let dir = tmpdir("oversized");
+        let mut wal = Wal::open(&dir, 1 << 20, FsyncPolicy::AtCheckpoint).unwrap();
+        wal.append(b"before").unwrap();
+        wal.sync().unwrap();
+        let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
+        let len = fs::metadata(&path).unwrap().len();
+        // Zero-allocated and never touched: no resident memory.
+        let huge = vec![0u8; MAX_RECORD as usize + 1];
+        let err = wal.append(&huge).unwrap_err();
+        assert!(
+            matches!(err, DurabilityError::RecordTooLarge { len } if len == huge.len()),
+            "{err}"
+        );
+        drop(huge);
+        wal.sync().unwrap();
+        assert_eq!(fs::metadata(&path).unwrap().len(), len);
+        assert_eq!(wal.bytes(), (FRAME_HEADER + 6) as u64);
+        // Not poisoned: the log still appends and replays.
+        assert_eq!(wal.append(b"after").unwrap(), 1);
+        wal.sync().unwrap();
+        let recs = collect(&dir).unwrap();
+        assert_eq!(recs, vec![(0, b"before".to_vec()), (1, b"after".to_vec())]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn syncs_and_bytes_are_counted() {
+        let dir = tmpdir("counters");
+        let mut wal = Wal::open(&dir, 1 << 20, FsyncPolicy::AtCheckpoint).unwrap();
+        wal.append(b"one").unwrap();
+        wal.append(b"three").unwrap();
+        assert_eq!(
+            (wal.syncs(), wal.bytes()),
+            (0, (2 * FRAME_HEADER + 8) as u64)
+        );
+        wal.sync().unwrap();
+        assert_eq!(wal.syncs(), 1);
+        // Nothing new since: no second fsync.
+        wal.sync().unwrap();
+        assert_eq!(wal.syncs(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_directory_of_the_old_layout_is_refused() {
+        for name in ["MANIFEST", "snap-00000000000000000001.bin"] {
+            let dir = tmpdir("old-layout");
+            Wal::open(&dir, 1 << 20, FsyncPolicy::AtCheckpoint).unwrap();
+            fs::write(dir.join(name), b"x").unwrap();
+            let err = Wal::open(&dir, 1 << 20, FsyncPolicy::AtCheckpoint).unwrap_err();
+            assert!(matches!(err, DurabilityError::OldLayout { .. }), "{err}");
+            let err = collect(&dir).unwrap_err();
+            assert!(matches!(err, DurabilityError::OldLayout { .. }), "{err}");
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -193,6 +193,24 @@ pub(crate) fn render(server: &ServerMetrics, sessions: &[SessionMetrics<'_>]) ->
             |s| s.checkpoints as f64,
         ),
         (
+            "greta_wal_syncs_total",
+            "counter",
+            "fsyncs the WAL issued (segments and directory).",
+            |s| s.wal_syncs as f64,
+        ),
+        (
+            "greta_wal_bytes_total",
+            "counter",
+            "Bytes appended to the WAL, frame headers and checkpoints included.",
+            |s| s.wal_bytes as f64,
+        ),
+        (
+            "greta_checkpoint_bytes",
+            "gauge",
+            "Payload size of the latest checkpoint record.",
+            |s| s.checkpoint_bytes as f64,
+        ),
+        (
             "greta_result_occupancy_rows",
             "gauge",
             "Rows waiting in the bounded result channel.",
@@ -393,6 +411,8 @@ mod tests {
     fn renders_all_families_with_help_and_type() {
         let stats = ExecutorStats {
             pushed: 5,
+            wal_syncs: 3,
+            checkpoint_bytes: 120,
             query_epoch: 2,
             queries: vec![
                 greta_core::QueryStreamStats {
@@ -432,6 +452,9 @@ mod tests {
         assert!(text.contains("# HELP greta_events_pushed_total"));
         assert!(text.contains("# TYPE greta_events_pushed_total counter"));
         assert!(text.contains("greta_events_pushed_total{session=\"1\"} 5"));
+        assert!(text.contains("greta_wal_syncs_total{session=\"1\"} 3"));
+        assert!(text.contains("greta_wal_bytes_total{session=\"1\"} 0"));
+        assert!(text.contains("greta_checkpoint_bytes{session=\"1\"} 120"));
         assert!(text.contains("greta_shard_events_total{session=\"1\",shard=\"0\"} 3"));
         assert!(text
             .contains("greta_query_frontier_lag_windows{session=\"1\",query=\"0\",shard=\"1\"} 4"));

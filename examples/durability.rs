@@ -1,10 +1,11 @@
-//! Durability demo: run query Q1 over the stock stream with the WAL and
-//! snapshotting enabled, "crash" mid-stream (drop the executor without
-//! `finish()`), recover from disk, finish the stream, and verify the
-//! combined output is byte-identical to an uninterrupted run.
+//! Durability demo: run query Q1 over the stock stream with the WAL (and
+//! the checkpoint records it holds) enabled, "crash" mid-stream (drop the
+//! executor without `finish()`), recover from disk, finish the stream,
+//! and verify the combined output is byte-identical to an uninterrupted
+//! run.
 //!
-//! Exits non-zero on any mismatch — CI uses this as the recovery smoke
-//! test.
+//! Exits non-zero on any mismatch — CI's `recovery-smoke` job runs it as
+//! the recovery smoke test.
 //!
 //! ```sh
 //! cargo run --release --example durability
@@ -74,7 +75,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Dropping without finish() simulates the crash.
     }
 
-    // Phase 2: recover from the manifest + snapshot + WAL tail.
+    // Phase 2: recover from the last checkpoint record and the WAL records
+    // after it.
     let mut executor = StreamExecutor::<u64>::recover(query, registry, config)?;
     println!(
         "recovered: {} events restored/replayed from {}",

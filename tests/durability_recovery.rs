@@ -1,16 +1,15 @@
 //! End-to-end durability: checkpoint → crash → recover on the paper's
 //! workloads (Q1 stock, Q2 cluster), crash at arbitrary points (proptest
-//! against an uninterrupted oracle), recovery onto another shard count,
-//! and corrupted-log handling (torn tails recover, checksum corruption is
-//! a clean error).
+//! against an uninterrupted oracle, and after every single push),
+//! recovery onto another shard count, and corrupted-log handling (torn
+//! tails recover, checksum corruption and the retired on-disk layout are
+//! clean errors).
 
 use greta::core::{
-    EngineError, ExecutorConfig, GretaEngine, LatePolicy, PartitionKey, StreamExecutor,
-    StreamRouting, WindowResult,
+    EmissionMode, EngineError, ExecutorConfig, GretaEngine, LatePolicy, PartitionKey, QueryId,
+    StreamExecutor, StreamRouting, WindowResult,
 };
-use greta::durability::{
-    DurabilityConfig, DurabilityError, Manifest, SnapshotStore, TailPolicy, Wal,
-};
+use greta::durability::{DurabilityConfig, FsyncPolicy, Wal};
 use greta::query::CompiledQuery;
 use greta::types::{Event, EventBuilder, SchemaRegistry, Time, Value};
 use greta::workloads::{ClusterConfig, ClusterGen, StockConfig, StockGen};
@@ -235,8 +234,12 @@ fn automatic_cadence_checkpoints_and_wal_truncation() {
     );
     // Obsolete segments were truncated: the on-disk WAL no longer reaches
     // back to record 0.
-    let err = Wal::replay(&dir, 0, TailPolicy::Tolerate, |_, _| {}).unwrap_err();
-    assert!(matches!(err, DurabilityError::NothingToRecover(_)), "{err}");
+    let mut oldest = None;
+    Wal::replay(&dir, |i, _| {
+        oldest.get_or_insert(i);
+    })
+    .unwrap();
+    assert!(oldest.unwrap() > 0, "WAL still starts at record 0");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -348,8 +351,8 @@ fn checkpoint_requires_durability() {
 #[test]
 fn recovery_preserves_reorder_slack_state_and_late_drops() {
     // Out-of-order events pending in the reorder buffer at checkpoint
-    // time survive the crash via the snapshot (they are *before* the
-    // manifest's WAL cut). So does the late-drop counter: tick 0 comes
+    // time survive the crash via the checkpoint (they are *before* the
+    // checkpoint record). So does the late-drop counter: tick 0 comes
     // after tick 2 was released and is dropped before the checkpoint,
     // tick 2 after tick 8 was and is dropped after it.
     let (reg, q, ev) = tick_q(20);
@@ -473,6 +476,78 @@ proptest! {
         prop_assert_eq!(got, expect);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Every file of `from` copied into a fresh `to`: what a crash right now
+/// would leave on disk.
+fn copy_dir(from: &Path, to: &Path) {
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, to.join(path.file_name().unwrap())).unwrap();
+    }
+}
+
+/// The recoverability statement for the one log: whatever prefix of the
+/// log a crash leaves after any push (synced), recovery yields exactly the
+/// rows the sequential engine computes over the events each query saw
+/// (all of them for q0, those after its register record for q1) —
+/// across cadence checkpoints, segment rotations and truncations, and a
+/// query registered mid-stream. The run never polls, so every row comes
+/// from recovery.
+#[test]
+fn a_crash_after_any_push_recovers_exactly() {
+    const Q0: &str = "RETURN sector, COUNT(*) PATTERN Stock S+ \
+                      WHERE [company, sector] AND S.price > NEXT(S).price \
+                      GROUP-BY sector WITHIN 30 SLIDE 10";
+    const Q1: &str = "RETURN sector, COUNT(*) PATTERN Stock S+ WHERE [company, sector] \
+                      GROUP-BY sector WITHIN 20 SLIDE 20";
+    let n = 120;
+    let (reg, _, events) = stock_q1(n);
+    let q0 = CompiledQuery::parse(Q0, &reg).unwrap();
+    let q1 = CompiledQuery::parse(Q1, &reg).unwrap();
+    let registered_at = n / 3;
+    // q1 sees what the reorder buffer releases after its register barrier:
+    // at slack 0 it holds the events of the latest stamp, so those too.
+    let last_stamp = events[registered_at - 1].time;
+    let seen_from = events.iter().position(|e| e.time == last_stamp).unwrap();
+    let (dir, copy) = (tmpdir("any-push"), tmpdir("any-push-copy"));
+    let config = |dir: &Path| {
+        let mut cfg = durable(dir, 2, 1);
+        cfg.durability.as_mut().unwrap().segment_bytes = 512;
+        cfg
+    };
+    let mut live = StreamExecutor::<u64>::new(q0.clone(), reg.clone(), config(&dir)).unwrap();
+    for (i, e) in events.iter().enumerate() {
+        if i == registered_at {
+            live.register_query(Q1, EmissionMode::Unordered).unwrap();
+        }
+        live.push(e.clone()).unwrap();
+        live.sync_wal().unwrap();
+        copy_dir(&dir, &copy);
+        let mut exec =
+            StreamExecutor::<u64>::recover(q0.clone(), reg.clone(), config(&copy)).unwrap();
+        let rows = exec.finish().unwrap();
+        assert_eq!(
+            sorted(rows),
+            oracle(&q0, &reg, &events[..=i]),
+            "q0 after push {i}"
+        );
+        if i >= registered_at {
+            let rows = exec.poll_results_of(QueryId(1)).unwrap();
+            let expect = oracle(&q1, &reg, &events[seen_from..=i]);
+            assert_eq!(sorted(rows), expect, "q1 after push {i}");
+        }
+    }
+    assert!(
+        live.stats().checkpoints >= 5,
+        "{:?}",
+        live.stats().checkpoints
+    );
+    live.finish().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&copy);
 }
 
 // ---------------------------------------------------------------------
@@ -719,62 +794,69 @@ fn wal_checksum_corruption_is_a_clean_recovery_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// WAL record tag of a checkpoint: the blob follows it.
+const CHECKPOINT: u8 = 3;
+
+/// Run 200 events of Q1 and checkpoint, then crash.
+fn checkpointed_run(dir: &Path) -> (SchemaRegistry, CompiledQuery) {
+    let (reg, q, events) = stock_q1(300);
+    let mut exec = StreamExecutor::<u64>::new(q.clone(), reg.clone(), durable(dir, 2, 2)).unwrap();
+    for e in &events[..200] {
+        exec.push(e.clone()).unwrap();
+    }
+    exec.checkpoint().unwrap();
+    drop(exec); // crash
+    (reg, q)
+}
+
 #[test]
 fn snapshot_corruption_is_a_clean_recovery_error() {
+    // One flipped byte in the checkpoint record: the frame's checksum no
+    // longer matches, and recovery refuses rather than fall back.
     let dir = tmpdir("bad-snap");
-    let (reg, q, events) = stock_q1(300);
-    {
-        let mut exec =
-            StreamExecutor::<u64>::new(q.clone(), reg.clone(), durable(&dir, 2, 2)).unwrap();
-        for e in &events[..200] {
-            exec.push(e.clone()).unwrap();
-        }
-        exec.checkpoint().unwrap();
-    }
-    let snap = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .find(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("snap-"))
-        })
-        .expect("snapshot file");
-    let mut data = std::fs::read(&snap).unwrap();
+    let (reg, q) = checkpointed_run(&dir);
+    // The checkpoint is the last record: the end of the last segment that
+    // holds anything (its append may have rotated to an empty one).
+    let seg = wal_segments(&dir)
+        .into_iter()
+        .rfind(|p| std::fs::metadata(p).unwrap().len() > 0)
+        .unwrap();
+    let mut data = std::fs::read(&seg).unwrap();
     let last = data.len() - 1;
     data[last] ^= 0x01;
-    std::fs::write(&snap, &data).unwrap();
+    std::fs::write(&seg, &data).unwrap();
     let err = StreamExecutor::<u64>::recover(q, reg, durable(&dir, 2, 2))
         .err()
-        .expect("recover must fail on snapshot corruption");
+        .expect("recover must fail on checkpoint corruption");
     assert!(matches!(err, EngineError::Durability(_)), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn snapshot_of_an_older_format_version_is_refused_not_misread() {
-    // A checksum-valid blob whose executor-format version byte says 8
+    // A checksum-valid checkpoint record whose blob's version byte says 8
     // (the layout whose ingest section held a per-window late ledger), 7
     // (the layout that still carried the routing table and skew
     // sketches), 6 (before the blob was regrouped by plane) or 5 (before
     // every query became the same section): recovery must name the
     // version and stop, whatever the bytes behind it say.
     let dir = tmpdir("old-version");
-    let (reg, q, events) = stock_q1(300);
-    {
-        let mut exec =
-            StreamExecutor::<u64>::new(q.clone(), reg.clone(), durable(&dir, 2, 2)).unwrap();
-        for e in &events[..200] {
-            exec.push(e.clone()).unwrap();
+    let (reg, q) = checkpointed_run(&dir);
+    let mut record = None;
+    Wal::replay(&dir, |_, rec| {
+        if rec[0] == CHECKPOINT {
+            record = Some(rec.to_vec());
         }
-        exec.checkpoint().unwrap();
-    }
-    let epoch = Manifest::load(&dir).unwrap().expect("manifest").epoch;
-    let store = SnapshotStore::open(&dir).unwrap();
-    let mut blob = store.read(epoch).unwrap();
+    })
+    .unwrap();
+    let mut record = record.expect("a checkpoint record");
     for old in [8u8, 7, 6, 5] {
-        blob[0] = old;
-        store.write(epoch, &blob).unwrap();
+        // Re-frame the log around the altered blob.
+        record[1] = old;
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut wal = Wal::open(&dir, 4096, FsyncPolicy::AtCheckpoint).unwrap();
+        wal.append(&record).unwrap();
+        drop(wal);
         let err = StreamExecutor::<u64>::recover(q.clone(), reg.clone(), durable(&dir, 2, 2))
             .err()
             .expect("recover must refuse an older snapshot version");
@@ -784,5 +866,118 @@ fn snapshot_of_an_older_format_version_is_refused_not_misread() {
             "{err}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_directory_of_the_snapshot_store_layout_is_refused() {
+    // Checkpoints used to live in `snap-<epoch>.bin` files named by a
+    // `MANIFEST`. Either file marks a directory this release cannot read:
+    // new and recover both refuse it instead of replaying a WAL whose
+    // head the old layout had truncated.
+    for name in ["MANIFEST", "snap-00000000000000000001.bin"] {
+        let dir = tmpdir("old-layout");
+        let (reg, q) = checkpointed_run(&dir);
+        std::fs::write(dir.join(name), b"GMAN").unwrap();
+        let err = StreamExecutor::<u64>::recover(q.clone(), reg.clone(), durable(&dir, 2, 2))
+            .err()
+            .expect("recover must refuse the old layout");
+        assert!(
+            matches!(&err, EngineError::Durability(m) if m.contains("retired snapshot-store layout")),
+            "{err}"
+        );
+        let err = StreamExecutor::<u64>::new(q, reg, durable(&dir, 2, 2))
+            .err()
+            .expect("new must refuse the old layout");
+        assert!(matches!(err, EngineError::Durability(_)), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_log_that_lost_its_head_without_a_checkpoint_is_refused() {
+    // Segments before the first checkpoint record are gone: replaying
+    // what is left into fresh state would silently drop a prefix.
+    let (reg, q, events) = stock_q1(200);
+    let dir = tmpdir("headless");
+    let mut cfg = durable(&dir, 2, u64::MAX);
+    cfg.durability.as_mut().unwrap().segment_bytes = 256;
+    {
+        let mut exec = StreamExecutor::<u64>::new(q.clone(), reg.clone(), cfg.clone()).unwrap();
+        for e in &events {
+            exec.push(e.clone()).unwrap();
+        }
+    } // crash
+    let segs = wal_segments(&dir);
+    assert!(segs.len() > 1);
+    std::fs::remove_file(&segs[0]).unwrap();
+    let err = StreamExecutor::<u64>::recover(q, reg, cfg)
+        .err()
+        .expect("recover must refuse a headless log");
+    assert!(
+        matches!(&err, EngineError::Durability(m) if m.contains("holds no checkpoint")),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_checkpoint_costs_one_wal_sync() {
+    // Rotation out of reach: the checkpoint record is appended, the live
+    // segment fsynced once, and no segment is left to delete.
+    let (reg, q, events) = stock_q1(300);
+    let dir = tmpdir("one-sync");
+    let mut cfg = durable(&dir, 2, u64::MAX);
+    cfg.durability.as_mut().unwrap().segment_bytes = 1 << 30;
+    let mut exec = StreamExecutor::<u64>::new(q, reg, cfg).unwrap();
+    for e in &events {
+        exec.push(e.clone()).unwrap();
+    }
+    let before = exec.stats();
+    assert_eq!(before.checkpoint_bytes, 0);
+    exec.checkpoint().unwrap();
+    let after = exec.stats();
+    assert_eq!(after.wal_syncs, before.wal_syncs + 1);
+    assert!(after.checkpoint_bytes > 1);
+    // The record is framed (8 bytes) and counted with the events.
+    assert_eq!(
+        after.wal_bytes,
+        before.wal_bytes + 8 + after.checkpoint_bytes
+    );
+    assert_eq!(
+        exec.durable_index(),
+        Some(events.len() as u64 + 1),
+        "the checkpoint record counts as appended"
+    );
+    exec.finish().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn recovery_with_a_shorter_cadence_survives_a_second_crash() {
+    // Recovered under a cadence that makes checkpoints due inside the
+    // replayed tail, then crashed again before the next one: the second
+    // recovery must still see every logged event once.
+    let (reg, q, events) = stock_q1(900);
+    let expect = oracle(&q, &reg, &events);
+    let dir = tmpdir("recadence");
+    {
+        let mut exec =
+            StreamExecutor::<u64>::new(q.clone(), reg.clone(), durable(&dir, 2, u64::MAX)).unwrap();
+        for e in &events[..600] {
+            exec.push(e.clone()).unwrap();
+        }
+    } // crash, nothing checkpointed
+    drop(StreamExecutor::<u64>::recover(q.clone(), reg.clone(), durable(&dir, 2, 1)).unwrap());
+    let mut exec =
+        StreamExecutor::<u64>::recover(q.clone(), reg.clone(), durable(&dir, 2, 1)).unwrap();
+    assert_eq!(exec.stats().pushed, 600);
+    let mut rows = Vec::new();
+    for e in &events[600..] {
+        exec.push(e.clone()).unwrap();
+        rows.extend(exec.poll_results());
+    }
+    rows.extend(exec.finish().unwrap());
+    assert_eq!(sorted(rows), expect);
     let _ = std::fs::remove_dir_all(&dir);
 }
