@@ -114,6 +114,58 @@ mod tests {
         }
     }
 
+    /// Lines of `file`'s non-test code that wait by spinning, sleeping or
+    /// timing out: a call to `yield_now`, `thread::sleep` or
+    /// `recv_timeout` (an import counts, so a bare `sleep(..)` after one
+    /// is caught too).
+    fn spins_or_sleeps(file: &SourceFile) -> Vec<u32> {
+        let t = &file.tokens;
+        let at = |i: usize| {
+            let k = &t[i].kind;
+            let thread_sleep = || {
+                i >= 3
+                    && t[i - 3].kind.is_ident("thread")
+                    && t[i - 2].kind.is_punct(':')
+                    && t[i - 1].kind.is_punct(':')
+            };
+            !file.in_test(i)
+                && (k.is_ident("yield_now")
+                    || k.is_ident("recv_timeout")
+                    || (k.is_ident("sleep") && thread_sleep()))
+        };
+        (0..t.len()).filter(|&i| at(i)).map(|i| t[i].line).collect()
+    }
+
+    /// The executor waits only by blocking on a channel: a shard on its
+    /// input, the coordinator on a full shard queue or on the acks of a
+    /// cut. A spin, a sleep or a timed wait in `greta-core` would be a
+    /// second way to wait, with a latency or CPU cost of its own.
+    #[test]
+    fn core_waits_only_by_blocking_on_a_channel() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut found = Vec::new();
+        for rel in workspace_files(&root).unwrap() {
+            if rel.starts_with("crates/core/src/") {
+                let content = fs::read_to_string(root.join(&rel)).unwrap();
+                let lines = spins_or_sleeps(&SourceFile::parse(&content));
+                found.extend(lines.into_iter().map(|l| format!("{rel}:{l}")));
+            }
+        }
+        assert!(found.is_empty(), "spin, sleep or timed wait at {found:?}");
+    }
+
+    #[test]
+    fn spins_or_sleeps_finds_calls_and_imports_outside_tests() {
+        let src = "fn f() { std::thread::yield_now(); }\n\
+                   use std::thread::sleep;\n\
+                   fn g(rx: R) { rx.recv_timeout(d); }\n\
+                   fn h() { tokio_sleep(); self.sleep(); }\n\
+                   // std::thread::sleep(d);\n\
+                   #[cfg(test)]\n\
+                   mod tests { fn t() { std::thread::sleep(d); } }\n";
+        assert_eq!(spins_or_sleeps(&SourceFile::parse(src)), [1, 2, 3]);
+    }
+
     #[test]
     fn hot_path_attrs_skip_comments_tests_and_other_lints() {
         let src = "#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]\n\

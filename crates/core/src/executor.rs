@@ -84,8 +84,9 @@
 //!   between the checkpoint and the crash are re-emitted — results are
 //!   deterministic, so an idempotent sink keyed on `(window, group)`
 //!   yields exactly-once output).
-//! * **Emission**: closed-window results flow through one bounded channel,
-//!   a batch per flush of one query on one shard, tagged by query; [`poll_results_of`](StreamExecutor::poll_results_of)
+//! * **Emission**: closed-window results flow through one unbounded
+//!   channel — a shard never waits on the coordinator — a batch per flush
+//!   of one query on one shard, tagged by query; [`poll_results_of`](StreamExecutor::poll_results_of)
 //!   drains any hosted query, [`StreamExecutor::drain`] flushes the
 //!   pipeline and joins the workers
 //!   ([`poll_results`](StreamExecutor::poll_results) and
@@ -500,9 +501,11 @@ impl<N: TrendNum> StreamExecutor<N> {
     /// configured slack; beyond it the [`LatePolicy`] applies. With
     /// durability on, the event is WAL-logged before anything else — once,
     /// no matter how many queries are registered. When a shard's input
-    /// queue is full, the call drains ready results into the per-query
-    /// buffers while it waits (so a caller that never polls cannot
-    /// deadlock the pipeline) and returns once the event is queued.
+    /// queue is full, the call blocks until that shard takes a frame. The
+    /// shards never wait on the caller — their rows queue on an unbounded
+    /// result channel — so a caller that never polls cannot deadlock the
+    /// pipeline; its unpolled rows show in
+    /// [`ExecutorStats::result_occupancy`].
     pub fn push(&mut self, e: Event) -> Result<(), EngineError> {
         self.push_ref(e.into_ref())
     }
@@ -703,8 +706,8 @@ impl<N: TrendNum> StreamExecutor<N> {
     }
 
     /// Number of records appended to the WAL so far (events plus
-    /// register, deregister and checkpoint records). Appended is not yet durable under
-    /// [`greta_durability::FsyncPolicy`]s that buffer between syncs — use
+    /// register, deregister and checkpoint records). Appended is not yet
+    /// durable — an append never syncs — so use
     /// [`sync_wal`](Self::sync_wal) for the watermark an ingest
     /// acknowledgement can carry. `None` without durability.
     pub fn durable_index(&self) -> Option<u64> {
@@ -713,8 +716,7 @@ impl<N: TrendNum> StreamExecutor<N> {
 
     /// Flush and fsync the WAL, then return the durable record index:
     /// every event whose `push` returned before the call is now
-    /// recoverable by [`recover`](Self::recover) regardless of the
-    /// configured [`greta_durability::FsyncPolicy`]. This is the
+    /// recoverable by [`recover`](Self::recover). This is the
     /// group-commit point a
     /// server acknowledges a batch at. `Ok(None)` without durability.
     pub fn sync_wal(&mut self) -> Result<Option<u64>, EngineError> {

@@ -132,6 +132,11 @@ pub(crate) enum OutMsg<R> {
     /// This shard has taken the barrier. Per-sender FIFO puts every row it
     /// emitted before the barrier ahead of this message.
     Ack { shard: usize, blobs: QueryBlobs },
+    /// This shard's worker has ended — failed, panicked or reached the end
+    /// of the stream — and sends nothing more: the last message of every
+    /// worker. One that comes before the ack of an open cut means the ack
+    /// never will.
+    Gone { shard: usize },
 }
 
 /// The coordinator's ledger of one cut in flight: which shards have acked
@@ -180,6 +185,11 @@ impl Cut {
     /// Every shard has acked (or no cut was opened).
     pub(crate) fn done(&self) -> bool {
         self.waiting == 0
+    }
+
+    /// The open cut still waits for `shard`'s ack.
+    pub(crate) fn awaits(&self, shard: usize) -> bool {
+        !self.done() && self.acks.get(shard).is_some_and(Option::is_none)
     }
 
     /// The completed cut's blobs, by shard.
@@ -373,8 +383,10 @@ mod tests {
         cut.ack(1, vec![(0, vec![1])]).unwrap();
         assert!(is_worker_error(cut.ack(1, Vec::new())), "duplicate");
         assert!(!cut.done());
+        assert!(cut.awaits(0) && !cut.awaits(1) && !cut.awaits(2));
         cut.ack(0, Vec::new()).unwrap();
         assert!(cut.done());
+        assert!(!cut.awaits(0));
         assert_eq!(cut.take(), vec![vec![], vec![(0, vec![1])]]);
         assert!(is_worker_error(cut.ack(0, Vec::new())), "after the cut");
     }
@@ -407,8 +419,12 @@ mod model {
     //! What is model: the scheduler, the coordinator's [`Op`] script, the
     //! FIFO queues standing in for the channels (one per shard each way — a
     //! result channel shared by all shards promises order per sender only),
-    //! a toy engine behind `ShardEngine`, and a delivery ledger. Three
-    //! invariants are checked in every schedule:
+    //! a toy engine behind `ShardEngine`, and a delivery ledger. The result
+    //! queues are unbounded, as the shipped result channel is: a shard's
+    //! emit never waits. The input queues are unbounded too; the shipped
+    //! ones are bounded, but a full one only holds the coordinator back
+    //! until its shard takes a message, which is a schedule explored here.
+    //! Three invariants are checked in every schedule:
     //!
     //! 1. **All shards cut at the same sequence** — when an export cut
     //!    completes, the shards' exported states together hold exactly the
@@ -810,7 +826,7 @@ mod model {
                     }
                     Ok(())
                 }
-                Some(OutMsg::Frontier { .. }) | None => Ok(()),
+                Some(OutMsg::Frontier { .. } | OutMsg::Gone { .. }) | None => Ok(()),
             }
         }
 

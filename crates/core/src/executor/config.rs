@@ -91,16 +91,13 @@ pub struct ExecutorConfig {
     pub slack: u64,
     /// Policy for events later than `slack`.
     pub late_policy: LatePolicy,
-    /// Per-shard input queue capacity (frames; backpressure beyond it).
-    /// The channel on which shards hand spent frames back holds `shards ×
+    /// Per-shard input queue capacity (frames): a push that finds a
+    /// shard's queue full blocks until the shard takes a frame. The
+    /// channel on which shards hand spent frames back holds `shards ×
     /// channel_capacity` frames; a shard that finds it full drops the
-    /// frame itself rather than wait.
+    /// frame itself rather than wait. The result channel has no bound: a
+    /// shard never waits on the coordinator.
     pub channel_capacity: usize,
-    /// Result channel capacity, in messages: each holds the rows one
-    /// flush of one query on one shard polled (a shard whose message does
-    /// not fit waits for the coordinator to absorb one).
-    /// [`ExecutorStats::result_occupancy`] counts the rows in them.
-    pub result_capacity: usize,
     /// Events accumulated per (route group, shard) before a frame is sent
     /// (1 = a frame per event, the pre-batching behaviour). Frames are
     /// also flushed at every window-close boundary, so results never wait
@@ -127,7 +124,6 @@ impl Default for ExecutorConfig {
             slack: 0,
             late_policy: LatePolicy::Drop,
             channel_capacity: 4096,
-            result_capacity: 1 << 16,
             batch_size: 64,
             engine: EngineConfig::default(),
             durability: None,
@@ -237,8 +233,10 @@ pub struct ExecutorStats {
     /// Highest shard-queue occupancy (frames) observed at any flush.
     pub max_channel_occupancy: usize,
     /// Rows waiting in the result channel when
-    /// [`stats`](StreamExecutor::stats) was called (in however many
-    /// messages; [`ExecutorConfig::result_capacity`] bounds those).
+    /// [`stats`](StreamExecutor::stats) was called: rows the shards have
+    /// emitted and no poll has absorbed yet. The channel has no bound, so
+    /// a caller that stops polling sees this grow; a server reads it as
+    /// backpressure.
     pub result_occupancy: usize,
     /// Aggregated per-shard engine counters, summed over every hosted
     /// query's engines (populated by `finish`).

@@ -5,7 +5,7 @@
 use super::{Cadence, EmissionMode, ExecutorConfig, ExecutorStats, LatePolicy};
 use crate::reorder::ReorderBuffer;
 use crate::EngineError;
-use greta_durability::{DurabilityConfig, DurabilityError, Wal};
+use greta_durability::{DurabilityConfig, DurabilityError, FsyncPolicy, Wal};
 use greta_types::codec::{put_str, put_u32, put_u64, Reader};
 use greta_types::{CodecError, Event, EventRef, Time};
 
@@ -96,7 +96,7 @@ impl Log {
     pub(super) fn open(dcfg: &DurabilityConfig) -> Result<Self, EngineError> {
         Ok(Log {
             config: dcfg.clone(),
-            wal: Wal::open(&dcfg.dir, dcfg.segment_bytes, dcfg.fsync)?,
+            wal: Wal::open(&dcfg.dir, dcfg.segment_bytes, FsyncPolicy::AtCheckpoint)?,
             checkpoint_bytes: 0,
             record_buf: Vec::new(),
         })

@@ -135,7 +135,9 @@ impl<N: TrendNum> Merge<N> {
     /// [`EmissionMode::WindowOrdered`] rows park in the query's merge and
     /// frontier advances release complete windows into its ready buffer in
     /// canonical order. A barrier ack goes to the `cut` ledger, which
-    /// refuses one nobody is waiting for.
+    /// refuses one nobody is waiting for. A worker's `Gone` carries
+    /// nothing to merge: outside a cut, the next send to that worker or
+    /// the end of the stream reports how it ended.
     pub(super) fn absorb(
         &mut self,
         msg: OutMsg<WindowResult<N>>,
@@ -184,6 +186,7 @@ impl<N: TrendNum> Merge<N> {
                 }
             }
             OutMsg::Ack { shard, blobs } => cut.ack(shard, blobs)?,
+            OutMsg::Gone { .. } => {}
         }
         Ok(())
     }

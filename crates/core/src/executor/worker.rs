@@ -4,6 +4,12 @@
 //! flight. What a shard does with a message is [`worker_step`]; this
 //! module is how messages get there, how answers and spent frames come
 //! back, and how the threads end.
+//!
+//! Flow control is one-way: a shard waits only on its own input channel,
+//! and the coordinator waits only on the shards. The input channels are
+//! bounded, so [`Worker::send`] blocks while a shard's queue is full; the
+//! result channel is not, and a shard's emit never waits. A worker's end
+//! arrives in-band, as its last message ([`OutMsg::Gone`]).
 
 use super::barrier::{worker_finish, worker_step, Cut, EngineSlot, Msg, OutMsg, QueryBlobs};
 use super::merge::Merge;
@@ -13,7 +19,7 @@ use crate::engine::{EngineStats, GretaEngine};
 use crate::results::WindowResult;
 use crate::EngineError;
 use crate::MemoryFootprint;
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
+use crossbeam::channel::{self, Receiver, Sender};
 use greta_types::codec::{put_u32, Reader};
 use greta_types::{CodecError, EventRef};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -72,7 +78,7 @@ impl<N: TrendNum> Worker<N> {
     ) -> Result<Self, EngineError> {
         let shards = per_shard.len();
         let channel_capacity = config.channel_capacity.max(1);
-        let (results_tx, results_rx) = channel::bounded(config.result_capacity.max(1));
+        let (results_tx, results_rx) = channel::unbounded();
         let (spent_tx, spent_rx) = channel::bounded(shards * channel_capacity);
         let result_rows = Arc::new(AtomicUsize::new(0));
         let mut senders = Vec::with_capacity(shards);
@@ -81,14 +87,19 @@ impl<N: TrendNum> Worker<N> {
             let (tx, rx) = channel::bounded(channel_capacity);
             senders.push(tx);
             let out = ShardOut {
+                shard,
                 results: results_tx.clone(),
                 result_rows: result_rows.clone(),
                 spent: spent_tx.clone(),
             };
+            // `worker_loop` drops `rx` on its way out, before `out` sends
+            // its `Gone`: once the coordinator has seen a worker's `Gone`,
+            // a send to that worker fails rather than queue.
+            let run = move || worker_loop::<N>(slots, shard, rx, &out, export_final);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("greta-shard-{shard}"))
-                    .spawn(move || worker_loop::<N>(slots, shard, rx, out, export_final))
+                    .spawn(run)
                     .map_err(|e| EngineError::Worker(e.to_string()))?,
             );
         }
@@ -153,66 +164,52 @@ impl<N: TrendNum> Worker<N> {
     }
 
     /// Drain the result channel into `merge` without blocking, and reclaim
-    /// the spent frames; true if any result message came.
-    pub(super) fn drain_ready(&mut self, merge: &mut Merge<N>) -> Result<bool, EngineError> {
+    /// the spent frames.
+    pub(super) fn drain_ready(&mut self, merge: &mut Merge<N>) -> Result<(), EngineError> {
         self.reclaim_frames();
-        let mut any = false;
         while let Ok(msg) = self.results_rx.try_recv() {
             self.absorb(msg, merge)?;
-            any = true;
         }
-        Ok(any)
+        Ok(())
     }
 
-    /// Deliver `msg` to a shard without ever blocking this thread for good:
-    /// while the shard's input queue is full, drain the result channel into
-    /// the per-query buffers (the pushing thread is the only result
-    /// consumer, so parking in a blocking `send` while workers wait to
-    /// emit rows would deadlock the pipeline).
+    /// Deliver `msg` to a shard, blocking while its input queue is full:
+    /// the shard never waits on this thread, so the queue drains. Fails
+    /// once the shard's worker has ended (its input receiver is gone).
     pub(super) fn send(
         &mut self,
         shard: usize,
-        mut msg: Msg<GretaEngine<N>>,
+        msg: Msg<GretaEngine<N>>,
         merge: &mut Merge<N>,
     ) -> Result<(), EngineError> {
-        loop {
-            match self.senders[shard].try_send(msg) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Full(back)) => {
-                    msg = back;
-                    if !self.drain_ready(merge)? {
-                        std::thread::yield_now();
-                    }
-                }
-                Err(TrySendError::Disconnected(_)) => return Err(self.reap(merge)),
-            }
-        }
+        self.senders[shard].send(msg).map_err(|_| self.reap(merge))
     }
 
-    /// Absorb the result channel until every shard has acked the open
-    /// cut; the acks' blobs, by shard.
+    /// Absorb the result channel, blocking, until every shard has acked
+    /// the open cut; the acks' blobs, by shard. A shard whose `Gone`
+    /// arrives before its ack has failed, and its ack will never come.
     pub(super) fn wait_acks(
         &mut self,
         merge: &mut Merge<N>,
     ) -> Result<Vec<QueryBlobs>, EngineError> {
         while !self.cut.done() {
-            if !self.drain_ready(merge)? {
-                // A worker that exits while its input is open has failed,
-                // and its ack will never come.
-                if self.handles.iter().any(JoinHandle::is_finished) {
-                    return Err(self.reap(merge));
+            match self.results_rx.recv() {
+                Ok(OutMsg::Gone { shard }) if self.cut.awaits(shard) => {
+                    return Err(self.reap(merge))
                 }
-                std::thread::yield_now();
+                Ok(msg) => self.absorb(msg, merge)?,
+                // Every worker sends its `Gone` before its result sender
+                // drops, so the loop has returned before this.
+                Err(_) => return Err(self.reap(merge)),
             }
         }
         Ok(self.cut.take())
     }
 
     /// The end of every worker, wanted or not: close the inputs, absorb
-    /// what the workers still emit while they finish (joining one that is
-    /// blocked sending rows would hang) and clear the frames they hand
-    /// back, and join them into [`ended`](Self::ended). Returns the first
-    /// failure, if any worker (or the absorbing side) had one.
+    /// what the workers still emit while they finish and clear the frames
+    /// they hand back, and join them into [`ended`](Self::ended). Returns
+    /// the first failure, if any worker (or the absorbing side) had one.
     pub(super) fn finish(&mut self, merge: &mut Merge<N>) -> Option<EngineError> {
         self.senders.clear();
         let mut error = None;
@@ -275,8 +272,10 @@ fn add_stats(sum: &mut EngineStats, s: &EngineStats) {
     sum.results += s.results;
 }
 
-/// A shard's ends of the channels back to the coordinator.
+/// A shard's ends of the channels back to the coordinator. Dropping it
+/// sends the shard's [`OutMsg::Gone`], however the worker ended.
 struct ShardOut<N: TrendNum> {
+    shard: usize,
     results: Sender<OutMsg<WindowResult<N>>>,
     /// The coordinator's count of rows on the result channel.
     result_rows: Arc<AtomicUsize>,
@@ -290,9 +289,8 @@ impl<N: TrendNum> ShardOut<N> {
         if let OutMsg::Rows { rows, .. } = &msg {
             self.result_rows.fetch_add(rows.len(), Ordering::Relaxed);
         }
-        // The result channel closes only when the executor is dropped
-        // without drain(); nobody reads the error that then ends this
-        // worker.
+        // The result channel closes only when the executor is gone; nobody
+        // reads the error that then ends this worker.
         self.results
             .send(msg)
             .map_err(|_| EngineError::Worker("result channel closed".into()))
@@ -309,13 +307,21 @@ impl<N: TrendNum> ShardOut<N> {
     }
 }
 
+impl<N: TrendNum> Drop for ShardOut<N> {
+    fn drop(&mut self) {
+        let gone = OutMsg::Gone { shard: self.shard };
+        let _executor_gone = self.results.send(gone);
+    }
+}
+
 /// One shard worker: [`worker_step`] per message until the input channel
-/// closes, then the end-of-stream finish and the report.
+/// closes, then the end-of-stream finish and the report. Returns, or
+/// unwinds, having dropped `rx`.
 fn worker_loop<N: TrendNum>(
     mut slots: Vec<EngineSlot<GretaEngine<N>>>,
     shard: usize,
     rx: Receiver<Msg<GretaEngine<N>>>,
-    out: ShardOut<N>,
+    out: &ShardOut<N>,
     export_final: bool,
 ) -> Result<Report, EngineError> {
     let mut emit = |m| out.emit(m);
@@ -334,4 +340,87 @@ fn worker_loop<N: TrendNum>(
         report.peak_bytes += s.engine.peak_memory_bytes().max(s.engine.memory_bytes());
     }
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::barrier::BarrierKind;
+    use super::*;
+    use greta_query::CompiledQuery;
+    use greta_types::{Event, SchemaRegistry, Time, Value};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::Duration;
+
+    /// Run `f` on a thread and fail if it takes longer than 30 s: a hang
+    /// fails the test instead of stalling the suite.
+    fn within_30s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = channel::bounded(1);
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(Duration::from_secs(30))
+            .expect("still waiting after 30 s")
+    }
+
+    /// A shard whose engine fails while a cut waits for its ack ends
+    /// `wait_acks` with the engine's error: the worker's `Gone` comes
+    /// where its ack would have. The bad frame goes down after the cut
+    /// opened, so the wait, not a failed send, is what must end.
+    #[test]
+    fn a_worker_failing_inside_a_cut_ends_wait_acks_with_its_error() {
+        let got = within_30s(|| {
+            let mut reg = SchemaRegistry::new();
+            let m = reg.register_type("M", &["grp"]).unwrap();
+            let text = "RETURN grp, COUNT(*) PATTERN M+ GROUP-BY grp WITHIN 20 SLIDE 10";
+            let q = CompiledQuery::parse(text, &reg).unwrap();
+            let engine = || GretaEngine::<f64>::new(q.clone(), reg.clone()).unwrap();
+            let per_shard = (0..2)
+                .map(|_| vec![EngineSlot::new(0, 0, false, engine())])
+                .collect();
+            let config = ExecutorConfig {
+                shards: 2,
+                ..ExecutorConfig::default()
+            };
+            let mut worker = Worker::spawn(per_shard, &config, false).unwrap();
+            let mut merge = Merge::new();
+            let ev = |t| Event::new_unchecked(m, Time(t), vec![Value::Int(1)]).into_ref();
+            worker.cut.open();
+            let kind = BarrierKind::Export;
+            worker.send(1, Msg::Barrier { kind }, &mut merge).unwrap();
+            let frame = vec![ev(5), ev(3)];
+            let group = 0;
+            worker
+                .send(0, Msg::Events { group, frame }, &mut merge)
+                .unwrap();
+            let waited = worker.wait_acks(&mut merge).map(drop);
+            (waited, worker.closed())
+        });
+        let out_of_order = EngineError::OutOfOrder {
+            watermark: 5,
+            got: 3,
+        };
+        assert_eq!(got, (Err(out_of_order), true));
+    }
+
+    /// A worker that panics still says it is gone: the guard's message is
+    /// sent while the panic unwinds.
+    #[test]
+    fn a_shard_out_dropped_by_a_panic_sends_its_gone() {
+        let (results, results_rx) = channel::unbounded();
+        let (spent, _spent_rx) = channel::bounded(1);
+        let out = ShardOut::<f64> {
+            shard: 3,
+            results,
+            result_rows: Arc::default(),
+            spent,
+        };
+        let unwound = catch_unwind(AssertUnwindSafe(move || {
+            let _out = out;
+            panic!("an engine bug");
+        }));
+        assert!(unwound.is_err());
+        assert!(matches!(
+            results_rx.try_recv(),
+            Ok(OutMsg::Gone { shard: 3 })
+        ));
+        assert!(results_rx.try_recv().is_err(), "Gone is the last message");
+    }
 }

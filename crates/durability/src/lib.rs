@@ -57,13 +57,9 @@ pub struct DurabilityConfig {
     /// closed windows (per the executor's watermark). Must be ≥ 1.
     pub snapshot_every_windows: u64,
     /// Rotate WAL segments once they exceed this many bytes. Rotation
-    /// fsyncs the sealed segment.
+    /// fsyncs the sealed segment; appends never sync, checkpoints and
+    /// [`Wal::sync`] do ([`FsyncPolicy`]).
     pub segment_bytes: u64,
-    /// When the WAL fsyncs appended records (see [`FsyncPolicy`]). The
-    /// default, [`FsyncPolicy::AtCheckpoint`], syncs only at rotation and
-    /// checkpoints: events since then may be lost on power failure, never
-    /// corrupted.
-    pub fsync: FsyncPolicy,
 }
 
 impl DurabilityConfig {
@@ -74,7 +70,6 @@ impl DurabilityConfig {
             dir: dir.into(),
             snapshot_every_windows: 4,
             segment_bytes: 4 << 20,
-            fsync: FsyncPolicy::AtCheckpoint,
         }
     }
 }

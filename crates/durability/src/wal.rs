@@ -27,30 +27,18 @@ use crate::error::{io_err, DurabilityError};
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
 const FRAME_HEADER: usize = 8; // len + crc
 
-/// When appended records are fsynced (the durability/throughput dial).
-///
-/// Independent of the policy, rotation always fsyncs the sealed segment
-/// and [`Wal::sync`] can be called explicitly (checkpoints do).
+/// When appended records are fsynced. There is one rule: an append
+/// never syncs; rotation fsyncs the segment it seals, and [`Wal::sync`]
+/// the live one (a checkpoint, or a server's ingest ack, calls it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
-    /// fsync after **every** append: durable up to the last record, at a
-    /// large throughput cost.
-    EachAppend,
-    /// Group commit: an append fsyncs only when at least this many
-    /// milliseconds passed since the last sync, so bursts share one fsync.
-    /// While appends keep arriving, at most ~one interval of records is
-    /// unsynced; if the stream then goes idle, the tail stays buffered
-    /// until the next append, checkpoint, or rotation — there is no idle
-    /// timer. `GroupCommit(0)` degenerates to [`FsyncPolicy::EachAppend`].
-    GroupCommit(u64),
-    /// fsync only at segment rotation and explicit [`Wal::sync`] calls
-    /// (checkpoints). Loses at most a segment/checkpoint interval of
-    /// records on power failure — or on a process kill, since appends
-    /// buffer in user space until the next flush. The default.
+    /// fsync only at segment rotation and explicit [`Wal::sync`] calls.
+    /// Records appended since then are lost on power failure — or on a
+    /// process kill, since appends buffer in user space until the next
+    /// flush — never corrupted.
     #[default]
     AtCheckpoint,
 }
@@ -164,9 +152,6 @@ pub struct Wal {
     /// Global index the next appended record will get.
     next_index: u64,
     segment_bytes: u64,
-    fsync: FsyncPolicy,
-    /// Completion time of the last fsync (group-commit bookkeeping).
-    last_sync: Instant,
     /// Set after any write/flush failure: the BufWriter may hold a partial
     /// frame, so further appends could corrupt the log mid-segment. All
     /// subsequent writes fail until the WAL is reopened (which truncates
@@ -185,11 +170,11 @@ pub struct Wal {
 impl Wal {
     /// Open (or create) the WAL in `dir`. Repairs a torn tail left by a
     /// crash mid-append by truncating the last segment to its last whole
-    /// frame. Fails on checksum corruption.
+    /// frame. Fails on checksum corruption. [`FsyncPolicy`] has one value.
     pub fn open(
         dir: impl Into<PathBuf>,
         segment_bytes: u64,
-        fsync: FsyncPolicy,
+        _fsync: FsyncPolicy,
     ) -> Result<Wal, DurabilityError> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(io_err(format!("create dir {}", dir.display())))?;
@@ -224,8 +209,6 @@ impl Wal {
             segment_len,
             next_index,
             segment_bytes: segment_bytes.max(FRAME_HEADER as u64 + 1),
-            fsync,
-            last_sync: Instant::now(),
             poisoned: false,
             unsynced: true,
             syncs: 0,
@@ -249,10 +232,9 @@ impl Wal {
     }
 
     /// Append one record, returning its global index. The record is durable
-    /// once the segment rotates, [`sync`](Self::sync) is called, or the
-    /// [`FsyncPolicy`] forces a sync (every append, or the group-commit
-    /// interval elapsing). A payload longer than [`MAX_RECORD`] is refused
-    /// before anything is written, and the log stays usable.
+    /// once the segment rotates or [`sync`](Self::sync) is called. A
+    /// payload longer than [`MAX_RECORD`] is refused before anything is
+    /// written, and the log stays usable.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, DurabilityError> {
         let len = u32::try_from(payload.len())
             .ok()
@@ -273,15 +255,6 @@ impl Wal {
         self.next_index += 1;
         self.segment_len += framed;
         self.bytes += framed;
-        match self.fsync {
-            FsyncPolicy::EachAppend => self.sync()?,
-            FsyncPolicy::GroupCommit(ms) => {
-                if self.last_sync.elapsed() >= Duration::from_millis(ms) {
-                    self.sync()?;
-                }
-            }
-            FsyncPolicy::AtCheckpoint => {}
-        }
         if self.segment_len >= self.segment_bytes {
             self.rotate()?;
         }
@@ -305,7 +278,6 @@ impl Wal {
             .map_err(io_err("fsync WAL segment"))?;
         self.unsynced = false;
         self.syncs += 1;
-        self.last_sync = Instant::now();
         Ok(())
     }
 
@@ -511,49 +483,6 @@ mod tests {
         assert!(matches!(err, DurabilityError::BadChecksum { .. }), "{err}");
         // Opening for append also refuses.
         assert!(Wal::open(&dir, 1 << 20, FsyncPolicy::AtCheckpoint).is_err());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn group_commit_zero_syncs_every_append() {
-        // GroupCommit(0): the interval has always elapsed, so every append
-        // flushes + fsyncs — records are replayable with no explicit sync.
-        let dir = tmpdir("group-commit");
-        let mut wal = Wal::open(&dir, 1 << 20, FsyncPolicy::GroupCommit(0)).unwrap();
-        for i in 0..5u64 {
-            wal.append(format!("rec-{i}").as_bytes()).unwrap();
-        }
-        // No wal.sync(), no drop: the frames must already be on disk.
-        let recs = collect(&dir).unwrap();
-        assert_eq!(recs.len(), 5);
-        drop(wal);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn group_commit_long_interval_defers_to_checkpoint_sync() {
-        // A very long interval behaves like AtCheckpoint until sync().
-        let dir = tmpdir("group-commit-long");
-        let mut wal = Wal::open(&dir, 1 << 20, FsyncPolicy::GroupCommit(3_600_000)).unwrap();
-        for i in 0..5u64 {
-            wal.append(format!("rec-{i}").as_bytes()).unwrap();
-        }
-        // Records may still sit in the BufWriter; an explicit sync (what a
-        // checkpoint does) makes them all replayable.
-        wal.sync().unwrap();
-        let recs = collect(&dir).unwrap();
-        assert_eq!(recs.len(), 5);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn each_append_policy_is_durable_per_record() {
-        let dir = tmpdir("each-append");
-        let mut wal = Wal::open(&dir, 1 << 20, FsyncPolicy::EachAppend).unwrap();
-        wal.append(b"one").unwrap();
-        let recs = collect(&dir).unwrap();
-        assert_eq!(recs.len(), 1);
-        drop(wal);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -213,7 +213,7 @@ pub(crate) fn render(server: &ServerMetrics, sessions: &[SessionMetrics<'_>]) ->
         (
             "greta_result_occupancy_rows",
             "gauge",
-            "Rows waiting in the bounded result channel.",
+            "Rows waiting on the executor's result channel (no bound).",
             |s| s.result_occupancy as f64,
         ),
         (

@@ -26,7 +26,9 @@ pub const MAGIC: [u8; 4] = *b"GRTA";
 /// a query mid-stream, returning its final rows. Version 3 acknowledges a
 /// subscription: its first frame is `Subscribed`, sent once the session
 /// has registered the subscriber, or `End` / `Error` when there is none.
-pub const VERSION: u16 = 3;
+/// Version 4 took the buffer sizes out of [`SessionOptions`]: a session
+/// runs the executor's own batch and channel sizes.
+pub const VERSION: u16 = 4;
 /// Hard cap on a single frame's payload (16 MiB). The length prefix is
 /// validated against this before any payload allocation.
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
@@ -80,17 +82,17 @@ impl From<CodecError> for ProtoError {
 
 /// Most shards (worker threads) a session may ask for.
 pub const MAX_SHARDS: u32 = 256;
-/// Largest router batch a session may ask for, in events.
-pub const MAX_BATCH_SIZE: u32 = 1 << 16;
 
-/// Per-session executor options carried by [`Request::Submit`].
+/// Per-session executor options carried by [`Request::Submit`]: what a
+/// session computes and how durably, not how it buffers — batch and
+/// channel sizes are the executor's defaults.
 ///
 /// The wire default emission mode is [`EmissionMode::WindowOrdered`]:
 /// a remote subscriber sees rows in the canonical `(window, group)`
 /// order without trusting shard interleaving. The options come from the
-/// network: a `Submit` whose options ask for more than the caps below is
-/// refused with an `Error` frame before anything is allocated or started,
-/// and one whose late-policy tag is unknown does not decode.
+/// network: a `Submit` that asks for more than [`MAX_SHARDS`] is refused
+/// with an `Error` frame before anything is allocated or started, and one
+/// whose late-policy tag is unknown does not decode.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionOptions {
     /// Shard (worker thread) count; `0` is normalised to 1, above
@@ -102,14 +104,6 @@ pub struct SessionOptions {
     pub late_policy: LatePolicy,
     /// Result emission mode.
     pub emission: EmissionMode,
-    /// Router batch size; `0` is normalised to 1, above
-    /// [`MAX_BATCH_SIZE`] is refused.
-    pub batch_size: u32,
-    /// Per-shard input channel capacity (frames).
-    pub channel_capacity: u32,
-    /// Result channel capacity (rows); also the session's pending-row
-    /// high-water mark that drives the `busy` ack bit.
-    pub result_capacity: u32,
     /// Durability directory; `None` runs without a WAL.
     pub durability_dir: Option<String>,
     /// Recover from `durability_dir` instead of requiring it fresh.
@@ -127,9 +121,6 @@ impl Default for SessionOptions {
             slack: 0,
             late_policy: LatePolicy::Drop,
             emission: EmissionMode::WindowOrdered,
-            batch_size: 64,
-            channel_capacity: 4096,
-            result_capacity: 1 << 16,
             durability_dir: None,
             recover: false,
             snapshot_every_windows: 0,
@@ -323,9 +314,6 @@ impl SessionOptions {
         put_u64(out, self.slack);
         out.push(self.late_policy.tag());
         out.push(self.emission.tag());
-        put_u32(out, self.batch_size);
-        put_u32(out, self.channel_capacity);
-        put_u32(out, self.result_capacity);
         match &self.durability_dir {
             None => out.push(0),
             Some(d) => {
@@ -343,9 +331,6 @@ impl SessionOptions {
             slack: r.u64()?,
             late_policy: LatePolicy::from_tag(r.u8()?)?,
             emission: EmissionMode::from_tag(r.u8()?)?,
-            batch_size: r.u32()?,
-            channel_capacity: r.u32()?,
-            result_capacity: r.u32()?,
             durability_dir: match r.u8()? {
                 0 => None,
                 1 => Some(r.str()?.to_string()),
@@ -726,7 +711,7 @@ mod tests {
                 emission: EmissionMode::Unordered,
                 durability_dir: Some("/tmp/x".into()),
                 recover: true,
-                ..SessionOptions::default()
+                snapshot_every_windows: 7,
             },
             attach_to: None,
         });
@@ -885,9 +870,14 @@ mod tests {
 
         let bad = b"HTTP/1";
         assert!(read_preamble(&mut bad.as_slice()).is_err());
-        let mut wrong_ver = Vec::new();
-        wrong_ver.extend_from_slice(&MAGIC);
-        wrong_ver.extend_from_slice(&99u16.to_le_bytes());
-        assert!(read_preamble(&mut wrong_ver.as_slice()).is_err());
+        for version in [3u16, 99] {
+            let mut wrong_ver = Vec::new();
+            wrong_ver.extend_from_slice(&MAGIC);
+            wrong_ver.extend_from_slice(&version.to_le_bytes());
+            assert!(
+                read_preamble(&mut wrong_ver.as_slice()).is_err(),
+                "v{version}"
+            );
+        }
     }
 }

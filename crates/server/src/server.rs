@@ -518,11 +518,7 @@ mod tests {
         let shared = Shared::new();
         let mut registry = SchemaRegistry::new();
         registry.register_type("A", &["x"]).unwrap();
-        let options = SessionOptions {
-            channel_capacity: 16,
-            result_capacity: 16,
-            ..SessionOptions::default()
-        };
+        let options = SessionOptions::default();
         let query = "RETURN COUNT(*) PATTERN A+ WITHIN 10 SLIDE 10";
         let submit = |_| shared.submit(query, registry.clone(), options.clone(), None);
         let ids: Vec<u64> = (0..32).map(|i| submit(i).unwrap().0).collect();

@@ -6,10 +6,12 @@
 //!
 //! Backpressure is layered: the command channel bounds in-flight ingest
 //! batches, the session stops polling `poll_results_of()` once a pending
-//! buffer hits the high-water mark (so the executor's result channel
-//! fills and `result_occupancy` rises), and every ingest ack carries a
-//! `busy` bit computed from those occupancies — the credit signal the
-//! wire protocol's backpressure contract is built on.
+//! buffer hits [`PENDING_HIGH`] (so rows queue on the executor's result
+//! channel and `result_occupancy` rises), and every ingest ack carries a
+//! `busy` bit computed from those occupancies against fixed thresholds —
+//! the credit signal the wire protocol's backpressure contract is built
+//! on. The executor runs its default batch and channel sizes; no client
+//! sets them.
 //!
 //! The session thread wakes the moment a command arrives: after a pass in
 //! which nothing moved it waits on the command channel for at most
@@ -25,7 +27,7 @@
 //! none is held while another is taken, so lock order and "no lock across
 //! a socket write" hold by construction.
 
-use crate::protocol::{IngestAck, SessionOptions, MAX_BATCH_SIZE, MAX_SHARDS};
+use crate::protocol::{IngestAck, SessionOptions, MAX_SHARDS};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use greta_core::{
     EmissionMode, ExecutorConfig, ExecutorStats, QueryId, StreamExecutor, WindowResult,
@@ -51,6 +53,11 @@ const ROW_POLL: Duration = Duration::from_millis(1);
 const SUB_CHANNEL_CAPACITY: usize = 64;
 /// Rows per `Rows` frame handed to a subscriber.
 const SUB_BATCH_ROWS: usize = 256;
+/// Pending rows of one query past which the session stops polling it, so
+/// that its rows wait on the executor's result channel instead.
+const PENDING_HIGH: usize = 1 << 16;
+/// Rows on the executor's result channel at which acks say busy.
+const BUSY_RESULT_ROWS: usize = 1 << 15;
 
 /// Commands a connection thread can send to a session thread.
 pub(crate) enum SessionCmd {
@@ -173,25 +180,17 @@ impl Published {
 }
 
 /// Build the [`ExecutorConfig`] a [`SessionOptions`] describes, refusing
-/// options that would have it allocate or start more than the caps allow.
+/// more shards than [`MAX_SHARDS`].
 pub(crate) fn executor_config(opts: &SessionOptions) -> Result<ExecutorConfig, String> {
-    let (shards, batch) = (opts.shards, opts.batch_size);
+    let shards = opts.shards;
     if shards > MAX_SHARDS {
         return Err(format!("shards {shards} exceeds the cap of {MAX_SHARDS}"));
     }
-    if batch > MAX_BATCH_SIZE {
-        return Err(format!(
-            "batch_size {batch} exceeds the cap of {MAX_BATCH_SIZE}"
-        ));
-    }
     Ok(ExecutorConfig {
-        shards: (opts.shards.max(1)) as usize,
+        shards: (shards.max(1)) as usize,
         slack: opts.slack,
         late_policy: opts.late_policy,
         emission: opts.emission,
-        batch_size: (opts.batch_size.max(1)) as usize,
-        channel_capacity: (opts.channel_capacity.max(1)) as usize,
-        result_capacity: (opts.result_capacity.max(1)) as usize,
         durability: opts.durability_dir.as_ref().map(|d| {
             let mut dcfg = DurabilityConfig::new(d);
             if opts.snapshot_every_windows > 0 {
@@ -213,6 +212,7 @@ pub(crate) fn spawn_session(
     opts: SessionOptions,
 ) -> Result<SessionHandle, String> {
     let config = executor_config(&opts)?;
+    let channel_capacity = config.channel_capacity;
     let exec = if opts.recover {
         StreamExecutor::<f64>::recover(query, registry.clone(), config)
     } else {
@@ -240,9 +240,7 @@ pub(crate) fn spawn_session(
         exec,
         registry,
         streams: ids.iter().map(|q| QueryStream::new(q.0)).collect(),
-        pending_high: (opts.result_capacity.max(1)) as usize,
-        channel_capacity: (opts.channel_capacity.max(1)) as usize,
-        result_capacity: (opts.result_capacity.max(1)) as usize,
+        channel_capacity,
         published: Arc::clone(&published),
         drained: Arc::clone(&drained),
     };
@@ -302,11 +300,8 @@ struct SessionLoop {
     registry: SchemaRegistry,
     /// One stream per hosted query, ascending by query id.
     streams: Vec<QueryStream>,
-    /// Stop polling results past this many pending rows (per query) so
-    /// the executor's result channel backs up and `busy` trips.
-    pending_high: usize,
+    /// The executor's per-shard input queue capacity, in frames.
     channel_capacity: usize,
-    result_capacity: usize,
     // Shared with the `SessionHandle`: what this thread publishes.
     published: Arc<Published>,
     drained: Arc<AtomicBool>,
@@ -462,14 +457,15 @@ impl SessionLoop {
         Ok(())
     }
 
-    /// The credit signal: busy when any executor channel (or any
-    /// query stream's own pending buffer) is at least half full.
+    /// The credit signal: busy when [`BUSY_RESULT_ROWS`] rows wait on the
+    /// executor's result channel, or any query stream's pending buffer or
+    /// any shard's input queue is at least half full.
     fn busy(&self, stats: &ExecutorStats) -> bool {
-        stats.result_occupancy * 2 >= self.result_capacity
+        stats.result_occupancy >= BUSY_RESULT_ROWS
             || self
                 .streams
                 .iter()
-                .any(|st| st.pending.len() * 2 >= self.pending_high)
+                .any(|st| st.pending.len() * 2 >= PENDING_HIGH)
             || stats
                 .channel_occupancy
                 .iter()
@@ -482,7 +478,7 @@ impl SessionLoop {
     fn pump(&mut self) -> bool {
         let mut moved = false;
         for st in &mut self.streams {
-            if st.pending.len() < self.pending_high {
+            if st.pending.len() < PENDING_HIGH {
                 if let Ok(polled) = self.exec.poll_results_of(QueryId(st.query)) {
                     if !polled.is_empty() {
                         moved = true;

@@ -474,9 +474,10 @@ fn zero_shards_rejected_and_push_after_finish_errors() {
 
 #[test]
 fn poll_free_caller_with_tiny_channels_cannot_deadlock() {
-    // Regression: with a full result channel and full shard queues, a
-    // caller that never polls used to park forever in push()/finish().
-    // The sender now drains results into an internal buffer instead.
+    // Regression: with full shard queues, a caller that never polls used
+    // to park forever in push()/finish(). The shards never wait on the
+    // caller — their rows queue on the unbounded result channel — so a
+    // push blocked on a full queue always resumes.
     let (reg, q, events) = stock_setup(400);
     let mut engine = GretaEngine::<f64>::new(q.clone(), reg.clone()).unwrap();
     let expect = sorted(engine.run(&events).unwrap());
@@ -486,7 +487,6 @@ fn poll_free_caller_with_tiny_channels_cannot_deadlock() {
         ExecutorConfig {
             shards: 2,
             channel_capacity: 2,
-            result_capacity: 1,
             batch_size: 4,
             ..Default::default()
         },
@@ -695,20 +695,18 @@ fn broadcast_events_are_released_once_the_stream_has_finished() {
 #[test]
 fn row_batches_equal_the_sequential_engine_in_both_emission_modes() {
     // A flush's rows cross the result channel as one message. Whatever
-    // the shard count, frame size or result-channel capacity (one message
-    // at a time included), the ordered stream equals the sequential
-    // engine's sorted rows as polled, the unordered one once sorted, and
-    // no row is left counted on the channel.
+    // the shard count or frame size, the ordered stream equals the
+    // sequential engine's sorted rows as polled, the unordered one once
+    // sorted, and no row is left counted on the channel.
     let (reg, q, events) = stock_setup(1_200);
     let mut engine = GretaEngine::<f64>::new(q.clone(), reg.clone()).unwrap();
     let expect = sorted(engine.run(&events).unwrap());
     for emission in [EmissionMode::Unordered, EmissionMode::WindowOrdered] {
         for shards in [1, 2, 4] {
-            for (batch_size, result_capacity) in [(1, 1 << 16), (64, 1 << 16), (64, 1)] {
+            for batch_size in [1, 64] {
                 let config = ExecutorConfig {
                     shards,
                     batch_size,
-                    result_capacity,
                     emission,
                     ..Default::default()
                 };
@@ -722,9 +720,7 @@ fn row_batches_equal_the_sequential_engine_in_both_emission_modes() {
                 if emission == EmissionMode::Unordered {
                     rows = sorted(rows);
                 }
-                let case = format!(
-                    "{emission:?} shards={shards} batch={batch_size} results={result_capacity}"
-                );
+                let case = format!("{emission:?} shards={shards} batch={batch_size}");
                 assert_eq!(rows, expect, "{case}");
                 assert_eq!(exec.stats().result_occupancy, 0, "{case}");
             }

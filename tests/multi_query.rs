@@ -231,22 +231,20 @@ fn register_and_deregister_mid_stream_on_a_skewed_stream() {
 }
 
 /// A remove barrier's ack queues behind the remainder rows on the one
-/// bounded result channel: with a remainder larger than the channel, the
-/// shards block on their rows until the coordinator — waiting for acks —
-/// absorbs them. Nothing may be dropped, reordered, or deadlock.
+/// result channel: the coordinator, waiting for the acks, absorbs every
+/// shard's remainder first. Nothing may be dropped, reordered, or
+/// deadlock.
 #[test]
-fn deregister_returns_a_remainder_larger_than_the_result_channel() {
+fn deregister_returns_a_remainder_queued_ahead_of_the_acks() {
     const WIDE: &str = "RETURN grp, COUNT(*) PATTERN M+ WHERE M.load < NEXT(M).load \
                         GROUP-BY grp WITHIN 200 SLIDE 10";
     let reg = setup();
     let events = events(&reg, 300);
-    let result_capacity = 8;
     let mut exec = StreamExecutor::<f64>::new(
         CompiledQuery::parse(QA, &reg).unwrap(),
         reg.clone(),
         ExecutorConfig {
             shards: 4,
-            result_capacity,
             ..Default::default()
         },
     )
@@ -259,9 +257,10 @@ fn deregister_returns_a_remainder_larger_than_the_result_channel() {
     }
     let mut rows = exec.poll_results_of(id).unwrap();
     let remainder = exec.deregister_query(id).unwrap();
+    // Several rows per shard wait ahead of its ack.
     assert!(
-        remainder.len() > 4 * result_capacity,
-        "remainder of {} rows does not overflow the channel",
+        remainder.len() > 4 * 8,
+        "remainder of {} rows",
         remainder.len()
     );
     rows.extend(remainder);

@@ -10,9 +10,7 @@ use greta::core::window::last_closed;
 use greta::core::{EmissionMode, ExecutorConfig, LatePolicy, StreamExecutor, WindowResult};
 use greta::durability::DurabilityConfig;
 use greta::query::CompiledQuery;
-use greta::server::protocol::{
-    read_response, write_preamble, Request, Response, MAX_BATCH_SIZE, MAX_SHARDS,
-};
+use greta::server::protocol::{read_response, write_preamble, Request, Response, MAX_SHARDS};
 use greta::server::{Client, GretaServer, SessionOptions};
 use greta::types::{Event, SchemaRegistry, Time, TypeId, Value};
 use greta::workloads::{ClusterConfig, ClusterGen, StockConfig, StockGen};
@@ -207,10 +205,11 @@ fn slow_consumer_trips_the_busy_signal() {
     let server = GretaServer::bind("127.0.0.1:0").unwrap();
     let addr = server.local_addr();
     let mut client = Client::connect(addr).unwrap();
-    // Tiny result channel, a row-dense query (per-company groups over
-    // short windows), and a subscriber that never reads: pending rows
-    // hit the session's high-water mark and the executor's result
-    // channel backs up, so acks must start carrying busy=true.
+    // A row-dense query (per-company groups over short windows) and a
+    // subscriber that never reads: pending rows hit the session's
+    // high-water mark and rows pile up on the executor's result channel,
+    // so acks must start carrying busy=true at the session's fixed
+    // thresholds.
     let dense = "RETURN company, COUNT(*) PATTERN Stock S+ \
                  WHERE [company] AND S.price > NEXT(S).price \
                  GROUP-BY company WITHIN 50 SLIDE 25";
@@ -220,7 +219,6 @@ fn slow_consumer_trips_the_busy_signal() {
             &reg,
             SessionOptions {
                 shards: 2,
-                result_capacity: 16,
                 ..SessionOptions::default()
             },
         )
@@ -451,7 +449,7 @@ fn malformed_and_oversized_frames_are_rejected() {
     // Oversized length prefix after a valid preamble: Error frame, no
     // 4 GiB allocation, connection closed.
     let mut s = TcpStream::connect(addr).unwrap();
-    s.write_all(b"GRTA\x03\x00").unwrap();
+    write_preamble(&mut s).unwrap();
     s.write_all(&u32::MAX.to_le_bytes()).unwrap();
     s.flush().unwrap();
     let reply = read_all_tolerant(&mut s);
@@ -460,16 +458,17 @@ fn malformed_and_oversized_frames_are_rejected() {
 
     // Garbage payload under a sane length: decode error reported.
     let mut s = TcpStream::connect(addr).unwrap();
-    s.write_all(b"GRTA\x03\x00").unwrap();
+    write_preamble(&mut s).unwrap();
     s.write_all(&8u32.to_le_bytes()).unwrap();
     s.write_all(&[0xFFu8; 8]).unwrap();
     s.flush().unwrap();
     let reply = read_all_tolerant(&mut s);
     assert!(!reply.is_empty(), "server must answer before closing");
 
-    // A wrong protocol version is refused at the preamble.
+    // A wrong protocol version — v3, the one before this — is refused at
+    // the preamble.
     let mut s = TcpStream::connect(addr).unwrap();
-    s.write_all(b"GRTA\x63\x00").unwrap();
+    s.write_all(b"GRTA\x03\x00").unwrap();
     s.flush().unwrap();
     read_all_tolerant(&mut s); // connection just closes
 
@@ -853,36 +852,21 @@ fn subscribe_queued_behind_drain_gets_end_of_stream() {
     server.shutdown().unwrap();
 }
 
-/// Options a `Submit` carries come from the network. Each that would have
-/// the session allocate or start more than its cap is refused with an
-/// `Error` before any executor exists: no session starts and the
-/// connection keeps serving. The values are one past each cap.
+/// Options a `Submit` carries come from the network. A shard count past
+/// [`MAX_SHARDS`] is refused with an `Error` before any executor exists:
+/// no session starts and the connection keeps serving. (No other option
+/// sizes anything.)
 #[test]
 fn session_options_past_their_caps_are_refused_at_submit() {
     let (reg, _) = stock(10);
     let server = GretaServer::bind("127.0.0.1:0").unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
-    let options = SessionOptions::default;
-    let refused = [
-        (
-            "shards",
-            SessionOptions {
-                shards: MAX_SHARDS + 1,
-                ..options()
-            },
-        ),
-        (
-            "batch_size",
-            SessionOptions {
-                batch_size: MAX_BATCH_SIZE + 1,
-                ..options()
-            },
-        ),
-    ];
-    for (what, options) in refused {
-        let err = client.submit(Q1, &reg, options).unwrap_err().to_string();
-        assert!(err.contains(what), "{what}: {err}");
-    }
+    let options = SessionOptions {
+        shards: MAX_SHARDS + 1,
+        ..SessionOptions::default()
+    };
+    let err = client.submit(Q1, &reg, options).unwrap_err().to_string();
+    assert!(err.contains("shards"), "{err}");
     let stats = client.stats().unwrap();
     assert!(stats.contains("\ngreta_server_sessions 0\n"), "{stats}");
     server.shutdown().unwrap();
